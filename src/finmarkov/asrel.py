@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .kernel import (
+    UNIT,
     FinMarkovError,
     FinObject,
     Kernel,
@@ -22,6 +22,7 @@ from .kernel import (
     compose,
     copy_kernel,
     fin_object,
+    function_kernel,
     support_indices,
     tensor,
 )
@@ -73,7 +74,7 @@ def _joint_matrix(p: Kernel, f: Kernel, w_size: int):
     nx = p.cod.size
     ny = f.cod.size
     na = p.dom.size
-    zero = False if multi else Fraction(0)
+    zero = p.kind.zero
     rows = []
     for x in range(nx):
         prow = p.matrix[x]
@@ -92,10 +93,6 @@ def _joint_matrix(p: Kernel, f: Kernel, w_size: int):
     return tuple(rows)
 
 
-def _reached_columns(p: Kernel) -> tuple[int, ...]:
-    return support_indices(p)
-
-
 def ase(query: AseQuery) -> bool:
     """Decide the almost-sure equality of ``left`` and ``right`` w.r.t.
     ``reference``.
@@ -105,7 +102,7 @@ def ase(query: AseQuery) -> bool:
     """
     p, f, g, w = query.reference, query.left, query.right, query.w_size
     nx = p.cod.size
-    reached = _reached_columns(p)
+    reached = support_indices(p)
     shortcut = True
     for x in reached:
         for wi in range(w):
@@ -157,13 +154,7 @@ _BIT = fin_object(("0", "1"))
 
 
 def _indicator(x: FinObject, kind: Kind, hot: Optional[int]) -> Kernel:
-    one = True if kind is Kind.MULTI else Fraction(1)
-    zero = False if kind is Kind.MULTI else Fraction(0)
-    rows = [
-        tuple(zero if j == hot else one for j in range(x.size)),
-        tuple(one if j == hot else zero for j in range(x.size)),
-    ]
-    return Kernel(kind, x, _BIT, tuple(rows))
+    return function_kernel(x, _BIT, [1 if j == hot else 0 for j in range(x.size)], kind)
 
 
 def refute_abs_cont(q: Kernel, p: Kernel) -> Optional[AcWitness]:
@@ -179,9 +170,9 @@ def refute_abs_cont(q: Kernel, p: Kernel) -> Optional[AcWitness]:
     x = next(i for i in support_indices(p) if i not in qs)
     low = _indicator(p.cod, p.kind, None)
     high = _indicator(p.cod, p.kind, x)
-    witness = AcWitness(low, high, p.cod.labels[x])
-    assert ase_kernels(q, low, high) and not ase_kernels(p, low, high)
-    return witness
+    if not ase_kernels(q, low, high) or ase_kernels(p, low, high):
+        raise AssertionError("indicator witness does not replay through ase")
+    return AcWitness(low, high, p.cod.labels[x])
 
 
 def acsim(p: Kernel, q: Kernel) -> bool:
@@ -211,7 +202,7 @@ def perturb_off_support(f: Kernel, p: Kernel, seed: int) -> Kernel:
     if nx == 0 or f.dom.size % nx != 0:
         raise ShapeMismatch("domain of f does not end in the codomain of p")
     w = f.dom.size // nx
-    reached = set(_reached_columns(p))
+    reached = set(support_indices(p))
     off = [wi * nx + x for wi in range(w) for x in range(nx) if x not in reached]
     if not off or f.cod.size < 2:
         return f
@@ -223,13 +214,13 @@ def perturb_off_support(f: Kernel, p: Kernel, seed: int) -> Kernel:
         j = off[0]
         cols[j] = cols[j][1:] + cols[j][:1]
         if tuple(cols[j]) == f.column(j):
-            one = True if f.kind is Kind.MULTI else Fraction(1)
-            zero = False if f.kind is Kind.MULTI else Fraction(0)
-            hot = 1 if f.column(j)[0] == one and all(v == zero for v in f.column(j)[1:]) else 0
-            cols[j] = [one if i == hot else zero for i in range(f.cod.size)]
+            # a column fixed by rotation is constant, so the point mass on
+            # the first element differs from it
+            cols[j] = list(function_kernel(UNIT, f.cod, [0], f.kind).column(0))
     rows = tuple(tuple(cols[j][i] for j in range(f.dom.size)) for i in range(f.cod.size))
     out = Kernel(f.kind, f.dom, f.cod, rows)
-    assert ase_kernels(p, f, out, w)
+    if not ase_kernels(p, f, out, w):
+        raise AssertionError("perturbed kernel is not almost surely equal to the original")
     return out
 
 

@@ -6,9 +6,10 @@ Kernels travel as JSON documents:
      "matrix": [["1/2"], ["1/2"]]}
 
 Rows are indexed by the codomain and columns by the domain, so a column
-is the distribution at one input.  Entries are integers or reduced
-fraction strings "n/d"; multi kernels instead carry "images", one array
-of codomain labels per domain element.
+is the distribution at one input.  Entries are JSON integers or strings
+of the form "-?digits" or "-?digits/digits" with a nonzero denominator,
+each numeral at most 4300 digits long; multi kernels instead carry
+"images", one array of codomain labels per domain element.
 
 Exit codes: 0 analysis completed (and positive where boolean), 1 a
 property or equation failed (e.g. abscont false, non-idempotent input to
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -55,16 +57,33 @@ class ParseError(FinMarkovError):
     """Malformed kernel document."""
 
 
+# Longest numeral converted to an int.  CPython 3.11 refuses longer ones by
+# default; 3.10 converts them in time quadratic in their length.
+MAX_DIGITS = 4300
+
+_ENTRY = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_int(text: str, where: str = "integer literal") -> int:
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ParseError(f"{where}: numeral longer than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _parse_entry(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{where}: entries must be integers or 'n/d' strings, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad fraction {value!r}") from exc
+        match = _ENTRY.fullmatch(value)
+        if match is None:
+            raise ParseError(f"{where}: bad fraction {value[:40]!r}")
+        num = _parse_int(match.group(1), where)
+        den = _parse_int(match.group(2) or "1", where)
+        if den == 0:
+            raise ParseError(f"{where}: zero denominator in {value!r}")
+        return Fraction(num, den)
     raise ParseError(f"{where}: bad entry {value!r}")
 
 
@@ -72,7 +91,7 @@ def parse_kernel(text: str) -> Kernel:
     """Parse a kernel document; fractions are re-reduced, the column law
     is enforced."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return kernel_from_doc(doc)
@@ -247,12 +266,12 @@ def _cmd_abscont(args) -> tuple[int, dict]:
     payload: dict[str, Any] = {"abs_cont": verdict}
     if not verdict:
         witness = refute_abs_cont(q, p)
-        assert witness is not None
-        payload["witness"] = {
-            "element": witness.element,
-            "low": kernel_to_doc(witness.low),
-            "high": kernel_to_doc(witness.high),
-        }
+        if witness is not None:
+            payload["witness"] = {
+                "element": witness.element,
+                "low": kernel_to_doc(witness.low),
+                "high": kernel_to_doc(witness.high),
+            }
     return (0 if verdict else 1), payload
 
 

@@ -91,19 +91,24 @@ def env_hom(src: EnvelopeCell, dst: EnvelopeCell, f: Kernel) -> EnvelopeMorphism
     """Check the two absorption equations f∘e_src = f = e_dst∘f."""
     if f.dom != src.object or f.cod != dst.object:
         raise ShapeMismatch("kernel does not connect the given cells")
-    if not kernel_equal(compose(f, src.endo), f):
+    out = EnvelopeMorphism(src, dst, f)
+    _require_absorbed(out)
+    return out
+
+
+def _require_absorbed(m: EnvelopeMorphism) -> None:
+    """Raise NotHom unless both endpoint idempotents absorb the kernel."""
+    if not kernel_equal(compose(m.kernel, m.src.endo), m.kernel):
         raise NotHom("source idempotent is not absorbed (f∘e_src ≠ f)")
-    if not kernel_equal(compose(dst.endo, f), f):
+    if not kernel_equal(compose(m.dst.endo, m.kernel), m.kernel):
         raise NotHom("target idempotent is not absorbed (e_dst∘f ≠ f)")
-    return EnvelopeMorphism(src, dst, f)
 
 
 def env_compose(g: EnvelopeMorphism, f: EnvelopeMorphism) -> EnvelopeMorphism:
     if f.dst != g.src:
         raise CellMismatch("inner cells differ")
     out = EnvelopeMorphism(f.src, g.dst, compose(g.kernel, f.kernel))
-    assert kernel_equal(compose(out.kernel, f.src.endo), out.kernel)
-    assert kernel_equal(compose(g.dst.endo, out.kernel), out.kernel)
+    _require_absorbed(out)
     return out
 
 
@@ -120,8 +125,7 @@ def env_tensor(f: EnvelopeMorphism, g: EnvelopeMorphism) -> EnvelopeMorphism:
     src = cell_tensor(f.src, g.src)
     dst = cell_tensor(f.dst, g.dst)
     out = EnvelopeMorphism(src, dst, tensor(f.kernel, g.kernel))
-    assert kernel_equal(compose(out.kernel, src.endo), out.kernel)
-    assert kernel_equal(compose(dst.endo, out.kernel), out.kernel)
+    _require_absorbed(out)
     return out
 
 
@@ -138,8 +142,7 @@ def _copy_formula(cell: EnvelopeCell) -> EnvelopeMorphism:
     k = compose(tensor(e, e), compose(copy_kernel(e.dom, e.kind), e))
     dst = EnvelopeCell(k.cod, tensor(e, e), cell.flavor)
     out = EnvelopeMorphism(cell, dst, k)
-    assert kernel_equal(compose(k, e), k)
-    assert kernel_equal(compose(dst.endo, k), k)
+    _require_absorbed(out)
     return out
 
 
@@ -221,8 +224,8 @@ def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bo
     joint_f = compose(tensor(mid.endo, f.kernel), compose(cpy, p.kernel))
     joint_g = compose(tensor(mid.endo, g.kernel), compose(cpy, p.kernel))
     env_verdict = kernel_equal(joint_f, joint_g)
-    base_verdict = ase_kernels(p.kernel, f.kernel, g.kernel)
-    assert env_verdict == base_verdict
+    if env_verdict != ase_kernels(p.kernel, f.kernel, g.kernel):
+        raise AssertionError("envelope and kernel almost-sure equality disagree")
     return env_verdict
 
 
@@ -237,6 +240,8 @@ def env_split_idempotent(cell: EnvelopeCell) -> tuple[EnvelopeMorphism, Envelope
     plain = EnvelopeCell(cell.object, identity(e.dom, e.kind), cell.flavor)
     proj = env_hom(plain, cell, e)
     incl = env_hom(cell, plain, e)
-    assert kernel_equal(env_compose(proj, incl).kernel, cell.endo)
-    assert kernel_equal(env_compose(incl, proj).kernel, e)
+    if not kernel_equal(env_compose(proj, incl).kernel, cell.endo):
+        raise AssertionError("the formal splitting does not rebuild the cell identity")
+    if not kernel_equal(env_compose(incl, proj).kernel, e):
+        raise AssertionError("the formal splitting does not rebuild the idempotent")
     return proj, incl

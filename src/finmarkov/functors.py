@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from .asrel import UnsupportedKind, ase_kernels
 from .kernel import (
+    ONE,
+    ZERO,
     FinMarkovError,
     FinObject,
     Kernel,
@@ -22,6 +24,7 @@ from .kernel import (
     copy_kernel,
     deterministic_states,
     discard_kernel,
+    function_kernel,
     identity,
     kernel_equal,
     left_unitor,
@@ -29,6 +32,7 @@ from .kernel import (
     split_tensor_labels,
     tensor,
     tensor_object,
+    validate,
 )
 
 
@@ -45,21 +49,18 @@ def io_relation(p: Kernel) -> Kernel:
     outputs; objects are carried over unchanged.
 
     In this model the deterministic states of an object are exactly its
-    elements, which is asserted by enumeration.
+    elements, which is checked by enumeration.
     """
     if p.kind is not Kind.STOCH:
         raise UnsupportedKind("the input-output relation is taken of stochastic kernels")
-    assert len(deterministic_states(p.dom)) == p.dom.size
+    if len(deterministic_states(p.dom)) != p.dom.size:
+        raise AssertionError("deterministic states do not match the elements")
     rows = tuple(tuple(v > 0 for v in row) for row in p.matrix)
     out = Kernel(Kind.MULTI, p.dom, p.cod, rows)
-    from .kernel import validate
-
-    assert validate(out) is None  # point liftings make every image nonempty
+    bad = validate(out)
+    if bad is not None:  # point liftings make every image nonempty
+        raise AssertionError(f"input-output relation is not a multi kernel: {bad.message}")
     return out
-
-
-# CLI-facing alias using the subcommand's name
-upsilon = io_relation
 
 
 @dataclass(frozen=True)
@@ -148,19 +149,14 @@ def param_tensor(f: ParamMorphism, g: ParamMorphism) -> ParamMorphism:
     # W⊗(A⊗B) → (W⊗A)⊗(W⊗B), deterministic: (w,(a,b)) ↦ ((w,a),(w,b))
     src = tensor_object(w, ab)
     dst = tensor_object(tensor_object(w, a), tensor_object(w, b))
-    one = True if kind is Kind.MULTI else Fraction(1)
-    zero = False if kind is Kind.MULTI else Fraction(0)
     na, nb, nw = a.size, b.size, w.size
-    rows = []
-    for wi1 in range(nw):
-        for ai in range(na):
-            for wi2 in range(nw):
-                for bi in range(nb):
-                    row = [zero] * src.size
-                    if wi1 == wi2:
-                        row[wi1 * (na * nb) + ai * nb + bi] = one
-                    rows.append(tuple(row))
-    distribute = Kernel(kind, src, dst, tuple(rows))
+    targets = [
+        (wi * na + ai) * (nw * nb) + wi * nb + bi
+        for wi in range(nw)
+        for ai in range(na)
+        for bi in range(nb)
+    ]
+    distribute = function_kernel(src, dst, targets, kind)
     inner = compose(tensor(f.inner, g.inner), distribute)
     return ParamMorphism(w, ab, tensor_object(f.x, g.x), inner)
 
@@ -194,7 +190,7 @@ def conditional(f: Kernel, split: int) -> Kernel:
             if mass > 0:
                 cols.append([f.matrix[x * ny + y][a] / mass for y in range(ny)])
             else:
-                cols.append([Fraction(1) if y == 0 else Fraction(0) for y in range(ny)])
+                cols.append([ONE if y == 0 else ZERO for y in range(ny)])
     rows = tuple(tuple(cols[j][y] for j in range(nx * na)) for y in range(ny))
     cond = Kernel(Kind.STOCH, dom, y_obj, rows)
     if not kernel_equal(_reconstruct(f, cond, split), f):  # pragma: no cover

@@ -36,6 +36,7 @@ from .kernel import (
     fin_object,
     identity,
     is_deterministic,
+    is_point_mass,
     kernel_equal,
     support_indices,
     swap_kernel,
@@ -63,10 +64,6 @@ class NotASplitting(FinMarkovError):
 
 class SizeLimitExceeded(FinMarkovError):
     """Exhaustive search space larger than the configured bound."""
-
-
-def _mul(kind: Kind, a, b):
-    return (a and b) if kind is Kind.MULTI else a * b
 
 
 def two_step(e: Kernel) -> Kernel:
@@ -137,7 +134,7 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
     n = e.dom.size
     labels = e.dom.labels
     multi = kind is Kind.MULTI
-    zero = False if multi else Fraction(0)
+    zero = kind.zero
     cols = [e.column(j) for j in range(n)]
     static = strong = balanced = True
     # scan order (input, final, intermediate); L(y,z|x) = e(y|x)·e(z|y)
@@ -191,21 +188,15 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
             break
     deterministic = is_deterministic(e)
     if not deterministic:
-        j = next(j for j in range(n) if not _point_mass(e, j))
+        j = next(j for j in range(n) if not is_point_mass(kind, cols[j]))
         witnesses["deterministic"] = (labels[j],)
-    report = IdempotentReport(
+    if (static or strong) and not balanced:
+        raise StructureViolation("a static or strong idempotent must be balanced")
+    if static and strong and not deterministic:
+        raise StructureViolation("a static and strong idempotent must be deterministic")
+    return IdempotentReport(
         True, deterministic, static, strong, balanced, MappingProxyType(witnesses)
     )
-    assert (not static or balanced) and (not strong or balanced)
-    assert not (static and strong) or deterministic
-    return report
-
-
-def _point_mass(e: Kernel, j: int) -> bool:
-    col = e.column(j)
-    if e.kind is Kind.MULTI:
-        return sum(1 for v in col if v) == 1
-    return sum(1 for v in col if v != 0) == 1 and any(v == 1 for v in col)
 
 
 @dataclass(frozen=True)
@@ -245,8 +236,9 @@ def balanced_cross_check(e: Kernel) -> BalancedCrossCheck:
 
     defining = classify(e).balanced
 
+    # bools multiply as 0/1, so one product serves every kind
     detailed = all(
-        _mul(kind, e.matrix[y][z], e.matrix[z][x]) == _mul(kind, e.matrix[z][y], e.matrix[y][x])
+        e.matrix[y][z] * e.matrix[z][x] == e.matrix[z][y] * e.matrix[y][x]
         for x in range(n)
         for y in range(n)
         for z in range(n)
@@ -485,7 +477,7 @@ def search_split(
                         tuple(
                             labels[i]
                             for i in range(n)
-                            if (iota.matrix[i][s] if e.kind is Kind.MULTI else iota.matrix[i][s] > 0)
+                            if iota.matrix[i][s] > 0
                         )
                         for s in range(t)
                     )
@@ -519,7 +511,8 @@ def verify_split(e: Kernel, iota: Kernel, pi: Kernel) -> tuple[IdempotentReport,
         and pi_as_det
     )
     # the equivalences are theorems for the positive kinds only
-    assert checks or e.kind is Kind.SIGNED
+    if not checks and e.kind is not Kind.SIGNED:
+        raise StructureViolation("the splitting's determinism disagrees with the taxonomy")
     return report, checks
 
 
@@ -592,13 +585,14 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
 
     consequent = True
     reached = set(support_indices(f))
+    # bools multiply as 0/1, so the products below compare like AND
     for b in range(nb):
         if b not in reached:
             continue
         for x in range(nx):
             for y in range(ny):
-                lhs = _mul(kind, g.matrix[x][b], h.matrix[y][x])
-                rhs = _mul(kind, g.matrix[x][b], hg.matrix[y][b])
+                lhs = g.matrix[x][b] * h.matrix[y][x]
+                rhs = g.matrix[x][b] * hg.matrix[y][b]
                 if lhs != rhs:
                     consequent = False
                     break

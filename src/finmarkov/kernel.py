@@ -9,6 +9,10 @@ Floating point is rejected everywhere.
 Matrix layout: ``matrix[i][j]`` is the weight of codomain element ``i``
 given domain element ``j`` (rows indexed by the codomain, columns by the
 domain), so a column reads off the image of one input.
+
+Every deterministic kernel (identity, copy, discard, swap, point masses,
+the associator and unitors, subset inclusions) is built by
+:func:`function_kernel` from one codomain index per domain element.
 """
 
 from __future__ import annotations
@@ -54,17 +58,22 @@ class ShapeMismatch(FinMarkovError):
 
 
 class Kind(enum.Enum):
-    STOCH = "stoch"
-    SIGNED = "signed"
-    MULTI = "multi"
+    """Scalar structure of a kernel.
 
+    The value is the name used in kernel documents; ``zero`` and ``one``
+    are the scalars of the kind (``False`` and ``True`` for MULTI).
+    """
 
-class StructureKind(enum.Enum):
-    COPY = "copy"
-    DISCARD = "discard"
-    SWAP = "swap"
-    IDENTITY = "identity"
-    DELTA = "delta"
+    STOCH = ("stoch", ZERO, ONE)
+    SIGNED = ("signed", ZERO, ONE)
+    MULTI = ("multi", False, True)
+
+    def __new__(cls, value: str, zero: Entry, one: Entry) -> "Kind":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.zero = zero
+        member.one = one
+        return member
 
 
 @dataclass(frozen=True)
@@ -248,20 +257,18 @@ def multi_kernel(dom: FinObject, cod: FinObject, images: Sequence[Iterable[str]]
     return make_kernel(Kind.MULTI, dom, cod, rows)
 
 
-def _zero(kind: Kind) -> Entry:
-    return False if kind is Kind.MULTI else ZERO
-
-
-def _one(kind: Kind) -> Entry:
-    return True if kind is Kind.MULTI else ONE
-
-
-def _add(kind: Kind, a: Entry, b: Entry) -> Entry:
-    return (a or b) if kind is Kind.MULTI else a + b
-
-
-def _mul(kind: Kind, a: Entry, b: Entry) -> Entry:
-    return (a and b) if kind is Kind.MULTI else a * b
+def function_kernel(dom: FinObject, cod: FinObject, targets: Sequence[int], kind: Kind) -> Kernel:
+    """Deterministic kernel sending domain element ``j`` to codomain
+    element ``targets[j]``: column ``j`` is ``kind.one`` at that row and
+    ``kind.zero`` elsewhere."""
+    if len(targets) != dom.size:
+        raise ShapeMismatch(f"{len(targets)} targets for domain of size {dom.size}")
+    rows = [[kind.zero] * dom.size for _ in range(cod.size)]
+    for j, i in enumerate(targets):
+        if not 0 <= i < cod.size:
+            raise ShapeMismatch(f"target {i!r} outside codomain of size {cod.size}")
+        rows[i][j] = kind.one
+    return Kernel(kind, dom, cod, rows)
 
 
 def _require_same_kind(f: Kernel, g: Kernel) -> None:
@@ -283,7 +290,7 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
     kind = f.kind
     multi = kind is Kind.MULTI
     n, m, p = g.cod.size, f.cod.size, f.dom.size
-    zero = _zero(kind)
+    zero = kind.zero
     out = [[zero] * p for _ in range(n)]
     gcols = [tuple(g.matrix[i][y] for i in range(n)) for y in range(m)]
     for j in range(p):
@@ -311,7 +318,7 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
     multi = kind is Kind.MULTI
     dom = tensor_object(f.dom, g.dom)
     cod = tensor_object(f.cod, g.cod)
-    zero = _zero(kind)
+    zero = kind.zero
     zero_row = (zero,) * dom.size
     nd2 = g.dom.size
     rows = []
@@ -336,113 +343,51 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
 
 
 def identity(x: FinObject, kind: Kind = Kind.STOCH) -> Kernel:
-    rows = tuple(
-        tuple(_one(kind) if i == j else _zero(kind) for j in range(x.size))
-        for i in range(x.size)
-    )
-    return Kernel(kind, x, x, rows)
+    return function_kernel(x, x, range(x.size), kind)
 
 
 def copy_kernel(x: FinObject, kind: Kind = Kind.STOCH) -> Kernel:
     """copy(x₁,x₂|x) = [x₁ = x = x₂]; deterministic."""
-    cod = tensor_object(x, x)
     n = x.size
-    rows = []
-    for i1 in range(n):
-        for i2 in range(n):
-            rows.append(
-                tuple(
-                    _one(kind) if i1 == j and i2 == j else _zero(kind)
-                    for j in range(n)
-                )
-            )
-    return Kernel(kind, x, cod, tuple(rows))
+    return function_kernel(x, tensor_object(x, x), [j * n + j for j in range(n)], kind)
 
 
 def discard_kernel(x: FinObject, kind: Kind = Kind.STOCH) -> Kernel:
     """The unique morphism to the unit: a single all-one row."""
-    rows = (tuple(_one(kind) for _ in range(x.size)),)
-    return Kernel(kind, x, UNIT, rows)
+    return function_kernel(x, UNIT, [0] * x.size, kind)
 
 
 def swap_kernel(x: FinObject, y: FinObject, kind: Kind = Kind.STOCH) -> Kernel:
     """swap((y,x)|(x,y)) = 1."""
-    dom = tensor_object(x, y)
-    cod = tensor_object(y, x)
-    rows = []
-    for i2 in range(y.size):
-        for i1 in range(x.size):
-            rows.append(
-                tuple(
-                    _one(kind) if (j1 == i1 and j2 == i2) else _zero(kind)
-                    for j1 in range(x.size)
-                    for j2 in range(y.size)
-                )
-            )
-    return Kernel(kind, dom, cod, tuple(rows))
+    targets = [j2 * x.size + j1 for j1 in range(x.size) for j2 in range(y.size)]
+    return function_kernel(tensor_object(x, y), tensor_object(y, x), targets, kind)
 
 
 def delta_kernel(x: FinObject, label: str, kind: Kind = Kind.STOCH) -> Kernel:
     """Point mass at ``label``, as a state I → X."""
-    i0 = x.index(label)
-    rows = tuple((_one(kind),) if i == i0 else (_zero(kind),) for i in range(x.size))
-    return Kernel(kind, UNIT, x, rows)
-
-
-def structure(
-    which: StructureKind,
-    x: FinObject,
-    y: Optional[FinObject] = None,
-    label: Optional[str] = None,
-    kind: Kind = Kind.STOCH,
-) -> Kernel:
-    """Dispatching constructor for the structural morphisms."""
-    if which is StructureKind.COPY:
-        return copy_kernel(x, kind)
-    if which is StructureKind.DISCARD:
-        return discard_kernel(x, kind)
-    if which is StructureKind.IDENTITY:
-        return identity(x, kind)
-    if which is StructureKind.SWAP:
-        if y is None:
-            raise ShapeMismatch("swap needs a second object")
-        return swap_kernel(x, y, kind)
-    if which is StructureKind.DELTA:
-        if label is None:
-            raise UnknownLabel("delta needs an element label")
-        return delta_kernel(x, label, kind)
-    raise ValueError(which)
+    return function_kernel(UNIT, x, [x.index(label)], kind)
 
 
 def associator(x: FinObject, y: FinObject, z: FinObject, kind: Kind = Kind.STOCH) -> Kernel:
     """Relabeling iso (X⊗Y)⊗Z → X⊗(Y⊗Z); the underlying matrix is the identity."""
     dom = tensor_object(tensor_object(x, y), z)
     cod = tensor_object(x, tensor_object(y, z))
-    return Kernel(kind, dom, cod, identity_matrix(dom.size, kind))
+    return function_kernel(dom, cod, range(dom.size), kind)
 
 
 def left_unitor(x: FinObject, kind: Kind = Kind.STOCH) -> Kernel:
     """Relabeling iso I⊗X → X."""
-    dom = tensor_object(UNIT, x)
-    return Kernel(kind, dom, x, identity_matrix(x.size, kind))
+    return function_kernel(tensor_object(UNIT, x), x, range(x.size), kind)
 
 
 def right_unitor(x: FinObject, kind: Kind = Kind.STOCH) -> Kernel:
     """Relabeling iso X⊗I → X."""
-    dom = tensor_object(x, UNIT)
-    return Kernel(kind, dom, x, identity_matrix(x.size, kind))
+    return function_kernel(tensor_object(x, UNIT), x, range(x.size), kind)
 
 
 def right_unitor_inv(x: FinObject, kind: Kind = Kind.STOCH) -> Kernel:
     """Relabeling iso X → X⊗I."""
-    cod = tensor_object(x, UNIT)
-    return Kernel(kind, x, cod, identity_matrix(x.size, kind))
-
-
-def identity_matrix(n: int, kind: Kind) -> tuple[tuple[Entry, ...], ...]:
-    return tuple(
-        tuple(_one(kind) if i == j else _zero(kind) for j in range(n)) for i in range(n)
-    )
+    return function_kernel(x, tensor_object(x, UNIT), range(x.size), kind)
 
 
 def marginalize(f: Kernel, split: int, side: str) -> Kernel:
@@ -455,26 +400,22 @@ def marginalize(f: Kernel, split: int, side: str) -> Kernel:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     left, right = split_tensor_labels(f.cod, split)
-    kind = f.kind
     m = right.size
     if side == "right":
-        keep, block = left, True
+        keep = left
+        groups = [[i * m + r for r in range(m)] for i in range(left.size)]
     else:
-        keep, block = right, False
+        keep = right
+        groups = [[l * m + i for l in range(left.size)] for i in range(m)]
+    multi = f.kind is Kind.MULTI
     rows = []
-    for i in range(keep.size):
+    for group in groups:
         row = []
         for j in range(f.dom.size):
-            acc = _zero(kind)
-            if block:
-                for r in range(m):
-                    acc = _add(kind, acc, f.matrix[i * m + r][j])
-            else:
-                for l in range(left.size):
-                    acc = _add(kind, acc, f.matrix[l * m + i][j])
-            row.append(acc)
+            cells = [f.matrix[i][j] for i in group]
+            row.append(any(cells) if multi else sum(cells, ZERO))
         rows.append(tuple(row))
-    return Kernel(kind, f.dom, keep, tuple(rows))
+    return Kernel(f.kind, f.dom, keep, tuple(rows))
 
 
 def is_point_mass(kind: Kind, col: Sequence[Entry]) -> bool:
@@ -522,8 +463,7 @@ def support_indices(k: Kernel) -> tuple[int, ...]:
     """
     out = []
     for i in range(k.cod.size):
-        row = k.matrix[i]
-        if any(row) if k.kind is Kind.MULTI else any(v != 0 for v in row):
+        if any(v != 0 for v in k.matrix[i]):
             out.append(i)
     return tuple(out)
 
@@ -535,12 +475,7 @@ def subset_object(x: FinObject, indices: Sequence[int]) -> FinObject:
 
 def inclusion_kernel(x: FinObject, indices: Sequence[int], kind: Kind) -> Kernel:
     """Deterministic inclusion of the subset at ``indices`` into ``x``."""
-    sub = subset_object(x, indices)
-    rows = tuple(
-        tuple(_one(kind) if i == indices[j] else _zero(kind) for j in range(len(indices)))
-        for i in range(x.size)
-    )
-    return Kernel(kind, sub, x, rows)
+    return function_kernel(subset_object(x, indices), x, indices, kind)
 
 
 def deterministic_states(x: FinObject, kind: Kind = Kind.STOCH) -> list[Kernel]:
@@ -550,14 +485,10 @@ def deterministic_states(x: FinObject, kind: Kind = Kind.STOCH) -> list[Kernel]:
 
 def deterministic_kernels(dom: FinObject, cod: FinObject, kind: Kind = Kind.STOCH) -> list[Kernel]:
     """All deterministic kernels dom → cod (|cod|^|dom| of them), lexicographic."""
-    out = []
-    for assignment in itertools.product(range(cod.size), repeat=dom.size):
-        rows = tuple(
-            tuple(_one(kind) if assignment[j] == i else _zero(kind) for j in range(dom.size))
-            for i in range(cod.size)
-        )
-        out.append(Kernel(kind, dom, cod, rows))
-    return out
+    return [
+        function_kernel(dom, cod, assignment, kind)
+        for assignment in itertools.product(range(cod.size), repeat=dom.size)
+    ]
 
 
 def all_multi_kernels(dom: FinObject, cod: FinObject) -> list[Kernel]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .kernel import FinObject, Kernel, Kind, fin_object
+from .kernel import FinObject, Kernel, Kind, fin_object, function_kernel
 
 
 def rng_from_seed(seed: int) -> random.Random:
@@ -67,13 +67,7 @@ def random_kernel(rng: random.Random, kind: Kind, dom: FinObject, cod: FinObject
 
 def random_deterministic_kernel(rng: random.Random, kind: Kind, dom: FinObject, cod: FinObject) -> Kernel:
     assignment = [rng.randrange(cod.size) for _ in range(dom.size)]
-    one = True if kind is Kind.MULTI else Fraction(1)
-    zero = False if kind is Kind.MULTI else Fraction(0)
-    rows = tuple(
-        tuple(one if assignment[j] == i else zero for j in range(dom.size))
-        for i in range(cod.size)
-    )
-    return Kernel(kind, dom, cod, rows)
+    return function_kernel(dom, cod, assignment, kind)
 
 
 def random_column(rng: random.Random, kind: Kind, n: int):
@@ -88,11 +82,10 @@ def random_kernel_supported_on(
     rng: random.Random, kind: Kind, dom: FinObject, cod: FinObject, allowed_rows: list[int]
 ) -> Kernel:
     """Random kernel whose columns only hit the given codomain rows."""
-    zero = False if kind is Kind.MULTI else Fraction(0)
     cols = []
     for _ in range(dom.size):
         inner = random_column(rng, kind, len(allowed_rows))
-        col = [zero] * cod.size
+        col = [kind.zero] * cod.size
         for pos, i in enumerate(allowed_rows):
             col[i] = inner[pos]
         cols.append(col)

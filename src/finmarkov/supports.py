@@ -10,7 +10,6 @@ that retracts the inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .asrel import abs_cont, ase_kernels, refute_abs_cont
@@ -22,6 +21,7 @@ from .kernel import (
     ShapeMismatch,
     compose,
     copy_kernel,
+    function_kernel,
     identity,
     inclusion_kernel,
     is_deterministic,
@@ -127,13 +127,13 @@ def factor_through_support(f: Kernel, sd: SupportData) -> Kernel:
     """
     if f.cod != sd.base.cod:
         raise ShapeMismatch("kernel does not land in the supported object")
-    if not abs_cont(sd.base, f):
-        witness = refute_abs_cont(sd.base, f)
-        assert witness is not None
+    witness = refute_abs_cont(sd.base, f)
+    if witness is not None:
         raise NotAbsolutelyContinuous(witness.element)
     idx = [sd.base.cod.index(lbl) for lbl in sd.supp_object.labels]
     result = Kernel(f.kind, f.dom, sd.supp_object, tuple(f.matrix[i] for i in idx))
-    assert kernel_equal(compose(sd.inclusion, result), f)
+    if not kernel_equal(compose(sd.inclusion, result), f):
+        raise FactorizationFailed("inclusion∘factorization does not rebuild the kernel")
     return result
 
 
@@ -145,20 +145,12 @@ def split_support(p: Kernel) -> SupportData:
     idx = [p.cod.index(lbl) for lbl in base.supp_object.labels]
     if not idx:
         raise EmptySupport("cannot project onto an empty support")
-    kind = p.kind
-    one = True if kind is Kind.MULTI else Fraction(1)
-    zero = False if kind is Kind.MULTI else Fraction(0)
     pos = {x: s for s, x in enumerate(idx)}
-    rows = []
-    for s in range(len(idx)):
-        row = []
-        for x in range(p.cod.size):
-            target = pos.get(x, 0)
-            row.append(one if target == s else zero)
-        rows.append(tuple(row))
-    proj = Kernel(kind, p.cod, base.supp_object, tuple(rows))
+    targets = [pos.get(x, 0) for x in range(p.cod.size)]
+    proj = function_kernel(p.cod, base.supp_object, targets, p.kind)
     sd = SupportData(p, base.supp_object, base.inclusion, base.factorization, proj)
-    assert ase_kernels(p, compose(sd.inclusion, proj), identity(p.cod, kind))
+    if not ase_kernels(p, compose(sd.inclusion, proj), identity(p.cod, p.kind)):
+        raise FactorizationFailed("inclusion∘projection is not almost surely the identity")
     return sd
 
 
@@ -201,7 +193,8 @@ def equalizer_factor(p: Kernel, f: Kernel, g: Kernel) -> tuple[FinObject, Kernel
         raise NotAse("pair differs on the support of the kernel")
     rows = tuple(p.matrix[i] for i in idx)
     p_factored = Kernel(p.kind, p.dom, eq.dom, rows)
-    assert kernel_equal(compose(eq, p_factored), p)
+    if not kernel_equal(compose(eq, p_factored), p):
+        raise FactorizationFailed("kernel does not factor through the equalizer")
     return eq.dom, eq, p_factored
 
 
@@ -210,8 +203,7 @@ def point_lift(p: Kernel, x: str) -> str:
     _require_supportable(p)
     i = p.cod.index(x)
     for j in range(p.dom.size):
-        v = p.matrix[i][j]
-        if v if p.kind is Kind.MULTI else v > 0:
+        if p.matrix[i][j] > 0:
             return p.dom.labels[j]
     raise NotInSupport(f"{x!r} carries no mass under the kernel")
 
@@ -239,14 +231,8 @@ def precise_supports_equiv(p: Kernel, f: Kernel, x: str, y: str) -> PreciseSuppo
         raise ShapeMismatch("second kernel must consume the state's codomain")
     joint = compose(tensor(identity(p.cod, p.kind), f), compose(copy_kernel(p.cod, p.kind), p))
     xi, yi = p.cod.index(x), f.cod.index(y)
-    v = joint.matrix[xi * f.cod.size + yi][0]
-    joint_dominates = bool(v) if p.kind is Kind.MULTI else v > 0
-    px = p.matrix[xi][0]
-    fyx = f.matrix[yi][xi]
-    if p.kind is Kind.MULTI:
-        pointwise = bool(px) and bool(fyx)
-    else:
-        pointwise = px > 0 and fyx > 0
+    joint_dominates = joint.matrix[xi * f.cod.size + yi][0] > 0
+    pointwise = p.matrix[xi][0] > 0 and f.matrix[yi][xi] > 0
     return PreciseSupportCheck(joint_dominates, pointwise)
 
 
@@ -289,9 +275,7 @@ class SuppCompMorphism:
 def canonical_rep(f: Kernel, reachable: set[int]) -> Kernel:
     """Replace columns at unreachable inputs with the point mass on the
     first codomain element."""
-    one = True if f.kind is Kind.MULTI else Fraction(1)
-    zero = False if f.kind is Kind.MULTI else Fraction(0)
-    point = tuple(one if i == 0 else zero for i in range(f.cod.size))
+    point = tuple(f.kind.one if i == 0 else f.kind.zero for i in range(f.cod.size))
     cols = [f.column(j) if j in reachable else point for j in range(f.dom.size)]
     rows = tuple(tuple(cols[j][i] for j in range(f.dom.size)) for i in range(f.cod.size))
     return Kernel(f.kind, f.dom, f.cod, rows)
@@ -310,9 +294,8 @@ def scomp_hom(src: SuppCompCell, dst: SuppCompCell, f: Kernel) -> SuppCompMorphi
     if f.dom != src.object or f.cod != dst.object:
         raise ShapeMismatch("kernel does not connect the given cells")
     push = compose(f, src.anchor)
-    if not abs_cont(dst.anchor, push):
-        witness = refute_abs_cont(dst.anchor, push)
-        assert witness is not None
+    witness = refute_abs_cont(dst.anchor, push)
+    if witness is not None:
         raise NotMember(witness.element)
     return SuppCompMorphism(src, dst, canonical_rep(f, set(support_indices(src.anchor))))
 
@@ -341,7 +324,8 @@ def scomp_support(f: SuppCompMorphism) -> tuple[SuppCompCell, SuppCompMorphism]:
     push = compose(f.rep, f.src.anchor)
     cell = SuppCompCell(f.dst.object, push)
     inclusion = scomp_hom(cell, f.dst, identity(f.dst.object, push.kind))
-    assert scomp_abs_cont(inclusion, f) and scomp_abs_cont(f, inclusion)
+    if not (scomp_abs_cont(inclusion, f) and scomp_abs_cont(f, inclusion)):
+        raise FactorizationFailed("support inclusion is not bicontinuous with the morphism")
     return cell, inclusion
 
 

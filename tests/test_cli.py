@@ -49,6 +49,18 @@ def test_parse_rejects_floats_and_garbage():
         parse_kernel("not json")
     with pytest.raises(ParseError):
         parse_kernel('{"kind":"hyper","dom":[],"cod":[],"matrix":[]}')
+    for entry in ("1e3", "1E5", "0.5", "1.0", " 1/2 ", "+3", "1_000", "1/0"):
+        with pytest.raises(ParseError, match="matrix"):
+            parse_kernel('{"kind":"stoch","dom":["a"],"cod":["x"],"matrix":[["%s"]]}' % entry)
+
+
+def test_cli_oversized_numeral_exit_2(tmp_path, capsys):
+    doc = '{"kind":"stoch","dom":["a"],"cod":["x"],"matrix":[[%s]]}'
+    for entry in ("1" + "0" * 4999, '"1/%s"' % ("7" * 5000)):
+        path = tmp_path / "big.json"
+        path.write_text(doc % entry, encoding="utf-8")
+        assert run(["validate", str(path)]) == 2
+        assert "4300 digits" in capsys.readouterr().err
 
 
 def test_parse_multi_images():

@@ -194,10 +194,9 @@ def test_param_compose_unit_parameter_reduces_to_composition():
 
 def _unit_in(a):
     """A → I⊗A relabeling."""
-    from finmarkov import Kernel
-    from finmarkov.kernel import identity_matrix, tensor_object as to, UNIT
+    from finmarkov.kernel import function_kernel, tensor_object as to, UNIT
 
-    return Kernel(Kind.STOCH, a, to(UNIT, a), identity_matrix(a.size, Kind.STOCH))
+    return function_kernel(a, to(UNIT, a), range(a.size), Kind.STOCH)
 
 
 def test_param_associativity_random():

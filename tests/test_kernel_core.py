@@ -13,7 +13,7 @@ from finmarkov import (
     Kernel,
     Kind,
     KindMismatch,
-    StructureKind,
+    ShapeMismatch,
     UnknownLabel,
     ValidationError,
     compose,
@@ -21,20 +21,29 @@ from finmarkov import (
     delta_kernel,
     discard_kernel,
     fin_object,
+    function_kernel,
     identity,
     is_deterministic,
     kernel_equal,
+    associator,
+    left_unitor,
     make_kernel,
     marginalize,
     multi_kernel,
     right_unitor,
-    structure,
+    right_unitor_inv,
     swap_kernel,
     tensor,
     tensor_object,
     validate,
 )
-from finmarkov.kernel import UNIT, all_multi_kernels, deterministic_by_comonoid, deterministic_kernels
+from finmarkov.kernel import (
+    UNIT,
+    all_multi_kernels,
+    deterministic_by_comonoid,
+    deterministic_kernels,
+    inclusion_kernel,
+)
 from finmarkov.idempotents import two_step
 from finmarkov.rand import random_kernel, random_object, rng_from_seed
 
@@ -168,11 +177,47 @@ def test_tensor_unit_law_up_to_relabeling():
 # ---------------------------------------------------------------------------
 
 
+def _assert_maps(k, target):
+    """Column j of k holds the kind's one at row target(j) and its zero
+    everywhere else, with the kind's scalar type."""
+    zero, one = k.kind.zero, k.kind.one
+    for j in range(k.dom.size):
+        col = k.column(j)
+        assert col == tuple(one if i == target(j) else zero for i in range(k.cod.size))
+        assert all(type(v) is type(one) for v in col)
+
+
 def test_copy_matrix_shape():
-    c = structure(StructureKind.COPY, X2)
+    c = copy_kernel(X2)
     assert c.cod.size == 4
     assert c.at("(a,a)", "a") == 1 and c.at("(b,b)", "b") == 1
     assert c.at("(a,b)", "a") == 0 and c.at("(a,b)", "b") == 0
+    for kind in Kind:
+        for x in (fin_object(()), UNIT, X2, X3, fin_object("pqrs")):
+            n = x.size
+            _assert_maps(copy_kernel(x, kind), lambda j: j * n + j)
+            _assert_maps(discard_kernel(x, kind), lambda j: 0)
+            _assert_maps(identity(x, kind), lambda j: j)
+            # unitors relabel (•,x) and (x,•) as x
+            _assert_maps(left_unitor(x, kind), lambda j: j)
+            _assert_maps(right_unitor(x, kind), lambda j: j)
+            _assert_maps(right_unitor_inv(x, kind), lambda j: j)
+            assert left_unitor(x, kind).dom.labels == tuple(f"(•,{a})" for a in x.labels)
+            assert right_unitor_inv(x, kind).cod.labels == tuple(f"({a},•)" for a in x.labels)
+            for i, label in enumerate(x.labels):
+                _assert_maps(delta_kernel(x, label, kind), lambda j: i)
+            for idx in ((), tuple(range(0, n, 2)), tuple(range(n - 1, -1, -1))):
+                inc = inclusion_kernel(x, idx, kind)
+                assert inc.dom.labels == tuple(x.labels[i] for i in idx)
+                _assert_maps(inc, lambda j: idx[j])
+
+
+def test_function_kernel_rejects_bad_targets():
+    expected = make_kernel(Kind.STOCH, X2, X3, [[0, 1], [0, 0], [1, 0]])
+    assert kernel_equal(function_kernel(X2, X3, [2, 0], Kind.STOCH), expected)
+    for targets in ([0], [0, 1, 2], [0, 3], [0, -1]):
+        with pytest.raises(ShapeMismatch):
+            function_kernel(X2, X3, targets, Kind.STOCH)
 
 
 def test_discard_absorbs_everything():
@@ -183,7 +228,7 @@ def test_discard_absorbs_everything():
 
 
 def test_delta_is_point_mass():
-    d = structure(StructureKind.DELTA, X3, label="a")
+    d = delta_kernel(X3, "a")
     assert d.column(0) == (F(1), F(0), F(0))
     with pytest.raises(UnknownLabel):
         delta_kernel(X3, "nope")
@@ -193,13 +238,32 @@ def test_swap_self_inverse():
     s = swap_kernel(X2, X3)
     s_back = swap_kernel(X3, X2)
     assert kernel_equal(compose(s_back, s), identity(tensor_object(X2, X3)))
+    objects = (fin_object(()), UNIT, X2, X3)
+    for kind in Kind:
+        for x in objects:
+            for y in objects:
+                nx, ny = x.size, y.size
+                # (x_j1, y_j2) at column j1·|Y|+j2 goes to (y_j2, x_j1) at row j2·|X|+j1
+                s = swap_kernel(x, y, kind)
+                _assert_maps(s, lambda j: (j % ny) * nx + j // ny)
+                xy = tensor_object(x, y)
+                assert kernel_equal(compose(swap_kernel(y, x, kind), s), identity(xy, kind))
+                for z in objects:
+                    nz = z.size
+                    a = associator(x, y, z, kind)
 
+                    def regroup(j):
+                        j12, j3 = divmod(j, nz)
+                        j1, j2 = divmod(j12, ny)
+                        return j1 * (ny * nz) + (j2 * nz + j3)
 
-def test_structure_requires_second_object_for_swap():
-    from finmarkov import ShapeMismatch
-
-    with pytest.raises(ShapeMismatch):
-        structure(StructureKind.SWAP, X2)
+                    _assert_maps(a, regroup)
+                    for j in range(a.dom.size):
+                        j12, j3 = divmod(j, nz)
+                        j1, j2 = divmod(j12, ny)
+                        u, v, w = x.labels[j1], y.labels[j2], z.labels[j3]
+                        assert a.dom.labels[j] == f"(({u},{v}),{w})"
+                        assert a.cod.labels[regroup(j)] == f"({u},({v},{w}))"
 
 
 # ---------------------------------------------------------------------------
