@@ -26,12 +26,11 @@ from fractions import Fraction
 from typing import Any
 
 from . import golden
-from .asrel import UnsupportedKind, abs_cont, ase_kernels, refute_abs_cont
+from .asrel import abs_cont, ase_kernels, refute_abs_cont
 from .envelopes import Flavor, NotBalanced, env_cell, env_check_markov_laws
 from .functors import conditional, io_relation
 from .idempotents import (
     NoSplitUpTo,
-    NotEndo,
     NotIdempotent,
     SplitData,
     blackwell_split,
@@ -44,7 +43,9 @@ from .kernel import (
     FinObject,
     Kernel,
     Kind,
-    ShapeMismatch,
+    compose,
+    delta_kernel,
+    identity,
     kernel_equal,
     validate,
 )
@@ -94,6 +95,8 @@ def parse_kernel(text: str) -> Kernel:
         doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     return kernel_from_doc(doc)
 
 
@@ -379,8 +382,6 @@ def _golden_checks() -> list[tuple[str, bool]]:
 
     def splits(e, expected_iota, expected_pi, classes, transient):
         sd = blackwell_split(e)
-        from .kernel import compose, identity
-
         ok = kernel_equal(compose(sd.projection, sd.inclusion), identity(sd.middle, Kind.STOCH))
         ok = ok and kernel_equal(compose(sd.inclusion, sd.projection), e)
         ok = ok and sd.inclusion.matrix == expected_iota.matrix
@@ -421,8 +422,6 @@ def _golden_checks() -> list[tuple[str, bool]]:
 
 
 def _push_delta(k: Kernel, label: str) -> Kernel:
-    from .kernel import compose, delta_kernel
-
     return compose(k, delta_kernel(k.dom, label, k.kind))
 
 
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json", "pretty"], default="json")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks")
     parser.add_argument("--max-size", dest="max_size", type=int, default=2,
-                        help="middle-object bound for exhaustive splitting search")
+                        help="largest middle object a multivalued splitting may have")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def kernel_cmd(name, fn, help_text):
@@ -460,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kernel_cmd("validate", _cmd_validate, "check the column law")
     kernel_cmd("classify", _cmd_classify, "idempotent taxonomy flags")
-    kernel_cmd("split", _cmd_split, "class decomposition (stoch) or exhaustive search (multi)")
+    kernel_cmd("split", _cmd_split, "class decomposition (stoch) or block splitting (multi)")
     kernel_cmd("support", _cmd_support, "support object, inclusion, factorization")
     kernel_cmd("split-support", _cmd_split_support, "support with projection")
     kernel_cmd("upsilon", _cmd_upsilon, "input-output relation of a stochastic kernel")
@@ -509,7 +508,7 @@ def run(argv: list[str]) -> int:
     except ParseError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except (UnsupportedKind, ShapeMismatch, NotEndo, FinMarkovError) as exc:
+    except FinMarkovError as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
     if args.format == "pretty" and args.command == "verify-paper":

@@ -76,12 +76,6 @@ def env_cell(x: FinObject, e: Kernel, flavor: Flavor) -> EnvelopeCell:
     return EnvelopeCell(x, e, flavor)
 
 
-def _unchecked_cell(x: FinObject, e: Kernel, flavor: Flavor) -> EnvelopeCell:
-    """Test-only constructor that skips validation, used to exhibit what
-    goes wrong on non-balanced idempotents."""
-    return EnvelopeCell(x, e, flavor)
-
-
 def env_identity(cell: EnvelopeCell) -> EnvelopeMorphism:
     """The identity of a cell is its designated idempotent."""
     return EnvelopeMorphism(cell, cell, cell.endo)
@@ -172,12 +166,16 @@ class MarkovLawReport:
         )
 
 
-def env_check_markov_laws(cell: EnvelopeCell, seed: int = 0, endo_samples: int = 5) -> MarkovLawReport:
+# random cell endomorphisms drawn to test discard naturality
+ENDO_SAMPLES = 5
+
+
+def env_check_markov_laws(cell: EnvelopeCell, seed: int = 0) -> MarkovLawReport:
     """Check the comonoid laws of the cell's copy/discard pair.
 
-    Valid Blackwell cells pass everything.  Cells built on non-balanced
-    idempotents through the unchecked constructor can fail
-    coassociativity only in the signed kind: on multivalued cells the
+    Valid Blackwell cells pass everything.  Cells built directly as
+    ``EnvelopeCell`` on non-balanced idempotents, skipping ``env_cell``'s
+    check, can fail coassociativity only in the signed kind: on multivalued cells the
     copy formula is coassociative for every idempotent, balanced or not
     (both sides send x to the union of e(u)³ over the u ∈ e(x) with
     u ∈ e(u)).  The other laws never depend on balance; discard
@@ -203,7 +201,7 @@ def env_check_markov_laws(cell: EnvelopeCell, seed: int = 0, endo_samples: int =
 
     rng = random.Random(seed)
     discard_natural = True
-    for _ in range(endo_samples):
+    for _ in range(ENDO_SAMPLES):
         r = random_kernel(rng, kind, x, x)
         endo = compose(e, compose(r, e))
         if not kernel_equal(compose(disc, endo), disc):

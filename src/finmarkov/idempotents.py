@@ -1,5 +1,6 @@
-"""Idempotent taxonomy, Blackwell splitting, exhaustive splitting search,
-and the Cauchy-Schwarz implication checker.
+"""Idempotent taxonomy, Blackwell splitting of stochastic idempotents,
+block splitting of multivalued ones, and the Cauchy-Schwarz implication
+checker.
 
 An idempotent endomorphism e is classified by comparing the two-step
 joint L((y,z)|x) = e(y|x)·e(z|y) (first output intermediate, second
@@ -15,15 +16,14 @@ intermediate) labels, scanned in that order.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .asrel import ase_kernels
+from .asrel import UnsupportedKind, ase_kernels
 from .kernel import (
     UNIT,
     FinMarkovError,
@@ -62,10 +62,6 @@ class NotASplitting(FinMarkovError):
     """The given pair does not split the idempotent."""
 
 
-class SizeLimitExceeded(FinMarkovError):
-    """Exhaustive search space larger than the configured bound."""
-
-
 def two_step(e: Kernel) -> Kernel:
     """Run the chain twice recording the intermediate value:
     result((y,z)|x) = e(y|x)·e(z|y), built from copy and tensor."""
@@ -101,15 +97,6 @@ class IdempotentReport:
         }
 
 
-def _first_idempotency_violation(e: Kernel) -> Optional[tuple[str, str]]:
-    ee = compose(e, e)
-    for x in range(e.dom.size):
-        for y in range(e.cod.size):
-            if ee.matrix[y][x] != e.matrix[y][x]:
-                return (e.dom.labels[x], e.cod.labels[y])
-    return None
-
-
 def classify(e: Kernel) -> IdempotentReport:
     """Classify an endomorphism; non-idempotents get all flags False.
 
@@ -123,16 +110,19 @@ def classify(e: Kernel) -> IdempotentReport:
 
 @lru_cache(maxsize=4096)
 def _classify_cached(e: Kernel) -> IdempotentReport:
-    witnesses: dict = {}
-    bad = _first_idempotency_violation(e)
-    if bad is not None:
-        return IdempotentReport(
-            False, False, False, False, False, MappingProxyType({"idempotent": bad})
-        )
-
     kind = e.kind
     n = e.dom.size
     labels = e.dom.labels
+    ee = compose(e, e)
+    for x in range(n):
+        for y in range(n):
+            if ee.matrix[y][x] != e.matrix[y][x]:
+                return IdempotentReport(
+                    False, False, False, False, False,
+                    MappingProxyType({"idempotent": (labels[x], labels[y])}),
+                )
+
+    witnesses: dict = {}
     multi = kind is Kind.MULTI
     zero = kind.zero
     cols = [e.column(j) for j in range(n)]
@@ -227,14 +217,13 @@ def balanced_cross_check(e: Kernel) -> BalancedCrossCheck:
     every invariant column p of e (sufficient: the invariant kernels of an
     idempotent are spanned by its columns and the condition is linear).
     """
-    if e.dom != e.cod:
-        raise NotEndo("cross-check applies to endomorphisms")
-    if _first_idempotency_violation(e) is not None:
+    report = classify(e)
+    if not report.idempotent:
         raise NotIdempotent("cross-check applies to idempotents")
     kind = e.kind
     n = e.dom.size
 
-    defining = classify(e).balanced
+    defining = report.balanced
 
     # bools multiply as 0/1, so one product serves every kind
     detailed = all(
@@ -293,12 +282,9 @@ def blackwell_split(e: Kernel) -> SplitData:
     each state to a class with the mass e assigns to that class.
     """
     if e.kind is not Kind.STOCH:
-        from .asrel import UnsupportedKind
-
         raise UnsupportedKind("the class decomposition applies to stochastic kernels")
-    if e.dom != e.cod:
-        raise NotEndo("splitting applies to endomorphisms")
-    if _first_idempotency_violation(e) is not None:
+    report = classify(e)
+    if not report.idempotent:
         raise NotIdempotent("splitting applies to idempotents")
 
     n = e.dom.size
@@ -350,7 +336,6 @@ def blackwell_split(e: Kernel) -> SplitData:
         if any(e.matrix[e.dom.index(lbl)][x] != 0 for lbl in transient):
             raise StructureViolation("the idempotent feeds mass into transient states")
 
-    report = classify(e)
     if is_deterministic(iota) != report.static or is_deterministic(pi) != report.strong:
         raise StructureViolation("splitting determinism disagrees with the taxonomy")
     return SplitData(middle, pi, iota, classes, transient)
@@ -406,85 +391,59 @@ def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[li
 
 @dataclass(frozen=True)
 class NoSplitUpTo:
-    """Negative search result: no splitting with a middle object of size
+    """Negative splitting result: no splitting with a middle object of size
     up to ``max_size`` exists."""
 
     max_size: int
 
 
-def _multi_columns(n: int) -> list[tuple[bool, ...]]:
-    return [tuple(bool(m >> i & 1) for i in range(n)) for m in range(1, 2**n)]
+def search_split(e: Kernel, max_middle: int) -> SplitData | NoSplitUpTo:
+    """Split a multivalued idempotent through its blocks, or report that no
+    splitting has a middle object of size at most ``max_middle``.
 
-
-def _grid_columns(n: int, grid: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
-    cols = []
-    for combo in itertools.product(grid, repeat=n):
-        if all(v >= 0 for v in combo) and sum(combo, Fraction(0)) == 1:
-            cols.append(tuple(combo))
-    return cols
-
-
-def search_split(
-    e: Kernel,
-    max_middle: int,
-    entry_grid: Optional[Sequence[Fraction]] = None,
-    candidate_bound: int = 10**7,
-) -> SplitData | NoSplitUpTo:
-    """Exhaustively search for a splitting with middle size 1..max_middle.
-
-    Multi kernels are enumerated completely; stochastic kernels are
-    enumerated over the declared entry grid.  Returns the first pair
-    (projection-major, bitmask/lexicographic order) with π∘ι = id and
-    ι∘π = e, else a NoSplitUpTo marker.
+    Call y a block element when y ∈ e(y) and e(z) = e(y) for every
+    z ∈ e(y).  When every element of every image is one, the distinct
+    blocks e(y) (ordered by smallest member) form the middle object t0…,
+    ι(t) = block t and π(x) = {t : block t ⊆ e(x)}.  Otherwise e has no
+    splitting at all: the block condition is exactly balance, and split
+    idempotents are balanced.  Splittings are unique up to isomorphism,
+    so the block count is the only possible middle size.
     """
-    if e.dom != e.cod:
-        raise NotEndo("splitting applies to endomorphisms")
-    if _first_idempotency_violation(e) is not None:
+    report = classify(e)
+    if not report.idempotent:
         raise NotIdempotent("splitting applies to idempotents")
-    if e.kind is Kind.STOCH and entry_grid is None:
-        raise ValueError("stochastic search needs a declared entry grid")
-    if e.kind is Kind.SIGNED:
-        from .asrel import UnsupportedKind
-
-        raise UnsupportedKind("no enumeration is defined for signed kernels")
+    if e.kind is not Kind.MULTI:
+        raise UnsupportedKind("block splitting applies to multivalued kernels; "
+                              "blackwell_split splits stochastic ones")
 
     n = e.dom.size
+    images = [frozenset(y for y in range(n) if e.matrix[y][x]) for x in range(n)]
+    recurrent = set().union(*images)
+    blocky = all(y in images[y] and all(images[z] == images[y] for z in images[y])
+                 for y in recurrent)
+    if blocky != report.balanced:
+        raise StructureViolation("the block condition disagrees with balance")
+    if not blocky:
+        return NoSplitUpTo(max_middle)
+    blocks = sorted({images[y] for y in recurrent}, key=min)
+    if len(blocks) > max_middle:
+        return NoSplitUpTo(max_middle)
+
+    middle = fin_object(f"t{t}" for t in range(len(blocks)))
+    iota = Kernel(
+        Kind.MULTI, middle, e.cod, tuple(tuple(y in block for block in blocks) for y in range(n))
+    )
+    pi = Kernel(
+        Kind.MULTI, e.dom, middle, tuple(tuple(block <= images[x] for x in range(n)) for block in blocks)
+    )
+    if not kernel_equal(compose(pi, iota), identity(middle, Kind.MULTI)):
+        raise StructureViolation("projection does not retract the inclusion")
+    if not kernel_equal(compose(iota, pi), e):
+        raise StructureViolation("inclusion∘projection does not rebuild the idempotent")
     labels = e.dom.labels
-    for t in range(1, max_middle + 1):
-        middle = fin_object(f"t{i}" for i in range(t))
-        if e.kind is Kind.MULTI:
-            pi_cols = _multi_columns(t)
-            iota_cols = _multi_columns(n)
-        else:
-            pi_cols = _grid_columns(t, entry_grid)
-            iota_cols = _grid_columns(n, entry_grid)
-        total = len(pi_cols) ** n * len(iota_cols) ** t
-        if total > candidate_bound:
-            raise SizeLimitExceeded(f"{total} candidates at middle size {t}")
-        ident = identity(middle, e.kind)
-        for pi_choice in itertools.product(pi_cols, repeat=n):
-            pi = Kernel(
-                e.kind, e.dom, middle, tuple(tuple(c[i] for c in pi_choice) for i in range(t))
-            )
-            for iota_choice in itertools.product(iota_cols, repeat=t):
-                iota = Kernel(
-                    e.kind, middle, e.cod, tuple(tuple(c[i] for c in iota_choice) for i in range(n))
-                )
-                if not kernel_equal(compose(pi, iota), ident):
-                    continue
-                if kernel_equal(compose(iota, pi), e):
-                    classes = tuple(
-                        tuple(
-                            labels[i]
-                            for i in range(n)
-                            if iota.matrix[i][s] > 0
-                        )
-                        for s in range(t)
-                    )
-                    covered = {lbl for cls in classes for lbl in cls}
-                    transient = tuple(l for l in labels if l not in covered)
-                    return SplitData(middle, pi, iota, classes, transient)
-    return NoSplitUpTo(max_middle)
+    classes = tuple(tuple(labels[y] for y in sorted(block)) for block in blocks)
+    transient = tuple(labels[y] for y in range(n) if y not in recurrent)
+    return SplitData(middle, pi, iota, classes, transient)
 
 
 def verify_split(e: Kernel, iota: Kernel, pi: Kernel) -> tuple[IdempotentReport, bool]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .asrel import abs_cont, ase_kernels, refute_abs_cont
+from .asrel import UnsupportedKind, abs_cont, ase_kernels, is_atomic, refute_abs_cont
 from .kernel import (
     FinMarkovError,
     FinObject,
@@ -104,8 +104,6 @@ class SupportData:
 
 def _require_supportable(p: Kernel) -> None:
     if p.kind is Kind.SIGNED:
-        from .asrel import UnsupportedKind
-
         raise UnsupportedKind("signed kernels have no supports in this library")
 
 
@@ -252,8 +250,6 @@ class SuppCompCell:
     def __post_init__(self) -> None:
         if self.anchor.cod != self.object:
             raise ShapeMismatch("anchor must land in the cell's object")
-        from .asrel import is_atomic
-
         if not is_atomic(self.anchor):
             raise ShapeMismatch("anchor must be atomic")
 

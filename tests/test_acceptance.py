@@ -66,7 +66,7 @@ from finmarkov import (
     verify_conditional_unique,
 )
 from finmarkov.cli import emit_kernel, parse_kernel, run
-from finmarkov.envelopes import Flavor, _copy_formula, _unchecked_cell
+from finmarkov.envelopes import EnvelopeCell, Flavor, _copy_formula
 from finmarkov.functors import _reconstruct, comparison_base, conditional
 from finmarkov.golden import (
     balanced_idempotent,
@@ -481,7 +481,7 @@ def test_criterion_08b_envelope_expected_failure_clause():
     ok &= lhs == rhs == [set(itertools.product(range(2), repeat=3)), {(1, 1, 1)}]
     coassociative = lhs == rhs
 
-    cell = _unchecked_cell(e.dom, e, Flavor.BLACKWELL)
+    cell = EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
     k = _copy_formula(cell).kernel
     ok &= k.dom == e.dom and k.cod.size == n * n
     # Codomain rows in tensor order: row i·n+j is the pair (i, j).
@@ -505,7 +505,7 @@ def test_criterion_08c_envelope_failure_realized_in_signed():
     e = signed_coassoc_counterexample()
     ok = kernel_equal(compose(e, e), e)
     ok &= not classify(e).balanced
-    report = env_check_markov_laws(_unchecked_cell(e.dom, e, Flavor.BLACKWELL), seed=8)
+    report = env_check_markov_laws(EnvelopeCell(e.dom, e, Flavor.BLACKWELL), seed=8)
     ok &= report.counit_left and report.counit_right and report.cocommutative
     ok &= not report.coassociative
     _report(

@@ -63,6 +63,15 @@ def test_cli_oversized_numeral_exit_2(tmp_path, capsys):
         assert "4300 digits" in capsys.readouterr().err
 
 
+def test_cli_deeply_nested_json_exit_2(tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    for text in (deep, '{"kind":"stoch","dom":[],"cod":[],"matrix":%s}' % deep):
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(["validate", str(path)]) == 2
+        assert "nested too deeply" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_parse_multi_images():
     k = parse_kernel('{"kind":"multi","dom":["0","1"],"cod":["0","1"],"images":[["0","1"],["1"]]}')
     assert kernel_equal(k, multi_upset_idempotent())

@@ -7,6 +7,7 @@ import pytest
 
 from finmarkov import (
     CellMismatch,
+    EnvelopeCell,
     Flavor,
     Kind,
     NotBalanced,
@@ -31,7 +32,6 @@ from finmarkov import (
     random_class_idempotent,
     tensor,
 )
-from finmarkov.envelopes import _unchecked_cell
 from finmarkov.golden import (
     balanced_idempotent,
     multi_chain3_idempotent,
@@ -169,7 +169,7 @@ def test_copy_formula_on_non_balanced_multi_direct_evaluation():
     # coassociativity; the genuine failure lives in the signed model, see
     # the counterexample test below.
     for e in (multi_upset_idempotent(), multi_chain3_idempotent()):
-        cell = _unchecked_cell(e.dom, e, Flavor.BLACKWELL)
+        cell = EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
         report = env_check_markov_laws(cell, seed=11)
         assert report.coassociative
         assert report.all_pass
@@ -183,7 +183,7 @@ def test_copy_formula_fails_coassociativity_on_signed_counterexample():
     e = signed_coassoc_counterexample()
     assert kernel_equal(compose(e, e), e)
     assert not classify(e).balanced
-    cell = _unchecked_cell(e.dom, e, Flavor.BLACKWELL)
+    cell = EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
     report = env_check_markov_laws(cell, seed=11)
     assert report.counit_left and report.counit_right and report.cocommutative
     assert not report.coassociative
@@ -197,7 +197,7 @@ def test_copy_formula_coassociative_for_every_small_multi_idempotent():
     for e in all_multi_kernels(x, x):
         if not kernel_equal(compose(e, e), e):
             continue
-        cell = _unchecked_cell(x, e, Flavor.BLACKWELL)
+        cell = EnvelopeCell(x, e, Flavor.BLACKWELL)
         assert env_check_markov_laws(cell, seed=1).coassociative
 
 

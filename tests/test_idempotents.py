@@ -1,5 +1,5 @@
-"""Idempotent taxonomy, characterizations, Blackwell splitting,
-exhaustive search, Cauchy-Schwarz instances."""
+"""Idempotent taxonomy, characterizations, Blackwell splitting, block
+splitting against an exhaustive search, Cauchy-Schwarz instances."""
 
 from fractions import Fraction
 
@@ -11,7 +11,6 @@ from finmarkov import (
     NotASplitting,
     NotEndo,
     NotIdempotent,
-    SizeLimitExceeded,
     abs_cont,
     ase_kernels,
     balanced_cross_check,
@@ -48,7 +47,7 @@ from finmarkov.golden import (
     strong_idempotent,
     strong_split,
 )
-from finmarkov.kernel import UNIT, support_indices
+from finmarkov.kernel import UNIT, all_multi_kernels, support_indices
 from finmarkov.rand import random_kernel, random_kernel_supported_on, random_object, rng_from_seed
 
 F = Fraction
@@ -279,8 +278,52 @@ def test_split_support_idempotent_transfer():
 
 
 # ---------------------------------------------------------------------------
-# exhaustive splitting search
+# block splitting of multivalued idempotents, against exhaustive search
 # ---------------------------------------------------------------------------
+
+
+def _exhaustive_split(e, max_middle):
+    """Reference oracle: the first (π, ι) over all multivalued kernels,
+    middle sizes 1..max_middle, with π∘ι = id and ι∘π = e."""
+    for t in range(1, max_middle + 1):
+        middle = fin_object(f"t{i}" for i in range(t))
+        ident = identity(middle, Kind.MULTI)
+        iotas = all_multi_kernels(middle, e.cod)
+        for pi in all_multi_kernels(e.dom, middle):
+            for iota in iotas:
+                if kernel_equal(compose(pi, iota), ident) and kernel_equal(compose(iota, pi), e):
+                    return pi, iota
+    return None
+
+
+def test_block_split_agrees_with_exhaustive_search():
+    cases = [(e, 2) for e in _all_multi_idempotents(2)]
+    cases += [(e, 3) for e in _all_multi_idempotents(3) if classify(e).balanced]
+    cases.append((multi_chain3_idempotent(), 2))
+    assert len(cases) == 6 + 20 + 1
+    for e, max_middle in cases:
+        result = search_split(e, max_middle)
+        found = _exhaustive_split(e, max_middle)
+        assert isinstance(result, NoSplitUpTo) == (found is None)
+        if found is not None:
+            assert result.middle.size == found[0].cod.size
+            verify_split(e, result.inclusion, result.projection)
+
+
+def test_block_split_exactly_when_balanced():
+    count = 0
+    for n in range(1, 5):
+        for e in _all_multi_idempotents(n):
+            count += 1
+            result = search_split(e, n)
+            assert isinstance(result, NoSplitUpTo) != classify(e).balanced
+            if isinstance(result, NoSplitUpTo):
+                assert result.max_size == n
+            else:
+                ident = identity(result.middle, Kind.MULTI)
+                assert kernel_equal(compose(result.projection, result.inclusion), ident)
+                assert kernel_equal(compose(result.inclusion, result.projection), e)
+    assert count == 1192
 
 
 def test_multi_upset_has_no_small_splitting():
@@ -289,7 +332,7 @@ def test_multi_upset_has_no_small_splitting():
 
 
 def test_multi_identity_splits_trivially():
-    # the enumeration finds the identity pair itself first
+    # each element is its own block, so the splitting is the identity pair
     x = fin_object(("0", "1"))
     result = search_split(identity(x, Kind.MULTI), 2)
     assert not isinstance(result, NoSplitUpTo)
@@ -307,19 +350,29 @@ def test_multi_full_image_splits_through_point():
     assert result.middle.size == 1
 
 
-def test_search_split_stoch_over_grid():
-    grid = [F(0), F(1, 2), F(1)]
-    e = strong_idempotent()
-    result = search_split(e, 1, entry_grid=grid)
-    assert not isinstance(result, NoSplitUpTo)
-    assert kernel_equal(compose(result.inclusion, result.projection), e)
+def test_block_split_classes_and_transient():
+    # 0 and 1 form one block, 3 is its own block, 2 reaches both
+    x = fin_object(("0", "1", "2", "3"))
+    e = multi_kernel(x, x, [["0", "1"], ["0", "1"], ["0", "1", "3"], ["3"]])
+    result = search_split(e, 2)
+    assert result.middle.labels == ("t0", "t1")
+    assert result.classes == (("0", "1"), ("3",))
+    assert result.transient == ("2",)
+    assert result.projection.matrix == ((True, True, True, False), (False, False, True, True))
 
 
-def test_search_split_candidate_bound():
-    x = fin_object(tuple(str(i) for i in range(6)))
-    e = identity(x, Kind.MULTI)
-    with pytest.raises(SizeLimitExceeded):
-        search_split(e, 6, candidate_bound=1000)
+def test_block_split_middle_bound_below_block_count():
+    x = fin_object(("0", "1", "2"))
+    result = search_split(identity(x, Kind.MULTI), 2)
+    assert isinstance(result, NoSplitUpTo) and result.max_size == 2
+    assert search_split(identity(x, Kind.MULTI), 3).middle.size == 3
+
+
+def test_block_split_empty_object():
+    x = fin_object(())
+    result = search_split(identity(x, Kind.MULTI), 0)
+    assert result.middle.size == 0
+    assert result.classes == () and result.transient == ()
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +413,6 @@ def test_verify_split_on_generated():
 
 
 def _all_multi_idempotents(n):
-    from finmarkov.kernel import all_multi_kernels
-
     x = fin_object(tuple(str(i) for i in range(n)))
     for k in all_multi_kernels(x, x):
         if kernel_equal(compose(k, k), k):
@@ -452,10 +503,6 @@ def test_blackwell_split_multi_unsupported():
 def test_search_split_signed_unsupported():
     from finmarkov import UnsupportedKind
 
-    with pytest.raises(UnsupportedKind):
-        search_split(signed_idempotent(), 2)
-
-
-def test_search_split_stoch_without_grid_rejected():
-    with pytest.raises(ValueError):
-        search_split(strong_idempotent(), 1)
+    for e in (signed_idempotent(), strong_idempotent()):
+        with pytest.raises(UnsupportedKind):
+            search_split(e, 2)
