@@ -503,6 +503,13 @@ def test_blackwell_split_multi_unsupported():
 def test_search_split_signed_unsupported():
     from finmarkov import UnsupportedKind
 
-    for e in (signed_idempotent(), strong_idempotent()):
-        with pytest.raises(UnsupportedKind):
-            search_split(e, 2)
+    with pytest.raises(UnsupportedKind):
+        search_split(signed_idempotent(), 2)
+
+
+def test_search_split_stoch_without_grid_rejected():
+    # stochastic idempotents are split by blackwell_split, not search_split
+    from finmarkov import UnsupportedKind
+
+    with pytest.raises(UnsupportedKind):
+        search_split(strong_idempotent(), 1)
