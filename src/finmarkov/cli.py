@@ -236,16 +236,13 @@ def _cmd_classify(args) -> tuple[int, dict]:
 
 def _cmd_split(args) -> tuple[int, dict]:
     e = _read_kernel(args.kernel)
-    if e.kind is Kind.MULTI:
-        result = search_split(e, args.max_size)
-        if isinstance(result, NoSplitUpTo):
-            return 1, {"split": None, "no_split_up_to": result.max_size}
-        return 0, {"split": _split_doc(result)}
     try:
-        sd = blackwell_split(e)
+        result = search_split(e, args.max_size) if e.kind is Kind.MULTI else blackwell_split(e)
     except NotIdempotent:
         return 1, {"split": None, "error": "kernel is not idempotent"}
-    return 0, {"split": _split_doc(sd)}
+    if isinstance(result, NoSplitUpTo):
+        return 1, {"split": None, "no_split_up_to": result.max_size}
+    return 0, {"split": _split_doc(result)}
 
 
 def _cmd_support(args) -> tuple[int, dict]:

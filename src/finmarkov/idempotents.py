@@ -31,6 +31,7 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
+    _integer_numerators,
     compose,
     copy_kernel,
     fin_object,
@@ -110,75 +111,81 @@ def classify(e: Kernel) -> IdempotentReport:
 
 @lru_cache(maxsize=4096)
 def _classify_cached(e: Kernel) -> IdempotentReport:
+    # e = A/d with integer A and one denominator d (d = 1 and A = e over
+    # Multi, whose sums are compared by truthiness only)
     kind = e.kind
     n = e.dom.size
     labels = e.dom.labels
-    ee = compose(e, e)
+    multi = kind is Kind.MULTI
+    d, flat = _integer_numerators([v for row in e.matrix for v in row])
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    cols = [flat[j::n] for j in range(n)]
+
+    # idempotency: (A·A)(y|x) = d·A(y|x)
     for x in range(n):
+        col_x = cols[x]
+        square = [0] * n
+        for w, a in enumerate(col_x):
+            if not a:
+                continue
+            for y, b in enumerate(cols[w]):
+                if b:
+                    if multi:
+                        square[y] = True
+                    else:
+                        square[y] += a * b
         for y in range(n):
-            if ee.matrix[y][x] != e.matrix[y][x]:
+            if square[y] != d * col_x[y]:
                 return IdempotentReport(
                     False, False, False, False, False,
                     MappingProxyType({"idempotent": (labels[x], labels[y])}),
                 )
 
     witnesses: dict = {}
-    multi = kind is Kind.MULTI
-    zero = kind.zero
-    cols = [e.column(j) for j in range(n)]
     static = strong = balanced = True
-    # scan order (input, final, intermediate); L(y,z|x) = e(y|x)·e(z|y)
+    # scan order (input, final, intermediate); at scale d², the joint is
+    # L(y,z|x) = A(y|x)·A(z|y), static wants [y=z]·d·A(y|x), strong
+    # A(y|x)·A(z|x); balanced compares d·L with Σ_w A(y|w)·A(z|w)·A(w|x)
     for x in range(n):
         col_x = cols[x]
-        balanced_block = None
+        block = None
         if balanced:
-            # block[y][z] = Σ_w e(y|w)·e(z|w)·e(w|x), skipping zero terms
-            balanced_block = [[zero] * n for _ in range(n)]
-            for w in range(n):
-                cw = col_x[w]
+            # block[z][y] = Σ_w A(y|w)·A(z|w)·A(w|x), symmetric in y and z
+            block = [[0] * n for _ in range(n)]
+            for w, cw in enumerate(col_x):
                 if not cw:
                     continue
                 col_w = cols[w]
-                for y in range(n):
-                    a = col_w[y]
-                    if not a:
-                        continue
-                    row = balanced_block[y]
+                support = [(z, b) for z, b in enumerate(col_w) if b]
+                for y, a in support:
+                    row = block[y]
                     if multi:
-                        for z in range(n):
-                            if col_w[z]:
-                                row[z] = True
+                        for z, _ in support:
+                            row[z] = True
                     else:
                         acw = a * cw
-                        for z in range(n):
-                            b = col_w[z]
-                            if b:
-                                row[z] += acw * b
+                        for z, b in support:
+                            row[z] += acw * b
         for z in range(n):
+            row_z = rows[z]
+            block_z = block[z] if balanced else None
             for y in range(n):
                 ey = col_x[y]
-                ezy = cols[y][z]
-                lhs = (ey and ezy) if multi else ey * ezy
-                if static:
-                    want = ey if y == z else zero
-                    if lhs != want:
-                        static = False
-                        witnesses.setdefault("static", (labels[x], labels[z], labels[y]))
-                if strong:
-                    ezx = col_x[z]
-                    rhs = (ey and ezx) if multi else ey * ezx
-                    if lhs != rhs:
-                        strong = False
-                        witnesses.setdefault("strong", (labels[x], labels[z], labels[y]))
-                if balanced:
-                    if lhs != balanced_block[y][z]:
-                        balanced = False
-                        witnesses.setdefault("balanced", (labels[x], labels[z], labels[y]))
+                lhs = ey * row_z[y]
+                if static and lhs != (d * ey if y == z else 0):
+                    static = False
+                    witnesses.setdefault("static", (labels[x], labels[z], labels[y]))
+                if strong and lhs != ey * col_x[z]:
+                    strong = False
+                    witnesses.setdefault("strong", (labels[x], labels[z], labels[y]))
+                if balanced and d * lhs != block_z[y]:
+                    balanced = False
+                    witnesses.setdefault("balanced", (labels[x], labels[z], labels[y]))
         if not (static or strong or balanced):
             break
     deterministic = is_deterministic(e)
     if not deterministic:
-        j = next(j for j in range(n) if not is_point_mass(kind, cols[j]))
+        j = next(j for j in range(n) if not is_point_mass(kind, e.column(j)))
         witnesses["deterministic"] = (labels[j],)
     if (static or strong) and not balanced:
         raise StructureViolation("a static or strong idempotent must be balanced")
@@ -501,43 +508,36 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
     if f.cod != g.dom or g.cod != h.dom:
         raise ShapeMismatch("kernels must form a chain A→B→X→Y")
     kind = f.kind
+    multi = kind is Kind.MULTI
+    zero = kind.zero
     hg = compose(h, g)
     na, nb, nx, ny = f.dom.size, f.cod.size, g.cod.size, h.cod.size
+    fm, gm, hm, hgm = f.matrix, g.matrix, h.matrix, hg.matrix
+
+    # the a-independent factors, once per (b, y₁, y₂): the one-sample
+    # product (hg)(y₁|b)·(hg)(y₂|b) and the two-sample sum over x
+    pairs = [(y1, y2) for y1 in range(ny) for y2 in range(ny)]
+    one_sample = []
+    two_sample = []
+    for b in range(nb):
+        one_sample.append([hgm[y1][b] * hgm[y2][b] for y1, y2 in pairs])
+        xs = [(x, gm[x][b]) for x in range(nx) if gm[x][b]]
+        two_sample.append(
+            [sum((hm[y1][x] * hm[y2][x] * gx for x, gx in xs), zero) for y1, y2 in pairs]
+        )
 
     antecedent = True
     for a in range(na):
-        for y1 in range(ny):
-            for y2 in range(ny):
-                if kind is Kind.MULTI:
-                    lhs = any(
-                        f.matrix[b][a] and hg.matrix[y1][b] and hg.matrix[y2][b]
-                        for b in range(nb)
-                    )
-                    rhs = any(
-                        f.matrix[b][a] and h.matrix[y1][x] and h.matrix[y2][x] and g.matrix[x][b]
-                        for b in range(nb)
-                        for x in range(nx)
-                    )
-                else:
-                    lhs = sum(
-                        (f.matrix[b][a] * hg.matrix[y1][b] * hg.matrix[y2][b] for b in range(nb)),
-                        Fraction(0),
-                    )
-                    rhs = sum(
-                        (
-                            f.matrix[b][a]
-                            * sum(
-                                (h.matrix[y1][x] * h.matrix[y2][x] * g.matrix[x][b] for x in range(nx)),
-                                Fraction(0),
-                            )
-                            for b in range(nb)
-                        ),
-                        Fraction(0),
-                    )
-                if lhs != rhs:
-                    antecedent = False
-                    break
-            if not antecedent:
+        weights = [(b, fm[b][a]) for b in range(nb) if fm[b][a]]
+        for k in range(len(pairs)):
+            if multi:
+                lhs = any(one_sample[b][k] for b, _ in weights)
+                rhs = any(two_sample[b][k] for b, _ in weights)
+            else:
+                lhs = sum((w * one_sample[b][k] for b, w in weights), zero)
+                rhs = sum((w * two_sample[b][k] for b, w in weights), zero)
+            if lhs != rhs:
+                antecedent = False
                 break
         if not antecedent:
             break
@@ -550,8 +550,8 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
             continue
         for x in range(nx):
             for y in range(ny):
-                lhs = g.matrix[x][b] * h.matrix[y][x]
-                rhs = g.matrix[x][b] * hg.matrix[y][b]
+                lhs = gm[x][b] * hm[y][x]
+                rhs = gm[x][b] * hgm[y][b]
                 if lhs != rhs:
                     consequent = False
                     break

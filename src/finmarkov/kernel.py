@@ -2,8 +2,11 @@
 
 A kernel is a matrix whose column at a domain element gives the
 distribution (Stoch), signed distribution (Signed) or set of possible
-outputs (Multi) over the codomain.  All arithmetic is exact: Stoch and
-Signed entries are `fractions.Fraction`, Multi entries are `bool`.
+outputs (Multi) over the codomain.  All arithmetic is exact: at the API,
+Stoch and Signed entries are `fractions.Fraction` and Multi entries are
+`bool`; inside, the cubic loops of `compose` and `classify` run over
+integer numerators with a common denominator, and Multi `compose` ORs
+int bitmasks.
 Floating point is rejected everywhere.
 
 Matrix layout: ``matrix[i][j]`` is the weight of codomain element ``i``
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -276,11 +280,24 @@ def _require_same_kind(f: Kernel, g: Kernel) -> None:
         raise KindMismatch(f"{f.kind.value} vs {g.kind.value}")
 
 
+def _integer_numerators(entries: Sequence[Entry]) -> tuple[int, Sequence]:
+    """Integer numerators of ``entries`` over their least common
+    denominator, with that denominator; bool entries come back unchanged
+    over 1."""
+    if entries and entries[0].__class__ is bool:
+        return 1, entries
+    den = math.lcm(*[v.denominator for v in entries])
+    return den, [v.numerator * (den // v.denominator) for v in entries]
+
+
 def compose(g: Kernel, f: Kernel) -> Kernel:
     """Sequential composite g∘f, with (g∘f)(z|a) = Σ_y g(z|y)·f(y|a).
 
     Over Multi the sum is boolean OR of ANDs (relational composition).
-    Zero terms are skipped; sums of exact scalars are order-independent.
+    Each output column visits only the nonzero entries of f's column and
+    reads only the columns of g they reach, each once per call.  Exact
+    sums run over integer numerators with one denominator per output
+    column; Multi columns are OR-ed as int bitmasks.
     """
     _require_same_kind(f, g)
     if f.cod != g.dom:
@@ -288,27 +305,49 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
             f"cannot compose: middle objects differ ({f.cod.labels} vs {g.dom.labels})"
         )
     kind = f.kind
-    multi = kind is Kind.MULTI
-    n, m, p = g.cod.size, f.cod.size, f.dom.size
+    n = g.cod.size
+    gm = g.matrix
     zero = kind.zero
-    out = [[zero] * p for _ in range(n)]
-    gcols = [tuple(g.matrix[i][y] for i in range(n)) for y in range(m)]
-    for j in range(p):
-        for y in range(m):
-            fv = f.matrix[y][j]
-            if not fv:
+    # most zeros are the kind's own zero object: `v is not zero` skips them
+    # without a call into Fraction
+    columns = zip(*f.matrix) if f.matrix else [()] * f.dom.size
+    fcols = [[(y, v) for y, v in enumerate(col) if v is not zero and v] for col in columns]
+    gcols: dict = {}
+    out = []
+    if kind is Kind.MULTI:
+        # one byte per codomain element, so bytes() and to_bytes() convert
+        for col in fcols:
+            mask = 0
+            for y, _ in col:
+                gmask = gcols.get(y)
+                if gmask is None:
+                    gmask = gcols[y] = int.from_bytes(bytes([row[y] for row in gm]), "little")
+                mask |= gmask
+            out.append(tuple(map(bool, mask.to_bytes(n, "little"))))
+    else:
+        for col in fcols:
+            if not col:
+                out.append((zero,) * n)
                 continue
-            gcol = gcols[y]
-            if multi:
-                for i in range(n):
-                    if gcol[i]:
-                        out[i][j] = True
-            else:
-                for i in range(n):
-                    gv = gcol[i]
-                    if gv:
-                        out[i][j] += gv * fv
-    return Kernel(kind, f.dom, g.cod, tuple(tuple(row) for row in out))
+            fden, fnums = _integer_numerators([v for _, v in col])
+            terms = []
+            for (y, _), a in zip(col, fnums):
+                gcol = gcols.get(y)
+                if gcol is None:
+                    cells = [(i, v) for i, row in enumerate(gm) if (v := row[y]) is not zero and v]
+                    gden, gnums = _integer_numerators([v for _, v in cells])
+                    gcol = gcols[y] = gden, [(i, b) for (i, _), b in zip(cells, gnums)]
+                terms.append((gcol, a))
+            lcd = math.lcm(*[gden for (gden, _), _ in terms])
+            acc = [0] * n
+            for (gden, gnums), a in terms:
+                scale = a * (lcd // gden)
+                for i, b in gnums:
+                    acc[i] += scale * b
+            den = fden * lcd
+            out.append([Fraction(num, den) if num else zero for num in acc])
+    rows = tuple(zip(*out)) if out else ((),) * n
+    return Kernel(kind, f.dom, g.cod, rows)
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:

@@ -138,6 +138,19 @@ def test_cli_split_multi_no_split(tmp_path, capsys):
     assert code == 1 and out["no_split_up_to"] == 2
 
 
+def test_cli_split_non_idempotent_exits_1(tmp_path, capsys):
+    from finmarkov import fin_object, make_kernel, multi_kernel
+
+    x = fin_object(("0", "1"))
+    swaps = [multi_kernel(x, x, [["1"], ["0"]]), make_kernel(Kind.STOCH, x, x, [[0, 1], [1, 0]])]
+    for swap in swaps:
+        path = _write(tmp_path, f"swap_{swap.kind.value}.json", swap)
+        code = run(["split", path])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert out == {"split": None, "error": "kernel is not idempotent"}
+
+
 def test_cli_support_and_split_support(tmp_path, capsys):
     from finmarkov.golden import intro_state
 

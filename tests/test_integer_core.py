@@ -1,0 +1,427 @@
+"""The integer-numerator and bitmask loops of `compose`, `classify` and
+`cauchy_schwarz` against the literal Fraction/bool sums they replaced."""
+
+import itertools
+from fractions import Fraction
+from types import MappingProxyType
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finmarkov import (
+    Kernel,
+    Kind,
+    associator,
+    cauchy_schwarz,
+    classify,
+    compose,
+    copy_kernel,
+    fin_object,
+    identity,
+    is_deterministic,
+    left_unitor,
+    random_class_idempotent,
+    right_unitor,
+    swap_kernel,
+    tensor,
+    tensor_object,
+)
+from finmarkov.golden import (
+    balanced_idempotent,
+    multi_chain3_idempotent,
+    multi_upset_idempotent,
+    signed_coassoc_counterexample,
+    signed_idempotent,
+    static_idempotent,
+    strong_idempotent,
+)
+from finmarkov.idempotents import CauchySchwarzInstance, IdempotentReport, StructureViolation
+from finmarkov.kernel import UNIT, all_multi_kernels, is_point_mass
+from finmarkov.rand import random_deterministic_kernel, random_kernel, random_object, rng_from_seed
+
+F = Fraction
+
+# ---------------------------------------------------------------------------
+# reference oracles: the dense Fraction/bool loops
+# ---------------------------------------------------------------------------
+
+
+def _reference_compose(g, f):
+    """(g∘f)(z|a) = Σ_y g(z|y)·f(y|a) over every cell, one scalar at a time."""
+    kind = f.kind
+    multi = kind is Kind.MULTI
+    n, m, p = g.cod.size, f.cod.size, f.dom.size
+    zero = kind.zero
+    out = [[zero] * p for _ in range(n)]
+    gcols = [tuple(g.matrix[i][y] for i in range(n)) for y in range(m)]
+    for j in range(p):
+        for y in range(m):
+            fv = f.matrix[y][j]
+            if not fv:
+                continue
+            gcol = gcols[y]
+            if multi:
+                for i in range(n):
+                    if gcol[i]:
+                        out[i][j] = True
+            else:
+                for i in range(n):
+                    gv = gcol[i]
+                    if gv:
+                        out[i][j] += gv * fv
+    return Kernel(kind, f.dom, g.cod, tuple(tuple(row) for row in out))
+
+
+def _reference_classify(e):
+    """The taxonomy from e∘e and the two-step joint in Fraction/bool scalars."""
+    kind = e.kind
+    n = e.dom.size
+    labels = e.dom.labels
+    ee = _reference_compose(e, e)
+    for x in range(n):
+        for y in range(n):
+            if ee.matrix[y][x] != e.matrix[y][x]:
+                return IdempotentReport(
+                    False, False, False, False, False,
+                    MappingProxyType({"idempotent": (labels[x], labels[y])}),
+                )
+
+    witnesses = {}
+    multi = kind is Kind.MULTI
+    zero = kind.zero
+    cols = [e.column(j) for j in range(n)]
+    static = strong = balanced = True
+    for x in range(n):
+        col_x = cols[x]
+        balanced_block = None
+        if balanced:
+            balanced_block = [[zero] * n for _ in range(n)]
+            for w in range(n):
+                cw = col_x[w]
+                if not cw:
+                    continue
+                col_w = cols[w]
+                for y in range(n):
+                    a = col_w[y]
+                    if not a:
+                        continue
+                    row = balanced_block[y]
+                    if multi:
+                        for z in range(n):
+                            if col_w[z]:
+                                row[z] = True
+                    else:
+                        acw = a * cw
+                        for z in range(n):
+                            b = col_w[z]
+                            if b:
+                                row[z] += acw * b
+        for z in range(n):
+            for y in range(n):
+                ey = col_x[y]
+                ezy = cols[y][z]
+                lhs = (ey and ezy) if multi else ey * ezy
+                if static:
+                    want = ey if y == z else zero
+                    if lhs != want:
+                        static = False
+                        witnesses.setdefault("static", (labels[x], labels[z], labels[y]))
+                if strong:
+                    ezx = col_x[z]
+                    rhs = (ey and ezx) if multi else ey * ezx
+                    if lhs != rhs:
+                        strong = False
+                        witnesses.setdefault("strong", (labels[x], labels[z], labels[y]))
+                if balanced:
+                    if lhs != balanced_block[y][z]:
+                        balanced = False
+                        witnesses.setdefault("balanced", (labels[x], labels[z], labels[y]))
+        if not (static or strong or balanced):
+            break
+    deterministic = is_deterministic(e)
+    if not deterministic:
+        j = next(j for j in range(n) if not is_point_mass(kind, cols[j]))
+        witnesses["deterministic"] = (labels[j],)
+    if (static or strong) and not balanced:
+        raise StructureViolation("a static or strong idempotent must be balanced")
+    if static and strong and not deterministic:
+        raise StructureViolation("a static and strong idempotent must be deterministic")
+    return IdempotentReport(
+        True, deterministic, static, strong, balanced, MappingProxyType(witnesses)
+    )
+
+
+def _reference_cauchy_schwarz(f, g, h):
+    """Both sides of the antecedent as literal double sums per input a."""
+    kind = f.kind
+    hg = _reference_compose(h, g)
+    na, nb, nx, ny = f.dom.size, f.cod.size, g.cod.size, h.cod.size
+    antecedent = True
+    for a in range(na):
+        for y1 in range(ny):
+            for y2 in range(ny):
+                if kind is Kind.MULTI:
+                    lhs = any(
+                        f.matrix[b][a] and hg.matrix[y1][b] and hg.matrix[y2][b]
+                        for b in range(nb)
+                    )
+                    rhs = any(
+                        f.matrix[b][a] and h.matrix[y1][x] and h.matrix[y2][x] and g.matrix[x][b]
+                        for b in range(nb)
+                        for x in range(nx)
+                    )
+                else:
+                    lhs = sum(
+                        (f.matrix[b][a] * hg.matrix[y1][b] * hg.matrix[y2][b] for b in range(nb)),
+                        F(0),
+                    )
+                    rhs = sum(
+                        (
+                            f.matrix[b][a]
+                            * sum((h.matrix[y1][x] * h.matrix[y2][x] * g.matrix[x][b] for x in range(nx)), F(0))
+                            for b in range(nb)
+                        ),
+                        F(0),
+                    )
+                antecedent = antecedent and lhs == rhs
+    reached = [b for b in range(nb) if any(f.matrix[b])]
+    consequent = all(
+        g.matrix[x][b] * h.matrix[y][x] == g.matrix[x][b] * hg.matrix[y][b]
+        for b in reached
+        for x in range(nx)
+        for y in range(ny)
+    )
+    return CauchySchwarzInstance(antecedent, consequent)
+
+
+# ---------------------------------------------------------------------------
+# generators
+# ---------------------------------------------------------------------------
+
+# denominators include distinct primes, so column lcms grow to products
+DENOMINATORS = (1, 2, 3, 4, 101, 103, 107, 109, 113)
+
+
+def _entry(kind):
+    if kind is Kind.MULTI:
+        return st.booleans()
+    numerators = st.integers(-6, 6) if kind is Kind.SIGNED else st.integers(0, 6)
+    nonzero = st.builds(Fraction, numerators, st.sampled_from(DENOMINATORS))
+    return st.one_of(st.just(F(0)), nonzero)
+
+
+def _obj(prefix, n):
+    return fin_object(f"{prefix}{i}" for i in range(n))
+
+
+def _matrix(kind, rows, cols):
+    return st.lists(st.lists(_entry(kind), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _chain(draw):
+    """g, f with f: A → Y and g: Y → Z; sizes 0-5, shape-checked only."""
+    kind = draw(st.sampled_from(list(Kind)))
+    p, m, n = (draw(st.integers(0, 5)) for _ in range(3))
+    a, y, z = _obj("a", p), _obj("y", m), _obj("z", n)
+    f = Kernel(kind, a, y, draw(_matrix(kind, m, p)))
+    g = Kernel(kind, y, z, draw(_matrix(kind, n, m)))
+    return g, f
+
+
+def _scalar_type(kind):
+    return bool if kind is Kind.MULTI else Fraction
+
+
+def _same_composite(g, f):
+    got, want = compose(g, f), _reference_compose(g, f)
+    assert got == want
+    assert got.dom == f.dom and got.cod == g.cod
+    assert all(type(v) is _scalar_type(f.kind) for row in got.matrix for v in row)
+
+
+def _outcome(fn, e):
+    try:
+        r = fn(e)
+    except StructureViolation as exc:
+        return ("raises", str(exc))
+    return (r.flags(), r.idempotent, list(r.witnesses.items()))
+
+
+def _same_report(e):
+    assert _outcome(classify, e) == _outcome(_reference_classify, e)
+
+
+def _all_multi_idempotents(n):
+    x = _obj("", n)
+    return [k for k in all_multi_kernels(x, x) if _reference_compose(k, k) == k]
+
+
+# ---------------------------------------------------------------------------
+# compose
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chain())
+def test_compose_matches_reference(chain):
+    _same_composite(*chain)
+
+
+def test_compose_empty_objects():
+    for kind in Kind:
+        for p, m, n in itertools.product((0, 2), repeat=3):
+            f = Kernel(kind, _obj("a", p), _obj("y", m), [[kind.one] * p for _ in range(m)])
+            g = Kernel(kind, _obj("y", m), _obj("z", n), [[kind.one] * m for _ in range(n)])
+            _same_composite(g, f)
+
+
+def test_compose_prime_denominators_and_cancellation():
+    y, a = _obj("y", 4), _obj("a", 2)
+    f = Kernel(Kind.SIGNED, a, y, [[F(1, 101), F(-1, 2)], [F(1, 103), F(3, 2)], [F(1, 107), 0], [F(1, 109), 0]])
+    g = Kernel(Kind.SIGNED, y, a, [[F(101, 3), F(-103, 5), F(107, 7), F(-109, 11)], [1, 1, -1, 1]])
+    _same_composite(g, f)
+    # the positive and the negative path cancel to an exact zero
+    h = Kernel(Kind.SIGNED, y, UNIT, [[F(1, 101), F(-1, 101), 0, 0]])
+    k = Kernel(Kind.SIGNED, UNIT, y, [[1], [1], [0], [0]])
+    assert compose(h, k).matrix == ((F(0),),)
+    _same_composite(h, k)
+
+
+def test_compose_structural_left_factors():
+    rng = rng_from_seed(5)
+    for kind in Kind:
+        x = random_object(rng, 3, "x", min_size=2)
+        xx = tensor_object(x, x)
+        f3 = random_kernel(rng, kind, x, tensor_object(xx, x))
+        _same_composite(associator(x, x, x, kind), f3)
+        f2 = random_kernel(rng, kind, xx, xx)
+        _same_composite(swap_kernel(x, x, kind), f2)
+        _same_composite(copy_kernel(x, kind), random_kernel(rng, kind, xx, x))
+        _same_composite(left_unitor(x, kind), random_kernel(rng, kind, x, tensor_object(UNIT, x)))
+        _same_composite(right_unitor(x, kind), random_kernel(rng, kind, x, tensor_object(x, UNIT)))
+        e = random_kernel(rng, kind, x, x)
+        _same_composite(tensor(e, e), compose(copy_kernel(x, kind), e))
+        _same_composite(e, random_deterministic_kernel(rng, kind, x, x))
+
+
+# ---------------------------------------------------------------------------
+# classify
+# ---------------------------------------------------------------------------
+
+
+def _split_idempotent(n, k, a_rows, b_rows, order):
+    """Signed idempotent ι∘π with ι = [I; B], π = [I − AB, A], so π∘ι = I,
+    its elements permuted by ``order``."""
+    inner = range(k)
+    outer = range(n - k)
+    iota = [[F(int(i == t)) for t in inner] for i in inner] + [list(b_rows[r]) for r in outer]
+    ab = [[sum((a_rows[s][r] * b_rows[r][t] for r in outer), F(0)) for t in inner] for s in inner]
+    pi = [[F(int(s == t)) - ab[s][t] for t in inner] + [a_rows[s][r] for r in outer] for s in inner]
+    e = [[sum((iota[i][t] * pi[t][j] for t in inner), F(0)) for j in range(n)] for i in range(n)]
+    x = _obj("s", n)
+    return Kernel(Kind.SIGNED, x, x, [[e[order[i]][order[j]] for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def _signed_idempotent(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    a_rows = draw(_matrix(Kind.SIGNED, k, n - k))
+    b_rows = draw(_matrix(Kind.SIGNED, n - k, k))
+    order = draw(st.permutations(range(n)))
+    return _split_idempotent(n, k, a_rows, b_rows, order)
+
+
+@st.composite
+def _endomorphism(draw):
+    kind = draw(st.sampled_from(list(Kind)))
+    n = draw(st.integers(0, 5))
+    x = _obj("s", n)
+    return Kernel(kind, x, x, draw(_matrix(kind, n, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_endomorphism())
+def test_classify_matches_reference_on_endomorphisms(e):
+    _same_report(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_signed_idempotent())
+def test_classify_matches_reference_on_signed_idempotents(e):
+    assert _reference_compose(e, e) == e
+    _same_report(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_classify_matches_reference_on_stochastic(seed):
+    rng = rng_from_seed(seed)
+    x = random_object(rng, 7, "s")
+    _same_report(random_class_idempotent(rng, x).idempotent)
+    _same_report(random_kernel(rng, Kind.STOCH, x, x))
+    _same_report(random_kernel(rng, Kind.SIGNED, x, x))
+
+
+def test_classify_matches_reference_on_golden_and_prime_denominators():
+    for e in (
+        strong_idempotent(), static_idempotent(), balanced_idempotent(), signed_idempotent(),
+        signed_coassoc_counterexample(), multi_upset_idempotent(), multi_chain3_idempotent(),
+        identity(UNIT), identity(fin_object(()), Kind.MULTI),
+    ):
+        _same_report(e)
+    # two classes with denominators 103 and 107, a transient state mixing them 1:100 over 101
+    x = _obj("s", 5)
+    iota = Kernel(Kind.STOCH, _obj("t", 2), x, [[F(1, 103), 0], [F(102, 103), 0], [0, F(1, 107)], [0, F(106, 107)], [0, 0]])
+    pi = Kernel(Kind.STOCH, x, _obj("t", 2), [[1, 1, 0, 0, F(1, 101)], [0, 0, 1, 1, F(100, 101)]])
+    e = _reference_compose(iota, pi)
+    assert _reference_compose(e, e) == e
+    _same_report(e)
+    assert classify(e).balanced and not classify(e).static
+
+
+def test_classify_matches_reference_on_every_small_multi_endomorphism():
+    for n in range(4):
+        x = _obj("", n)
+        for e in all_multi_kernels(x, x):
+            _same_report(e)
+
+
+def test_classify_matches_reference_on_all_multi_idempotents():
+    idempotents = [e for n in range(1, 5) for e in _all_multi_idempotents(n)]
+    assert len(idempotents) == 1192
+    for e in idempotents:
+        _same_report(e)
+
+
+def test_classify_no_longer_composes_e_with_itself(monkeypatch):
+    import finmarkov.idempotents as idem
+
+    calls = []
+    monkeypatch.setattr(idem, "compose", lambda g, f: calls.append((g, f)) or compose(g, f))
+    idem._classify_cached.cache_clear()
+    classify(balanced_idempotent())
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# cauchy_schwarz
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(Kind)), st.integers(0, 2**32), st.booleans(), st.booleans())
+def test_cauchy_schwarz_matches_double_sum(kind, seed, det_g, det_h):
+    rng = rng_from_seed(seed)
+    a, b, x, y = (random_object(rng, 4, c) for c in "abxy")
+    f = random_kernel(rng, kind, a, b)
+    g = (random_deterministic_kernel if det_g else random_kernel)(rng, kind, b, x)
+    h = (random_deterministic_kernel if det_h else random_kernel)(rng, kind, x, y)
+    assert cauchy_schwarz(f, g, h) == _reference_cauchy_schwarz(f, g, h)
+
+
+def test_cauchy_schwarz_matches_double_sum_on_idempotents():
+    for e in (strong_idempotent(), static_idempotent(), balanced_idempotent(), signed_idempotent(),
+              multi_upset_idempotent(), multi_chain3_idempotent()):
+        assert cauchy_schwarz(e, e, e) == _reference_cauchy_schwarz(e, e, e)

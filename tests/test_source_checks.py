@@ -30,3 +30,68 @@ def test_library_has_no_function_local_relative_imports():
                     if isinstance(node, ast.ImportFrom) and node.level > 0
                 ]
     assert found == []
+
+
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict"}
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _import_time_statements(tree):
+    """Statements run at import: the module body, top-level if/try/with
+    blocks and class bodies, but no function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += [c for c in ast.iter_child_nodes(node) if isinstance(c, (ast.stmt, ast.excepthandler))]
+
+
+def _called_name(node):
+    """The name behind ``f``, ``f(...)``, ``mod.f`` or ``mod.f(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _is_mutable_container(value):
+    containers = (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)
+    return isinstance(value, containers) or (
+        isinstance(value, ast.Call) and _called_name(value) in MUTABLE_CALLS
+    )
+
+
+def test_library_memos_are_clearable():
+    # the benchmark clears memos between passes only through `cache_clear`,
+    # so no state may live in a module-level container or a nested cache
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in _import_time_statements(tree):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                continue
+            if value is not None and _is_mutable_container(value):
+                found.append(f"{path.name}:{node.lineno} mutable container")
+        allowed = set()
+        for func in tree.body:
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in func.decorator_list:
+                    allowed |= {id(deco), id(getattr(deco, "func", deco))}
+        found += [
+            f"{path.name}:{node.lineno} cache off a module-level function"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and _called_name(node) in CACHE_DECORATORS
+            and id(node) not in allowed
+        ]
+    assert found == []
