@@ -8,6 +8,7 @@ literal evaluation of the defining joint-diagram equation.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -19,6 +20,7 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
+    _reduced,
     compose,
     copy_kernel,
     fin_object,
@@ -66,31 +68,31 @@ class AseQuery:
             )
 
 
-def _joint_matrix(p: Kernel, f: Kernel, w_size: int):
-    """Entrywise joint of the defining diagram: copy p's output, feed one
-    copy into f alongside the parameter; entry at ((x,y) | (w,a)) is
-    p(x|a)·f(y|w,x)."""
-    multi = p.kind is Kind.MULTI
-    nx = p.cod.size
-    ny = f.cod.size
-    na = p.dom.size
-    zero = p.kind.zero
-    rows = []
-    for x in range(nx):
-        prow = p.matrix[x]
-        for y in range(ny):
-            frow = f.matrix[y]
-            row = []
-            for w in range(w_size):
-                fv = frow[w * nx + x]
-                if not fv:
-                    row.extend([zero] * na)
-                elif multi:
-                    row.extend(prow)
-                else:
-                    row.extend(pv * fv if pv else zero for pv in prow)
-            rows.append(tuple(row))
-    return tuple(rows)
+def _joint_columns(p: Kernel, f: Kernel, w_size: int) -> list:
+    """Stored columns of the defining diagram's joint: copy p's output,
+    feed one copy into f alongside the parameter; column (w,a) holds
+    p(x|a)·f(y|w,x) at row (x,y)."""
+    nx, ny = p.cod.size, f.cod.size
+    fcols = f.columns
+    out = []
+    for base in range(0, w_size * nx, nx):
+        for pcol in p.columns:
+            if p.kind is Kind.MULTI:
+                acc = 0
+                for x in range(nx):
+                    if pcol >> x & 1:
+                        acc |= fcols[base + x] << (x * ny)
+                out.append(acc)
+                continue
+            pden, pcells = pcol
+            lcd = math.lcm(*[fcols[base + x][0] for x, _ in pcells])
+            cells = []
+            for x, a in pcells:
+                fden, fcells = fcols[base + x]
+                scale = a * (lcd // fden)
+                cells += [(x * ny + y, scale * b) for y, b in fcells]
+            out.append(_reduced(pden * lcd, cells))
+    return out
 
 
 def ase(query: AseQuery) -> bool:
@@ -102,17 +104,9 @@ def ase(query: AseQuery) -> bool:
     """
     p, f, g, w = query.reference, query.left, query.right, query.w_size
     nx = p.cod.size
-    reached = support_indices(p)
-    shortcut = True
-    for x in reached:
-        for wi in range(w):
-            j = wi * nx + x
-            if f.column(j) != g.column(j):
-                shortcut = False
-                break
-        if not shortcut:
-            break
-    literal = _joint_matrix(p, f, w) == _joint_matrix(p, g, w)
+    fcols, gcols = f.columns, g.columns
+    shortcut = all(fcols[wi * nx + x] == gcols[wi * nx + x] for x in support_indices(p) for wi in range(w))
+    literal = _joint_columns(p, f, w) == _joint_columns(p, g, w)
     if shortcut != literal:  # pragma: no cover - would indicate a defect
         raise AssertionError("almost-sure equality procedures disagree")
     return shortcut

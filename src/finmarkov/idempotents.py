@@ -16,6 +16,7 @@ intermediate) labels, scanned in that order.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,13 +32,12 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
-    _integer_numerators,
+    _is_point_column,
     compose,
     copy_kernel,
     fin_object,
     identity,
     is_deterministic,
-    is_point_mass,
     kernel_equal,
     support_indices,
     swap_kernel,
@@ -117,9 +117,16 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
     n = e.dom.size
     labels = e.dom.labels
     multi = kind is Kind.MULTI
-    d, flat = _integer_numerators([v for row in e.matrix for v in row])
-    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-    cols = [flat[j::n] for j in range(n)]
+    if multi:
+        d = 1
+        cols = [[bool(mask >> y & 1) for y in range(n)] for mask in e.columns]
+    else:
+        d = math.lcm(*[den for den, _ in e.columns])
+        cols = [[0] * n for _ in range(n)]
+        for col, (den, cells) in zip(cols, e.columns):
+            for y, num in cells:
+                col[y] = num * (d // den)
+    rows = list(zip(*cols))
 
     # idempotency: (A·A)(y|x) = d·A(y|x)
     for x in range(n):
@@ -185,7 +192,7 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
             break
     deterministic = is_deterministic(e)
     if not deterministic:
-        j = next(j for j in range(n) if not is_point_mass(kind, e.column(j)))
+        j = next(j for j, col in enumerate(e.columns) if not _is_point_column(kind, col))
         witnesses["deterministic"] = (labels[j],)
     if (static or strong) and not balanced:
         raise StructureViolation("a static or strong idempotent must be balanced")

@@ -157,44 +157,126 @@ def split_tensor_labels(obj: FinObject, left_size: int) -> tuple[FinObject, FinO
     return FinObject(left), FinObject(right)
 
 
-def _coerce_entry(kind: Kind, value) -> Entry:
-    if kind is Kind.MULTI:
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, int):
-            return bool(value)
-        raise ValidationError(f"multi entries must be bool, got {value!r}")
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValidationError(f"exact kernels take Fraction or int entries, got {value!r}")
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    raise ValidationError(f"bad matrix entry {value!r}")
+#: The stored form of an all-zero Stoch or Signed column.
+_EMPTY = (1, ())
 
 
-@dataclass(frozen=True)
+def _exact_column(entries: Sequence) -> tuple:
+    """Canonical stored column of dense int/Fraction entries."""
+    ratios = [v.as_integer_ratio() for v in entries]
+    den = math.lcm(*[d for _, d in ratios])
+    cells = tuple((i, n * (den // d)) for i, (n, d) in enumerate(ratios) if n)
+    return (den, cells) if cells else _EMPTY
+
+
+def _mask_column(entries: Sequence) -> int:
+    """Stored column (bitmask) of dense bool/int entries."""
+    return sum(1 << i for i, v in enumerate(entries) if v)
+
+
+def _reduced(den: int, cells: list) -> tuple:
+    """Canonical stored column of nonzero ``(row, num)`` cells, ascending
+    in row, over the positive denominator ``den``."""
+    if not cells:
+        return _EMPTY
+    c = math.gcd(den, *[num for _, num in cells])
+    if c == 1:
+        return den, tuple(cells)
+    return den // c, tuple((i, num // c) for i, num in cells)
+
+
 class Kernel:
     """A morphism: matrix over one of the three scalar structures.
 
-    Construction performs shape checks only; use :func:`validate` or
-    :func:`make_kernel` to enforce the column law of the kind.
+    ``Kernel(kind, dom, cod, rows)`` takes dense rows and performs shape
+    and entry-type checks only; use :func:`validate` or
+    :func:`make_kernel` to enforce the column law of the kind.  Kernels
+    are immutable, and equal iff kind, objects and ``columns`` agree.
+    The rows given to the constructor are kept as the ``matrix`` view and
+    converted to ``columns`` on first use, so building inputs costs no
+    more than storing them.
     """
+
+    __slots__ = ("kind", "dom", "cod", "columns", "_hash", "_matrix")
 
     kind: Kind
     dom: FinObject
     cod: FinObject
-    matrix: tuple[tuple[Entry, ...], ...]
+    columns: tuple
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
-        if len(self.matrix) != self.cod.size:
-            raise ShapeMismatch(
-                f"{len(self.matrix)} rows for codomain of size {self.cod.size}"
-            )
-        for row in self.matrix:
-            if len(row) != self.dom.size:
-                raise ShapeMismatch(
-                    f"row of length {len(row)} for domain of size {self.dom.size}"
-                )
+    def __init__(self, kind: Kind, dom: FinObject, cod: FinObject, rows: Iterable[Iterable]) -> None:
+        rows = tuple(tuple(row) for row in rows)
+        if len(rows) != cod.size:
+            raise ShapeMismatch(f"{len(rows)} rows for codomain of size {cod.size}")
+        types = set()
+        for row in rows:
+            if len(row) != dom.size:
+                raise ShapeMismatch(f"row of length {len(row)} for domain of size {dom.size}")
+            types.update(map(type, row))
+        if not types <= ({bool, int} if kind is Kind.MULTI else {Fraction, int}):
+            for v in itertools.chain.from_iterable(rows):
+                if kind is Kind.MULTI and not isinstance(v, int):
+                    raise ValidationError(f"multi entries must be bool, got {v!r}")
+                if kind is not Kind.MULTI and (isinstance(v, bool) or not isinstance(v, (int, Fraction))):
+                    raise ValidationError(f"exact kernels take Fraction or int entries, got {v!r}")
+        setattr_ = object.__setattr__
+        setattr_(self, "kind", kind)
+        setattr_(self, "dom", dom)
+        setattr_(self, "cod", cod)
+        setattr_(self, "_hash", None)
+        setattr_(self, "_matrix", rows)
+
+    def __getattr__(self, name: str):
+        # only reached while a kernel built from rows has no columns yet
+        if name != "columns":
+            raise AttributeError(f"'Kernel' object has no attribute {name!r}")
+        rows = self._matrix
+        dense = zip(*rows) if rows else [()] * self.dom.size
+        to_column = _mask_column if self.kind is Kind.MULTI else _exact_column
+        columns = tuple(map(to_column, dense))
+        object.__setattr__(self, "columns", columns)
+        return columns
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Kernel is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Kernel is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Kernel:
+            return NotImplemented
+        return self is other or (
+            self.kind is other.kind
+            and self.columns == other.columns
+            and self.dom == other.dom
+            and self.cod == other.cod
+        )
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.dom, self.cod, self.columns))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    @property
+    def matrix(self) -> tuple[tuple[Entry, ...], ...]:
+        """Dense read-only view: the given rows, or for a computed kernel
+        ``Fraction`` or ``bool`` entries built on first access."""
+        m = self._matrix
+        if m is None:
+            n = self.cod.size
+            if self.kind is Kind.MULTI:
+                m = tuple(tuple(bool(c >> i & 1) for c in self.columns) for i in range(n))
+            else:
+                rows = [[ZERO] * self.dom.size for _ in range(n)]
+                for j, (den, cells) in enumerate(self.columns):
+                    for i, num in cells:
+                        rows[i][j] = Fraction(num, den)
+                m = tuple(map(tuple, rows))
+            object.__setattr__(self, "_matrix", m)
+        return m
 
     def entry(self, i: int, j: int) -> Entry:
         return self.matrix[i][j]
@@ -212,6 +294,19 @@ class Kernel:
         )
 
 
+def _kernel(kind: Kind, dom: FinObject, cod: FinObject, columns: tuple) -> Kernel:
+    """Kernel from stored columns, trusted to be canonical and of the right shape."""
+    k = object.__new__(Kernel)
+    setattr_ = object.__setattr__
+    setattr_(k, "kind", kind)
+    setattr_(k, "dom", dom)
+    setattr_(k, "cod", cod)
+    setattr_(k, "columns", columns)
+    setattr_(k, "_hash", None)
+    setattr_(k, "_matrix", None)
+    return k
+
+
 @dataclass(frozen=True)
 class Violation:
     """First structural defect found by :func:`validate`."""
@@ -227,25 +322,25 @@ def validate(k: Kernel) -> Optional[Violation]:
     Signed: every column sums to 1.
     Multi: every column has at least one true entry.
     """
-    for j in range(k.dom.size):
-        col = k.column(j)
+    for j, col in enumerate(k.columns):
         if k.kind is Kind.MULTI:
-            if not any(col):
+            if not col:
                 return Violation(j, f"column {j} has empty image")
             continue
-        if k.kind is Kind.STOCH and any(v < 0 for v in col):
-            bad = next(v for v in col if v < 0)
-            return Violation(j, f"column {j} has negative entry {bad}")
-        total = sum(col, ZERO)
-        if total != ONE:
-            return Violation(j, f"column {j} sums to {total}")
+        den, cells = col
+        if k.kind is Kind.STOCH:
+            bad = next((num for _, num in cells if num < 0), None)
+            if bad is not None:
+                return Violation(j, f"column {j} has negative entry {Fraction(bad, den)}")
+        total = sum(num for _, num in cells)
+        if total != den:
+            return Violation(j, f"column {j} sums to {Fraction(total, den)}")
     return None
 
 
 def make_kernel(kind: Kind, dom: FinObject, cod: FinObject, rows: Sequence[Sequence]) -> Kernel:
-    """Build a kernel, coercing int entries, and enforce the column law."""
-    matrix = tuple(tuple(_coerce_entry(kind, v) for v in row) for row in rows)
-    k = Kernel(kind, dom, cod, matrix)
+    """Build a kernel from dense rows and enforce the column law."""
+    k = Kernel(kind, dom, cod, rows)
     bad = validate(k)
     if bad is not None:
         raise ValidationError(bad.message)
@@ -256,9 +351,12 @@ def multi_kernel(dom: FinObject, cod: FinObject, images: Sequence[Iterable[str]]
     """Multi kernel from per-input images given as label collections."""
     if len(images) != dom.size:
         raise ShapeMismatch(f"{len(images)} images for domain of size {dom.size}")
-    idx = [{cod.index(lbl) for lbl in img} for img in images]
-    rows = [[i in idx[j] for j in range(dom.size)] for i in range(cod.size)]
-    return make_kernel(Kind.MULTI, dom, cod, rows)
+    masks = tuple(sum(1 << i for i in {cod.index(lbl) for lbl in img}) for img in images)
+    k = _kernel(Kind.MULTI, dom, cod, masks)
+    bad = validate(k)
+    if bad is not None:
+        raise ValidationError(bad.message)
+    return k
 
 
 def function_kernel(dom: FinObject, cod: FinObject, targets: Sequence[int], kind: Kind) -> Kernel:
@@ -267,12 +365,12 @@ def function_kernel(dom: FinObject, cod: FinObject, targets: Sequence[int], kind
     ``kind.zero`` elsewhere."""
     if len(targets) != dom.size:
         raise ShapeMismatch(f"{len(targets)} targets for domain of size {dom.size}")
-    rows = [[kind.zero] * dom.size for _ in range(cod.size)]
-    for j, i in enumerate(targets):
+    for i in targets:
         if not 0 <= i < cod.size:
             raise ShapeMismatch(f"target {i!r} outside codomain of size {cod.size}")
-        rows[i][j] = kind.one
-    return Kernel(kind, dom, cod, rows)
+    if kind is Kind.MULTI:
+        return _kernel(kind, dom, cod, tuple(1 << i for i in targets))
+    return _kernel(kind, dom, cod, tuple((1, ((i, 1),)) for i in targets))
 
 
 def _require_same_kind(f: Kernel, g: Kernel) -> None:
@@ -280,105 +378,89 @@ def _require_same_kind(f: Kernel, g: Kernel) -> None:
         raise KindMismatch(f"{f.kind.value} vs {g.kind.value}")
 
 
-def _integer_numerators(entries: Sequence[Entry]) -> tuple[int, Sequence]:
-    """Integer numerators of ``entries`` over their least common
-    denominator, with that denominator; bool entries come back unchanged
-    over 1."""
-    if entries and entries[0].__class__ is bool:
-        return 1, entries
-    den = math.lcm(*[v.denominator for v in entries])
-    return den, [v.numerator * (den // v.denominator) for v in entries]
-
-
 def compose(g: Kernel, f: Kernel) -> Kernel:
     """Sequential composite g∘f, with (g∘f)(z|a) = Σ_y g(z|y)·f(y|a).
 
-    Over Multi the sum is boolean OR of ANDs (relational composition).
-    Each output column visits only the nonzero entries of f's column and
-    reads only the columns of g they reach, each once per call.  Exact
-    sums run over integer numerators with one denominator per output
-    column; Multi columns are OR-ed as int bitmasks.
+    Over Multi the sum is boolean OR of ANDs (relational composition), an
+    OR of g's column bitmasks.  Exact columns sum integer numerators over
+    the lcm of the denominators of the g columns they reach; a point mass
+    in f reuses g's column as stored.
     """
     _require_same_kind(f, g)
     if f.cod != g.dom:
         raise DomainMismatch(
             f"cannot compose: middle objects differ ({f.cod.labels} vs {g.dom.labels})"
         )
-    kind = f.kind
-    n = g.cod.size
-    gm = g.matrix
-    zero = kind.zero
-    # most zeros are the kind's own zero object: `v is not zero` skips them
-    # without a call into Fraction
-    columns = zip(*f.matrix) if f.matrix else [()] * f.dom.size
-    fcols = [[(y, v) for y, v in enumerate(col) if v is not zero and v] for col in columns]
-    gcols: dict = {}
+    gcols = g.columns
     out = []
-    if kind is Kind.MULTI:
-        # one byte per codomain element, so bytes() and to_bytes() convert
-        for col in fcols:
-            mask = 0
-            for y, _ in col:
-                gmask = gcols.get(y)
-                if gmask is None:
-                    gmask = gcols[y] = int.from_bytes(bytes([row[y] for row in gm]), "little")
-                mask |= gmask
-            out.append(tuple(map(bool, mask.to_bytes(n, "little"))))
-    else:
-        for col in fcols:
-            if not col:
-                out.append((zero,) * n)
-                continue
-            fden, fnums = _integer_numerators([v for _, v in col])
-            terms = []
-            for (y, _), a in zip(col, fnums):
-                gcol = gcols.get(y)
-                if gcol is None:
-                    cells = [(i, v) for i, row in enumerate(gm) if (v := row[y]) is not zero and v]
-                    gden, gnums = _integer_numerators([v for _, v in cells])
-                    gcol = gcols[y] = gden, [(i, b) for (i, _), b in zip(cells, gnums)]
-                terms.append((gcol, a))
-            lcd = math.lcm(*[gden for (gden, _), _ in terms])
-            acc = [0] * n
-            for (gden, gnums), a in terms:
-                scale = a * (lcd // gden)
-                for i, b in gnums:
-                    acc[i] += scale * b
-            den = fden * lcd
-            out.append([Fraction(num, den) if num else zero for num in acc])
-    rows = tuple(zip(*out)) if out else ((),) * n
-    return Kernel(kind, f.dom, g.cod, rows)
+    if f.kind is Kind.MULTI:
+        for mask in f.columns:
+            acc = 0
+            while mask:
+                low = mask & -mask
+                acc |= gcols[low.bit_length() - 1]
+                mask ^= low
+            out.append(acc)
+        return _kernel(f.kind, f.dom, g.cod, tuple(out))
+    for fden, fcells in f.columns:
+        if len(fcells) == 1:
+            y, a = fcells[0]
+            if a == fden:
+                out.append(gcols[y])
+            else:
+                gden, gcells = gcols[y]
+                out.append(_reduced(fden * gden, [(i, a * b) for i, b in gcells]))
+            continue
+        lcd = math.lcm(*[gcols[y][0] for y, _ in fcells])
+        acc: dict = {}
+        for y, a in fcells:
+            gden, gcells = gcols[y]
+            scale = a * (lcd // gden)
+            for i, b in gcells:
+                acc[i] = acc.get(i, 0) + scale * b
+        out.append(_reduced(fden * lcd, [(i, acc[i]) for i in sorted(acc) if acc[i]]))
+    return _kernel(f.kind, f.dom, g.cod, tuple(out))
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:
-    """Monoidal product (f⊗g)((y,z)|(a,b)) = f(y|a)·g(z|b), x-major indexing."""
+    """Monoidal product (f⊗g)((y,z)|(a,b)) = f(y|a)·g(z|b), x-major indexing.
+
+    An exact column multiplies numerators over the product of the two
+    column denominators, reduced by the product of the columns' contents.
+    """
     _require_same_kind(f, g)
-    kind = f.kind
-    multi = kind is Kind.MULTI
     dom = tensor_object(f.dom, g.dom)
     cod = tensor_object(f.cod, g.cod)
-    zero = kind.zero
-    zero_row = (zero,) * dom.size
-    nd2 = g.dom.size
-    rows = []
-    for i1 in range(f.cod.size):
-        frow = f.matrix[i1]
-        for i2 in range(g.cod.size):
-            grow = g.matrix[i2]
-            if not any(frow) or not any(grow):
-                rows.append(zero_row)
+    m = g.cod.size
+    out = []
+    if f.kind is Kind.MULTI:
+        for fmask in f.columns:
+            shifts = [y * m for y in range(f.cod.size) if fmask >> y & 1]
+            for gmask in g.columns:
+                acc = 0
+                for s in shifts:
+                    acc |= gmask << s
+                out.append(acc)
+        return _kernel(f.kind, dom, cod, tuple(out))
+    gcols = [(gden, gcells, math.gcd(*[b for _, b in gcells])) for gden, gcells in g.columns]
+    for fden, fcells in f.columns:
+        if not fcells:
+            out += [_EMPTY] * len(gcols)
+            continue
+        fc = math.gcd(*[a for _, a in fcells])
+        shifted = [(y * m, a) for y, a in fcells]
+        for gden, gcells, gc in gcols:
+            if not gcells:
+                out.append(_EMPTY)
                 continue
-            row = []
-            for j1 in range(f.dom.size):
-                fv = frow[j1]
-                if not fv:
-                    row.extend([zero] * nd2)
-                elif multi:
-                    row.extend(grow)
-                else:
-                    row.extend(fv * gv if gv else zero for gv in grow)
-            rows.append(tuple(row))
-    return Kernel(kind, dom, cod, tuple(rows))
+            den = fden * gden
+            cells = [(s + z, a * b) for s, a in shifted for z, b in gcells]
+            c = math.gcd(den, fc * gc)
+            if c == 1:
+                out.append((den, tuple(cells)))
+            else:
+                out.append((den // c, tuple((i, v // c) for i, v in cells)))
+    return _kernel(f.kind, dom, cod, tuple(out))
 
 
 def identity(x: FinObject, kind: Kind = Kind.STOCH) -> Kernel:
@@ -433,7 +515,7 @@ def marginalize(f: Kernel, split: int, side: str) -> Kernel:
     """Sum (OR) out one factor of a tensor-shaped codomain.
 
     ``split`` is the size of the left factor; ``side`` names the factor
-    that gets discarded.  Equals post-composition with id⊗discard
+    that gets discarded.  Computed as post-composition with id⊗discard
     (side="right") or discard⊗id (side="left").
     """
     if side not in ("left", "right"):
@@ -441,26 +523,17 @@ def marginalize(f: Kernel, split: int, side: str) -> Kernel:
     left, right = split_tensor_labels(f.cod, split)
     m = right.size
     if side == "right":
-        keep = left
-        groups = [[i * m + r for r in range(m)] for i in range(left.size)]
+        keep, targets = left, [r // m for r in range(f.cod.size)]
     else:
-        keep = right
-        groups = [[l * m + i for l in range(left.size)] for i in range(m)]
-    multi = f.kind is Kind.MULTI
-    rows = []
-    for group in groups:
-        row = []
-        for j in range(f.dom.size):
-            cells = [f.matrix[i][j] for i in group]
-            row.append(any(cells) if multi else sum(cells, ZERO))
-        rows.append(tuple(row))
-    return Kernel(f.kind, f.dom, keep, tuple(rows))
+        keep, targets = right, [r % m for r in range(f.cod.size)]
+    return compose(function_kernel(f.cod, keep, targets, f.kind), f)
 
 
-def is_point_mass(kind: Kind, col: Sequence[Entry]) -> bool:
+def _is_point_column(kind: Kind, col) -> bool:
+    """Whether a stored column is a point mass (one entry, equal to one)."""
     if kind is Kind.MULTI:
-        return sum(1 for v in col if v) == 1
-    return sum(1 for v in col if v != 0) == 1 and any(v == 1 for v in col)
+        return col != 0 and not col & (col - 1)
+    return col[0] == 1 and len(col[1]) == 1 and col[1][0][1] == 1
 
 
 def is_deterministic(f: Kernel) -> bool:
@@ -469,7 +542,7 @@ def is_deterministic(f: Kernel) -> bool:
     Shortcut for the comonoid equation copy∘f = (f⊗f)∘copy; the
     equivalence is property-tested against the literal equation.
     """
-    return all(is_point_mass(f.kind, f.column(j)) for j in range(f.dom.size))
+    return all(_is_point_column(f.kind, col) for col in f.columns)
 
 
 def deterministic_by_comonoid(f: Kernel) -> bool:
@@ -480,18 +553,13 @@ def deterministic_by_comonoid(f: Kernel) -> bool:
 
 
 def kernel_equal(f: Kernel, g: Kernel) -> bool:
-    """Exact equality: same kind, same dom/cod labels, identical matrices."""
+    """Exact equality: same kind, same dom/cod labels, identical columns."""
     return (
         f.kind is g.kind
         and f.dom.labels == g.dom.labels
         and f.cod.labels == g.cod.labels
-        and f.matrix == g.matrix
+        and f.columns == g.columns
     )
-
-
-def same_matrix(f: Kernel, g: Kernel) -> bool:
-    """Matrix equality ignoring label decoration (for unitor/associator moves)."""
-    return f.kind is g.kind and f.matrix == g.matrix
 
 
 def support_indices(k: Kernel) -> tuple[int, ...]:
@@ -500,11 +568,12 @@ def support_indices(k: Kernel) -> tuple[int, ...]:
     For Stoch this is the positive support; for Signed any nonzero entry
     counts; for Multi it is the union of images.
     """
-    out = []
-    for i in range(k.cod.size):
-        if any(v != 0 for v in k.matrix[i]):
-            out.append(i)
-    return tuple(out)
+    if k.kind is Kind.MULTI:
+        union = 0
+        for mask in k.columns:
+            union |= mask
+        return tuple(i for i in range(k.cod.size) if union >> i & 1)
+    return tuple(sorted({i for _, cells in k.columns for i, _ in cells}))
 
 
 def subset_object(x: FinObject, indices: Sequence[int]) -> FinObject:
@@ -532,12 +601,5 @@ def deterministic_kernels(dom: FinObject, cod: FinObject, kind: Kind = Kind.STOC
 
 def all_multi_kernels(dom: FinObject, cod: FinObject) -> list[Kernel]:
     """Every Multi kernel dom → cod, enumerated by column bitmasks."""
-    n, m = cod.size, dom.size
-    cols = list(range(1, 2**n))
-    out = []
-    for masks in itertools.product(cols, repeat=m):
-        rows = tuple(
-            tuple(bool(masks[j] >> i & 1) for j in range(m)) for i in range(n)
-        )
-        out.append(Kernel(Kind.MULTI, dom, cod, rows))
-    return out
+    masks = range(1, 2**cod.size)
+    return [_kernel(Kind.MULTI, dom, cod, cols) for cols in itertools.product(masks, repeat=dom.size)]

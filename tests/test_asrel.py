@@ -138,9 +138,9 @@ def test_ase_literal_diagram_agrees_with_wired_composition():
 
 
 def _entry_joint(p, f, w_size):
-    from finmarkov.asrel import _joint_matrix
+    from finmarkov.asrel import _joint_columns
 
-    return _joint_matrix(p, f, w_size)
+    return _joint_columns(p, f, w_size)
 
 
 def _wired_joint(p, f, w, a, x, y):
@@ -158,7 +158,7 @@ def _wired_joint(p, f, w, a, x, y):
     wired = compose(
         apply_f, compose(inner_swap, compose(assoc, compose(sw, compose(step2, step1))))
     )
-    return wired.matrix
+    return list(wired.columns)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from finmarkov.golden import (
     strong_idempotent,
 )
 from finmarkov.idempotents import CauchySchwarzInstance, IdempotentReport, StructureViolation
-from finmarkov.kernel import UNIT, all_multi_kernels, is_point_mass
+from finmarkov.kernel import UNIT, all_multi_kernels
 from finmarkov.rand import random_deterministic_kernel, random_kernel, random_object, rng_from_seed
 
 F = Fraction
@@ -70,6 +70,13 @@ def _reference_compose(g, f):
                     if gv:
                         out[i][j] += gv * fv
     return Kernel(kind, f.dom, g.cod, tuple(tuple(row) for row in out))
+
+
+def _is_point_mass(kind, col):
+    """A dense column with exactly one nonzero entry, equal to one."""
+    if kind is Kind.MULTI:
+        return sum(1 for v in col if v) == 1
+    return sum(1 for v in col if v != 0) == 1 and any(v == 1 for v in col)
 
 
 def _reference_classify(e):
@@ -140,7 +147,7 @@ def _reference_classify(e):
             break
     deterministic = is_deterministic(e)
     if not deterministic:
-        j = next(j for j in range(n) if not is_point_mass(kind, cols[j]))
+        j = next(j for j in range(n) if not _is_point_mass(kind, cols[j]))
         witnesses["deterministic"] = (labels[j],)
     if (static or strong) and not balanced:
         raise StructureViolation("a static or strong idempotent must be balanced")

@@ -44,7 +44,7 @@ from finmarkov import (
     tensor_object,
 )
 from finmarkov.golden import intro_functions, intro_state, static_idempotent
-from finmarkov.kernel import UNIT, same_matrix, support_indices
+from finmarkov.kernel import UNIT, support_indices
 from finmarkov.rand import (
     random_kernel,
     random_kernel_supported_on,
@@ -201,7 +201,7 @@ def test_support_of_composite_with_split_mono():
         p = random_kernel(rng, Kind.STOCH, random_object(rng, 3, "a"), t)
         lhs = support(compose(iota, p)).inclusion
         rhs = compose(iota, support(p).inclusion)
-        assert same_matrix(lhs, rhs) and lhs.cod == rhs.cod
+        assert lhs.kind is rhs.kind and lhs.matrix == rhs.matrix and lhs.cod == rhs.cod
 
 
 def test_copying_does_not_change_the_support():
@@ -212,7 +212,7 @@ def test_copying_does_not_change_the_support():
         q = compose(copy_kernel(x), p)
         lhs = support(q).inclusion
         rhs = compose(tensor(support(p).inclusion, support(p).inclusion), copy_kernel(support(p).supp_object))
-        assert same_matrix(lhs, rhs) and lhs.cod == rhs.cod
+        assert lhs.kind is rhs.kind and lhs.matrix == rhs.matrix and lhs.cod == rhs.cod
 
 
 def test_split_supports_of_tensor():
