@@ -77,12 +77,8 @@ def _joint_columns(p: Kernel, f: Kernel, w_size: int) -> list:
     out = []
     for base in range(0, w_size * nx, nx):
         for pcol in p.columns:
-            if p.kind is Kind.MULTI:
-                acc = 0
-                for x in range(nx):
-                    if pcol >> x & 1:
-                        acc |= fcols[base + x] << (x * ny)
-                out.append(acc)
+            if p.kind is Kind.MULTI:  # disjoint bit blocks, so + is OR
+                out.append(sum(fcols[base + x] << (x * ny) for x in range(nx) if pcol >> x & 1))
                 continue
             pden, pcells = pcol
             lcd = math.lcm(*[fcols[base + x][0] for x, _ in pcells])

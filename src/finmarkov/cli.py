@@ -166,10 +166,7 @@ def kernel_to_doc(k: Kernel) -> dict:
         "cod": list(k.cod.labels),
     }
     if k.kind is Kind.MULTI:
-        doc["images"] = [
-            [k.cod.labels[i] for i in range(k.cod.size) if k.matrix[i][j]]
-            for j in range(k.dom.size)
-        ]
+        doc["images"] = [[lbl for i, lbl in enumerate(k.cod.labels) if mask >> i & 1] for mask in k.columns]
     else:
         doc["matrix"] = [[_emit_entry(v) for v in row] for row in k.matrix]
     return doc

@@ -8,17 +8,16 @@ produce with positive probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .asrel import UnsupportedKind, ase_kernels
 from .kernel import (
-    ONE,
-    ZERO,
     FinMarkovError,
     FinObject,
     Kernel,
     Kind,
     ShapeMismatch,
+    _kernel,
+    _reduced,
     associator,
     compose,
     copy_kernel,
@@ -55,8 +54,8 @@ def io_relation(p: Kernel) -> Kernel:
         raise UnsupportedKind("the input-output relation is taken of stochastic kernels")
     if len(deterministic_states(p.dom)) != p.dom.size:
         raise AssertionError("deterministic states do not match the elements")
-    rows = tuple(tuple(v > 0 for v in row) for row in p.matrix)
-    out = Kernel(Kind.MULTI, p.dom, p.cod, rows)
+    masks = tuple(sum(1 << i for i, num in cells if num > 0) for _, cells in p.columns)
+    out = _kernel(Kind.MULTI, p.dom, p.cod, masks)
     bad = validate(out)
     if bad is not None:  # point liftings make every image nonempty
         raise AssertionError(f"input-output relation is not a multi kernel: {bad.message}")
@@ -181,25 +180,19 @@ def conditional(f: Kernel, split: int) -> Kernel:
     if f.kind is not Kind.STOCH:
         raise UnsupportedKind("conditionals are implemented for stochastic kernels")
     x_obj, y_obj = split_tensor_labels(f.cod, split)
-    na, nx, ny = f.dom.size, x_obj.size, y_obj.size
+    nx, ny = x_obj.size, y_obj.size
     dom = tensor_object(x_obj, f.dom)
     cols = []
-    for x in range(nx):
-        for a in range(na):
-            mass = sum((f.matrix[x * ny + y][a] for y in range(ny)), Fraction(0))
-            if mass > 0:
-                cols.append([f.matrix[x * ny + y][a] / mass for y in range(ny)])
-            else:
-                cols.append([ONE if y == 0 else ZERO for y in range(ny)])
-    rows = tuple(tuple(cols[j][y] for j in range(nx * na)) for y in range(ny))
-    cond = Kernel(Kind.STOCH, dom, y_obj, rows)
+    for lo in range(0, nx * ny, ny):
+        for _, cells in f.columns:
+            # f((x,y)|a) = num/den, so c(y|x,a) = num / Σ_y' num
+            part = [(i - lo, num) for i, num in cells if lo <= i < lo + ny]
+            mass = sum(num for _, num in part)
+            cols.append(_reduced(mass, part) if mass > 0 else (1, ((0, 1),)))
+    cond = _kernel(Kind.STOCH, dom, y_obj, tuple(cols))
     if not kernel_equal(_reconstruct(f, cond, split), f):  # pragma: no cover
         raise NotAConditional("reconstruction of the joint failed")
     return cond
-
-
-def _marginal_on_first(f: Kernel, split: int) -> Kernel:
-    return marginalize(f, split, "right")
 
 
 def _reconstruct(f: Kernel, cond: Kernel, split: int) -> Kernel:
@@ -207,7 +200,7 @@ def _reconstruct(f: Kernel, cond: Kernel, split: int) -> Kernel:
     (id_X ⊗ c)∘(copy_X ⊗ id_A)∘(f_X ⊗ id_A)∘copy_A."""
     x_obj, _ = split_tensor_labels(f.cod, split)
     kind = f.kind
-    marg = _marginal_on_first(f, split)
+    marg = marginalize(f, split, "right")
     stage1 = compose(tensor(marg, identity(f.dom, kind)), copy_kernel(f.dom, kind))
     stage2 = compose(
         associator(x_obj, x_obj, f.dom, kind),
@@ -219,7 +212,7 @@ def _reconstruct(f: Kernel, cond: Kernel, split: int) -> Kernel:
 def comparison_base(f: Kernel, split: int) -> Kernel:
     """The reference kernel for conditional uniqueness: pair the first
     marginal with the input, b = (f_X ⊗ id_A)∘copy_A : A → X⊗A."""
-    marg = _marginal_on_first(f, split)
+    marg = marginalize(f, split, "right")
     return compose(tensor(marg, identity(f.dom, f.kind)), copy_kernel(f.dom, f.kind))
 
 

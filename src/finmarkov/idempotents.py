@@ -33,6 +33,7 @@ from .kernel import (
     Kind,
     ShapeMismatch,
     _is_point_column,
+    _kernel,
     compose,
     copy_kernel,
     fin_object,
@@ -111,21 +112,19 @@ def classify(e: Kernel) -> IdempotentReport:
 
 @lru_cache(maxsize=4096)
 def _classify_cached(e: Kernel) -> IdempotentReport:
-    # e = A/d with integer A and one denominator d (d = 1 and A = e over
-    # Multi, whose sums are compared by truthiness only)
+    # e = A/d with integer A and one denominator d, the lcm of the column
+    # denominators (d = 1 and A = e as 0/1 over Multi, whose sums are
+    # compared by truthiness only)
     kind = e.kind
     n = e.dom.size
     labels = e.dom.labels
     multi = kind is Kind.MULTI
-    if multi:
-        d = 1
-        cols = [[bool(mask >> y & 1) for y in range(n)] for mask in e.columns]
-    else:
-        d = math.lcm(*[den for den, _ in e.columns])
-        cols = [[0] * n for _ in range(n)]
-        for col, (den, cells) in zip(cols, e.columns):
-            for y, num in cells:
-                col[y] = num * (d // den)
+    stored = [(1, [(y, 1) for y in range(n) if m >> y & 1]) for m in e.columns] if multi else e.columns
+    d = math.lcm(*[den for den, _ in stored])
+    cols = [[0] * n for _ in range(n)]
+    for col, (den, cells) in zip(cols, stored):
+        for y, num in cells:
+            col[y] = num * (d // den)
     rows = list(zip(*cols))
 
     # idempotency: (A·A)(y|x) = d·A(y|x)
@@ -323,18 +322,13 @@ def blackwell_split(e: Kernel) -> SplitData:
     middle = fin_object("C_" + labels[comp[0]] for comp in recurrent)
 
     # inclusion: the column of e at any member, identical across the class
-    iota_cols = []
     for comp in recurrent:
-        col = e.column(comp[0])
-        for member in comp[1:]:
-            if e.column(member) != col:
-                raise StructureViolation("columns differ within a recurrent class")
-        if set(i for i, v in enumerate(col) if v > 0) != set(comp):
+        col = e.columns[comp[0]]
+        if any(e.columns[member] != col for member in comp[1:]):
+            raise StructureViolation("columns differ within a recurrent class")
+        if {i for i, num in col[1] if num > 0} != set(comp):
             raise StructureViolation("class column must have full support on its class")
-        iota_cols.append(col)
-    iota = Kernel(
-        Kind.STOCH, middle, e.cod, tuple(tuple(c[i] for c in iota_cols) for i in range(n))
-    )
+    iota = _kernel(Kind.STOCH, middle, e.cod, tuple(e.columns[comp[0]] for comp in recurrent))
 
     # projection is forced by e = ι∘π: π(t|x) = e(C_t|x)
     pi_rows = []
@@ -346,9 +340,8 @@ def blackwell_split(e: Kernel) -> SplitData:
         raise StructureViolation("projection does not retract the inclusion")
     if not kernel_equal(compose(iota, pi), e):
         raise StructureViolation("inclusion∘projection does not rebuild the idempotent")
-    for x in range(n):
-        if any(e.matrix[e.dom.index(lbl)][x] != 0 for lbl in transient):
-            raise StructureViolation("the idempotent feeds mass into transient states")
+    if any(i not in class_index for _, cells in e.columns for i, _ in cells):
+        raise StructureViolation("the idempotent feeds mass into transient states")
 
     if is_deterministic(iota) != report.static or is_deterministic(pi) != report.strong:
         raise StructureViolation("splitting determinism disagrees with the taxonomy")
@@ -431,7 +424,7 @@ def search_split(e: Kernel, max_middle: int) -> SplitData | NoSplitUpTo:
                               "blackwell_split splits stochastic ones")
 
     n = e.dom.size
-    images = [frozenset(y for y in range(n) if e.matrix[y][x]) for x in range(n)]
+    images = [frozenset(y for y in range(n) if mask >> y & 1) for mask in e.columns]
     recurrent = set().union(*images)
     blocky = all(y in images[y] and all(images[z] == images[y] for z in images[y])
                  for y in recurrent)
@@ -444,12 +437,9 @@ def search_split(e: Kernel, max_middle: int) -> SplitData | NoSplitUpTo:
         return NoSplitUpTo(max_middle)
 
     middle = fin_object(f"t{t}" for t in range(len(blocks)))
-    iota = Kernel(
-        Kind.MULTI, middle, e.cod, tuple(tuple(y in block for block in blocks) for y in range(n))
-    )
-    pi = Kernel(
-        Kind.MULTI, e.dom, middle, tuple(tuple(block <= images[x] for x in range(n)) for block in blocks)
-    )
+    iota = _kernel(Kind.MULTI, middle, e.cod, tuple(sum(1 << y for y in block) for block in blocks))
+    pi_masks = tuple(sum(1 << t for t, block in enumerate(blocks) if block <= image) for image in images)
+    pi = _kernel(Kind.MULTI, e.dom, middle, pi_masks)
     if not kernel_equal(compose(pi, iota), identity(middle, Kind.MULTI)):
         raise StructureViolation("projection does not retract the inclusion")
     if not kernel_equal(compose(iota, pi), e):

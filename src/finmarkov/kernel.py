@@ -2,16 +2,21 @@
 
 A kernel is a matrix whose column at a domain element gives the
 distribution (Stoch), signed distribution (Signed) or set of possible
-outputs (Multi) over the codomain.  All arithmetic is exact: at the API,
-Stoch and Signed entries are `fractions.Fraction` and Multi entries are
-`bool`; inside, the cubic loops of `compose` and `classify` run over
-integer numerators with a common denominator, and Multi `compose` ORs
-int bitmasks.
-Floating point is rejected everywhere.
+outputs (Multi) over the codomain.  All arithmetic is exact and floating
+point is rejected everywhere.
 
-Matrix layout: ``matrix[i][j]`` is the weight of codomain element ``i``
+Storage: ``Kernel.columns`` holds one entry per domain element.  A Stoch
+or Signed column is ``(den, ((row, num), ...))``: rows ascending, zero
+cells left out, ``den > 0`` and ``gcd(den, *nums) == 1``, so equal
+columns are equal tuples; the all-zero column is ``(1, ())``.  A Multi
+column is an int bitmask with bit ``i`` for codomain row ``i``.
+`compose`, `tensor`, `function_kernel`, equality and `classify` work on
+these integers alone.
+
+Dense view: ``matrix[i][j]`` is the weight of codomain element ``i``
 given domain element ``j`` (rows indexed by the codomain, columns by the
-domain), so a column reads off the image of one input.
+domain), as `fractions.Fraction` or `bool`.  It is the rows given to the
+constructor, or is built from the columns on first access and cached.
 
 Every deterministic kernel (identity, copy, discard, swap, point masses,
 the associator and unitors, subset inclusions) is built by
@@ -169,11 +174,6 @@ def _exact_column(entries: Sequence) -> tuple:
     return (den, cells) if cells else _EMPTY
 
 
-def _mask_column(entries: Sequence) -> int:
-    """Stored column (bitmask) of dense bool/int entries."""
-    return sum(1 << i for i, v in enumerate(entries) if v)
-
-
 def _reduced(den: int, cells: list) -> tuple:
     """Canonical stored column of nonzero ``(row, num)`` cells, ascending
     in row, over the positive denominator ``den``."""
@@ -188,69 +188,52 @@ def _reduced(den: int, cells: list) -> tuple:
 class Kernel:
     """A morphism: matrix over one of the three scalar structures.
 
-    ``Kernel(kind, dom, cod, rows)`` takes dense rows and performs shape
-    and entry-type checks only; use :func:`validate` or
-    :func:`make_kernel` to enforce the column law of the kind.  Kernels
-    are immutable, and equal iff kind, objects and ``columns`` agree.
-    The rows given to the constructor are kept as the ``matrix`` view and
-    converted to ``columns`` on first use, so building inputs costs no
-    more than storing them.
+    ``Kernel(kind, dom, cod, rows)`` takes dense rows and checks shapes and
+    entry types only; :func:`validate` and :func:`make_kernel` enforce the
+    column law.  Immutable; equal iff kind, objects and ``columns`` agree.
+    Given rows are kept as the ``matrix`` view and converted to ``columns``
+    on first use, so building an input costs no more than storing it.
     """
 
     __slots__ = ("kind", "dom", "cod", "columns", "_hash", "_matrix")
-
-    kind: Kind
-    dom: FinObject
-    cod: FinObject
-    columns: tuple
 
     def __init__(self, kind: Kind, dom: FinObject, cod: FinObject, rows: Iterable[Iterable]) -> None:
         rows = tuple(tuple(row) for row in rows)
         if len(rows) != cod.size:
             raise ShapeMismatch(f"{len(rows)} rows for codomain of size {cod.size}")
-        types = set()
         for row in rows:
             if len(row) != dom.size:
                 raise ShapeMismatch(f"row of length {len(row)} for domain of size {dom.size}")
-            types.update(map(type, row))
-        if not types <= ({bool, int} if kind is Kind.MULTI else {Fraction, int}):
-            for v in itertools.chain.from_iterable(rows):
-                if kind is Kind.MULTI and not isinstance(v, int):
-                    raise ValidationError(f"multi entries must be bool, got {v!r}")
-                if kind is not Kind.MULTI and (isinstance(v, bool) or not isinstance(v, (int, Fraction))):
-                    raise ValidationError(f"exact kernels take Fraction or int entries, got {v!r}")
-        setattr_ = object.__setattr__
-        setattr_(self, "kind", kind)
-        setattr_(self, "dom", dom)
-        setattr_(self, "cod", cod)
-        setattr_(self, "_hash", None)
-        setattr_(self, "_matrix", rows)
+        multi = kind is Kind.MULTI
+        if not set(map(type, itertools.chain(*rows))) <= ({bool, int} if multi else {Fraction, int}):
+            for v in itertools.chain(*rows):
+                if isinstance(v, bool) and not multi or not isinstance(v, int if multi else (int, Fraction)):
+                    want = "bool" if multi else "Fraction or int"
+                    raise ValidationError(f"{kind.value} entries must be {want}, got {v!r}")
+        _fill(self, kind=kind, dom=dom, cod=cod, _hash=None, _matrix=rows)
 
     def __getattr__(self, name: str):
         # only reached while a kernel built from rows has no columns yet
         if name != "columns":
             raise AttributeError(f"'Kernel' object has no attribute {name!r}")
-        rows = self._matrix
-        dense = zip(*rows) if rows else [()] * self.dom.size
-        to_column = _mask_column if self.kind is Kind.MULTI else _exact_column
-        columns = tuple(map(to_column, dense))
+        dense = zip(*self._matrix) if self._matrix else [()] * self.dom.size
+        if self.kind is Kind.MULTI:
+            columns = tuple(sum(1 << i for i, v in enumerate(col) if v) for col in dense)
+        else:
+            columns = tuple(map(_exact_column, dense))
         object.__setattr__(self, "columns", columns)
         return columns
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"Kernel is immutable; cannot set {name!r}")
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"Kernel is immutable; cannot change {name!r}")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Kernel is immutable; cannot delete {name!r}")
+    __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Kernel:
             return NotImplemented
-        return self is other or (
-            self.kind is other.kind
-            and self.columns == other.columns
-            and self.dom == other.dom
-            and self.cod == other.cod
+        return self is other or (self.kind, self.columns, self.dom, self.cod) == (
+            other.kind, other.columns, other.dom, other.cod
         )
 
     def __hash__(self) -> int:
@@ -287,24 +270,23 @@ class Kernel:
     def at(self, out_label: str, in_label: str) -> Entry:
         return self.matrix[self.cod.index(out_label)][self.dom.index(in_label)]
 
+    def __reduce__(self):
+        return _kernel, (self.kind, self.dom, self.cod, self.columns)
+
     def __repr__(self) -> str:
-        return (
-            f"Kernel({self.kind.value}, dom={list(self.dom.labels)}, "
-            f"cod={list(self.cod.labels)})"
-        )
+        return f"Kernel({self.kind.value}, dom={list(self.dom.labels)}, cod={list(self.cod.labels)})"
+
+
+def _fill(k: Kernel, **slots) -> Kernel:
+    for name, value in slots.items():
+        object.__setattr__(k, name, value)
+    return k
 
 
 def _kernel(kind: Kind, dom: FinObject, cod: FinObject, columns: tuple) -> Kernel:
     """Kernel from stored columns, trusted to be canonical and of the right shape."""
     k = object.__new__(Kernel)
-    setattr_ = object.__setattr__
-    setattr_(k, "kind", kind)
-    setattr_(k, "dom", dom)
-    setattr_(k, "cod", cod)
-    setattr_(k, "columns", columns)
-    setattr_(k, "_hash", None)
-    setattr_(k, "_matrix", None)
-    return k
+    return _fill(k, kind=kind, dom=dom, cod=cod, columns=columns, _hash=None, _matrix=None)
 
 
 @dataclass(frozen=True)
@@ -351,12 +333,8 @@ def multi_kernel(dom: FinObject, cod: FinObject, images: Sequence[Iterable[str]]
     """Multi kernel from per-input images given as label collections."""
     if len(images) != dom.size:
         raise ShapeMismatch(f"{len(images)} images for domain of size {dom.size}")
-    masks = tuple(sum(1 << i for i in {cod.index(lbl) for lbl in img}) for img in images)
-    k = _kernel(Kind.MULTI, dom, cod, masks)
-    bad = validate(k)
-    if bad is not None:
-        raise ValidationError(bad.message)
-    return k
+    idx = [{cod.index(lbl) for lbl in img} for img in images]
+    return make_kernel(Kind.MULTI, dom, cod, [[i in image for image in idx] for i in range(cod.size)])
 
 
 def function_kernel(dom: FinObject, cod: FinObject, targets: Sequence[int], kind: Kind) -> Kernel:
@@ -403,13 +381,8 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
             out.append(acc)
         return _kernel(f.kind, f.dom, g.cod, tuple(out))
     for fden, fcells in f.columns:
-        if len(fcells) == 1:
-            y, a = fcells[0]
-            if a == fden:
-                out.append(gcols[y])
-            else:
-                gden, gcells = gcols[y]
-                out.append(_reduced(fden * gden, [(i, a * b) for i, b in gcells]))
+        if len(fcells) == 1 and fcells[0][1] == fden:
+            out.append(gcols[fcells[0][0]])  # a point mass picks one column of g
             continue
         lcd = math.lcm(*[gcols[y][0] for y, _ in fcells])
         acc: dict = {}
@@ -436,23 +409,15 @@ def tensor(f: Kernel, g: Kernel) -> Kernel:
     if f.kind is Kind.MULTI:
         for fmask in f.columns:
             shifts = [y * m for y in range(f.cod.size) if fmask >> y & 1]
-            for gmask in g.columns:
-                acc = 0
-                for s in shifts:
-                    acc |= gmask << s
-                out.append(acc)
+            # the shifted copies of g's mask occupy disjoint bits, so + is OR
+            out += [sum(gmask << s for s in shifts) for gmask in g.columns]
         return _kernel(f.kind, dom, cod, tuple(out))
     gcols = [(gden, gcells, math.gcd(*[b for _, b in gcells])) for gden, gcells in g.columns]
     for fden, fcells in f.columns:
-        if not fcells:
-            out += [_EMPTY] * len(gcols)
-            continue
         fc = math.gcd(*[a for _, a in fcells])
         shifted = [(y * m, a) for y, a in fcells]
         for gden, gcells, gc in gcols:
-            if not gcells:
-                out.append(_EMPTY)
-                continue
+            # gcd(*[]) is 0, so an empty product reduces to (1, ())
             den = fden * gden
             cells = [(s + z, a * b) for s, a in shifted for z, b in gcells]
             c = math.gcd(den, fc * gc)
@@ -569,10 +534,7 @@ def support_indices(k: Kernel) -> tuple[int, ...]:
     counts; for Multi it is the union of images.
     """
     if k.kind is Kind.MULTI:
-        union = 0
-        for mask in k.columns:
-            union |= mask
-        return tuple(i for i in range(k.cod.size) if union >> i & 1)
+        return tuple(i for i in range(k.cod.size) if any(mask >> i & 1 for mask in k.columns))
     return tuple(sorted({i for _, cells in k.columns for i, _ in cells}))
 
 

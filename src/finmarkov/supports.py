@@ -93,8 +93,7 @@ class SupportData:
             raise FactorizationFailed("inclusion∘factorization must equal the base kernel")
         if not is_deterministic(self.inclusion):
             raise FactorizationFailed("support inclusion must be deterministic")
-        cols = [self.inclusion.column(j) for j in range(self.supp_object.size)]
-        if len(set(cols)) != len(cols):
+        if len(set(self.inclusion.columns)) != self.supp_object.size:
             raise FactorizationFailed("support inclusion must be injective on columns")
         if self.projection is not None:
             retract = compose(self.projection, self.inclusion)
@@ -185,7 +184,7 @@ def equalizer_factor(p: Kernel, f: Kernel, g: Kernel) -> tuple[FinObject, Kernel
         raise NotDeterministic("equalizer principle applies to deterministic pairs")
     if p.cod != f.dom:
         raise ShapeMismatch("kernel must land in the domain of the pair")
-    idx = tuple(j for j in range(f.dom.size) if f.column(j) == g.column(j))
+    idx = tuple(j for j, col in enumerate(f.columns) if col == g.columns[j])
     eq = inclusion_kernel(f.dom, idx, p.kind)
     if not ase_kernels(p, f, g):
         raise NotAse("pair differs on the support of the kernel")
