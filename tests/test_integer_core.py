@@ -1,10 +1,12 @@
-"""The integer-numerator and bitmask loops of `compose`, `classify` and
-`cauchy_schwarz` against the literal Fraction/bool sums they replaced."""
+"""The stored integer columns and bitmasks behind `compose`, `tensor`,
+`function_kernel`, `classify` and `cauchy_schwarz`, against the literal
+Fraction/bool loops they replaced."""
 
 import itertools
 from fractions import Fraction
 from types import MappingProxyType
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from finmarkov import (
     compose,
     copy_kernel,
     fin_object,
+    function_kernel,
     identity,
     is_deterministic,
     left_unitor,
@@ -70,6 +73,51 @@ def _reference_compose(g, f):
                     if gv:
                         out[i][j] += gv * fv
     return Kernel(kind, f.dom, g.cod, tuple(tuple(row) for row in out))
+
+
+def _dense(k):
+    """k's dense rows with every entry as the kind's scalar type."""
+    scalar = bool if k.kind is Kind.MULTI else Fraction
+    return [[scalar(v) for v in row] for row in k.matrix]
+
+
+def _reference_tensor(f, g):
+    """(f⊗g)((y,z)|(a,b)) = f(y|a)·g(z|b), the dense row-by-row loop."""
+    kind = f.kind
+    multi = kind is Kind.MULTI
+    dom = tensor_object(f.dom, g.dom)
+    cod = tensor_object(f.cod, g.cod)
+    zero = kind.zero
+    zero_row = (zero,) * dom.size
+    nd2 = g.dom.size
+    fm, gm = _dense(f), _dense(g)
+    rows = []
+    for i1 in range(f.cod.size):
+        frow = fm[i1]
+        for i2 in range(g.cod.size):
+            grow = gm[i2]
+            if not any(frow) or not any(grow):
+                rows.append(zero_row)
+                continue
+            row = []
+            for j1 in range(f.dom.size):
+                fv = frow[j1]
+                if not fv:
+                    row.extend([zero] * nd2)
+                elif multi:
+                    row.extend(grow)
+                else:
+                    row.extend(fv * gv if gv else zero for gv in grow)
+            rows.append(tuple(row))
+    return Kernel(kind, dom, cod, tuple(rows))
+
+
+def _reference_function_kernel(dom, cod, targets, kind):
+    """Dense 0/1 matrix with a one at (targets[j], j)."""
+    rows = [[kind.zero] * dom.size for _ in range(cod.size)]
+    for j, i in enumerate(targets):
+        rows[i][j] = kind.one
+    return Kernel(kind, dom, cod, rows)
 
 
 def _is_point_mass(kind, col):
@@ -432,3 +480,96 @@ def test_cauchy_schwarz_matches_double_sum_on_idempotents():
     for e in (strong_idempotent(), static_idempotent(), balanced_idempotent(), signed_idempotent(),
               multi_upset_idempotent(), multi_chain3_idempotent()):
         assert cauchy_schwarz(e, e, e) == _reference_cauchy_schwarz(e, e, e)
+
+
+# ---------------------------------------------------------------------------
+# stored columns against the dense oracles
+# ---------------------------------------------------------------------------
+
+
+def _raw_entry(kind):
+    """Entries as a caller writes them: ints beside Fractions, signed values
+    that cancel, columns that need not sum to one; bools or 0/1 for Multi."""
+    if kind is Kind.MULTI:
+        return st.sampled_from([True, False, 1, 0])
+    values = [0, 1, 2, F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 101)]
+    if kind is Kind.SIGNED:
+        values += [-1, F(-1, 2), F(-2, 3), F(-1, 101)]
+    return st.sampled_from(values)
+
+
+@st.composite
+def _raw_kernel(draw, kind, dom, cod):
+    rows = draw(st.lists(st.lists(_raw_entry(kind), min_size=dom.size, max_size=dom.size),
+                         min_size=cod.size, max_size=cod.size))
+    return Kernel(kind, dom, cod, rows)
+
+
+def _same_dense(got, want):
+    """got has want's dense matrix and entry types, equals it, and survives a
+    round trip through the dense constructor with the same hash."""
+    scalar = _scalar_type(got.kind)
+    assert got.matrix == want.matrix
+    assert all(type(v) is scalar for row in got.matrix for v in row)
+    assert all(type(v) is scalar for row in want.matrix for v in row)
+    assert got == want and hash(got) == hash(want)
+    rebuilt = Kernel(got.kind, got.dom, got.cod, got.matrix)
+    assert rebuilt == got and hash(rebuilt) == hash(got)
+
+
+@st.composite
+def _operands(draw):
+    """f: A → Y, g: Y → Z, h: B → C and a target map A → Y, sizes 0-4."""
+    kind = draw(st.sampled_from(list(Kind)))
+    a, y, z, b, c = (_obj(p, draw(st.integers(0, 4))) for p in "ayzbc")
+    if y.size == 0:
+        a = _obj("a", 0)
+    targets = draw(st.lists(st.integers(0, max(y.size - 1, 0)), min_size=a.size, max_size=a.size))
+    f, g, h = (draw(_raw_kernel(kind, dom, cod)) for dom, cod in ((a, y), (y, z), (b, c)))
+    return f, g, h, targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands())
+def test_results_match_the_dense_oracles(operands):
+    f, g, h, targets = operands
+    kind = f.kind
+    gf = compose(g, f)
+    _same_dense(gf, _reference_compose(g, f))
+    _same_dense(tensor(f, h), _reference_tensor(f, h))
+    _same_dense(tensor(gf, h), _reference_tensor(_reference_compose(g, f), h))
+    _same_dense(tensor(h, gf), _reference_tensor(h, _reference_compose(g, f)))
+    det = function_kernel(f.dom, f.cod, targets, kind)
+    _same_dense(det, _reference_function_kernel(f.dom, f.cod, targets, kind))
+    _same_dense(compose(g, det), _reference_compose(g, det))
+    # a kernel built from rows keeps them as its view
+    assert Kernel(kind, f.dom, f.cod, f.matrix) == f
+
+
+def test_signed_columns_that_cancel_are_stored_empty():
+    y = _obj("y", 2)
+    h = Kernel(Kind.SIGNED, y, _obj("z", 2), [[F(1, 2), F(-1, 2)], [1, -1]])
+    k = Kernel(Kind.SIGNED, UNIT, y, [[1], [1]])
+    out = compose(h, k)
+    assert out.columns == ((1, ()),)
+    _same_dense(out, _reference_compose(h, k))
+    _same_dense(tensor(out, k), _reference_tensor(out, k))
+
+
+def test_unreduced_inputs_store_canonical_columns():
+    x = _obj("x", 3)
+    k = Kernel(Kind.STOCH, UNIT, x, [[F(2, 4)], [0], [F(3, 6)]])
+    assert k.columns == ((2, ((0, 1), (2, 1))),)
+    assert Kernel(Kind.STOCH, UNIT, x, [[F(1, 2)], [F(0)], [F(1, 2)]]) == k
+    assert Kernel(Kind.SIGNED, UNIT, x, [[2], [-1], [0]]).columns == ((1, ((0, 2), (1, -1))),)
+    assert Kernel(Kind.MULTI, UNIT, x, [[1], [False], [True]]).columns == (0b101,)
+
+
+def test_kernels_are_immutable():
+    built = Kernel(Kind.STOCH, UNIT, _obj("x", 2), [[F(1, 2)], [F(1, 2)]])
+    for k in (built, tensor(built, built), identity(_obj("x", 2), Kind.MULTI)):
+        for name in ("kind", "dom", "cod", "columns", "matrix"):
+            with pytest.raises(AttributeError):
+                setattr(k, name, None)
+        with pytest.raises(AttributeError):
+            del k.columns

@@ -93,6 +93,30 @@ def test_make_kernel_rejects_floats_and_duplicate_labels():
         fin_object(("a", "a"))
 
 
+def test_constructor_rejects_float_stoch_entries():
+    # used to construct and then break compose with an AttributeError
+    with pytest.raises(ValidationError):
+        Kernel(Kind.STOCH, UNIT, X2, [[0.5], [0.5]])
+    with pytest.raises(ValidationError):
+        Kernel(Kind.STOCH, UNIT, X2, [[True], [0]])
+
+
+def test_constructor_rejects_float_signed_entries():
+    with pytest.raises(ValidationError):
+        Kernel(Kind.SIGNED, UNIT, X2, [[1.5], [F(-1, 2)]])
+    with pytest.raises(ValidationError):
+        Kernel(Kind.SIGNED, UNIT, X2, [[F(1)], ["0"]])
+
+
+def test_constructor_rejects_non_bool_multi_entries():
+    with pytest.raises(ValidationError):
+        Kernel(Kind.MULTI, UNIT, X2, [[1.0], [False]])
+    with pytest.raises(ValidationError):
+        Kernel(Kind.MULTI, UNIT, X2, [[F(1)], [False]])
+    # 0/1 ints stay accepted, as bools
+    assert Kernel(Kind.MULTI, UNIT, X2, [[1], [0]]) == Kernel(Kind.MULTI, UNIT, X2, [[True], [False]])
+
+
 def test_reduced_form_equality():
     a = make_kernel(Kind.STOCH, UNIT, X2, [[F(1, 2)], [F(1, 2)]])
     b = make_kernel(Kind.STOCH, UNIT, X2, [[F(2, 4)], [F(1, 2)]])

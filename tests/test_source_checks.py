@@ -95,3 +95,25 @@ def test_library_memos_are_clearable():
             and id(node) not in allowed
         ]
     assert found == []
+
+
+# these work on the stored integer columns; the dense view builds a Fraction
+# or bool per cell, so reading it here would bring the dense cost back
+COLUMN_ONLY = {"compose", "tensor", "function_kernel", "kernel_equal", "_classify_cached"}
+
+
+def test_hot_paths_do_not_read_the_dense_view():
+    seen, found = set(), []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not (isinstance(func, ast.FunctionDef) and func.name in COLUMN_ONLY):
+                continue
+            seen.add(func.name)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "matrix":
+                    found.append(f"{path.name}:{node.lineno} {func.name} reads .matrix")
+                if isinstance(node, ast.Call) and _called_name(node) in ("column", "entry"):
+                    found.append(f"{path.name}:{node.lineno} {func.name} calls .{_called_name(node)}(")
+    assert seen == COLUMN_ONLY
+    assert found == []
