@@ -75,7 +75,7 @@ def _joint_columns(p: Kernel, f: Kernel, w_size: int) -> list:
     nx, ny = p.cod.size, f.cod.size
     fcols = f.columns
     out = []
-    for base in range(0, w_size * nx, nx):
+    for base in range(0, w_size * nx, max(nx, 1)):
         for pcol in p.columns:
             if p.kind is Kind.MULTI:  # disjoint bit blocks, so + is OR
                 out.append(sum(fcols[base + x] << (x * ny) for x in range(nx) if pcol >> x & 1))

@@ -183,7 +183,7 @@ def conditional(f: Kernel, split: int) -> Kernel:
     nx, ny = x_obj.size, y_obj.size
     dom = tensor_object(x_obj, f.dom)
     cols = []
-    for lo in range(0, nx * ny, ny):
+    for lo in range(0, nx * ny, max(ny, 1)):
         for _, cells in f.columns:
             # f((x,y)|a) = num/den, so c(y|x,a) = num / Σ_y' num
             part = [(i - lo, num) for i, num in cells if lo <= i < lo + ny]

@@ -254,9 +254,8 @@ def balanced_cross_check(e: Kernel) -> BalancedCrossCheck:
     swap = swap_kernel(e.dom, e.dom, kind)
     self_adjoint = True
     paired = compose(tensor(identity(e.dom, kind), e), cop)
-    for j in range(n):
-        column_state = Kernel(kind, UNIT, e.dom, tuple((row[j],) for row in e.matrix))
-        joint = compose(paired, column_state)
+    for col in e.columns:
+        joint = compose(paired, _kernel(kind, UNIT, e.dom, (col,)))
         if not kernel_equal(compose(swap, joint), joint):
             self_adjoint = False
             break
@@ -301,9 +300,7 @@ def blackwell_split(e: Kernel) -> SplitData:
         raise NotIdempotent("splitting applies to idempotents")
 
     n = e.dom.size
-    adjacency = [
-        [y for y in range(n) if e.matrix[y][x] > 0] for x in range(n)
-    ]
+    adjacency = [[y for y, num in cells if num > 0] for _, cells in e.columns]
     components = strongly_connected_components(adjacency)
     comp_of = {}
     for ci, comp in enumerate(components):

@@ -573,3 +573,13 @@ def test_kernels_are_immutable():
                 setattr(k, name, None)
         with pytest.raises(AttributeError):
             del k.columns
+
+
+def test_kernels_copy_and_pickle_by_their_columns():
+    import copy
+    import pickle
+
+    built = Kernel(Kind.SIGNED, UNIT, _obj("x", 2), [[2], [-1]])
+    for k in (built, compose(identity(_obj("x", 2), Kind.SIGNED), built), identity(_obj("x", 3), Kind.MULTI)):
+        for twin in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+            assert twin == k and hash(twin) == hash(k) and twin.matrix == k.matrix
