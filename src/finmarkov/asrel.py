@@ -1,14 +1,13 @@
 """Almost-sure equality, absolute continuity, bicontinuity, atomicity.
 
-Two independent procedures decide almost-sure equality and are
-cross-checked on every call: a support-restriction shortcut (compare the
-two kernels on the columns that the reference morphism can reach) and a
-literal evaluation of the defining joint-diagram equation.
+Almost-sure equality is decided by support restriction: two kernels agree
+almost surely exactly when they agree on the columns that the reference
+morphism can reach, which is what the defining joint-diagram equation
+says for finite kernels.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -20,7 +19,6 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
-    _reduced,
     compose,
     copy_kernel,
     fin_object,
@@ -68,44 +66,15 @@ class AseQuery:
             )
 
 
-def _joint_columns(p: Kernel, f: Kernel, w_size: int) -> list:
-    """Stored columns of the defining diagram's joint: copy p's output,
-    feed one copy into f alongside the parameter; column (w,a) holds
-    p(x|a)·f(y|w,x) at row (x,y)."""
-    nx, ny = p.cod.size, f.cod.size
-    fcols = f.columns
-    out = []
-    for base in range(0, w_size * nx, max(nx, 1)):
-        for pcol in p.columns:
-            if p.kind is Kind.MULTI:  # disjoint bit blocks, so + is OR
-                out.append(sum(fcols[base + x] << (x * ny) for x in range(nx) if pcol >> x & 1))
-                continue
-            pden, pcells = pcol
-            lcd = math.lcm(*[fcols[base + x][0] for x, _ in pcells])
-            cells = []
-            for x, a in pcells:
-                fden, fcells = fcols[base + x]
-                scale = a * (lcd // fden)
-                cells += [(x * ny + y, scale * b) for y, b in fcells]
-            out.append(_reduced(pden * lcd, cells))
-    return out
-
-
 def ase(query: AseQuery) -> bool:
     """Decide the almost-sure equality of ``left`` and ``right`` w.r.t.
-    ``reference``.
-
-    Both the support-restriction shortcut and the joint-diagram equation
-    are evaluated; a disagreement would be a library bug and raises.
+    ``reference``: they agree at every parameter value on every column
+    the reference can reach.
     """
     p, f, g, w = query.reference, query.left, query.right, query.w_size
     nx = p.cod.size
     fcols, gcols = f.columns, g.columns
-    shortcut = all(fcols[wi * nx + x] == gcols[wi * nx + x] for x in support_indices(p) for wi in range(w))
-    literal = _joint_columns(p, f, w) == _joint_columns(p, g, w)
-    if shortcut != literal:  # pragma: no cover - would indicate a defect
-        raise AssertionError("almost-sure equality procedures disagree")
-    return shortcut
+    return all(fcols[wi * nx + x] == gcols[wi * nx + x] for x in support_indices(p) for wi in range(w))
 
 
 def ase_kernels(p: Kernel, f: Kernel, g: Kernel, w_size: int = 1) -> bool:
@@ -151,8 +120,8 @@ def refute_abs_cont(q: Kernel, p: Kernel) -> Optional[AcWitness]:
     """Witness for the failure of q ≫ p, or None when it holds.
 
     The witness pair is the constant-0 indicator against the indicator of
-    the first element reached by p but not by q; replaying it through
-    :func:`ase` yields (True w.r.t. q, False w.r.t. p).
+    the first element reached by p but not by q.  The two differ only at
+    that element, so they are almost surely equal w.r.t. q and not w.r.t. p.
     """
     if abs_cont(q, p):
         return None
@@ -160,8 +129,6 @@ def refute_abs_cont(q: Kernel, p: Kernel) -> Optional[AcWitness]:
     x = next(i for i in support_indices(p) if i not in qs)
     low = _indicator(p.cod, p.kind, None)
     high = _indicator(p.cod, p.kind, x)
-    if not ase_kernels(q, low, high) or ase_kernels(p, low, high):
-        raise AssertionError("indicator witness does not replay through ase")
     return AcWitness(low, high, p.cod.labels[x])
 
 
@@ -208,10 +175,7 @@ def perturb_off_support(f: Kernel, p: Kernel, seed: int) -> Kernel:
             # the first element differs from it
             cols[j] = list(function_kernel(UNIT, f.cod, [0], f.kind).column(0))
     rows = tuple(tuple(cols[j][i] for j in range(f.dom.size)) for i in range(f.cod.size))
-    out = Kernel(f.kind, f.dom, f.cod, rows)
-    if not ase_kernels(p, f, out, w):
-        raise AssertionError("perturbed kernel is not almost surely equal to the original")
-    return out
+    return Kernel(f.kind, f.dom, f.cod, rows)
 
 
 @dataclass(frozen=True)

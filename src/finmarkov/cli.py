@@ -263,12 +263,11 @@ def _cmd_abscont(args) -> tuple[int, dict]:
     payload: dict[str, Any] = {"abs_cont": verdict}
     if not verdict:
         witness = refute_abs_cont(q, p)
-        if witness is not None:
-            payload["witness"] = {
-                "element": witness.element,
-                "low": kernel_to_doc(witness.low),
-                "high": kernel_to_doc(witness.high),
-            }
+        payload["witness"] = {
+            "element": witness.element,
+            "low": kernel_to_doc(witness.low),
+            "high": kernel_to_doc(witness.high),
+        }
     return (0 if verdict else 1), payload
 
 
@@ -434,6 +433,13 @@ def _cmd_verify_paper(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _size(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finmarkov",
@@ -441,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["json", "pretty"], default="json")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks")
-    parser.add_argument("--max-size", dest="max_size", type=int, default=2,
+    parser.add_argument("--max-size", dest="max_size", type=_size, default=2,
                         help="largest middle object a multivalued splitting may have")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,7 +15,6 @@ import enum
 import random
 from dataclasses import dataclass
 
-from .asrel import ase_kernels
 from .kernel import (
     FinMarkovError,
     FinObject,
@@ -211,8 +210,9 @@ def env_check_markov_laws(cell: EnvelopeCell, seed: int = 0) -> MarkovLawReport:
 
 
 def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bool:
-    """Almost-sure equality computed inside the envelope (with the cell's
-    copy morphism) and cross-checked against the underlying kernels."""
+    """Almost-sure equality computed inside the envelope, with the cell's
+    copy morphism.  On Blackwell cells it agrees with almost-sure equality
+    of the underlying kernels."""
     if f.src != p.dst or g.src != p.dst or f.dst != g.dst:
         raise ShapeMismatch("morphisms do not form an almost-sure comparison")
     if p.dst.flavor is not Flavor.BLACKWELL:
@@ -221,10 +221,7 @@ def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bo
     cpy = _copy_formula(mid).kernel
     joint_f = compose(tensor(mid.endo, f.kernel), compose(cpy, p.kernel))
     joint_g = compose(tensor(mid.endo, g.kernel), compose(cpy, p.kernel))
-    env_verdict = kernel_equal(joint_f, joint_g)
-    if env_verdict != ase_kernels(p.kernel, f.kernel, g.kernel):
-        raise AssertionError("envelope and kernel almost-sure equality disagree")
-    return env_verdict
+    return kernel_equal(joint_f, joint_g)
 
 
 def env_split_idempotent(cell: EnvelopeCell) -> tuple[EnvelopeMorphism, EnvelopeMorphism]:
@@ -236,10 +233,4 @@ def env_split_idempotent(cell: EnvelopeCell) -> tuple[EnvelopeMorphism, Envelope
     """
     e = cell.endo
     plain = EnvelopeCell(cell.object, identity(e.dom, e.kind), cell.flavor)
-    proj = env_hom(plain, cell, e)
-    incl = env_hom(cell, plain, e)
-    if not kernel_equal(env_compose(proj, incl).kernel, cell.endo):
-        raise AssertionError("the formal splitting does not rebuild the cell identity")
-    if not kernel_equal(env_compose(incl, proj).kernel, e):
-        raise AssertionError("the formal splitting does not rebuild the idempotent")
-    return proj, incl
+    return env_hom(plain, cell, e), env_hom(cell, plain, e)

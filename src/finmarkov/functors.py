@@ -21,7 +21,6 @@ from .kernel import (
     associator,
     compose,
     copy_kernel,
-    deterministic_states,
     discard_kernel,
     function_kernel,
     identity,
@@ -31,7 +30,6 @@ from .kernel import (
     split_tensor_labels,
     tensor,
     tensor_object,
-    validate,
 )
 
 
@@ -48,18 +46,13 @@ def io_relation(p: Kernel) -> Kernel:
     outputs; objects are carried over unchanged.
 
     In this model the deterministic states of an object are exactly its
-    elements, which is checked by enumeration.
+    elements, so the relation is read off column by column.  Every column
+    of a stochastic kernel has positive mass, so every image is nonempty.
     """
     if p.kind is not Kind.STOCH:
         raise UnsupportedKind("the input-output relation is taken of stochastic kernels")
-    if len(deterministic_states(p.dom)) != p.dom.size:
-        raise AssertionError("deterministic states do not match the elements")
     masks = tuple(sum(1 << i for i, num in cells if num > 0) for _, cells in p.columns)
-    out = _kernel(Kind.MULTI, p.dom, p.cod, masks)
-    bad = validate(out)
-    if bad is not None:  # point liftings make every image nonempty
-        raise AssertionError(f"input-output relation is not a multi kernel: {bad.message}")
-    return out
+    return _kernel(Kind.MULTI, p.dom, p.cod, masks)
 
 
 @dataclass(frozen=True)
@@ -174,8 +167,7 @@ def conditional(f: Kernel, split: int) -> Kernel:
 
     Returns c: X⊗A → Y with c(y|x,a) = f((x,y)|a) / Σ_y' f((x,y')|a);
     where the marginal mass vanishes the column is the point mass on the
-    first element of Y.  The reconstruction identity is verified exactly
-    before returning.
+    first element of Y, so pairing c with the first marginal rebuilds f.
     """
     if f.kind is not Kind.STOCH:
         raise UnsupportedKind("conditionals are implemented for stochastic kernels")
@@ -189,10 +181,7 @@ def conditional(f: Kernel, split: int) -> Kernel:
             part = [(i - lo, num) for i, num in cells if lo <= i < lo + ny]
             mass = sum(num for _, num in part)
             cols.append(_reduced(mass, part) if mass > 0 else (1, ((0, 1),)))
-    cond = _kernel(Kind.STOCH, dom, y_obj, tuple(cols))
-    if not kernel_equal(_reconstruct(f, cond, split), f):  # pragma: no cover
-        raise NotAConditional("reconstruction of the joint failed")
-    return cond
+    return _kernel(Kind.STOCH, dom, y_obj, tuple(cols))
 
 
 def _reconstruct(f: Kernel, cond: Kernel, split: int) -> Kernel:

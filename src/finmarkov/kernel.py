@@ -134,7 +134,7 @@ def split_tensor_labels(obj: FinObject, left_size: int) -> tuple[FinObject, FinO
     x-major ``left_size`` by ``obj.size // left_size`` grid.
     """
     n = obj.size
-    if left_size <= 0 or n % left_size != 0:
+    if left_size <= 0 or n == 0 or n % left_size != 0:
         raise BadSplit(f"object of size {n} does not factor with left size {left_size}")
     right_size = n // left_size
 
@@ -546,11 +546,6 @@ def subset_object(x: FinObject, indices: Sequence[int]) -> FinObject:
 def inclusion_kernel(x: FinObject, indices: Sequence[int], kind: Kind) -> Kernel:
     """Deterministic inclusion of the subset at ``indices`` into ``x``."""
     return function_kernel(subset_object(x, indices), x, indices, kind)
-
-
-def deterministic_states(x: FinObject, kind: Kind = Kind.STOCH) -> list[Kernel]:
-    """All point-mass states I → X, in label order."""
-    return [delta_kernel(x, lbl, kind) for lbl in x.labels]
 
 
 def deterministic_kernels(dom: FinObject, cod: FinObject, kind: Kind = Kind.STOCH) -> list[Kernel]:

@@ -31,6 +31,7 @@ from finmarkov import (
 from finmarkov.golden import domination_pair, intro_functions, intro_state
 from finmarkov.kernel import UNIT, associator, deterministic_kernels
 from finmarkov.rand import random_kernel, random_object, rng_from_seed
+from oracles import ase_by_joint, joint_columns
 
 F = Fraction
 
@@ -129,18 +130,8 @@ def test_ase_literal_diagram_agrees_with_wired_composition():
         p = random_kernel(rng, Kind.STOCH, a, x)
         f = random_kernel(rng, Kind.STOCH, tensor_object(w, x), y)
         g = perturb_off_support(f, p, seed=rng.randrange(2**30))
-        lhs = _entry_joint(p, f, w.size)
-        rhs = _wired_joint(p, f, w, a, x, y)
-        assert lhs == rhs
-        assert (_entry_joint(p, f, w.size) == _entry_joint(p, g, w.size)) == ase_kernels(
-            p, f, g, w.size
-        )
-
-
-def _entry_joint(p, f, w_size):
-    from finmarkov.asrel import _joint_columns
-
-    return _joint_columns(p, f, w_size)
+        assert joint_columns(p, f, w.size) == _wired_joint(p, f, w, a, x, y)
+        assert ase_by_joint(p, f, g, w.size) == ase_kernels(p, f, g, w.size)
 
 
 def _wired_joint(p, f, w, a, x, y):
@@ -448,11 +439,8 @@ def _uniform_on_patterns(dom, cod):
 
 
 def test_ase_procedures_agree_exhaustively_small():
-    # the decision procedure cross-checks the support shortcut against the
-    # literal joint equation internally on every call; enumerate all
-    # support patterns x deterministic pairs at size 3 to drive it
-    from finmarkov.kernel import deterministic_kernels
-
+    # the support shortcut against the literal joint equation on every
+    # support pattern x deterministic pair at size 3
     a = fin_object(("a",))
     x = fin_object(("x0", "x1", "x2"))
     y = fin_object(("y0", "y1", "y2"))
@@ -461,7 +449,7 @@ def test_ase_procedures_agree_exhaustively_small():
     for p in _uniform_on_patterns(a, x):
         for f in dets:
             for g in dets:
-                ase_kernels(p, f, g)  # raises if the two procedures disagree
+                assert ase_kernels(p, f, g) == ase_by_joint(p, f, g)
                 count += 1
     assert count == 7 * 27 * 27
 

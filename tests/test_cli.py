@@ -9,6 +9,7 @@ from finmarkov import Kind, kernel_equal
 from finmarkov.cli import ParseError, emit_kernel, parse_kernel, run
 from finmarkov.golden import (
     balanced_idempotent,
+    multi_chain3_idempotent,
     multi_upset_idempotent,
     signed_idempotent,
     static_idempotent,
@@ -263,7 +264,16 @@ def test_cli_malformed_input_exit_2(tmp_path, capsys):
     bad.write_text("{<not json>}")
     assert run(["classify", str(bad)]) == 2
     assert run(["classify", str(tmp_path / "missing.json")]) == 2
+    chain = _write(tmp_path, "chain.json", multi_chain3_idempotent())
+    assert run(["--max-size", "-1", "split", chain]) == 2
     capsys.readouterr()
+
+
+def test_cli_conditional_of_empty_kernel_exit_2(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"kind": "stoch", "dom": [], "cod": [], "matrix": []}')
+    assert run(["conditional", str(empty), "--split", "1"]) == 2
+    assert "BadSplit" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_cli_kind_error_exit_2(tmp_path, capsys):

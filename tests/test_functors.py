@@ -336,6 +336,15 @@ def test_conditional_reconstruction_random():
         assert kernel_equal(_reconstruct(joint, cond, x.size), joint)
 
 
+def test_conditional_of_empty_joint_is_a_bad_split():
+    # an empty codomain has no recoverable factors
+    from finmarkov import BadSplit
+
+    empty = fin_object(())
+    with pytest.raises(BadSplit):
+        conditional(make_kernel(Kind.STOCH, empty, empty, []), split=1)
+
+
 def test_conditional_unsupported_kind():
     x = fin_object(("0", "1"))
     m = identity(tensor_object(x, x), Kind.MULTI)

@@ -1,0 +1,313 @@
+"""Verdicts the library decides once, against the second procedures in
+`oracles`, over every kind each function accepts."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finmarkov import (
+    Flavor,
+    Kernel,
+    Kind,
+    NoSplitUpTo,
+    abs_cont,
+    ase_kernels,
+    blackwell_split,
+    classify,
+    compose,
+    conditional,
+    env_ase,
+    env_cell,
+    env_hom,
+    env_split_idempotent,
+    equalizer_factor,
+    factor_through_support,
+    fin_object,
+    function_kernel,
+    io_relation,
+    perturb_off_support,
+    random_class_idempotent,
+    refute_abs_cont,
+    scomp_abs_cont,
+    scomp_cell,
+    scomp_hom,
+    scomp_support,
+    search_split,
+    split_support,
+    support,
+    support_functor_map,
+    tensor,
+    tensor_object,
+    validate,
+    verify_split,
+)
+from finmarkov.golden import multi_upset_idempotent, signed_idempotent
+from finmarkov.kernel import support_indices
+from finmarkov.rand import (
+    random_deterministic_kernel,
+    random_kernel,
+    random_kernel_supported_on,
+    random_object,
+    rng_from_seed,
+)
+from oracles import (
+    ase_by_joint,
+    conditional_rebuilds,
+    formal_split_recomposes,
+    io_relation_by_states,
+    projection_is_section,
+    recomposes,
+    witness_separates,
+)
+
+SEEDS = st.integers(0, 2**32)
+ALL_KINDS = st.sampled_from(list(Kind))
+# the kinds with supports and absolute continuity
+POSITIVE_KINDS = st.sampled_from([Kind.STOCH, Kind.MULTI])
+
+
+def _with_columns(k, cols):
+    """k's kind, domain and codomain with the given dense columns."""
+    rows = tuple(tuple(cols[j][i] for j in range(k.dom.size)) for i in range(k.cod.size))
+    return Kernel(k.kind, k.dom, k.cod, rows)
+
+
+def _change_column(f, j):
+    """f with column j replaced by a point mass it does not equal."""
+    cols = [f.column(i) for i in range(f.dom.size)]
+    point = function_kernel(fin_object(("u",)), f.cod, [0], f.kind).column(0)
+    if cols[j] == point:
+        point = function_kernel(fin_object(("u",)), f.cod, [1], f.kind).column(0)
+    cols[j] = point
+    return _with_columns(f, cols)
+
+
+def _supported_on_some(rng, kind, dom, cod):
+    """A kernel reaching a random nonempty subset of cod."""
+    rows = sorted(rng.sample(range(cod.size), 1 + rng.randrange(cod.size)))
+    return random_kernel_supported_on(rng, kind, dom, cod, rows)
+
+
+def _idempotent(rng, kind, x, balanced=True):
+    """A random idempotent of the given kind on x: balanced ones from a
+    random class structure, others as its tensor with a golden
+    non-balanced idempotent.  Every stochastic idempotent is balanced."""
+    e = random_class_idempotent(rng, x).idempotent
+    if kind is Kind.MULTI:
+        e = io_relation(e)
+    elif kind is Kind.SIGNED:
+        e = Kernel(Kind.SIGNED, e.dom, e.cod, e.matrix)
+    if balanced or kind is Kind.STOCH:
+        return e
+    other = multi_upset_idempotent() if kind is Kind.MULTI else signed_idempotent()
+    return tensor(other, e)
+
+
+# ---------------------------------------------------------------------------
+# asrel
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(ALL_KINDS, SEEDS, st.integers(0, 2))
+def test_ase_agrees_with_the_literal_joint(kind, seed, variant):
+    rng = rng_from_seed(seed)
+    w = random_object(rng, 3, "w")
+    a = random_object(rng, 3, "a", min_size=0)
+    x = random_object(rng, 4, "x")
+    y = random_object(rng, 3, "y", min_size=2)
+    p = random_kernel(rng, kind, a, x)
+    f = random_kernel(rng, kind, tensor_object(w, x), y)
+    if variant == 0:
+        g = perturb_off_support(f, p, seed)
+    elif variant == 1:
+        g = _change_column(f, rng.randrange(f.dom.size))
+    else:
+        g = random_kernel(rng, kind, f.dom, y)
+    assert ase_kernels(p, f, g, w.size) == ase_by_joint(p, f, g, w.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POSITIVE_KINDS, SEEDS)
+def test_refuting_witness_separates(kind, seed):
+    rng = rng_from_seed(seed)
+    x = random_object(rng, 5, "x")
+    q = _supported_on_some(rng, kind, random_object(rng, 3, "b"), x)
+    p = random_kernel(rng, kind, random_object(rng, 3, "a"), x)
+    witness = refute_abs_cont(q, p)
+    assert (witness is None) == abs_cont(q, p)
+    assert witness is None or witness_separates(q, p, witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ALL_KINDS, SEEDS)
+def test_perturbation_is_almost_surely_equal(kind, seed):
+    rng = rng_from_seed(seed)
+    w = random_object(rng, 3, "w")
+    x = random_object(rng, 4, "x")
+    p = _supported_on_some(rng, kind, random_object(rng, 3, "a"), x)
+    f = random_kernel(rng, kind, tensor_object(w, x), random_object(rng, 3, "y", min_size=2))
+    g = perturb_off_support(f, p, seed)
+    assert ase_by_joint(p, f, g, w.size)
+    assert (g == f) == (len(support_indices(p)) == x.size)
+
+
+# ---------------------------------------------------------------------------
+# functors
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_io_relation_agrees_with_deterministic_states(seed):
+    rng = rng_from_seed(seed)
+    p = random_kernel(rng, Kind.STOCH, random_object(rng, 4, "a", min_size=0), random_object(rng, 4, "x"))
+    rel = io_relation(p)
+    assert rel == io_relation_by_states(p)
+    assert validate(rel) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_conditional_rebuilds_the_joint(seed):
+    rng = rng_from_seed(seed)
+    x, y = random_object(rng, 3, "x"), random_object(rng, 3, "y")
+    joint = random_kernel(rng, Kind.STOCH, random_object(rng, 3, "a", min_size=0), tensor_object(x, y))
+    assert conditional_rebuilds(joint, conditional(joint, x.size), x.size)
+
+
+# ---------------------------------------------------------------------------
+# envelopes
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(ALL_KINDS, SEEDS, st.integers(0, 2))
+def test_env_ase_agrees_with_the_literal_joint(kind, seed, variant):
+    rng = rng_from_seed(seed)
+    ca, cb, cc = (
+        env_cell(e.dom, e, Flavor.BLACKWELL)
+        for e in (_idempotent(rng, kind, random_object(rng, 3, c)) for c in "axy")
+    )
+
+    def hom(src, dst, raw):
+        return env_hom(src, dst, compose(dst.endo, compose(raw, src.endo)))
+
+    # p may miss whole classes of the middle cell, where f and g are free
+    p = hom(ca, cb, _supported_on_some(rng, kind, ca.object, cb.object))
+    f = hom(cb, cc, random_kernel(rng, kind, cb.object, cc.object))
+    if variant == 0:
+        g = f
+    elif variant == 1:
+        g = hom(cb, cc, perturb_off_support(f.kernel, p.kernel, seed))
+    else:
+        g = hom(cb, cc, random_kernel(rng, kind, cb.object, cc.object))
+    assert env_ase(p, f, g) == ase_by_joint(p.kernel, f.kernel, g.kernel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ALL_KINDS, st.sampled_from(list(Flavor)), SEEDS, st.booleans())
+def test_formal_splitting_recomposes(kind, flavor, seed, balanced):
+    rng = rng_from_seed(seed)
+    e = _idempotent(rng, kind, random_object(rng, 4, "s"), balanced or flavor is Flavor.BLACKWELL)
+    cell = env_cell(e.dom, e, flavor)
+    assert formal_split_recomposes(cell, *env_split_idempotent(cell))
+
+
+# ---------------------------------------------------------------------------
+# idempotents
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_blackwell_split_is_a_splitting(seed):
+    rng = rng_from_seed(seed)
+    e = random_class_idempotent(rng, random_object(rng, 7, "s")).idempotent
+    sd = blackwell_split(e)
+    assert verify_split(e, sd.inclusion, sd.projection)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.booleans())
+def test_search_split_is_a_splitting(seed, balanced):
+    rng = rng_from_seed(seed)
+    e = _idempotent(rng, Kind.MULTI, random_object(rng, 5, "s"), balanced)
+    result = search_split(e, e.dom.size)
+    assert isinstance(result, NoSplitUpTo) != classify(e).balanced
+    assert isinstance(result, NoSplitUpTo) or verify_split(e, result.inclusion, result.projection)[1]
+
+
+# ---------------------------------------------------------------------------
+# supports
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(POSITIVE_KINDS, SEEDS)
+def test_factor_through_support_recomposes(kind, seed):
+    rng = rng_from_seed(seed)
+    x = random_object(rng, 5, "x")
+    sd = support(random_kernel(rng, kind, random_object(rng, 3, "b"), x))
+    reached = list(support_indices(sd.base))
+    f = random_kernel_supported_on(rng, kind, random_object(rng, 3, "a"), x, reached)
+    assert recomposes(sd.inclusion, factor_through_support(f, sd), f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POSITIVE_KINDS, SEEDS)
+def test_split_support_projection_is_a_section(kind, seed):
+    rng = rng_from_seed(seed)
+    p = _supported_on_some(rng, kind, random_object(rng, 3, "a"), random_object(rng, 5, "x"))
+    assert projection_is_section(p, split_support(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(POSITIVE_KINDS, SEEDS)
+def test_support_functor_map_closes_the_square(kind, seed):
+    # f includes A into B = A + extra, and q agrees with g∘p on A, so
+    # g∘p = q∘f while q may reach more than g∘p
+    rng = rng_from_seed(seed)
+    a = random_object(rng, 3, "a")
+    x, y = random_object(rng, 4, "x"), random_object(rng, 4, "y")
+    b = fin_object(a.labels + random_object(rng, 3, "b", min_size=0).labels)
+    p = _supported_on_some(rng, kind, a, x)
+    g = random_kernel(rng, kind, x, y)
+    f = function_kernel(a, b, range(a.size), kind)
+    gp, extra = compose(g, p), random_kernel(rng, kind, b, y)
+    q = _with_columns(extra, [gp.column(j) if j < a.size else extra.column(j) for j in range(b.size)])
+    dashed = support_functor_map(p, q, f, g)
+    assert recomposes(support(q).inclusion, dashed, compose(g, support(p).inclusion))
+
+
+@settings(max_examples=150, deadline=None)
+@given(POSITIVE_KINDS, SEEDS)
+def test_equalizer_factor_recomposes(kind, seed):
+    rng = rng_from_seed(seed)
+    x, y = random_object(rng, 5, "x"), random_object(rng, 3, "y")
+    f = random_deterministic_kernel(rng, kind, x, y)
+    g = random_deterministic_kernel(rng, kind, x, y)
+    agree = [j for j in range(x.size) if f.columns[j] == g.columns[j]]
+    if not agree:
+        g, agree = f, list(range(x.size))
+    p = random_kernel_supported_on(rng, kind, random_object(rng, 3, "a"), x, agree)
+    _, eq, p_factored = equalizer_factor(p, f, g)
+    assert recomposes(eq, p_factored, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(POSITIVE_KINDS, SEEDS)
+def test_scomp_support_is_bicontinuous(kind, seed):
+    rng = rng_from_seed(seed)
+    a, x = random_object(rng, 3, "a"), random_object(rng, 4, "x")
+    src = scomp_cell(a, random_kernel(rng, kind, random_object(rng, 2, "c"), a))
+    dst = scomp_cell(x, random_kernel(rng, kind, random_object(rng, 2, "d"), x))
+    f = random_kernel(rng, kind, a, x)
+    push = compose(f, src.anchor)
+    if not abs_cont(dst.anchor, push):
+        # widen the target anchor by the pushforward's columns
+        cols = [k.column(j) for k in (dst.anchor, push) for j in range(k.dom.size)]
+        wide = random_kernel(rng, kind, fin_object(dst.anchor.dom.labels + push.dom.labels), x)
+        dst = scomp_cell(x, _with_columns(wide, cols))
+    m = scomp_hom(src, dst, f)
+    _, inclusion = scomp_support(m)
+    assert scomp_abs_cont(inclusion, m) and scomp_abs_cont(m, inclusion)
