@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
-from fractions import Fraction
 from typing import Any
 
 from . import golden
@@ -43,6 +43,8 @@ from .kernel import (
     FinObject,
     Kernel,
     Kind,
+    _exact_column,
+    _kernel,
     compose,
     delta_kernel,
     identity,
@@ -71,11 +73,12 @@ def _parse_int(text: str, where: str = "integer literal") -> int:
     return int(text)
 
 
-def _parse_entry(value: Any, where: str) -> Fraction:
+def _parse_entry(value: Any, where: str) -> tuple[int, int]:
+    """An entry as a reduced ``(num, den)`` pair with ``den > 0``."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{where}: entries must be integers or 'n/d' strings, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         match = _ENTRY.fullmatch(value)
         if match is None:
@@ -84,13 +87,15 @@ def _parse_entry(value: Any, where: str) -> Fraction:
         den = _parse_int(match.group(2) or "1", where)
         if den == 0:
             raise ParseError(f"{where}: zero denominator in {value!r}")
-        return Fraction(num, den)
+        c = math.gcd(num, den)
+        return num // c, den // c
     raise ParseError(f"{where}: bad entry {value!r}")
 
 
 def parse_kernel(text: str) -> Kernel:
-    """Parse a kernel document; fractions are re-reduced, the column law
-    is enforced."""
+    """Parse a kernel document into stored columns and enforce the column
+    law.  Entries are reduced, so equal documents give equal kernels; the
+    dense ``matrix`` view is built only if it is read."""
     try:
         doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
@@ -126,15 +131,17 @@ def kernel_from_doc(doc: Any) -> Kernel:
             raise ParseError("multi kernels carry 'images'")
         if not isinstance(images, list) or len(images) != dom.size:
             raise ParseError("'images' must list one array per domain element")
-        rows = [[False] * dom.size for _ in range(cod.size)]
+        masks = []
         for j, image in enumerate(images):
             if not isinstance(image, list):
                 raise ParseError(f"images[{j}] must be an array of labels")
+            mask = 0
             for lbl in image:
                 if not isinstance(lbl, str) or lbl not in cod.labels:
                     raise ParseError(f"images[{j}]: unknown codomain label {lbl!r}")
-                rows[cod.index(lbl)][j] = True
-        k = Kernel(kind, dom, cod, tuple(tuple(r) for r in rows))
+                mask |= 1 << cod.index(lbl)
+            masks.append(mask)
+        columns = tuple(masks)
     else:
         matrix = doc.get("matrix")
         if matrix is None:
@@ -145,18 +152,15 @@ def kernel_from_doc(doc: Any) -> Kernel:
         for i, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != dom.size:
                 raise ParseError(f"matrix row {i} must have {dom.size} entries")
-            rows.append(tuple(_parse_entry(v, f"matrix[{i}][{j}]") for j, v in enumerate(row)))
-        k = Kernel(kind, dom, cod, tuple(rows))
+            # a JSON integer is already a reduced pair
+            rows.append([(v, 1) if type(v) is int else _parse_entry(v, f"matrix[{i}][{j}]")
+                         for j, v in enumerate(row)])
+        columns = tuple(map(_exact_column, zip(*rows) if rows else [()] * dom.size))
+    k = _kernel(kind, dom, cod, columns)
     bad = validate(k)
     if bad is not None:
         raise ParseError(f"validation failed: {bad.message}")
     return k
-
-
-def _emit_entry(v: Fraction) -> Any:
-    if v.denominator == 1:
-        return int(v)
-    return f"{v.numerator}/{v.denominator}"
 
 
 def kernel_to_doc(k: Kernel) -> dict:
@@ -168,7 +172,13 @@ def kernel_to_doc(k: Kernel) -> dict:
     if k.kind is Kind.MULTI:
         doc["images"] = [[lbl for i, lbl in enumerate(k.cod.labels) if mask >> i & 1] for mask in k.columns]
     else:
-        doc["matrix"] = [[_emit_entry(v) for v in row] for row in k.matrix]
+        # an integer entry is a JSON integer, any other an "n/d" string
+        rows: list[list] = [[0] * k.dom.size for _ in range(k.cod.size)]
+        for j, (den, cells) in enumerate(k.columns):
+            for i, num in cells:
+                c = math.gcd(num, den)
+                rows[i][j] = num // c if c == den else f"{num // c}/{den // c}"
+        doc["matrix"] = rows
     return doc
 
 

@@ -20,7 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -34,6 +35,7 @@ from .kernel import (
     ShapeMismatch,
     _is_point_column,
     _kernel,
+    _reduced,
     compose,
     copy_kernel,
     fin_object,
@@ -327,13 +329,17 @@ def blackwell_split(e: Kernel) -> SplitData:
             raise StructureViolation("class column must have full support on its class")
     iota = _kernel(Kind.STOCH, middle, e.cod, tuple(e.columns[comp[0]] for comp in recurrent))
 
-    # projection is forced by e = ι∘π: π(t|x) = e(C_t|x)
-    pi_rows = []
-    for t, comp in enumerate(recurrent):
-        pi_rows.append(tuple(sum((e.matrix[i][x] for i in comp), Fraction(0)) for x in range(n)))
-    pi = Kernel(Kind.STOCH, e.dom, middle, tuple(pi_rows))
-    if any(i not in class_index for _, cells in e.columns for i, _ in cells):
-        raise StructureViolation("the idempotent feeds mass into transient states")
+    # projection is forced by e = ι∘π: π(t|x) = e(C_t|x), the class masses
+    # of e's stored column x
+    pi_cols = []
+    for den, cells in e.columns:
+        mass = [0] * len(recurrent)
+        for i, num in cells:
+            if i not in class_index:
+                raise StructureViolation("the idempotent feeds mass into transient states")
+            mass[class_index[i]] += num
+        pi_cols.append(_reduced(den, [(t, m) for t, m in enumerate(mass) if m]))
+    pi = _kernel(Kind.STOCH, e.dom, middle, tuple(pi_cols))
     return SplitData(middle, pi, iota, classes, transient)
 
 
@@ -480,64 +486,69 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
     consequent: for every b reached by f, h is g(·|b)-almost surely the
     constant (hg)(·|b):
         g(x|b)·h(y|x) = g(x|b)·(hg)(y|b).
+
+    Both sides are decided on the stored columns: integer numerators over
+    shared denominators, or bitmasks of pairs over Multi.
     """
     if f.kind is not g.kind or g.kind is not h.kind:
         raise ShapeMismatch("all three kernels must have the same kind")
     if f.cod != g.dom or g.cod != h.dom:
         raise ShapeMismatch("kernels must form a chain A→B→X→Y")
-    kind = f.kind
-    multi = kind is Kind.MULTI
-    zero = kind.zero
-    hg = compose(h, g)
-    na, nb, nx, ny = f.dom.size, f.cod.size, g.cod.size, h.cod.size
-    fm, gm, hm, hgm = f.matrix, g.matrix, h.matrix, hg.matrix
+    ny = h.cod.size
+    gcols, hcols = g.columns, h.columns
+    hgcols = compose(h, g).columns
+    # a pair (y₁, y₂) is the index y₁·ny + y₂
+    if f.kind is Kind.MULTI:
+        # the pairs one sample reaches from b are (hg)(b)², those two samples
+        # reach from a are the union of h(x)² over x in (g∘f)(a)
+        def square(mask: int) -> int:
+            return sum(mask << (y * ny) for y in range(ny) if mask >> y & 1)
 
-    # the a-independent factors, once per (b, y₁, y₂): the one-sample
-    # product (hg)(y₁|b)·(hg)(y₂|b) and the two-sample sum over x
-    pairs = [(y1, y2) for y1 in range(ny) for y2 in range(ny)]
-    one_sample = []
-    two_sample = []
-    for b in range(nb):
-        one_sample.append([hgm[y1][b] * hgm[y2][b] for y1, y2 in pairs])
-        xs = [(x, gm[x][b]) for x in range(nx) if gm[x][b]]
-        two_sample.append(
-            [sum((hm[y1][x] * hm[y2][x] * gx for x, gx in xs), zero) for y1, y2 in pairs]
-        )
+        def union(mask: int, sets: list) -> int:
+            return reduce(or_, [s for i, s in enumerate(sets) if mask >> i & 1], 0)
 
-    antecedent = True
-    for a in range(na):
-        weights = [(b, fm[b][a]) for b in range(nb) if fm[b][a]]
-        for k in range(len(pairs)):
-            if multi:
-                lhs = any(one_sample[b][k] for b, _ in weights)
-                rhs = any(two_sample[b][k] for b, _ in weights)
-            else:
-                lhs = sum((w * one_sample[b][k] for b, w in weights), zero)
-                rhs = sum((w * two_sample[b][k] for b, w in weights), zero)
-            if lhs != rhs:
+        xs = [[x for x in range(g.cod.size) if mask >> x & 1] for mask in gcols]
+        ones, twos = [square(m) for m in hgcols], [square(m) for m in hcols]
+        gfcols = compose(g, f).columns
+        antecedent = all(union(fm, ones) == union(gfm, twos) for fm, gfm in zip(f.columns, gfcols))
+    else:
+        # h = A/H over one denominator; for column b of g over G_b, at scale
+        # H²·G_b² the one-sample minus two-sample term is P_b(y₁)·P_b(y₂) −
+        # G_b·T_b(y₁,y₂), with P_b = Σ_x A·g and T_b = Σ_x A·A·g; each term
+        # is lifted to G = lcm G_b so that f's numerators weigh them directly
+        H = math.lcm(*[den for den, _ in hcols])
+        hnums = [[(y, num * (H // den)) for y, num in cells] for den, cells in hcols]
+        G = math.lcm(*[den for den, _ in gcols])
+        xs = [[x for x, _ in cells] for _, cells in gcols]
+        diffs = []
+        for gden, gcells in gcols:
+            p: dict = {}
+            diff: dict = {}
+            for x, c in gcells:
+                cells = hnums[x]
+                for y1, a1 in cells:
+                    p[y1] = p.get(y1, 0) + a1 * c
+                    for y2, a2 in cells:
+                        k = y1 * ny + y2
+                        diff[k] = diff.get(k, 0) - gden * a1 * a2 * c
+            for y1, p1 in p.items():
+                for y2, p2 in p.items():
+                    k = y1 * ny + y2
+                    diff[k] = diff.get(k, 0) + p1 * p2
+            lift = (G // gden) ** 2
+            diffs.append([(k, v * lift) for k, v in diff.items() if v])
+        antecedent = True
+        for _, fcells in f.columns:
+            acc: dict = {}
+            for b, w in fcells:
+                for k, v in diffs[b]:
+                    acc[k] = acc.get(k, 0) + w * v
+            if any(acc.values()):
                 antecedent = False
                 break
-        if not antecedent:
-            break
 
-    consequent = True
-    reached = set(support_indices(f))
-    # bools multiply as 0/1, so the products below compare like AND
-    for b in range(nb):
-        if b not in reached:
-            continue
-        for x in range(nx):
-            for y in range(ny):
-                lhs = gm[x][b] * hm[y][x]
-                rhs = gm[x][b] * hgm[y][b]
-                if lhs != rhs:
-                    consequent = False
-                    break
-            if not consequent:
-                break
-        if not consequent:
-            break
-
+    # g(x|b) ≠ 0 forces h(·|x) = (hg)(·|b); stored columns are canonical
+    consequent = all(hcols[x] == hgcols[b] for b in support_indices(f) for x in xs[b])
     return CauchySchwarzInstance(antecedent, consequent)
 
 

@@ -166,9 +166,9 @@ def split_tensor_labels(obj: FinObject, left_size: int) -> tuple[FinObject, FinO
 _EMPTY = (1, ())
 
 
-def _exact_column(entries: Sequence) -> tuple:
-    """Canonical stored column of dense int/Fraction entries."""
-    ratios = [v.as_integer_ratio() for v in entries]
+def _exact_column(ratios: Sequence[tuple[int, int]]) -> tuple:
+    """Canonical stored column of dense entries given as reduced
+    ``(num, den)`` pairs with ``den > 0``."""
     den = math.lcm(*[d for _, d in ratios])
     cells = tuple((i, n * (den // d)) for i, (n, d) in enumerate(ratios) if n)
     return (den, cells) if cells else _EMPTY
@@ -191,8 +191,10 @@ class Kernel:
     ``Kernel(kind, dom, cod, rows)`` takes dense rows and checks shapes and
     entry types only; :func:`validate` and :func:`make_kernel` enforce the
     column law.  Immutable; equal iff kind, objects and ``columns`` agree.
-    Given rows are kept as the ``matrix`` view and converted to ``columns``
-    on first use, so building an input costs no more than storing it.
+    Only a kernel built this way keeps a dense view from the start: its
+    rows are the ``matrix`` view and become ``columns`` on first use, so
+    building an input costs no more than storing it.  Parsed documents
+    and computed kernels hold columns alone and build the view when read.
     """
 
     __slots__ = ("kind", "dom", "cod", "columns", "_hash", "_matrix")
@@ -220,7 +222,7 @@ class Kernel:
         if self.kind is Kind.MULTI:
             columns = tuple(sum(1 << i for i, v in enumerate(col) if v) for col in dense)
         else:
-            columns = tuple(map(_exact_column, dense))
+            columns = tuple(_exact_column([v.as_integer_ratio() for v in col]) for col in dense)
         object.__setattr__(self, "columns", columns)
         return columns
 

@@ -6,20 +6,28 @@ kernels.  Each function here reaches the same result another way: by the
 literal defining diagram, or by recomposing what a call returned.  The
 tests compare each with the library's answer; the library never runs
 these.  The public checks `verify_split` and `scomp_abs_cont` serve as
-oracles as well.
+oracles as well.  The CLI's document parser and emitter, which work on
+stored columns, are checked against the `Fraction` versions they replaced.
 """
 
+import json
 import math
+import re
+from fractions import Fraction
 
 from finmarkov import (
     UNIT,
+    FinMarkovError,
+    FinObject,
     Kernel,
     Kind,
     compose,
     env_compose,
     identity,
     kernel_equal,
+    validate,
 )
+from finmarkov.cli import MAX_DIGITS, ParseError
 from finmarkov.functors import _reconstruct
 from finmarkov.kernel import _reduced, deterministic_kernels
 
@@ -120,3 +128,107 @@ def recomposes(outer: Kernel, inner: Kernel, whole: Kernel) -> bool:
 def projection_is_section(p: Kernel, sd) -> bool:
     """ι∘π is p-almost surely the identity, by the defining equation."""
     return ase_by_joint(p, compose(sd.inclusion, sd.projection), identity(p.cod, p.kind))
+
+
+# ---------------------------------------------------------------------------
+# kernel documents
+# ---------------------------------------------------------------------------
+
+_ENTRY = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _int(text: str, where: str = "integer literal") -> int:
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ParseError(f"{where}: numeral longer than {MAX_DIGITS} digits")
+    return int(text)
+
+
+def _fraction_entry(value, where: str) -> Fraction:
+    if isinstance(value, bool) or isinstance(value, float):
+        raise ParseError(f"{where}: entries must be integers or 'n/d' strings, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        match = _ENTRY.fullmatch(value)
+        if match is None:
+            raise ParseError(f"{where}: bad fraction {value[:40]!r}")
+        num = _int(match.group(1), where)
+        den = _int(match.group(2) or "1", where)
+        if den == 0:
+            raise ParseError(f"{where}: zero denominator in {value!r}")
+        return Fraction(num, den)
+    raise ParseError(f"{where}: bad entry {value!r}")
+
+
+def parse_kernel_by_fractions(text: str) -> Kernel:
+    """The document parser over dense rows: one `Fraction` (or `bool`) per
+    entry, handed to the dense constructor."""
+    try:
+        doc = json.loads(text, parse_int=_int)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("kernel document must be a JSON object")
+    for field in ("kind", "dom", "cod"):
+        if field not in doc:
+            raise ParseError(f"missing field {field!r}")
+    try:
+        kind = Kind(doc["kind"])
+    except ValueError:
+        raise ParseError(f"unknown kind {doc['kind']!r}") from None
+    for field in ("dom", "cod"):
+        labels = doc[field]
+        if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+            raise ParseError(f"field {field!r} must be an array of strings")
+    try:
+        dom = FinObject(tuple(doc["dom"]))
+        cod = FinObject(tuple(doc["cod"]))
+    except FinMarkovError as exc:
+        raise ParseError(str(exc)) from exc
+
+    if kind is Kind.MULTI:
+        images = doc.get("images")
+        if images is None:
+            raise ParseError("multi kernels carry 'images'")
+        if not isinstance(images, list) or len(images) != dom.size:
+            raise ParseError("'images' must list one array per domain element")
+        rows = [[False] * dom.size for _ in range(cod.size)]
+        for j, image in enumerate(images):
+            if not isinstance(image, list):
+                raise ParseError(f"images[{j}] must be an array of labels")
+            for lbl in image:
+                if not isinstance(lbl, str) or lbl not in cod.labels:
+                    raise ParseError(f"images[{j}]: unknown codomain label {lbl!r}")
+                rows[cod.index(lbl)][j] = True
+    else:
+        matrix = doc.get("matrix")
+        if matrix is None:
+            raise ParseError("stoch/signed kernels carry 'matrix'")
+        if not isinstance(matrix, list) or len(matrix) != cod.size:
+            raise ParseError(f"'matrix' must have {cod.size} rows")
+        rows = []
+        for i, row in enumerate(matrix):
+            if not isinstance(row, list) or len(row) != dom.size:
+                raise ParseError(f"matrix row {i} must have {dom.size} entries")
+            rows.append([_fraction_entry(v, f"matrix[{i}][{j}]") for j, v in enumerate(row)])
+    k = Kernel(kind, dom, cod, rows)
+    bad = validate(k)
+    if bad is not None:
+        raise ParseError(f"validation failed: {bad.message}")
+    return k
+
+
+def _fraction_text(v):
+    if v.denominator == 1:
+        return int(v)
+    return f"{v.numerator}/{v.denominator}"
+
+
+def emit_kernel_by_fractions(k: Kernel, pretty: bool = False) -> str:
+    """The document emitter over the dense view, one entry at a time."""
+    doc = {"kind": k.kind.value, "dom": list(k.dom.labels), "cod": list(k.cod.labels)}
+    if k.kind is Kind.MULTI:
+        doc["images"] = [[k.cod.labels[i] for i in range(k.cod.size) if k.matrix[i][j]] for j in range(k.dom.size)]
+    else:
+        doc["matrix"] = [[_fraction_text(v) for v in row] for row in k.matrix]
+    return json.dumps(doc, indent=2 if pretty else None)

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from finmarkov import (
+    Kernel,
     Kind,
+    ShapeMismatch,
     NoSplitUpTo,
     NotASplitting,
     NotEndo,
@@ -394,8 +396,22 @@ def test_verify_split_on_golden_data():
 def test_verify_split_swapped_arguments_rejected():
     e = static_idempotent()
     iota, pi = static_split()
-    with pytest.raises((NotASplitting, Exception)):
+    with pytest.raises(ShapeMismatch):
         verify_split(e, pi, iota)
+
+
+def test_verify_split_rejects_each_shape_mismatch():
+    e = static_idempotent()
+    iota, pi = static_split()
+    other = fin_object(("p", "q", "r"))
+    other_middle = fin_object(("D_1", "D_2"))
+    for bad_iota, bad_pi in (
+        (iota, Kernel(Kind.STOCH, other, pi.cod, pi.matrix)),  # pi.dom is not e's object
+        (Kernel(Kind.STOCH, iota.dom, other, iota.matrix), pi),  # iota.cod is not e's object
+        (iota, Kernel(Kind.STOCH, pi.dom, other_middle, pi.matrix)),  # the middles differ
+    ):
+        with pytest.raises(ShapeMismatch):
+            verify_split(e, bad_iota, bad_pi)
 
 
 def test_verify_split_on_generated():

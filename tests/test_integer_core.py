@@ -1,8 +1,11 @@
 """The stored integer columns and bitmasks behind `compose`, `tensor`,
-`function_kernel`, `classify` and `cauchy_schwarz`, against the literal
-Fraction/bool loops they replaced."""
+`function_kernel`, `classify`, `cauchy_schwarz`, `blackwell_split` and the
+CLI's document parser and emitter, against the literal Fraction/bool code
+they replaced."""
 
+import functools
 import itertools
+import json
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -14,6 +17,7 @@ from finmarkov import (
     Kernel,
     Kind,
     associator,
+    blackwell_split,
     cauchy_schwarz,
     classify,
     compose,
@@ -29,6 +33,7 @@ from finmarkov import (
     tensor,
     tensor_object,
 )
+from finmarkov.cli import ParseError, emit_kernel, parse_kernel
 from finmarkov.golden import (
     balanced_idempotent,
     multi_chain3_idempotent,
@@ -40,7 +45,15 @@ from finmarkov.golden import (
 )
 from finmarkov.idempotents import CauchySchwarzInstance, IdempotentReport, StructureViolation
 from finmarkov.kernel import UNIT, all_multi_kernels
-from finmarkov.rand import random_deterministic_kernel, random_kernel, random_object, rng_from_seed
+from finmarkov.rand import (
+    random_deterministic_kernel,
+    random_kernel,
+    random_object,
+    random_signed_column,
+    random_stoch_column,
+    rng_from_seed,
+)
+from oracles import emit_kernel_by_fractions, parse_kernel_by_fractions
 
 F = Fraction
 
@@ -465,15 +478,95 @@ def test_classify_no_longer_composes_e_with_itself(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(list(Kind)), st.integers(0, 2**32), st.booleans(), st.booleans())
-def test_cauchy_schwarz_matches_double_sum(kind, seed, det_g, det_h):
-    rng = rng_from_seed(seed)
-    a, b, x, y = (random_object(rng, 4, c) for c in "abxy")
+CS_SHAPES = ("random", "deterministic g", "deterministic h", "idempotent", "cancelling")
+
+
+@functools.lru_cache(maxsize=None)
+def _multi_idempotents(n):
+    return _all_multi_idempotents(n)
+
+
+def _rng_idempotent(rng, kind, x):
+    """A stochastic class idempotent, a signed ι∘π or a multivalued idempotent on x."""
+    n = x.size
+    if kind is Kind.STOCH:
+        return random_class_idempotent(rng, x).idempotent
+    if kind is Kind.MULTI:
+        e = rng.choice(_multi_idempotents(n))
+        return Kernel(Kind.MULTI, x, x, e.matrix)
+    k = 1 + rng.randrange(n)
+    entry = lambda: F(rng.randrange(-6, 7), rng.choice(DENOMINATORS))  # noqa: E731
+    a_rows = [[entry() for _ in range(n - k)] for _ in range(k)]
+    b_rows = [[entry() for _ in range(k)] for _ in range(n - k)]
+    order = list(range(n))
+    rng.shuffle(order)
+    e = _split_idempotent(n, k, a_rows, b_rows, order)
+    return Kernel(Kind.SIGNED, x, x, e.matrix)
+
+
+def _cancelling_weights(rng, g, h, na):
+    """Signed f whose columns weigh two b with different one-sample minus
+    two-sample terms d_b so that Σ_b f(b|a)·d_b = 0.  With two outputs and
+    columns summing to one the term at b is d_b·[[1, −1], [−1, 1]], so the
+    antecedent holds while single columns of f would break it."""
+    hg = _reference_compose(h, g)
+    d = [
+        hg.matrix[0][b] ** 2 - sum((h.matrix[0][x] ** 2 * g.matrix[x][b] for x in range(g.cod.size)), F(0))
+        for b in range(g.dom.size)
+    ]
+    pairs = [(b1, b2) for b1 in range(len(d)) for b2 in range(len(d)) if d[b1] != d[b2]]
+    cols = []
+    for _ in range(na):
+        col = [F(0)] * len(d)
+        if pairs:
+            b1, b2 = rng.choice(pairs)
+            col[b1], col[b2] = d[b2] / (d[b2] - d[b1]), -d[b1] / (d[b2] - d[b1])
+        else:
+            col = random_signed_column(rng, len(d))
+        cols.append(col)
+    return [[col[b] for col in cols] for b in range(len(d))]
+
+
+def _cs_triple(rng, kind, shape):
+    """f: A → B, g: B → X, h: X → Y of the given shape; the antecedent
+    always holds for a deterministic g and often for idempotent triples
+    and cancelling signed weights."""
+    if shape == "idempotent":
+        e = _rng_idempotent(rng, kind, random_object(rng, 3 if kind is Kind.MULTI else 5, "s"))
+        return e, e, e
+    a, b, x = (random_object(rng, 4, c) for c in "abx")
+    if shape == "cancelling" and kind is Kind.SIGNED:
+        b = random_object(rng, 4, "b", min_size=2)
+        # g's columns are distributions with different denominators
+        g = Kernel(kind, b, x, [list(r) for r in zip(*[random_stoch_column(rng, x.size) for _ in range(b.size)])])
+        h = random_kernel(rng, kind, x, _obj("y", 2))
+        return Kernel(kind, a, b, _cancelling_weights(rng, g, h, a.size)), g, h
+    y = random_object(rng, 4, "y")
     f = random_kernel(rng, kind, a, b)
-    g = (random_deterministic_kernel if det_g else random_kernel)(rng, kind, b, x)
-    h = (random_deterministic_kernel if det_h else random_kernel)(rng, kind, x, y)
+    g = (random_deterministic_kernel if shape == "deterministic g" else random_kernel)(rng, kind, b, x)
+    h = (random_deterministic_kernel if shape == "deterministic h" else random_kernel)(rng, kind, x, y)
+    return f, g, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(Kind)), st.sampled_from(CS_SHAPES), st.integers(0, 2**32))
+def test_cauchy_schwarz_matches_double_sum(kind, shape, seed):
+    f, g, h = _cs_triple(rng_from_seed(seed), kind, shape)
     assert cauchy_schwarz(f, g, h) == _reference_cauchy_schwarz(f, g, h)
+
+
+def test_cauchy_schwarz_draws_reach_both_outcomes():
+    seen = set()
+    for kind, shape, seed in itertools.product(Kind, CS_SHAPES, range(12)):
+        f, g, h = _cs_triple(rng_from_seed(seed), kind, shape)
+        got = cauchy_schwarz(f, g, h)
+        assert got == _reference_cauchy_schwarz(f, g, h)
+        seen |= {(kind, "antecedent", got.antecedent), (kind, "consequent", got.consequent)}
+        if shape == "cancelling" and kind is Kind.SIGNED:
+            seen.add(("cancelling", got.antecedent, got.consequent))
+    assert seen >= {(kind, side, v) for kind in Kind for side in ("antecedent", "consequent") for v in (True, False)}
+    # cancelling weights hold the antecedent where the consequent fails
+    assert ("cancelling", True, False) in seen
 
 
 def test_cauchy_schwarz_matches_double_sum_on_idempotents():
@@ -583,3 +676,135 @@ def test_kernels_copy_and_pickle_by_their_columns():
     for k in (built, compose(identity(_obj("x", 2), Kind.SIGNED), built), identity(_obj("x", 3), Kind.MULTI)):
         for twin in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
             assert twin == k and hash(twin) == hash(k) and twin.matrix == k.matrix
+
+
+# ---------------------------------------------------------------------------
+# blackwell_split's projection
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_blackwell_projection_is_the_dense_class_mass(seed, from_rows):
+    rng = rng_from_seed(seed)
+    x = random_object(rng, 8, "s")
+    e = random_class_idempotent(rng, x).idempotent
+    if from_rows:
+        e = Kernel(Kind.STOCH, x, x, e.matrix)
+    sd = blackwell_split(e)
+    members = [[x.index(lbl) for lbl in cls] for cls in sd.classes]
+    want = Kernel(Kind.STOCH, x, sd.middle, [
+        [sum((e.matrix[i][j] for i in comp), F(0)) for j in range(x.size)] for comp in members
+    ])
+    _same_dense(sd.projection, want)
+
+
+# ---------------------------------------------------------------------------
+# kernel documents against the Fraction parser and emitter
+# ---------------------------------------------------------------------------
+
+CAP = 4300
+
+
+def _spelled(v, style):
+    """v as a document entry, spelled unreduced in one of several ways; the
+    "cap" style scales it so its longer numeral has exactly CAP digits."""
+    n, d = v.numerator, v.denominator
+    if style == "plain":
+        return n if d == 1 else f"{n}/{d}"
+    if n == 0:
+        return {"minus": "-0", "scaled": "0/7", "cap": "0/" + "1" * CAP}[style]
+    if style == "minus":
+        return f"{n}" if d == 1 else f"{n * 2}/{d * 2}"
+    s = 3 if style == "scaled" else 10 ** (CAP - len(str(max(abs(n), d))))
+    return f"{n * s}/{d * s}"
+
+
+STYLES = ("plain", "minus", "scaled", "cap")
+
+# entries the grammar or the digit cap refuses
+BAD_ENTRIES = [
+    "1/0", "0/0", "abc", "1//2", "+1", " 1", "1/-2", "1.5", "", "1" * (CAP + 1),
+    "1/" + "1" * (CAP + 1), "-" + "1" * (CAP + 1) + "/0", 1.5, True, False, None, [], {},
+]
+
+
+@st.composite
+def _document(draw):
+    """A document text: a valid kernel spelled unreduced, or one with
+    refused entries, a broken shape or a column that does not sum to one."""
+    kind = draw(st.sampled_from(list(Kind)))
+    dom, cod = _obj("a", draw(st.integers(0, 4))), _obj("x", draw(st.integers(0, 4)))
+    if cod.size == 0:
+        dom = _obj("a", 0)
+    k = random_kernel(rng_from_seed(draw(st.integers(0, 2**32))), kind, dom, cod)
+    if kind is Kind.MULTI:
+        images = [[cod.labels[i] for i in range(cod.size) if k.matrix[i][j]] for j in range(dom.size)]
+        if images and draw(st.booleans()):
+            j = draw(st.integers(0, len(images) - 1))
+            images[j] = draw(st.sampled_from([images[j] * 2, [], ["nope"], "x0", [0], images[j][:1]]))
+        doc = {"kind": "multi", "dom": list(dom.labels), "cod": list(cod.labels), "images": images}
+    else:
+        matrix = [[_spelled(v, draw(st.sampled_from(STYLES))) for v in row] for row in k.matrix]
+        cells = [(i, j) for i in range(cod.size) for j in range(dom.size)]
+        for _ in range(draw(st.integers(0, 2)) if cells else 0):
+            i, j = draw(st.sampled_from(cells))
+            matrix[i][j] = draw(st.sampled_from(BAD_ENTRIES + ["4/6", "-3/9", 2]))
+        if matrix and draw(st.integers(0, 9)) == 0:
+            matrix[draw(st.integers(0, len(matrix) - 1))].append(0)
+        doc = {"kind": kind.value, "dom": list(dom.labels), "cod": list(cod.labels), "matrix": matrix}
+    return json.dumps(doc)
+
+
+def _parsed(parse, text):
+    try:
+        k = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "ok", k, k.columns, k.matrix, [type(v) for row in k.matrix for v in row]
+
+
+def _same_documents(k):
+    for pretty in (False, True):
+        assert emit_kernel(k, pretty) == emit_kernel_by_fractions(k, pretty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_document())
+def test_documents_parse_and_emit_as_with_fractions(text):
+    got, want = _parsed(parse_kernel, text), _parsed(parse_kernel_by_fractions, text)
+    assert got == want
+    if got[0] == "ok":
+        _same_documents(got[1])
+        assert parse_kernel(emit_kernel(got[1])) == got[1]
+
+
+def test_documents_at_the_digit_cap():
+    big = "9" * CAP
+    for entries, outcome in (
+        ([[f"{big}/{big}"]], "ok"),
+        ([[f"-{big}/{big}"], [2]], "ok"),
+        ([[f"1{big}/{big}"]], "error"),
+        ([[f"{big}/1{big}"]], "error"),
+        ([[f"1/{big}"], [f"{int(big) - 1}/{big}"]], "ok"),
+    ):
+        text = json.dumps({"kind": "signed", "dom": ["a"], "cod": [f"x{i}" for i in range(len(entries))],
+                           "matrix": entries})
+        got = _parsed(parse_kernel, text)
+        assert got[0] == outcome and got == _parsed(parse_kernel_by_fractions, text)
+        if outcome == "ok":
+            _same_documents(got[1])
+
+
+def test_emitted_documents_match_the_fraction_emitter():
+    rng = rng_from_seed(11)
+    x = _obj("x", 3)
+    for kind in Kind:
+        for _ in range(20):
+            f, g = random_kernel(rng, kind, x, x), random_kernel(rng, kind, x, x)
+            for k in (f, compose(g, f), tensor(f, g)):
+                _same_documents(k)
+    # a kernel built from int rows, negative entries and a long denominator
+    _same_documents(Kernel(Kind.SIGNED, UNIT, x, [[2], [-1], [0]]))
+    _same_documents(Kernel(Kind.SIGNED, UNIT, x, [[F(-1, 3)], [F(10**50 + 1, 10**50)], [F(1, 3) - F(1, 10**50)]]))
+    _same_documents(blackwell_split(balanced_idempotent()).projection)

@@ -109,7 +109,10 @@ def test_library_memos_are_clearable():
 
 # these work on the stored integer columns; the dense view builds a Fraction
 # or bool per cell, so reading it here would bring the dense cost back
-COLUMN_ONLY = {"compose", "tensor", "function_kernel", "kernel_equal", "_classify_cached"}
+COLUMN_ONLY = {
+    "compose", "tensor", "function_kernel", "kernel_equal", "_classify_cached",
+    "cauchy_schwarz", "blackwell_split", "kernel_from_doc", "kernel_to_doc",
+}
 
 
 def test_hot_paths_do_not_read_the_dense_view():
