@@ -1,6 +1,14 @@
-"""Idempotent taxonomy, Blackwell splitting of stochastic idempotents,
-block splitting of multivalued ones, and the Cauchy-Schwarz implication
+"""Idempotent taxonomy, splitting of stochastic and balanced multivalued
+idempotents through their classes, and the Cauchy-Schwarz implication
 checker.
+
+Both splittings come from one construction on the stored columns.  The
+recurrent elements are those some column reaches, and the class of a
+recurrent element is the support of its column.  These are the classes a
+splitting goes through.  Over Stoch, e = eⁿ puts no mass on transient
+states, and each closed class carries a stationary column of e with full
+support on it.  Over Multi, only balanced idempotents split, and the
+images of a balanced idempotent are unions of its blocks.
 
 An idempotent endomorphism e is classified by comparing the two-step
 joint L((y,z)|x) = e(y|x)·e(z|y) (first output intermediate, second
@@ -23,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .asrel import UnsupportedKind, ase_kernels
 from .kernel import (
@@ -287,108 +295,65 @@ class SplitData:
             raise StructureViolation("transient states cannot be recurrent")
 
 
-def blackwell_split(e: Kernel) -> SplitData:
-    """Split a stochastic idempotent through its recurrent classes.
+def _class_split(e: Kernel) -> SplitData:
+    """Split an idempotent through its classes, read off the stored columns.
 
-    Builds the reachability digraph x→y iff e(y|x) > 0, takes the
-    strongly connected components with no outgoing edges as recurrent
-    classes, includes each class via its common column of e, and projects
-    each state to a class with the mass e assigns to that class.
+    The recurrent elements are those some column reaches; the class of a
+    recurrent y is the support of e's column at y, and classes are
+    ordered by their smallest member.  ι(t) is e's column at the first
+    member of class t and π(t|x) is the mass e(x) puts on class t: the
+    summed numerators over Stoch, whether the class meets e(x) over Multi.
+    Middle elements are C_<first member> over Stoch and t0, t1, … over Multi.
     """
-    if e.kind is not Kind.STOCH:
-        raise UnsupportedKind("the class decomposition applies to stochastic kernels")
-    report = classify(e)
-    if not report.idempotent:
-        raise NotIdempotent("splitting applies to idempotents")
-
+    multi = e.kind is Kind.MULTI
+    cols = e.columns
+    supports = cols if multi else [sum(1 << i for i, _ in cells) for _, cells in cols]
+    reached = reduce(or_, supports, 0)
     n = e.dom.size
-    adjacency = [[y for y, num in cells if num > 0] for _, cells in e.columns]
-    components = strongly_connected_components(adjacency)
-    comp_of = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    recurrent = []
-    for ci, comp in enumerate(components):
-        if all(comp_of[y] == ci for x in comp for y in adjacency[x]):
-            recurrent.append(sorted(comp))
-    recurrent.sort(key=min)
+    recurrent = [y for y in range(n) if reached >> y & 1]
+    if any(not supports[y] >> y & 1 for y in recurrent):
+        raise StructureViolation("a reached element lies outside its class")
+    # once columns are constant on classes (checked below), distinct
+    # supports are disjoint, so their lowest bits order them by first member
+    masks = sorted({supports[y] for y in recurrent}, key=lambda m: m & -m)
+    members = [[y for y in recurrent if m >> y & 1] for m in masks]
+    if any(cols[y] != cols[comp[0]] for comp in members for y in comp[1:]):
+        raise StructureViolation("columns differ within a recurrent class")
 
     labels = e.dom.labels
-    classes = tuple(tuple(labels[i] for i in comp) for comp in recurrent)
-    class_index = {i: t for t, comp in enumerate(recurrent) for i in comp}
-    transient = tuple(labels[i] for i in range(n) if i not in class_index)
-    middle = fin_object("C_" + labels[comp[0]] for comp in recurrent)
-
-    # inclusion: the column of e at any member, identical across the class
-    for comp in recurrent:
-        col = e.columns[comp[0]]
-        if any(e.columns[member] != col for member in comp[1:]):
-            raise StructureViolation("columns differ within a recurrent class")
-        if {i for i, num in col[1] if num > 0} != set(comp):
-            raise StructureViolation("class column must have full support on its class")
-    iota = _kernel(Kind.STOCH, middle, e.cod, tuple(e.columns[comp[0]] for comp in recurrent))
-
-    # projection is forced by e = ι∘π: π(t|x) = e(C_t|x), the class masses
-    # of e's stored column x
-    pi_cols = []
-    for den, cells in e.columns:
-        mass = [0] * len(recurrent)
-        for i, num in cells:
-            if i not in class_index:
-                raise StructureViolation("the idempotent feeds mass into transient states")
-            mass[class_index[i]] += num
-        pi_cols.append(_reduced(den, [(t, m) for t, m in enumerate(mass) if m]))
-    pi = _kernel(Kind.STOCH, e.dom, middle, tuple(pi_cols))
+    middle = fin_object(f"t{t}" if multi else "C_" + labels[comp[0]] for t, comp in enumerate(members))
+    iota = _kernel(e.kind, middle, e.cod, tuple(cols[comp[0]] for comp in members))
+    if multi:
+        pi_cols = tuple(sum(1 << t for t, m in enumerate(masks) if m & col) for col in cols)
+    else:
+        class_of = {y: t for t, comp in enumerate(members) for y in comp}
+        pi_cols = []
+        for den, cells in cols:
+            mass = [0] * len(members)
+            for y, num in cells:
+                mass[class_of[y]] += num
+            pi_cols.append(_reduced(den, [(t, m) for t, m in enumerate(mass) if m]))
+    pi = _kernel(e.kind, e.dom, middle, tuple(pi_cols))
+    classes = tuple(tuple(labels[y] for y in comp) for comp in members)
+    transient = tuple(labels[y] for y in range(n) if not reached >> y & 1)
     return SplitData(middle, pi, iota, classes, transient)
 
 
-def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components listed in a deterministic order."""
-    n = len(adjacency)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adjacency[v])):
-                u = adjacency[v][k]
-                if index[u] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                components.append(comp)
-    return components
+def blackwell_split(e: Kernel) -> SplitData:
+    """Split a stochastic idempotent through its recurrent classes.
+
+    e = eⁿ puts no mass on transient states, and each closed class carries
+    a stationary column of e with full support on the class.  So the
+    recurrent states are those some column reaches, and the class of a
+    recurrent state is the support of its column.  Each class is included
+    via that common column, and each state projects to a class with the
+    mass e assigns to that class.
+    """
+    if e.kind is not Kind.STOCH:
+        raise UnsupportedKind("the class decomposition applies to stochastic kernels")
+    if not classify(e).idempotent:
+        raise NotIdempotent("splitting applies to idempotents")
+    return _class_split(e)
 
 
 @dataclass(frozen=True)
@@ -405,11 +370,12 @@ def search_split(e: Kernel, max_middle: int) -> SplitData | NoSplitUpTo:
 
     Call y a block element when y ∈ e(y) and e(z) = e(y) for every
     z ∈ e(y).  Every element of every image is one exactly when e is
-    balanced; then the distinct blocks e(y) (ordered by smallest member)
-    form the middle object t0…, ι(t) = block t and π(x) = {t : block t ⊆
-    e(x)}.  Otherwise e has no splitting at all, since split idempotents
-    are balanced.  Splittings are unique up to isomorphism, so the block
-    count is the only possible middle size.
+    balanced; then every image is a union of blocks, the distinct blocks
+    e(y) (ordered by smallest member) form the middle object t0…,
+    ι(t) = block t and π(x) = {t : block t meets e(x)}.  Otherwise e has
+    no splitting at all, since split idempotents are balanced.
+    Splittings are unique up to isomorphism, so the block count is the
+    only possible middle size.
     """
     report = classify(e)
     if not report.idempotent:
@@ -417,24 +383,10 @@ def search_split(e: Kernel, max_middle: int) -> SplitData | NoSplitUpTo:
     if e.kind is not Kind.MULTI:
         raise UnsupportedKind("block splitting applies to multivalued kernels; "
                               "blackwell_split splits stochastic ones")
-
     if not report.balanced:
         return NoSplitUpTo(max_middle)
-    n = e.dom.size
-    images = [frozenset(y for y in range(n) if mask >> y & 1) for mask in e.columns]
-    recurrent = set().union(*images)
-    blocks = sorted({images[y] for y in recurrent}, key=min)
-    if len(blocks) > max_middle:
-        return NoSplitUpTo(max_middle)
-
-    middle = fin_object(f"t{t}" for t in range(len(blocks)))
-    iota = _kernel(Kind.MULTI, middle, e.cod, tuple(sum(1 << y for y in block) for block in blocks))
-    pi_masks = tuple(sum(1 << t for t, block in enumerate(blocks) if block <= image) for image in images)
-    pi = _kernel(Kind.MULTI, e.dom, middle, pi_masks)
-    labels = e.dom.labels
-    classes = tuple(tuple(labels[y] for y in sorted(block)) for block in blocks)
-    transient = tuple(labels[y] for y in range(n) if y not in recurrent)
-    return SplitData(middle, pi, iota, classes, transient)
+    sd = _class_split(e)
+    return sd if sd.middle.size <= max_middle else NoSplitUpTo(max_middle)
 
 
 def verify_split(e: Kernel, iota: Kernel, pi: Kernel) -> tuple[IdempotentReport, bool]:

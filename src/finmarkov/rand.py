@@ -12,10 +12,6 @@ from fractions import Fraction
 from .kernel import FinObject, Kernel, Kind, fin_object, function_kernel
 
 
-def rng_from_seed(seed: int) -> random.Random:
-    return random.Random(seed)
-
-
 def random_object(rng: random.Random, max_size: int, prefix: str = "x", min_size: int = 1) -> FinObject:
     n = min_size + rng.randrange(max_size - min_size + 1)
     return fin_object(f"{prefix}{i}" for i in range(n))

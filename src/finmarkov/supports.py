@@ -10,7 +10,7 @@ that retracts the inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .asrel import UnsupportedKind, abs_cont, ase_kernels, is_atomic, refute_abs_cont
 from .kernel import (
@@ -19,6 +19,8 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
+    _kernel,
+    _reduced,
     compose,
     copy_kernel,
     function_kernel,
@@ -26,7 +28,6 @@ from .kernel import (
     inclusion_kernel,
     is_deterministic,
     kernel_equal,
-    subset_object,
     support_indices,
     tensor,
     tensor_object,
@@ -106,14 +107,28 @@ def _require_supportable(p: Kernel) -> None:
         raise UnsupportedKind("signed kernels have no supports in this library")
 
 
+def _restrict_rows(k: Kernel, sub: FinObject, idx: Sequence[int]) -> Kernel:
+    """k with its codomain cut down to ``sub``, whose element s is row
+    ``idx[s]`` of k, on the stored columns.  Callers drop only zero rows,
+    so no column loses mass."""
+    if k.kind is Kind.MULTI:
+        return _kernel(k.kind, k.dom, sub, tuple(
+            sum(1 << s for s, i in enumerate(idx) if mask >> i & 1) for mask in k.columns
+        ))
+    cols = []
+    for den, cells in k.columns:
+        num = dict(cells)
+        cols.append(_reduced(den, [(s, num[i]) for s, i in enumerate(idx) if i in num]))
+    return _kernel(k.kind, k.dom, sub, tuple(cols))
+
+
 def support(p: Kernel) -> SupportData:
     """Support of p: reachable elements, subset inclusion, and the
     factorization obtained by deleting unreachable rows."""
     _require_supportable(p)
     idx = support_indices(p)
     inc = inclusion_kernel(p.cod, idx, p.kind)
-    factor = Kernel(p.kind, p.dom, subset_object(p.cod, idx), tuple(p.matrix[i] for i in idx))
-    return SupportData(p, inc.dom, inc, factor)
+    return SupportData(p, inc.dom, inc, _restrict_rows(p, inc.dom, idx))
 
 
 def factor_through_support(f: Kernel, sd: SupportData) -> Kernel:
@@ -128,7 +143,7 @@ def factor_through_support(f: Kernel, sd: SupportData) -> Kernel:
     if witness is not None:
         raise NotAbsolutelyContinuous(witness.element)
     idx = [sd.base.cod.index(lbl) for lbl in sd.supp_object.labels]
-    return Kernel(f.kind, f.dom, sd.supp_object, tuple(f.matrix[i] for i in idx))
+    return _restrict_rows(f, sd.supp_object, idx)
 
 
 def split_support(p: Kernel) -> SupportData:
@@ -174,16 +189,22 @@ def equalizer_factor(p: Kernel, f: Kernel, g: Kernel) -> tuple[FinObject, Kernel
     eq = inclusion_kernel(f.dom, idx, p.kind)
     if not ase_kernels(p, f, g):
         raise NotAse("pair differs on the support of the kernel")
-    p_factored = Kernel(p.kind, p.dom, eq.dom, tuple(p.matrix[i] for i in idx))
-    return eq.dom, eq, p_factored
+    return eq.dom, eq, _restrict_rows(p, eq.dom, idx)
+
+
+def _positive_at(kind: Kind, col, i: int) -> bool:
+    """Whether a stored column puts positive weight on row i."""
+    if kind is Kind.MULTI:
+        return bool(col >> i & 1)
+    return any(r == i and num > 0 for r, num in col[1])
 
 
 def point_lift(p: Kernel, x: str) -> str:
     """First input (label order) whose image reaches the element x."""
     _require_supportable(p)
     i = p.cod.index(x)
-    for j in range(p.dom.size):
-        if p.matrix[i][j] > 0:
+    for j, col in enumerate(p.columns):
+        if _positive_at(p.kind, col, i):
             return p.dom.labels[j]
     raise NotInSupport(f"{x!r} carries no mass under the kernel")
 
@@ -211,8 +232,8 @@ def precise_supports_equiv(p: Kernel, f: Kernel, x: str, y: str) -> PreciseSuppo
         raise ShapeMismatch("second kernel must consume the state's codomain")
     joint = compose(tensor(identity(p.cod, p.kind), f), compose(copy_kernel(p.cod, p.kind), p))
     xi, yi = p.cod.index(x), f.cod.index(y)
-    joint_dominates = joint.matrix[xi * f.cod.size + yi][0] > 0
-    pointwise = p.matrix[xi][0] > 0 and f.matrix[yi][xi] > 0
+    joint_dominates = _positive_at(p.kind, joint.columns[0], xi * f.cod.size + yi)
+    pointwise = _positive_at(p.kind, p.columns[0], xi) and _positive_at(p.kind, f.columns[xi], yi)
     return PreciseSupportCheck(joint_dominates, pointwise)
 
 
@@ -253,14 +274,11 @@ class SuppCompMorphism:
 def canonical_rep(f: Kernel, reachable: set[int]) -> Kernel:
     """Replace columns at unreachable inputs with the point mass on the
     first codomain element."""
-    point = tuple(f.kind.one if i == 0 else f.kind.zero for i in range(f.cod.size))
-    cols = [f.column(j) if j in reachable else point for j in range(f.dom.size)]
-    rows = tuple(tuple(cols[j][i] for j in range(f.dom.size)) for i in range(f.cod.size))
-    return Kernel(f.kind, f.dom, f.cod, rows)
-
-
-def scomp_cell(obj: FinObject, anchor: Kernel) -> SuppCompCell:
-    return SuppCompCell(obj, anchor)
+    if not f.cod.size:  # there is no point mass, and every column is empty
+        return f
+    point = 1 if f.kind is Kind.MULTI else (1, ((0, 1),))
+    cols = tuple(col if j in reachable else point for j, col in enumerate(f.columns))
+    return _kernel(f.kind, f.dom, f.cod, cols)
 
 
 def scomp_hom(src: SuppCompCell, dst: SuppCompCell, f: Kernel) -> SuppCompMorphism:

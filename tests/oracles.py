@@ -3,8 +3,8 @@
 The library decides almost-sure equality, absolute continuity, supports,
 conditionals and splittings by their direct characterisations for finite
 kernels.  Each function here reaches the same result another way: by the
-literal defining diagram, or by recomposing what a call returned.  The
-tests compare each with the library's answer; the library never runs
+literal defining diagram, by recomposing what a call returned, or, for the
+class splittings, by Tarjan's strongly connected components.  The tests compare each with the library's answer; the library never runs
 these.  The public checks `verify_split` and `scomp_abs_cont` serve as
 oracles as well.  The CLI's document parser and emitter, which work on
 stored columns, are checked against the `Fraction` versions they replaced.
@@ -21,6 +21,7 @@ from finmarkov import (
     FinObject,
     Kernel,
     Kind,
+    SplitData,
     compose,
     env_compose,
     identity,
@@ -113,6 +114,91 @@ def formal_split_recomposes(cell, proj, incl) -> bool:
         and kernel_equal(plain.endo, identity(e.dom, e.kind))
         and kernel_equal(outer.kernel, e)
     )
+
+
+# ---------------------------------------------------------------------------
+# splitting through classes
+# ---------------------------------------------------------------------------
+
+
+def strongly_connected_components(adjacency: list) -> list:
+    """Iterative Tarjan; components listed in a deterministic order."""
+    n = len(adjacency)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list = []
+    components: list = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for k in range(pi, len(adjacency[v])):
+                u = adjacency[v][k]
+                if index[u] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((u, 0))
+                    advanced = True
+                    break
+                if on_stack[u]:
+                    low[v] = min(low[v], index[u])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    u = stack.pop()
+                    on_stack[u] = False
+                    comp.append(u)
+                    if u == v:
+                        break
+                components.append(comp)
+    return components
+
+
+def class_decomposition(e: Kernel) -> SplitData:
+    """The splitting of an idempotent through its closed classes, found by
+    Tarjan's algorithm on the digraph x→y iff e(y|x) > 0 and read from the
+    dense view: the closed strongly connected components, ordered by
+    smallest member, are the classes; ι(t) is e's column at the first
+    member of class t; π(t|x) is the mass e(x) puts on class t, or
+    whether e(x) meets it over Multi.  Middle elements are C_<first
+    member> over Stoch and t0, t1, … over Multi."""
+    n, rows, labels = e.dom.size, e.matrix, e.dom.labels
+    adjacency = [[y for y in range(n) if rows[y][x] > 0] for x in range(n)]
+    components = strongly_connected_components(adjacency)
+    comp_of = {v: ci for ci, comp in enumerate(components) for v in comp}
+    closed = sorted(
+        (sorted(comp) for ci, comp in enumerate(components)
+         if all(comp_of[y] == ci for x in comp for y in adjacency[x])),
+        key=min,
+    )
+    multi = e.kind is Kind.MULTI
+    middle = FinObject(tuple(f"t{t}" if multi else "C_" + labels[comp[0]] for t, comp in enumerate(closed)))
+    iota = Kernel(e.kind, middle, e.cod, [[rows[y][comp[0]] for comp in closed] for y in range(n)])
+
+    def mass(comp, x):
+        weights = [rows[y][x] for y in comp]
+        return any(weights) if multi else sum(weights, Fraction(0))
+
+    pi = Kernel(e.kind, e.dom, middle, [[mass(comp, x) for x in range(n)] for comp in closed])
+    recurrent = {v for comp in closed for v in comp}
+    classes = tuple(tuple(labels[v] for v in comp) for comp in closed)
+    transient = tuple(labels[v] for v in range(n) if v not in recurrent)
+    return SplitData(middle, pi, iota, classes, transient)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ after is realized in the signed model by 08c.
 """
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -91,7 +92,6 @@ from finmarkov.rand import (
     random_kernel,
     random_kernel_supported_on,
     random_object,
-    rng_from_seed,
 )
 
 F = Fraction
@@ -159,7 +159,7 @@ def test_criterion_02_non_balanced_witnesses():
 
 def test_criterion_03_cauchy_schwarz():
     ok = True
-    rng = rng_from_seed(0xC5)
+    rng = random.Random(0xC5)
     for _ in range(1000):
         a, b, x, y = (random_object(rng, 4, c) for c in "abxy")
         f = random_kernel(rng, Kind.STOCH, a, b)
@@ -170,7 +170,7 @@ def test_criterion_03_cauchy_schwarz():
     e = multi_upset_idempotent()
     ok &= not cauchy_schwarz(e, e, e).implication_ok
 
-    rng = rng_from_seed(0xC6)
+    rng = random.Random(0xC6)
     for _ in range(200):
         e = random_class_idempotent(rng, random_object(rng, 6, "s")).idempotent
         inst = cauchy_schwarz(e, e, e)
@@ -187,7 +187,7 @@ def test_criterion_03_cauchy_schwarz():
 def test_criterion_04_splitting_suite():
     start = time.perf_counter()
     ok = True
-    rng = rng_from_seed(0x51)
+    rng = random.Random(0x51)
     for _ in range(500):
         x = random_object(rng, 8, "s")
         e = random_class_idempotent(rng, x).idempotent
@@ -225,7 +225,7 @@ def test_criterion_04_splitting_suite():
 
 def test_criterion_05_support_universal_property():
     ok = True
-    rng = rng_from_seed(0x505)
+    rng = random.Random(0x505)
 
     positives = negatives = 0
     while positives < 300 or negatives < 300:
@@ -273,7 +273,7 @@ def test_criterion_05_support_universal_property():
 
 def test_criterion_06_monotonicity():
     ok = True
-    rng = rng_from_seed(0x606)
+    rng = random.Random(0x606)
     for kind in (Kind.STOCH, Kind.MULTI):
         for _ in range(500):
             x = random_object(rng, 4, "x")
@@ -352,7 +352,7 @@ def _exhaustive_category_laws() -> bool:
 def test_criterion_07_axiom_suites():
     ok = _exhaustive_category_laws()
 
-    rng = rng_from_seed(0x707)
+    rng = random.Random(0x707)
     for i in range(1000):
         kind = (Kind.STOCH, Kind.SIGNED, Kind.MULTI)[i % 3]
         a, b, c, d = (random_object(rng, 3, ch) for ch in "abcd")
@@ -426,7 +426,7 @@ def test_criterion_08a_envelope_positive():
         cell = env_cell(e.dom, e, Flavor.BLACKWELL)
         ok &= env_check_markov_laws(cell, seed=8).all_pass
 
-    rng = rng_from_seed(0x808)
+    rng = random.Random(0x808)
     for _ in range(200):
         x = random_object(rng, 4, "x")
         y = random_object(rng, 4, "y")
@@ -561,7 +561,7 @@ def test_criterion_09_functor_suite():
             ok &= kernel_equal(io_relation(compose(g, p)), compose(io_relation(g), io_relation(p)))
             ok &= kernel_equal(io_relation(tensor(p, g)), tensor(io_relation(p), io_relation(g)))
 
-    rng = rng_from_seed(0x909)
+    rng = random.Random(0x909)
     for _ in range(500):
         a = random_object(rng, 5, "a")
         x = random_object(rng, 5, "x")
@@ -601,7 +601,7 @@ def test_criterion_10_cli(capsys):
     ok = run(["verify-paper"]) == 0
     capsys.readouterr()
 
-    rng = rng_from_seed(0xA0A)
+    rng = random.Random(0xA0A)
     for i in range(1000):
         kind = (Kind.STOCH, Kind.SIGNED, Kind.MULTI)[i % 3]
         dom = random_object(rng, 4, "a")

@@ -1,6 +1,7 @@
 """Almost-sure equality, absolute continuity, bicontinuity, atomicity,
 causality instances."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from finmarkov import (
 )
 from finmarkov.golden import domination_pair, intro_functions, intro_state
 from finmarkov.kernel import UNIT, associator, deterministic_kernels
-from finmarkov.rand import random_kernel, random_object, rng_from_seed
+from finmarkov.rand import random_kernel, random_object
 from oracles import ase_by_joint, joint_columns
 
 F = Fraction
@@ -59,7 +60,7 @@ def test_ase_with_parameter_wire():
     x = fin_object(("a", "b", "c"))
     y = fin_object(("u", "v"))
     p = intro_state()
-    rng = rng_from_seed(17)
+    rng = random.Random(17)
     f = random_kernel(rng, Kind.STOCH, tensor_object(w, x), y)
     # tamper only at the unreached column c, for every parameter value
     cols = [list(f.column(j)) for j in range(f.dom.size)]
@@ -81,7 +82,7 @@ def test_ase_with_parameter_wire():
 def test_parameter_wire_matches_tensored_reference():
     # the parameter can be absorbed into the reference: f =_p g iff
     # f =_{id_W ⊗ p} g, evaluated independently on both sides
-    rng = rng_from_seed(99)
+    rng = random.Random(99)
     for _ in range(100):
         w = random_object(rng, 3, "w")
         a = random_object(rng, 3, "a")
@@ -121,7 +122,7 @@ def test_ase_query_validates_shapes():
 def test_ase_literal_diagram_agrees_with_wired_composition():
     # build the defining joint with actual structural morphisms and
     # compare against the decision procedure
-    rng = rng_from_seed(4)
+    rng = random.Random(4)
     for _ in range(25):
         w = random_object(rng, 2, "w")
         a = random_object(rng, 2, "a")
@@ -163,7 +164,7 @@ def test_domination_pair_holds():
 
 
 def test_identity_dominates_everything():
-    rng = rng_from_seed(2)
+    rng = random.Random(2)
     for _ in range(20):
         x = random_object(rng, 4, "x")
         a = random_object(rng, 3, "a")
@@ -205,7 +206,7 @@ def test_refute_abs_cont_witness_replays():
 def test_refute_abs_cont_none_when_reflexive_or_full():
     q, p = domination_pair()
     assert refute_abs_cont(q, q) is None
-    rng = rng_from_seed(12)
+    rng = random.Random(12)
     x = fin_object(("0", "1"))
     full = make_kernel(Kind.STOCH, x, x, [[F(1, 2)] * 2] * 2)
     for _ in range(10):
@@ -214,7 +215,7 @@ def test_refute_abs_cont_none_when_reflexive_or_full():
 
 
 def test_domination_preorder():
-    rng = rng_from_seed(21)
+    rng = random.Random(21)
     for kind in (Kind.STOCH, Kind.MULTI):
         for _ in range(60):
             x = random_object(rng, 4, "x")
@@ -229,7 +230,7 @@ def test_domination_preorder():
 
 def test_postcomposition_factoring_dominates():
     # h dominates h∘p for all composable h, p
-    rng = rng_from_seed(31)
+    rng = random.Random(31)
     for kind in (Kind.STOCH, Kind.MULTI):
         for _ in range(40):
             a = random_object(rng, 3, "a")
@@ -241,7 +242,7 @@ def test_postcomposition_factoring_dominates():
 
 
 def test_postcomposition_monotone():
-    rng = rng_from_seed(41)
+    rng = random.Random(41)
     for kind in (Kind.STOCH, Kind.MULTI):
         for _ in range(60):
             x = random_object(rng, 4, "x")
@@ -260,7 +261,7 @@ def test_postcomposition_monotone():
 
 
 def test_tensor_monotone():
-    rng = rng_from_seed(51)
+    rng = random.Random(51)
     from finmarkov.kernel import support_indices
     from finmarkov.rand import random_kernel_supported_on
 
@@ -282,7 +283,7 @@ def test_tensor_monotone():
 def test_soundness_of_characterization_against_sampled_definition():
     # when q ≫ p, every almost-sure equality w.r.t. q transfers to p;
     # when it fails, the refuting witness separates them
-    rng = rng_from_seed(61)
+    rng = random.Random(61)
     for kind in (Kind.STOCH, Kind.MULTI):
         for _ in range(40):
             x = random_object(rng, 4, "x")
@@ -327,7 +328,7 @@ def test_delta_states_not_bicontinuous():
 
 
 def test_everything_atomic():
-    rng = rng_from_seed(71)
+    rng = random.Random(71)
     for kind in (Kind.STOCH, Kind.MULTI):
         for _ in range(60):
             a = random_object(rng, 4, "a")
@@ -347,7 +348,7 @@ def test_atomicity_containment_by_inspection():
 
 
 def test_perturb_full_support_is_identity():
-    rng = rng_from_seed(82)
+    rng = random.Random(82)
     x = fin_object(("0", "1"))
     p = make_kernel(Kind.STOCH, x, x, [[F(1, 2)] * 2] * 2)
     f = random_kernel(rng, Kind.STOCH, x, x)
@@ -356,7 +357,7 @@ def test_perturb_full_support_is_identity():
 
 def test_perturb_changes_only_off_support_columns():
     p = intro_state()
-    rng = rng_from_seed(83)
+    rng = random.Random(83)
     f = random_kernel(rng, Kind.STOCH, p.cod, fin_object(("u", "v")))
     g = perturb_off_support(f, p, seed=5)
     assert g.column(0) == f.column(0) and g.column(1) == f.column(1)
@@ -366,7 +367,7 @@ def test_perturb_changes_only_off_support_columns():
 
 def test_perturb_deterministic_per_seed():
     p = intro_state()
-    rng = rng_from_seed(84)
+    rng = random.Random(84)
     f = random_kernel(rng, Kind.STOCH, p.cod, fin_object(("u", "v", "w")))
     assert kernel_equal(perturb_off_support(f, p, seed=9), perturb_off_support(f, p, seed=9))
 
@@ -377,7 +378,7 @@ def test_perturb_deterministic_per_seed():
 
 
 def test_causality_trivial_when_equal():
-    rng = rng_from_seed(91)
+    rng = random.Random(91)
     a, x, y, z = (random_object(rng, 3, c) for c in "axyz")
     f = random_kernel(rng, Kind.STOCH, a, x)
     g = random_kernel(rng, Kind.STOCH, x, y)
@@ -387,7 +388,7 @@ def test_causality_trivial_when_equal():
 
 
 def test_causality_random_search_finds_no_counterexample():
-    rng = rng_from_seed(92)
+    rng = random.Random(92)
     for _ in range(300):
         a, x, y, z = (random_object(rng, 4, c) for c in "axyz")
         f = random_kernel(rng, Kind.STOCH, a, x)
@@ -398,7 +399,7 @@ def test_causality_random_search_finds_no_counterexample():
 
 
 def test_causality_targeted_non_vacuous_instances():
-    rng = rng_from_seed(93)
+    rng = random.Random(93)
     hits = 0
     for _ in range(200):
         a, x, y, z = (random_object(rng, 4, c) for c in "axyz")

@@ -1,6 +1,7 @@
 """Kernel document serialization and the command-line driver."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from finmarkov.golden import (
     static_idempotent,
     strong_idempotent,
 )
-from finmarkov.rand import random_kernel, random_object, rng_from_seed
+from finmarkov.rand import random_kernel, random_object
 
 F = Fraction
 
@@ -81,7 +82,7 @@ def test_parse_multi_images():
 
 
 def test_round_trip_fuzz():
-    rng = rng_from_seed(99)
+    rng = random.Random(99)
     for i in range(300):
         kind = (Kind.STOCH, Kind.SIGNED, Kind.MULTI)[i % 3]
         dom = random_object(rng, 4, "a")

@@ -1,6 +1,7 @@
 """Karoubi/Blackwell envelope cells, morphisms, copy formula, law
 checking, and almost-sure equality transfer."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,7 @@ from finmarkov.golden import (
     static_split,
     strong_idempotent,
 )
-from finmarkov.rand import random_kernel, random_object, rng_from_seed
+from finmarkov.rand import random_kernel, random_object
 
 F = Fraction
 
@@ -110,7 +111,7 @@ def test_identity_between_different_cells_checked_not_assumed():
 
 
 def test_env_compose_with_identity_and_associativity():
-    rng = rng_from_seed(3)
+    rng = random.Random(3)
     for _ in range(25):
         x = random_object(rng, 5, "s")
         cell = _blackwell(random_class_idempotent(rng, x).idempotent)
@@ -209,7 +210,7 @@ def test_copy_requires_blackwell_flavor():
 
 
 def test_random_blackwell_cells_pass_laws():
-    rng = rng_from_seed(7)
+    rng = random.Random(7)
     for _ in range(20):
         x = random_object(rng, 5, "s")
         e = random_class_idempotent(rng, x).idempotent
@@ -223,7 +224,7 @@ def test_random_blackwell_cells_pass_laws():
 
 
 def test_formal_splitting_of_cells():
-    rng = rng_from_seed(13)
+    rng = random.Random(13)
     examples = [strong_idempotent(), static_idempotent(), balanced_idempotent()]
     for _ in range(20):
         x = random_object(rng, 5, "s")
@@ -236,7 +237,7 @@ def test_formal_splitting_of_cells():
 def test_stochastic_karoubi_cells_are_blackwell_cells():
     # every stochastic idempotent is balanced, so the Karoubi cell
     # revalidates at the Blackwell flavor
-    rng = rng_from_seed(17)
+    rng = random.Random(17)
     for _ in range(50):
         x = random_object(rng, 6, "s")
         e = random_class_idempotent(rng, x).idempotent
@@ -257,7 +258,7 @@ def test_env_ase_identical_morphisms():
 
 
 def test_env_ase_agrees_with_base_on_random_triples():
-    rng = rng_from_seed(19)
+    rng = random.Random(19)
     for _ in range(60):
         x = random_object(rng, 4, "x")
         y = random_object(rng, 4, "y")
@@ -302,7 +303,7 @@ def test_env_ase_off_endo_region_difference_invisible():
 def test_causality_instances_lifted_to_envelope():
     # the causality implication, evaluated with envelope almost-sure
     # equality, never fails on random Blackwell chains
-    rng = rng_from_seed(23)
+    rng = random.Random(23)
     for _ in range(60):
         a = random_object(rng, 3, "a")
         x = random_object(rng, 3, "x")

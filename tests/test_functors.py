@@ -1,5 +1,6 @@
 """Input-output relation, parametric kernels, conditionals."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,6 @@ from finmarkov.rand import (
     random_deterministic_kernel,
     random_kernel,
     random_object,
-    rng_from_seed,
 )
 
 F = Fraction
@@ -61,7 +61,7 @@ def test_io_relation_of_static_example():
 
 
 def test_io_relation_of_deterministic_kernel_is_graph():
-    rng = rng_from_seed(3)
+    rng = random.Random(3)
     for _ in range(20):
         a = random_object(rng, 4, "a")
         x = random_object(rng, 4, "x")
@@ -83,7 +83,7 @@ def test_io_relation_rejects_non_stochastic():
 
 
 def test_relation_functor_laws_random():
-    rng = rng_from_seed(7)
+    rng = random.Random(7)
     for _ in range(150):
         a = random_object(rng, 5, "a")
         x = random_object(rng, 5, "x")
@@ -129,7 +129,7 @@ def test_balanced_example_relation_idempotent():
 
 def test_point_liftings_make_images_total():
     # every output reached by the kernel is reached from some single input
-    rng = rng_from_seed(11)
+    rng = random.Random(11)
     for _ in range(40):
         p = random_kernel(rng, Kind.STOCH, random_object(rng, 4, "a"), random_object(rng, 4, "x"))
         rel = io_relation(p)
@@ -146,7 +146,7 @@ def test_point_liftings_make_images_total():
 
 
 def test_param_lift_preserves_identities_and_composition():
-    rng = rng_from_seed(13)
+    rng = random.Random(13)
     w = fin_object(("w0", "w1"))
     for _ in range(30):
         a = random_object(rng, 3, "a")
@@ -167,7 +167,7 @@ def test_param_lift_preserves_copy_discard():
 
 
 def test_param_compose_with_identity():
-    rng = rng_from_seed(17)
+    rng = random.Random(17)
     w = fin_object(("w0", "w1"))
     a = fin_object(("a0", "a1", "a2"))
     x = fin_object(("x0", "x1"))
@@ -180,7 +180,7 @@ def test_param_compose_with_identity():
 
 
 def test_param_compose_unit_parameter_reduces_to_composition():
-    rng = rng_from_seed(19)
+    rng = random.Random(19)
     a = fin_object(("a0", "a1"))
     x = fin_object(("x0", "x1", "x2"))
     y = fin_object(("y0",))
@@ -200,7 +200,7 @@ def _unit_in(a):
 
 
 def test_param_associativity_random():
-    rng = rng_from_seed(23)
+    rng = random.Random(23)
     from finmarkov import ParamMorphism
 
     for _ in range(40):
@@ -215,7 +215,7 @@ def test_param_associativity_random():
 
 
 def test_param_comonoid_laws_and_interchange():
-    rng = rng_from_seed(29)
+    rng = random.Random(29)
     from finmarkov import ParamMorphism
 
     for _ in range(20):
@@ -324,7 +324,7 @@ def test_perfectly_correlated_joint_gives_identity():
 
 
 def test_conditional_reconstruction_random():
-    rng = rng_from_seed(31)
+    rng = random.Random(31)
     for _ in range(100):
         a = random_object(rng, 3, "a")
         x = random_object(rng, 3, "x")
@@ -353,7 +353,7 @@ def test_conditional_unsupported_kind():
 
 
 def test_conditional_uniqueness_off_support_freedom():
-    rng = rng_from_seed(37)
+    rng = random.Random(37)
     for _ in range(40):
         a = random_object(rng, 2, "a")
         x = random_object(rng, 3, "x")
@@ -385,7 +385,7 @@ def test_conditional_uniqueness_rejects_on_support_tampering():
 
 
 def test_conditional_unique_trivially_for_same_candidate():
-    rng = rng_from_seed(41)
+    rng = random.Random(41)
     a = random_object(rng, 2, "a")
     x = random_object(rng, 2, "x")
     y = random_object(rng, 3, "y")

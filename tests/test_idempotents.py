@@ -1,7 +1,9 @@
 """Idempotent taxonomy, characterizations, Blackwell splitting, block
 splitting against an exhaustive search, Cauchy-Schwarz instances."""
 
+import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -49,8 +51,10 @@ from finmarkov.golden import (
     strong_idempotent,
     strong_split,
 )
+from finmarkov import idempotents
+from finmarkov.idempotents import IdempotentReport, StructureViolation
 from finmarkov.kernel import UNIT, all_multi_kernels, support_indices
-from finmarkov.rand import random_kernel, random_kernel_supported_on, random_object, rng_from_seed
+from finmarkov.rand import random_kernel, random_kernel_supported_on, random_object
 
 F = Fraction
 
@@ -162,7 +166,7 @@ def test_cross_check_requires_idempotent():
 
 
 def test_cross_check_agrees_on_random_idempotents():
-    rng = rng_from_seed(5)
+    rng = random.Random(5)
     for _ in range(60):
         x = random_object(rng, 6, "s")
         e = random_class_idempotent(rng, x).idempotent
@@ -175,7 +179,7 @@ def test_static_flag_matches_almost_sure_determinism():
     # an idempotent is static iff it is deterministic almost surely
     # w.r.t. itself
     examples = [strong_idempotent(), static_idempotent(), balanced_idempotent()]
-    rng = rng_from_seed(6)
+    rng = random.Random(6)
     for _ in range(30):
         examples.append(random_class_idempotent(rng, random_object(rng, 5, "s")).idempotent)
     for e in examples:
@@ -185,7 +189,7 @@ def test_static_flag_matches_almost_sure_determinism():
 
 
 def test_static_idempotent_fixes_dominated_kernels():
-    rng = rng_from_seed(7)
+    rng = random.Random(7)
     e = static_idempotent()
     for _ in range(30):
         a = random_object(rng, 3, "a")
@@ -228,7 +232,7 @@ def test_blackwell_split_rejects_non_idempotent():
 
 
 def test_blackwell_split_recovers_generated_classes():
-    rng = rng_from_seed(11)
+    rng = random.Random(11)
     for _ in range(100):
         x = random_object(rng, 8, "s")
         gen = random_class_idempotent(rng, x)
@@ -265,7 +269,7 @@ def test_static_split_is_support_structure():
 def test_split_support_idempotent_transfer():
     # e := ι∘π for a split support satisfies e∘p = p and transfers
     # almost-sure equality
-    rng = rng_from_seed(13)
+    rng = random.Random(13)
     for _ in range(30):
         x = random_object(rng, 4, "x")
         p = random_kernel(rng, Kind.STOCH, random_object(rng, 2, "a"), x)
@@ -378,6 +382,39 @@ def test_block_split_empty_object():
 
 
 # ---------------------------------------------------------------------------
+# invariants of the class construction
+# ---------------------------------------------------------------------------
+
+
+def _splits_reaching_the_construction(monkeypatch):
+    """Both splittings, with classify reporting every kernel as a
+    balanced idempotent so that non-idempotents reach the class
+    construction's own checks."""
+    report = IdempotentReport(True, False, False, False, True, MappingProxyType({}))
+    monkeypatch.setattr(idempotents, "classify", lambda e: report)
+    return ((Kind.STOCH, blackwell_split), (Kind.MULTI, lambda e: search_split(e, 2)))
+
+
+def test_class_split_rejects_a_reached_element_outside_its_class(monkeypatch):
+    # the swap reaches both elements, but no column reaches its own element
+    x = fin_object(("a", "b"))
+    for kind, split in _splits_reaching_the_construction(monkeypatch):
+        swap = make_kernel(kind, x, x, [[kind.zero, kind.one], [kind.one, kind.zero]])
+        with pytest.raises(StructureViolation, match="outside its class"):
+            split(swap)
+
+
+def test_class_split_rejects_columns_that_differ_within_a_class(monkeypatch):
+    # a ↦ {a, b} and b ↦ {b}: the class {a, b} holds two different columns
+    x = fin_object(("a", "b"))
+    half = {Kind.STOCH: Fraction(1, 2), Kind.MULTI: True}
+    for kind, split in _splits_reaching_the_construction(monkeypatch):
+        e = make_kernel(kind, x, x, [[half[kind], kind.zero], [half[kind], kind.one]])
+        with pytest.raises(StructureViolation, match="differ within"):
+            split(e)
+
+
+# ---------------------------------------------------------------------------
 # splitting verification
 # ---------------------------------------------------------------------------
 
@@ -415,7 +452,7 @@ def test_verify_split_rejects_each_shape_mismatch():
 
 
 def test_verify_split_on_generated():
-    rng = rng_from_seed(17)
+    rng = random.Random(17)
     for _ in range(40):
         x = random_object(rng, 6, "s")
         gen = random_class_idempotent(rng, x)
@@ -444,7 +481,7 @@ def test_flag_lattice_exhaustive_small_multi():
 
 
 def test_flag_lattice_random_generated():
-    rng = rng_from_seed(19)
+    rng = random.Random(19)
     for _ in range(100):
         x = random_object(rng, 8, "s")
         r = classify(random_class_idempotent(rng, x).idempotent)
@@ -455,7 +492,7 @@ def test_flag_lattice_random_generated():
 
 
 def test_every_generated_stochastic_idempotent_is_balanced():
-    rng = rng_from_seed(23)
+    rng = random.Random(23)
     for _ in range(200):
         x = random_object(rng, 8, "s")
         e = random_class_idempotent(rng, x).idempotent
@@ -469,7 +506,7 @@ def test_every_generated_stochastic_idempotent_is_balanced():
 
 def test_cs_idempotent_specialization_matches_balance():
     examples = [strong_idempotent(), static_idempotent(), balanced_idempotent()]
-    rng = rng_from_seed(29)
+    rng = random.Random(29)
     for _ in range(40):
         examples.append(random_class_idempotent(rng, random_object(rng, 5, "s")).idempotent)
     for e in examples:
@@ -486,7 +523,7 @@ def test_cs_multi_counterexample():
 
 
 def test_cs_random_stochastic_triples_never_fail():
-    rng = rng_from_seed(31)
+    rng = random.Random(31)
     for _ in range(300):
         a, b, x, y = (random_object(rng, 4, c) for c in "abxy")
         f = random_kernel(rng, Kind.STOCH, a, b)

@@ -6,6 +6,7 @@ they replaced."""
 import functools
 import itertools
 import json
+import random
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -51,7 +52,6 @@ from finmarkov.rand import (
     random_object,
     random_signed_column,
     random_stoch_column,
-    rng_from_seed,
 )
 from oracles import emit_kernel_by_fractions, parse_kernel_by_fractions
 
@@ -357,7 +357,7 @@ def test_compose_prime_denominators_and_cancellation():
 
 
 def test_compose_structural_left_factors():
-    rng = rng_from_seed(5)
+    rng = random.Random(5)
     for kind in Kind:
         x = random_object(rng, 3, "x", min_size=2)
         xx = tensor_object(x, x)
@@ -425,7 +425,7 @@ def test_classify_matches_reference_on_signed_idempotents(e):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32))
 def test_classify_matches_reference_on_stochastic(seed):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     x = random_object(rng, 7, "s")
     _same_report(random_class_idempotent(rng, x).idempotent)
     _same_report(random_kernel(rng, Kind.STOCH, x, x))
@@ -551,14 +551,14 @@ def _cs_triple(rng, kind, shape):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(Kind)), st.sampled_from(CS_SHAPES), st.integers(0, 2**32))
 def test_cauchy_schwarz_matches_double_sum(kind, shape, seed):
-    f, g, h = _cs_triple(rng_from_seed(seed), kind, shape)
+    f, g, h = _cs_triple(random.Random(seed), kind, shape)
     assert cauchy_schwarz(f, g, h) == _reference_cauchy_schwarz(f, g, h)
 
 
 def test_cauchy_schwarz_draws_reach_both_outcomes():
     seen = set()
     for kind, shape, seed in itertools.product(Kind, CS_SHAPES, range(12)):
-        f, g, h = _cs_triple(rng_from_seed(seed), kind, shape)
+        f, g, h = _cs_triple(random.Random(seed), kind, shape)
         got = cauchy_schwarz(f, g, h)
         assert got == _reference_cauchy_schwarz(f, g, h)
         seen |= {(kind, "antecedent", got.antecedent), (kind, "consequent", got.consequent)}
@@ -686,7 +686,7 @@ def test_kernels_copy_and_pickle_by_their_columns():
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32), st.booleans())
 def test_blackwell_projection_is_the_dense_class_mass(seed, from_rows):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     x = random_object(rng, 8, "s")
     e = random_class_idempotent(rng, x).idempotent
     if from_rows:
@@ -737,7 +737,7 @@ def _document(draw):
     dom, cod = _obj("a", draw(st.integers(0, 4))), _obj("x", draw(st.integers(0, 4)))
     if cod.size == 0:
         dom = _obj("a", 0)
-    k = random_kernel(rng_from_seed(draw(st.integers(0, 2**32))), kind, dom, cod)
+    k = random_kernel(random.Random(draw(st.integers(0, 2**32))), kind, dom, cod)
     if kind is Kind.MULTI:
         images = [[cod.labels[i] for i in range(cod.size) if k.matrix[i][j]] for j in range(dom.size)]
         if images and draw(st.booleans()):
@@ -797,7 +797,7 @@ def test_documents_at_the_digit_cap():
 
 
 def test_emitted_documents_match_the_fraction_emitter():
-    rng = rng_from_seed(11)
+    rng = random.Random(11)
     x = _obj("x", 3)
     for kind in Kind:
         for _ in range(20):

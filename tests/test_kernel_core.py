@@ -1,6 +1,7 @@
 """Core kernel algebra: construction, validation, composition, tensor,
 structural morphisms, marginalization, determinism."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,7 +46,7 @@ from finmarkov.kernel import (
     inclusion_kernel,
 )
 from finmarkov.idempotents import two_step
-from finmarkov.rand import random_kernel, random_object, rng_from_seed
+from finmarkov.rand import random_kernel, random_object
 
 F = Fraction
 X3 = fin_object(("a", "b", "c"))
@@ -149,7 +150,7 @@ def test_static_example_composes_to_itself():
 
 
 def test_compose_identity_left_right():
-    rng = rng_from_seed(7)
+    rng = random.Random(7)
     f = random_kernel(rng, Kind.STOCH, X2, X3)
     assert kernel_equal(compose(identity(X3), f), f)
     assert kernel_equal(compose(f, identity(X2)), f)
@@ -189,7 +190,7 @@ def test_tensor_of_unit_identities():
 def test_tensor_unit_law_up_to_relabeling():
     from finmarkov import right_unitor_inv
 
-    rng = rng_from_seed(3)
+    rng = random.Random(3)
     f = random_kernel(rng, Kind.STOCH, X2, X3)
     lifted = tensor(f, identity(UNIT))
     back = compose(right_unitor(X3), compose(lifted, right_unitor_inv(X2)))
@@ -245,7 +246,7 @@ def test_function_kernel_rejects_bad_targets():
 
 
 def test_discard_absorbs_everything():
-    rng = rng_from_seed(11)
+    rng = random.Random(11)
     for kind in Kind:
         f = random_kernel(rng, kind, X2, X3)
         assert kernel_equal(compose(discard_kernel(X3, kind), f), discard_kernel(X2, kind))
@@ -310,7 +311,7 @@ def test_marginalize_two_step():
 
 
 def test_marginalize_matches_discard_composition():
-    rng = rng_from_seed(23)
+    rng = random.Random(23)
     f = random_kernel(rng, Kind.STOCH, X2, tensor_object(X2, X3))
     direct = marginalize(f, 2, "right")
     via_discard = compose(tensor(identity(X2), discard_kernel(X3)), f)
@@ -370,7 +371,7 @@ def test_determinism_shortcut_matches_comonoid_equation_exhaustively():
 
 
 def test_determinism_shortcut_matches_comonoid_on_random_stochastic():
-    rng = rng_from_seed(5)
+    rng = random.Random(5)
     for _ in range(150):
         dom = random_object(rng, 3, "a")
         cod = random_object(rng, 3, "x")
@@ -379,7 +380,7 @@ def test_determinism_shortcut_matches_comonoid_on_random_stochastic():
 
 
 def test_deterministic_closed_under_compose_and_tensor():
-    rng = rng_from_seed(9)
+    rng = random.Random(9)
     for _ in range(50):
         a = random_object(rng, 3, "a")
         b = random_object(rng, 3, "b")
@@ -402,7 +403,7 @@ def test_deterministic_closed_under_compose_and_tensor():
 def composable_triples(draw):
     seed = draw(st.integers(min_value=0, max_value=10**6))
     kind = draw(st.sampled_from(list(Kind)))
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     a = random_object(rng, 3, "a")
     b = random_object(rng, 3, "b")
     c = random_object(rng, 3, "c")
@@ -425,7 +426,7 @@ def test_composition_associative(triple):
 @given(composable_triples())
 def test_tensor_functorial(triple):
     f, g, _ = triple
-    rng = rng_from_seed(f.dom.size + 31 * g.cod.size)
+    rng = random.Random(f.dom.size + 31 * g.cod.size)
     h = random_kernel(rng, f.kind, fin_object(("u", "v")), fin_object(("w",)))
     k = random_kernel(rng, f.kind, fin_object(("w",)), fin_object(("s", "t")))
     lhs = tensor(compose(g, f), compose(k, h))
@@ -436,7 +437,7 @@ def test_tensor_functorial(triple):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(list(Kind)))
 def test_comonoid_laws(seed, kind):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     x = random_object(rng, 5, "x")
     cop = copy_kernel(x, kind)
     # cocommutativity

@@ -1,6 +1,8 @@
 """Verdicts the library decides once, against the second procedures in
 `oracles`, over every kind each function accepts."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +11,7 @@ from finmarkov import (
     Kernel,
     Kind,
     NoSplitUpTo,
+    SuppCompCell,
     abs_cont,
     ase_kernels,
     blackwell_split,
@@ -28,7 +31,6 @@ from finmarkov import (
     random_class_idempotent,
     refute_abs_cont,
     scomp_abs_cont,
-    scomp_cell,
     scomp_hom,
     scomp_support,
     search_split,
@@ -40,17 +42,23 @@ from finmarkov import (
     validate,
     verify_split,
 )
-from finmarkov.golden import multi_upset_idempotent, signed_idempotent
-from finmarkov.kernel import support_indices
+from finmarkov.golden import (
+    balanced_idempotent,
+    multi_upset_idempotent,
+    signed_idempotent,
+    static_idempotent,
+    strong_idempotent,
+)
+from finmarkov.kernel import all_multi_kernels, support_indices
 from finmarkov.rand import (
     random_deterministic_kernel,
     random_kernel,
     random_kernel_supported_on,
     random_object,
-    rng_from_seed,
 )
 from oracles import (
     ase_by_joint,
+    class_decomposition,
     conditional_rebuilds,
     formal_split_recomposes,
     io_relation_by_states,
@@ -110,7 +118,7 @@ def _idempotent(rng, kind, x, balanced=True):
 @settings(max_examples=200, deadline=None)
 @given(ALL_KINDS, SEEDS, st.integers(0, 2))
 def test_ase_agrees_with_the_literal_joint(kind, seed, variant):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     w = random_object(rng, 3, "w")
     a = random_object(rng, 3, "a", min_size=0)
     x = random_object(rng, 4, "x")
@@ -129,7 +137,7 @@ def test_ase_agrees_with_the_literal_joint(kind, seed, variant):
 @settings(max_examples=150, deadline=None)
 @given(POSITIVE_KINDS, SEEDS)
 def test_refuting_witness_separates(kind, seed):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     x = random_object(rng, 5, "x")
     q = _supported_on_some(rng, kind, random_object(rng, 3, "b"), x)
     p = random_kernel(rng, kind, random_object(rng, 3, "a"), x)
@@ -141,7 +149,7 @@ def test_refuting_witness_separates(kind, seed):
 @settings(max_examples=150, deadline=None)
 @given(ALL_KINDS, SEEDS)
 def test_perturbation_is_almost_surely_equal(kind, seed):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     w = random_object(rng, 3, "w")
     x = random_object(rng, 4, "x")
     p = _supported_on_some(rng, kind, random_object(rng, 3, "a"), x)
@@ -159,7 +167,7 @@ def test_perturbation_is_almost_surely_equal(kind, seed):
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_io_relation_agrees_with_deterministic_states(seed):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     p = random_kernel(rng, Kind.STOCH, random_object(rng, 4, "a", min_size=0), random_object(rng, 4, "x"))
     rel = io_relation(p)
     assert rel == io_relation_by_states(p)
@@ -169,7 +177,7 @@ def test_io_relation_agrees_with_deterministic_states(seed):
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_conditional_rebuilds_the_joint(seed):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     x, y = random_object(rng, 3, "x"), random_object(rng, 3, "y")
     joint = random_kernel(rng, Kind.STOCH, random_object(rng, 3, "a", min_size=0), tensor_object(x, y))
     assert conditional_rebuilds(joint, conditional(joint, x.size), x.size)
@@ -183,7 +191,7 @@ def test_conditional_rebuilds_the_joint(seed):
 @settings(max_examples=100, deadline=None)
 @given(ALL_KINDS, SEEDS, st.integers(0, 2))
 def test_env_ase_agrees_with_the_literal_joint(kind, seed, variant):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     ca, cb, cc = (
         env_cell(e.dom, e, Flavor.BLACKWELL)
         for e in (_idempotent(rng, kind, random_object(rng, 3, c)) for c in "axy")
@@ -207,7 +215,7 @@ def test_env_ase_agrees_with_the_literal_joint(kind, seed, variant):
 @settings(max_examples=100, deadline=None)
 @given(ALL_KINDS, st.sampled_from(list(Flavor)), SEEDS, st.booleans())
 def test_formal_splitting_recomposes(kind, flavor, seed, balanced):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     e = _idempotent(rng, kind, random_object(rng, 4, "s"), balanced or flavor is Flavor.BLACKWELL)
     cell = env_cell(e.dom, e, flavor)
     assert formal_split_recomposes(cell, *env_split_idempotent(cell))
@@ -221,16 +229,49 @@ def test_formal_splitting_recomposes(kind, flavor, seed, balanced):
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_blackwell_split_is_a_splitting(seed):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     e = random_class_idempotent(rng, random_object(rng, 7, "s")).idempotent
     sd = blackwell_split(e)
     assert verify_split(e, sd.inclusion, sd.projection)[1]
 
 
 @settings(max_examples=150, deadline=None)
+@given(SEEDS)
+def test_blackwell_split_matches_the_tarjan_decomposition(seed):
+    # classes, transient states, middle labels and the stored columns of
+    # ι and π, all compared by SplitData equality
+    rng = random.Random(seed)
+    e = random_class_idempotent(rng, random_object(rng, 16, "s")).idempotent
+    assert blackwell_split(e) == class_decomposition(e)
+
+
+def test_blackwell_split_matches_the_tarjan_decomposition_on_golden_kernels():
+    for e in (strong_idempotent(), static_idempotent(), balanced_idempotent()):
+        assert blackwell_split(e) == class_decomposition(e)
+
+
+def test_search_split_matches_the_tarjan_decomposition_exhaustively():
+    count = 0
+    for n in range(5):
+        x = fin_object(str(i) for i in range(n))
+        for e in all_multi_kernels(x, x):
+            if compose(e, e) != e:
+                continue
+            count += 1
+            if not classify(e).balanced:
+                assert search_split(e, n) == NoSplitUpTo(n)
+                continue
+            expected = class_decomposition(e)
+            assert search_split(e, n) == expected
+            k = expected.middle.size
+            assert k == 0 or search_split(e, k - 1) == NoSplitUpTo(k - 1)
+    assert count == 1193
+
+
+@settings(max_examples=150, deadline=None)
 @given(SEEDS, st.booleans())
 def test_search_split_is_a_splitting(seed, balanced):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     e = _idempotent(rng, Kind.MULTI, random_object(rng, 5, "s"), balanced)
     result = search_split(e, e.dom.size)
     assert isinstance(result, NoSplitUpTo) != classify(e).balanced
@@ -245,7 +286,7 @@ def test_search_split_is_a_splitting(seed, balanced):
 @settings(max_examples=150, deadline=None)
 @given(POSITIVE_KINDS, SEEDS)
 def test_factor_through_support_recomposes(kind, seed):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     x = random_object(rng, 5, "x")
     sd = support(random_kernel(rng, kind, random_object(rng, 3, "b"), x))
     reached = list(support_indices(sd.base))
@@ -256,7 +297,7 @@ def test_factor_through_support_recomposes(kind, seed):
 @settings(max_examples=150, deadline=None)
 @given(POSITIVE_KINDS, SEEDS)
 def test_split_support_projection_is_a_section(kind, seed):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     p = _supported_on_some(rng, kind, random_object(rng, 3, "a"), random_object(rng, 5, "x"))
     assert projection_is_section(p, split_support(p))
 
@@ -266,7 +307,7 @@ def test_split_support_projection_is_a_section(kind, seed):
 def test_support_functor_map_closes_the_square(kind, seed):
     # f includes A into B = A + extra, and q agrees with g∘p on A, so
     # g∘p = q∘f while q may reach more than g∘p
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     a = random_object(rng, 3, "a")
     x, y = random_object(rng, 4, "x"), random_object(rng, 4, "y")
     b = fin_object(a.labels + random_object(rng, 3, "b", min_size=0).labels)
@@ -282,7 +323,7 @@ def test_support_functor_map_closes_the_square(kind, seed):
 @settings(max_examples=150, deadline=None)
 @given(POSITIVE_KINDS, SEEDS)
 def test_equalizer_factor_recomposes(kind, seed):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     x, y = random_object(rng, 5, "x"), random_object(rng, 3, "y")
     f = random_deterministic_kernel(rng, kind, x, y)
     g = random_deterministic_kernel(rng, kind, x, y)
@@ -297,17 +338,17 @@ def test_equalizer_factor_recomposes(kind, seed):
 @settings(max_examples=100, deadline=None)
 @given(POSITIVE_KINDS, SEEDS)
 def test_scomp_support_is_bicontinuous(kind, seed):
-    rng = rng_from_seed(seed)
+    rng = random.Random(seed)
     a, x = random_object(rng, 3, "a"), random_object(rng, 4, "x")
-    src = scomp_cell(a, random_kernel(rng, kind, random_object(rng, 2, "c"), a))
-    dst = scomp_cell(x, random_kernel(rng, kind, random_object(rng, 2, "d"), x))
+    src = SuppCompCell(a, random_kernel(rng, kind, random_object(rng, 2, "c"), a))
+    dst = SuppCompCell(x, random_kernel(rng, kind, random_object(rng, 2, "d"), x))
     f = random_kernel(rng, kind, a, x)
     push = compose(f, src.anchor)
     if not abs_cont(dst.anchor, push):
         # widen the target anchor by the pushforward's columns
         cols = [k.column(j) for k in (dst.anchor, push) for j in range(k.dom.size)]
         wide = random_kernel(rng, kind, fin_object(dst.anchor.dom.labels + push.dom.labels), x)
-        dst = scomp_cell(x, _with_columns(wide, cols))
+        dst = SuppCompCell(x, _with_columns(wide, cols))
     m = scomp_hom(src, dst, f)
     _, inclusion = scomp_support(m)
     assert scomp_abs_cont(inclusion, m) and scomp_abs_cont(m, inclusion)

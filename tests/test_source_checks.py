@@ -108,10 +108,13 @@ def test_library_memos_are_clearable():
 
 
 # these work on the stored integer columns; the dense view builds a Fraction
-# or bool per cell, so reading it here would bring the dense cost back
+# or bool per cell, so reading it (or building a kernel from dense rows) here
+# would bring the dense cost back
 COLUMN_ONLY = {
     "compose", "tensor", "function_kernel", "kernel_equal", "_classify_cached",
-    "cauchy_schwarz", "blackwell_split", "kernel_from_doc", "kernel_to_doc",
+    "cauchy_schwarz", "blackwell_split", "_class_split", "kernel_from_doc", "kernel_to_doc",
+    "support", "factor_through_support", "equalizer_factor", "point_lift",
+    "precise_supports_equiv", "canonical_rep",
 }
 
 
@@ -128,5 +131,7 @@ def test_hot_paths_do_not_read_the_dense_view():
                     found.append(f"{path.name}:{node.lineno} {func.name} reads .matrix")
                 if isinstance(node, ast.Call) and _called_name(node) in ("column", "entry"):
                     found.append(f"{path.name}:{node.lineno} {func.name} calls .{_called_name(node)}(")
+                if isinstance(node, ast.Call) and _called_name(node) == "Kernel":
+                    found.append(f"{path.name}:{node.lineno} {func.name} builds a Kernel from dense rows")
     assert seen == COLUMN_ONLY
     assert found == []
