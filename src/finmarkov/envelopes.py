@@ -7,12 +7,15 @@ that the induced copy morphism is coassociative.  Balance is sufficient,
 not necessary: on multivalued (boolean) cells the copy formula is
 coassociative whether or not the idempotent is balanced, and only
 non-balanced signed idempotents can break it.
+
+`env_check_markov_laws` decides every comonoid law exactly on stored
+columns.  Discard naturality quantifies over all cell endomorphisms, yet
+needs no sample of them: a constant map breaks it whenever anything does.
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 
 from .kernel import (
@@ -20,19 +23,17 @@ from .kernel import (
     FinObject,
     Kernel,
     ShapeMismatch,
-    associator,
     compose,
     copy_kernel,
     discard_kernel,
     identity,
+    is_deterministic,
     kernel_equal,
-    left_unitor,
-    right_unitor,
+    support_indices,
     swap_kernel,
     tensor,
 )
 from .idempotents import NotEndo, NotIdempotent, classify
-from .rand import random_kernel
 from .supports import CellMismatch
 
 
@@ -165,47 +166,45 @@ class MarkovLawReport:
         )
 
 
-# random cell endomorphisms drawn to test discard naturality
-ENDO_SAMPLES = 5
-
-
-def env_check_markov_laws(cell: EnvelopeCell, seed: int = 0) -> MarkovLawReport:
-    """Check the comonoid laws of the cell's copy/discard pair.
+def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
+    """Decide the comonoid laws of the cell's copy/discard pair exactly.
 
     Valid Blackwell cells pass everything.  Cells built directly as
     ``EnvelopeCell`` on non-balanced idempotents, skipping ``env_cell``'s
     check, can fail coassociativity only in the signed kind: on multivalued cells the
     copy formula is coassociative for every idempotent, balanced or not
     (both sides send x to the union of e(u)³ over the u ∈ e(x) with
-    u ∈ e(u)).  The other laws never depend on balance; discard
-    naturality is sampled over random cell endomorphisms.
+    u ∈ e(u)).  The other laws never depend on balance.
+
+    The unitors and the associator are the identity on indices, so the
+    counit laws compare the columns of (disc⊗e)∘copy and (e⊗disc)∘copy
+    with e's, and coassociativity compares the two composites' columns.
+
+    Discard naturality, disc∘(e∘r∘e) = disc for every valid r where
+    disc = discard∘e, is decided, not sampled.  With t = disc∘e, a kernel
+    into the unit, the left side at x is Σ_z (t∘r)(z)·e(z|x).  If every
+    column of t is one, t∘r = discard for every valid r and the law
+    holds; if disc carries no mass, both sides are zero.  Otherwise some
+    t(c) ≠ 1 and some disc(x) ≠ 0, and the constant map to c gives
+    t(c)·disc(x) ≠ disc(x): a failure a random sample of r can miss.
+    Only an idempotent that breaks the column law can fail this law.
     """
     e = cell.endo
     kind = e.kind
-    x = e.dom
     cpy = _copy_formula(cell).kernel
-    disc = compose(discard_kernel(x, kind), e)
+    disc = compose(discard_kernel(e.dom, kind), e)
 
-    left = compose(tensor(disc, e), cpy)
-    right = compose(tensor(e, disc), cpy)
-    cell_id = e
-    counit_left = kernel_equal(compose(left_unitor(x, kind), left), cell_id)
-    counit_right = kernel_equal(compose(right_unitor(x, kind), right), cell_id)
+    counit_left = compose(tensor(disc, e), cpy).columns == e.columns
+    counit_right = compose(tensor(e, disc), cpy).columns == e.columns
 
     lhs = compose(tensor(cpy, e), cpy)
     rhs = compose(tensor(e, cpy), cpy)
-    coassociative = kernel_equal(compose(associator(x, x, x, kind), lhs), rhs)
+    coassociative = lhs.columns == rhs.columns
 
-    cocommutative = kernel_equal(compose(swap_kernel(x, x, kind), cpy), cpy)
+    cocommutative = kernel_equal(compose(swap_kernel(e.dom, e.dom, kind), cpy), cpy)
 
-    rng = random.Random(seed)
-    discard_natural = True
-    for _ in range(ENDO_SAMPLES):
-        r = random_kernel(rng, kind, x, x)
-        endo = compose(e, compose(r, e))
-        if not kernel_equal(compose(disc, endo), disc):
-            discard_natural = False
-            break
+    # a kernel into the unit is deterministic exactly when every column is one
+    discard_natural = is_deterministic(compose(disc, e)) or not support_indices(disc)
     return MarkovLawReport(counit_left, counit_right, coassociative, cocommutative, discard_natural)
 
 

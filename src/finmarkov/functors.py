@@ -189,13 +189,11 @@ def _reconstruct(f: Kernel, cond: Kernel, split: int) -> Kernel:
     (id_X ⊗ c)∘(copy_X ⊗ id_A)∘(f_X ⊗ id_A)∘copy_A."""
     x_obj, _ = split_tensor_labels(f.cod, split)
     kind = f.kind
-    marg = marginalize(f, split, "right")
-    stage1 = compose(tensor(marg, identity(f.dom, kind)), copy_kernel(f.dom, kind))
-    stage2 = compose(
+    copied = compose(
         associator(x_obj, x_obj, f.dom, kind),
-        compose(tensor(copy_kernel(x_obj, kind), identity(f.dom, kind)), stage1),
+        compose(tensor(copy_kernel(x_obj, kind), identity(f.dom, kind)), comparison_base(f, split)),
     )
-    return compose(tensor(identity(x_obj, kind), cond), stage2)
+    return compose(tensor(identity(x_obj, kind), cond), copied)
 
 
 def comparison_base(f: Kernel, split: int) -> Kernel:

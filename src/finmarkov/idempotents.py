@@ -257,13 +257,13 @@ def balanced_cross_check(e: Kernel) -> BalancedCrossCheck:
     )
 
     cop = copy_kernel(e.dom, kind)
-    lhs = compose(compose(tensor(identity(e.dom, kind), e), cop), e)
+    paired = compose(tensor(identity(e.dom, kind), e), cop)
+    lhs = compose(paired, e)
     rhs = compose(tensor(e, e), cop)
     strong_as = ase_kernels(e, lhs, rhs)
 
     swap = swap_kernel(e.dom, e.dom, kind)
     self_adjoint = True
-    paired = compose(tensor(identity(e.dom, kind), e), cop)
     for col in e.columns:
         joint = compose(paired, _kernel(kind, UNIT, e.dom, (col,)))
         if not kernel_equal(compose(swap, joint), joint):

@@ -263,9 +263,6 @@ class Kernel:
             object.__setattr__(self, "_matrix", m)
         return m
 
-    def entry(self, i: int, j: int) -> Entry:
-        return self.matrix[i][j]
-
     def column(self, j: int) -> tuple[Entry, ...]:
         return tuple(row[j] for row in self.matrix)
 

@@ -224,8 +224,10 @@ def precise_supports_equiv(p: Kernel, f: Kernel, x: str, y: str) -> PreciseSuppo
 
     joint: (x,y) is in the support of the paired state (id⊗f)∘copy∘p;
     pointwise: x is reachable by p and y by the column of f at x.
-    The two agree for every input in the implemented models.
+    The two agree for every stochastic and multivalued input; signed
+    kernels have no supports here and are refused.
     """
+    _require_supportable(p)
     if p.dom.size != 1:
         raise ShapeMismatch("the reference kernel must be a state")
     if f.dom != p.cod:

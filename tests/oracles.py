@@ -4,14 +4,20 @@ The library decides almost-sure equality, absolute continuity, supports,
 conditionals and splittings by their direct characterisations for finite
 kernels.  Each function here reaches the same result another way: by the
 literal defining diagram, by recomposing what a call returned, or, for the
-class splittings, by Tarjan's strongly connected components.  The tests compare each with the library's answer; the library never runs
-these.  The public checks `verify_split` and `scomp_abs_cont` serve as
-oracles as well.  The CLI's document parser and emitter, which work on
-stored columns, are checked against the `Fraction` versions they replaced.
+class splittings, by Tarjan's strongly connected components.  Of the
+envelope comonoid laws, which the library decides on columns, the counit
+laws and coassociativity are also composed with the unitors and the
+associator, and discard naturality is sampled over random endomorphisms
+and searched over constant maps.  The tests compare each with the
+library's answer; the library never runs these.  The public checks
+`verify_split` and `scomp_abs_cont` serve as oracles as well.  The CLI's
+document parser and emitter, which work on stored columns, are checked
+against the `Fraction` versions they replaced.
 """
 
 import json
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -23,14 +29,19 @@ from finmarkov import (
     Kind,
     SplitData,
     compose,
+    discard_kernel,
     env_compose,
+    function_kernel,
     identity,
     kernel_equal,
+    tensor,
     validate,
 )
 from finmarkov.cli import MAX_DIGITS, ParseError
+from finmarkov.envelopes import _copy_formula
 from finmarkov.functors import _reconstruct
-from finmarkov.kernel import _reduced, deterministic_kernels
+from finmarkov.kernel import _reduced, associator, deterministic_kernels, left_unitor, right_unitor
+from finmarkov.rand import random_kernel
 
 # ---------------------------------------------------------------------------
 # almost-sure equality and absolute continuity
@@ -114,6 +125,56 @@ def formal_split_recomposes(cell, proj, incl) -> bool:
         and kernel_equal(plain.endo, identity(e.dom, e.kind))
         and kernel_equal(outer.kernel, e)
     )
+
+
+def comonoid_laws_by_structure(cell) -> tuple:
+    """Counit laws and coassociativity through the unitors and the
+    associator: λ∘(disc⊗e)∘copy = e, ρ∘(e⊗disc)∘copy = e and
+    α∘(copy⊗e)∘copy = (e⊗copy)∘copy, with copy the cell's copy formula."""
+    e = cell.endo
+    kind, x = e.kind, e.dom
+    cpy = _copy_formula(cell).kernel
+    disc = compose(discard_kernel(x, kind), e)
+    left = compose(left_unitor(x, kind), compose(tensor(disc, e), cpy))
+    right = compose(right_unitor(x, kind), compose(tensor(e, disc), cpy))
+    lhs = compose(associator(x, x, x, kind), compose(tensor(cpy, e), cpy))
+    rhs = compose(tensor(e, cpy), cpy)
+    return kernel_equal(left, e), kernel_equal(right, e), kernel_equal(lhs, rhs)
+
+
+# random cell endomorphisms drawn to test discard naturality
+ENDO_SAMPLES = 5
+
+
+def discard_natural_by_sampling(cell, seed: int) -> bool:
+    """Discard naturality as a sample: disc∘(e∘r∘e) = disc on
+    ``ENDO_SAMPLES`` random valid r.  A True answer can miss a failure."""
+    e = cell.endo
+    kind = e.kind
+    x = e.dom
+    disc = compose(discard_kernel(x, kind), e)
+    rng = random.Random(seed)
+    discard_natural = True
+    for _ in range(ENDO_SAMPLES):
+        r = random_kernel(rng, kind, x, x)
+        endo = compose(e, compose(r, e))
+        if not kernel_equal(compose(disc, endo), disc):
+            discard_natural = False
+            break
+    return discard_natural
+
+
+def constant_map_witness(cell):
+    """The first label c whose constant map r = (x ↦ c) breaks
+    disc∘(e∘r∘e) = disc, or None when every constant map keeps it."""
+    e = cell.endo
+    x = e.dom
+    disc = compose(discard_kernel(x, e.kind), e)
+    for c, label in enumerate(x.labels):
+        r = function_kernel(x, x, [c] * x.size, e.kind)
+        if not kernel_equal(compose(disc, compose(e, compose(r, e))), disc):
+            return label
+    return None
 
 
 # ---------------------------------------------------------------------------

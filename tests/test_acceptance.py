@@ -424,7 +424,7 @@ def test_criterion_08a_envelope_positive():
     ok = True
     for e in (strong_idempotent(), static_idempotent(), balanced_idempotent()):
         cell = env_cell(e.dom, e, Flavor.BLACKWELL)
-        ok &= env_check_markov_laws(cell, seed=8).all_pass
+        ok &= env_check_markov_laws(cell).all_pass
 
     rng = random.Random(0x808)
     for _ in range(200):
@@ -486,7 +486,7 @@ def test_criterion_08b_envelope_expected_failure_clause():
     ok &= k.dom == e.dom and k.cod.size == n * n
     # Codomain rows in tensor order: row i·n+j is the pair (i, j).
     ok &= [{divmod(r, n) for r in range(n * n) if k.matrix[r][x]} for x in range(n)] == cpy
-    ok &= env_check_markov_laws(cell, seed=8).coassociative == coassociative
+    ok &= env_check_markov_laws(cell).coassociative == coassociative
     _report(
         8,
         "copy formula on the non-balanced multivalued idempotent matches direct"
@@ -505,7 +505,7 @@ def test_criterion_08c_envelope_failure_realized_in_signed():
     e = signed_coassoc_counterexample()
     ok = kernel_equal(compose(e, e), e)
     ok &= not classify(e).balanced
-    report = env_check_markov_laws(EnvelopeCell(e.dom, e, Flavor.BLACKWELL), seed=8)
+    report = env_check_markov_laws(EnvelopeCell(e.dom, e, Flavor.BLACKWELL))
     ok &= report.counit_left and report.counit_right and report.cocommutative
     ok &= not report.coassociative
     _report(

@@ -10,6 +10,7 @@ from finmarkov import (
     CellMismatch,
     EnvelopeCell,
     Flavor,
+    Kernel,
     Kind,
     NotBalanced,
     NotHom,
@@ -158,7 +159,7 @@ def test_identity_cell_copy_is_plain_copy():
 
 def test_blackwell_cells_from_golden_examples_pass_all_laws():
     for e in (strong_idempotent(), static_idempotent(), balanced_idempotent()):
-        report = env_check_markov_laws(_blackwell(e), seed=11)
+        report = env_check_markov_laws(_blackwell(e))
         assert report.all_pass
 
 
@@ -171,7 +172,7 @@ def test_copy_formula_on_non_balanced_multi_direct_evaluation():
     # the counterexample test below.
     for e in (multi_upset_idempotent(), multi_chain3_idempotent()):
         cell = EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
-        report = env_check_markov_laws(cell, seed=11)
+        report = env_check_markov_laws(cell)
         assert report.coassociative
         assert report.all_pass
 
@@ -185,7 +186,7 @@ def test_copy_formula_fails_coassociativity_on_signed_counterexample():
     assert kernel_equal(compose(e, e), e)
     assert not classify(e).balanced
     cell = EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
-    report = env_check_markov_laws(cell, seed=11)
+    report = env_check_markov_laws(cell)
     assert report.counit_left and report.counit_right and report.cocommutative
     assert not report.coassociative
     assert not report.all_pass
@@ -199,7 +200,21 @@ def test_copy_formula_coassociative_for_every_small_multi_idempotent():
         if not kernel_equal(compose(e, e), e):
             continue
         cell = EnvelopeCell(x, e, Flavor.BLACKWELL)
-        assert env_check_markov_laws(cell, seed=1).coassociative
+        assert env_check_markov_laws(cell).coassociative
+
+
+def test_discard_naturality_fails_on_an_empty_image():
+    # 0 ↦ ∅, 1 ↦ {1} is idempotent but breaks the multivalued column law
+    # (classify refuses it, so the cell is built directly).  With r the
+    # constant map to 0, discard∘e∘r∘e is the empty relation, while
+    # discard∘e reaches the unit from 1.
+    x = fin_object(("0", "1"))
+    e = Kernel(Kind.MULTI, x, x, [[False, False], [False, True]])
+    assert kernel_equal(compose(e, e), e)
+    report = env_check_markov_laws(EnvelopeCell(x, e, Flavor.KAROUBI))
+    assert report.counit_left and report.counit_right
+    assert report.coassociative and report.cocommutative
+    assert not report.discard_natural
 
 
 def test_copy_requires_blackwell_flavor():
@@ -214,7 +229,7 @@ def test_random_blackwell_cells_pass_laws():
     for _ in range(20):
         x = random_object(rng, 5, "s")
         e = random_class_idempotent(rng, x).idempotent
-        report = env_check_markov_laws(_blackwell(e), seed=rng.randrange(2**30))
+        report = env_check_markov_laws(_blackwell(e))
         assert report.all_pass
 
 

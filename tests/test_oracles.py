@@ -1,12 +1,15 @@
 """Verdicts the library decides once, against the second procedures in
 `oracles`, over every kind each function accepts."""
 
+import itertools
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finmarkov import (
+    EnvelopeCell,
     Flavor,
     Kernel,
     Kind,
@@ -20,6 +23,7 @@ from finmarkov import (
     conditional,
     env_ase,
     env_cell,
+    env_check_markov_laws,
     env_hom,
     env_split_idempotent,
     equalizer_factor,
@@ -59,7 +63,10 @@ from finmarkov.rand import (
 from oracles import (
     ase_by_joint,
     class_decomposition,
+    comonoid_laws_by_structure,
     conditional_rebuilds,
+    constant_map_witness,
+    discard_natural_by_sampling,
     formal_split_recomposes,
     io_relation_by_states,
     projection_is_section,
@@ -219,6 +226,88 @@ def test_formal_splitting_recomposes(kind, flavor, seed, balanced):
     e = _idempotent(rng, kind, random_object(rng, 4, "s"), balanced or flavor is Flavor.BLACKWELL)
     cell = env_cell(e.dom, e, flavor)
     assert formal_split_recomposes(cell, *env_split_idempotent(cell))
+
+
+def _multi_idempotents_with_empty_images(max_n):
+    """Every idempotent relation on n ≤ max_n elements with an empty image,
+    as ``Kernel(rows)``: none satisfies the multivalued column law."""
+    out = []
+    for n in range(1, max_n + 1):
+        x = fin_object(str(i) for i in range(n))
+        for cols in itertools.product(range(2**n), repeat=n):
+            e = Kernel(Kind.MULTI, x, x, [[bool(c >> i & 1) for c in cols] for i in range(n)])
+            if 0 in cols and compose(e, e) == e:
+                out.append(e)
+    return out
+
+
+MULTI_OFF_LAW = _multi_idempotents_with_empty_images(3)
+
+
+def _off_law_idempotent(rng, kind, variant):
+    """An idempotent built with ``Kernel(rows)`` that may break its kind's
+    column law.  Multi: a relation with an empty image, variant 0 the empty
+    relation.  Stoch and Signed: a valid idempotent e, for variant 0
+    conjugated by a diagonal scaling s (e(y|x)·s_y/s_x, idempotent with new
+    column sums), for 1 its complement id − e (columns sum to zero), for 2
+    the scaled complement, for 3 a signed idempotent given e's kind (off
+    the law over Stoch only)."""
+    if kind is Kind.MULTI:
+        e = rng.choice(MULTI_OFF_LAW)
+        if variant == 0:
+            return Kernel(kind, e.dom, e.cod, [[False] * e.dom.size] * e.cod.size)
+        return e
+    x = random_object(rng, 4, "s")
+    e = _idempotent(rng, Kind.SIGNED if variant == 3 else kind, x, rng.random() < 0.5)
+    m, n = e.matrix, e.dom.size
+    if variant in (1, 2):
+        m = [[int(i == j) - m[i][j] for j in range(n)] for i in range(n)]
+    if variant in (0, 2):
+        s = [Fraction(rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(n)]
+        if kind is Kind.SIGNED:
+            s = [v * rng.choice((1, -1)) for v in s]
+        m = [[m[i][j] * s[i] / s[j] for j in range(n)] for i in range(n)]
+    return Kernel(kind, e.dom, e.cod, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ALL_KINDS, st.sampled_from(list(Flavor)), SEEDS, st.booleans())
+def test_comonoid_laws_on_valid_idempotents(kind, flavor, seed, balanced):
+    rng = random.Random(seed)
+    e = _idempotent(rng, kind, random_object(rng, 4, "s"), balanced or flavor is Flavor.BLACKWELL)
+    cell = env_cell(e.dom, e, flavor)
+    report = env_check_markov_laws(cell)
+    assert (report.counit_left, report.counit_right, report.coassociative) == comonoid_laws_by_structure(cell)
+    assert report.discard_natural
+    assert discard_natural_by_sampling(cell, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_KINDS, SEEDS, st.integers(0, 3))
+def test_comonoid_laws_off_the_column_law(kind, seed, variant):
+    # EnvelopeCell directly: classify's invariants may refuse these kernels
+    e = _off_law_idempotent(random.Random(seed), kind, variant)
+    assume(validate(e) is not None)
+    assert compose(e, e) == e
+    cell = EnvelopeCell(e.dom, e, Flavor.KAROUBI)
+    report = env_check_markov_laws(cell)
+    assert (report.counit_left, report.counit_right, report.coassociative) == comonoid_laws_by_structure(cell)
+    witness = constant_map_witness(cell)
+    if report.discard_natural:
+        assert witness is None
+        assert discard_natural_by_sampling(cell, seed)
+    else:
+        assert witness is not None
+
+
+def test_discard_naturality_off_the_column_law_reaches_both_verdicts():
+    for kind in Kind:
+        verdicts = set()
+        for seed in range(40):
+            e = _off_law_idempotent(random.Random(seed), kind, seed % 4)
+            if validate(e) is not None:
+                verdicts.add(env_check_markov_laws(EnvelopeCell(e.dom, e, Flavor.KAROUBI)).discard_natural)
+        assert verdicts == {True, False}, kind
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ COLUMN_ONLY = {
     "compose", "tensor", "function_kernel", "kernel_equal", "_classify_cached",
     "cauchy_schwarz", "blackwell_split", "_class_split", "kernel_from_doc", "kernel_to_doc",
     "support", "factor_through_support", "equalizer_factor", "point_lift",
-    "precise_supports_equiv", "canonical_rep",
+    "precise_supports_equiv", "canonical_rep", "env_check_markov_laws", "_golden_checks",
 }
 
 

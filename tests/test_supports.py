@@ -16,6 +16,7 @@ from finmarkov import (
     NotInSupport,
     NotMember,
     SuppCompCell,
+    UnsupportedKind,
     acsim,
     ase_kernels,
     compose,
@@ -397,6 +398,17 @@ def test_precise_supports():
     assert both.joint_dominates and both.pointwise and both.agree
     neither = precise_supports_equiv(p, f, "c", "c")
     assert not neither.joint_dominates and not neither.pointwise and neither.agree
+
+
+def test_precise_supports_refuse_signed_kernels():
+    # with p(a) = -1/2 and f(u|a) = -1 the joint entry at (a,u) is +1/2,
+    # so the two readings would disagree
+    x = fin_object(("a", "b"))
+    y = fin_object(("u", "v"))
+    p = make_kernel(Kind.SIGNED, UNIT, x, [[F(-1, 2)], [F(3, 2)]])
+    f = make_kernel(Kind.SIGNED, x, y, [[-1, 0], [2, 1]])
+    with pytest.raises(UnsupportedKind):
+        precise_supports_equiv(p, f, "a", "u")
 
 
 def test_precise_supports_agree_randomized():
