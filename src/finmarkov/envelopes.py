@@ -23,15 +23,17 @@ from .kernel import (
     FinObject,
     Kernel,
     ShapeMismatch,
+    ValidationError,
     compose,
-    copy_kernel,
     discard_kernel,
     identity,
     is_deterministic,
     kernel_equal,
+    pair,
     support_indices,
     swap_kernel,
     tensor,
+    validate,
 )
 from .idempotents import NotEndo, NotIdempotent, classify
 from .supports import CellMismatch
@@ -65,9 +67,13 @@ class EnvelopeMorphism:
 
 
 def env_cell(x: FinObject, e: Kernel, flavor: Flavor) -> EnvelopeCell:
-    """Validated cell: e must be idempotent, and balanced for Blackwell."""
+    """Validated cell: e must satisfy its kind's column law and be
+    idempotent, and balanced for Blackwell."""
     if e.dom != x or e.cod != x:
         raise NotEndo("cell endomorphism must live on the cell's object")
+    bad = validate(e)
+    if bad is not None:
+        raise ValidationError(f"cell endomorphism: {bad.message}")
     report = classify(e)
     if not report.idempotent:
         raise NotIdempotent("cell endomorphism must be idempotent")
@@ -107,12 +113,13 @@ def env_compose(g: EnvelopeMorphism, f: EnvelopeMorphism) -> EnvelopeMorphism:
 
 
 def cell_tensor(a: EnvelopeCell, b: EnvelopeCell) -> EnvelopeCell:
-    """Tensor cell (X⊗Y, e_X⊗e_Y); balance is preserved, which the
-    Blackwell flavor revalidates."""
+    """Tensor cell (X⊗Y, e_X⊗e_Y).  The cells are trusted as `env_cell`
+    built them: the tensor of two idempotents is idempotent, and of two
+    balanced ones balanced, in every kind, so nothing is rechecked."""
     if a.flavor is not b.flavor:
         raise CellMismatch("cells of different flavors")
     ten = tensor(a.endo, b.endo)
-    return env_cell(ten.dom, ten, a.flavor)
+    return EnvelopeCell(ten.dom, ten, a.flavor)
 
 
 def env_tensor(f: EnvelopeMorphism, g: EnvelopeMorphism) -> EnvelopeMorphism:
@@ -133,7 +140,7 @@ def blackwell_copy(cell: EnvelopeCell) -> EnvelopeMorphism:
 
 def _copy_formula(cell: EnvelopeCell) -> EnvelopeMorphism:
     e = cell.endo
-    k = compose(tensor(e, e), compose(copy_kernel(e.dom, e.kind), e))
+    k = compose(pair(e, e), e)
     dst = EnvelopeCell(k.cod, tensor(e, e), cell.flavor)
     out = EnvelopeMorphism(cell, dst, k)
     _require_absorbed(out)

@@ -18,7 +18,6 @@ from .kernel import (
     ShapeMismatch,
     _kernel,
     _reduced,
-    associator,
     compose,
     copy_kernel,
     discard_kernel,
@@ -27,6 +26,7 @@ from .kernel import (
     kernel_equal,
     left_unitor,
     marginalize,
+    pair,
     split_tensor_labels,
     tensor,
     tensor_object,
@@ -117,40 +117,31 @@ def param_discard(w: FinObject, a: FinObject, kind: Kind = Kind.STOCH) -> ParamM
 
 
 def param_compose(g: ParamMorphism, f: ParamMorphism) -> ParamMorphism:
-    """Composition distributing the parameter with a copy:
-    g∘f = g.inner ∘ (id_W ⊗ f.inner) ∘ (copy_W ⊗ id_A)."""
+    """Composition sharing the parameter: g∘f = g.inner ∘ ⟨π_W, f.inner⟩,
+    with π_W: W⊗A → W the projection."""
     if f.w != g.w:
         raise ParamMismatch("parameter objects differ")
     if f.x != g.a:
         raise ShapeMismatch("middle objects differ")
-    kind = f.inner.kind
-    w, a = f.w, f.a
-    spread = compose(associator(w, w, a, kind), tensor(copy_kernel(w, kind), identity(a, kind)))
-    inner = compose(g.inner, compose(tensor(identity(w, kind), f.inner), spread))
-    return ParamMorphism(w, a, g.x, inner)
+    w, wa = f.w, f.inner.dom
+    to_w = function_kernel(wa, w, [j // f.a.size for j in range(wa.size)], f.inner.kind)
+    return ParamMorphism(w, f.a, g.x, compose(g.inner, pair(to_w, f.inner)))
 
 
 def param_tensor(f: ParamMorphism, g: ParamMorphism) -> ParamMorphism:
-    """Monoidal product distributing the parameter with a copy."""
+    """Monoidal product sharing the parameter: ⟨f.inner∘ρ_A, g.inner∘ρ_B⟩,
+    with ρ_A, ρ_B the projections W⊗(A⊗B) → W⊗A and W⊗(A⊗B) → W⊗B."""
     if f.w != g.w:
         raise ParamMismatch("parameter objects differ")
     kind = f.inner.kind
-    w = f.w
-    a, b = f.a, g.a
-    ab = tensor_object(a, b)
-    # W⊗(A⊗B) → (W⊗A)⊗(W⊗B), deterministic: (w,(a,b)) ↦ ((w,a),(w,b))
-    src = tensor_object(w, ab)
-    dst = tensor_object(tensor_object(w, a), tensor_object(w, b))
-    na, nb, nw = a.size, b.size, w.size
-    targets = [
-        (wi * na + ai) * (nw * nb) + wi * nb + bi
-        for wi in range(nw)
-        for ai in range(na)
-        for bi in range(nb)
-    ]
-    distribute = function_kernel(src, dst, targets, kind)
-    inner = compose(tensor(f.inner, g.inner), distribute)
-    return ParamMorphism(w, ab, tensor_object(f.x, g.x), inner)
+    ab = tensor_object(f.a, g.a)
+    src = tensor_object(f.w, ab)
+    # (w,(a,b)) sits at (w·|A| + a)·|B| + b
+    nab, nb = ab.size, g.a.size
+    to_a = function_kernel(src, f.inner.dom, [j // nb for j in range(src.size)], kind)
+    to_b = function_kernel(src, g.inner.dom, [j // nab * nb + j % nb for j in range(src.size)], kind)
+    inner = pair(compose(f.inner, to_a), compose(g.inner, to_b))
+    return ParamMorphism(f.w, ab, tensor_object(f.x, g.x), inner)
 
 
 def param_equal(f: ParamMorphism, g: ParamMorphism) -> bool:
@@ -185,22 +176,18 @@ def conditional(f: Kernel, split: int) -> Kernel:
 
 
 def _reconstruct(f: Kernel, cond: Kernel, split: int) -> Kernel:
-    """Rebuild the joint from a conditional: the pairing
-    (id_X ⊗ c)∘(copy_X ⊗ id_A)∘(f_X ⊗ id_A)∘copy_A."""
+    """Rebuild the joint from a conditional: ⟨π_X, c⟩∘⟨f_X, id_A⟩, with
+    π_X: X⊗A → X the projection."""
     x_obj, _ = split_tensor_labels(f.cod, split)
-    kind = f.kind
-    copied = compose(
-        associator(x_obj, x_obj, f.dom, kind),
-        compose(tensor(copy_kernel(x_obj, kind), identity(f.dom, kind)), comparison_base(f, split)),
-    )
-    return compose(tensor(identity(x_obj, kind), cond), copied)
+    base = comparison_base(f, split)
+    to_x = function_kernel(base.cod, x_obj, [r // f.dom.size for r in range(base.cod.size)], f.kind)
+    return compose(pair(to_x, cond), base)
 
 
 def comparison_base(f: Kernel, split: int) -> Kernel:
     """The reference kernel for conditional uniqueness: pair the first
-    marginal with the input, b = (f_X ⊗ id_A)∘copy_A : A → X⊗A."""
-    marg = marginalize(f, split, "right")
-    return compose(tensor(marg, identity(f.dom, f.kind)), copy_kernel(f.dom, f.kind))
+    marginal with the input, b = ⟨f_X, id_A⟩ : A → X⊗A."""
+    return pair(marginalize(f, split, "right"), identity(f.dom, f.kind))
 
 
 def verify_conditional_unique(f: Kernel, c1: Kernel, c2: Kernel, split: int | None = None) -> bool:

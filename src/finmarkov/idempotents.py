@@ -50,9 +50,9 @@ from .kernel import (
     identity,
     is_deterministic,
     kernel_equal,
+    pair,
     support_indices,
     swap_kernel,
-    tensor,
 )
 from .rand import random_full_support_column, random_stoch_column
 
@@ -76,10 +76,10 @@ class NotASplitting(FinMarkovError):
 
 def two_step(e: Kernel) -> Kernel:
     """Run the chain twice recording the intermediate value:
-    result((y,z)|x) = e(y|x)·e(z|y), built from copy and tensor."""
+    result((y,z)|x) = e(y|x)·e(z|y), the pairing ⟨id, e⟩∘e."""
     if e.dom != e.cod:
         raise NotEndo("two-step chain needs an endomorphism")
-    return compose(compose(tensor(identity(e.dom, e.kind), e), copy_kernel(e.dom, e.kind)), e)
+    return compose(pair(identity(e.dom, e.kind), e), e)
 
 
 @dataclass(frozen=True)
@@ -256,10 +256,9 @@ def balanced_cross_check(e: Kernel) -> BalancedCrossCheck:
         for z in range(n)
     )
 
-    cop = copy_kernel(e.dom, kind)
-    paired = compose(tensor(identity(e.dom, kind), e), cop)
+    paired = pair(identity(e.dom, kind), e)
     lhs = compose(paired, e)
-    rhs = compose(tensor(e, e), cop)
+    rhs = pair(e, e)
     strong_as = ase_kernels(e, lhs, rhs)
 
     swap = swap_kernel(e.dom, e.dom, kind)
@@ -404,9 +403,7 @@ def verify_split(e: Kernel, iota: Kernel, pi: Kernel) -> tuple[IdempotentReport,
     if not kernel_equal(compose(iota, pi), e):
         raise NotASplitting("inclusion∘projection does not equal the idempotent")
     report = classify(e)
-    cop_mid = copy_kernel(pi.cod, e.kind)
-    cop_dom = copy_kernel(pi.dom, e.kind)
-    pi_as_det = ase_kernels(iota, compose(cop_mid, pi), compose(tensor(pi, pi), cop_dom))
+    pi_as_det = ase_kernels(iota, compose(copy_kernel(pi.cod, e.kind), pi), pair(pi, pi))
     checks = (
         is_deterministic(iota) == report.static
         and is_deterministic(pi) == report.strong

@@ -10,8 +10,8 @@ or Signed column is ``(den, ((row, num), ...))``: rows ascending, zero
 cells left out, ``den > 0`` and ``gcd(den, *nums) == 1``, so equal
 columns are equal tuples; the all-zero column is ``(1, ())``.  A Multi
 column is an int bitmask with bit ``i`` for codomain row ``i``.
-`compose`, `tensor`, `function_kernel`, equality and `classify` work on
-these integers alone.
+`compose`, `tensor`, the pairing `pair`, `function_kernel`, equality and
+`classify` work on these integers alone.
 
 Dense view: ``matrix[i][j]`` is the weight of codomain element ``i``
 given domain element ``j`` (rows indexed by the codomain, columns by the
@@ -394,37 +394,50 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
     return _kernel(f.kind, f.dom, g.cod, tuple(out))
 
 
-def tensor(f: Kernel, g: Kernel) -> Kernel:
-    """Monoidal product (f⊗g)((y,z)|(a,b)) = f(y|a)·g(z|b), x-major indexing.
+def _column_products(f: Kernel, g: Kernel, walk) -> tuple:
+    """Stored columns of f(a)⊗g(b) for the column pairs ``walk`` yields
+    from f's and g's columns: `itertools.product` for `tensor`, `zip`
+    for `pair`.  Rows are x-major over ``f.cod`` ⊗ ``g.cod``.
 
-    An exact column multiplies numerators over the product of the two
+    An exact product multiplies numerators over the product of the two
     column denominators, reduced by the product of the columns' contents.
     """
+    m = g.cod.size
+    if f.kind is Kind.MULTI:
+        fshifts = [[y * m for y in range(f.cod.size) if fmask >> y & 1] for fmask in f.columns]
+        # the shifted copies of g's mask occupy disjoint bits, so + is OR
+        return tuple(sum(gmask << s for s in shifts) for shifts, gmask in walk(fshifts, g.columns))
+    # gcd(*[]) is 0, so an empty product reduces to (1, ())
+    fcols = [(fden, [(y * m, a) for y, a in fcells], math.gcd(*[a for _, a in fcells]))
+             for fden, fcells in f.columns]
+    gcols = [(gden, gcells, math.gcd(*[b for _, b in gcells])) for gden, gcells in g.columns]
+    out = []
+    for (fden, shifted, fc), (gden, gcells, gc) in walk(fcols, gcols):
+        den = fden * gden
+        cells = [(s + z, a * b) for s, a in shifted for z, b in gcells]
+        c = math.gcd(den, fc * gc)
+        out.append((den, tuple(cells)) if c == 1 else (den // c, tuple((i, v // c) for i, v in cells)))
+    return tuple(out)
+
+
+def tensor(f: Kernel, g: Kernel) -> Kernel:
+    """Monoidal product (f⊗g)((y,z)|(a,b)) = f(y|a)·g(z|b), x-major indexing."""
     _require_same_kind(f, g)
     dom = tensor_object(f.dom, g.dom)
     cod = tensor_object(f.cod, g.cod)
-    m = g.cod.size
-    out = []
-    if f.kind is Kind.MULTI:
-        for fmask in f.columns:
-            shifts = [y * m for y in range(f.cod.size) if fmask >> y & 1]
-            # the shifted copies of g's mask occupy disjoint bits, so + is OR
-            out += [sum(gmask << s for s in shifts) for gmask in g.columns]
-        return _kernel(f.kind, dom, cod, tuple(out))
-    gcols = [(gden, gcells, math.gcd(*[b for _, b in gcells])) for gden, gcells in g.columns]
-    for fden, fcells in f.columns:
-        fc = math.gcd(*[a for _, a in fcells])
-        shifted = [(y * m, a) for y, a in fcells]
-        for gden, gcells, gc in gcols:
-            # gcd(*[]) is 0, so an empty product reduces to (1, ())
-            den = fden * gden
-            cells = [(s + z, a * b) for s, a in shifted for z, b in gcells]
-            c = math.gcd(den, fc * gc)
-            if c == 1:
-                out.append((den, tuple(cells)))
-            else:
-                out.append((den // c, tuple((i, v // c) for i, v in cells)))
-    return _kernel(f.kind, dom, cod, tuple(out))
+    return _kernel(f.kind, dom, cod, _column_products(f, g, itertools.product))
+
+
+def pair(f: Kernel, g: Kernel) -> Kernel:
+    """Pairing ⟨f,g⟩ = (f⊗g)∘copy: A → X⊗Y with ⟨f,g⟩((y,z)|a) = f(y|a)·g(z|a).
+
+    Builds one column per input, f(a)⊗g(a), where the composite would
+    build the |A|² columns of f⊗g and keep |A| of them.
+    """
+    _require_same_kind(f, g)
+    if f.dom != g.dom:
+        raise DomainMismatch(f"cannot pair: domains differ ({f.dom.labels} vs {g.dom.labels})")
+    return _kernel(f.kind, f.dom, tensor_object(f.cod, g.cod), _column_products(f, g, zip))
 
 
 def identity(x: FinObject, kind: Kind = Kind.STOCH) -> Kernel:
@@ -507,13 +520,6 @@ def is_deterministic(f: Kernel) -> bool:
     equivalence is property-tested against the literal equation.
     """
     return all(_is_point_column(f.kind, col) for col in f.columns)
-
-
-def deterministic_by_comonoid(f: Kernel) -> bool:
-    """Literal comonoid-equation determinism test (reference oracle)."""
-    lhs = compose(copy_kernel(f.cod, f.kind), f)
-    rhs = compose(tensor(f, f), copy_kernel(f.dom, f.kind))
-    return kernel_equal(lhs, rhs)
 
 
 def kernel_equal(f: Kernel, g: Kernel) -> bool:

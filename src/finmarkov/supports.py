@@ -22,12 +22,12 @@ from .kernel import (
     _kernel,
     _reduced,
     compose,
-    copy_kernel,
     function_kernel,
     identity,
     inclusion_kernel,
     is_deterministic,
     kernel_equal,
+    pair,
     support_indices,
     tensor,
     tensor_object,
@@ -222,7 +222,7 @@ class PreciseSupportCheck:
 def precise_supports_equiv(p: Kernel, f: Kernel, x: str, y: str) -> PreciseSupportCheck:
     """Compare the joint-support and pointwise readings of reachability.
 
-    joint: (x,y) is in the support of the paired state (id⊗f)∘copy∘p;
+    joint: (x,y) is in the support of the paired state ⟨id, f⟩∘p;
     pointwise: x is reachable by p and y by the column of f at x.
     The two agree for every stochastic and multivalued input; signed
     kernels have no supports here and are refused.
@@ -232,7 +232,7 @@ def precise_supports_equiv(p: Kernel, f: Kernel, x: str, y: str) -> PreciseSuppo
         raise ShapeMismatch("the reference kernel must be a state")
     if f.dom != p.cod:
         raise ShapeMismatch("second kernel must consume the state's codomain")
-    joint = compose(tensor(identity(p.cod, p.kind), f), compose(copy_kernel(p.cod, p.kind), p))
+    joint = compose(pair(identity(p.cod, p.kind), f), p)
     xi, yi = p.cod.index(x), f.cod.index(y)
     joint_dominates = _positive_at(p.kind, joint.columns[0], xi * f.cod.size + yi)
     pointwise = _positive_at(p.kind, p.columns[0], xi) and _positive_at(p.kind, f.columns[xi], yi)

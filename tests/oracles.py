@@ -12,7 +12,10 @@ and searched over constant maps.  The tests compare each with the
 library's answer; the library never runs these.  The public checks
 `verify_split` and `scomp_abs_cont` serve as oracles as well.  The CLI's
 document parser and emitter, which work on stored columns, are checked
-against the `Fraction` versions they replaced.
+against the `Fraction` versions they replaced.  The pairing ⟨f,g⟩ is
+checked against the literal tensor-then-copy composite (f⊗g)∘copy, and
+the conditional and parametric constructions built on it against the
+same constructions composed through tensors, copies and the associator.
 """
 
 import json
@@ -27,20 +30,31 @@ from finmarkov import (
     FinObject,
     Kernel,
     Kind,
+    ParamMorphism,
     SplitData,
     compose,
+    copy_kernel,
     discard_kernel,
     env_compose,
     function_kernel,
     identity,
     kernel_equal,
+    marginalize,
     tensor,
+    tensor_object,
     validate,
 )
 from finmarkov.cli import MAX_DIGITS, ParseError
 from finmarkov.envelopes import _copy_formula
 from finmarkov.functors import _reconstruct
-from finmarkov.kernel import _reduced, associator, deterministic_kernels, left_unitor, right_unitor
+from finmarkov.kernel import (
+    _reduced,
+    associator,
+    deterministic_kernels,
+    left_unitor,
+    right_unitor,
+    split_tensor_labels,
+)
 from finmarkov.rand import random_kernel
 
 # ---------------------------------------------------------------------------
@@ -86,6 +100,66 @@ def witness_separates(q: Kernel, p: Kernel, witness) -> bool:
         and not ase_by_joint(p, low, high)
         and witness.element in differs_at
     )
+
+
+# ---------------------------------------------------------------------------
+# the comonoid equation and tensor-then-copy composites
+# ---------------------------------------------------------------------------
+
+
+def deterministic_by_comonoid(f: Kernel) -> bool:
+    """Literal comonoid-equation determinism test (reference oracle)."""
+    lhs = compose(copy_kernel(f.cod, f.kind), f)
+    rhs = compose(tensor(f, f), copy_kernel(f.dom, f.kind))
+    return kernel_equal(lhs, rhs)
+
+
+def pair_by_copy(f: Kernel, g: Kernel) -> Kernel:
+    """The pairing as the literal composite (f⊗g)∘copy."""
+    return compose(tensor(f, g), copy_kernel(f.dom, f.kind))
+
+
+def reconstruct_by_tensors(f: Kernel, cond: Kernel, split: int) -> Kernel:
+    """The joint rebuilt from a conditional:
+    (id_X ⊗ c)∘α∘(copy_X ⊗ id_A)∘(f_X ⊗ id_A)∘copy_A."""
+    x_obj, _ = split_tensor_labels(f.cod, split)
+    kind = f.kind
+    marg = marginalize(f, split, "right")
+    base = compose(tensor(marg, identity(f.dom, kind)), copy_kernel(f.dom, kind))
+    copied = compose(
+        associator(x_obj, x_obj, f.dom, kind),
+        compose(tensor(copy_kernel(x_obj, kind), identity(f.dom, kind)), base),
+    )
+    return compose(tensor(identity(x_obj, kind), cond), copied)
+
+
+def param_compose_by_tensors(g: ParamMorphism, f: ParamMorphism) -> ParamMorphism:
+    """g∘f = g.inner ∘ (id_W ⊗ f.inner) ∘ α ∘ (copy_W ⊗ id_A)."""
+    kind = f.inner.kind
+    w, a = f.w, f.a
+    spread = compose(associator(w, w, a, kind), tensor(copy_kernel(w, kind), identity(a, kind)))
+    inner = compose(g.inner, compose(tensor(identity(w, kind), f.inner), spread))
+    return ParamMorphism(w, a, g.x, inner)
+
+
+def param_tensor_by_tensors(f: ParamMorphism, g: ParamMorphism) -> ParamMorphism:
+    """(f.inner ⊗ g.inner) after the map (w,(a,b)) ↦ ((w,a),(w,b))."""
+    kind = f.inner.kind
+    w = f.w
+    a, b = f.a, g.a
+    ab = tensor_object(a, b)
+    src = tensor_object(w, ab)
+    dst = tensor_object(tensor_object(w, a), tensor_object(w, b))
+    na, nb, nw = a.size, b.size, w.size
+    targets = [
+        (wi * na + ai) * (nw * nb) + wi * nb + bi
+        for wi in range(nw)
+        for ai in range(na)
+        for bi in range(nb)
+    ]
+    distribute = function_kernel(src, dst, targets, kind)
+    inner = compose(tensor(f.inner, g.inner), distribute)
+    return ParamMorphism(w, ab, tensor_object(f.x, g.x), inner)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from finmarkov import (
     NotBalanced,
     NotHom,
     NotIdempotent,
+    ValidationError,
     blackwell_copy,
     cell_tensor,
     classify,
@@ -80,6 +81,16 @@ def test_non_idempotent_rejected():
     rot = make_kernel(Kind.STOCH, x, x, [[0, 1], [1, 0]])
     with pytest.raises(NotIdempotent):
         env_cell(x, rot, Flavor.KAROUBI)
+
+
+def test_cell_endomorphism_off_the_column_law_rejected_both_flavors():
+    # 0 ↦ ∅, 1 ↦ {1} is idempotent as a relation but has an empty image;
+    # the column law is checked before classify sees the kernel
+    x = fin_object(("0", "1"))
+    e = Kernel(Kind.MULTI, x, x, [[False, False], [False, True]])
+    for flavor in Flavor:
+        with pytest.raises(ValidationError, match="column 0 has empty image"):
+            env_cell(x, e, flavor)
 
 
 # ---------------------------------------------------------------------------

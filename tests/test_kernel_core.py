@@ -41,12 +41,12 @@ from finmarkov import (
 from finmarkov.kernel import (
     UNIT,
     all_multi_kernels,
-    deterministic_by_comonoid,
     deterministic_kernels,
     inclusion_kernel,
 )
 from finmarkov.idempotents import two_step
 from finmarkov.rand import random_kernel, random_object
+from oracles import deterministic_by_comonoid
 
 F = Fraction
 X3 = fin_object(("a", "b", "c"))

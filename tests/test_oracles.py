@@ -5,19 +5,25 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finmarkov import (
+    UNIT,
+    DomainMismatch,
     EnvelopeCell,
     Flavor,
     Kernel,
     Kind,
+    KindMismatch,
     NoSplitUpTo,
+    ParamMorphism,
     SuppCompCell,
     abs_cont,
     ase_kernels,
     blackwell_split,
+    cell_tensor,
     classify,
     compose,
     conditional,
@@ -31,6 +37,9 @@ from finmarkov import (
     fin_object,
     function_kernel,
     io_relation,
+    pair,
+    param_compose,
+    param_tensor,
     perturb_off_support,
     random_class_idempotent,
     refute_abs_cont,
@@ -53,6 +62,7 @@ from finmarkov.golden import (
     static_idempotent,
     strong_idempotent,
 )
+from finmarkov.functors import _reconstruct
 from finmarkov.kernel import all_multi_kernels, support_indices
 from finmarkov.rand import (
     random_deterministic_kernel,
@@ -69,7 +79,11 @@ from oracles import (
     discard_natural_by_sampling,
     formal_split_recomposes,
     io_relation_by_states,
+    pair_by_copy,
+    param_compose_by_tensors,
+    param_tensor_by_tensors,
     projection_is_section,
+    reconstruct_by_tensors,
     recomposes,
     witness_separates,
 )
@@ -115,6 +129,67 @@ def _idempotent(rng, kind, x, balanced=True):
         return e
     other = multi_upset_idempotent() if kind is Kind.MULTI else signed_idempotent()
     return tensor(other, e)
+
+
+def _object(rng, prefix):
+    """A random object of size 0 to 3, or the unit."""
+    return UNIT if rng.random() < 0.2 else random_object(rng, 3, prefix, min_size=0)
+
+
+def _any_kernel(rng, kind, dom, cod):
+    """A valid random kernel when one exists, otherwise or at random one
+    built with ``Kernel(rows)`` off the column law: exact entries need not
+    sum to one, so a column's numerators may share a factor with its
+    denominator, and a multivalued image may be empty."""
+    if cod.size and rng.random() < 0.5:
+        return random_kernel(rng, kind, dom, cod)
+    if kind is Kind.MULTI:
+        return Kernel(kind, dom, cod, [[rng.random() < 0.5 for _ in dom.labels] for _ in cod.labels])
+    low = 0 if kind is Kind.STOCH else -4
+    return Kernel(kind, dom, cod, [
+        [Fraction(rng.randrange(low, 5), rng.randrange(1, 7)) for _ in dom.labels] for _ in cod.labels
+    ])
+
+
+def _param(rng, kind, w, a):
+    x = random_object(rng, 3, "x")
+    return ParamMorphism(w, a, x, random_kernel(rng, kind, tensor_object(w, a), x))
+
+
+# ---------------------------------------------------------------------------
+# kernel
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_KINDS, SEEDS)
+def test_pair_is_tensor_then_copy(kind, seed):
+    rng = random.Random(seed)
+    a = _object(rng, "a")
+    f = _any_kernel(rng, kind, a, _object(rng, "x"))
+    g = _any_kernel(rng, kind, a, _object(rng, "y"))
+    assert pair(f, g) == pair_by_copy(f, g)
+
+
+def test_pair_reduces_a_product_column():
+    # 2/3·(1/2) over the denominator 6 has content 2: the product column
+    # is stored over 3, as in tensor followed by copy
+    one = fin_object(("u",))
+    for kind in (Kind.STOCH, Kind.SIGNED):
+        f = Kernel(kind, one, fin_object(("a", "b")), [[Fraction(2, 3)], [Fraction(2, 3)]])
+        g = Kernel(kind, one, fin_object(("c", "d")), [[Fraction(1, 2)], [Fraction(1, 2)]])
+        paired = pair(f, g)
+        assert paired.columns == ((3, ((0, 1), (1, 1), (2, 1), (3, 1))),)
+        assert paired == pair_by_copy(f, g)
+
+
+def test_pair_refuses_mixed_kinds_and_domains():
+    a, b, x = fin_object(("a0", "a1")), fin_object(("b0",)), fin_object(("x0", "x1"))
+    rng = random.Random(0)
+    with pytest.raises(KindMismatch):
+        pair(random_kernel(rng, Kind.STOCH, a, x), random_kernel(rng, Kind.MULTI, a, x))
+    with pytest.raises(DomainMismatch):
+        pair(random_kernel(rng, Kind.STOCH, a, x), random_kernel(rng, Kind.STOCH, b, x))
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +265,60 @@ def test_conditional_rebuilds_the_joint(seed):
     assert conditional_rebuilds(joint, conditional(joint, x.size), x.size)
 
 
+@settings(max_examples=150, deadline=None)
+@given(ALL_KINDS, SEEDS)
+def test_reconstruct_matches_its_tensor_composite(kind, seed):
+    rng = random.Random(seed)
+    x, y = random_object(rng, 3, "x"), random_object(rng, 3, "y")
+    a = random_object(rng, 3, "a", min_size=0)
+    joint = random_kernel(rng, kind, a, tensor_object(x, y))
+    cond = random_kernel(rng, kind, tensor_object(x, a), y)
+    assert _reconstruct(joint, cond, x.size) == reconstruct_by_tensors(joint, cond, x.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ALL_KINDS, SEEDS)
+def test_param_compose_matches_its_tensor_composite(kind, seed):
+    rng = random.Random(seed)
+    w, a = random_object(rng, 3, "w"), random_object(rng, 3, "a", min_size=0)
+    f = _param(rng, kind, w, a)
+    g = _param(rng, kind, w, f.x)
+    assert param_compose(g, f) == param_compose_by_tensors(g, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ALL_KINDS, SEEDS)
+def test_param_tensor_matches_its_tensor_composite(kind, seed):
+    rng = random.Random(seed)
+    w = random_object(rng, 3, "w")
+    f = _param(rng, kind, w, random_object(rng, 3, "a", min_size=0))
+    g = _param(rng, kind, w, random_object(rng, 3, "b", min_size=0))
+    assert param_tensor(f, g) == param_tensor_by_tensors(f, g)
+
+
 # ---------------------------------------------------------------------------
 # envelopes
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(ALL_KINDS, st.sampled_from(list(Flavor)), SEEDS, st.booleans(), st.booleans())
+def test_cell_tensor_cells_pass_env_cell(kind, flavor, seed, balanced_a, balanced_b):
+    # cell_tensor trusts its factors; rerunning env_cell and classify on
+    # the tensor must accept it as the same cell
+    rng = random.Random(seed)
+    a, b = (
+        env_cell(e.dom, e, flavor)
+        for e in (
+            _idempotent(rng, kind, random_object(rng, 2, c), balanced or flavor is Flavor.BLACKWELL)
+            for c, balanced in (("s", balanced_a), ("t", balanced_b))
+        )
+    )
+    cell = cell_tensor(a, b)
+    report = classify(cell.endo)
+    assert report.idempotent
+    assert report.balanced or flavor is Flavor.KAROUBI
+    assert env_cell(cell.object, cell.endo, flavor) == cell
 
 
 @settings(max_examples=100, deadline=None)

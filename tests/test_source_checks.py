@@ -111,7 +111,7 @@ def test_library_memos_are_clearable():
 # or bool per cell, so reading it (or building a kernel from dense rows) here
 # would bring the dense cost back
 COLUMN_ONLY = {
-    "compose", "tensor", "function_kernel", "kernel_equal", "_classify_cached",
+    "compose", "tensor", "pair", "_column_products", "function_kernel", "kernel_equal", "_classify_cached",
     "cauchy_schwarz", "blackwell_split", "_class_split", "kernel_from_doc", "kernel_to_doc",
     "support", "factor_through_support", "equalizer_factor", "point_lift",
     "precise_supports_equiv", "canonical_rep", "env_check_markov_laws", "_golden_checks",
@@ -135,3 +135,76 @@ def test_hot_paths_do_not_read_the_dense_view():
                     found.append(f"{path.name}:{node.lineno} {func.name} builds a Kernel from dense rows")
     assert seen == COLUMN_ONLY
     assert found == []
+
+
+def _calls_within(node, name, bound, seen=()):
+    """Whether ``node`` calls ``name`` anywhere inside it, following the
+    names that ``bound`` maps to the values assigned to them."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and _called_name(sub) == name:
+            return True
+        if isinstance(sub, ast.Name) and sub.id in bound and sub.id not in seen:
+            if any(_calls_within(value, name, bound, seen + (sub.id,)) for value in bound[sub.id]):
+                return True
+    return False
+
+
+def _tensor_then_copy(tree):
+    """Lines where a function composes a tensor on a copy, nested or through
+    a local name: ``compose(.. tensor(..) .., .. copy_kernel(..) ..)``."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound.setdefault(target.id, []).append(node.value)
+        found += [
+            f"{func.name}:{node.lineno}"
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and _called_name(node) == "compose"
+            and len(node.args) == 2
+            and _calls_within(node.args[0], "tensor", bound)
+            and _calls_within(node.args[1], "copy_kernel", bound)
+        ]
+    return found
+
+
+def test_library_pairs_instead_of_composing_a_tensor_with_a_copy():
+    # (f⊗g)∘copy builds |A|² columns of f⊗g and keeps |A|; pair(f, g)
+    # builds the |A| it needs
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name} {where}" for where in _tensor_then_copy(tree)]
+    assert found == []
+
+
+TENSOR_THEN_COPY = """
+def direct(e):
+    return compose(tensor(e, e), copy_kernel(e.dom, e.kind))
+
+def nested(e):
+    return compose(tensor(e, e), compose(copy_kernel(e.dom, e.kind), e))
+
+def through_names(e):
+    cop = copy_kernel(e.dom, e.kind)
+    paired = compose(tensor(identity(e.dom), e), cop)
+    return paired
+
+def through_the_associator(w, a, f):
+    spread = compose(associator(w, w, a), tensor(copy_kernel(w), identity(a)))
+    return compose(tensor(identity(w), f), spread)
+
+def pairs(e):
+    return compose(pair(e, e), e), compose(copy_kernel(e.dom), e), tensor(e, e)
+"""
+
+
+def test_tensor_then_copy_check_flags_each_form():
+    found = _tensor_then_copy(ast.parse(TENSOR_THEN_COPY))
+    assert found == ["direct:3", "nested:6", "through_names:10", "through_the_associator:15"]
