@@ -19,6 +19,7 @@ split), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -178,10 +179,6 @@ def kernel_to_doc(k: Kernel) -> dict:
                 rows[i][j] = num // c if c == den else f"{num // c}/{den // c}"
         doc["matrix"] = rows
     return doc
-
-
-def emit_kernel(k: Kernel, pretty: bool = False) -> str:
-    return json.dumps(kernel_to_doc(k), indent=2 if pretty else None)
 
 
 def _read_kernel(path: str) -> Kernel:
@@ -504,10 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once; argparse looks up the output streams when it prints."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

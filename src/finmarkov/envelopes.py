@@ -186,6 +186,8 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     The unitors and the associator are the identity on indices, so the
     counit laws compare the columns of (disc⊗e)∘copy and (e⊗disc)∘copy
     with e's, and coassociativity compares the two composites' columns.
+    With copy = ⟨e,e⟩∘e, each composite (a⊗b)∘copy is built as the
+    pairing ⟨a∘e, b∘e⟩∘e.
 
     Discard naturality, disc∘(e∘r∘e) = disc for every valid r where
     disc = discard∘e, is decided, not sampled.  With t = disc∘e, a kernel
@@ -200,33 +202,35 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     kind = e.kind
     cpy = _copy_formula(cell).kernel
     disc = compose(discard_kernel(e.dom, kind), e)
+    ee, de, ce = compose(e, e), compose(disc, e), compose(cpy, e)
 
-    counit_left = compose(tensor(disc, e), cpy).columns == e.columns
-    counit_right = compose(tensor(e, disc), cpy).columns == e.columns
-
-    lhs = compose(tensor(cpy, e), cpy)
-    rhs = compose(tensor(e, cpy), cpy)
-    coassociative = lhs.columns == rhs.columns
+    counit_left = compose(pair(de, ee), e).columns == e.columns
+    counit_right = compose(pair(ee, de), e).columns == e.columns
+    coassociative = compose(pair(ce, ee), e).columns == compose(pair(ee, ce), e).columns
 
     cocommutative = kernel_equal(compose(swap_kernel(e.dom, e.dom, kind), cpy), cpy)
 
     # a kernel into the unit is deterministic exactly when every column is one
-    discard_natural = is_deterministic(compose(disc, e)) or not support_indices(disc)
+    discard_natural = is_deterministic(de) or not support_indices(disc)
     return MarkovLawReport(counit_left, counit_right, coassociative, cocommutative, discard_natural)
 
 
 def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bool:
     """Almost-sure equality computed inside the envelope, with the cell's
     copy morphism.  On Blackwell cells it agrees with almost-sure equality
-    of the underlying kernels."""
+    of the underlying kernels.
+
+    With copy = ⟨e,e⟩∘e, the joint (e⊗f)∘copy∘p is the pairing
+    ⟨e∘e, f∘e⟩∘e∘p."""
     if f.src != p.dst or g.src != p.dst or f.dst != g.dst:
         raise ShapeMismatch("morphisms do not form an almost-sure comparison")
     if p.dst.flavor is not Flavor.BLACKWELL:
         raise NotBalanced("almost-sure comparison needs a Blackwell middle cell")
-    mid = p.dst
-    cpy = _copy_formula(mid).kernel
-    joint_f = compose(tensor(mid.endo, f.kernel), compose(cpy, p.kernel))
-    joint_g = compose(tensor(mid.endo, g.kernel), compose(cpy, p.kernel))
+    e = p.dst.endo
+    _copy_formula(p.dst)  # raises NotHom unless the middle cell absorbs its copy
+    ee, ep = compose(e, e), compose(e, p.kernel)
+    joint_f = compose(pair(ee, compose(f.kernel, e)), ep)
+    joint_g = compose(pair(ee, compose(g.kernel, e)), ep)
     return kernel_equal(joint_f, joint_g)
 
 

@@ -144,10 +144,6 @@ def param_tensor(f: ParamMorphism, g: ParamMorphism) -> ParamMorphism:
     return ParamMorphism(f.w, ab, tensor_object(f.x, g.x), inner)
 
 
-def param_equal(f: ParamMorphism, g: ParamMorphism) -> bool:
-    return f.w == g.w and f.a == g.a and f.x == g.x and kernel_equal(f.inner, g.inner)
-
-
 # ---------------------------------------------------------------------------
 # Conditionals
 # ---------------------------------------------------------------------------

@@ -2,14 +2,6 @@
 idempotents through their classes, and the Cauchy-Schwarz implication
 checker.
 
-Both splittings come from one construction on the stored columns.  The
-recurrent elements are those some column reaches, and the class of a
-recurrent element is the support of its column.  These are the classes a
-splitting goes through.  Over Stoch, e = eⁿ puts no mass on transient
-states, and each closed class carries a stationary column of e with full
-support on it.  Over Multi, only balanced idempotents split, and the
-images of a balanced idempotent are unions of its blocks.
-
 An idempotent endomorphism e is classified by comparing the two-step
 joint L((y,z)|x) = e(y|x)·e(z|y) (first output intermediate, second
 final) against three reference shapes:
@@ -18,8 +10,22 @@ final) against three reference shapes:
     strong    L(y,z|x) = e(y|x)·e(z|x)
     balanced  L(y,z|x) = Σ_w e(y|w)·e(z|w)·e(w|x)
 
-Witness tuples for failed checks are reported as (input, final,
-intermediate) labels, scanned in that order.
+`classify` decides each on the stored columns, in integers and bitmasks.
+Static and strong share the factor e(y|x), so both are support tests:
+static holds iff every reached y has the point column δ_y, strong iff
+e(y) = e(x) for every y in the support of e(x).  A stochastic idempotent
+within the column law splits through its classes, and split idempotents
+are balanced.  A multivalued idempotent is balanced iff every element y of
+every image is a block element: y ∈ e(y) and e(z) = e(y) for z ∈ e(y).
+Other idempotents sum Σ_w over the stored cells.  A witness is the first
+failing (input, final, intermediate) label triple in that scan order.
+
+Both splittings come from one construction on the stored columns.  The
+recurrent elements are those some column reaches, and the class of a
+recurrent element is the support of its column.  Over Stoch, e = eⁿ puts
+no mass on transient states, and each closed class carries a stationary
+column of e with full support on it.  Over Multi, only balanced
+idempotents split, and their images are unions of blocks.
 """
 
 from __future__ import annotations
@@ -122,94 +128,94 @@ def classify(e: Kernel) -> IdempotentReport:
 
 @lru_cache(maxsize=4096)
 def _classify_cached(e: Kernel) -> IdempotentReport:
-    # e = A/d with integer A and one denominator d, the lcm of the column
-    # denominators (d = 1 and A = e as 0/1 over Multi, whose sums are
-    # compared by truthiness only)
-    kind = e.kind
-    n = e.dom.size
-    labels = e.dom.labels
+    kind, labels, cols = e.kind, e.dom.labels, e.columns
     multi = kind is Kind.MULTI
-    stored = [(1, [(y, 1) for y in range(n) if m >> y & 1]) for m in e.columns] if multi else e.columns
-    d = math.lcm(*[den for den, _ in stored])
-    cols = [[0] * n for _ in range(n)]
-    for col, (den, cells) in zip(cols, stored):
-        for y, num in cells:
-            col[y] = num * (d // den)
-    rows = list(zip(*cols))
+    n = len(cols)
+    # e = A/d over one denominator, a column of A a dict of its nonzero
+    # rows (d = 1 and A = e as 0/1 over Multi, whose sums are ORs)
+    d = 1 if multi else math.lcm(*[den for den, _ in cols])
+    A = [dict.fromkeys([y for y in range(n) if m >> y & 1], 1) for m in cols] if multi else [
+        {y: num * (d // den) for y, num in cells} for den, cells in cols]
+    for x, col in enumerate(A):
+        if multi:  # (e∘e)(x) is the OR of the columns e(x) reaches
+            diff = reduce(or_, [cols[w] for w in col], 0) ^ cols[x]
+            y = (diff & -diff).bit_length() - 1 if diff else None
+        else:
+            y = _sum_difference(False, [(y, a * b) for w, a in col.items() for y, b in A[w].items()],
+                                {y: d * a for y, a in col.items()})
+        if y is not None:
+            return IdempotentReport(
+                False, False, False, False, False, MappingProxyType({"idempotent": (labels[x], labels[y])})
+            )
 
-    # idempotency: (A·A)(y|x) = d·A(y|x)
-    for x in range(n):
-        col_x = cols[x]
-        square = [0] * n
-        for w, a in enumerate(col_x):
-            if not a:
-                continue
-            for y, b in enumerate(cols[w]):
-                if b:
-                    if multi:
-                        square[y] = True
-                    else:
-                        square[y] += a * b
-        for y in range(n):
-            if square[y] != d * col_x[y]:
-                return IdempotentReport(
-                    False, False, False, False, False,
-                    MappingProxyType({"idempotent": (labels[x], labels[y])}),
-                )
-
-    witnesses: dict = {}
-    static = strong = balanced = True
-    # scan order (input, final, intermediate); at scale d², the joint is
-    # L(y,z|x) = A(y|x)·A(z|y), static wants [y=z]·d·A(y|x), strong
-    # A(y|x)·A(z|x); balanced compares d·L with Σ_w A(y|w)·A(z|w)·A(w|x)
-    for x in range(n):
-        col_x = cols[x]
-        block = None
-        if balanced:
-            # block[z][y] = Σ_w A(y|w)·A(z|w)·A(w|x), symmetric in y and z
-            block = [[0] * n for _ in range(n)]
-            for w, cw in enumerate(col_x):
-                if not cw:
-                    continue
-                col_w = cols[w]
-                support = [(z, b) for z, b in enumerate(col_w) if b]
-                for y, a in support:
-                    row = block[y]
-                    if multi:
-                        for z, _ in support:
-                            row[z] = True
-                    else:
-                        acw = a * cw
-                        for z, b in support:
-                            row[z] += acw * b
-        for z in range(n):
-            row_z = rows[z]
-            block_z = block[z] if balanced else None
-            for y in range(n):
-                ey = col_x[y]
-                lhs = ey * row_z[y]
-                if static and lhs != (d * ey if y == z else 0):
-                    static = False
-                    witnesses.setdefault("static", (labels[x], labels[z], labels[y]))
-                if strong and lhs != ey * col_x[z]:
-                    strong = False
-                    witnesses.setdefault("strong", (labels[x], labels[z], labels[y]))
-                if balanced and d * lhs != block_z[y]:
-                    balanced = False
-                    witnesses.setdefault("balanced", (labels[x], labels[z], labels[y]))
-        if not (static or strong or balanced):
-            break
+    masks = cols if multi else [sum(1 << y for y in col) for col in A]
+    same: dict = {}  # each stored column → the inputs whose column it is
+    for x, col in enumerate(cols):
+        same[col] = same.get(col, 0) | 1 << x
+    unfixed = sum(1 << y for y in range(n) if A[y] != {y: d})
+    failures = (
+        ("static", _support_failure(A, [m & unfixed for m in masks], lambda x, y: {y: d})),
+        ("strong", _support_failure(A, [m & ~same[c] for m, c in zip(masks, cols)], lambda x, y: A[x])),
+        ("balanced", _balance_failure(kind, cols, A, d, same)),
+    )
+    static, strong, balanced = (at is None for _, at in failures)
+    # witnesses in the order the scan meets them, the flags in this order at one cell
+    found = sorted((at, rank, name) for rank, (name, at) in enumerate(failures) if at is not None)
+    witnesses = {name: tuple(labels[i] for i in at) for at, _, name in found}
     deterministic = is_deterministic(e)
     if not deterministic:
-        j = next(j for j, col in enumerate(e.columns) if not _is_point_column(kind, col))
+        j = next(j for j, col in enumerate(cols) if not _is_point_column(kind, col))
         witnesses["deterministic"] = (labels[j],)
     if (static or strong) and not balanced:
         raise StructureViolation("a static or strong idempotent must be balanced")
     if static and strong and not deterministic:
         raise StructureViolation("a static and strong idempotent must be deterministic")
-    return IdempotentReport(
-        True, deterministic, static, strong, balanced, MappingProxyType(witnesses)
-    )
+    return IdempotentReport(True, deterministic, static, strong, balanced, MappingProxyType(witnesses))
+
+
+def _sum_difference(multi: bool, terms: list, want: dict):
+    """The smallest key at which the sums of the ``(key, value)`` terms
+    differ from ``want``, or None; over Multi a sum is an OR."""
+    acc: dict = {}
+    for k, v in terms:
+        acc[k] = acc.get(k, 0) + v
+    acc = {k: 1 if multi else v for k, v in acc.items() if v}
+    if acc == want:
+        return None
+    return min(k for k in acc.keys() | want.keys() if acc.get(k, 0) != want.get(k, 0))
+
+
+def _support_failure(A: list, off: list, want):
+    """The first (input, final, intermediate) index triple failing a support
+    test, or None.  The first input x with a nonzero mask ``off[x]`` of
+    intermediates y fails, where A(z|y) differs from want(x, y)[z]."""
+    x = next((x for x, m in enumerate(off) if m), None)
+    if x is None:
+        return None
+    wants = [(y, A[y], want(x, y)) for y in range(len(A)) if off[x] >> y & 1]
+    return next((x, z, y) for z in range(len(A)) for y, a, b in wants if a.get(z, 0) != b.get(z, 0))
+
+
+def _balance_failure(kind: Kind, cols: tuple, A: list, d: int, same: dict):
+    """The first (input, final, intermediate) index triple at which the
+    idempotent e = A/d has e(y|x)·e(z|y) ≠ Σ_w e(y|w)·e(z|w)·e(w|x), or
+    None; both sides are compared at scale d³, a pair (z, y) as z·n + y."""
+    n = len(cols)
+    if kind is Kind.MULTI:
+        loose = sum(1 << y for y, m in enumerate(cols) if not m >> y & 1 or m & ~same[m])
+        inputs = [x for x, m in enumerate(cols) if m & loose][:1]
+    elif kind is Kind.STOCH and all(sum(col.values()) == d and min(col.values()) > 0 for col in A):
+        return None
+    else:
+        inputs = range(n)
+    for x in inputs:
+        lhs = {z * n + y: d * a * b for y, a in A[x].items() for z, b in A[y].items()}
+        rhs = [(z * n + y, c * a * b) for w, c in A[x].items()
+               for y, a in A[w].items() for z, b in A[w].items()]
+        at = _sum_difference(kind is Kind.MULTI, rhs, lhs)
+        if at is not None:
+            return (x, *divmod(at, n))
+    return None
 
 
 @dataclass(frozen=True)
@@ -234,11 +240,12 @@ class BalancedCrossCheck:
 def balanced_cross_check(e: Kernel) -> BalancedCrossCheck:
     """Evaluate the four characterizations of balance on an idempotent.
 
-    (i) the defining two-step equation; (ii) detailed balance
-    e(y|z)e(z|x) = e(z|y)e(y|x); (iii) the strong equation holding
-    e-almost surely; (iv) symmetry of the paired state (id⊗e)∘copy∘p for
-    every invariant column p of e (sufficient: the invariant kernels of an
-    idempotent are spanned by its columns and the condition is linear).
+    (i) the defining two-step equation, as `classify` decides it; (ii)
+    detailed balance e(y|z)e(z|x) = e(z|y)e(y|x); (iii) the strong equation
+    holding e-almost surely; (iv) symmetry of the paired state
+    (id⊗e)∘copy∘p for every invariant column p of e (sufficient: the
+    invariant kernels of an idempotent are spanned by its columns and the
+    condition is linear).
     """
     report = classify(e)
     if not report.idempotent:

@@ -552,16 +552,3 @@ def inclusion_kernel(x: FinObject, indices: Sequence[int], kind: Kind) -> Kernel
     """Deterministic inclusion of the subset at ``indices`` into ``x``."""
     return function_kernel(subset_object(x, indices), x, indices, kind)
 
-
-def deterministic_kernels(dom: FinObject, cod: FinObject, kind: Kind = Kind.STOCH) -> list[Kernel]:
-    """All deterministic kernels dom → cod (|cod|^|dom| of them), lexicographic."""
-    return [
-        function_kernel(dom, cod, assignment, kind)
-        for assignment in itertools.product(range(cod.size), repeat=dom.size)
-    ]
-
-
-def all_multi_kernels(dom: FinObject, cod: FinObject) -> list[Kernel]:
-    """Every Multi kernel dom → cod, enumerated by column bitmasks."""
-    masks = range(1, 2**cod.size)
-    return [_kernel(Kind.MULTI, dom, cod, cols) for cols in itertools.product(masks, repeat=dom.size)]

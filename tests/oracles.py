@@ -16,19 +16,28 @@ against the `Fraction` versions they replaced.  The pairing ⟨f,g⟩ is
 checked against the literal tensor-then-copy composite (f⊗g)∘copy, and
 the conditional and parametric constructions built on it against the
 same constructions composed through tensors, copies and the associator.
+The idempotent taxonomy, which the library reads off the stored columns
+as support tests, is checked against the dense n³ scan of the two-step
+equations, and the envelope comonoid laws and `env_ase`, which the
+library builds as pairings, against their tensor-then-copy composites.
+The enumerations and comparisons only the tests use live here too.
 """
 
+import itertools
 import json
 import math
 import random
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 from finmarkov import (
     UNIT,
     FinMarkovError,
     FinObject,
     Kernel,
+    ShapeMismatch,
+    IdempotentReport,
     Kind,
     ParamMorphism,
     SplitData,
@@ -38,24 +47,57 @@ from finmarkov import (
     env_compose,
     function_kernel,
     identity,
+    is_deterministic,
     kernel_equal,
     marginalize,
     tensor,
     tensor_object,
     validate,
 )
-from finmarkov.cli import MAX_DIGITS, ParseError
-from finmarkov.envelopes import _copy_formula
+from finmarkov.cli import MAX_DIGITS, ParseError, kernel_to_doc
+from finmarkov.envelopes import Flavor, MarkovLawReport, NotBalanced, _copy_formula
 from finmarkov.functors import _reconstruct
+from finmarkov.idempotents import StructureViolation
 from finmarkov.kernel import (
+    _is_point_column,
+    _kernel,
     _reduced,
     associator,
-    deterministic_kernels,
     left_unitor,
     right_unitor,
     split_tensor_labels,
+    support_indices,
+    swap_kernel,
 )
 from finmarkov.rand import random_kernel
+
+# ---------------------------------------------------------------------------
+# enumerations and comparisons
+# ---------------------------------------------------------------------------
+
+
+def deterministic_kernels(dom: FinObject, cod: FinObject, kind: Kind = Kind.STOCH) -> list:
+    """All deterministic kernels dom → cod (|cod|^|dom| of them), lexicographic."""
+    return [
+        function_kernel(dom, cod, assignment, kind)
+        for assignment in itertools.product(range(cod.size), repeat=dom.size)
+    ]
+
+
+def all_multi_kernels(dom: FinObject, cod: FinObject) -> list:
+    """Every Multi kernel dom → cod, enumerated by column bitmasks."""
+    masks = range(1, 2**cod.size)
+    return [_kernel(Kind.MULTI, dom, cod, cols) for cols in itertools.product(masks, repeat=dom.size)]
+
+
+def emit_kernel(k: Kernel, pretty: bool = False) -> str:
+    """A kernel document as the CLI prints it."""
+    return json.dumps(kernel_to_doc(k), indent=2 if pretty else None)
+
+
+def param_equal(f: ParamMorphism, g: ParamMorphism) -> bool:
+    return f.w == g.w and f.a == g.a and f.x == g.x and kernel_equal(f.inner, g.inner)
+
 
 # ---------------------------------------------------------------------------
 # almost-sure equality and absolute continuity
@@ -216,6 +258,35 @@ def comonoid_laws_by_structure(cell) -> tuple:
     return kernel_equal(left, e), kernel_equal(right, e), kernel_equal(lhs, rhs)
 
 
+def env_check_markov_laws_by_tensors(cell) -> MarkovLawReport:
+    """The comonoid laws with each composite built as a tensor after the
+    copy formula: (disc⊗e)∘cpy, (e⊗disc)∘cpy, (cpy⊗e)∘cpy and (e⊗cpy)∘cpy."""
+    e = cell.endo
+    kind = e.kind
+    cpy = _copy_formula(cell).kernel
+    disc = compose(discard_kernel(e.dom, kind), e)
+    counit_left = compose(tensor(disc, e), cpy).columns == e.columns
+    counit_right = compose(tensor(e, disc), cpy).columns == e.columns
+    coassociative = compose(tensor(cpy, e), cpy).columns == compose(tensor(e, cpy), cpy).columns
+    cocommutative = kernel_equal(compose(swap_kernel(e.dom, e.dom, kind), cpy), cpy)
+    discard_natural = is_deterministic(compose(disc, e)) or not support_indices(disc)
+    return MarkovLawReport(counit_left, counit_right, coassociative, cocommutative, discard_natural)
+
+
+def env_ase_by_tensors(p, f, g) -> bool:
+    """Almost-sure equality in the envelope with the joints
+    (e⊗f)∘cpy∘p and (e⊗g)∘cpy∘p built through a tensor."""
+    if f.src != p.dst or g.src != p.dst or f.dst != g.dst:
+        raise ShapeMismatch("morphisms do not form an almost-sure comparison")
+    if p.dst.flavor is not Flavor.BLACKWELL:
+        raise NotBalanced("almost-sure comparison needs a Blackwell middle cell")
+    mid = p.dst
+    cpy = _copy_formula(mid).kernel
+    joint_f = compose(tensor(mid.endo, f.kernel), compose(cpy, p.kernel))
+    joint_g = compose(tensor(mid.endo, g.kernel), compose(cpy, p.kernel))
+    return kernel_equal(joint_f, joint_g)
+
+
 # random cell endomorphisms drawn to test discard naturality
 ENDO_SAMPLES = 5
 
@@ -249,6 +320,104 @@ def constant_map_witness(cell):
         if not kernel_equal(compose(disc, compose(e, compose(r, e))), disc):
             return label
     return None
+
+
+# ---------------------------------------------------------------------------
+# the idempotent taxonomy
+# ---------------------------------------------------------------------------
+
+
+def classify_by_scan(e: Kernel) -> IdempotentReport:
+    """The taxonomy by the dense scan of all n³ (input, final, intermediate)
+    cells of the two-step equations, with an n × n balance block per input."""
+    # e = A/d with integer A and one denominator d, the lcm of the column
+    # denominators (d = 1 and A = e as 0/1 over Multi, whose sums are
+    # compared by truthiness only)
+    kind = e.kind
+    n = e.dom.size
+    labels = e.dom.labels
+    multi = kind is Kind.MULTI
+    stored = [(1, [(y, 1) for y in range(n) if m >> y & 1]) for m in e.columns] if multi else e.columns
+    d = math.lcm(*[den for den, _ in stored])
+    cols = [[0] * n for _ in range(n)]
+    for col, (den, cells) in zip(cols, stored):
+        for y, num in cells:
+            col[y] = num * (d // den)
+    rows = list(zip(*cols))
+
+    # idempotency: (A·A)(y|x) = d·A(y|x)
+    for x in range(n):
+        col_x = cols[x]
+        square = [0] * n
+        for w, a in enumerate(col_x):
+            if not a:
+                continue
+            for y, b in enumerate(cols[w]):
+                if b:
+                    if multi:
+                        square[y] = True
+                    else:
+                        square[y] += a * b
+        for y in range(n):
+            if square[y] != d * col_x[y]:
+                return IdempotentReport(
+                    False, False, False, False, False,
+                    MappingProxyType({"idempotent": (labels[x], labels[y])}),
+                )
+
+    witnesses: dict = {}
+    static = strong = balanced = True
+    # scan order (input, final, intermediate); at scale d², the joint is
+    # L(y,z|x) = A(y|x)·A(z|y), static wants [y=z]·d·A(y|x), strong
+    # A(y|x)·A(z|x); balanced compares d·L with Σ_w A(y|w)·A(z|w)·A(w|x)
+    for x in range(n):
+        col_x = cols[x]
+        block = None
+        if balanced:
+            # block[z][y] = Σ_w A(y|w)·A(z|w)·A(w|x), symmetric in y and z
+            block = [[0] * n for _ in range(n)]
+            for w, cw in enumerate(col_x):
+                if not cw:
+                    continue
+                col_w = cols[w]
+                support = [(z, b) for z, b in enumerate(col_w) if b]
+                for y, a in support:
+                    row = block[y]
+                    if multi:
+                        for z, _ in support:
+                            row[z] = True
+                    else:
+                        acw = a * cw
+                        for z, b in support:
+                            row[z] += acw * b
+        for z in range(n):
+            row_z = rows[z]
+            block_z = block[z] if balanced else None
+            for y in range(n):
+                ey = col_x[y]
+                lhs = ey * row_z[y]
+                if static and lhs != (d * ey if y == z else 0):
+                    static = False
+                    witnesses.setdefault("static", (labels[x], labels[z], labels[y]))
+                if strong and lhs != ey * col_x[z]:
+                    strong = False
+                    witnesses.setdefault("strong", (labels[x], labels[z], labels[y]))
+                if balanced and d * lhs != block_z[y]:
+                    balanced = False
+                    witnesses.setdefault("balanced", (labels[x], labels[z], labels[y]))
+        if not (static or strong or balanced):
+            break
+    deterministic = is_deterministic(e)
+    if not deterministic:
+        j = next(j for j, col in enumerate(e.columns) if not _is_point_column(kind, col))
+        witnesses["deterministic"] = (labels[j],)
+    if (static or strong) and not balanced:
+        raise StructureViolation("a static or strong idempotent must be balanced")
+    if static and strong and not deterministic:
+        raise StructureViolation("a static and strong idempotent must be deterministic")
+    return IdempotentReport(
+        True, deterministic, static, strong, balanced, MappingProxyType(witnesses)
+    )
 
 
 # ---------------------------------------------------------------------------

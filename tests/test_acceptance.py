@@ -66,7 +66,7 @@ from finmarkov import (
     tensor_object,
     verify_conditional_unique,
 )
-from finmarkov.cli import emit_kernel, parse_kernel, run
+from finmarkov.cli import parse_kernel, run
 from finmarkov.envelopes import EnvelopeCell, Flavor, _copy_formula
 from finmarkov.functors import _reconstruct, comparison_base, conditional
 from finmarkov.golden import (
@@ -81,18 +81,14 @@ from finmarkov.golden import (
     strong_idempotent,
     strong_split,
 )
-from finmarkov.kernel import (
-    Kernel,
-    all_multi_kernels,
-    deterministic_kernels,
-    support_indices,
-)
+from finmarkov.kernel import Kernel, support_indices
 from finmarkov.rand import (
     random_deterministic_kernel,
     random_kernel,
     random_kernel_supported_on,
     random_object,
 )
+from oracles import all_multi_kernels, deterministic_kernels, emit_kernel
 
 F = Fraction
 

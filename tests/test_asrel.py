@@ -30,9 +30,9 @@ from finmarkov import (
     tensor_object,
 )
 from finmarkov.golden import domination_pair, intro_functions, intro_state
-from finmarkov.kernel import UNIT, associator, deterministic_kernels
+from finmarkov.kernel import UNIT, associator
 from finmarkov.rand import random_kernel, random_object
-from oracles import ase_by_joint, joint_columns
+from oracles import all_multi_kernels, ase_by_joint, deterministic_kernels, joint_columns
 
 F = Fraction
 
@@ -465,8 +465,6 @@ def test_atomicity_exhaustive_patterns():
             for p in _uniform_on_patterns(a, x):
                 assert is_atomic(p)
     # multivalued kernels exhaustively at sizes <= 2
-    from finmarkov.kernel import all_multi_kernels
-
     for na in (1, 2):
         a = fin_object(tuple(f"a{i}" for i in range(na)))
         x = fin_object(("x0", "x1"))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from finmarkov import Kind, kernel_equal
-from finmarkov.cli import ParseError, emit_kernel, parse_kernel, run
+from finmarkov.cli import ParseError, parse_kernel, run
 from finmarkov.golden import (
     balanced_idempotent,
     multi_chain3_idempotent,
@@ -17,6 +17,7 @@ from finmarkov.golden import (
     strong_idempotent,
 )
 from finmarkov.rand import random_kernel, random_object
+from oracles import emit_kernel
 
 F = Fraction
 
@@ -319,3 +320,33 @@ def test_cli_help_and_unknown_command(capsys):
     capsys.readouterr()
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_cli_parser_built_once_prints_like_a_fresh_one(tmp_path):
+    # run keeps one parser per process; a usage error, a valid call and the
+    # usage error again each print what a freshly built parser prints, on
+    # the streams that are current at the call
+    import contextlib
+    import io
+
+    from finmarkov import cli
+
+    path = _write(tmp_path, "e.json", static_idempotent())
+    calls = [["classify"], ["classify", path], ["classify"]]
+
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    cli._parser.cache_clear()
+    assert [call(argv) for argv in calls] == fresh
+    assert cli._parser.cache_info().misses == 1
+    code, out, err = fresh[0]
+    assert (code, out) == (2, "") and err.startswith("usage: finmarkov classify")
+    assert fresh[1][0] == 0 and json.loads(fresh[1][1])["static"]

@@ -44,6 +44,7 @@ from finmarkov.golden import (
     strong_idempotent,
 )
 from finmarkov.rand import random_kernel, random_object
+from oracles import all_multi_kernels
 
 F = Fraction
 
@@ -204,8 +205,6 @@ def test_copy_formula_fails_coassociativity_on_signed_counterexample():
 
 
 def test_copy_formula_coassociative_for_every_small_multi_idempotent():
-    from finmarkov.kernel import all_multi_kernels
-
     x = fin_object(("0", "1", "2"))
     for e in all_multi_kernels(x, x):
         if not kernel_equal(compose(e, e), e):

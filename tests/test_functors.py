@@ -33,7 +33,6 @@ from finmarkov import (
     upsilon_check,
     verify_conditional_unique,
 )
-from finmarkov.functors import param_equal
 from finmarkov.golden import balanced_idempotent, static_idempotent
 from finmarkov.kernel import UNIT, support_indices
 from finmarkov.rand import (
@@ -41,6 +40,7 @@ from finmarkov.rand import (
     random_kernel,
     random_object,
 )
+from oracles import param_equal
 
 F = Fraction
 

@@ -53,8 +53,9 @@ from finmarkov.golden import (
 )
 from finmarkov import idempotents
 from finmarkov.idempotents import IdempotentReport, StructureViolation
-from finmarkov.kernel import UNIT, all_multi_kernels, support_indices
+from finmarkov.kernel import UNIT, support_indices
 from finmarkov.rand import random_kernel, random_kernel_supported_on, random_object
+from oracles import all_multi_kernels
 
 F = Fraction
 

@@ -34,7 +34,7 @@ from finmarkov import (
     tensor,
     tensor_object,
 )
-from finmarkov.cli import ParseError, emit_kernel, parse_kernel
+from finmarkov.cli import ParseError, parse_kernel
 from finmarkov.golden import (
     balanced_idempotent,
     multi_chain3_idempotent,
@@ -45,7 +45,7 @@ from finmarkov.golden import (
     strong_idempotent,
 )
 from finmarkov.idempotents import CauchySchwarzInstance, IdempotentReport, StructureViolation
-from finmarkov.kernel import UNIT, all_multi_kernels
+from finmarkov.kernel import UNIT
 from finmarkov.rand import (
     random_deterministic_kernel,
     random_kernel,
@@ -53,7 +53,7 @@ from finmarkov.rand import (
     random_signed_column,
     random_stoch_column,
 )
-from oracles import emit_kernel_by_fractions, parse_kernel_by_fractions
+from oracles import all_multi_kernels, emit_kernel, emit_kernel_by_fractions, parse_kernel_by_fractions
 
 F = Fraction
 

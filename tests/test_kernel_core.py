@@ -38,15 +38,10 @@ from finmarkov import (
     tensor_object,
     validate,
 )
-from finmarkov.kernel import (
-    UNIT,
-    all_multi_kernels,
-    deterministic_kernels,
-    inclusion_kernel,
-)
+from finmarkov.kernel import UNIT, inclusion_kernel
 from finmarkov.idempotents import two_step
 from finmarkov.rand import random_kernel, random_object
-from oracles import deterministic_by_comonoid
+from oracles import all_multi_kernels, deterministic_by_comonoid, deterministic_kernels
 
 F = Fraction
 X3 = fin_object(("a", "b", "c"))

@@ -13,6 +13,8 @@ from finmarkov import (
     UNIT,
     DomainMismatch,
     EnvelopeCell,
+    EnvelopeMorphism,
+    FinMarkovError,
     Flavor,
     Kernel,
     Kind,
@@ -36,6 +38,7 @@ from finmarkov import (
     factor_through_support,
     fin_object,
     function_kernel,
+    identity,
     io_relation,
     pair,
     param_compose,
@@ -57,13 +60,16 @@ from finmarkov import (
 )
 from finmarkov.golden import (
     balanced_idempotent,
+    multi_chain3_idempotent,
     multi_upset_idempotent,
+    signed_coassoc_counterexample,
     signed_idempotent,
     static_idempotent,
     strong_idempotent,
 )
 from finmarkov.functors import _reconstruct
-from finmarkov.kernel import all_multi_kernels, support_indices
+from finmarkov.idempotents import StructureViolation
+from finmarkov.kernel import _kernel, support_indices
 from finmarkov.rand import (
     random_deterministic_kernel,
     random_kernel,
@@ -71,12 +77,16 @@ from finmarkov.rand import (
     random_object,
 )
 from oracles import (
+    all_multi_kernels,
     ase_by_joint,
     class_decomposition,
+    classify_by_scan,
     comonoid_laws_by_structure,
     conditional_rebuilds,
     constant_map_witness,
     discard_natural_by_sampling,
+    env_ase_by_tensors,
+    env_check_markov_laws_by_tensors,
     formal_split_recomposes,
     io_relation_by_states,
     pair_by_copy,
@@ -436,9 +446,157 @@ def test_discard_naturality_off_the_column_law_reaches_both_verdicts():
         assert verdicts == {True, False}, kind
 
 
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of the library error
+    it raises."""
+    try:
+        return fn(*args)
+    except FinMarkovError as exc:
+        return type(exc), str(exc)
+
+
+def _cell_endomorphism(rng, kind, variant):
+    """Variant 0-3: an off-law idempotent as `_off_law_idempotent` builds
+    it; 4: a valid idempotent, balanced or not; 5: any kernel, so the copy
+    formula need not be absorbed."""
+    if variant < 4:
+        return _off_law_idempotent(rng, kind, variant)
+    x = random_object(rng, 4, "s")
+    if variant == 4:
+        return _idempotent(rng, kind, x, rng.random() < 0.5)
+    return _any_kernel(rng, kind, x, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_KINDS, SEEDS, st.integers(0, 5))
+def test_markov_laws_pair_like_their_tensor_composites(kind, seed, variant):
+    # with copy = ⟨e,e⟩∘e, (a⊗b)∘copy = ⟨a∘e, b∘e⟩∘e for any kernels
+    e = _cell_endomorphism(random.Random(seed), kind, variant)
+    cell = EnvelopeCell(e.dom, e, Flavor.KAROUBI)
+    assert _outcome(env_check_markov_laws, cell) == _outcome(env_check_markov_laws_by_tensors, cell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ALL_KINDS, SEEDS, st.integers(0, 5), st.integers(0, 2))
+def test_env_ase_pairs_like_its_tensor_composites(kind, seed, variant, other):
+    # valid cells and morphisms (variant 4), or morphisms built directly
+    # around a middle cell off the column law
+    rng = random.Random(seed)
+    if variant == 4:
+        e = _idempotent(rng, kind, random_object(rng, 4, "s"))
+        mid = env_cell(e.dom, e, Flavor.BLACKWELL)
+    else:
+        e = _cell_endomorphism(rng, kind, variant)
+        mid = EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
+    a, y = random_object(rng, 3, "a"), random_object(rng, 3, "y")
+    src, dst = (EnvelopeCell(o, identity(o, kind), Flavor.BLACKWELL) for o in (a, y))
+
+    def hom(s, d, raw):
+        if variant == 4:
+            raw = compose(d.endo, compose(raw, s.endo))
+        return EnvelopeMorphism(s, d, raw)
+
+    p = hom(src, mid, _supported_on_some(rng, kind, a, mid.object))
+    f = hom(mid, dst, random_kernel(rng, kind, mid.object, y))
+    if other == 0:
+        g = f
+    elif other == 1:
+        g = hom(mid, dst, perturb_off_support(f.kernel, p.kernel, seed))
+    else:
+        g = hom(mid, dst, _any_kernel(rng, kind, mid.object, y))
+    assert _outcome(env_ase, p, f, g) == _outcome(env_ase_by_tensors, p, f, g)
+
+
 # ---------------------------------------------------------------------------
 # idempotents
 # ---------------------------------------------------------------------------
+
+
+def _report(fn, e):
+    """Flags and witnesses in insertion order, or the invariant message."""
+    try:
+        r = fn(e)
+    except StructureViolation as exc:
+        return "raises", str(exc)
+    return r.flags(), list(r.witnesses.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_KINDS, SEEDS, st.integers(0, 5))
+def test_classify_matches_the_scan(kind, seed, variant):
+    # valid idempotents, idempotents off the column law and any kernels
+    e = _cell_endomorphism(random.Random(seed), kind, variant)
+    assert _report(classify, e) == _report(classify_by_scan, e)
+
+
+def test_classify_matches_the_scan_on_every_small_multi_endomorphism_with_empty_images():
+    # the block condition decides balance; empty images break the column law
+    idempotents = raised = 0
+    for n in range(5):
+        x = fin_object(str(i) for i in range(n))
+        for cols in itertools.product(range(2**n), repeat=n):
+            e = _kernel(Kind.MULTI, x, x, cols)
+            got = _report(classify, e)
+            assert got == _report(classify_by_scan, e), cols
+            if got[0] == "raises":
+                raised += 1
+            elif got[0]["idempotent"]:
+                idempotents += 1
+    assert (idempotents, raised) == (2417, 80)
+
+
+def test_classify_takes_the_stochastic_balance_shortcut_only_within_the_column_law():
+    x = fin_object(("0", "1"))
+    # columns (0, 0) and (1, 1): idempotent, off the law, and not balanced
+    e = Kernel(Kind.STOCH, x, x, [[0, 1], [0, 1]])
+    assert validate(e) is not None
+    report = classify(e)
+    assert report.idempotent and not report.balanced
+    assert _report(classify, e) == _report(classify_by_scan, e)
+    zero = Kernel(Kind.STOCH, x, x, [[0, 0], [0, 0]])
+    for fn in (classify, classify_by_scan):
+        with pytest.raises(StructureViolation, match="a static and strong idempotent must be deterministic"):
+            fn(zero)
+
+
+def test_classify_inserts_witnesses_in_scan_order():
+    rng = random.Random(731)
+    drawn = random_class_idempotent(rng, random_object(rng, 7, "s")).idempotent
+    cases = [
+        (drawn, ["strong", "static", "deterministic"]),
+        (balanced_idempotent(), ["static", "strong", "deterministic"]),
+        (signed_idempotent(), ["strong", "balanced", "static", "deterministic"]),
+        (signed_coassoc_counterexample(), ["static", "balanced", "strong", "deterministic"]),
+        (multi_upset_idempotent(), ["strong", "balanced", "static", "deterministic"]),
+        (multi_chain3_idempotent(), ["strong", "balanced", "static", "deterministic"]),
+    ]
+    for e, order in cases:
+        assert list(classify(e).witnesses) == order
+        assert _report(classify, e) == _report(classify_by_scan, e)
+
+
+def test_classify_builds_no_fraction():
+    import finmarkov.idempotents as idem
+
+    kernels = [balanced_idempotent(), signed_idempotent(), multi_upset_idempotent(),
+               Kernel(Kind.STOCH, fin_object(("0", "1")), fin_object(("0", "1")), [[0, 1], [0, 1]])]
+    for e in kernels:
+        e.columns  # a kernel built from rows converts them on first use
+    raw = Fraction.__dict__["__new__"]
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return raw.__func__(cls, *args, **kwargs)
+
+    idem._classify_cached.cache_clear()
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        reports = [classify(e) for e in kernels]
+    finally:
+        Fraction.__new__ = raw
+    assert made == []
+    assert [r.balanced for r in reports] == [True, False, False, False]
 
 
 @settings(max_examples=150, deadline=None)

@@ -112,6 +112,7 @@ def test_library_memos_are_clearable():
 # would bring the dense cost back
 COLUMN_ONLY = {
     "compose", "tensor", "pair", "_column_products", "function_kernel", "kernel_equal", "_classify_cached",
+    "_sum_difference", "_support_failure", "_balance_failure",
     "cauchy_schwarz", "blackwell_split", "_class_split", "kernel_from_doc", "kernel_to_doc",
     "support", "factor_through_support", "equalizer_factor", "point_lift",
     "precise_supports_equiv", "canonical_rep", "env_check_markov_laws", "_golden_checks",
@@ -149,9 +150,14 @@ def _calls_within(node, name, bound, seen=()):
     return False
 
 
+# what builds a copy: the comonoid's, and an envelope cell's copy formula
+COPIES = ("copy_kernel", "_copy_formula")
+
+
 def _tensor_then_copy(tree):
     """Lines where a function composes a tensor on a copy, nested or through
-    a local name: ``compose(.. tensor(..) .., .. copy_kernel(..) ..)``."""
+    a local name: ``compose(.. tensor(..) .., .. copy_kernel(..) ..)``, or
+    the same with ``_copy_formula(..)`` as the copy."""
     found = []
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -169,7 +175,7 @@ def _tensor_then_copy(tree):
             and _called_name(node) == "compose"
             and len(node.args) == 2
             and _calls_within(node.args[0], "tensor", bound)
-            and _calls_within(node.args[1], "copy_kernel", bound)
+            and any(_calls_within(node.args[1], copy, bound) for copy in COPIES)
         ]
     return found
 
@@ -208,3 +214,22 @@ def pairs(e):
 def test_tensor_then_copy_check_flags_each_form():
     found = _tensor_then_copy(ast.parse(TENSOR_THEN_COPY))
     assert found == ["direct:3", "nested:6", "through_names:10", "through_the_associator:15"]
+
+
+COPY_FORMULA = """
+def laws(cell):
+    e = cell.endo
+    cpy = _copy_formula(cell).kernel
+    left = compose(tensor(e, e), cpy)
+    return compose(tensor(e, e), compose(cpy, e))
+
+def pairs(cell):
+    e = cell.endo
+    cpy = _copy_formula(cell).kernel
+    return compose(pair(e, e), e), compose(swap_kernel(e.dom, e.dom), cpy)
+"""
+
+
+def test_tensor_then_copy_check_flags_the_copy_formula():
+    found = _tensor_then_copy(ast.parse(COPY_FORMULA))
+    assert found == ["laws:5", "laws:6"]

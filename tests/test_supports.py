@@ -52,6 +52,7 @@ from finmarkov.rand import (
     random_kernel_supported_on,
     random_object,
 )
+from oracles import deterministic_kernels
 
 F = Fraction
 
@@ -172,8 +173,6 @@ def test_split_projection_retracts_and_section_almost_surely():
 def test_almost_surely_is_restriction_to_support():
     # f =_p g iff f∘(id_W⊗ι) = g∘(id_W⊗ι); enumerated deterministic pairs
     # at small sizes plus random stochastic pairs
-    from finmarkov.kernel import deterministic_kernels
-
     p = intro_state()
     sd = support(p)
     x, y = p.cod, fin_object(("u", "v"))
