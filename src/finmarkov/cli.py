@@ -64,6 +64,7 @@ class ParseError(FinMarkovError):
 MAX_DIGITS = 4300
 
 _ENTRY = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_LONG_RUN = re.compile(f"[0-9]{{{MAX_DIGITS + 1}}}")  # needed by any numeral over the cap
 
 
 def _parse_int(text: str, where: str = "integer literal") -> int:
@@ -96,7 +97,7 @@ def parse_kernel(text: str) -> Kernel:
     law.  Entries are reduced, so equal documents give equal kernels; the
     dense ``matrix`` view is built only if it is read."""
     try:
-        doc = json.loads(text, parse_int=_parse_int)
+        doc = json.loads(text, parse_int=_parse_int if _LONG_RUN.search(text) else None)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:

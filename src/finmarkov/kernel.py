@@ -220,7 +220,8 @@ class Kernel:
             raise AttributeError(f"'Kernel' object has no attribute {name!r}")
         dense = zip(*self._matrix) if self._matrix else [()] * self.dom.size
         if self.kind is Kind.MULTI:
-            columns = tuple(sum(1 << i for i, v in enumerate(col) if v) for col in dense)
+            bits = [1 << i for i in range(self.cod.size)]
+            columns = tuple(sum(itertools.compress(bits, col)) for col in dense)
         else:
             columns = tuple(_exact_column([v.as_integer_ratio() for v in col]) for col in dense)
         object.__setattr__(self, "columns", columns)
@@ -265,9 +266,6 @@ class Kernel:
 
     def column(self, j: int) -> tuple[Entry, ...]:
         return tuple(row[j] for row in self.matrix)
-
-    def at(self, out_label: str, in_label: str) -> Entry:
-        return self.matrix[self.cod.index(out_label)][self.dom.index(in_label)]
 
     def __reduce__(self):
         return _kernel, (self.kind, self.dom, self.cod, self.columns)

@@ -20,6 +20,8 @@ The idempotent taxonomy, which the library reads off the stored columns
 as support tests, is checked against the dense n³ scan of the two-step
 equations, and the envelope comonoid laws and `env_ase`, which the
 library builds as pairings, against their tensor-then-copy composites.
+The envelope absorption checks, which the library decides on the factors
+of a tensor and from one e∘e, are checked against the whole composites.
 The enumerations and comparisons only the tests use live here too.
 """
 
@@ -50,12 +52,22 @@ from finmarkov import (
     is_deterministic,
     kernel_equal,
     marginalize,
+    pair,
     tensor,
     tensor_object,
     validate,
 )
 from finmarkov.cli import MAX_DIGITS, ParseError, kernel_to_doc
-from finmarkov.envelopes import Flavor, MarkovLawReport, NotBalanced, _copy_formula
+from finmarkov.envelopes import (
+    EnvelopeCell,
+    EnvelopeMorphism,
+    Flavor,
+    MarkovLawReport,
+    NotBalanced,
+    _require_absorbed,
+    cell_tensor,
+    env_hom,
+)
 from finmarkov.functors import _reconstruct
 from finmarkov.idempotents import StructureViolation
 from finmarkov.kernel import (
@@ -88,6 +100,16 @@ def all_multi_kernels(dom: FinObject, cod: FinObject) -> list:
     """Every Multi kernel dom → cod, enumerated by column bitmasks."""
     masks = range(1, 2**cod.size)
     return [_kernel(Kind.MULTI, dom, cod, cols) for cols in itertools.product(masks, repeat=dom.size)]
+
+
+def entry(k: Kernel, out_label: str, in_label: str):
+    """The weight of ``out_label`` given ``in_label``, read off the stored
+    column: a ``Fraction``, or a ``bool`` over Multi."""
+    i, col = k.cod.index(out_label), k.columns[k.dom.index(in_label)]
+    if k.kind is Kind.MULTI:
+        return bool(col >> i & 1)
+    den, cells = col
+    return Fraction(dict(cells).get(i, 0), den)
 
 
 def emit_kernel(k: Kernel, pretty: bool = False) -> str:
@@ -243,13 +265,47 @@ def formal_split_recomposes(cell, proj, incl) -> bool:
     )
 
 
+def env_tensor_by_tensors(f, g):
+    """f⊗g with both absorption equations checked on the whole composites
+    (f⊗g)∘(e₁⊗e₂) and (e₁'⊗e₂')∘(f⊗g)."""
+    src = cell_tensor(f.src, g.src)
+    dst = cell_tensor(f.dst, g.dst)
+    out = EnvelopeMorphism(src, dst, tensor(f.kernel, g.kernel))
+    _require_absorbed(out)
+    return out
+
+
+def copy_formula_by_tensor(cell):
+    """The copy formula ⟨e,e⟩∘e into the cell (X⊗X, e⊗e), with both
+    absorption equations checked on the composites with e and e⊗e."""
+    e = cell.endo
+    k = compose(pair(e, e), e)
+    dst = EnvelopeCell(k.cod, tensor(e, e), cell.flavor)
+    out = EnvelopeMorphism(cell, dst, k)
+    _require_absorbed(out)
+    return out
+
+
+def blackwell_copy_by_tensor(cell):
+    if cell.flavor is not Flavor.BLACKWELL:
+        raise NotBalanced("the copy formula is defined on Blackwell cells")
+    return copy_formula_by_tensor(cell)
+
+
+def env_split_idempotent_by_homs(cell) -> tuple:
+    """e as the checked morphisms (X,id) → (X,e) and (X,e) → (X,id)."""
+    e = cell.endo
+    plain = EnvelopeCell(cell.object, identity(e.dom, e.kind), cell.flavor)
+    return env_hom(plain, cell, e), env_hom(cell, plain, e)
+
+
 def comonoid_laws_by_structure(cell) -> tuple:
     """Counit laws and coassociativity through the unitors and the
     associator: λ∘(disc⊗e)∘copy = e, ρ∘(e⊗disc)∘copy = e and
     α∘(copy⊗e)∘copy = (e⊗copy)∘copy, with copy the cell's copy formula."""
     e = cell.endo
     kind, x = e.kind, e.dom
-    cpy = _copy_formula(cell).kernel
+    cpy = copy_formula_by_tensor(cell).kernel
     disc = compose(discard_kernel(x, kind), e)
     left = compose(left_unitor(x, kind), compose(tensor(disc, e), cpy))
     right = compose(right_unitor(x, kind), compose(tensor(e, disc), cpy))
@@ -263,7 +319,7 @@ def env_check_markov_laws_by_tensors(cell) -> MarkovLawReport:
     copy formula: (disc⊗e)∘cpy, (e⊗disc)∘cpy, (cpy⊗e)∘cpy and (e⊗cpy)∘cpy."""
     e = cell.endo
     kind = e.kind
-    cpy = _copy_formula(cell).kernel
+    cpy = copy_formula_by_tensor(cell).kernel
     disc = compose(discard_kernel(e.dom, kind), e)
     counit_left = compose(tensor(disc, e), cpy).columns == e.columns
     counit_right = compose(tensor(e, disc), cpy).columns == e.columns
@@ -281,9 +337,24 @@ def env_ase_by_tensors(p, f, g) -> bool:
     if p.dst.flavor is not Flavor.BLACKWELL:
         raise NotBalanced("almost-sure comparison needs a Blackwell middle cell")
     mid = p.dst
-    cpy = _copy_formula(mid).kernel
+    cpy = copy_formula_by_tensor(mid).kernel
     joint_f = compose(tensor(mid.endo, f.kernel), compose(cpy, p.kernel))
     joint_g = compose(tensor(mid.endo, g.kernel), compose(cpy, p.kernel))
+    return kernel_equal(joint_f, joint_g)
+
+
+def env_ase_by_copy_formula(p, f, g) -> bool:
+    """`env_ase` with the middle cell's copy checked by the literal copy
+    formula and e∘e composed on its own."""
+    if f.src != p.dst or g.src != p.dst or f.dst != g.dst:
+        raise ShapeMismatch("morphisms do not form an almost-sure comparison")
+    if p.dst.flavor is not Flavor.BLACKWELL:
+        raise NotBalanced("almost-sure comparison needs a Blackwell middle cell")
+    e = p.dst.endo
+    copy_formula_by_tensor(p.dst)
+    ee, ep = compose(e, e), compose(e, p.kernel)
+    joint_f = compose(pair(ee, compose(f.kernel, e)), ep)
+    joint_g = compose(pair(ee, compose(g.kernel, e)), ep)
     return kernel_equal(joint_f, joint_g)
 
 

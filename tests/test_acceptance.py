@@ -67,7 +67,7 @@ from finmarkov import (
     verify_conditional_unique,
 )
 from finmarkov.cli import parse_kernel, run
-from finmarkov.envelopes import EnvelopeCell, Flavor, _copy_formula
+from finmarkov.envelopes import EnvelopeCell, Flavor, blackwell_copy
 from finmarkov.functors import _reconstruct, comparison_base, conditional
 from finmarkov.golden import (
     balanced_idempotent,
@@ -478,7 +478,7 @@ def test_criterion_08b_envelope_expected_failure_clause():
     coassociative = lhs == rhs
 
     cell = EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
-    k = _copy_formula(cell).kernel
+    k = blackwell_copy(cell).kernel
     ok &= k.dom == e.dom and k.cod.size == n * n
     # Codomain rows in tensor order: row i·n+j is the pair (i, j).
     ok &= [{divmod(r, n) for r in range(n * n) if k.matrix[r][x]} for x in range(n)] == cpy

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,35 @@ def test_cli_oversized_numeral_exit_2(tmp_path, capsys):
         path.write_text(doc % entry, encoding="utf-8")
         assert run(["validate", str(path)]) == 2
         assert "4300 digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", [None, 0])
+def test_json_integers_are_capped_at_4300_digits(limit):
+    # the cap holds under the interpreter's default digit limit and with
+    # that limit off (0), whichever path the parser takes
+    if limit is not None and not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no digit limit")
+    doc = '{"kind":"signed","dom":["a"],"cod":["x","y"],"matrix":[[%s],[%s]]}'
+    old = sys.get_int_max_str_digits() if limit is not None else None
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        # 10^4299 and 1 − 10^4299 have 4,300 and 4,299 digits
+        k = parse_kernel(doc % ("1" + "0" * 4299, "-" + "9" * 4299))
+        assert k.matrix == ((F(10**4299),), (F(1 - 10**4299),))
+        for first, second in (("1" + "0" * 4300, "0"), ("1", "-" + "1" * 4301)):
+            with pytest.raises(ParseError) as exc:
+                parse_kernel(doc % (first, second))
+            assert str(exc.value) == "integer literal: numeral longer than 4300 digits"
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+def test_a_label_of_5000_digits_parses():
+    label = "7" * 5000
+    k = parse_kernel('{"kind":"stoch","dom":["%s"],"cod":["x"],"matrix":[[1]]}' % label)
+    assert k.dom.labels == (label,)
 
 
 def test_cli_deeply_nested_json_exit_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import finmarkov.envelopes as envelopes
 from finmarkov import (
     CellMismatch,
     EnvelopeCell,
@@ -241,6 +242,21 @@ def test_random_blackwell_cells_pass_laws():
         e = random_class_idempotent(rng, x).idempotent
         report = env_check_markov_laws(_blackwell(e))
         assert report.all_pass
+
+
+def test_copy_checks_build_no_tensor_and_env_tensor_composes_on_the_factors(monkeypatch):
+    built, domains = [], []
+    monkeypatch.setattr(envelopes, "tensor", lambda f, g: built.append((f, g)) or tensor(f, g))
+    monkeypatch.setattr(envelopes, "compose", lambda g, f: domains.append(f.dom.size) or compose(g, f))
+    x = fin_object(str(i) for i in range(6))
+    cell = _blackwell(random_class_idempotent(random.Random(6), x).idempotent)
+    env_check_markov_laws(cell)
+    env_ase(env_identity(cell), env_identity(cell), env_identity(cell))
+    assert built == []
+    small = _blackwell(strong_idempotent())
+    domains.clear()
+    env_tensor(env_identity(cell), env_identity(small))
+    assert domains and max(domains) <= max(x.size, small.object.size)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from finmarkov.rand import (
     random_kernel,
     random_object,
 )
-from oracles import param_equal
+from oracles import entry, param_equal
 
 F = Fraction
 
@@ -307,10 +307,10 @@ def test_conditional_of_copied_state_is_point_mass():
     joint = compose(copy_kernel(x), p)
     cond = conditional(joint, split=3)
     # on the support the conditional is the point mass at the conditioned value
-    assert cond.at("a", "(a,•)") == 1
-    assert cond.at("b", "(b,•)") == 1
+    assert entry(cond, "a", "(a,•)") == 1
+    assert entry(cond, "b", "(b,•)") == 1
     # off support: canonical point mass on the first element
-    assert cond.at("a", "(c,•)") == 1
+    assert entry(cond, "a", "(c,•)") == 1
 
 
 def test_perfectly_correlated_joint_gives_identity():

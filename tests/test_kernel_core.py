@@ -41,7 +41,7 @@ from finmarkov import (
 from finmarkov.kernel import UNIT, inclusion_kernel
 from finmarkov.idempotents import two_step
 from finmarkov.rand import random_kernel, random_object
-from oracles import all_multi_kernels, deterministic_by_comonoid, deterministic_kernels
+from oracles import all_multi_kernels, deterministic_by_comonoid, deterministic_kernels, entry
 
 F = Fraction
 X3 = fin_object(("a", "b", "c"))
@@ -210,8 +210,8 @@ def _assert_maps(k, target):
 def test_copy_matrix_shape():
     c = copy_kernel(X2)
     assert c.cod.size == 4
-    assert c.at("(a,a)", "a") == 1 and c.at("(b,b)", "b") == 1
-    assert c.at("(a,b)", "a") == 0 and c.at("(a,b)", "b") == 0
+    assert entry(c, "(a,a)", "a") == 1 and entry(c, "(b,b)", "b") == 1
+    assert entry(c, "(a,b)", "a") == 0 and entry(c, "(a,b)", "b") == 0
     for kind in Kind:
         for x in (fin_object(()), UNIT, X2, X3, fin_object("pqrs")):
             n = x.size

@@ -24,6 +24,7 @@ from finmarkov import (
     SuppCompCell,
     abs_cont,
     ase_kernels,
+    blackwell_copy,
     blackwell_split,
     cell_tensor,
     classify,
@@ -34,6 +35,7 @@ from finmarkov import (
     env_check_markov_laws,
     env_hom,
     env_split_idempotent,
+    env_tensor,
     equalizer_factor,
     factor_through_support,
     fin_object,
@@ -85,8 +87,12 @@ from oracles import (
     conditional_rebuilds,
     constant_map_witness,
     discard_natural_by_sampling,
+    blackwell_copy_by_tensor,
+    env_ase_by_copy_formula,
     env_ase_by_tensors,
     env_check_markov_laws_by_tensors,
+    env_split_idempotent_by_homs,
+    env_tensor_by_tensors,
     formal_split_recomposes,
     io_relation_by_states,
     pair_by_copy,
@@ -505,6 +511,134 @@ def test_env_ase_pairs_like_its_tensor_composites(kind, seed, variant, other):
     else:
         g = hom(mid, dst, _any_kernel(rng, kind, mid.object, y))
     assert _outcome(env_ase, p, f, g) == _outcome(env_ase_by_tensors, p, f, g)
+
+
+def _absorption_cell(rng, kind, flavor, variant):
+    """0: a cell `env_cell` accepts; built directly, 1: on an idempotent off
+    the column law, 2: on any endomorphism, 3: on a valid idempotent that
+    lives on another object than the cell's, 4: on a kernel between two
+    different objects."""
+    x = random_object(rng, 2, "s")
+    if variant == 0:
+        e = _idempotent(rng, kind, x, flavor is Flavor.BLACKWELL or rng.random() < 0.5)
+        return env_cell(e.dom, e, flavor)
+    if variant == 1:
+        e = _off_law_idempotent(rng, kind, rng.randrange(4))
+    elif variant == 2:
+        e = _any_kernel(rng, kind, x, x)
+    elif variant == 3:
+        return EnvelopeCell(random_object(rng, 2, "t"), _idempotent(rng, kind, x), flavor)
+    else:
+        e = _any_kernel(rng, kind, x, random_object(rng, 2, "t"))
+    return EnvelopeCell(e.dom, e, flavor)
+
+
+def _absorption_morphism(rng, kind, src, dst):
+    """A kernel both endomorphisms absorb, d∘r∘e, when their objects allow
+    it; otherwise or at random any kernel between the endomorphisms' or the
+    cells' objects, now and then of another kind; or the source cell's
+    identity."""
+    variant = rng.randrange(4)
+    if variant == 3:
+        return EnvelopeMorphism(src, src, src.endo)
+    dom, cod = (src.object, dst.object) if variant == 2 else (src.endo.cod, dst.endo.dom)
+    if variant and rng.random() < 0.1:
+        kind = rng.choice(list(Kind))
+    raw = _any_kernel(rng, kind, dom, cod)
+    if variant == 0:
+        raw = compose(dst.endo, compose(raw, src.endo))
+    return EnvelopeMorphism(src, dst, raw)
+
+
+def _absorption_cells(rng, kind, flavor, k):
+    """k cells, mostly valid, now and then of the other flavor."""
+    cells = []
+    for _ in range(k):
+        fl = rng.choice(list(Flavor)) if rng.random() < 0.1 else flavor
+        cells.append(_absorption_cell(rng, kind, fl, rng.choice((0, 0, 0, 1, 2, 3, 4))))
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_KINDS, st.sampled_from(list(Flavor)), SEEDS)
+def test_env_tensor_absorbs_like_the_whole_composites(kind, flavor, seed):
+    # (f⊗g)∘(e₁⊗e₂) = (f∘e₁)⊗(g∘e₂), and the same on the target side
+    rng = random.Random(seed)
+    s1, d1, s2, d2 = _absorption_cells(rng, kind, flavor, 4)
+    f = _absorption_morphism(rng, kind, s1, d1)
+    g = _absorption_morphism(rng, kind, s2, d2)
+    assert _outcome(env_tensor, f, g) == _outcome(env_tensor_by_tensors, f, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ALL_KINDS, st.sampled_from(list(Flavor)), SEEDS, st.integers(0, 4))
+def test_copy_laws_ase_and_split_absorb_like_the_whole_composites(kind, flavor, seed, variant):
+    # one e∘e per cell: ee = e absorbs the copy, otherwise the whole composites decide
+    rng = random.Random(seed)
+    cell = _absorption_cell(rng, kind, flavor, variant)
+    assert _outcome(blackwell_copy, cell) == _outcome(blackwell_copy_by_tensor, cell)
+    assert _outcome(env_check_markov_laws, cell) == _outcome(env_check_markov_laws_by_tensors, cell)
+    assert _outcome(env_split_idempotent, cell) == _outcome(env_split_idempotent_by_homs, cell)
+    a, y = _absorption_cells(rng, kind, flavor, 2)
+    p = _absorption_morphism(rng, kind, a, cell)
+    f, g = (_absorption_morphism(rng, kind, cell, y) for _ in range(2))
+    if rng.random() < 0.5:
+        g = f
+    assert _outcome(env_ase, p, f, g) == _outcome(env_ase_by_copy_formula, p, f, g)
+
+
+def _small_endomorphisms():
+    """Every relation on n ≤ 3 elements and every signed matrix on n ≤ 2
+    with entries in {−1, 0, 1, 2}, as ``Kernel(rows)``."""
+    for n in range(1, 4):
+        x = fin_object(str(i) for i in range(n))
+        for cols in itertools.product(range(2**n), repeat=n):
+            yield Kernel(Kind.MULTI, x, x, [[bool(c >> i & 1) for c in cols] for i in range(n)])
+    for n in range(1, 3):
+        x = fin_object(str(i) for i in range(n))
+        for entries in itertools.product((-1, 0, 1, 2), repeat=n * n):
+            yield Kernel(Kind.SIGNED, x, x, [entries[i * n:(i + 1) * n] for i in range(n)])
+
+
+def test_copy_laws_and_split_absorb_like_the_whole_composites_on_small_endomorphisms():
+    # they include each way to fail: the relation 0 ↦ ∅, 1 ↦ {0}, 2 ↦ {1,2}
+    # absorbs e but not e⊗e, and the signed (−1) on one element e⊗e but not
+    # e; on the signed [[0, −1], [0, 0]] the copy absorbs both, e∘e ≠ e and
+    # disc∘e ≠ disc
+    failures = set()
+    for e in _small_endomorphisms():
+        cell = EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
+        copy = _outcome(blackwell_copy, cell)
+        assert copy == _outcome(blackwell_copy_by_tensor, cell)
+        assert _outcome(env_check_markov_laws, cell) == _outcome(env_check_markov_laws_by_tensors, cell)
+        assert _outcome(env_split_idempotent, cell) == _outcome(env_split_idempotent_by_homs, cell)
+        if isinstance(copy, tuple):
+            failures.add((e.kind, copy[1].split()[0]))
+    assert failures == {(Kind.MULTI, "source"), (Kind.MULTI, "target"), (Kind.SIGNED, "source")}
+
+
+def test_env_tensor_of_unabsorbed_factors_with_an_absorbed_tensor():
+    # on −id neither factor absorbs its cell's endomorphism, (−id)∘(−id) =
+    # id, but (−id)⊗(−id) = id does, so the literal check passes
+    x = fin_object(("a", "b"))
+    neg = Kernel(Kind.SIGNED, x, x, [[-1, 0], [0, -1]])
+    f = EnvelopeMorphism(*[EnvelopeCell(x, neg, Flavor.KAROUBI)] * 2, neg)
+    assert compose(neg, neg) != neg
+    m = env_tensor(f, f)
+    assert m == env_tensor_by_tensors(f, f)
+    assert m.kernel == identity(tensor_object(x, x), Kind.SIGNED)
+
+
+def test_env_tensor_on_factors_that_only_their_tensor_labels_fit():
+    # ("a") ⊗ ("b,c") and ("a,b") ⊗ ("c") are both the object ("(a,b,c)"),
+    # so the literal composites fit while the factors do not
+    a, bc, ab, c, y = (fin_object((label,)) for label in ("a", "b,c", "a,b", "c", "y"))
+    ab_cell, c_cell, y_cell = (EnvelopeCell(o, identity(o), Flavor.KAROUBI) for o in (ab, c, y))
+    f = EnvelopeMorphism(ab_cell, y_cell, function_kernel(a, y, [0], Kind.STOCH))
+    g = EnvelopeMorphism(c_cell, y_cell, function_kernel(bc, y, [0], Kind.STOCH))
+    m = env_tensor(f, g)
+    assert m == env_tensor_by_tensors(f, g)
+    assert m.src.object == tensor_object(a, bc)
 
 
 # ---------------------------------------------------------------------------

@@ -151,13 +151,13 @@ def _calls_within(node, name, bound, seen=()):
 
 
 # what builds a copy: the comonoid's, and an envelope cell's copy formula
-COPIES = ("copy_kernel", "_copy_formula")
+COPIES = ("copy_kernel", "_copy_formula", "_cell_copy")
 
 
 def _tensor_then_copy(tree):
     """Lines where a function composes a tensor on a copy, nested or through
     a local name: ``compose(.. tensor(..) .., .. copy_kernel(..) ..)``, or
-    the same with ``_copy_formula(..)`` as the copy."""
+    the same with ``_copy_formula(..)`` or ``_cell_copy(..)`` as the copy."""
     found = []
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -166,8 +166,10 @@ def _tensor_then_copy(tree):
         for node in ast.walk(func):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        bound.setdefault(target.id, []).append(node.value)
+                    # each name unpacked from a tuple is bound to the whole value
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            bound.setdefault(name.id, []).append(node.value)
         found += [
             f"{func.name}:{node.lineno}"
             for node in ast.walk(func)
@@ -233,3 +235,21 @@ def pairs(cell):
 def test_tensor_then_copy_check_flags_the_copy_formula():
     found = _tensor_then_copy(ast.parse(COPY_FORMULA))
     assert found == ["laws:5", "laws:6"]
+
+
+CELL_COPY = """
+def laws(cell):
+    e = cell.endo
+    cpy, ee = _cell_copy(cell)
+    return compose(tensor(e, ee), cpy)
+
+def pairs(cell):
+    e = cell.endo
+    cpy, ee = _cell_copy(cell)
+    return compose(pair(ee, e), e), tensor(e, e)
+"""
+
+
+def test_tensor_then_copy_check_flags_the_unpacked_cell_copy():
+    found = _tensor_then_copy(ast.parse(CELL_COPY))
+    assert found == ["laws:5"]

@@ -52,7 +52,7 @@ from finmarkov.rand import (
     random_kernel_supported_on,
     random_object,
 )
-from oracles import deterministic_kernels
+from oracles import deterministic_kernels, entry
 
 F = Fraction
 
@@ -125,9 +125,9 @@ def test_split_support_projection_rule():
     sd = split_support(p)
     pi = sd.projection
     assert pi is not None
-    assert pi.at("a", "a") == 1 and pi.at("b", "b") == 1
+    assert entry(pi, "a", "a") == 1 and entry(pi, "b", "b") == 1
     # off-support element goes to the first support element
-    assert pi.at("a", "c") == 1 and pi.at("b", "c") == 0
+    assert entry(pi, "a", "c") == 1 and entry(pi, "b", "c") == 0
 
 
 def test_split_support_full_support_projection_is_identity():
@@ -145,7 +145,7 @@ def test_split_support_composite_is_static_idempotent():
 
     report = classify(e)
     assert report.idempotent and report.static
-    assert e.at("a", "c") == 1  # the off-support column is the point at a
+    assert entry(e, "a", "c") == 1  # the off-support column is the point at a
 
 
 def test_split_support_needs_nonempty_support():
@@ -387,7 +387,7 @@ def test_point_lift_yields_column_support():
         for i in support_indices(p):
             lbl = p.cod.labels[i]
             a = point_lift(p, lbl)
-            assert p.at(lbl, a) > 0
+            assert entry(p, lbl, a) > 0
 
 
 def test_precise_supports():
@@ -441,8 +441,8 @@ def test_scomp_identity_is_canonical():
     cell = SuppCompCell(p.cod, p)
     ident = scomp_identity(cell)
     # support is {a,b}; the column at c is canonicalized to the point at a
-    assert ident.rep.at("a", "c") == 1
-    assert ident.rep.at("a", "a") == 1 and ident.rep.at("b", "b") == 1
+    assert entry(ident.rep, "a", "c") == 1
+    assert entry(ident.rep, "a", "a") == 1 and entry(ident.rep, "b", "b") == 1
 
 
 def test_scomp_membership_enforced():
@@ -537,7 +537,7 @@ def test_scomp_support_of_state_class():
     # the inclusion is the identity class, canonicalized off the support
     expected = canonical_rep(identity(p.cod), set(support_indices(p)))
     assert kernel_equal(inclusion.rep, expected)
-    assert inclusion.rep.at("a", "c") == 1
+    assert entry(inclusion.rep, "a", "c") == 1
 
 
 def test_scomp_support_universal_property_sampled():
