@@ -44,8 +44,8 @@ from .kernel import (
     FinObject,
     Kernel,
     Kind,
-    _exact_column,
     _kernel,
+    _ratio_column,
     compose,
     delta_kernel,
     identity,
@@ -67,29 +67,32 @@ _ENTRY = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _LONG_RUN = re.compile(f"[0-9]{{{MAX_DIGITS + 1}}}")  # needed by any numeral over the cap
 
 
-def _parse_int(text: str, where: str = "integer literal") -> int:
+def _parse_int(text: str) -> int:
     if len(text.lstrip("-")) > MAX_DIGITS:
-        raise ParseError(f"{where}: numeral longer than {MAX_DIGITS} digits")
+        raise ParseError(f"integer literal: numeral longer than {MAX_DIGITS} digits")
     return int(text)
 
 
-def _parse_entry(value: Any, where: str) -> tuple[int, int]:
-    """An entry as a reduced ``(num, den)`` pair with ``den > 0``."""
+def _parse_entry(value: Any) -> tuple[int, int]:
+    """An entry as a reduced ``(num, den)`` pair with ``den > 0``.  The
+    ParseError says what is wrong; the caller prefixes where."""
     if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{where}: entries must be integers or 'n/d' strings, got {value!r}")
+        raise ParseError(f"entries must be integers or 'n/d' strings, got {value!r}")
     if isinstance(value, int):
         return value, 1
     if isinstance(value, str):
         match = _ENTRY.fullmatch(value)
         if match is None:
-            raise ParseError(f"{where}: bad fraction {value[:40]!r}")
-        num = _parse_int(match.group(1), where)
-        den = _parse_int(match.group(2) or "1", where)
+            raise ParseError(f"bad fraction {value[:40]!r}")
+        num, den = match.group(1, 2)
+        if max(len(num.lstrip("-")), len(den or "")) > MAX_DIGITS:
+            raise ParseError(f"numeral longer than {MAX_DIGITS} digits")
+        num, den = int(num), int(den or 1)
         if den == 0:
-            raise ParseError(f"{where}: zero denominator in {value!r}")
+            raise ParseError(f"zero denominator in {value!r}")
         c = math.gcd(num, den)
         return num // c, den // c
-    raise ParseError(f"{where}: bad entry {value!r}")
+    raise ParseError(f"bad entry {value!r}")
 
 
 def parse_kernel(text: str) -> Kernel:
@@ -148,14 +151,22 @@ def kernel_from_doc(doc: Any) -> Kernel:
             raise ParseError("stoch/signed kernels carry 'matrix'")
         if not isinstance(matrix, list) or len(matrix) != cod.size:
             raise ParseError(f"'matrix' must have {cod.size} rows")
-        rows = []
+        cells: list[list] = [[] for _ in range(dom.size)]
+        parsed: dict[str, tuple[int, int]] = {}  # each distinct string is parsed once
         for i, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != dom.size:
                 raise ParseError(f"matrix row {i} must have {dom.size} entries")
-            # a JSON integer is already a reduced pair
-            rows.append([(v, 1) if type(v) is int else _parse_entry(v, f"matrix[{i}][{j}]")
-                         for j, v in enumerate(row)])
-        columns = tuple(map(_exact_column, zip(*rows) if rows else [()] * dom.size))
+            for j, v in enumerate(row):
+                if type(v) is int:
+                    r = (v, 1)  # a JSON integer is already a reduced pair
+                elif (r := parsed.get(v) if type(v) is str else None) is None:
+                    try:
+                        r = parsed[v] = _parse_entry(v)
+                    except ParseError as exc:
+                        raise ParseError(f"matrix[{i}][{j}]: {exc}") from None
+                if r[0]:
+                    cells[j].append((i, r))
+        columns = tuple(map(_ratio_column, cells))
     k = _kernel(kind, dom, cod, columns)
     bad = validate(k)
     if bad is not None:

@@ -130,15 +130,21 @@ def cell_tensor(a: EnvelopeCell, b: EnvelopeCell) -> EnvelopeCell:
 
 
 def env_tensor(f: EnvelopeMorphism, g: EnvelopeMorphism) -> EnvelopeMorphism:
-    """f⊗g, checked on the factors when each endo lives on its kernel's objects."""
+    """f⊗g, checked on the factors when each endo lives on its kernel's objects.
+    Of two cell identities, the tensor is built once: it is the tensor
+    cell's endo and the morphism's kernel, and each factor's two
+    absorption checks are the one test e∘e = e."""
     src = cell_tensor(f.src, g.src)
-    dst = cell_tensor(f.dst, g.dst)
     a, b = f.kernel, g.kernel
-    out = EnvelopeMorphism(src, dst, tensor(a, b))
+    identities = f.dst == f.src and g.dst == g.src and a == f.src.endo and b == g.src.endo
+    if identities:
+        out = EnvelopeMorphism(src, src, src.endo)
+    else:
+        out = EnvelopeMorphism(src, cell_tensor(f.dst, g.dst), tensor(a, b))
     on = ((f.src.endo, a.dom), (g.src.endo, b.dom), (f.dst.endo, a.cod), (g.dst.endo, b.cod))
     if not (all(e.kind is a.kind and e.dom == x == e.cod for e, x in on)
             and compose(a, f.src.endo) == a and compose(b, g.src.endo) == b
-            and compose(f.dst.endo, a) == a and compose(g.dst.endo, b) == b):
+            and (identities or compose(f.dst.endo, a) == a and compose(g.dst.endo, b) == b)):
         _require_absorbed(out)  # unabsorbed factors can have an absorbed tensor: −id⊗−id
     return out
 
@@ -245,7 +251,9 @@ def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bo
     if p.dst.flavor is not Flavor.BLACKWELL:
         raise NotBalanced("almost-sure comparison needs a Blackwell middle cell")
     e = p.dst.endo
-    _, ee = _cell_copy(p.dst)  # raises NotHom unless the middle cell absorbs its copy
+    ee = compose(e, e)
+    if ee != e:  # ee = e absorbs the copy, which is then not built
+        _cell_copy(p.dst)  # raises NotHom unless the middle cell absorbs its copy
     ep = compose(e, p.kernel)
     joint_f = compose(pair(ee, compose(f.kernel, e)), ep)
     joint_g = compose(pair(ee, compose(g.kernel, e)), ep)

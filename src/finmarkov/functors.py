@@ -171,11 +171,12 @@ def conditional(f: Kernel, split: int) -> Kernel:
     return _kernel(Kind.STOCH, dom, y_obj, tuple(cols))
 
 
-def _reconstruct(f: Kernel, cond: Kernel, split: int) -> Kernel:
-    """Rebuild the joint from a conditional: ⟨π_X, c⟩∘⟨f_X, id_A⟩, with
-    π_X: X⊗A → X the projection."""
+def _reconstruct(f: Kernel, cond: Kernel, split: int, base: Kernel | None = None) -> Kernel:
+    """Rebuild the joint from a conditional: ⟨π_X, c⟩∘b, with π_X: X⊗A → X
+    the projection and b = `comparison_base` (built here unless given)."""
     x_obj, _ = split_tensor_labels(f.cod, split)
-    base = comparison_base(f, split)
+    if base is None:
+        base = comparison_base(f, split)
     to_x = function_kernel(base.cod, x_obj, [r // f.dom.size for r in range(base.cod.size)], f.kind)
     return compose(pair(to_x, cond), base)
 
@@ -197,7 +198,8 @@ def verify_conditional_unique(f: Kernel, c1: Kernel, c2: Kernel, split: int | No
         split = c1.dom.size // f.dom.size
     if c1.dom != c2.dom or c1.cod != c2.cod:
         raise ShapeMismatch("candidates must be parallel")
+    base = comparison_base(f, split)
     for c in (c1, c2):
-        if not kernel_equal(_reconstruct(f, c, split), f):
+        if not kernel_equal(_reconstruct(f, c, split, base), f):
             raise NotAConditional("candidate does not satisfy the conditional equation")
-    return ase_kernels(comparison_base(f, split), c1, c2)
+    return ase_kernels(base, c1, c2)

@@ -18,6 +18,13 @@ given domain element ``j`` (rows indexed by the codomain, columns by the
 domain), as `fractions.Fraction` or `bool`.  It is the rows given to the
 constructor, or is built from the columns on first access and cached.
 
+Ingestion: exact columns come in two ways, and both feed
+`_ratio_column` with a column's nonzero ``(row, (num, den))`` cells.  A
+kernel built from dense rows converts them on the first read of
+``columns``, with one ``as_integer_ratio`` per entry, so building an
+input costs no more than storing it; the CLI's document parser parses
+each distinct entry string of a document once.
+
 Every deterministic kernel (identity, copy, discard, swap, point masses,
 the associator and unitors, subset inclusions) is built by
 :func:`function_kernel` from one codomain index per domain element.
@@ -166,12 +173,21 @@ def split_tensor_labels(obj: FinObject, left_size: int) -> tuple[FinObject, FinO
 _EMPTY = (1, ())
 
 
-def _exact_column(ratios: Sequence[tuple[int, int]]) -> tuple:
-    """Canonical stored column of dense entries given as reduced
-    ``(num, den)`` pairs with ``den > 0``."""
-    den = math.lcm(*[d for _, d in ratios])
-    cells = tuple((i, n * (den // d)) for i, (n, d) in enumerate(ratios) if n)
-    return (den, cells) if cells else _EMPTY
+def _ratio_column(cells: list) -> tuple:
+    """Canonical stored column of nonzero ``(row, (num, den))`` cells,
+    ascending in row, each a reduced fraction with ``den > 0``.
+
+    Cells that share one denominator keep it; otherwise every numerator
+    is scaled to the lcm.  Either way each prime of the denominator leaves
+    some numerator undivided, so the column is reduced.
+    """
+    if not cells:
+        return _EMPTY
+    dens = {d for _, (_, d) in cells}
+    if len(dens) == 1:
+        return dens.pop(), tuple([(i, num) for i, (num, _) in cells])
+    den = math.lcm(*dens)
+    return den, tuple([(i, num * (den // d)) for i, (num, d) in cells])
 
 
 def _reduced(den: int, cells: list) -> tuple:
@@ -223,7 +239,8 @@ class Kernel:
             bits = [1 << i for i in range(self.cod.size)]
             columns = tuple(sum(itertools.compress(bits, col)) for col in dense)
         else:
-            columns = tuple(_exact_column([v.as_integer_ratio() for v in col]) for col in dense)
+            columns = tuple(_ratio_column([(i, r) for i, v in enumerate(col) if (r := v.as_integer_ratio())[0]])
+                            for col in dense)
         object.__setattr__(self, "columns", columns)
         return columns
 

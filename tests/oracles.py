@@ -22,7 +22,10 @@ equations, and the envelope comonoid laws and `env_ase`, which the
 library builds as pairings, against their tensor-then-copy composites.
 The envelope absorption checks, which the library decides on the factors
 of a tensor and from one e∘e, are checked against the whole composites.
-The enumerations and comparisons only the tests use live here too.
+The stored columns that dense rows and parsed documents become, which
+the library builds from each column's nonzero cells, are checked against
+the column builder over every entry that it replaced.  The enumerations
+and comparisons only the tests use live here too.
 """
 
 import itertools
@@ -592,8 +595,25 @@ def projection_is_section(p: Kernel, sd) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# kernel documents
+# stored columns and kernel documents
 # ---------------------------------------------------------------------------
+
+
+def exact_column(ratios) -> tuple:
+    """Canonical stored column of dense entries given as reduced
+    ``(num, den)`` pairs with ``den > 0``: the lcm of every denominator,
+    zeros included, and the nonzero numerators scaled to it."""
+    den = math.lcm(*[d for _, d in ratios])
+    cells = tuple((i, n * (den // d)) for i, (n, d) in enumerate(ratios) if n)
+    return (den, cells) if cells else (1, ())
+
+
+def columns_by_exact_column(rows, width: int) -> tuple:
+    """The stored columns of dense Stoch or Signed rows of ``width``
+    entries, one `exact_column` per column."""
+    dense = zip(*rows) if rows else [()] * width
+    return tuple(exact_column([v.as_integer_ratio() for v in col]) for col in dense)
+
 
 _ENTRY = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 

@@ -33,6 +33,7 @@ from finmarkov import (
     identity,
     kernel_equal,
     make_kernel,
+    pair,
     random_class_idempotent,
     tensor,
 )
@@ -45,7 +46,7 @@ from finmarkov.golden import (
     strong_idempotent,
 )
 from finmarkov.rand import random_kernel, random_object
-from oracles import all_multi_kernels
+from oracles import all_multi_kernels, env_tensor_by_tensors
 
 F = Fraction
 
@@ -257,6 +258,21 @@ def test_copy_checks_build_no_tensor_and_env_tensor_composes_on_the_factors(monk
     domains.clear()
     env_tensor(env_identity(cell), env_identity(small))
     assert domains and max(domains) <= max(x.size, small.object.size)
+
+
+def test_env_ase_builds_no_copy_and_env_tensor_of_identities_one_tensor(monkeypatch):
+    paired, built = [], []
+    monkeypatch.setattr(envelopes, "pair", lambda f, g: paired.append((f, g)) or pair(f, g))
+    monkeypatch.setattr(envelopes, "tensor", lambda f, g: built.append((f, g)) or tensor(f, g))
+    x = fin_object(str(i) for i in range(6))
+    cell = _blackwell(random_class_idempotent(random.Random(6), x).idempotent)
+    p = env_identity(cell)
+    assert env_ase(p, p, p)
+    assert len(paired) == 2  # the two joints: with e∘e = e the copy is not built
+    small = _blackwell(strong_idempotent())
+    m = env_tensor(env_identity(cell), env_identity(small))
+    assert len(built) == 1 and m.src is m.dst and m.kernel is m.src.endo
+    assert m == env_tensor_by_tensors(env_identity(cell), env_identity(small))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import finmarkov.functors as functors
 from finmarkov import (
     Kind,
     NotAConditional,
@@ -38,6 +39,7 @@ from finmarkov.kernel import UNIT, support_indices
 from finmarkov.rand import (
     random_deterministic_kernel,
     random_kernel,
+    random_kernel_supported_on,
     random_object,
 )
 from oracles import entry, param_equal
@@ -382,6 +384,20 @@ def test_conditional_uniqueness_rejects_on_support_tampering():
     c2 = Kernel(Kind.STOCH, c1.dom, c1.cod, tuple(tuple(cols[j][i] for j in range(c1.dom.size)) for i in range(2)))
     with pytest.raises(NotAConditional):
         verify_conditional_unique(joint, c1, c2)
+
+
+def test_conditional_uniqueness_builds_the_comparison_base_once(monkeypatch):
+    # both reconstructions and the almost-sure comparison share one b = ⟨f_X, id_A⟩
+    built = []
+    original = functors.comparison_base
+    monkeypatch.setattr(functors, "comparison_base", lambda f, split: built.append(split) or original(f, split))
+    rng = random.Random(43)
+    a, x, y = (fin_object(f"{p}{i}" for i in range(n)) for p, n in (("a", 3), ("x", 3), ("y", 2)))
+    joint = random_kernel_supported_on(rng, Kind.STOCH, a, tensor_object(x, y), [0, 1, 4, 5])
+    c1 = conditional(joint, split=x.size)
+    c2 = perturb_off_support(c1, comparison_base(joint, x.size), seed=5)
+    assert verify_conditional_unique(joint, c1, c2) and verify_conditional_unique(joint, c1, c2, x.size)
+    assert built == [x.size, x.size]
 
 
 def test_conditional_unique_trivially_for_same_candidate():

@@ -34,7 +34,8 @@ from finmarkov import (
     tensor,
     tensor_object,
 )
-from finmarkov.cli import ParseError, parse_kernel
+import finmarkov.cli as cli
+from finmarkov.cli import ParseError, kernel_to_doc, parse_kernel
 from finmarkov.golden import (
     balanced_idempotent,
     multi_chain3_idempotent,
@@ -53,7 +54,13 @@ from finmarkov.rand import (
     random_signed_column,
     random_stoch_column,
 )
-from oracles import all_multi_kernels, emit_kernel, emit_kernel_by_fractions, parse_kernel_by_fractions
+from oracles import (
+    all_multi_kernels,
+    columns_by_exact_column,
+    emit_kernel,
+    emit_kernel_by_fractions,
+    parse_kernel_by_fractions,
+)
 
 F = Fraction
 
@@ -658,6 +665,45 @@ def test_unreduced_inputs_store_canonical_columns():
     assert Kernel(Kind.MULTI, UNIT, x, [[1], [False], [True]]).columns == (0b101,)
 
 
+@st.composite
+def _exact_rows(draw):
+    """(kind, width, rows): Stoch or Signed rows up to 5 × 5, drawn column
+    by column so that a column holds one or several denominators; int and
+    `Fraction` entries side by side, negative numerators and all-zero
+    columns.  The constructor does not check the column law."""
+    kind = draw(st.sampled_from([Kind.STOCH, Kind.SIGNED]))
+    height, width = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cols = []
+    for _ in range(width):
+        dens = draw(st.lists(st.sampled_from(DENOMINATORS), min_size=1, max_size=3))
+        entry = st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3),
+                          st.builds(F, st.integers(-12, 12), st.sampled_from(dens)))
+        cols.append(draw(st.lists(entry, min_size=height, max_size=height)))
+    return kind, width, [[col[i] for col in cols] for i in range(height)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_rows())
+def test_dense_rows_store_what_the_full_column_builder_stores(drawn):
+    kind, width, rows = drawn
+    k = Kernel(kind, _obj("a", width), _obj("x", len(rows)), rows)
+    assert k.columns == columns_by_exact_column(rows, width)
+
+
+def test_dense_rows_store_each_column_shape():
+    # all zero, one denominator, one denominator with negatives, an int
+    # zero beside Fraction zeros, and ints beside a Fraction over 7
+    rows = [[0, F(1, 4), F(1, 3), F(0), -2],
+            [F(0), F(2, 4), F(-2, 3), 0, F(5, 7)],
+            [0, F(1, 4), F(4, 3), F(0), 3]]
+    want = ((1, ()), (4, ((0, 1), (1, 2), (2, 1))), (3, ((0, 1), (1, -2), (2, 4))), (1, ()),
+            (7, ((0, -14), (1, 5), (2, 21))))
+    for kind in (Kind.STOCH, Kind.SIGNED):
+        assert Kernel(kind, _obj("a", 5), _obj("x", 3), rows).columns == want == columns_by_exact_column(rows, 5)
+        assert Kernel(kind, _obj("a", 0), _obj("x", 3), [[], [], []]).columns == ()
+        assert Kernel(kind, _obj("a", 2), _obj("x", 0), []).columns == ((1, ()), (1, ()))
+
+
 def test_kernels_are_immutable():
     built = Kernel(Kind.STOCH, UNIT, _obj("x", 2), [[F(1, 2)], [F(1, 2)]])
     for k in (built, tensor(built, built), identity(_obj("x", 2), Kind.MULTI)):
@@ -808,3 +854,70 @@ def test_emitted_documents_match_the_fraction_emitter():
     _same_documents(Kernel(Kind.SIGNED, UNIT, x, [[2], [-1], [0]]))
     _same_documents(Kernel(Kind.SIGNED, UNIT, x, [[F(-1, 3)], [F(10**50 + 1, 10**50)], [F(1, 3) - F(1, 10**50)]]))
     _same_documents(blackwell_split(balanced_idempotent()).projection)
+
+
+# spellings that repeat within a document: unreduced, negative zero, zero over 7
+SPELLINGS = ["4/6", "2/3", "-0", "0", "0/7", "1/3", "2/6", "-1/3", "1", "3/3", 0, 1, -1, 2]
+# refused entries that can repeat: each fails the grammar, the cap or the type
+REPEATED_BAD = ["1/0", "abc", "1/-2", "1" * (CAP + 1), 1.5, True, None]
+
+
+@st.composite
+def _repeating_document(draw):
+    """(text, bad cells): a Stoch or Signed document over at most four
+    distinct spellings, so entries repeat.  The last row makes each column
+    sum to one unless the draw says otherwise, and one refused entry may
+    sit in one to three cells."""
+    kind = draw(st.sampled_from(["stoch", "signed"]))
+    height, width = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    pool = draw(st.lists(st.sampled_from(SPELLINGS), min_size=1, max_size=4))
+    matrix = [[draw(st.sampled_from(pool)) for _ in range(width)] for _ in range(height)]
+    if draw(st.booleans()):
+        for j in range(width):
+            rest = 1 - sum((F(row[j]) for row in matrix[:-1]), F(0))
+            matrix[-1][j] = _spelled(rest, draw(st.sampled_from(("plain", "minus", "scaled"))))
+    cells = [(i, j) for i in range(height) for j in range(width)]
+    bad = []
+    if cells and draw(st.booleans()):
+        value = draw(st.sampled_from(REPEATED_BAD))
+        bad = sorted(draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True)))
+        for i, j in bad:
+            matrix[i][j] = value
+    doc = {"kind": kind, "dom": [f"a{j}" for j in range(width)], "cod": [f"x{i}" for i in range(height)],
+           "matrix": matrix}
+    return json.dumps(doc), bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating_document())
+def test_documents_with_repeated_entries_store_what_the_full_column_builder_stores(drawn):
+    text, bad = drawn
+    got, want = _parsed(parse_kernel, text), _parsed(parse_kernel_by_fractions, text)
+    assert got == want
+    if bad:
+        i, j = bad[0]  # the first refused cell in row-major order is the one reported
+        assert got[0] == "error" and got[1].startswith(f"matrix[{i}][{j}]: ")
+    elif got[0] == "ok":
+        k = got[1]
+        assert k.columns == columns_by_exact_column(k.matrix, k.dom.size)
+
+
+def test_each_distinct_entry_string_of_a_document_is_parsed_once(monkeypatch):
+    parsed = []
+    parse_entry = cli._parse_entry
+    monkeypatch.setattr(cli, "_parse_entry", lambda v: parsed.append(v) or parse_entry(v))
+    e = random_class_idempotent(random.Random(3), _obj("s", 12)).idempotent
+    doc = kernel_to_doc(e)
+    for i, row in enumerate(doc["matrix"]):  # respell a third of the cells, unreduced or as "-0" and "0/7"
+        for j, v in enumerate(row):
+            if (i + j) % 3 == 0:
+                v = F(v)
+                row[j] = f"{2 * v.numerator}/{2 * v.denominator}" if v else ("-0", "0/7")[j % 2]
+    strings = [v for row in doc["matrix"] for v in row if type(v) is str]
+    text = json.dumps(doc)
+    k = parse_kernel_by_fractions(text)
+    assert parse_kernel(text) == k
+    assert sorted(parsed) == sorted(set(strings)) and len(strings) > 2 * len(parsed)
+    parsed.clear()
+    assert parse_kernel(text) == k  # nothing is remembered across documents
+    assert sorted(parsed) == sorted(set(strings))
