@@ -178,11 +178,10 @@ def _ratio_column(cells: list) -> tuple:
     ascending in row, each a reduced fraction with ``den > 0``.
 
     Cells that share one denominator keep it; otherwise every numerator
-    is scaled to the lcm.  Either way each prime of the denominator leaves
-    some numerator undivided, so the column is reduced.
+    is scaled to the lcm, which is 1 when there are no cells.  Either way
+    each prime of the denominator leaves some numerator undivided, so the
+    column is reduced.
     """
-    if not cells:
-        return _EMPTY
     dens = {d for _, (_, d) in cells}
     if len(dens) == 1:
         return dens.pop(), tuple([(i, num) for i, (num, _) in cells])
