@@ -67,10 +67,18 @@ _ENTRY = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _LONG_RUN = re.compile(f"[0-9]{{{MAX_DIGITS + 1}}}")  # needed by any numeral over the cap
 
 
-def _parse_int(text: str) -> int:
+def _int(text: str) -> int:
+    """The value of a numeral, which must have at most MAX_DIGITS digits."""
     if len(text.lstrip("-")) > MAX_DIGITS:
-        raise ParseError(f"integer literal: numeral longer than {MAX_DIGITS} digits")
+        raise ParseError(f"numeral longer than {MAX_DIGITS} digits")
     return int(text)
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return _int(text)
+    except ParseError as exc:
+        raise ParseError(f"integer literal: {exc}") from None
 
 
 def _parse_entry(value: Any) -> tuple[int, int]:
@@ -84,10 +92,7 @@ def _parse_entry(value: Any) -> tuple[int, int]:
         match = _ENTRY.fullmatch(value)
         if match is None:
             raise ParseError(f"bad fraction {value[:40]!r}")
-        num, den = match.group(1, 2)
-        if max(len(num.lstrip("-")), len(den or "")) > MAX_DIGITS:
-            raise ParseError(f"numeral longer than {MAX_DIGITS} digits")
-        num, den = int(num), int(den or 1)
+        num, den = _int(match.group(1)), _int(match.group(2) or "1")
         if den == 0:
             raise ParseError(f"zero denominator in {value!r}")
         c = math.gcd(num, den)

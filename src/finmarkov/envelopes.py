@@ -154,22 +154,22 @@ def blackwell_copy(cell: EnvelopeCell) -> EnvelopeMorphism:
     its tensor square."""
     if cell.flavor is not Flavor.BLACKWELL:
         raise NotBalanced("the copy formula is defined on Blackwell cells")
-    return _copy_morphism(cell, _cell_copy(cell)[0])
+    e = cell.endo
+    return _copy_morphism(cell, _cell_copy(cell, compose(e, e)))
 
 
 def _copy_morphism(cell: EnvelopeCell, cpy: Kernel) -> EnvelopeMorphism:
     return EnvelopeMorphism(cell, EnvelopeCell(cpy.cod, tensor(cell.endo, cell.endo), cell.flavor), cpy)
 
 
-def _cell_copy(cell: EnvelopeCell) -> tuple[Kernel, Kernel]:
-    """The copy formula cpy = ⟨e,e⟩∘e and ee = e∘e, raising NotHom unless
-    the cell absorbs cpy; ee = e absorbs it on both sides."""
+def _cell_copy(cell: EnvelopeCell, ee: Kernel) -> Kernel:
+    """The copy formula cpy = ⟨e,e⟩∘e, given ee = e∘e, raising NotHom
+    unless the cell absorbs cpy; ee = e absorbs it on both sides."""
     e = cell.endo
-    ee = compose(e, e)
     cpy = compose(pair(e, e), e)
     if ee != e:
         _require_absorbed(_copy_morphism(cell, cpy))
-    return cpy, ee
+    return cpy
 
 
 def env_discard(cell: EnvelopeCell) -> EnvelopeMorphism:
@@ -224,7 +224,8 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     Only an idempotent that breaks the column law can fail this law.
     """
     e = cell.endo
-    cpy, ee = _cell_copy(cell)
+    ee = compose(e, e)
+    cpy = _cell_copy(cell, ee)
     disc = compose(discard_kernel(e.dom, e.kind), e)
     de = disc if ee == e else compose(disc, e)
 
@@ -253,7 +254,7 @@ def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bo
     e = p.dst.endo
     ee = compose(e, e)
     if ee != e:  # ee = e absorbs the copy, which is then not built
-        _cell_copy(p.dst)  # raises NotHom unless the middle cell absorbs its copy
+        _cell_copy(p.dst, ee)  # raises NotHom unless the middle cell absorbs its copy
     ep = compose(e, p.kernel)
     joint_f = compose(pair(ee, compose(f.kernel, e)), ep)
     joint_g = compose(pair(ee, compose(g.kernel, e)), ep)

@@ -171,12 +171,10 @@ def conditional(f: Kernel, split: int) -> Kernel:
     return _kernel(Kind.STOCH, dom, y_obj, tuple(cols))
 
 
-def _reconstruct(f: Kernel, cond: Kernel, split: int, base: Kernel | None = None) -> Kernel:
+def _reconstruct(f: Kernel, cond: Kernel, split: int, base: Kernel) -> Kernel:
     """Rebuild the joint from a conditional: ⟨π_X, c⟩∘b, with π_X: X⊗A → X
-    the projection and b = `comparison_base` (built here unless given)."""
+    the projection and b = `comparison_base(f, split)`."""
     x_obj, _ = split_tensor_labels(f.cod, split)
-    if base is None:
-        base = comparison_base(f, split)
     to_x = function_kernel(base.cod, x_obj, [r // f.dom.size for r in range(base.cod.size)], f.kind)
     return compose(pair(to_x, cond), base)
 

@@ -177,15 +177,11 @@ def _ratio_column(cells: list) -> tuple:
     """Canonical stored column of nonzero ``(row, (num, den))`` cells,
     ascending in row, each a reduced fraction with ``den > 0``.
 
-    Cells that share one denominator keep it; otherwise every numerator
-    is scaled to the lcm, which is 1 when there are no cells.  Either way
-    each prime of the denominator leaves some numerator undivided, so the
-    column is reduced.
+    Every numerator is scaled to the lcm of the denominators, which is 1
+    when there are no cells.  Each prime of the lcm leaves some numerator
+    undivided, so the column is reduced.
     """
-    dens = {d for _, (_, d) in cells}
-    if len(dens) == 1:
-        return dens.pop(), tuple([(i, num) for i, (num, _) in cells])
-    den = math.lcm(*dens)
+    den = math.lcm(*{d for _, (_, d) in cells})
     return den, tuple([(i, num * (den // d)) for i, (num, d) in cells])
 
 

@@ -71,7 +71,7 @@ from finmarkov.envelopes import (
     cell_tensor,
     env_hom,
 )
-from finmarkov.functors import _reconstruct
+from finmarkov.functors import _reconstruct, comparison_base
 from finmarkov.idempotents import StructureViolation
 from finmarkov.kernel import (
     _is_point_column,
@@ -245,7 +245,7 @@ def io_relation_by_states(p: Kernel) -> Kernel:
 
 def conditional_rebuilds(f: Kernel, cond: Kernel, split: int) -> bool:
     """Pairing the conditional with the first marginal gives back f."""
-    return kernel_equal(_reconstruct(f, cond, split), f)
+    return kernel_equal(_reconstruct(f, cond, split, comparison_base(f, split)), f)
 
 
 # ---------------------------------------------------------------------------

@@ -574,7 +574,7 @@ def test_criterion_09_functor_suite():
         y = random_object(rng, 3, "y")
         joint = random_kernel(rng, Kind.STOCH, a, tensor_object(x, y))
         cond = conditional(joint, split=x.size)
-        ok &= kernel_equal(_reconstruct(joint, cond, x.size), joint)
+        ok &= kernel_equal(_reconstruct(joint, cond, x.size, comparison_base(joint, x.size)), joint)
 
     # almost-sure uniqueness via off-support perturbation
     for _ in range(100):

@@ -335,7 +335,7 @@ def test_conditional_reconstruction_random():
         cond = conditional(joint, split=x.size)
         from finmarkov.functors import _reconstruct
 
-        assert kernel_equal(_reconstruct(joint, cond, x.size), joint)
+        assert kernel_equal(_reconstruct(joint, cond, x.size, comparison_base(joint, x.size)), joint)
 
 
 def test_conditional_of_empty_joint_is_a_bad_split():

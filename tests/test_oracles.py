@@ -69,7 +69,7 @@ from finmarkov.golden import (
     static_idempotent,
     strong_idempotent,
 )
-from finmarkov.functors import _reconstruct
+from finmarkov.functors import _reconstruct, comparison_base
 from finmarkov.idempotents import StructureViolation
 from finmarkov.kernel import _kernel, support_indices
 from finmarkov.rand import (
@@ -289,7 +289,7 @@ def test_reconstruct_matches_its_tensor_composite(kind, seed):
     a = random_object(rng, 3, "a", min_size=0)
     joint = random_kernel(rng, kind, a, tensor_object(x, y))
     cond = random_kernel(rng, kind, tensor_object(x, a), y)
-    assert _reconstruct(joint, cond, x.size) == reconstruct_by_tensors(joint, cond, x.size)
+    assert _reconstruct(joint, cond, x.size, comparison_base(joint, x.size)) == reconstruct_by_tensors(joint, cond, x.size)
 
 
 @settings(max_examples=150, deadline=None)
