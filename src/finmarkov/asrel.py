@@ -19,6 +19,7 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
+    _kernel,
     compose,
     copy_kernel,
     fin_object,
@@ -26,7 +27,7 @@ from .kernel import (
     support_indices,
     tensor,
 )
-from .rand import random_column
+from .rand import random_kernel
 
 
 class UnsupportedKind(FinMarkovError):
@@ -164,18 +165,19 @@ def perturb_off_support(f: Kernel, p: Kernel, seed: int) -> Kernel:
     if not off or f.cod.size < 2:
         return f
     rng = random.Random(seed)
-    cols = [list(f.column(j)) for j in range(f.dom.size)]
-    for j in off:
-        cols[j] = list(random_column(rng, f.kind, f.cod.size))
-    if all(tuple(cols[j]) == f.column(j) for j in off):
-        j = off[0]
-        cols[j] = cols[j][1:] + cols[j][:1]
-        if tuple(cols[j]) == f.column(j):
+    draws = [random_kernel(rng, f.kind, UNIT, f.cod) for _ in off]
+    cols = list(f.columns)
+    if all(d.columns[0] == cols[j] for d, j in zip(draws, off)):
+        # move each row of the first draw up by one, cyclically
+        n = f.cod.size
+        draws[0] = compose(function_kernel(f.cod, f.cod, [(i - 1) % n for i in range(n)], f.kind), draws[0])
+        if draws[0].columns[0] == cols[off[0]]:
             # a column fixed by rotation is constant, so the point mass on
             # the first element differs from it
-            cols[j] = list(function_kernel(UNIT, f.cod, [0], f.kind).column(0))
-    rows = tuple(tuple(cols[j][i] for j in range(f.dom.size)) for i in range(f.cod.size))
-    return Kernel(f.kind, f.dom, f.cod, rows)
+            draws[0] = function_kernel(UNIT, f.cod, [0], f.kind)
+    for j, d in zip(off, draws):
+        cols[j] = d.columns[0]
+    return _kernel(f.kind, f.dom, f.cod, tuple(cols))
 
 
 @dataclass(frozen=True)

@@ -281,10 +281,10 @@ def _cmd_split_support(args) -> tuple[int, dict]:
 def _cmd_abscont(args) -> tuple[int, dict]:
     q = _read_kernel(args.dominating)
     p = _read_kernel(args.dominated)
-    verdict = abs_cont(q, p)
+    witness = refute_abs_cont(q, p)
+    verdict = witness is None
     payload: dict[str, Any] = {"abs_cont": verdict}
     if not verdict:
-        witness = refute_abs_cont(q, p)
         payload["witness"] = {
             "element": witness.element,
             "low": kernel_to_doc(witness.low),

@@ -9,8 +9,10 @@ coassociative whether or not the idempotent is balanced, and only
 non-balanced signed idempotents can break it.
 
 `env_check_markov_laws` decides every comonoid law exactly on stored
-columns.  Discard naturality quantifies over all cell endomorphisms, yet
-needs no sample of them: a constant map breaks it whenever anything does.
+columns.  Cocommutativity holds by construction: cpy = ⟨e,e⟩∘e mixes
+the symmetric columns e(y)⊗e(y), so it builds no swap.  Discard
+naturality quantifies over all cell endomorphisms, yet needs no sample
+of them: a constant map breaks it whenever anything does.
 
 Absorption is first tried on small composites; when they do not show
 it, the whole composites decide and raise.  By the interchange law
@@ -38,7 +40,6 @@ from .kernel import (
     kernel_equal,
     pair,
     support_indices,
-    swap_kernel,
     tensor,
     validate,
 )
@@ -213,6 +214,8 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     with e's, and coassociativity compares the two composites' columns.
     With copy = ⟨e,e⟩∘e, each composite (a⊗b)∘copy is built as the
     pairing ⟨a∘e, b∘e⟩∘e; copy∘e is copy, and disc∘e is disc if e∘e = e.
+    Cocommutativity, swap∘copy = copy, holds in every kind: each column
+    of copy is Σ_y e(y|x)·e(y)⊗e(y), a sum of symmetric columns.
 
     Discard naturality, disc∘(e∘r∘e) = disc for every valid r where
     disc = discard∘e, is decided, not sampled.  With t = disc∘e, a kernel
@@ -233,11 +236,9 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     counit_right = compose(pair(ee, de), e).columns == e.columns
     coassociative = compose(pair(cpy, ee), e).columns == compose(pair(ee, cpy), e).columns
 
-    cocommutative = kernel_equal(compose(swap_kernel(e.dom, e.dom, e.kind), cpy), cpy)
-
     # a kernel into the unit is deterministic exactly when every column is one
     discard_natural = is_deterministic(de) or not support_indices(disc)
-    return MarkovLawReport(counit_left, counit_right, coassociative, cocommutative, discard_natural)
+    return MarkovLawReport(counit_left, counit_right, coassociative, True, discard_natural)
 
 
 def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bool:

@@ -51,7 +51,6 @@ from .kernel import (
     _kernel,
     _reduced,
     compose,
-    copy_kernel,
     fin_object,
     identity,
     is_deterministic,
@@ -241,34 +240,27 @@ def balanced_cross_check(e: Kernel) -> BalancedCrossCheck:
     """Evaluate the four characterizations of balance on an idempotent.
 
     (i) the defining two-step equation, as `classify` decides it; (ii)
-    detailed balance e(y|z)e(z|x) = e(z|y)e(y|x); (iii) the strong equation
-    holding e-almost surely; (iv) symmetry of the paired state
-    (id⊗e)∘copy∘p for every invariant column p of e (sufficient: the
-    invariant kernels of an idempotent are spanned by its columns and the
-    condition is linear).
+    detailed balance e(y|z)e(z|x) = e(z|y)e(y|x), which says that the
+    two-step joint L((y,z)|x) = e(y|x)·e(z|y) is fixed by the swap; (iii)
+    the strong equation holding e-almost surely; (iv) symmetry of the
+    paired state (id⊗e)∘copy∘p for every invariant column p of e
+    (sufficient: the invariant kernels of an idempotent are spanned by its
+    columns and the condition is linear).
     """
     report = classify(e)
     if not report.idempotent:
         raise NotIdempotent("cross-check applies to idempotents")
     kind = e.kind
-    n = e.dom.size
 
     defining = report.balanced
 
-    # bools multiply as 0/1, so one product serves every kind
-    detailed = all(
-        e.matrix[y][z] * e.matrix[z][x] == e.matrix[z][y] * e.matrix[y][x]
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
-    )
-
     paired = pair(identity(e.dom, kind), e)
     lhs = compose(paired, e)
-    rhs = pair(e, e)
-    strong_as = ase_kernels(e, lhs, rhs)
-
     swap = swap_kernel(e.dom, e.dom, kind)
+    detailed = kernel_equal(compose(swap, lhs), lhs)
+
+    strong_as = ase_kernels(e, lhs, pair(e, e))
+
     self_adjoint = True
     for col in e.columns:
         joint = compose(paired, _kernel(kind, UNIT, e.dom, (col,)))
@@ -395,6 +387,16 @@ def search_split(e: Kernel, max_middle: int) -> SplitData | NoSplitUpTo:
     return sd if sd.middle.size <= max_middle else NoSplitUpTo(max_middle)
 
 
+def _deterministic_as(p: Kernel, f: Kernel) -> bool:
+    """Whether f is deterministic p-almost surely, copy∘f = ⟨f,f⟩ p-a.s.
+    At an x that p reaches, f(x)⊗f(x) = Σ_t f(t|x)·δ_(t,t) puts every
+    weight in {0, 1} with at most one 1: f's column is a point mass or
+    all zero, ``(1, ())`` over Stoch and Signed and ``0`` over Multi."""
+    zero = 0 if f.kind is Kind.MULTI else (1, ())
+    cols = f.columns
+    return all(cols[x] == zero or _is_point_column(f.kind, cols[x]) for x in support_indices(p))
+
+
 def verify_split(e: Kernel, iota: Kernel, pi: Kernel) -> tuple[IdempotentReport, bool]:
     """Check a claimed splitting and the taxonomy it induces.
 
@@ -402,6 +404,8 @@ def verify_split(e: Kernel, iota: Kernel, pi: Kernel) -> tuple[IdempotentReport,
     classification of e together with the verdict of the induced checks
     (inclusion deterministic ⟺ static, projection deterministic ⟺
     strong, projection deterministic almost surely w.r.t. the inclusion).
+    The last is read off the projection's columns where the inclusion
+    reaches, each a point mass or all zero.
     """
     if pi.dom != e.dom or iota.cod != e.cod or pi.cod != iota.dom:
         raise ShapeMismatch("splitting pair does not compose with the idempotent")
@@ -410,11 +414,10 @@ def verify_split(e: Kernel, iota: Kernel, pi: Kernel) -> tuple[IdempotentReport,
     if not kernel_equal(compose(iota, pi), e):
         raise NotASplitting("inclusion∘projection does not equal the idempotent")
     report = classify(e)
-    pi_as_det = ase_kernels(iota, compose(copy_kernel(pi.cod, e.kind), pi), pair(pi, pi))
     checks = (
         is_deterministic(iota) == report.static
         and is_deterministic(pi) == report.strong
-        and pi_as_det
+        and _deterministic_as(iota, pi)
     )
     # the equivalences are theorems for the positive kinds only
     if not checks and e.kind is not Kind.SIGNED:

@@ -17,6 +17,7 @@ Dense view: ``matrix[i][j]`` is the weight of codomain element ``i``
 given domain element ``j`` (rows indexed by the codomain, columns by the
 domain), as `fractions.Fraction` or `bool`.  It is the rows given to the
 constructor, or is built from the columns on first access and cached.
+It is for callers only: no library function reads it.
 
 Ingestion: exact columns come in two ways, and both feed
 `_ratio_column` with a column's nonzero ``(row, (num, den))`` cells.  A
@@ -275,9 +276,6 @@ class Kernel:
                 m = tuple(map(tuple, rows))
             object.__setattr__(self, "_matrix", m)
         return m
-
-    def column(self, j: int) -> tuple[Entry, ...]:
-        return tuple(row[j] for row in self.matrix)
 
     def __reduce__(self):
         return _kernel, (self.kind, self.dom, self.cod, self.columns)

@@ -17,24 +17,24 @@ def random_object(rng: random.Random, max_size: int, prefix: str = "x", min_size
     return fin_object(f"{prefix}{i}" for i in range(n))
 
 
-def random_stoch_column(rng: random.Random, n: int, max_weight: int = 4) -> list[Fraction]:
-    """Random distribution over n outcomes; zero entries are common."""
-    weights = [rng.randrange(max_weight + 1) for _ in range(n)]
+def random_stoch_column(rng: random.Random, n: int) -> list[Fraction]:
+    """Random distribution over n outcomes, weights 0 to 4; zero entries are common."""
+    weights = [rng.randrange(5) for _ in range(n)]
     if not any(weights):
         weights[rng.randrange(n)] = 1
     total = sum(weights)
     return [Fraction(w, total) for w in weights]
 
 
-def random_full_support_column(rng: random.Random, n: int, max_weight: int = 4) -> list[Fraction]:
-    weights = [1 + rng.randrange(max_weight) for _ in range(n)]
+def random_full_support_column(rng: random.Random, n: int) -> list[Fraction]:
+    weights = [1 + rng.randrange(4) for _ in range(n)]
     total = sum(weights)
     return [Fraction(w, total) for w in weights]
 
 
-def random_signed_column(rng: random.Random, n: int, span: int = 3, denom: int = 4) -> list[Fraction]:
-    """Entries in [-span, span]/denom with the last one fixed so the sum is 1."""
-    col = [Fraction(rng.randrange(-span, span + 1), denom) for _ in range(n - 1)]
+def random_signed_column(rng: random.Random, n: int) -> list[Fraction]:
+    """Entries in [-3, 3]/4 with the last one fixed so the sum is 1."""
+    col = [Fraction(rng.randrange(-3, 4), 4) for _ in range(n - 1)]
     col.append(Fraction(1) - sum(col, Fraction(0)))
     return col
 
@@ -49,14 +49,7 @@ def random_kernel(rng: random.Random, kind: Kind, dom: FinObject, cod: FinObject
         if dom.size != 0:
             raise ValueError("no valid kernel into an empty object from a nonempty one")
         return Kernel(kind, dom, cod, ())
-    cols = []
-    for _ in range(dom.size):
-        if kind is Kind.STOCH:
-            cols.append(random_stoch_column(rng, cod.size))
-        elif kind is Kind.SIGNED:
-            cols.append(random_signed_column(rng, cod.size))
-        else:
-            cols.append(random_multi_column(rng, cod.size))
+    cols = [random_column(rng, kind, cod.size) for _ in range(dom.size)]
     rows = tuple(tuple(cols[j][i] for j in range(dom.size)) for i in range(cod.size))
     return Kernel(kind, dom, cod, rows)
 

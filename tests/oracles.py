@@ -18,8 +18,15 @@ the conditional and parametric constructions built on it against the
 same constructions composed through tensors, copies and the associator.
 The idempotent taxonomy, which the library reads off the stored columns
 as support tests, is checked against the dense n³ scan of the two-step
-equations, and the envelope comonoid laws and `env_ase`, which the
-library builds as pairings, against their tensor-then-copy composites.
+equations, and detailed balance, which the library reads as the swap
+symmetry of the two-step joint, against the dense n³ formula.  The
+envelope comonoid laws and `env_ase`, which the library builds as
+pairings, are checked against their tensor-then-copy composites, and
+cocommutativity, which holds by construction, against the literal swap.
+Determinism almost surely, which the library reads off the columns the
+reference reaches, is checked against the comonoid equation compared as
+joints, and the seeded off-support perturbation, built on stored
+columns, against the same draws on dense columns.
 The envelope absorption checks, which the library decides on the factors
 of a tensor and from one e∘e, are checked against the whole composites.
 The stored columns that dense rows and parsed documents become, which
@@ -84,7 +91,7 @@ from finmarkov.kernel import (
     support_indices,
     swap_kernel,
 )
-from finmarkov.rand import random_kernel
+from finmarkov.rand import random_column, random_kernel
 
 # ---------------------------------------------------------------------------
 # enumerations and comparisons
@@ -161,12 +168,43 @@ def witness_separates(q: Kernel, p: Kernel, witness) -> bool:
     """A refutation of q ≫ p: the pair agrees q-almost surely but not
     p-almost surely, at the named element."""
     low, high = witness.low, witness.high
-    differs_at = [p.cod.labels[j] for j in range(p.cod.size) if low.column(j) != high.column(j)]
+    differs_at = [x for x in p.cod.labels if any(entry(low, b, x) != entry(high, b, x) for b in low.cod.labels)]
     return (
         ase_by_joint(q, low, high)
         and not ase_by_joint(p, low, high)
         and witness.element in differs_at
     )
+
+
+def deterministic_as_by_equation(p: Kernel, f: Kernel) -> bool:
+    """f deterministic p-almost surely by the defining equation: copy∘f
+    and (f⊗f)∘copy agree p-almost surely, compared as literal joints."""
+    return ase_by_joint(p, compose(copy_kernel(f.cod, f.kind), f), pair_by_copy(f, f))
+
+
+def perturb_off_support_by_rows(f: Kernel, p: Kernel, seed: int) -> Kernel:
+    """`perturb_off_support` on dense columns: the same seeded draws, a
+    constant draw list rotated as a Python list, the point mass δ_0 as a
+    dense column, and the result built from dense rows."""
+    nx = p.cod.size
+    if nx == 0 or f.dom.size % nx != 0:
+        raise ShapeMismatch("domain of f does not end in the codomain of p")
+    reached = set(support_indices(p))
+    off = [j for j in range(f.dom.size) if j % nx not in reached]
+    if not off or f.cod.size < 2:
+        return f
+    rng = random.Random(seed)
+    given = [[row[j] for row in f.matrix] for j in range(f.dom.size)]
+    cols = [list(col) for col in given]
+    for j in off:
+        cols[j] = list(random_column(rng, f.kind, f.cod.size))
+    if all(cols[j] == given[j] for j in off):
+        j = off[0]
+        cols[j] = cols[j][1:] + cols[j][:1]
+        if cols[j] == given[j]:
+            cols[j] = [f.kind.one] + [f.kind.zero] * (f.cod.size - 1)
+    rows = tuple(tuple(cols[j][i] for j in range(f.dom.size)) for i in range(f.cod.size))
+    return Kernel(f.kind, f.dom, f.cod, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +276,7 @@ def io_relation_by_states(p: Kernel) -> Kernel:
     """The relation read through every deterministic state I → A: the
     image of the j-th state is the set of outputs p∘state reaches."""
     states = deterministic_kernels(UNIT, p.dom)
-    reached = [compose(p, s).column(0) for s in states]
+    reached = [[row[0] for row in compose(p, s).matrix] for s in states]
     rows = [[col[i] > 0 for col in reached] for i in range(p.cod.size)]
     return Kernel(Kind.MULTI, p.dom, p.cod, rows)
 
@@ -492,6 +530,15 @@ def classify_by_scan(e: Kernel) -> IdempotentReport:
     return IdempotentReport(
         True, deterministic, static, strong, balanced, MappingProxyType(witnesses)
     )
+
+
+def detailed_balance_by_scan(e: Kernel) -> bool:
+    """Detailed balance e(y|z)·e(z|x) = e(z|y)·e(y|x) over all n³ triples
+    of the dense view; bools multiply as 0/1, so one product serves every
+    kind."""
+    m, n = e.matrix, e.dom.size
+    return all(m[y][z] * m[z][x] == m[z][y] * m[y][x] for x in range(n) for y in range(n) for z in range(n))
+
 
 
 # ---------------------------------------------------------------------------

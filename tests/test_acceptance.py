@@ -238,7 +238,7 @@ def test_criterion_05_support_universal_property():
         if negatives < 300 and len(supp) < x.size:
             f = random_kernel(rng, Kind.STOCH, z, x)
             off = [i for i in range(x.size) if i not in supp]
-            cols = [list(f.column(j)) for j in range(z.size)]
+            cols = [list(col) for col in zip(*f.matrix)]
             cols[0] = [F(0)] * x.size
             cols[0][off[0]] = F(1)
             f = Kernel(
@@ -372,7 +372,7 @@ def test_criterion_07_axiom_suites():
         )
         f = random_deterministic_kernel(rng, Kind.STOCH, x, y)
         supp = set(support_indices(p))
-        cols = [list(f.column(j)) for j in range(x.size)]
+        cols = [list(col) for col in zip(*f.matrix)]
         changed = False
         for j in range(x.size):
             if j not in supp and y.size > 1:
@@ -384,7 +384,7 @@ def test_criterion_07_axiom_suites():
         e_obj, eq, p_f = equalizer_factor(p, f, g)
         ok &= kernel_equal(compose(eq, p_f), p)
         if changed and x.size > 1 and y.size > 1:
-            bad_cols = [list(f.column(j)) for j in range(x.size)]
+            bad_cols = [list(col) for col in zip(*f.matrix)]
             j0 = next(iter(supp))
             bad_cols[j0] = bad_cols[j0][1:] + bad_cols[j0][:1]
             g_bad = Kernel(

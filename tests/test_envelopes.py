@@ -8,6 +8,7 @@ import pytest
 
 import finmarkov.envelopes as envelopes
 from finmarkov import (
+    UNIT,
     CellMismatch,
     EnvelopeCell,
     Flavor,
@@ -21,10 +22,12 @@ from finmarkov import (
     cell_tensor,
     classify,
     compose,
+    discard_kernel,
     env_ase,
     env_cell,
     env_check_markov_laws,
     env_compose,
+    env_discard,
     env_hom,
     env_identity,
     env_split_idempotent,
@@ -41,10 +44,12 @@ from finmarkov.golden import (
     balanced_idempotent,
     multi_chain3_idempotent,
     multi_upset_idempotent,
+    signed_idempotent,
     static_idempotent,
     static_split,
     strong_idempotent,
 )
+from finmarkov.kernel import swap_kernel
 from finmarkov.rand import random_kernel, random_object
 from oracles import all_multi_kernels, env_tensor_by_tensors
 
@@ -229,6 +234,36 @@ def test_discard_naturality_fails_on_an_empty_image():
     assert not report.discard_natural
 
 
+def test_env_discard_is_the_discard_after_the_idempotent_in_every_kind():
+    # within the column law discard∘e is the discard itself
+    x = fin_object(str(i) for i in range(5))
+    cells = [
+        _blackwell(random_class_idempotent(random.Random(3), x).idempotent),
+        env_cell(signed_idempotent().dom, signed_idempotent(), Flavor.KAROUBI),
+        env_cell(multi_upset_idempotent().dom, multi_upset_idempotent(), Flavor.KAROUBI),
+    ]
+    assert [c.endo.kind for c in cells] == [Kind.STOCH, Kind.SIGNED, Kind.MULTI]
+    for cell in cells:
+        kind = cell.endo.kind
+        m = env_discard(cell)
+        assert m.src is cell
+        assert m.kernel == compose(discard_kernel(cell.object, kind), cell.endo)
+        assert m.kernel == discard_kernel(cell.object, kind)
+        assert m.dst == EnvelopeCell(UNIT, identity(UNIT, kind), cell.flavor)
+        assert env_hom(cell, m.dst, m.kernel) == m
+
+
+def test_env_discard_off_the_column_law_is_not_the_discard():
+    # 0 ↦ ∅, 1 ↦ {1}: discard∘e misses 0, and both idempotents still absorb it
+    x = fin_object(("0", "1"))
+    e = Kernel(Kind.MULTI, x, x, [[False, False], [False, True]])
+    cell = EnvelopeCell(x, e, Flavor.KAROUBI)
+    m = env_discard(cell)
+    assert m.kernel == compose(discard_kernel(x, Kind.MULTI), e) != discard_kernel(x, Kind.MULTI)
+    assert m.dst == EnvelopeCell(UNIT, identity(UNIT, Kind.MULTI), Flavor.KAROUBI)
+    assert env_hom(cell, m.dst, m.kernel) == m
+
+
 def test_copy_requires_blackwell_flavor():
     e = multi_upset_idempotent()
     cell = env_cell(e.dom, e, Flavor.KAROUBI)
@@ -258,6 +293,18 @@ def test_copy_checks_build_no_tensor_and_env_tensor_composes_on_the_factors(monk
     domains.clear()
     env_tensor(env_identity(cell), env_identity(small))
     assert domains and max(domains) <= max(x.size, small.object.size)
+
+
+def test_markov_laws_compose_nothing_with_a_swap(monkeypatch):
+    # cocommutativity holds by construction, so no swap∘copy is built
+    left = []
+    monkeypatch.setattr(envelopes, "compose", lambda g, f: left.append(g) or compose(g, f))
+    x = fin_object(str(i) for i in range(6))
+    stoch = random_class_idempotent(random.Random(6), x).idempotent
+    for e in (stoch, Kernel(Kind.SIGNED, x, x, stoch.matrix), multi_upset_idempotent()):
+        left.clear()
+        assert env_check_markov_laws(env_cell(e.dom, e, Flavor.KAROUBI)).cocommutative
+        assert left and swap_kernel(e.dom, e.dom, e.kind) not in left
 
 
 def test_env_ase_builds_no_copy_and_env_tensor_of_identities_one_tensor(monkeypatch):

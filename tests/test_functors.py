@@ -377,7 +377,7 @@ def test_conditional_uniqueness_rejects_on_support_tampering():
         [[F(1, 4)], [F(1, 4)], [F(1, 8)], [F(3, 8)]],
     )
     c1 = conditional(joint, split=2)
-    cols = [list(c1.column(j)) for j in range(c1.dom.size)]
+    cols = [list(col) for col in zip(*c1.matrix)]
     cols[0] = [F(1), F(0)]  # tamper where the marginal mass is positive
     from finmarkov import Kernel
 

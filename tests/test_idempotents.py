@@ -26,11 +26,13 @@ from finmarkov import (
     delta_kernel,
     fin_object,
     identity,
+    io_relation,
     is_deterministic,
     kernel_equal,
     make_kernel,
     marginalize,
     multi_kernel,
+    pair,
     perturb_off_support,
     random_class_idempotent,
     search_split,
@@ -459,6 +461,21 @@ def test_verify_split_on_generated():
         gen = random_class_idempotent(rng, x)
         report, ok = verify_split(gen.idempotent, gen.iota, gen.pi)
         assert ok and report.balanced
+
+
+def test_verify_split_builds_no_pairing_and_no_copy(monkeypatch):
+    # the projection's determinism almost surely is read off its columns
+    built = []
+    monkeypatch.setattr(idempotents, "pair", lambda f, g: built.append("pair") or pair(f, g))
+    monkeypatch.setattr(idempotents, "copy_kernel", lambda *a: built.append("copy") or copy_kernel(*a), raising=False)
+    gen = random_class_idempotent(random.Random(17), fin_object(str(i) for i in range(8)))
+    rel = io_relation(gen.idempotent)
+    sd = search_split(rel, 8)
+    cases = [(gen.idempotent, gen.iota, gen.pi), (rel, sd.inclusion, sd.projection),
+             (strong_idempotent(), *strong_split()), (static_idempotent(), *static_split())]
+    for e, iota, pi in cases:
+        assert verify_split(e, iota, pi)[1]
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

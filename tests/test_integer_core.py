@@ -164,7 +164,7 @@ def _reference_classify(e):
     witnesses = {}
     multi = kind is Kind.MULTI
     zero = kind.zero
-    cols = [e.column(j) for j in range(n)]
+    cols = [tuple(row[j] for row in e.matrix) for j in range(n)]
     static = strong = balanced = True
     for x in range(n):
         col_x = cols[x]

@@ -24,6 +24,7 @@ from finmarkov import (
     SuppCompCell,
     abs_cont,
     ase_kernels,
+    balanced_cross_check,
     blackwell_copy,
     blackwell_split,
     cell_tensor,
@@ -70,9 +71,10 @@ from finmarkov.golden import (
     strong_idempotent,
 )
 from finmarkov.functors import _reconstruct, comparison_base
-from finmarkov.idempotents import StructureViolation
+from finmarkov.idempotents import StructureViolation, _deterministic_as
 from finmarkov.kernel import _kernel, support_indices
 from finmarkov.rand import (
+    random_column,
     random_deterministic_kernel,
     random_kernel,
     random_kernel_supported_on,
@@ -86,6 +88,8 @@ from oracles import (
     comonoid_laws_by_structure,
     conditional_rebuilds,
     constant_map_witness,
+    detailed_balance_by_scan,
+    deterministic_as_by_equation,
     discard_natural_by_sampling,
     blackwell_copy_by_tensor,
     env_ase_by_copy_formula,
@@ -98,6 +102,7 @@ from oracles import (
     pair_by_copy,
     param_compose_by_tensors,
     param_tensor_by_tensors,
+    perturb_off_support_by_rows,
     projection_is_section,
     reconstruct_by_tensors,
     recomposes,
@@ -118,10 +123,10 @@ def _with_columns(k, cols):
 
 def _change_column(f, j):
     """f with column j replaced by a point mass it does not equal."""
-    cols = [f.column(i) for i in range(f.dom.size)]
-    point = function_kernel(fin_object(("u",)), f.cod, [0], f.kind).column(0)
+    cols = [tuple(row[i] for row in f.matrix) for i in range(f.dom.size)]
+    point = tuple(row[0] for row in function_kernel(fin_object(("u",)), f.cod, [0], f.kind).matrix)
     if cols[j] == point:
-        point = function_kernel(fin_object(("u",)), f.cod, [1], f.kind).column(0)
+        point = tuple(row[0] for row in function_kernel(fin_object(("u",)), f.cod, [1], f.kind).matrix)
     cols[j] = point
     return _with_columns(f, cols)
 
@@ -255,6 +260,51 @@ def test_perturbation_is_almost_surely_equal(kind, seed):
     g = perturb_off_support(f, p, seed)
     assert ase_by_joint(p, f, g, w.size)
     assert (g == f) == (len(support_indices(p)) == x.size)
+
+
+def _with_the_draws(f, p, seed):
+    """f with each column that p cannot reach replaced by the column that
+    `perturb_off_support` draws there for ``seed``, so it must fall back
+    on rotating the first draw."""
+    reached = set(support_indices(p))
+    rng = random.Random(seed)
+    cols = [tuple(row[j] for row in f.matrix) for j in range(f.dom.size)]
+    for j in range(f.dom.size):
+        if j % p.cod.size not in reached:
+            cols[j] = random_column(rng, f.kind, f.cod.size)
+    return _with_columns(f, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_KINDS, SEEDS, st.booleans())
+def test_perturbation_matches_the_dense_rows(kind, seed, drawn):
+    rng = random.Random(seed)
+    w = random_object(rng, 2, "w")
+    x = random_object(rng, 3, "x")
+    p = _supported_on_some(rng, kind, random_object(rng, 3, "a"), x)
+    f = random_kernel(rng, kind, tensor_object(w, x), random_object(rng, 3, "y"))
+    if drawn:
+        f = _with_the_draws(f, p, seed)
+    g, want = perturb_off_support(f, p, seed), perturb_off_support_by_rows(f, p, seed)
+    assert g == want and g.matrix == want.matrix
+
+
+def test_perturbation_matches_the_dense_rows_on_both_fallbacks():
+    # f's off-support column is the seed's own draw: a draw that is not
+    # constant is rotated, a constant one becomes the point mass δ_0
+    x, y = fin_object(("x0", "x1")), fin_object(("y0", "y1"))
+    seen = set()
+    for kind in Kind:
+        p = function_kernel(UNIT, x, [0], kind)
+        for seed in range(60):
+            f = _with_the_draws(random_kernel(random.Random(seed), kind, x, y), p, seed)
+            g = perturb_off_support(f, p, seed)
+            assert g == perturb_off_support_by_rows(f, p, seed)
+            (a0, a1), (b0, b1) = f.matrix
+            constant = a1 == b1
+            assert g.matrix == (((a0, kind.one), (b0, kind.zero)) if constant else ((a0, b1), (b0, a1)))
+            seen.add((kind, constant))
+    assert seen == {(kind, constant) for kind in Kind for constant in (False, True)}
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +783,96 @@ def test_classify_builds_no_fraction():
     assert [r.balanced for r in reports] == [True, False, False, False]
 
 
+def _idempotent_or_none(e):
+    """e when `classify` accepts it as an idempotent, else None."""
+    try:
+        return e if classify(e).idempotent else None
+    except StructureViolation:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_KINDS, SEEDS, st.integers(0, 4))
+def test_detailed_balance_matches_the_dense_formula(kind, seed, variant):
+    # valid idempotents, balanced or not, and idempotents off the column law
+    e = _idempotent_or_none(_cell_endomorphism(random.Random(seed), kind, variant))
+    assume(e is not None)
+    assert balanced_cross_check(e).detailed_balance == detailed_balance_by_scan(e)
+
+
+def test_detailed_balance_matches_the_dense_formula_on_golden_and_small_multi_idempotents():
+    for e in (signed_idempotent(), multi_upset_idempotent()):
+        assert not balanced_cross_check(e).detailed_balance
+        assert not detailed_balance_by_scan(e)
+    golden = [balanced_idempotent(), static_idempotent(), strong_idempotent(), multi_chain3_idempotent()]
+    objects = [fin_object(str(i) for i in range(n)) for n in (1, 2, 3)]
+    small = [e for x in objects for e in all_multi_kernels(x, x)]
+    verdicts = set()
+    for e in filter(None, map(_idempotent_or_none, golden + small + MULTI_OFF_LAW)):
+        verdict = balanced_cross_check(e).detailed_balance
+        assert verdict == detailed_balance_by_scan(e)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _column_mix(rng, kind, dom, cod):
+    """A kernel, off the column law at random, whose columns are each a
+    point mass, all zero, a random valid column, or a scaled point mass
+    (twice or minus one) over Stoch and Signed and a two-element image
+    over Multi."""
+    n = cod.size
+    cols = []
+    for _ in dom.labels:
+        r, shape = rng.randrange(n), rng.randrange(4)
+        col = [kind.zero] * n
+        if shape == 0:
+            col[r] = kind.one
+        elif shape == 2:
+            col = random_column(rng, kind, n)
+        elif shape == 3 and kind is Kind.MULTI:
+            col[r] = col[(r + 1) % n] = True
+        elif shape == 3:
+            col[r] = rng.choice((2, -1))
+        cols.append(col)
+    return Kernel(kind, dom, cod, [[col[i] for col in cols] for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_KINDS, SEEDS)
+def test_determinism_almost_surely_matches_the_comonoid_equation(kind, seed):
+    rng = random.Random(seed)
+    x = random_object(rng, 4, "x")
+    p = _any_kernel(rng, kind, random_object(rng, 3, "a"), x)
+    f = _column_mix(rng, kind, x, random_object(rng, 3, "t"))
+    assert _deterministic_as(p, f) == deterministic_as_by_equation(p, f)
+
+
+def test_determinism_almost_surely_on_zero_and_signed_columns():
+    # the all-zero column is stored as (1, ()), which is truthy
+    x, t = fin_object(("a", "b", "c")), fin_object(("s", "t"))
+    for kind in Kind:
+        one, zero = kind.one, kind.zero
+        p = function_kernel(fin_object(("u", "v")), x, [0, 1], kind)  # reaches a and b
+        junk = (one, one) if kind is Kind.MULTI else (2, -1)
+        cases = [
+            ([(one, zero), (zero, zero), junk], True),  # zero column at b
+            ([(zero, one), junk, (zero, zero)], False),  # junk at b
+            ([(zero, zero), (zero, zero), (zero, zero)], True),
+        ]
+        for cols, want in cases:
+            pi = Kernel(kind, x, t, list(zip(*cols)))
+            assert _deterministic_as(p, pi) is want
+            assert deterministic_as_by_equation(p, pi) is want
+    # a signed projection of a signed splitting: π∘ι = id, ι reaching a, b, c
+    iota = Kernel(Kind.SIGNED, t, x, [[2, 0], [-1, 0], [0, 1]])
+    pi = Kernel(Kind.SIGNED, x, t, [[1, 1, 0], [0, 0, 1]])
+    assert compose(pi, iota) == identity(t, Kind.SIGNED)
+    assert _deterministic_as(iota, pi) and deterministic_as_by_equation(iota, pi)
+    pi = Kernel(Kind.SIGNED, x, t, [[2, 3, 0], [-1, -2, 1]])
+    assert compose(pi, iota) == identity(t, Kind.SIGNED)
+    assert not _deterministic_as(iota, pi) and not deterministic_as_by_equation(iota, pi)
+
+
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_blackwell_split_is_a_splitting(seed):
@@ -822,7 +962,7 @@ def test_support_functor_map_closes_the_square(kind, seed):
     g = random_kernel(rng, kind, x, y)
     f = function_kernel(a, b, range(a.size), kind)
     gp, extra = compose(g, p), random_kernel(rng, kind, b, y)
-    q = _with_columns(extra, [gp.column(j) if j < a.size else extra.column(j) for j in range(b.size)])
+    q = _with_columns(extra, list(zip(*gp.matrix)) + list(zip(*extra.matrix))[a.size:])
     dashed = support_functor_map(p, q, f, g)
     assert recomposes(support(q).inclusion, dashed, compose(g, support(p).inclusion))
 
@@ -853,7 +993,7 @@ def test_scomp_support_is_bicontinuous(kind, seed):
     push = compose(f, src.anchor)
     if not abs_cont(dst.anchor, push):
         # widen the target anchor by the pushforward's columns
-        cols = [k.column(j) for k in (dst.anchor, push) for j in range(k.dom.size)]
+        cols = list(zip(*dst.anchor.matrix)) + list(zip(*push.matrix))
         wide = random_kernel(rng, kind, fin_object(dst.anchor.dom.labels + push.dom.labels), x)
         dst = SuppCompCell(x, _with_columns(wide, cols))
     m = scomp_hom(src, dst, f)

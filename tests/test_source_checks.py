@@ -107,9 +107,8 @@ def test_library_memos_are_clearable():
     assert found == []
 
 
-# these work on the stored integer columns; the dense view builds a Fraction
-# or bool per cell, so reading it (or building a kernel from dense rows) here
-# would bring the dense cost back
+# these build kernels from stored integer columns; building one from dense
+# rows here would bring the dense cost back
 COLUMN_ONLY = {
     "_ratio_column", "compose", "tensor", "pair", "_column_products", "function_kernel", "kernel_equal",
     "_classify_cached",
@@ -117,26 +116,87 @@ COLUMN_ONLY = {
     "cauchy_schwarz", "blackwell_split", "_class_split", "kernel_from_doc", "kernel_to_doc",
     "support", "factor_through_support", "equalizer_factor", "point_lift",
     "precise_supports_equiv", "canonical_rep", "env_check_markov_laws", "_golden_checks",
+    "balanced_cross_check", "verify_split", "_deterministic_as",
 }
+
+# the one function that may read the dense view: the view itself
+DENSE_VIEW = "Kernel.matrix"
+
+
+def _units(tree):
+    """Each module-level statement and each statement of a class body,
+    named by the function it defines (qualified by its class) or its line."""
+    for node in tree.body:
+        owner = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for item in node.body if owner else [node]:
+            yield owner + getattr(item, "name", f"line {item.lineno}"), item
+
+
+def _dense_reads(tree):
+    """Reads of ``.matrix`` and calls of ``.column(`` or ``entry(`` anywhere
+    outside `DENSE_VIEW`."""
+    found = []
+    for name, unit in _units(tree):
+        if name == DENSE_VIEW:
+            continue
+        for node in ast.walk(unit):
+            if isinstance(node, ast.Attribute) and node.attr == "matrix":
+                found.append(f"{name}:{node.lineno} reads .matrix")
+            if isinstance(node, ast.Call) and _called_name(node) in ("column", "entry"):
+                found.append(f"{name}:{node.lineno} calls .{_called_name(node)}(")
+    return found
 
 
 def test_hot_paths_do_not_read_the_dense_view():
-    seen, found = set(), []
+    # no library function reads the dense view: each builds a Fraction or
+    # bool per cell; and the column-only functions build no kernel from rows
+    seen, names, found = set(), set(), []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names |= {name for name, _ in _units(tree)}
+        found += [f"{path.name} {where}" for where in _dense_reads(tree)]
         for func in ast.walk(tree):
             if not (isinstance(func, ast.FunctionDef) and func.name in COLUMN_ONLY):
                 continue
             seen.add(func.name)
             for node in ast.walk(func):
-                if isinstance(node, ast.Attribute) and node.attr == "matrix":
-                    found.append(f"{path.name}:{node.lineno} {func.name} reads .matrix")
-                if isinstance(node, ast.Call) and _called_name(node) in ("column", "entry"):
-                    found.append(f"{path.name}:{node.lineno} {func.name} calls .{_called_name(node)}(")
                 if isinstance(node, ast.Call) and _called_name(node) == "Kernel":
                     found.append(f"{path.name}:{node.lineno} {func.name} builds a Kernel from dense rows")
+    assert DENSE_VIEW in names
     assert seen == COLUMN_ONLY
     assert found == []
+    assert not hasattr(finmarkov.Kernel, "column")
+
+
+DENSE_READS = """
+class Kernel:
+    @property
+    def matrix(self):
+        return self._matrix or self.matrix
+
+    def column(self, j):
+        return tuple(row[j] for row in self.matrix)
+
+def helper(k):
+    return k.column(0), entry(k, "a", "b")
+
+def nested(k):
+    def inner():
+        return k.matrix
+    return inner
+
+VIEW = Kernel.matrix
+"""
+
+
+def test_dense_view_check_flags_every_reader_but_the_view():
+    assert _dense_reads(ast.parse(DENSE_READS)) == [
+        "Kernel.column:8 reads .matrix",
+        "helper:11 calls .column(",
+        "helper:11 calls .entry(",
+        "nested:15 reads .matrix",
+        "line 18:18 reads .matrix",
+    ]
 
 
 def _calls_within(node, name, bound, seen=()):

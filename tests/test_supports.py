@@ -288,7 +288,7 @@ def test_deterministic_split_mono_is_its_own_split_support():
         # the factorization is a deterministic iso and rebuilds ι
         assert is_deterministic(ihat)
         assert kernel_equal(compose(sd.inclusion, ihat), iota)
-        cols = [ihat.column(j) for j in range(ihat.dom.size)]
+        cols = list(zip(*ihat.matrix))
         assert len(set(cols)) == ihat.dom.size
 
 
