@@ -14,12 +14,12 @@ the symmetric columns e(y)⊗e(y), so it builds no swap.  Discard
 naturality quantifies over all cell endomorphisms, yet needs no sample
 of them: a constant map breaks it whenever anything does.
 
-Absorption is first tried on small composites; when they do not show
-it, the whole composites decide and raise.  By the interchange law
-(a⊗b)∘(c⊗d) = (a∘c)⊗(b∘d), `env_tensor` checks the factors.  The copy
-cpy = ⟨e,e⟩∘e is absorbed on both sides when ee = e∘e equals e, so one
-ee per cell settles it; only a cell whose endo is not idempotent has
-its copy checked on the whole composites.
+One predicate decides every shortcut: a cell is settled when its endo
+lives on its object, satisfies its kind's column law and is idempotent,
+as the cached `classify` reports.  Then e∘e = e: the cell absorbs its
+identity and its copy, two such identities absorb their tensor, and
+nothing is composed.  Every other cell takes the literal composites,
+which decide and raise.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .kernel import (
     FinMarkovError,
     FinObject,
     Kernel,
+    Kind,
     ShapeMismatch,
     ValidationError,
     compose,
@@ -99,25 +100,31 @@ def env_hom(src: EnvelopeCell, dst: EnvelopeCell, f: Kernel) -> EnvelopeMorphism
     """Check the two absorption equations f∘e_src = f = e_dst∘f."""
     if f.dom != src.object or f.cod != dst.object:
         raise ShapeMismatch("kernel does not connect the given cells")
-    out = EnvelopeMorphism(src, dst, f)
-    _require_absorbed(out)
-    return out
+    return _require_absorbed(EnvelopeMorphism(src, dst, f))
 
 
-def _require_absorbed(m: EnvelopeMorphism) -> None:
-    """Raise NotHom unless both endpoint idempotents absorb the kernel."""
+def _settled(cell: EnvelopeCell) -> bool:
+    """Whether the cell's endo lives on its object, satisfies its kind's
+    column law and is idempotent.  `validate` runs first: `classify`
+    raises off the column law."""
+    e = cell.endo
+    return e.dom == cell.object == e.cod and validate(e) is None and classify(e).idempotent
+
+
+def _require_absorbed(m: EnvelopeMorphism) -> EnvelopeMorphism:
+    """Return m, raising NotHom unless both endpoint idempotents absorb
+    the kernel."""
     if not kernel_equal(compose(m.kernel, m.src.endo), m.kernel):
         raise NotHom("source idempotent is not absorbed (f∘e_src ≠ f)")
     if not kernel_equal(compose(m.dst.endo, m.kernel), m.kernel):
         raise NotHom("target idempotent is not absorbed (e_dst∘f ≠ f)")
+    return m
 
 
 def env_compose(g: EnvelopeMorphism, f: EnvelopeMorphism) -> EnvelopeMorphism:
     if f.dst != g.src:
         raise CellMismatch("inner cells differ")
-    out = EnvelopeMorphism(f.src, g.dst, compose(g.kernel, f.kernel))
-    _require_absorbed(out)
-    return out
+    return _require_absorbed(EnvelopeMorphism(f.src, g.dst, compose(g.kernel, f.kernel)))
 
 
 def cell_tensor(a: EnvelopeCell, b: EnvelopeCell) -> EnvelopeCell:
@@ -131,23 +138,13 @@ def cell_tensor(a: EnvelopeCell, b: EnvelopeCell) -> EnvelopeCell:
 
 
 def env_tensor(f: EnvelopeMorphism, g: EnvelopeMorphism) -> EnvelopeMorphism:
-    """f⊗g, checked on the factors when each endo lives on its kernel's objects.
-    Of two cell identities, the tensor is built once: it is the tensor
-    cell's endo and the morphism's kernel, and each factor's two
-    absorption checks are the one test e∘e = e."""
+    """f⊗g, with both absorption equations checked on the whole tensor.
+    Of the identities of two settled cells, the tensor is the tensor
+    cell's identity, absorbed since e∘e = e, and nothing is composed."""
     src = cell_tensor(f.src, g.src)
-    a, b = f.kernel, g.kernel
-    identities = f.dst == f.src and g.dst == g.src and a == f.src.endo and b == g.src.endo
-    if identities:
-        out = EnvelopeMorphism(src, src, src.endo)
-    else:
-        out = EnvelopeMorphism(src, cell_tensor(f.dst, g.dst), tensor(a, b))
-    on = ((f.src.endo, a.dom), (g.src.endo, b.dom), (f.dst.endo, a.cod), (g.dst.endo, b.cod))
-    if not (all(e.kind is a.kind and e.dom == x == e.cod for e, x in on)
-            and compose(a, f.src.endo) == a and compose(b, g.src.endo) == b
-            and (identities or compose(f.dst.endo, a) == a and compose(g.dst.endo, b) == b)):
-        _require_absorbed(out)  # unabsorbed factors can have an absorbed tensor: −id⊗−id
-    return out
+    if f == env_identity(f.src) and g == env_identity(g.src) and _settled(f.src) and _settled(g.src):
+        return EnvelopeMorphism(src, src, src.endo)
+    return _require_absorbed(EnvelopeMorphism(src, cell_tensor(f.dst, g.dst), tensor(f.kernel, g.kernel)))
 
 
 def blackwell_copy(cell: EnvelopeCell) -> EnvelopeMorphism:
@@ -155,20 +152,19 @@ def blackwell_copy(cell: EnvelopeCell) -> EnvelopeMorphism:
     its tensor square."""
     if cell.flavor is not Flavor.BLACKWELL:
         raise NotBalanced("the copy formula is defined on Blackwell cells")
-    e = cell.endo
-    return _copy_morphism(cell, _cell_copy(cell, compose(e, e)))
+    return _copy_morphism(cell, _cell_copy(cell))
 
 
 def _copy_morphism(cell: EnvelopeCell, cpy: Kernel) -> EnvelopeMorphism:
     return EnvelopeMorphism(cell, EnvelopeCell(cpy.cod, tensor(cell.endo, cell.endo), cell.flavor), cpy)
 
 
-def _cell_copy(cell: EnvelopeCell, ee: Kernel) -> Kernel:
-    """The copy formula cpy = ⟨e,e⟩∘e, given ee = e∘e, raising NotHom
-    unless the cell absorbs cpy; ee = e absorbs it on both sides."""
+def _cell_copy(cell: EnvelopeCell) -> Kernel:
+    """The copy formula cpy = ⟨e,e⟩∘e, raising NotHom unless the cell
+    absorbs cpy; a settled cell absorbs it on both sides, as e∘e = e."""
     e = cell.endo
     cpy = compose(pair(e, e), e)
-    if ee != e:
+    if not _settled(cell):
         _require_absorbed(_copy_morphism(cell, cpy))
     return cpy
 
@@ -202,20 +198,19 @@ class MarkovLawReport:
 def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     """Decide the comonoid laws of the cell's copy/discard pair exactly.
 
-    Valid Blackwell cells pass everything.  Cells built directly as
-    ``EnvelopeCell`` on non-balanced idempotents, skipping ``env_cell``'s
-    check, can fail coassociativity only in the signed kind: on multivalued cells the
-    copy formula is coassociative for every idempotent, balanced or not
-    (both sides send x to the union of e(u)³ over the u ∈ e(x) with
-    u ∈ e(u)).  The other laws never depend on balance.
+    A settled cell composes nothing for the laws it settles: with e∘e = e
+    and disc = discard, both counit laws and discard naturality hold, and
+    coassociativity holds when e is balanced, or multivalued (both sides
+    send x to the union of e(u)³ over the u ∈ e(x) with u ∈ e(u)).
 
-    The unitors and the associator are the identity on indices, so the
-    counit laws compare the columns of (disc⊗e)∘copy and (e⊗disc)∘copy
-    with e's, and coassociativity compares the two composites' columns.
-    With copy = ⟨e,e⟩∘e, each composite (a⊗b)∘copy is built as the
-    pairing ⟨a∘e, b∘e⟩∘e; copy∘e is copy, and disc∘e is disc if e∘e = e.
-    Cocommutativity, swap∘copy = copy, holds in every kind: each column
-    of copy is Σ_y e(y|x)·e(y)⊗e(y), a sum of symmetric columns.
+    Every other cell, a non-balanced signed one among them, takes the
+    composites.  The unitors and the associator are the identity on
+    indices, so the counit laws compare the columns of (disc⊗e)∘copy and
+    (e⊗disc)∘copy with e's, and coassociativity compares the two
+    composites' columns.  With copy = ⟨e,e⟩∘e, each composite (a⊗b)∘copy
+    is built as the pairing ⟨a∘e, b∘e⟩∘e.  Cocommutativity, swap∘copy =
+    copy, holds in every kind: each column of copy is Σ_y e(y|x)·e(y)⊗e(y),
+    a sum of symmetric columns.
 
     Discard naturality, disc∘(e∘r∘e) = disc for every valid r where
     disc = discard∘e, is decided, not sampled.  With t = disc∘e, a kernel
@@ -227,10 +222,11 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     Only an idempotent that breaks the column law can fail this law.
     """
     e = cell.endo
-    ee = compose(e, e)
-    cpy = _cell_copy(cell, ee)
+    if _settled(cell) and (e.kind is Kind.MULTI or classify(e).balanced):
+        return MarkovLawReport(True, True, True, True, True)
+    cpy = _cell_copy(cell)
     disc = compose(discard_kernel(e.dom, e.kind), e)
-    de = disc if ee == e else compose(disc, e)
+    ee, de = compose(e, e), compose(disc, e)
 
     counit_left = compose(pair(de, ee), e).columns == e.columns
     counit_right = compose(pair(ee, de), e).columns == e.columns
@@ -252,10 +248,10 @@ def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bo
         raise ShapeMismatch("morphisms do not form an almost-sure comparison")
     if p.dst.flavor is not Flavor.BLACKWELL:
         raise NotBalanced("almost-sure comparison needs a Blackwell middle cell")
-    e = p.dst.endo
-    ee = compose(e, e)
-    if ee != e:  # ee = e absorbs the copy, which is then not built
-        _cell_copy(p.dst, ee)  # raises NotHom unless the middle cell absorbs its copy
+    e = ee = p.dst.endo
+    if not _settled(p.dst):  # a settled cell absorbs its copy, which is then not built
+        _cell_copy(p.dst)  # raises NotHom unless the middle cell absorbs its copy
+        ee = compose(e, e)
     ep = compose(e, p.kernel)
     joint_f = compose(pair(ee, compose(f.kernel, e)), ep)
     joint_g = compose(pair(ee, compose(g.kernel, e)), ep)
@@ -267,10 +263,10 @@ def env_split_idempotent(cell: EnvelopeCell) -> tuple[EnvelopeMorphism, Envelope
 
     Viewing e as a morphism both (X,id) → (X,e) and (X,e) → (X,id), the
     two composites are the cell identity of (X,e) and the original
-    idempotent on (X,id).  Given e∘e = e, the unit law makes both absorbed.
+    idempotent on (X,id).  On a settled cell e∘e = e absorbs both.
     """
     e = cell.endo
     plain = EnvelopeCell(cell.object, identity(e.dom, e.kind), cell.flavor)
-    if e.dom == cell.object == e.cod and compose(e, e) == e:
+    if _settled(cell):
         return EnvelopeMorphism(plain, cell, e), EnvelopeMorphism(cell, plain, e)
     return env_hom(plain, cell, e), env_hom(cell, plain, e)  # raises the error

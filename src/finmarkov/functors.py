@@ -24,7 +24,6 @@ from .kernel import (
     function_kernel,
     identity,
     kernel_equal,
-    left_unitor,
     marginalize,
     pair,
     split_tensor_labels,
@@ -97,11 +96,11 @@ class ParamMorphism:
 
 
 def param_lift(f: Kernel, w: FinObject) -> ParamMorphism:
-    """Lift an ordinary kernel by discarding the parameter."""
-    inner = compose(
-        f, compose(left_unitor(f.dom, f.kind), tensor(discard_kernel(w, f.kind), identity(f.dom, f.kind)))
-    )
-    return ParamMorphism(w, f.dom, f.cod, inner)
+    """Lift an ordinary kernel by discarding the parameter: f∘π_A, with
+    π_A: W⊗A → A the projection."""
+    wa = tensor_object(w, f.dom)
+    to_a = function_kernel(wa, f.dom, [j % f.dom.size for j in range(wa.size)], f.kind)
+    return ParamMorphism(w, f.dom, f.cod, compose(f, to_a))
 
 
 def param_identity(w: FinObject, a: FinObject, kind: Kind = Kind.STOCH) -> ParamMorphism:

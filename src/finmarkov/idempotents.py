@@ -243,7 +243,7 @@ def balanced_cross_check(e: Kernel) -> BalancedCrossCheck:
     detailed balance e(y|z)e(z|x) = e(z|y)e(y|x), which says that the
     two-step joint L((y,z)|x) = e(y|x)·e(z|y) is fixed by the swap; (iii)
     the strong equation holding e-almost surely; (iv) symmetry of the
-    paired state (id⊗e)∘copy∘p for every invariant column p of e
+    paired state (id⊗e)∘copy∘p for every distinct column p of e
     (sufficient: the invariant kernels of an idempotent are spanned by its
     columns and the condition is linear).
     """
@@ -262,7 +262,7 @@ def balanced_cross_check(e: Kernel) -> BalancedCrossCheck:
     strong_as = ase_kernels(e, lhs, pair(e, e))
 
     self_adjoint = True
-    for col in e.columns:
+    for col in dict.fromkeys(e.columns):
         joint = compose(paired, _kernel(kind, UNIT, e.dom, (col,)))
         if not kernel_equal(compose(swap, joint), joint):
             self_adjoint = False

@@ -201,8 +201,9 @@ class Kernel:
     """A morphism: matrix over one of the three scalar structures.
 
     ``Kernel(kind, dom, cod, rows)`` takes dense rows and checks shapes and
-    entry types only; :func:`validate` and :func:`make_kernel` enforce the
-    column law.  Immutable; equal iff kind, objects and ``columns`` agree.
+    entry types only (Multi entries are bools or the ints 0 and 1);
+    :func:`validate` and :func:`make_kernel` enforce the column law.
+    Immutable; equal iff kind, objects and ``columns`` agree.
     Only a kernel built this way keeps a dense view from the start: its
     rows are the ``matrix`` view and become ``columns`` on first use, so
     building an input costs no more than storing it.  Parsed documents
@@ -219,9 +220,10 @@ class Kernel:
             if len(row) != dom.size:
                 raise ShapeMismatch(f"row of length {len(row)} for domain of size {dom.size}")
         multi = kind is Kind.MULTI
-        if not set(map(type, itertools.chain(*rows))) <= ({bool, int} if multi else {Fraction, int}):
+        if not set(map(type, itertools.chain(*rows))) <= ({bool} if multi else {Fraction, int}):
             for v in itertools.chain(*rows):
-                if isinstance(v, bool) and not multi or not isinstance(v, int if multi else (int, Fraction)):
+                if not isinstance(v, int if multi else (int, Fraction)) or (
+                        v not in (0, 1) if multi else isinstance(v, bool)):
                     want = "bool" if multi else "Fraction or int"
                     raise ValidationError(f"{kind.value} entries must be {want}, got {v!r}")
         _fill(self, kind=kind, dom=dom, cod=cod, _hash=None, _matrix=rows)

@@ -27,8 +27,11 @@ Determinism almost surely, which the library reads off the columns the
 reference reaches, is checked against the comonoid equation compared as
 joints, and the seeded off-support perturbation, built on stored
 columns, against the same draws on dense columns.
-The envelope absorption checks, which the library decides on the factors
-of a tensor and from one e∘e, are checked against the whole composites.
+The envelope shortcuts, which the library takes on a settled cell (its
+endo an idempotent within the column law, as `classify` reports), are
+checked against the whole composites, and the settled-cell test against
+e∘e composed.  The lift of a kernel to a parametric kernel, built with a
+projection, is checked against the unitor after discarding the parameter.
 The stored columns that dense rows and parsed documents become, which
 the library builds from each column's nonzero cells, are checked against
 the column builder over every entry that it replaced.  The enumerations
@@ -247,6 +250,13 @@ def param_compose_by_tensors(g: ParamMorphism, f: ParamMorphism) -> ParamMorphis
     return ParamMorphism(w, a, g.x, inner)
 
 
+def param_lift_by_unitor(f: Kernel, w: FinObject) -> ParamMorphism:
+    """The lift with inner kernel f∘λ∘(discard_W⊗id_A)."""
+    kind, a = f.kind, f.dom
+    inner = compose(f, compose(left_unitor(a, kind), tensor(discard_kernel(w, kind), identity(a, kind))))
+    return ParamMorphism(w, a, f.cod, inner)
+
+
 def param_tensor_by_tensors(f: ParamMorphism, g: ParamMorphism) -> ParamMorphism:
     """(f.inner ⊗ g.inner) after the map (w,(a,b)) ↦ ((w,a),(w,b))."""
     kind = f.inner.kind
@@ -314,6 +324,13 @@ def env_tensor_by_tensors(f, g):
     out = EnvelopeMorphism(src, dst, tensor(f.kernel, g.kernel))
     _require_absorbed(out)
     return out
+
+
+def settled_by_composing(cell) -> bool:
+    """Whether the cell's endo lives on its object, satisfies its kind's
+    column law and equals e∘e, composed."""
+    e = cell.endo
+    return e.dom == cell.object == e.cod and validate(e) is None and compose(e, e) == e
 
 
 def copy_formula_by_tensor(cell):

@@ -39,11 +39,13 @@ from finmarkov import (
     pair,
     random_class_idempotent,
     tensor,
+    validate,
 )
 from finmarkov.golden import (
     balanced_idempotent,
     multi_chain3_idempotent,
     multi_upset_idempotent,
+    signed_coassoc_counterexample,
     signed_idempotent,
     static_idempotent,
     static_split,
@@ -51,7 +53,7 @@ from finmarkov.golden import (
 )
 from finmarkov.kernel import swap_kernel
 from finmarkov.rand import random_kernel, random_object
-from oracles import all_multi_kernels, env_tensor_by_tensors
+from oracles import all_multi_kernels, env_split_idempotent_by_homs, env_tensor_by_tensors
 
 F = Fraction
 
@@ -280,31 +282,57 @@ def test_random_blackwell_cells_pass_laws():
         assert report.all_pass
 
 
-def test_copy_checks_build_no_tensor_and_env_tensor_composes_on_the_factors(monkeypatch):
+def test_copy_checks_build_no_tensor_and_env_tensor_checks_the_whole_tensor(monkeypatch):
+    # the signed counterexample is settled but not balanced, so its laws
+    # take the composites, which pair; a morphism that is not an identity
+    # is checked once per absorption equation, on the whole tensor
     built, domains = [], []
     monkeypatch.setattr(envelopes, "tensor", lambda f, g: built.append((f, g)) or tensor(f, g))
     monkeypatch.setattr(envelopes, "compose", lambda g, f: domains.append(f.dom.size) or compose(g, f))
-    x = fin_object(str(i) for i in range(6))
-    cell = _blackwell(random_class_idempotent(random.Random(6), x).idempotent)
-    env_check_markov_laws(cell)
+    e = signed_coassoc_counterexample()
+    cell = EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
+    assert not env_check_markov_laws(cell).coassociative
     env_ase(env_identity(cell), env_identity(cell), env_identity(cell))
-    assert built == []
-    small = _blackwell(strong_idempotent())
+    assert domains and built == []
+    incl, _ = env_split_idempotent(cell)
     domains.clear()
-    env_tensor(env_identity(cell), env_identity(small))
-    assert domains and max(domains) <= max(x.size, small.object.size)
+    m = env_tensor(env_identity(cell), incl)
+    assert domains == [m.src.object.size] * 2
+    assert m == env_tensor_by_tensors(env_identity(cell), incl)
 
 
 def test_markov_laws_compose_nothing_with_a_swap(monkeypatch):
-    # cocommutativity holds by construction, so no swap∘copy is built
+    # cocommutativity holds by construction, so no swap∘copy is built, also
+    # on the cells that take the composites: one off the column law in each
+    # of Stoch and Multi, and the settled, non-balanced signed counterexample
     left = []
     monkeypatch.setattr(envelopes, "compose", lambda g, f: left.append(g) or compose(g, f))
     x = fin_object(str(i) for i in range(6))
-    stoch = random_class_idempotent(random.Random(6), x).idempotent
-    for e in (stoch, Kernel(Kind.SIGNED, x, x, stoch.matrix), multi_upset_idempotent()):
+    m = random_class_idempotent(random.Random(6), x).idempotent.matrix
+    scaled = Kernel(Kind.STOCH, x, x, [[m[i][j] * (i + 1) / (j + 1) for j in range(6)] for i in range(6)])
+    empty = Kernel(Kind.MULTI, x, x, [[i == j > 0 for j in range(6)] for i in range(6)])
+    for e in (scaled, signed_coassoc_counterexample(), empty):
+        assert compose(e, e) == e
         left.clear()
-        assert env_check_markov_laws(env_cell(e.dom, e, Flavor.KAROUBI)).cocommutative
+        assert env_check_markov_laws(EnvelopeCell(e.dom, e, Flavor.KAROUBI)).cocommutative
         assert left and swap_kernel(e.dom, e.dom, e.kind) not in left
+    assert validate(scaled) is not None and validate(empty) is not None
+
+
+def test_settled_cells_compose_nothing(monkeypatch):
+    # a valid Blackwell cell is settled: its laws, the tensor of two cell
+    # identities and its formal splitting all follow from e∘e = e
+    composed = []
+    monkeypatch.setattr(envelopes, "compose", lambda g, f: composed.append((g, f)) or compose(g, f))
+    x = fin_object(str(i) for i in range(6))
+    cell = _blackwell(random_class_idempotent(random.Random(6), x).idempotent)
+    small = _blackwell(strong_idempotent())
+    assert env_check_markov_laws(cell).all_pass
+    m = env_tensor(env_identity(cell), env_identity(small))
+    split = env_split_idempotent(cell)
+    assert composed == []
+    assert m == env_tensor_by_tensors(env_identity(cell), env_identity(small))
+    assert split == env_split_idempotent_by_homs(cell)
 
 
 def test_env_ase_builds_no_copy_and_env_tensor_of_identities_one_tensor(monkeypatch):

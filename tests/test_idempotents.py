@@ -178,6 +178,16 @@ def test_cross_check_agrees_on_random_idempotents():
         assert cc.defining == classify(e).balanced
 
 
+def test_cross_check_pairs_one_state_per_distinct_column(monkeypatch):
+    # reading (iv) tests the span of the columns, so a repeated column is tested once
+    states, real = [], idempotents._kernel
+    monkeypatch.setattr(idempotents, "_kernel", lambda *args: states.append(args[-1]) or real(*args))
+    e = random_class_idempotent(random.Random(5), fin_object(str(i) for i in range(8))).idempotent
+    assert len(set(e.columns)) < e.dom.size
+    assert balanced_cross_check(e).all() == (True, True, True, True)
+    assert states == [(col,) for col in dict.fromkeys(e.columns)]
+
+
 def test_static_flag_matches_almost_sure_determinism():
     # an idempotent is static iff it is deterministic almost surely
     # w.r.t. itself

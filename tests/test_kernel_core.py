@@ -109,6 +109,10 @@ def test_constructor_rejects_non_bool_multi_entries():
         Kernel(Kind.MULTI, UNIT, X2, [[1.0], [False]])
     with pytest.raises(ValidationError):
         Kernel(Kind.MULTI, UNIT, X2, [[F(1)], [False]])
+    # other ints too: [[2]] would keep a dense view of 2 while equal to [[True]]
+    for v in (2, -1):
+        with pytest.raises(ValidationError, match=f"multi entries must be bool, got {v}"):
+            Kernel(Kind.MULTI, UNIT, X2, [[v], [False]])
     # 0/1 ints stay accepted, as bools
     assert Kernel(Kind.MULTI, UNIT, X2, [[1], [0]]) == Kernel(Kind.MULTI, UNIT, X2, [[True], [False]])
 

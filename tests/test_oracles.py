@@ -45,6 +45,7 @@ from finmarkov import (
     io_relation,
     pair,
     param_compose,
+    param_lift,
     param_tensor,
     perturb_off_support,
     random_class_idempotent,
@@ -61,6 +62,7 @@ from finmarkov import (
     validate,
     verify_split,
 )
+from finmarkov.envelopes import _settled
 from finmarkov.golden import (
     balanced_idempotent,
     multi_chain3_idempotent,
@@ -101,11 +103,13 @@ from oracles import (
     io_relation_by_states,
     pair_by_copy,
     param_compose_by_tensors,
+    param_lift_by_unitor,
     param_tensor_by_tensors,
     perturb_off_support_by_rows,
     projection_is_section,
     reconstruct_by_tensors,
     recomposes,
+    settled_by_composing,
     witness_separates,
 )
 
@@ -350,6 +354,15 @@ def test_param_compose_matches_its_tensor_composite(kind, seed):
     f = _param(rng, kind, w, a)
     g = _param(rng, kind, w, f.x)
     assert param_compose(g, f) == param_compose_by_tensors(g, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ALL_KINDS, SEEDS)
+def test_param_lift_matches_its_unitor_composite(kind, seed):
+    rng = random.Random(seed)
+    w, a = random_object(rng, 3, "w", min_size=0), random_object(rng, 3, "a", min_size=0)
+    f = _any_kernel(rng, kind, a, random_object(rng, 3, "x", min_size=0))
+    assert param_lift(f, w) == param_lift_by_unitor(f, w)
 
 
 @settings(max_examples=150, deadline=None)
@@ -665,6 +678,27 @@ def test_copy_laws_and_split_absorb_like_the_whole_composites_on_small_endomorph
         if isinstance(copy, tuple):
             failures.add((e.kind, copy[1].split()[0]))
     assert failures == {(Kind.MULTI, "source"), (Kind.MULTI, "target"), (Kind.SIGNED, "source")}
+
+
+def test_settled_cell_is_an_idempotent_within_the_column_law_on_small_endomorphisms():
+    other = fin_object(("z",))
+    for e in _small_endomorphisms():
+        for x in (e.dom, other):
+            cell = EnvelopeCell(x, e, Flavor.KAROUBI)
+            assert _settled(cell) == settled_by_composing(cell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_KINDS, st.sampled_from(list(Flavor)), SEEDS, st.integers(0, 10))
+def test_settled_cell_is_an_idempotent_within_the_column_law(kind, flavor, seed, variant):
+    # the cells of the absorption tests (variants 0-4) and of the law tests (5-10)
+    rng = random.Random(seed)
+    if variant < 5:
+        cell = _absorption_cell(rng, kind, flavor, variant)
+    else:
+        e = _cell_endomorphism(rng, kind, variant - 5)
+        cell = EnvelopeCell(e.dom, e, flavor)
+    assert _settled(cell) == settled_by_composing(cell)
 
 
 def test_env_tensor_of_unabsorbed_factors_with_an_absorbed_tensor():

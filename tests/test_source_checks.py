@@ -314,3 +314,84 @@ def pairs(cell):
 def test_tensor_then_copy_check_flags_the_unpacked_cell_copy():
     found = _tensor_then_copy(ast.parse(CELL_COPY))
     assert found == ["laws:5"]
+
+
+def _is_self_composite(node, bound, seen=()):
+    """Whether ``node``, past any attribute reads, is ``compose(x, x)``, or
+    a local name that ``bound`` maps to one."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    if isinstance(node, ast.Call) and _called_name(node) == "compose" and len(node.args) == 2:
+        return ast.dump(node.args[0]) == ast.dump(node.args[1])
+    if isinstance(node, ast.Name) and node.id in bound and node.id not in seen:
+        return any(_is_self_composite(value, bound, seen + (node.id,)) for value in bound[node.id])
+    return False
+
+
+# the one function that may decide e∘e = e
+SETTLED = "_settled"
+
+
+def _self_composites_compared(tree):
+    """Lines where a function other than `SETTLED` compares a composite
+    ``compose(x, x)`` with ``==`` or ``!=``, directly or through a local name."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == SETTLED:
+            continue
+        bound = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    # a tuple unpacked from a tuple binds element by element
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    else:
+                        pairs = [(target, node.value)]
+                    for names, value in pairs:
+                        for name in ast.walk(names):
+                            if isinstance(name, ast.Name):
+                                bound.setdefault(name.id, []).append(value)
+        found += [
+            f"{func.name}:{node.lineno}"
+            for node in ast.walk(func)
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(_is_self_composite(operand, bound) for operand in [node.left, *node.comparators])
+        ]
+    return found
+
+
+def test_envelopes_decide_e_e_only_in_the_settled_cell_test():
+    # a cell's e∘e = e is `classify`'s cached verdict; each shortcut asks `_settled`
+    path = SOURCE / "envelopes.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _self_composites_compared(tree) == []
+    assert SETTLED in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+SELF_COMPOSITES = """
+def _settled(cell):
+    return compose(cell.endo, cell.endo) == cell.endo
+
+def direct(e):
+    return compose(e, e) == e, e != compose(e, e)
+
+def through_names(e):
+    ee = compose(e, e)
+    same = ee
+    return disc if same == e else compose(disc, e)
+
+def unpacked(e, disc):
+    ee, de = compose(e, e), compose(disc, e)
+    return ee.columns != e.columns, de == disc
+
+def others(e, f):
+    ee = compose(e, e)
+    return compose(f, e) == f, compose(e, f) != e, ee is e, kernel_equal(ee, e)
+"""
+
+
+def test_self_composite_check_flags_each_form():
+    found = _self_composites_compared(ast.parse(SELF_COMPOSITES))
+    assert found == ["direct:6", "direct:6", "through_names:11", "unpacked:15"]
