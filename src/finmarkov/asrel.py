@@ -19,12 +19,14 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
+    _bits,
     _kernel,
     compose,
     copy_kernel,
     fin_object,
     function_kernel,
     support_indices,
+    support_mask,
     tensor,
 )
 from .rand import random_kernel
@@ -82,19 +84,21 @@ def ase_kernels(p: Kernel, f: Kernel, g: Kernel, w_size: int = 1) -> bool:
     return ase(AseQuery(p, f, g, w_size))
 
 
-def abs_cont(q: Kernel, p: Kernel) -> bool:
-    """True iff q dominates p (p ≪ q): every q-a.s. equality is p-a.s.
-
-    Decided by support inclusion: reach(p) ⊆ reach(q).  Signed kernels
-    are rejected; no finite characterization is available for them.
-    """
+def _unreached(q: Kernel, p: Kernel) -> int:
+    """Bitmask of the elements p reaches and q does not."""
     if q.kind is not p.kind:
         raise CodMismatch("kernels of different kinds are not comparable")
     if q.kind is Kind.SIGNED:
         raise UnsupportedKind("absolute continuity is not decidable for signed kernels")
     if q.cod != p.cod:
         raise CodMismatch(f"codomains differ: {q.cod.labels} vs {p.cod.labels}")
-    return set(support_indices(p)) <= set(support_indices(q))
+    return support_mask(p) & ~support_mask(q)
+
+
+def abs_cont(q: Kernel, p: Kernel) -> bool:
+    """True iff q dominates p (p ≪ q): every q-a.s. equality is p-a.s.
+    One mask test of reach(p) ⊆ reach(q); signed kernels are rejected."""
+    return not _unreached(q, p)
 
 
 @dataclass(frozen=True)
@@ -124,10 +128,10 @@ def refute_abs_cont(q: Kernel, p: Kernel) -> Optional[AcWitness]:
     the first element reached by p but not by q.  The two differ only at
     that element, so they are almost surely equal w.r.t. q and not w.r.t. p.
     """
-    if abs_cont(q, p):
+    missing = _unreached(q, p)
+    if not missing:
         return None
-    qs = set(support_indices(q))
-    x = next(i for i in support_indices(p) if i not in qs)
+    x = next(_bits(missing))
     low = _indicator(p.cod, p.kind, None)
     high = _indicator(p.cod, p.kind, x)
     return AcWitness(low, high, p.cod.labels[x])

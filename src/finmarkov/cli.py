@@ -44,6 +44,7 @@ from .kernel import (
     FinObject,
     Kernel,
     Kind,
+    _bits,
     _kernel,
     _ratio_column,
     compose,
@@ -186,7 +187,7 @@ def kernel_to_doc(k: Kernel) -> dict:
         "cod": list(k.cod.labels),
     }
     if k.kind is Kind.MULTI:
-        doc["images"] = [[lbl for i, lbl in enumerate(k.cod.labels) if mask >> i & 1] for mask in k.columns]
+        doc["images"] = [[k.cod.labels[i] for i in _bits(mask)] for mask in k.columns]
     else:
         # an integer entry is a JSON integer, any other an "n/d" string
         rows: list[list] = [[0] * k.dom.size for _ in range(k.cod.size)]

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .kernel import (
     FinMarkovError,
@@ -40,7 +41,7 @@ from .kernel import (
     is_deterministic,
     kernel_equal,
     pair,
-    support_indices,
+    support_mask,
     tensor,
     validate,
 )
@@ -103,10 +104,11 @@ def env_hom(src: EnvelopeCell, dst: EnvelopeCell, f: Kernel) -> EnvelopeMorphism
     return _require_absorbed(EnvelopeMorphism(src, dst, f))
 
 
+@lru_cache(maxsize=4096)
 def _settled(cell: EnvelopeCell) -> bool:
     """Whether the cell's endo lives on its object, satisfies its kind's
     column law and is idempotent.  `validate` runs first: `classify`
-    raises off the column law."""
+    raises off the column law.  Memoized, so each cell is decided once."""
     e = cell.endo
     return e.dom == cell.object == e.cod and validate(e) is None and classify(e).idempotent
 
@@ -233,7 +235,7 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     coassociative = compose(pair(cpy, ee), e).columns == compose(pair(ee, cpy), e).columns
 
     # a kernel into the unit is deterministic exactly when every column is one
-    discard_natural = is_deterministic(de) or not support_indices(disc)
+    discard_natural = is_deterministic(de) or not support_mask(disc)
     return MarkovLawReport(counit_left, counit_right, coassociative, True, discard_natural)
 
 

@@ -47,6 +47,7 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
+    _bits,
     _is_point_column,
     _kernel,
     _reduced,
@@ -131,16 +132,14 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
     multi = kind is Kind.MULTI
     n = len(cols)
     # e = A/d over one denominator, a column of A a dict of its nonzero
-    # rows (d = 1 and A = e as 0/1 over Multi, whose sums are ORs)
+    # rows; over Multi d = 1 and A = e, each column the mask of its image
     d = 1 if multi else math.lcm(*[den for den, _ in cols])
-    A = [dict.fromkeys([y for y in range(n) if m >> y & 1], 1) for m in cols] if multi else [
-        {y: num * (d // den) for y, num in cells} for den, cells in cols]
+    A = cols if multi else [{y: num * (d // den) for y, num in cells} for den, cells in cols]
     for x, col in enumerate(A):
         if multi:  # (e∘e)(x) is the OR of the columns e(x) reaches
-            diff = reduce(or_, [cols[w] for w in col], 0) ^ cols[x]
-            y = (diff & -diff).bit_length() - 1 if diff else None
+            y = next(_bits(reduce(or_, [cols[w] for w in _bits(col)], 0) ^ col), None)
         else:
-            y = _sum_difference(False, [(y, a * b) for w, a in col.items() for y, b in A[w].items()],
+            y = _sum_difference([(y, a * b) for w, a in col.items() for y, b in A[w].items()],
                                 {y: d * a for y, a in col.items()})
         if y is not None:
             return IdempotentReport(
@@ -151,10 +150,11 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
     same: dict = {}  # each stored column → the inputs whose column it is
     for x, col in enumerate(cols):
         same[col] = same.get(col, 0) | 1 << x
-    unfixed = sum(1 << y for y in range(n) if A[y] != {y: d})
+    point = [1 << y if multi else {y: d} for y in range(n)]  # the point column at y
+    unfixed = sum(1 << y for y in range(n) if A[y] != point[y])
     failures = (
-        ("static", _support_failure(A, [m & unfixed for m in masks], lambda x, y: {y: d})),
-        ("strong", _support_failure(A, [m & ~same[c] for m, c in zip(masks, cols)], lambda x, y: A[x])),
+        ("static", _support_failure(kind, A, [m & unfixed for m in masks], lambda x, y: point[y])),
+        ("strong", _support_failure(kind, A, [m & ~same[c] for m, c in zip(masks, cols)], lambda x, y: A[x])),
         ("balanced", _balance_failure(kind, cols, A, d, same)),
     )
     static, strong, balanced = (at is None for _, at in failures)
@@ -172,26 +172,29 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
     return IdempotentReport(True, deterministic, static, strong, balanced, MappingProxyType(witnesses))
 
 
-def _sum_difference(multi: bool, terms: list, want: dict):
+def _sum_difference(terms: list, want: dict):
     """The smallest key at which the sums of the ``(key, value)`` terms
-    differ from ``want``, or None; over Multi a sum is an OR."""
+    differ from ``want``, or None."""
     acc: dict = {}
     for k, v in terms:
         acc[k] = acc.get(k, 0) + v
-    acc = {k: 1 if multi else v for k, v in acc.items() if v}
+    acc = {k: v for k, v in acc.items() if v}
     if acc == want:
         return None
     return min(k for k in acc.keys() | want.keys() if acc.get(k, 0) != want.get(k, 0))
 
 
-def _support_failure(A: list, off: list, want):
+def _support_failure(kind: Kind, A: list, off: list, want):
     """The first (input, final, intermediate) index triple failing a support
     test, or None.  The first input x with a nonzero mask ``off[x]`` of
-    intermediates y fails, where A(z|y) differs from want(x, y)[z]."""
+    intermediates y fails, at the lowest final z where A(z|y) differs from
+    want(x, y)[z], with the first y that differs there."""
     x = next((x for x, m in enumerate(off) if m), None)
     if x is None:
         return None
-    wants = [(y, A[y], want(x, y)) for y in range(len(A)) if off[x] >> y & 1]
+    wants = [(y, A[y], want(x, y)) for y in _bits(off[x])]
+    if kind is Kind.MULTI:  # the lowest set bit of a column difference, then the first y
+        return x, *min((next(_bits(a ^ b)), y) for y, a, b in wants)
     return next((x, z, y) for z in range(len(A)) for y, a, b in wants if a.get(z, 0) != b.get(z, 0))
 
 
@@ -201,17 +204,22 @@ def _balance_failure(kind: Kind, cols: tuple, A: list, d: int, same: dict):
     None; both sides are compared at scale d³, a pair (z, y) as z·n + y."""
     n = len(cols)
     if kind is Kind.MULTI:
+        # only the first input whose image holds a non-block element can fail; lhs
+        # ORs spread(e(y)) << y, rhs e(w)·spread(e(w)), spread(m) putting z at z·n
         loose = sum(1 << y for y, m in enumerate(cols) if not m >> y & 1 or m & ~same[m])
-        inputs = [x for x, m in enumerate(cols) if m & loose][:1]
-    elif kind is Kind.STOCH and all(sum(col.values()) == d and min(col.values()) > 0 for col in A):
+        x = next((x for x, m in enumerate(cols) if m & loose), None)
+        lhs = rhs = 0
+        for y in _bits(0 if x is None else cols[x]):
+            spread = sum(1 << z * n for z in _bits(cols[y]))
+            lhs, rhs = lhs | spread << y, rhs | spread * cols[y]
+        return (x, *divmod(next(_bits(lhs ^ rhs)), n)) if lhs != rhs else None
+    if kind is Kind.STOCH and all(sum(col.values()) == d and min(col.values()) > 0 for col in A):
         return None
-    else:
-        inputs = range(n)
-    for x in inputs:
+    for x in range(n):
         lhs = {z * n + y: d * a * b for y, a in A[x].items() for z, b in A[y].items()}
         rhs = [(z * n + y, c * a * b) for w, c in A[x].items()
                for y, a in A[w].items() for z, b in A[w].items()]
-        at = _sum_difference(kind is Kind.MULTI, rhs, lhs)
+        at = _sum_difference(rhs, lhs)
         if at is not None:
             return (x, *divmod(at, n))
     return None
@@ -307,14 +315,13 @@ def _class_split(e: Kernel) -> SplitData:
     cols = e.columns
     supports = cols if multi else [sum(1 << i for i, _ in cells) for _, cells in cols]
     reached = reduce(or_, supports, 0)
-    n = e.dom.size
-    recurrent = [y for y in range(n) if reached >> y & 1]
+    recurrent = list(_bits(reached))
     if any(not supports[y] >> y & 1 for y in recurrent):
         raise StructureViolation("a reached element lies outside its class")
     # once columns are constant on classes (checked below), distinct
     # supports are disjoint, so their lowest bits order them by first member
     masks = sorted({supports[y] for y in recurrent}, key=lambda m: m & -m)
-    members = [[y for y in recurrent if m >> y & 1] for m in masks]
+    members = [list(_bits(m)) for m in masks]
     if any(cols[y] != cols[comp[0]] for comp in members for y in comp[1:]):
         raise StructureViolation("columns differ within a recurrent class")
 
@@ -333,7 +340,7 @@ def _class_split(e: Kernel) -> SplitData:
             pi_cols.append(_reduced(den, [(t, m) for t, m in enumerate(mass) if m]))
     pi = _kernel(e.kind, e.dom, middle, tuple(pi_cols))
     classes = tuple(tuple(labels[y] for y in comp) for comp in members)
-    transient = tuple(labels[y] for y in range(n) if not reached >> y & 1)
+    transient = tuple(labels[y] for y in _bits((1 << len(labels)) - 1 & ~reached))
     return SplitData(middle, pi, iota, classes, transient)
 
 
@@ -460,16 +467,11 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
     if f.kind is Kind.MULTI:
         # the pairs one sample reaches from b are (hg)(b)², those two samples
         # reach from a are the union of h(x)² over x in (g∘f)(a)
-        def square(mask: int) -> int:
-            return sum(mask << (y * ny) for y in range(ny) if mask >> y & 1)
-
-        def union(mask: int, sets: list) -> int:
-            return reduce(or_, [s for i, s in enumerate(sets) if mask >> i & 1], 0)
-
-        xs = [[x for x in range(g.cod.size) if mask >> x & 1] for mask in gcols]
-        ones, twos = [square(m) for m in hgcols], [square(m) for m in hcols]
-        gfcols = compose(g, f).columns
-        antecedent = all(union(fm, ones) == union(gfm, twos) for fm, gfm in zip(f.columns, gfcols))
+        xs = [list(_bits(mask)) for mask in gcols]
+        ones, twos = ([sum(m << y * ny for y in _bits(m)) for m in ms] for ms in (hgcols, hcols))  # squares
+        antecedent = all(
+            reduce(or_, [ones[b] for b in _bits(fm)], 0) == reduce(or_, [twos[x] for x in _bits(gfm)], 0)
+            for fm, gfm in zip(f.columns, compose(g, f).columns))
     else:
         # h = A/H over one denominator; for column b of g over G_b, at scale
         # H²·G_b² the one-sample minus two-sample term is P_b(y₁)·P_b(y₂) −

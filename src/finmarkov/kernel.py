@@ -9,9 +9,9 @@ Storage: ``Kernel.columns`` holds one entry per domain element.  A Stoch
 or Signed column is ``(den, ((row, num), ...))``: rows ascending, zero
 cells left out, ``den > 0`` and ``gcd(den, *nums) == 1``, so equal
 columns are equal tuples; the all-zero column is ``(1, ())``.  A Multi
-column is an int bitmask with bit ``i`` for codomain row ``i``.
-`compose`, `tensor`, the pairing `pair`, `function_kernel`, equality and
-`classify` work on these integers alone.
+column is an int bitmask with bit ``i`` for codomain row ``i``, read by
+its set bits (`_bits`).  `compose`, `tensor`, the pairing `pair`,
+`function_kernel`, equality and `classify` work on these integers alone.
 
 Dense view: ``matrix[i][j]`` is the weight of codomain element ``i``
 given domain element ``j`` (rows indexed by the codomain, columns by the
@@ -38,6 +38,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional, Sequence, Union
 
 ZERO = Fraction(0)
@@ -267,15 +269,13 @@ class Kernel:
         ``Fraction`` or ``bool`` entries built on first access."""
         m = self._matrix
         if m is None:
-            n = self.cod.size
-            if self.kind is Kind.MULTI:
-                m = tuple(tuple(bool(c >> i & 1) for c in self.columns) for i in range(n))
-            else:
-                rows = [[ZERO] * self.dom.size for _ in range(n)]
-                for j, (den, cells) in enumerate(self.columns):
-                    for i, num in cells:
-                        rows[i][j] = Fraction(num, den)
-                m = tuple(map(tuple, rows))
+            rows = [[self.kind.zero] * self.dom.size for _ in range(self.cod.size)]
+            for j, col in enumerate(self.columns):
+                cells = [(i, True) for i in _bits(col)] if self.kind is Kind.MULTI else [
+                    (i, Fraction(num, col[0])) for i, num in col[1]]
+                for i, v in cells:
+                    rows[i][j] = v
+            m = tuple(map(tuple, rows))
             object.__setattr__(self, "_matrix", m)
         return m
 
@@ -414,7 +414,7 @@ def _column_products(f: Kernel, g: Kernel, walk) -> tuple:
     """
     m = g.cod.size
     if f.kind is Kind.MULTI:
-        fshifts = [[y * m for y in range(f.cod.size) if fmask >> y & 1] for fmask in f.columns]
+        fshifts = [[y * m for y in _bits(fmask)] for fmask in f.columns]
         # the shifted copies of g's mask occupy disjoint bits, so + is OR
         return tuple(sum(gmask << s for s in shifts) for shifts, gmask in walk(fshifts, g.columns))
     # gcd(*[]) is 0, so an empty product reduces to (1, ())
@@ -542,14 +542,24 @@ def kernel_equal(f: Kernel, g: Kernel) -> bool:
     )
 
 
-def support_indices(k: Kernel) -> tuple[int, ...]:
-    """Indices of codomain elements hit with nonzero weight by some column.
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
-    For Stoch this is the positive support; for Signed any nonzero entry
-    counts; for Multi it is the union of images.
-    """
+
+def support_mask(k: Kernel) -> int:
+    """Bitmask of `support_indices`; over Multi the OR of the columns."""
     if k.kind is Kind.MULTI:
-        return tuple(i for i in range(k.cod.size) if any(mask >> i & 1 for mask in k.columns))
+        return reduce(or_, k.columns, 0)
+    return sum([1 << i for i in support_indices(k)])
+
+
+def support_indices(k: Kernel) -> tuple[int, ...]:
+    """Ascending indices of the codomain elements some column reaches with nonzero weight."""
+    if k.kind is Kind.MULTI:
+        return tuple(_bits(support_mask(k)))
     return tuple(sorted({i for _, cells in k.columns for i, _ in cells}))
 
 

@@ -41,7 +41,7 @@ def random_signed_column(rng: random.Random, n: int) -> list[Fraction]:
 
 def random_multi_column(rng: random.Random, n: int) -> list[bool]:
     mask = 1 + rng.randrange(2**n - 1)
-    return [bool(mask >> i & 1) for i in range(n)]
+    return [bit == "1" for bit in reversed(f"{mask:0{n}b}")]
 
 
 def random_kernel(rng: random.Random, kind: Kind, dom: FinObject, cod: FinObject) -> Kernel:

@@ -19,6 +19,7 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
+    _bits,
     _kernel,
     _reduced,
     compose,
@@ -112,9 +113,8 @@ def _restrict_rows(k: Kernel, sub: FinObject, idx: Sequence[int]) -> Kernel:
     ``idx[s]`` of k, on the stored columns.  Callers drop only zero rows,
     so no column loses mass."""
     if k.kind is Kind.MULTI:
-        return _kernel(k.kind, k.dom, sub, tuple(
-            sum(1 << s for s, i in enumerate(idx) if mask >> i & 1) for mask in k.columns
-        ))
+        place = {i: 1 << s for s, i in enumerate(idx)}
+        return _kernel(k.kind, k.dom, sub, tuple(sum(place.get(i, 0) for i in _bits(m)) for m in k.columns))
     cols = []
     for den, cells in k.columns:
         num = dict(cells)

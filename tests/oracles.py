@@ -34,8 +34,12 @@ e∘e composed.  The lift of a kernel to a parametric kernel, built with a
 projection, is checked against the unitor after discarding the parameter.
 The stored columns that dense rows and parsed documents become, which
 the library builds from each column's nonzero cells, are checked against
-the column builder over every entry that it replaced.  The enumerations
-and comparisons only the tests use live here too.
+the column builder over every entry that it replaced.  The multivalued
+readings the library takes off the set bits of its column masks
+(supports, domination and its witness, restricted rows, the
+Cauchy-Schwarz instance, document images and the dense view) are checked
+against scans that test every row.  The enumerations and comparisons
+only the tests use live here too.
 """
 
 import itertools
@@ -777,3 +781,66 @@ def emit_kernel_by_fractions(k: Kernel, pretty: bool = False) -> str:
     else:
         doc["matrix"] = [[_fraction_text(v) for v in row] for row in k.matrix]
     return json.dumps(doc, indent=2 if pretty else None)
+
+
+# ---------------------------------------------------------------------------
+# multivalued readings by scanning every row
+# ---------------------------------------------------------------------------
+
+
+def rows_by_scan(mask: int, n: int) -> list:
+    """The rows i < n whose bit is set in ``mask``, testing each row."""
+    return [i for i in range(n) if mask >> i & 1]
+
+
+def support_indices_by_scan(k: Kernel) -> tuple:
+    """The rows some column of a Multi kernel reaches, testing every row
+    against every column."""
+    return tuple(i for i in range(k.cod.size) if any(mask >> i & 1 for mask in k.columns))
+
+
+def abs_cont_by_scan(q: Kernel, p: Kernel) -> bool:
+    """p ≪ q as inclusion of the scanned supports."""
+    return set(support_indices_by_scan(p)) <= set(support_indices_by_scan(q))
+
+
+def refuting_element_by_scan(q: Kernel, p: Kernel):
+    """The label of the first element p reaches and q does not, or None."""
+    reached = set(support_indices_by_scan(q))
+    return next((p.cod.labels[i] for i in support_indices_by_scan(p) if i not in reached), None)
+
+
+def restrict_rows_by_scan(k: Kernel, idx) -> tuple:
+    """The Multi columns of k cut down to the rows ``idx``, testing each."""
+    return tuple(sum(1 << s for s, i in enumerate(idx) if mask >> i & 1) for mask in k.columns)
+
+
+def images_by_scan(k: Kernel) -> list:
+    """The image labels of every column of a Multi kernel, in codomain order."""
+    return [[lbl for i, lbl in enumerate(k.cod.labels) if mask >> i & 1] for mask in k.columns]
+
+
+def matrix_by_scan(k: Kernel) -> tuple:
+    """The dense boolean view of a Multi kernel, one test per cell."""
+    return tuple(tuple(bool(mask >> i & 1) for mask in k.columns) for i in range(k.cod.size))
+
+
+def cauchy_schwarz_multi_by_scan(f: Kernel, g: Kernel, h: Kernel) -> tuple:
+    """(antecedent, consequent) of the Cauchy-Schwarz instance along
+    relations f: A→B, g: B→X, h: X→Y, from the definitions over sets.
+
+    antecedent: at every a, the pairs (y₁, y₂) that one sample of h∘g
+    reaches twice from some b ∈ f(a) are those that h reaches twice from
+    some x ∈ g(b); consequent: h(x) = (h∘g)(b) for every b that f reaches
+    and every x ∈ g(b)."""
+    G = [rows_by_scan(mask, h.dom.size) for mask in g.columns]
+    H = [set(rows_by_scan(mask, h.cod.size)) for mask in h.columns]
+    HG = [set().union(*[H[x] for x in xs]) for xs in G]
+    F = [rows_by_scan(mask, g.dom.size) for mask in f.columns]
+    antecedent = all(
+        {(y1, y2) for b in bs for y1 in HG[b] for y2 in HG[b]}
+        == {(y1, y2) for b in bs for x in G[b] for y1 in H[x] for y2 in H[x]}
+        for bs in F
+    )
+    consequent = all(H[x] == HG[b] for b in {b for bs in F for b in bs} for x in G[b])
+    return antecedent, consequent

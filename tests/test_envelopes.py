@@ -335,6 +335,31 @@ def test_settled_cells_compose_nothing(monkeypatch):
     assert split == env_split_idempotent_by_homs(cell)
 
 
+def test_each_cell_is_validated_once(monkeypatch):
+    # one pass of the envelope-laws queries on a cell asks `_settled` from
+    # the laws, the tensor of identities, the splitting and `env_ase`; the
+    # cell's endo is validated by `env_cell` and once more to settle it
+    envelopes._settled.cache_clear()
+    validated = []
+    monkeypatch.setattr(envelopes, "validate", lambda k: validated.append(k) or validate(k))
+    x = fin_object(str(i) for i in range(6))
+    e = random_class_idempotent(random.Random(6), x).idempotent
+    cell = env_cell(x, e, Flavor.BLACKWELL)
+    ident = env_identity(cell)
+    for _ in range(2):
+        assert env_check_markov_laws(cell).all_pass
+        env_tensor(ident, ident)
+        env_split_idempotent(cell)
+        assert env_ase(ident, ident, ident)
+    assert validated == [e, e]
+    # a cell off the column law is decided once too, and is not settled
+    y = fin_object(("0", "1"))
+    doubled = EnvelopeCell(y, Kernel(Kind.STOCH, y, y, [[2, 0], [0, 1]]), Flavor.KAROUBI)
+    validated.clear()
+    assert [envelopes._settled(doubled) for _ in range(3)] == [False] * 3
+    assert len(validated) == 1
+
+
 def test_env_ase_builds_no_copy_and_env_tensor_of_identities_one_tensor(monkeypatch):
     paired, built = [], []
     monkeypatch.setattr(envelopes, "pair", lambda f, g: paired.append((f, g)) or pair(f, g))

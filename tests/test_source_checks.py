@@ -395,3 +395,90 @@ def others(e, f):
 def test_self_composite_check_flags_each_form():
     found = _self_composites_compared(ast.parse(SELF_COMPOSITES))
     assert found == ["direct:6", "direct:6", "through_names:11", "unpacked:15"]
+
+
+def _tests_bit(node, name):
+    """Whether ``node`` tests bit ``name`` of a mask: ``m >> name & 1`` or
+    ``m & 1 << name``, the operands of ``&`` either way round."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+        return False
+    for shifted, other in ((node.left, node.right), (node.right, node.left)):
+        if isinstance(other, ast.Constant) and other.value == 1 and isinstance(shifted, ast.BinOp):
+            if isinstance(shifted.op, ast.RShift) and isinstance(shifted.right, ast.Name):
+                return shifted.right.id == name
+        if isinstance(shifted, ast.BinOp) and isinstance(shifted.op, ast.LShift):
+            one, at = shifted.left, shifted.right
+            if isinstance(one, ast.Constant) and one.value == 1 and isinstance(at, ast.Name):
+                return at.id == name
+    return False
+
+
+def _range_bit_scans(tree):
+    """Lines where a comprehension or a ``for`` loop over ``range(...)``
+    tests the bit of its loop variable in a filter, its element or its body,
+    named by the unit (function, method or statement) they sit in."""
+    found = []
+    for name, unit in _units(tree):
+        for node in ast.walk(unit):
+            if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                loops = node.generators
+            elif isinstance(node, ast.For):
+                loops = [node]
+            else:
+                continue
+            for loop in loops:
+                if not (isinstance(loop.iter, ast.Call) and _called_name(loop.iter) == "range"
+                        and isinstance(loop.target, ast.Name)):
+                    continue
+                if any(_tests_bit(sub, loop.target.id) for sub in ast.walk(node)):
+                    found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_library_reads_masks_by_their_set_bits():
+    # a Multi column is an int mask: `bits` walks its set bits, where a scan
+    # over range(n) tests every row
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name} {where}" for where in _range_bit_scans(tree)]
+    assert found == []
+
+
+RANGE_BIT_SCANS = """
+def filtered(mask, n):
+    return [i for i in range(n) if mask >> i & 1]
+
+def element(cols, n):
+    return tuple(tuple(bool(c >> i & 1) for c in cols) for i in range(n))
+
+def nested(cols, n):
+    return {i: 1 for i in range(n) if any(1 & m >> i for m in cols)}
+
+def shifted_one(mask, n):
+    return sum(1 for i in range(0, n) if mask & (1 << i))
+
+def loop(mask, n):
+    out = []
+    for i in range(n):
+        if (mask >> i) & 1:
+            out.append(i)
+    return out
+
+class View:
+    def rows(self, n):
+        return [i for i in range(n) if self.mask >> i & 1]
+
+def fine(mask, cols, n):
+    ones = [i for i in _bits(mask)]
+    listed = [y for y, m in enumerate(cols) if not m >> y & 1]
+    other = [mask >> j & 1 for i in range(n) for j in (0, 1)]
+    shifted = [mask >> i for i in range(n)]
+    return ones, mask >> 3 & 1, listed, other, shifted
+"""
+
+
+def test_range_bit_scan_check_flags_each_form():
+    assert _range_bit_scans(ast.parse(RANGE_BIT_SCANS)) == [
+        "filtered:3", "element:6", "nested:9", "shifted_one:12", "loop:16", "View.rows:23",
+    ]
