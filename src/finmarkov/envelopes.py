@@ -78,18 +78,18 @@ class EnvelopeMorphism:
 
 def env_cell(x: FinObject, e: Kernel, flavor: Flavor) -> EnvelopeCell:
     """Validated cell: e must satisfy its kind's column law and be
-    idempotent, and balanced for Blackwell."""
-    if e.dom != x or e.cod != x:
-        raise NotEndo("cell endomorphism must live on the cell's object")
-    bad = validate(e)
-    if bad is not None:
-        raise ValidationError(f"cell endomorphism: {bad.message}")
-    report = classify(e)
-    if not report.idempotent:
+    idempotent, and balanced for Blackwell.  Decided once by `_settled`; a
+    cell it rejects is checked again, in order, for the first error."""
+    if not _settled(cell := EnvelopeCell(x, e, flavor)):
+        if e.dom != x or e.cod != x:
+            raise NotEndo("cell endomorphism must live on the cell's object")
+        bad = validate(e)
+        if bad is not None:
+            raise ValidationError(f"cell endomorphism: {bad.message}")
         raise NotIdempotent("cell endomorphism must be idempotent")
-    if flavor is Flavor.BLACKWELL and not report.balanced:
+    if flavor is Flavor.BLACKWELL and not classify(e).balanced:
         raise NotBalanced("Blackwell cells require a balanced idempotent")
-    return EnvelopeCell(x, e, flavor)
+    return cell
 
 
 def env_identity(cell: EnvelopeCell) -> EnvelopeMorphism:

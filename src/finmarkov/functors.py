@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .asrel import UnsupportedKind, ase_kernels
+from .asrel import UnsupportedKind
 from .kernel import (
+    DomainMismatch,
     FinMarkovError,
     FinObject,
     Kernel,
@@ -18,6 +19,7 @@ from .kernel import (
     ShapeMismatch,
     _kernel,
     _reduced,
+    _require_same_kind,
     compose,
     copy_kernel,
     discard_kernel,
@@ -148,6 +150,26 @@ def param_tensor(f: ParamMorphism, g: ParamMorphism) -> ParamMorphism:
 # ---------------------------------------------------------------------------
 
 
+def _block_columns(f: Kernel, ny: int) -> list | None:
+    """Entry x·|A|+a is f's column a on rows x·|Y| … x·|Y|+|Y|−1 (its block at
+    x) over the block's mass m, stored canonically (over Multi, the block
+    mask), or None where m = 0; the list is None if such a block is not empty."""
+    nx, na = f.cod.size // ny, f.dom.size
+    if f.kind is Kind.MULTI:
+        return [col >> lo & (1 << ny) - 1 or None for lo in range(0, nx * ny, ny) for col in f.columns]
+    parts: list = [[] for _ in range(nx * na)]
+    for a, (_, cells) in enumerate(f.columns):
+        for i, num in cells:
+            parts[i // ny * na + a].append((i % ny, num))
+    out = []
+    for part in parts:
+        mass = sum(num for _, num in part)
+        if part and not mass:
+            return None
+        out.append(_reduced(abs(mass), part if mass > 0 else [(y, -num) for y, num in part]) if mass else None)
+    return out
+
+
 def conditional(f: Kernel, split: int) -> Kernel:
     """Conditional of a joint kernel f: A → X⊗Y given its first factor.
 
@@ -158,24 +180,8 @@ def conditional(f: Kernel, split: int) -> Kernel:
     if f.kind is not Kind.STOCH:
         raise UnsupportedKind("conditionals are implemented for stochastic kernels")
     x_obj, y_obj = split_tensor_labels(f.cod, split)
-    nx, ny = x_obj.size, y_obj.size
-    dom = tensor_object(x_obj, f.dom)
-    cols = []
-    for lo in range(0, nx * ny, max(ny, 1)):
-        for _, cells in f.columns:
-            # f((x,y)|a) = num/den, so c(y|x,a) = num / Σ_y' num
-            part = [(i - lo, num) for i, num in cells if lo <= i < lo + ny]
-            mass = sum(num for _, num in part)
-            cols.append(_reduced(mass, part) if mass > 0 else (1, ((0, 1),)))
-    return _kernel(Kind.STOCH, dom, y_obj, tuple(cols))
-
-
-def _reconstruct(f: Kernel, cond: Kernel, split: int, base: Kernel) -> Kernel:
-    """Rebuild the joint from a conditional: ⟨π_X, c⟩∘b, with π_X: X⊗A → X
-    the projection and b = `comparison_base(f, split)`."""
-    x_obj, _ = split_tensor_labels(f.cod, split)
-    to_x = function_kernel(base.cod, x_obj, [r // f.dom.size for r in range(base.cod.size)], f.kind)
-    return compose(pair(to_x, cond), base)
+    cols = tuple((1, ((0, 1),)) if col is None else col for col in _block_columns(f, y_obj.size))
+    return _kernel(Kind.STOCH, tensor_object(x_obj, f.dom), y_obj, cols)
 
 
 def comparison_base(f: Kernel, split: int) -> Kernel:
@@ -186,17 +192,27 @@ def comparison_base(f: Kernel, split: int) -> Kernel:
 
 def verify_conditional_unique(f: Kernel, c1: Kernel, c2: Kernel, split: int | None = None) -> bool:
     """Check that two conditionals of the same joint agree almost surely
-    w.r.t. the paired marginal; candidates that fail to reconstruct the
-    joint are rejected.  The split is inferred from the candidates'
-    domain when not given."""
+    w.r.t. the paired marginal b = `comparison_base(f, split)`; candidates
+    that fail to reconstruct the joint are rejected.  The split is
+    inferred from the candidates' domain when not given.
+
+    Decided on stored columns, building no kernel: the reconstruction
+    ⟨π_X, c⟩∘b is m·c(·|x,a) on the block of column a at x, m its mass, so
+    it is f iff c has Y's labels, equals block/m where m ≠ 0, and every
+    block of mass 0 is empty.  b reaches (x,a) iff m ≠ 0, so two such
+    candidates agree b-almost surely: the verdict is True."""
     if split is None:
         if f.dom.size == 0 or c1.dom.size % f.dom.size != 0:
             raise ShapeMismatch("cannot infer the split from the candidate's domain")
         split = c1.dom.size // f.dom.size
     if c1.dom != c2.dom or c1.cod != c2.cod:
         raise ShapeMismatch("candidates must be parallel")
-    base = comparison_base(f, split)
+    x_obj, y_obj = split_tensor_labels(f.cod, split)
+    blocks = _block_columns(f, y_obj.size)
     for c in (c1, c2):
-        if not kernel_equal(_reconstruct(f, c, split, base), f):
+        _require_same_kind(f, c)
+        if c.dom != tensor_object(x_obj, f.dom):
+            raise DomainMismatch(f"candidate domain {c.dom.labels} is not X⊗A")
+        if blocks is None or c.cod != y_obj or any(b not in (None, col) for b, col in zip(blocks, c.columns)):
             raise NotAConditional("candidate does not satisfy the conditional equation")
-    return ase_kernels(base, c1, c2)
+    return True

@@ -141,7 +141,8 @@ def split_tensor_labels(obj: FinObject, left_size: int) -> tuple[FinObject, FinO
     """Recover the two factors of a tensor-built object.
 
     Requires every label to have the form "(a,b)" consistently with an
-    x-major ``left_size`` by ``obj.size // left_size`` grid.
+    x-major ``left_size`` by ``obj.size // left_size`` grid.  Parses the
+    first row and column only: "(a,b)" splits after ``a`` iff "(a,b0)" does.
     """
     n = obj.size
     if left_size <= 0 or n == 0 or n % left_size != 0:
@@ -151,24 +152,18 @@ def split_tensor_labels(obj: FinObject, left_size: int) -> tuple[FinObject, FinO
     def unpair(label: str) -> tuple[str, str]:
         if not (label.startswith("(") and label.endswith(")")):
             raise BadSplit(f"label {label!r} is not a tensor pair")
-        body = label[1:-1]
         depth = 0
-        for k, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return body[:k], body[k + 1 :]
+        for k, ch in enumerate(label[1:-1], 1):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0:
+                return label[1:k], label[k + 1 : -1]
         raise BadSplit(f"label {label!r} has no top-level comma")
 
-    pairs = [unpair(lbl) for lbl in obj.labels]
-    left = tuple(pairs[i * right_size][0] for i in range(left_size))
-    right = tuple(pairs[j][1] for j in range(right_size))
-    for i in range(left_size):
-        for j in range(right_size):
-            if pairs[i * right_size + j] != (left[i], right[j]):
-                raise BadSplit(f"labels of {obj.labels} are not a consistent tensor grid")
+    labels = obj.labels
+    left = tuple(unpair(labels[i * right_size])[0] for i in range(left_size))
+    right = tuple(unpair(labels[j])[1] for j in range(right_size))
+    if labels != tuple(f"({a},{b})" for a in left for b in right):
+        raise BadSplit(f"labels of {labels} are not a consistent tensor grid")
     return FinObject(left), FinObject(right)
 
 
@@ -228,7 +223,11 @@ class Kernel:
                         v not in (0, 1) if multi else isinstance(v, bool)):
                     want = "bool" if multi else "Fraction or int"
                     raise ValidationError(f"{kind.value} entries must be {want}, got {v!r}")
-        _fill(self, kind=kind, dom=dom, cod=cod, _hash=None, _matrix=rows)
+        _SET_KIND(self, kind)
+        _SET_DOM(self, dom)
+        _SET_COD(self, cod)
+        _SET_HASH(self, None)
+        _SET_MATRIX(self, rows)
 
     def __getattr__(self, name: str):
         # only reached while a kernel built from rows has no columns yet
@@ -286,16 +285,21 @@ class Kernel:
         return f"Kernel({self.kind.value}, dom={list(self.dom.labels)}, cod={list(self.cod.labels)})"
 
 
-def _fill(k: Kernel, **slots) -> Kernel:
-    for name, value in slots.items():
-        object.__setattr__(k, name, value)
-    return k
+#: Each slot's own setter, cheaper than ``object.__setattr__`` by name.
+_SET_KIND, _SET_DOM, _SET_COD, _SET_COLUMNS, _SET_HASH, _SET_MATRIX = (
+    getattr(Kernel, slot).__set__ for slot in Kernel.__slots__)
 
 
 def _kernel(kind: Kind, dom: FinObject, cod: FinObject, columns: tuple) -> Kernel:
     """Kernel from stored columns, trusted to be canonical and of the right shape."""
     k = object.__new__(Kernel)
-    return _fill(k, kind=kind, dom=dom, cod=cod, columns=columns, _hash=None, _matrix=None)
+    _SET_KIND(k, kind)
+    _SET_DOM(k, dom)
+    _SET_COD(k, cod)
+    _SET_COLUMNS(k, columns)
+    _SET_HASH(k, None)
+    _SET_MATRIX(k, None)
+    return k
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,11 @@ the column builder over every entry that it replaced.  The multivalued
 readings the library takes off the set bits of its column masks
 (supports, domination and its witness, restricted rows, the
 Cauchy-Schwarz instance, document images and the dense view) are checked
-against scans that test every row.  The enumerations and comparisons
+against scans that test every row.  Conditional uniqueness, which the
+library reads off the blocks of the joint's stored columns, is checked
+against the literal reconstruction through tensors followed by the
+almost-sure comparison, and the tensor-grid split, which parses the
+first row and column, against parsing every label.  The enumerations and comparisons
 only the tests use live here too.
 """
 
@@ -52,14 +56,17 @@ from types import MappingProxyType
 
 from finmarkov import (
     UNIT,
+    BadSplit,
     FinMarkovError,
     FinObject,
     Kernel,
     ShapeMismatch,
     IdempotentReport,
     Kind,
+    NotAConditional,
     ParamMorphism,
     SplitData,
+    ase_kernels,
     compose,
     copy_kernel,
     discard_kernel,
@@ -85,7 +92,7 @@ from finmarkov.envelopes import (
     cell_tensor,
     env_hom,
 )
-from finmarkov.functors import _reconstruct, comparison_base
+from finmarkov.functors import comparison_base
 from finmarkov.idempotents import StructureViolation
 from finmarkov.kernel import (
     _is_point_column,
@@ -295,9 +302,34 @@ def io_relation_by_states(p: Kernel) -> Kernel:
     return Kernel(Kind.MULTI, p.dom, p.cod, rows)
 
 
+def reconstruct_by_pairing(f: Kernel, cond: Kernel, split: int) -> Kernel:
+    """The joint rebuilt from a conditional: ⟨π_X, c⟩∘b, with π_X: X⊗A → X
+    the projection and b = `comparison_base(f, split)`."""
+    base = comparison_base(f, split)
+    x_obj, _ = split_tensor_labels(f.cod, split)
+    to_x = function_kernel(base.cod, x_obj, [r // f.dom.size for r in range(base.cod.size)], f.kind)
+    return compose(pair(to_x, cond), base)
+
+
 def conditional_rebuilds(f: Kernel, cond: Kernel, split: int) -> bool:
     """Pairing the conditional with the first marginal gives back f."""
-    return kernel_equal(_reconstruct(f, cond, split, comparison_base(f, split)), f)
+    return kernel_equal(reconstruct_by_pairing(f, cond, split), f)
+
+
+def conditional_unique_by_tensors(f: Kernel, c1: Kernel, c2: Kernel, split=None) -> bool:
+    """`verify_conditional_unique` by the literal route: each candidate
+    rebuilds f through `reconstruct_by_tensors`, then the two are compared
+    almost surely w.r.t. `comparison_base`."""
+    if split is None:
+        if f.dom.size == 0 or c1.dom.size % f.dom.size != 0:
+            raise ShapeMismatch("cannot infer the split from the candidate's domain")
+        split = c1.dom.size // f.dom.size
+    if c1.dom != c2.dom or c1.cod != c2.cod:
+        raise ShapeMismatch("candidates must be parallel")
+    for c in (c1, c2):
+        if reconstruct_by_tensors(f, c, split) != f:
+            raise NotAConditional("candidate does not rebuild the joint")
+    return ase_kernels(comparison_base(f, split), c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +697,35 @@ def projection_is_section(p: Kernel, sd) -> bool:
 # ---------------------------------------------------------------------------
 # stored columns and kernel documents
 # ---------------------------------------------------------------------------
+
+
+def split_by_every_label(obj: FinObject, left_size: int) -> tuple:
+    """The two factors of a tensor-built object, parsing every label at
+    its first top-level comma and comparing each pair with the grid."""
+    n = obj.size
+    if left_size <= 0 or n == 0 or n % left_size != 0:
+        raise BadSplit(f"object of size {n} does not factor with left size {left_size}")
+    right_size = n // left_size
+
+    def unpair(label: str) -> tuple:
+        if not (label.startswith("(") and label.endswith(")")):
+            raise BadSplit(f"label {label!r} is not a tensor pair")
+        body, depth = label[1:-1], 0
+        for k, ch in enumerate(body):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0:
+                return body[:k], body[k + 1 :]
+        raise BadSplit(f"label {label!r} has no top-level comma")
+
+    pairs = [unpair(lbl) for lbl in obj.labels]
+    left = tuple(pairs[i * right_size][0] for i in range(left_size))
+    right = tuple(pairs[j][1] for j in range(right_size))
+    for i in range(left_size):
+        for j in range(right_size):
+            if pairs[i * right_size + j] != (left[i], right[j]):
+                raise BadSplit(f"labels of {obj.labels} are not a consistent tensor grid")
+    return FinObject(left), FinObject(right)
+
 
 
 def exact_column(ratios) -> tuple:

@@ -68,7 +68,7 @@ from finmarkov import (
 )
 from finmarkov.cli import parse_kernel, run
 from finmarkov.envelopes import EnvelopeCell, Flavor, blackwell_copy
-from finmarkov.functors import _reconstruct, comparison_base, conditional
+from finmarkov.functors import comparison_base, conditional
 from finmarkov.golden import (
     balanced_idempotent,
     balanced_split,
@@ -88,7 +88,7 @@ from finmarkov.rand import (
     random_kernel_supported_on,
     random_object,
 )
-from oracles import all_multi_kernels, deterministic_kernels, emit_kernel
+from oracles import all_multi_kernels, conditional_rebuilds, deterministic_kernels, emit_kernel
 
 F = Fraction
 
@@ -574,7 +574,7 @@ def test_criterion_09_functor_suite():
         y = random_object(rng, 3, "y")
         joint = random_kernel(rng, Kind.STOCH, a, tensor_object(x, y))
         cond = conditional(joint, split=x.size)
-        ok &= kernel_equal(_reconstruct(joint, cond, x.size, comparison_base(joint, x.size)), joint)
+        ok &= conditional_rebuilds(joint, cond, x.size)
 
     # almost-sure uniqueness via off-support perturbation
     for _ in range(100):

@@ -35,14 +35,14 @@ from finmarkov import (
     verify_conditional_unique,
 )
 from finmarkov.golden import balanced_idempotent, static_idempotent
-from finmarkov.kernel import UNIT, support_indices
+from finmarkov.kernel import UNIT, _kernel, support_indices
 from finmarkov.rand import (
     random_deterministic_kernel,
     random_kernel,
     random_kernel_supported_on,
     random_object,
 )
-from oracles import entry, param_equal
+from oracles import conditional_rebuilds, entry, param_equal
 
 F = Fraction
 
@@ -333,9 +333,7 @@ def test_conditional_reconstruction_random():
         y = random_object(rng, 3, "y")
         joint = random_kernel(rng, Kind.STOCH, a, tensor_object(x, y))
         cond = conditional(joint, split=x.size)
-        from finmarkov.functors import _reconstruct
-
-        assert kernel_equal(_reconstruct(joint, cond, x.size, comparison_base(joint, x.size)), joint)
+        assert conditional_rebuilds(joint, cond, x.size)
 
 
 def test_conditional_of_empty_joint_is_a_bad_split():
@@ -386,18 +384,26 @@ def test_conditional_uniqueness_rejects_on_support_tampering():
         verify_conditional_unique(joint, c1, c2)
 
 
-def test_conditional_uniqueness_builds_the_comparison_base_once(monkeypatch):
-    # both reconstructions and the almost-sure comparison share one b = ⟨f_X, id_A⟩
-    built = []
-    original = functors.comparison_base
-    monkeypatch.setattr(functors, "comparison_base", lambda f, split: built.append(split) or original(f, split))
+def test_conditional_uniqueness_builds_no_kernel(monkeypatch):
+    # the verdict is read off the stored columns of the joint and the candidates
     rng = random.Random(43)
     a, x, y = (fin_object(f"{p}{i}" for i in range(n)) for p, n in (("a", 3), ("x", 3), ("y", 2)))
     joint = random_kernel_supported_on(rng, Kind.STOCH, a, tensor_object(x, y), [0, 1, 4, 5])
     c1 = conditional(joint, split=x.size)
     c2 = perturb_off_support(c1, comparison_base(joint, x.size), seed=5)
-    assert verify_conditional_unique(joint, c1, c2) and verify_conditional_unique(joint, c1, c2, x.size)
-    assert built == [x.size, x.size]
+    assert c1 != c2
+    # (x0, a0) has positive marginal mass; move its column to a point mass it is not
+    point = next(col for col in ((1, ((0, 1),)), (1, ((1, 1),))) if col != c1.columns[0])
+    tampered = _kernel(Kind.STOCH, c1.dom, c1.cod, (point,) + c1.columns[1:])
+
+    def fail(*args):
+        raise AssertionError("verify_conditional_unique built a kernel")
+
+    for name in ("compose", "pair", "marginalize", "comparison_base", "function_kernel", "_kernel"):
+        monkeypatch.setattr(functors, name, fail)
+    assert verify_conditional_unique(joint, c1, c2) and verify_conditional_unique(joint, c2, c1, x.size)
+    with pytest.raises(NotAConditional):
+        verify_conditional_unique(joint, c1, tampered)
 
 
 def test_conditional_unique_trivially_for_same_candidate():

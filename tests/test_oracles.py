@@ -15,11 +15,13 @@ from finmarkov import (
     EnvelopeCell,
     EnvelopeMorphism,
     FinMarkovError,
+    FinObject,
     Flavor,
     Kernel,
     Kind,
     KindMismatch,
     NoSplitUpTo,
+    NotAConditional,
     ParamMorphism,
     SuppCompCell,
     abs_cont,
@@ -60,6 +62,7 @@ from finmarkov import (
     tensor,
     tensor_object,
     validate,
+    verify_conditional_unique,
     verify_split,
 )
 from finmarkov.envelopes import _settled
@@ -72,9 +75,8 @@ from finmarkov.golden import (
     static_idempotent,
     strong_idempotent,
 )
-from finmarkov.functors import _reconstruct, comparison_base
 from finmarkov.idempotents import StructureViolation, _deterministic_as
-from finmarkov.kernel import _kernel, support_indices
+from finmarkov.kernel import _kernel, split_tensor_labels, support_indices
 from finmarkov.rand import (
     random_column,
     random_deterministic_kernel,
@@ -89,6 +91,7 @@ from oracles import (
     classify_by_scan,
     comonoid_laws_by_structure,
     conditional_rebuilds,
+    conditional_unique_by_tensors,
     constant_map_witness,
     detailed_balance_by_scan,
     deterministic_as_by_equation,
@@ -107,9 +110,11 @@ from oracles import (
     param_tensor_by_tensors,
     perturb_off_support_by_rows,
     projection_is_section,
+    reconstruct_by_pairing,
     reconstruct_by_tensors,
     recomposes,
     settled_by_composing,
+    split_by_every_label,
     witness_separates,
 )
 
@@ -215,6 +220,41 @@ def test_pair_refuses_mixed_kinds_and_domains():
         pair(random_kernel(rng, Kind.STOCH, a, x), random_kernel(rng, Kind.MULTI, a, x))
     with pytest.raises(DomainMismatch):
         pair(random_kernel(rng, Kind.STOCH, a, x), random_kernel(rng, Kind.STOCH, b, x))
+
+
+# labels with commas, parentheses, the unit's "•", non-ASCII and the empty string
+LABELS = st.text(alphabet="(),•éa", max_size=4)
+
+
+@st.composite
+def _label_grids(draw):
+    """Labels of a tensor grid, some of them replaced, or any labels."""
+    if draw(st.booleans()):
+        return draw(st.lists(LABELS, max_size=8, unique=True))
+    left = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    right = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    labels = [f"({a},{b})" for a in left for b in right]
+    for pos, label in draw(st.lists(st.tuples(st.integers(0, 15), LABELS), max_size=2)):
+        labels[pos % len(labels)] = label
+    return labels
+
+
+def _or_error_type(fn, *args):
+    """What ``fn(*args)`` returns, or the type of the library error it raises."""
+    try:
+        return fn(*args)
+    except FinMarkovError as err:
+        return type(err)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_label_grids(), st.integers(-1, 5), st.booleans())
+def test_split_tensor_labels_agrees_with_parsing_every_label(labels, left_size, grid_size):
+    assume(len(set(labels)) == len(labels))
+    obj = FinObject(tuple(labels))
+    if grid_size:
+        left_size = max(1, round(len(labels) ** 0.5))
+    assert _or_error_type(split_tensor_labels, obj, left_size) == _or_error_type(split_by_every_label, obj, left_size)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +375,85 @@ def test_conditional_rebuilds_the_joint(seed):
     assert conditional_rebuilds(joint, conditional(joint, x.size), x.size)
 
 
+def _dense_columns(k):
+    return [[row[j] for row in k.matrix] for j in range(k.dom.size)]
+
+
+def _altered(col, kind):
+    """A dense column that differs from ``col``: its complement over
+    Multi, otherwise twice it, or a one in the first row if it is zero."""
+    if kind is Kind.MULTI:
+        return [not v for v in col]
+    return [2 * v for v in col] if any(col) else [Fraction(1)] + col[1:]
+
+
+def _true_conditional(rng, joint, x, y):
+    """Dense columns over X⊗A of a conditional of ``joint``: each block
+    over its mass, and a random column where the mass is zero; with the
+    indices of the columns on and off the comparison base's support."""
+    kind, ny = joint.kind, y.size
+    cols, on, off = [], [], []
+    for i in range(x.size):
+        for col in _dense_columns(joint):
+            block = col[i * ny : (i + 1) * ny]
+            mass = any(block) if kind is Kind.MULTI else sum(block)
+            (on if mass else off).append(len(cols))
+            if not mass:
+                cols.append(random_column(rng, kind, ny))
+            else:
+                cols.append(block if kind is Kind.MULTI else [v / mass for v in block])
+    return cols, on, off
+
+
+def _candidate(rng, variant, joint, true, dom, cod):
+    """A candidate conditional on ``dom`` → ``cod``: the true conditional,
+    it tampered on or off the base's support, a random kernel, or a
+    random kernel of another kind."""
+    kind = joint.kind
+    cols, on, off = true
+    if variant == "random":
+        return _any_kernel(rng, kind, dom, cod)
+    if variant == "kind":
+        return random_kernel(rng, rng.choice([k for k in Kind if k is not kind]), dom, cod)
+    cols = list(cols)
+    where = {"on": on, "off": off}.get(variant)
+    if where:
+        j = rng.choice(where)
+        cols[j] = _altered(cols[j], kind)
+    return Kernel(kind, dom, cod, [[col[i] for col in cols] for i in range(cod.size)])
+
+
+CANDIDATES = st.sampled_from(["true", "on", "off", "random", "kind"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(ALL_KINDS, SEEDS, CANDIDATES, CANDIDATES, st.sampled_from(["right", "domain", "labels", "unparallel"]),
+       st.sampled_from(["given", "inferred", "wrong"]))
+def test_conditional_uniqueness_agrees_with_the_literal_route(kind, seed, v1, v2, frame, split):
+    rng = random.Random(seed)
+    a = random_object(rng, 3, "a", min_size=0)
+    x, y = random_object(rng, 3, "x"), random_object(rng, 3, "y")
+    xy = tensor_object(x, y)
+    # a joint off the column law can have a signed block of mass zero
+    joint = _supported_on_some(rng, kind, a, xy) if rng.random() < 0.7 else _any_kernel(rng, kind, a, xy)
+    true = _true_conditional(rng, joint, x, y)
+    dom, cod = tensor_object(x, a), y
+    if frame == "domain":
+        dom = tensor_object(x, fin_object(f"b{i}" for i in range(a.size)))
+    elif frame == "labels":
+        cod = fin_object(f"z{i}" for i in range(y.size))
+    c1 = _candidate(rng, v1, joint, true, dom, cod)
+    if frame == "unparallel":
+        cod = fin_object(f"z{i}" for i in range(y.size))
+    c2 = _candidate(rng, v2, joint, true, dom, cod)
+    split = {"given": x.size, "inferred": None, "wrong": x.size + 1}[split]
+    verdict = _or_error_type(verify_conditional_unique, joint, c1, c2, split)
+    assert verdict == _or_error_type(conditional_unique_by_tensors, joint, c1, c2, split)
+    if v1 == v2 == "true" and frame == "right" and split == x.size:
+        # only a signed block of mass zero that is not empty has no conditional
+        assert verdict in (True, NotAConditional)
+
+
 @settings(max_examples=150, deadline=None)
 @given(ALL_KINDS, SEEDS)
 def test_reconstruct_matches_its_tensor_composite(kind, seed):
@@ -343,7 +462,7 @@ def test_reconstruct_matches_its_tensor_composite(kind, seed):
     a = random_object(rng, 3, "a", min_size=0)
     joint = random_kernel(rng, kind, a, tensor_object(x, y))
     cond = random_kernel(rng, kind, tensor_object(x, a), y)
-    assert _reconstruct(joint, cond, x.size, comparison_base(joint, x.size)) == reconstruct_by_tensors(joint, cond, x.size)
+    assert reconstruct_by_pairing(joint, cond, x.size) == reconstruct_by_tensors(joint, cond, x.size)
 
 
 @settings(max_examples=150, deadline=None)
