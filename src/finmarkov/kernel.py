@@ -21,9 +21,8 @@ It is for callers only: no library function reads it.
 
 Ingestion: exact columns come in two ways, and both feed
 `_ratio_column` with a column's nonzero ``(row, (num, den))`` cells.  A
-kernel built from dense rows converts them on the first read of
-``columns``, with one ``as_integer_ratio`` per entry, so building an
-input costs no more than storing it; the CLI's document parser parses
+kernel built from dense rows converts them when it is built, with one
+``as_integer_ratio`` per nonzero entry; the CLI's document parser parses
 each distinct entry string of a document once.
 
 Every deterministic kernel (identity, copy, discard, swap, point masses,
@@ -201,10 +200,9 @@ class Kernel:
     entry types only (Multi entries are bools or the ints 0 and 1);
     :func:`validate` and :func:`make_kernel` enforce the column law.
     Immutable; equal iff kind, objects and ``columns`` agree.
-    Only a kernel built this way keeps a dense view from the start: its
-    rows are the ``matrix`` view and become ``columns`` on first use, so
-    building an input costs no more than storing it.  Parsed documents
-    and computed kernels hold columns alone and build the view when read.
+    The rows become ``columns`` when the kernel is built and stay its
+    ``matrix`` view.  Parsed documents and computed kernels hold columns
+    alone and build the view when read.
     """
 
     __slots__ = ("kind", "dom", "cod", "columns", "_hash", "_matrix")
@@ -223,25 +221,19 @@ class Kernel:
                         v not in (0, 1) if multi else isinstance(v, bool)):
                     want = "bool" if multi else "Fraction or int"
                     raise ValidationError(f"{kind.value} entries must be {want}, got {v!r}")
+        dense = zip(*rows) if rows else [()] * dom.size
+        if multi:
+            bits = [1 << i for i in range(cod.size)]
+            columns = tuple(sum(itertools.compress(bits, col)) for col in dense)
+        else:
+            columns = tuple(_ratio_column([(i, v.as_integer_ratio()) for i, v in enumerate(col) if v])
+                            for col in dense)
         _SET_KIND(self, kind)
         _SET_DOM(self, dom)
         _SET_COD(self, cod)
+        _SET_COLUMNS(self, columns)
         _SET_HASH(self, None)
         _SET_MATRIX(self, rows)
-
-    def __getattr__(self, name: str):
-        # only reached while a kernel built from rows has no columns yet
-        if name != "columns":
-            raise AttributeError(f"'Kernel' object has no attribute {name!r}")
-        dense = zip(*self._matrix) if self._matrix else [()] * self.dom.size
-        if self.kind is Kind.MULTI:
-            bits = [1 << i for i in range(self.cod.size)]
-            columns = tuple(sum(itertools.compress(bits, col)) for col in dense)
-        else:
-            columns = tuple(_ratio_column([(i, r) for i, v in enumerate(col) if (r := v.as_integer_ratio())[0]])
-                            for col in dense)
-        object.__setattr__(self, "columns", columns)
-        return columns
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"Kernel is immutable; cannot change {name!r}")
@@ -538,12 +530,7 @@ def is_deterministic(f: Kernel) -> bool:
 
 def kernel_equal(f: Kernel, g: Kernel) -> bool:
     """Exact equality: same kind, same dom/cod labels, identical columns."""
-    return (
-        f.kind is g.kind
-        and f.dom.labels == g.dom.labels
-        and f.cod.labels == g.cod.labels
-        and f.columns == g.columns
-    )
+    return f == g
 
 
 def _bits(mask: int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .asrel import UnsupportedKind, abs_cont, ase_kernels, is_atomic, refute_abs_cont
+from .asrel import UnsupportedKind, abs_cont, ase_kernels, refute_abs_cont
 from .kernel import (
     FinMarkovError,
     FinObject,
@@ -247,7 +247,12 @@ def precise_supports_equiv(p: Kernel, f: Kernel, x: str, y: str) -> PreciseSuppo
 @dataclass(frozen=True)
 class SuppCompCell:
     """Object of the support completion: a carrier with an atomic anchor
-    landing in it."""
+    landing in it.
+
+    Every Stoch or Multi anchor p is atomic: supp(copy∘p) is the diagonal
+    of supp(p) and supp(p⊗p) = supp(p)², so p⊗p dominates copy∘p.  A
+    Signed anchor is refused, as absolute continuity is not decided there.
+    """
 
     object: FinObject
     anchor: Kernel
@@ -255,8 +260,8 @@ class SuppCompCell:
     def __post_init__(self) -> None:
         if self.anchor.cod != self.object:
             raise ShapeMismatch("anchor must land in the cell's object")
-        if not is_atomic(self.anchor):
-            raise ShapeMismatch("anchor must be atomic")
+        if self.anchor.kind is Kind.SIGNED:
+            raise UnsupportedKind("absolute continuity is not decidable for signed kernels")
 
 
 @dataclass(frozen=True)

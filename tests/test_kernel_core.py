@@ -1,6 +1,7 @@
 """Core kernel algebra: construction, validation, composition, tensor,
 structural morphisms, marginalization, determinism."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from finmarkov import (
     tensor_object,
     validate,
 )
+from finmarkov import cli
 from finmarkov.kernel import UNIT, inclusion_kernel
 from finmarkov.idempotents import two_step
 from finmarkov.rand import random_full_support_column, random_kernel, random_object
@@ -136,6 +138,57 @@ def test_empty_objects():
     into_empty = Kernel(Kind.STOCH, X2, empty, ())
     bad = validate(into_empty)
     assert bad is not None and bad.column == 0
+
+
+EMPTY = fin_object(())
+
+# (kind, dom, cod, rows): int and Fraction entries, empty objects, all-zero
+# columns, and Multi entries given as bools or as the ints 0 and 1
+CONSTRUCTION_CASES = [
+    (Kind.STOCH, X3, X3, [[F(1, 2), 0, 1], [F(2, 4), 0, F(0)], [0, 1, 0]]),
+    (Kind.STOCH, X2, X3, [[F(1, 6), F(1, 3)], [F(1, 3), 0], [F(1, 2), F(2, 3)]]),
+    (Kind.STOCH, EMPTY, X2, [[], []]),
+    (Kind.STOCH, X2, EMPTY, []),
+    (Kind.STOCH, EMPTY, EMPTY, []),
+    (Kind.SIGNED, X2, X2, [[2, F(-1, 3)], [-1, F(4, 3)]]),
+    (Kind.SIGNED, X3, X2, [[0, F(0), 1], [0, 0, 0]]),
+    (Kind.SIGNED, X2, X2, [[F(0), 0], [0, F(0)]]),
+    (Kind.SIGNED, EMPTY, X3, [[], [], []]),
+    (Kind.MULTI, X2, X3, [[True, False], [True, True], [False, False]]),
+    (Kind.MULTI, X3, X2, [[1, 0, 1], [0, 1, 1]]),
+    (Kind.MULTI, X2, X2, [[1, False], [True, 0]]),
+    (Kind.MULTI, EMPTY, X2, [[], []]),
+    (Kind.MULTI, X2, EMPTY, []),
+]
+
+
+def _document(kind, dom, cod, rows):
+    """The kernel document of dense rows: JSON integers for int entries,
+    "n/d" strings for Fractions, images for Multi."""
+    doc = {"kind": kind.value, "dom": list(dom.labels), "cod": list(cod.labels)}
+    if kind is Kind.MULTI:
+        doc["images"] = [[cod.labels[i] for i in range(cod.size) if rows[i][j]] for j in range(dom.size)]
+    else:
+        doc["matrix"] = [[v if type(v) is int else str(v) for v in row] for row in rows]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("kind,dom,cod,rows", CONSTRUCTION_CASES)
+def test_kernel_has_its_stored_columns_from_construction(kind, dom, cod, rows, monkeypatch):
+    k = Kernel(kind, dom, cod, rows)
+    # read through the slot itself, so no lazy hook can fill it in
+    columns = Kernel.columns.__get__(k)
+    # the parser's stored columns, also for documents that break the column law
+    monkeypatch.setattr(cli, "validate", lambda k: None)
+    parsed = cli.parse_kernel(_document(kind, dom, cod, rows))
+    assert columns == Kernel.columns.__get__(parsed)
+    assert k == parsed and hash(k) == hash(parsed)
+    for built in (k, parsed):
+        for slot in Kernel.__slots__:
+            getattr(Kernel, slot).__get__(built)
+    # the given rows stay the dense view, entry types and all
+    assert k.matrix == tuple(map(tuple, rows))
+    assert [type(v) for row in k.matrix for v in row] == [type(v) for row in rows for v in row]
 
 
 # ---------------------------------------------------------------------------

@@ -917,8 +917,6 @@ def test_classify_builds_no_fraction():
 
     kernels = [balanced_idempotent(), signed_idempotent(), multi_upset_idempotent(),
                Kernel(Kind.STOCH, fin_object(("0", "1")), fin_object(("0", "1")), [[0, 1], [0, 1]])]
-    for e in kernels:
-        e.columns  # a kernel built from rows converts them on first use
     raw = Fraction.__dict__["__new__"]
     made = []
 

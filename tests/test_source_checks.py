@@ -482,3 +482,60 @@ def test_range_bit_scan_check_flags_each_form():
     assert _range_bit_scans(ast.parse(RANGE_BIT_SCANS)) == [
         "filtered:3", "element:6", "nested:9", "shifted_one:12", "loop:16", "View.rows:23",
     ]
+
+
+def _attribute_hooks(tree):
+    """Classes that define ``__getattr__``, by a method or an assignment in
+    their body, named with the line of the definition."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            if "__getattr__" in names:
+                found.append(f"{cls.name}:{item.lineno}")
+    return found
+
+
+def test_library_classes_define_no_attribute_hook():
+    # a `__getattr__` fills attributes in on first read, so an object would
+    # exist in two states: every attribute is set when the object is built
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name} {where}" for where in _attribute_hooks(tree)]
+    assert found == []
+
+
+ATTRIBUTE_HOOKS = """
+class Kernel:
+    def __getattr__(self, name):
+        return self.columns
+
+class Other:
+    __getattr__ = Kernel.__getattr__
+
+    class Inner:
+        async def __getattr__(self, name):
+            return name
+
+class Fine:
+    def __getattribute__(self, name):
+        return object.__getattribute__(self, name)
+
+    __setattr__ = __delattr__ = None
+
+def __getattr__(name):
+    return name
+"""
+
+
+def test_attribute_hook_check_flags_each_form():
+    assert _attribute_hooks(ast.parse(ATTRIBUTE_HOOKS)) == ["Kernel:3", "Other:7", "Inner:10"]

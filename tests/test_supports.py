@@ -15,8 +15,10 @@ from finmarkov import (
     NotDeterministic,
     NotInSupport,
     NotMember,
+    ShapeMismatch,
     SuppCompCell,
     UnsupportedKind,
+    ValidationError,
     acsim,
     ase_kernels,
     compose,
@@ -523,6 +525,27 @@ def test_scomp_abs_cont_disjoint_pushforwards():
     ma = scomp_hom(SuppCompCell(x, delta_kernel(x, "a")), dst, identity(x))
     mb = scomp_hom(SuppCompCell(x, delta_kernel(x, "b")), dst, identity(x))
     assert not scomp_abs_cont(ma, mb) and not scomp_abs_cont(mb, ma)
+
+
+def test_scomp_cell_takes_an_anchor_whose_square_object_has_clashing_labels():
+    # ("a", "a,a") and ("a,a", "a") both print as "(a,a,a)", so X⊗X cannot be
+    # built; Stoch and Multi anchors are atomic without building it
+    x = fin_object(["a", "a,a"])
+    with pytest.raises(ValidationError, match="duplicate labels"):
+        tensor_object(x, x)
+    for p in (make_kernel(Kind.STOCH, UNIT, x, [[F(1, 2)], [F(1, 2)]]), multi_kernel(UNIT, x, [["a", "a,a"]])):
+        cell = SuppCompCell(x, p)
+        assert cell.anchor is p
+        assert scomp_identity(cell).rep == identity(x, p.kind)
+
+
+def test_scomp_cell_refuses_a_signed_anchor():
+    x = fin_object(["a", "b"])
+    p = make_kernel(Kind.SIGNED, UNIT, x, [[F(-1, 2)], [F(3, 2)]])
+    with pytest.raises(ShapeMismatch, match="^anchor must land in the cell's object$"):
+        SuppCompCell(fin_object(["a"]), p)
+    with pytest.raises(UnsupportedKind, match="^absolute continuity is not decidable for signed kernels$"):
+        SuppCompCell(x, p)
 
 
 def test_scomp_support_of_state_class():
