@@ -14,6 +14,11 @@ each numeral at most 4300 digits long; multi kernels instead carry
 Exit codes: 0 analysis completed (and positive where boolean), 1 a
 property or equation failed (e.g. abscont false, non-idempotent input to
 split), 2 malformed input.
+
+Arguments: a plain argv (global options, then a command with its
+positionals and options, each option once by its full name with a value
+not starting with '-') is read straight from the command table; argparse,
+built from the same table, reads any other and prints help and errors.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import json
 import math
 import re
 import sys
+from types import MappingProxyType
 from typing import Any
 
 from . import golden
@@ -200,13 +206,13 @@ def kernel_to_doc(k: Kernel) -> dict:
 
 
 def _read_kernel(path: str) -> Kernel:
-    if path == "-":
-        return parse_kernel(sys.stdin.read())
     try:
+        if path == "-":
+            return parse_kernel(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as fh:
             return parse_kernel(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from exc
 
 
 def _support_doc(sd: SupportData) -> dict:
@@ -463,60 +469,84 @@ def _size(text: str) -> int:
     return value
 
 
+# The grammar, read by build_parser and _plain_args.  A command is (handler, help, positionals, options),
+# a positional (dest, help), an option (flag, dest, converter or choices, default, required, help).
+_KERNEL = (("kernel", "kernel document path ('-' for stdin)"),)
+_GLOBAL = (
+    ("--format", "format", ("json", "pretty"), "json", False, None),
+    ("--max-size", "max_size", _size, 2, False, "largest middle object a multivalued splitting may have"),
+)
+_COMMANDS = MappingProxyType({
+    "validate": (_cmd_validate, "check the column law", _KERNEL, ()),
+    "classify": (_cmd_classify, "idempotent taxonomy flags", _KERNEL, ()),
+    "split": (_cmd_split, "class decomposition (stoch) or block splitting (multi)", _KERNEL, ()),
+    "support": (_cmd_support, "support object, inclusion, factorization", _KERNEL, ()),
+    "split-support": (_cmd_split_support, "support with projection", _KERNEL, ()),
+    "upsilon": (_cmd_upsilon, "input-output relation of a stochastic kernel", _KERNEL, ()),
+    "abscont": (_cmd_abscont, "does the first kernel dominate the second?",
+                (("dominating", None), ("dominated", None)), ()),
+    "ase": (_cmd_ase, "almost-sure equality of two kernels w.r.t. a reference",
+            (("reference", None), ("left", None), ("right", None)), (("--w-size", "w_size", int, 1, False, None),)),
+    "conditional": (_cmd_conditional, "conditional of a joint kernel given its first factor", (("kernel", None),),
+                    (("--split", "split", int, None, True, "size of the first output factor"),)),
+    "envelope-check": (_cmd_envelope_check, "comonoid laws of an envelope cell", (("kernel", None),),
+                       (("--flavor", "flavor", ("karoubi", "blackwell"), "blackwell", False, None),)),
+    "cauchy-schwarz": (_cmd_cauchy_schwarz, "one instance of the Cauchy-Schwarz implication",
+                       (("first", None), ("second", None), ("third", None)), ()),
+    "verify-paper": (_cmd_verify_paper, "run the golden example suite", (), ()),
+})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finmarkov",
         description="Exact analysis of finite stochastic, signed, and multivalued kernels.",
     )
-    parser.add_argument("--format", choices=["json", "pretty"], default="json")
-    parser.add_argument("--max-size", dest="max_size", type=_size, default=2,
-                        help="largest middle object a multivalued splitting may have")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def kernel_cmd(name, fn, help_text):
+    with_options = [(parser, _GLOBAL)]
+    for name, (fn, help_text, positionals, options) in _COMMANDS.items():
         s = sub.add_parser(name, help=help_text)
-        s.add_argument("kernel", help="kernel document path ('-' for stdin)")
+        for dest, arg_help in positionals:
+            s.add_argument(dest, help=arg_help)
         s.set_defaults(fn=fn)
-        return s
-
-    kernel_cmd("validate", _cmd_validate, "check the column law")
-    kernel_cmd("classify", _cmd_classify, "idempotent taxonomy flags")
-    kernel_cmd("split", _cmd_split, "class decomposition (stoch) or block splitting (multi)")
-    kernel_cmd("support", _cmd_support, "support object, inclusion, factorization")
-    kernel_cmd("split-support", _cmd_split_support, "support with projection")
-    kernel_cmd("upsilon", _cmd_upsilon, "input-output relation of a stochastic kernel")
-
-    s = sub.add_parser("abscont", help="does the first kernel dominate the second?")
-    s.add_argument("dominating")
-    s.add_argument("dominated")
-    s.set_defaults(fn=_cmd_abscont)
-
-    s = sub.add_parser("ase", help="almost-sure equality of two kernels w.r.t. a reference")
-    s.add_argument("reference")
-    s.add_argument("left")
-    s.add_argument("right")
-    s.add_argument("--w-size", dest="w_size", type=int, default=1)
-    s.set_defaults(fn=_cmd_ase)
-
-    s = sub.add_parser("conditional", help="conditional of a joint kernel given its first factor")
-    s.add_argument("kernel")
-    s.add_argument("--split", type=int, required=True, help="size of the first output factor")
-    s.set_defaults(fn=_cmd_conditional)
-
-    s = sub.add_parser("envelope-check", help="comonoid laws of an envelope cell")
-    s.add_argument("kernel")
-    s.add_argument("--flavor", choices=["karoubi", "blackwell"], default="blackwell")
-    s.set_defaults(fn=_cmd_envelope_check)
-
-    s = sub.add_parser("cauchy-schwarz", help="one instance of the Cauchy-Schwarz implication")
-    s.add_argument("first")
-    s.add_argument("second")
-    s.add_argument("third")
-    s.set_defaults(fn=_cmd_cauchy_schwarz)
-
-    s = sub.add_parser("verify-paper", help="run the golden example suite")
-    s.set_defaults(fn=_cmd_verify_paper)
+        with_options.append((s, options))
+    for s, options in with_options:
+        for flag, dest, convert, default, required, help_text in options:
+            check = {"choices": convert} if isinstance(convert, tuple) else {"type": convert}
+            s.add_argument(flag, dest=dest, default=default, required=required, help=help_text, **check)
     return parser
+
+
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """What ``_parser().parse_args(argv)`` returns for a plain argv (see the module docstring), else None."""
+    command, options, given, values = None, _GLOBAL, [], {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] == "-" and token != "-":
+            spec = next((o for o in options if o[0] == token), None)
+            value = next(tokens, "-")
+            if spec is None or spec[1] in values or value[:1] == "-":
+                return None
+            _, dest, convert, *_ = spec
+            try:  # a value missing from a tuple of choices fails its .index
+                values[dest] = convert(value) if callable(convert) else convert[convert.index(value)]
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        elif command is not None:
+            given.append(token)
+        elif token in _COMMANDS:
+            command, options = token, _COMMANDS[token][3]
+        else:
+            return None
+    if command is None or len(given) != len(_COMMANDS[command][2]):
+        return None
+    for _, dest, _, default, required, _ in _GLOBAL + options:
+        if required and dest not in values:
+            return None
+        values.setdefault(dest, default)
+    fn, _, positionals, _ = _COMMANDS[command]
+    values.update(zip((dest for dest, _ in positionals), given), command=command, fn=fn)
+    return argparse.Namespace(**values)
 
 
 @functools.lru_cache(maxsize=1)
@@ -527,7 +557,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _plain_args(argv) or _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finmarkov import Kind, kernel_equal
 from finmarkov.cli import ParseError, parse_kernel, run
@@ -336,6 +338,21 @@ def test_cli_reports_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def test_cli_document_that_is_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "stoch", "dom": ["\xff"], "cod": ["x"], "matrix": [[1]]}')
+    assert run(["classify", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(f"cannot read {path}: 'utf-8' codec")
+
+
+def test_cli_stdin_that_is_not_utf8_exit_2(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b'{"kind": "\xff"}'), encoding="utf-8"))
+    assert run(["--format", "pretty", "validate", "-"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("cannot read stdin: 'utf-8' codec")
+
+
 def test_cli_stdin(capsys, monkeypatch):
     import io
 
@@ -380,3 +397,85 @@ def test_cli_parser_built_once_prints_like_a_fresh_one(tmp_path):
     code, out, err = fresh[0]
     assert (code, out) == (2, "") and err.startswith("usage: finmarkov classify")
     assert fresh[1][0] == 0 and json.loads(fresh[1][1])["static"]
+
+
+def test_plain_calls_build_no_parser(tmp_path, capsys):
+    # a well-formed argv is read from the command table; only help and usage
+    # errors need the argparse parser
+    from finmarkov import UNIT, cli, fin_object, make_kernel, tensor_object
+
+    e = _write(tmp_path, "e.json", static_idempotent())
+    x = fin_object(("0", "1"))
+    joint = make_kernel(Kind.STOCH, UNIT, tensor_object(x, x), [[F(1, 2)], [0], [0], [F(1, 2)]])
+    joint = _write(tmp_path, "j.json", joint)
+    calls = [
+        ["validate", e], ["--format", "pretty", "classify", e], ["--max-size", "3", "split", e], ["support", e],
+        ["split-support", e], ["upsilon", e], ["abscont", e, e], ["ase", e, "--w-size", "1", e, e],
+        ["conditional", "--split", "2", joint], ["envelope-check", e, "--flavor", "karoubi"],
+        ["cauchy-schwarz", e, e, e], ["--max-size", "2", "--format", "json", "verify-paper"],
+    ]
+    assert {next(t for t in argv if t in cli._COMMANDS) for argv in calls} == set(cli._COMMANDS)
+    cli._parser.cache_clear()
+    for argv in calls:
+        assert run(argv) in (0, 1)
+        assert capsys.readouterr().err == ""
+    assert cli._parser.cache_info().misses == 0
+    for argv in (["--help"], ["classify"]):
+        cli._parser.cache_clear()
+        run(argv)
+        assert cli._parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
+# every command and option name, abbreviations, inline values, the option
+# terminator, stdin, help, and values that are empty, spaced, signed,
+# underscored, non-ASCII digits or choices
+ARGV_WORDS = (
+    "validate", "classify", "split", "support", "split-support", "upsilon", "abscont", "ase",
+    "conditional", "envelope-check", "cauchy-schwarz", "verify-paper", "no-such-command",
+    "--format", "--max-size", "--w-size", "--split", "--flavor", "--form", "--w", "--split=2", "--max-size=1",
+    "--", "-", "-h", "--help", "", "x y", "-1", "+2", "2_0", "\uff11", "0", "3", "k.json",
+    "json", "pretty", "karoubi", "blackwell",
+)
+COMMANDS = ARGV_WORDS[:12]
+ARITY = {"abscont": 2, "ase": 3, "cauchy-schwarz": 3, "verify-paper": 0}  # the others take one kernel
+OWN_OPTION = {"ase": "--w-size", "conditional": "--split", "envelope-check": "--flavor"}
+NUMBERS = ("0", "3", "+2", "2_0", "\uff11")
+VALUES = {"--format": ("json", "pretty"), "--flavor": ("karoubi", "blackwell"),
+          "--max-size": NUMBERS, "--w-size": NUMBERS, "--split": NUMBERS}
+
+
+@st.composite
+def argvs(draw):
+    words = st.sampled_from(ARGV_WORDS)
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(words, max_size=8))
+
+    # the plain form, with positionals and options in any order, then perhaps
+    # one word inserted, replaced or dropped
+    def option(flag):
+        return [flag, draw(st.sampled_from(VALUES[flag]) | words)]
+
+    command = draw(st.sampled_from(COMMANDS))
+    flags = draw(st.lists(st.sampled_from(("--format", "--max-size")), max_size=2))
+    head = [t for flag in flags for t in option(flag)]
+    tail = [[draw(st.sampled_from(("k.json", "-")) | words)] for _ in range(ARITY.get(command, 1))]
+    if command in OWN_OPTION and draw(st.booleans()):
+        tail.append(option(OWN_OPTION[command]))
+    argv = head + [command] + [t for item in draw(st.permutations(tail)) for t in item]
+    i, edit = draw(st.integers(0, len(argv))), draw(st.sampled_from(("keep", "keep", "insert", "replace", "drop")))
+    if edit == "insert":
+        argv.insert(i, draw(words))
+    elif edit != "keep" and i < len(argv):
+        argv[i:i + 1] = [draw(words)] if edit == "replace" else []
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(argvs())
+def test_table_reader_agrees_with_argparse(argv):
+    from finmarkov import cli
+
+    read = cli._plain_args(argv)
+    if read is not None:
+        assert vars(read) == vars(cli._parser().parse_args(argv))
