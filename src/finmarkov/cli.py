@@ -208,7 +208,7 @@ def kernel_to_doc(k: Kernel) -> dict:
 def _read_kernel(path: str) -> Kernel:
     try:
         if path == "-":
-            return parse_kernel(sys.stdin.read())
+            return parse_kernel(sys.stdin.buffer.read().decode("utf-8"))
         with open(path, "r", encoding="utf-8") as fh:
             return parse_kernel(fh.read())
     except (OSError, UnicodeDecodeError) as exc:

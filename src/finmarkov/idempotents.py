@@ -11,14 +11,16 @@ final) against three reference shapes:
     balanced  L(y,z|x) = Σ_w e(y|w)·e(z|w)·e(w|x)
 
 `classify` decides each on the stored columns, in integers and bitmasks.
-Static and strong share the factor e(y|x), so both are support tests:
-static holds iff every reached y has the point column δ_y, strong iff
-e(y) = e(x) for every y in the support of e(x).  A stochastic idempotent
-within the column law splits through its classes, and split idempotents
-are balanced.  A multivalued idempotent is balanced iff every element y of
-every image is a block element: y ∈ e(y) and e(z) = e(y) for z ∈ e(y).
-Other idempotents sum Σ_w over the stored cells.  A witness is the first
-failing (input, final, intermediate) label triple in that scan order.
+A stochastic kernel passing the class test of `classify` splits through
+its classes: it is balanced, static iff every class is a singleton and
+strong iff every column meets one class.  Elsewhere static and strong
+share the factor e(y|x), so both are support tests: static holds iff
+every reached y has the point column δ_y, strong iff e(y) = e(x) for every
+y in the support of e(x).  A multivalued idempotent is balanced iff every
+element y of every image is a block element: y ∈ e(y) and e(z) = e(y) for
+z ∈ e(y).  Other idempotents sum Σ_w over the stored cells.  A witness is
+the first failing (input, final, intermediate) label triple in that scan
+order.
 
 Both splittings come from one construction on the stored columns.  The
 recurrent elements are those some column reaches, and the class of a
@@ -118,6 +120,16 @@ class IdempotentReport:
 def classify(e: Kernel) -> IdempotentReport:
     """Classify an endomorphism; non-idempotents get all flags False.
 
+    The class test: a Stoch kernel within the column law is e = ι∘π with
+    π∘ι = id when each reached y lies in the support S_y of its column, the
+    columns are equal on each S_y, and every other column covers each class
+    it meets, proportional there to the class's column.  Then static first
+    fails at the first input reaching a class of two or more, at the lowest
+    first member of those classes as final and intermediate (δ_y and e(y)
+    differ just on y's class), and strong at the first input x meeting two
+    classes, at its lowest support element z both times (e(x) has less mass
+    at z than e(z), and each column e(x) reaches is zero below z).
+
     Results are memoized (kernels are immutable); the witness mapping is
     read-only.
     """
@@ -128,6 +140,8 @@ def classify(e: Kernel) -> IdempotentReport:
 
 @lru_cache(maxsize=4096)
 def _classify_cached(e: Kernel) -> IdempotentReport:
+    if e.kind is Kind.STOCH and (failures := _class_failures(e.columns)) is not None:
+        return _report(e, failures)
     kind, labels, cols = e.kind, e.dom.labels, e.columns
     multi = kind is Kind.MULTI
     n = len(cols)
@@ -152,24 +166,68 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
         same[col] = same.get(col, 0) | 1 << x
     point = [1 << y if multi else {y: d} for y in range(n)]  # the point column at y
     unfixed = sum(1 << y for y in range(n) if A[y] != point[y])
-    failures = (
+    return _report(e, (
         ("static", _support_failure(kind, A, [m & unfixed for m in masks], lambda x, y: point[y])),
         ("strong", _support_failure(kind, A, [m & ~same[c] for m, c in zip(masks, cols)], lambda x, y: A[x])),
         ("balanced", _balance_failure(kind, cols, A, d, same)),
-    )
+    ))
+
+
+def _report(e: Kernel, failures: tuple) -> IdempotentReport:
+    """The report of the idempotent e from each flag's first failing index triple."""
+    labels, cols = e.dom.labels, e.columns
     static, strong, balanced = (at is None for _, at in failures)
     # witnesses in the order the scan meets them, the flags in this order at one cell
     found = sorted((at, rank, name) for rank, (name, at) in enumerate(failures) if at is not None)
     witnesses = {name: tuple(labels[i] for i in at) for at, _, name in found}
     deterministic = is_deterministic(e)
     if not deterministic:
-        j = next(j for j, col in enumerate(cols) if not _is_point_column(kind, col))
+        j = next(j for j, col in enumerate(cols) if not _is_point_column(e.kind, col))
         witnesses["deterministic"] = (labels[j],)
     if (static or strong) and not balanced:
         raise StructureViolation("a static or strong idempotent must be balanced")
     if static and strong and not deterministic:
         raise StructureViolation("a static and strong idempotent must be deterministic")
     return IdempotentReport(True, deterministic, static, strong, balanced, MappingProxyType(witnesses))
+
+
+def _classes(kind: Kind, cols: tuple) -> tuple:
+    """Each column's support mask, the reached mask and the members of each
+    class, the support of a reached y's column, by first member.  Raises
+    StructureViolation unless y lies in it and the columns there are equal."""
+    supports = cols if kind is Kind.MULTI else [sum([1 << y for y, _ in cells]) for _, cells in cols]
+    reached = reduce(or_, supports, 0)
+    if reached & ~sum([1 << y for y, m in enumerate(supports) if m >> y & 1]):
+        raise StructureViolation("a reached element lies outside its class")
+    # a class is the support at its lowest member; with the columns equal on
+    # each, classes are disjoint, and then their masks sum to the reached
+    members = [list(_bits(m)) for y, m in enumerate(supports) if reached >> y & 1 and m & -m == 1 << y]
+    if any(cols[y] != cols[comp[0]] for comp in members for y in comp[1:]) or sum(
+            [supports[comp[0]] for comp in members]) != reached:
+        raise StructureViolation("columns differ within a recurrent class")
+    return supports, reached, members
+
+
+def _class_failures(cols: tuple):
+    """What `_report` takes for Stoch columns passing the class test of `classify`, else None."""
+    if any(sum(nums := [num for _, num in cells]) != den or min(nums) <= 0 for den, cells in cols):
+        return None
+    try:
+        supports, reached, members = _classes(Kind.STOCH, cols)
+    except StructureViolation:
+        return None
+    first = {y: comp[0] for comp in members for y in comp}  # y's class, by its first member
+    for x in _bits((1 << len(cols)) - 1 & ~reached):  # a reached column is its class's
+        parts: dict = {}  # the cells of e(x) on each class t it meets
+        for y, b in cols[x][1]:
+            parts.setdefault(first[y], []).append((y, b))
+        # over m_t, their summed numerators, the cells are t's column: b_y·D_t = m_t·a_y on all of t
+        if any(_reduced(sum([b for _, b in cells]), cells) != cols[t] for t, cells in parts.items()):
+            return None
+    big = sum([supports[comp[0]] for comp in members if len(comp) > 1])  # the classes of two or more
+    static = next(((x, t, t) for x, m in enumerate(supports) for t in _bits(m & big)), None)
+    strong = next(((x, z, z) for x, m in enumerate(supports) for z in _bits(m) if m != supports[z]), None)
+    return ("static", static), ("strong", strong), ("balanced", None)
 
 
 def _sum_difference(terms: list, want: dict):
@@ -213,8 +271,6 @@ def _balance_failure(kind: Kind, cols: tuple, A: list, d: int, same: dict):
             spread = sum(1 << z * n for z in _bits(cols[y]))
             lhs, rhs = lhs | spread << y, rhs | spread * cols[y]
         return (x, *divmod(next(_bits(lhs ^ rhs)), n)) if lhs != rhs else None
-    if kind is Kind.STOCH and all(sum(col.values()) == d and min(col.values()) > 0 for col in A):
-        return None
     for x in range(n):
         lhs = {z * n + y: d * a * b for y, a in A[x].items() for z, b in A[y].items()}
         rhs = [(z * n + y, c * a * b) for w, c in A[x].items()
@@ -302,34 +358,18 @@ class SplitData:
 
 
 def _class_split(e: Kernel) -> SplitData:
-    """Split an idempotent through its classes, read off the stored columns.
-
-    The recurrent elements are those some column reaches; the class of a
-    recurrent y is the support of e's column at y, and classes are
-    ordered by their smallest member.  ι(t) is e's column at the first
-    member of class t and π(t|x) is the mass e(x) puts on class t: the
-    summed numerators over Stoch, whether the class meets e(x) over Multi.
-    Middle elements are C_<first member> over Stoch and t0, t1, … over Multi.
+    """Split an idempotent through the classes `_classes` reads off the
+    stored columns.  ι(t) is e's column at the first member of class t and
+    π(t|x) is the mass e(x) puts on class t: the summed numerators over
+    Stoch, whether the class meets e(x) over Multi.  Middle elements are
+    C_<first member> over Stoch and t0, t1, … over Multi.
     """
-    multi = e.kind is Kind.MULTI
-    cols = e.columns
-    supports = cols if multi else [sum(1 << i for i, _ in cells) for _, cells in cols]
-    reached = reduce(or_, supports, 0)
-    recurrent = list(_bits(reached))
-    if any(not supports[y] >> y & 1 for y in recurrent):
-        raise StructureViolation("a reached element lies outside its class")
-    # once columns are constant on classes (checked below), distinct
-    # supports are disjoint, so their lowest bits order them by first member
-    masks = sorted({supports[y] for y in recurrent}, key=lambda m: m & -m)
-    members = [list(_bits(m)) for m in masks]
-    if any(cols[y] != cols[comp[0]] for comp in members for y in comp[1:]):
-        raise StructureViolation("columns differ within a recurrent class")
-
-    labels = e.dom.labels
+    multi, cols, labels = e.kind is Kind.MULTI, e.columns, e.dom.labels
+    supports, reached, members = _classes(e.kind, cols)
     middle = fin_object(f"t{t}" if multi else "C_" + labels[comp[0]] for t, comp in enumerate(members))
     iota = _kernel(e.kind, middle, e.cod, tuple(cols[comp[0]] for comp in members))
     if multi:
-        pi_cols = tuple(sum(1 << t for t, m in enumerate(masks) if m & col) for col in cols)
+        pi_cols = tuple(sum(1 << t for t, comp in enumerate(members) if supports[comp[0]] & col) for col in cols)
     else:
         class_of = {y: t for t, comp in enumerate(members) for y in comp}
         pi_cols = []

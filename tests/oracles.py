@@ -18,8 +18,10 @@ the conditional and parametric constructions built on it against the
 same constructions composed through tensors, copies and the associator.
 The idempotent taxonomy, which the library reads off the stored columns
 as support tests, is checked against the dense n³ scan of the two-step
-equations, and detailed balance, which the library reads as the swap
-symmetry of the two-step joint, against the dense n³ formula.  The
+equations; the class test, which reads a stochastic idempotent off its
+supports, also against the column scan through e∘e that it replaced; and
+detailed balance, which the library reads as the swap symmetry of the
+two-step joint, against the dense n³ formula.  The
 envelope comonoid laws and `env_ase`, which the library builds as
 pairings, are checked against their tensor-then-copy composites, and
 cocommutativity, which holds by construction, against the literal swap.
@@ -52,6 +54,8 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from types import MappingProxyType
 
 from finmarkov import (
@@ -93,8 +97,9 @@ from finmarkov.envelopes import (
     env_hom,
 )
 from finmarkov.functors import comparison_base
-from finmarkov.idempotents import StructureViolation
+from finmarkov.idempotents import StructureViolation, _balance_failure, _sum_difference, _support_failure
 from finmarkov.kernel import (
+    _bits,
     _is_point_column,
     _kernel,
     _reduced,
@@ -583,6 +588,54 @@ def classify_by_scan(e: Kernel) -> IdempotentReport:
     return IdempotentReport(
         True, deterministic, static, strong, balanced, MappingProxyType(witnesses)
     )
+
+
+def classify_by_columns(e: Kernel) -> IdempotentReport:
+    """The taxonomy as the library decided it on every kernel before the
+    class test: e∘e column by column over one denominator, then the support
+    scans for static and strong and the two-step sums for balanced."""
+    kind, labels, cols = e.kind, e.dom.labels, e.columns
+    multi = kind is Kind.MULTI
+    n = len(cols)
+    # e = A/d over one denominator, a column of A a dict of its nonzero
+    # rows; over Multi d = 1 and A = e, each column the mask of its image
+    d = 1 if multi else math.lcm(*[den for den, _ in cols])
+    A = cols if multi else [{y: num * (d // den) for y, num in cells} for den, cells in cols]
+    for x, col in enumerate(A):
+        if multi:  # (e∘e)(x) is the OR of the columns e(x) reaches
+            y = next(_bits(reduce(or_, [cols[w] for w in _bits(col)], 0) ^ col), None)
+        else:
+            y = _sum_difference([(y, a * b) for w, a in col.items() for y, b in A[w].items()],
+                                {y: d * a for y, a in col.items()})
+        if y is not None:
+            return IdempotentReport(
+                False, False, False, False, False, MappingProxyType({"idempotent": (labels[x], labels[y])})
+            )
+
+    masks = cols if multi else [sum(1 << y for y in col) for col in A]
+    same: dict = {}  # each stored column → the inputs whose column it is
+    for x, col in enumerate(cols):
+        same[col] = same.get(col, 0) | 1 << x
+    point = [1 << y if multi else {y: d} for y in range(n)]  # the point column at y
+    unfixed = sum(1 << y for y in range(n) if A[y] != point[y])
+    failures = (
+        ("static", _support_failure(kind, A, [m & unfixed for m in masks], lambda x, y: point[y])),
+        ("strong", _support_failure(kind, A, [m & ~same[c] for m, c in zip(masks, cols)], lambda x, y: A[x])),
+        ("balanced", _balance_failure(kind, cols, A, d, same)),
+    )
+    static, strong, balanced = (at is None for _, at in failures)
+    # witnesses in the order the scan meets them, the flags in this order at one cell
+    found = sorted((at, rank, name) for rank, (name, at) in enumerate(failures) if at is not None)
+    witnesses = {name: tuple(labels[i] for i in at) for at, _, name in found}
+    deterministic = is_deterministic(e)
+    if not deterministic:
+        j = next(j for j, col in enumerate(cols) if not _is_point_column(kind, col))
+        witnesses["deterministic"] = (labels[j],)
+    if (static or strong) and not balanced:
+        raise StructureViolation("a static or strong idempotent must be balanced")
+    if static and strong and not deterministic:
+        raise StructureViolation("a static and strong idempotent must be deterministic")
+    return IdempotentReport(True, deterministic, static, strong, balanced, MappingProxyType(witnesses))
 
 
 def detailed_balance_by_scan(e: Kernel) -> bool:

@@ -353,11 +353,22 @@ def test_cli_stdin_that_is_not_utf8_exit_2(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"].startswith("cannot read stdin: 'utf-8' codec")
 
 
+def test_cli_stdin_decodes_its_bytes_strictly(capsys, monkeypatch):
+    # a text stream that passes undecodable bytes on as surrogates: the
+    # command reads the bytes beneath it, as it reads a file
+    import io
+
+    data = b'{"kind": "stoch", "dom": ["\xff"], "cod": ["x"], "matrix": [[1]]}'
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+    assert run(["validate", "-"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("cannot read stdin: 'utf-8' codec")
+
+
 def test_cli_stdin(capsys, monkeypatch):
     import io
 
     doc = emit_kernel(static_idempotent())
-    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(doc.encode("utf-8")), encoding="utf-8"))
     assert run(["classify", "-"]) == 0
     capsys.readouterr()
 

@@ -1,13 +1,17 @@
 """Idempotent taxonomy, characterizations, Blackwell splitting, block
 splitting against an exhaustive search, Cauchy-Schwarz instances."""
 
+import itertools
 import random
 from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finmarkov import (
+    FinMarkovError,
     Kernel,
     Kind,
     ShapeMismatch,
@@ -40,6 +44,7 @@ from finmarkov import (
     support,
     tensor,
     two_step,
+    validate,
     verify_split,
 )
 from finmarkov.golden import (
@@ -57,7 +62,7 @@ from finmarkov import idempotents
 from finmarkov.idempotents import IdempotentReport, StructureViolation
 from finmarkov.kernel import UNIT, support_indices
 from finmarkov.rand import random_kernel, random_kernel_supported_on, random_object
-from oracles import all_multi_kernels
+from oracles import all_multi_kernels, class_decomposition, classify_by_columns, classify_by_scan
 
 F = Fraction
 
@@ -142,6 +147,106 @@ def test_classify_signed_witness():
 def test_classify_chain3():
     r = classify(multi_chain3_idempotent())
     assert r.idempotent and not r.balanced
+
+
+# ---------------------------------------------------------------------------
+# the class test against the column scan and the dense scan
+# ---------------------------------------------------------------------------
+
+
+def _verdict(fn, e):
+    """Flags and witnesses in insertion order, or the error type and message."""
+    try:
+        r = fn(e)
+    except FinMarkovError as exc:
+        return type(exc).__name__, str(exc)
+    return r.flags(), list(r.witnesses.items())
+
+
+def _same_verdicts(e):
+    """classify agrees with both scans; a stochastic idempotent within the
+    column law also splits as Tarjan's closed classes say."""
+    got = _verdict(classify, e)
+    assert got == _verdict(classify_by_columns, e) == _verdict(classify_by_scan, e), e.columns
+    idempotent = isinstance(got[0], dict) and got[0]["idempotent"]
+    if idempotent and validate(e) is None:
+        assert blackwell_split(e) == class_decomposition(e)
+    return idempotent
+
+
+ENTRIES = (0, F(1, 3), F(1, 2), F(2, 3), 1)
+
+
+def test_class_test_matches_the_scans_on_every_small_stochastic_endomorphism():
+    # every matrix over ENTRIES with n ≤ 2, in the column law or off it, and
+    # every one with n = 3 whose columns sum to one
+    idempotent = 0
+    for n in range(3):
+        x = fin_object(f"s{i}" for i in range(n))
+        for cells in itertools.product(ENTRIES, repeat=n * n):
+            idempotent += _same_verdicts(Kernel(Kind.STOCH, x, x, [cells[i * n:(i + 1) * n] for i in range(n)]))
+    x = fin_object(("s0", "s1", "s2"))
+    columns = [c for c in itertools.product(ENTRIES, repeat=3) if sum(c) == 1]
+    for cols in itertools.product(columns, repeat=3):
+        idempotent += _same_verdicts(Kernel(Kind.STOCH, x, x, list(zip(*cols))))
+    assert (len(columns), idempotent) == (13, 62)
+
+
+@st.composite
+def class_idempotents_and_neighbours(draw):
+    """A class idempotent with n ≤ 8, as drawn or with one cell moved between
+    rows, one column scaled off the law, a zero column, or a transient column
+    (any column when none is transient) replaced by a random mixture of the
+    reached elements, which is rarely proportional on each class."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 8))
+    x = fin_object(f"s{i}" for i in range(n))
+    structure = random_class_idempotent(rng, x)
+    rows = [list(row) for row in structure.idempotent.matrix]
+    change = draw(st.sampled_from(("none", "move", "scale", "zero", "mixture")))
+    transient = [x.index(label) for label in structure.transient]
+    j = draw(st.sampled_from(transient)) if change == "mixture" and transient else draw(st.integers(0, n - 1))
+    column = [row[j] for row in rows]
+    if change == "move" and n > 1:
+        y = draw(st.sampled_from([y for y in range(n) if column[y]]))
+        z = draw(st.integers(0, n - 1).filter(lambda z: z != y))
+        column[y], column[z] = F(0), column[z] + column[y]
+    elif change == "scale":
+        factor = draw(st.sampled_from((F(1, 2), F(3, 2), 2)))
+        column = [v * factor for v in column]
+    elif change == "zero":
+        column = [F(0)] * n
+    elif change == "mixture":
+        reached = [y for y in range(n) if any(rows[y])]
+        weights = random_kernel(rng, Kind.STOCH, UNIT, fin_object(f"r{y}" for y in reached)).matrix
+        column = [F(0)] * n
+        for y, (w,) in zip(reached, weights):
+            column[y] = w
+    for row, v in zip(rows, column):
+        row[j] = v
+    return Kernel(Kind.STOCH, x, x, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_idempotents_and_neighbours())
+def test_class_test_matches_the_scans_on_class_idempotents_and_their_neighbours(e):
+    _same_verdicts(e)
+
+
+def test_classify_reads_a_stochastic_idempotent_within_the_law_without_the_scans(monkeypatch):
+    calls = []
+    for name in ("_sum_difference", "_support_failure"):
+        scan = getattr(idempotents, name)
+        monkeypatch.setattr(idempotents, name, lambda *args, name=name, scan=scan: calls.append(name) or scan(*args))
+    rng = random.Random(21)
+    kernels = [static_idempotent(), strong_idempotent(), balanced_idempotent(), identity(fin_object("ab"))]
+    kernels += [random_class_idempotent(rng, random_object(rng, 8, "s")).idempotent for _ in range(20)]
+    idempotents._classify_cached.cache_clear()
+    try:
+        assert all(classify(e).idempotent for e in kernels)
+    finally:
+        idempotents._classify_cached.cache_clear()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

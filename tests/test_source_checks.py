@@ -111,7 +111,7 @@ def test_library_memos_are_clearable():
 # rows here would bring the dense cost back
 COLUMN_ONLY = {
     "_ratio_column", "compose", "tensor", "pair", "_column_products", "function_kernel", "kernel_equal",
-    "_classify_cached",
+    "_classify_cached", "_report", "_classes", "_class_failures",
     "_sum_difference", "_support_failure", "_balance_failure",
     "cauchy_schwarz", "blackwell_split", "_class_split", "kernel_from_doc", "kernel_to_doc",
     "support", "factor_through_support", "equalizer_factor", "point_lift",
