@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from types import MappingProxyType
@@ -46,18 +47,18 @@ from .idempotents import (
     search_split,
 )
 from .kernel import (
+    MAX_DIGITS,
     FinMarkovError,
     FinObject,
     Kernel,
     Kind,
     _bits,
     _kernel,
-    _ratio_column,
+    _law_break,
     compose,
     delta_kernel,
     identity,
     kernel_equal,
-    validate,
 )
 from .supports import EmptySupport, SupportData, split_support, support
 
@@ -66,51 +67,44 @@ class ParseError(FinMarkovError):
     """Malformed kernel document."""
 
 
-# Longest numeral converted to an int.  CPython 3.11 refuses longer ones by
-# default; 3.10 converts them in time quadratic in their length.
-MAX_DIGITS = 4300
-
 _ENTRY = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _LONG_RUN = re.compile(f"[0-9]{{{MAX_DIGITS + 1}}}")  # needed by any numeral over the cap
-
-
-def _int(text: str) -> int:
-    """The value of a numeral, which must have at most MAX_DIGITS digits."""
-    if len(text.lstrip("-")) > MAX_DIGITS:
-        raise ParseError(f"numeral longer than {MAX_DIGITS} digits")
-    return int(text)
+_TOO_LONG = f"numeral longer than {MAX_DIGITS} digits"
 
 
 def _parse_int(text: str) -> int:
-    try:
-        return _int(text)
-    except ParseError as exc:
-        raise ParseError(f"integer literal: {exc}") from None
+    """A JSON integer, which must have at most MAX_DIGITS digits."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ParseError(f"integer literal: {_TOO_LONG}")
+    return int(text)
 
 
 def _parse_entry(value: Any) -> tuple[int, int]:
     """An entry as a reduced ``(num, den)`` pair with ``den > 0``.  The
     ParseError says what is wrong; the caller prefixes where."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"entries must be integers or 'n/d' strings, got {value!r}")
-    if isinstance(value, int):
-        return value, 1
     if isinstance(value, str):
         match = _ENTRY.fullmatch(value)
         if match is None:
             raise ParseError(f"bad fraction {value[:40]!r}")
-        num, den = _int(match.group(1)), _int(match.group(2) or "1")
+        num, den = match.groups("1")
+        if len(value) > MAX_DIGITS and max(len(num.lstrip("-")), len(den)) > MAX_DIGITS:
+            raise ParseError(_TOO_LONG)
+        num, den = int(num), int(den)
         if den == 0:
             raise ParseError(f"zero denominator in {value!r}")
         c = math.gcd(num, den)
         return num // c, den // c
+    if isinstance(value, bool) or isinstance(value, float):
+        raise ParseError(f"entries must be integers or 'n/d' strings, got {value!r}")
+    if isinstance(value, int):
+        return value, 1
     raise ParseError(f"bad entry {value!r}")
 
 
 def parse_kernel(text: str) -> Kernel:
-    """Parse a kernel document into stored columns and enforce the column
-    law.  Entries are reduced, so equal documents give equal kernels; the
-    dense ``matrix`` view is built only if it is read."""
+    """Parse a kernel document in one walk that builds its stored columns and
+    decides the column law together.  Entries are reduced, so equal documents
+    give equal kernels; the dense ``matrix`` view is built only if read."""
     try:
         doc = json.loads(text, parse_int=_parse_int if _LONG_RUN.search(text) else None)
     except json.JSONDecodeError as exc:
@@ -121,6 +115,9 @@ def parse_kernel(text: str) -> Kernel:
 
 
 def kernel_from_doc(doc: Any) -> Kernel:
+    """The kernel of a decoded document, from one walk over its entries.
+    Shape and entry errors raise where met, in row-major order; after the
+    walk, so does the first column that breaks the column law."""
     if not isinstance(doc, dict):
         raise ParseError("kernel document must be a JSON object")
     for field in ("kind", "dom", "cod"):
@@ -146,44 +143,63 @@ def kernel_from_doc(doc: Any) -> Kernel:
             raise ParseError("multi kernels carry 'images'")
         if not isinstance(images, list) or len(images) != dom.size:
             raise ParseError("'images' must list one array per domain element")
-        masks = []
+        bit = {lbl: 1 << i for i, lbl in enumerate(cod.labels)}
+        columns = []
         for j, image in enumerate(images):
             if not isinstance(image, list):
                 raise ParseError(f"images[{j}] must be an array of labels")
             mask = 0
             for lbl in image:
-                if not isinstance(lbl, str) or lbl not in cod.labels:
+                b = bit.get(lbl) if isinstance(lbl, str) else None
+                if b is None:
                     raise ParseError(f"images[{j}]: unknown codomain label {lbl!r}")
-                mask |= 1 << cod.index(lbl)
-            masks.append(mask)
-        columns = tuple(masks)
+                mask |= b
+            columns.append(mask)
+        broken = columns.index(0) if 0 in columns else None
     else:
         matrix = doc.get("matrix")
         if matrix is None:
             raise ParseError("stoch/signed kernels carry 'matrix'")
         if not isinstance(matrix, list) or len(matrix) != cod.size:
             raise ParseError(f"'matrix' must have {cod.size} rows")
-        cells: list[list] = [[] for _ in range(dom.size)]
+        cells: list[list] = [[] for _ in range(dom.size)]  # nonzero (row, (num, den)) per column
         parsed: dict[str, tuple[int, int]] = {}  # each distinct string is parsed once
         for i, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != dom.size:
                 raise ParseError(f"matrix row {i} must have {dom.size} entries")
             for j, v in enumerate(row):
-                if type(v) is int:
-                    r = (v, 1)  # a JSON integer is already a reduced pair
-                elif (r := parsed.get(v) if type(v) is str else None) is None:
+                if type(v) is int:  # a JSON integer is already reduced
+                    if v:
+                        cells[j].append((i, (v, 1)))
+                    continue
+                r = parsed.get(v) if type(v) is str else None
+                if r is None:
                     try:
                         r = parsed[v] = _parse_entry(v)
                     except ParseError as exc:
                         raise ParseError(f"matrix[{i}][{j}]: {exc}") from None
                 if r[0]:
                     cells[j].append((i, r))
-        columns = tuple(map(_ratio_column, cells))
-    k = _kernel(kind, dom, cod, columns)
-    bad = validate(k)
-    if bad is not None:
-        raise ParseError(f"validation failed: {bad.message}")
-    return k
+        # over the lcm of its denominators a column is canonical (see _ratio_column)
+        columns, broken, stoch = [], None, kind is Kind.STOCH
+        for j, col in enumerate(cells):
+            den = 1
+            for _, (_, d) in col:
+                if den % d:
+                    den = math.lcm(den, d)
+            total, negative, column = 0, False, []
+            for i, (n, d) in col:
+                if d != den:
+                    n *= den // d
+                negative = negative or n < 0
+                total += n
+                column.append((i, n))
+            columns.append((den, tuple(column)))
+            if broken is None and (total != den or negative and stoch):
+                broken = j
+    if broken is not None:
+        raise ParseError(f"validation failed: {_law_break(kind, broken, columns[broken])}")
+    return _kernel(kind, dom, cod, tuple(columns))
 
 
 def kernel_to_doc(k: Kernel) -> dict:
@@ -206,13 +222,15 @@ def kernel_to_doc(k: Kernel) -> dict:
 
 
 def _read_kernel(path: str) -> Kernel:
+    """The kernel at ``path``, or stdin for "-", decoded as strict UTF-8; a file's line ends read as in text mode."""
     try:
         if path == "-":
             return parse_kernel(sys.stdin.buffer.read().decode("utf-8"))
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_kernel(fh.read())
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from exc
+    return parse_kernel(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _support_doc(sd: SupportData) -> dict:
@@ -355,11 +373,11 @@ def _cmd_cauchy_schwarz(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _fixture_kernel(name: str) -> Kernel:
-    from importlib.resources import files
+_FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
-    text = files("finmarkov").joinpath("fixtures").joinpath(name).read_text(encoding="utf-8")
-    return parse_kernel(text)
+
+def _fixture_kernel(name: str) -> Kernel:
+    return _read_kernel(os.path.join(_FIXTURES, name))
 
 
 def _golden_checks() -> list[tuple[str, bool]]:
@@ -371,26 +389,12 @@ def _golden_checks() -> list[tuple[str, bool]]:
         except FinMarkovError:
             checks.append((name, False))
 
-    strong = _fixture_kernel("e_strong.json")
-    static = _fixture_kernel("e_static.json")
-    balanced = _fixture_kernel("e_balanced4.json")
-    multi = _fixture_kernel("e_multi_upset.json")
-    chain = _fixture_kernel("e_multi_chain3.json")
-    signed = _fixture_kernel("e_signed3.json")
-    q = _fixture_kernel("remark_q.json")
-    p = _fixture_kernel("remark_p.json")
+    strong, static, balanced, multi, chain, signed, q, p = (_fixture_kernel(f"{name}.json") for name in (
+        "e_strong", "e_static", "e_balanced4", "e_multi_upset", "e_multi_chain3", "e_signed3", "remark_q", "remark_p"))
 
-    run("fixtures match built-ins", lambda: all(
-        kernel_equal(a, b)
-        for a, b in [
-            (strong, golden.strong_idempotent()),
-            (static, golden.static_idempotent()),
-            (balanced, golden.balanced_idempotent()),
-            (multi, golden.multi_upset_idempotent()),
-            (chain, golden.multi_chain3_idempotent()),
-            (signed, golden.signed_idempotent()),
-        ]
-    ))
+    run("fixtures match built-ins", lambda: [strong, static, balanced, multi, chain, signed] == [
+        golden.strong_idempotent(), golden.static_idempotent(), golden.balanced_idempotent(),
+        golden.multi_upset_idempotent(), golden.multi_chain3_idempotent(), golden.signed_idempotent()])
 
     def flags(e, det, st, sg, bal):
         r = classify(e)
@@ -433,18 +437,9 @@ def _golden_checks() -> list[tuple[str, bool]]:
         lambda: isinstance(search_split(multi, 2), NoSplitUpTo),
     )
     run("domination holds", lambda: abs_cont(q, p))
-    run(
-        "domination breaks after the point",
-        lambda: not abs_cont(
-            _push_delta(q, "0"),
-            _push_delta(p, "0"),
-        ),
-    )
+    run("domination breaks after the point",
+        lambda: not abs_cont(*(compose(k, delta_kernel(k.dom, "0", k.kind)) for k in (q, p))))
     return checks
-
-
-def _push_delta(k: Kernel, label: str) -> Kernel:
-    return compose(k, delta_kernel(k.dom, label, k.kind))
 
 
 def _cmd_verify_paper(args) -> tuple[int, dict]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .kernel import FinObject, Kernel, Kind, fin_object, make_kernel, multi_kernel
+from .kernel import Kernel, Kind, fin_object, make_kernel, multi_kernel
 
 F = Fraction
 
@@ -131,18 +131,3 @@ def domination_pair() -> tuple[Kernel, Kernel]:
     p = make_kernel(Kind.STOCH, x, x, [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
     return q, p
 
-
-def intro_state() -> Kernel:
-    """The half/half/zero state on {a,b,c}."""
-    x = fin_object(("a", "b", "c"))
-    return make_kernel(Kind.STOCH, FinObject(("•",)), x, [[F(1, 2)], [F(1, 2)], [0]])
-
-
-def intro_functions() -> tuple[Kernel, Kernel]:
-    """Deterministic pair {a,b,c} → {x,y,z} agreeing on a, b and
-    differing at c."""
-    src = fin_object(("a", "b", "c"))
-    dst = fin_object(("x", "y", "z"))
-    f = make_kernel(Kind.STOCH, src, dst, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    g = make_kernel(Kind.STOCH, src, dst, [[1, 0, 0], [0, 1, 1], [0, 0, 0]])
-    return f, g

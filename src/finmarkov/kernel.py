@@ -19,11 +19,12 @@ domain), as `fractions.Fraction` or `bool`.  It is the rows given to the
 constructor, or is built from the columns on first access and cached.
 It is for callers only: no library function reads it.
 
-Ingestion: exact columns come in two ways, and both feed
-`_ratio_column` with a column's nonzero ``(row, (num, den))`` cells.  A
-kernel built from dense rows converts them when it is built, with one
-``as_integer_ratio`` per nonzero entry; the CLI's document parser parses
-each distinct entry string of a document once.
+Ingestion: exact columns come in two ways.  A kernel built from dense
+rows feeds `_ratio_column` one ``as_integer_ratio`` per nonzero entry when
+it is built.  The CLI's document parser takes one walk over a document: it
+parses each distinct entry string once, builds each column over the lcm of
+its denominators, and decides the column law (sign and sum, or a nonempty
+image) as it goes, so it never calls `validate`.
 
 Every deterministic kernel (identity, copy, discard, swap, point masses,
 the associator and unitors, subset inclusions) is built by
@@ -43,6 +44,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Longest numeral converted between int and str.  CPython 3.11 refuses longer
+# ones by default; 3.10 converts them in time quadratic in their length.
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS  # the least int of MAX_DIGITS + 1 digits
 
 Entry = Union[Fraction, bool]
 
@@ -302,6 +308,29 @@ class Violation:
     message: str
 
 
+def _fraction_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))``, or where a part is longer than MAX_DIGITS
+    digits, which ``str`` may refuse, the sizes of its parts."""
+    f = Fraction(num, den)
+    if max(abs(f.numerator), f.denominator) < _DIGITS_BOUND:
+        return str(f)
+    sign = "negative " if f < 0 else ""
+    return f"a {sign}fraction of {f.numerator.bit_length()} bits over {f.denominator.bit_length()} bits"
+
+
+def _law_break(kind: Kind, j: int, col) -> Optional[str]:
+    """What stored column ``j`` breaks of the column law, or None."""
+    if kind is Kind.MULTI:
+        return None if col else f"column {j} has empty image"
+    den, cells = col
+    total = 0
+    for _, num in cells:
+        if num < 0 and kind is Kind.STOCH:
+            return f"column {j} has negative entry {_fraction_text(num, den)}"
+        total += num
+    return None if total == den else f"column {j} sums to {_fraction_text(total, den)}"
+
+
 def validate(k: Kernel) -> Optional[Violation]:
     """Check the column law of the kernel's kind; None means valid.
 
@@ -310,18 +339,9 @@ def validate(k: Kernel) -> Optional[Violation]:
     Multi: every column has at least one true entry.
     """
     for j, col in enumerate(k.columns):
-        if k.kind is Kind.MULTI:
-            if not col:
-                return Violation(j, f"column {j} has empty image")
-            continue
-        den, cells = col
-        if k.kind is Kind.STOCH:
-            bad = next((num for _, num in cells if num < 0), None)
-            if bad is not None:
-                return Violation(j, f"column {j} has negative entry {Fraction(bad, den)}")
-        total = sum(num for _, num in cells)
-        if total != den:
-            return Violation(j, f"column {j} sums to {Fraction(total, den)}")
+        message = _law_break(k.kind, j, col)
+        if message is not None:
+            return Violation(j, message)
     return None
 
 

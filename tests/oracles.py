@@ -12,7 +12,8 @@ and searched over constant maps.  The tests compare each with the
 library's answer; the library never runs these.  The public checks
 `verify_split` and `scomp_abs_cont` serve as oracles as well.  The CLI's
 document parser and emitter, which work on stored columns, are checked
-against the `Fraction` versions they replaced.  The pairing ⟨f,g⟩ is
+against the `Fraction` versions they replaced, and the parser's one walk
+also against the parse-then-validate reader it replaced.  The pairing ⟨f,g⟩ is
 checked against the literal tensor-then-copy composite (f⊗g)∘copy, and
 the conditional and parametric constructions built on it against the
 same constructions composed through tensors, copies and the associator.
@@ -45,7 +46,7 @@ library reads off the blocks of the joint's stored columns, is checked
 against the literal reconstruction through tensors followed by the
 almost-sure comparison, and the tensor-grid split, which parses the
 first row and column, against parsing every label.  The enumerations and comparisons
-only the tests use live here too.
+only the tests use live here too, and so do the introduction's example kernels.
 """
 
 import itertools
@@ -75,17 +76,19 @@ from finmarkov import (
     copy_kernel,
     discard_kernel,
     env_compose,
+    fin_object,
     function_kernel,
     identity,
     is_deterministic,
     kernel_equal,
+    make_kernel,
     marginalize,
     pair,
     tensor,
     tensor_object,
     validate,
 )
-from finmarkov.cli import MAX_DIGITS, ParseError, kernel_to_doc
+from finmarkov.cli import MAX_DIGITS, ParseError, _parse_entry, kernel_to_doc
 from finmarkov.envelopes import (
     EnvelopeCell,
     EnvelopeMorphism,
@@ -102,6 +105,7 @@ from finmarkov.kernel import (
     _bits,
     _is_point_column,
     _kernel,
+    _ratio_column,
     _reduced,
     associator,
     left_unitor,
@@ -111,6 +115,27 @@ from finmarkov.kernel import (
     swap_kernel,
 )
 from finmarkov.rand import random_column, random_kernel
+
+# ---------------------------------------------------------------------------
+# the introduction's example kernels
+# ---------------------------------------------------------------------------
+
+
+def intro_state() -> Kernel:
+    """The half/half/zero state on {a,b,c}."""
+    x = fin_object(("a", "b", "c"))
+    return make_kernel(Kind.STOCH, UNIT, x, [[Fraction(1, 2)], [Fraction(1, 2)], [0]])
+
+
+def intro_functions() -> tuple[Kernel, Kernel]:
+    """Deterministic pair {a,b,c} → {x,y,z} agreeing on a, b and
+    differing at c."""
+    src = fin_object(("a", "b", "c"))
+    dst = fin_object(("x", "y", "z"))
+    f = make_kernel(Kind.STOCH, src, dst, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    g = make_kernel(Kind.STOCH, src, dst, [[1, 0, 0], [0, 1, 1], [0, 0, 0]])
+    return f, g
+
 
 # ---------------------------------------------------------------------------
 # enumerations and comparisons
@@ -823,13 +848,8 @@ def _fraction_entry(value, where: str) -> Fraction:
     raise ParseError(f"{where}: bad entry {value!r}")
 
 
-def parse_kernel_by_fractions(text: str) -> Kernel:
-    """The document parser over dense rows: one `Fraction` (or `bool`) per
-    entry, handed to the dense constructor."""
-    try:
-        doc = json.loads(text, parse_int=_int)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+def _doc_header(doc) -> tuple:
+    """The kind, domain and codomain of a decoded document."""
     if not isinstance(doc, dict):
         raise ParseError("kernel document must be a JSON object")
     for field in ("kind", "dom", "cod"):
@@ -848,7 +868,17 @@ def parse_kernel_by_fractions(text: str) -> Kernel:
         cod = FinObject(tuple(doc["cod"]))
     except FinMarkovError as exc:
         raise ParseError(str(exc)) from exc
+    return kind, dom, cod
 
+
+def parse_kernel_by_fractions(text: str) -> Kernel:
+    """The document parser over dense rows: one `Fraction` (or `bool`) per
+    entry, handed to the dense constructor."""
+    try:
+        doc = json.loads(text, parse_int=_int)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    kind, dom, cod = _doc_header(doc)
     if kind is Kind.MULTI:
         images = doc.get("images")
         if images is None:
@@ -875,6 +905,57 @@ def parse_kernel_by_fractions(text: str) -> Kernel:
                 raise ParseError(f"matrix row {i} must have {dom.size} entries")
             rows.append([_fraction_entry(v, f"matrix[{i}][{j}]") for j, v in enumerate(row)])
     k = Kernel(kind, dom, cod, rows)
+    bad = validate(k)
+    if bad is not None:
+        raise ParseError(f"validation failed: {bad.message}")
+    return k
+
+
+def kernel_from_doc_then_validate(doc) -> Kernel:
+    """The stored-column reader that one-walk ingest replaced: each distinct
+    entry string parsed once, each column built by `_ratio_column`, and then
+    `validate` on the whole kernel."""
+    kind, dom, cod = _doc_header(doc)
+    if kind is Kind.MULTI:
+        images = doc.get("images")
+        if images is None:
+            raise ParseError("multi kernels carry 'images'")
+        if not isinstance(images, list) or len(images) != dom.size:
+            raise ParseError("'images' must list one array per domain element")
+        masks = []
+        for j, image in enumerate(images):
+            if not isinstance(image, list):
+                raise ParseError(f"images[{j}] must be an array of labels")
+            mask = 0
+            for lbl in image:
+                if not isinstance(lbl, str) or lbl not in cod.labels:
+                    raise ParseError(f"images[{j}]: unknown codomain label {lbl!r}")
+                mask |= 1 << cod.index(lbl)
+            masks.append(mask)
+        columns = tuple(masks)
+    else:
+        matrix = doc.get("matrix")
+        if matrix is None:
+            raise ParseError("stoch/signed kernels carry 'matrix'")
+        if not isinstance(matrix, list) or len(matrix) != cod.size:
+            raise ParseError(f"'matrix' must have {cod.size} rows")
+        cells: list[list] = [[] for _ in range(dom.size)]
+        parsed: dict[str, tuple[int, int]] = {}
+        for i, row in enumerate(matrix):
+            if not isinstance(row, list) or len(row) != dom.size:
+                raise ParseError(f"matrix row {i} must have {dom.size} entries")
+            for j, v in enumerate(row):
+                if type(v) is int:
+                    r = (v, 1)
+                elif (r := parsed.get(v) if type(v) is str else None) is None:
+                    try:
+                        r = parsed[v] = _parse_entry(v)
+                    except ParseError as exc:
+                        raise ParseError(f"matrix[{i}][{j}]: {exc}") from None
+                if r[0]:
+                    cells[j].append((i, r))
+        columns = tuple(map(_ratio_column, cells))
+    k = _kernel(kind, dom, cod, columns)
     bad = validate(k)
     if bad is not None:
         raise ParseError(f"validation failed: {bad.message}")

@@ -29,10 +29,10 @@ from finmarkov import (
     tensor,
     tensor_object,
 )
-from finmarkov.golden import domination_pair, intro_functions, intro_state
+from finmarkov.golden import domination_pair
 from finmarkov.kernel import UNIT, associator
 from finmarkov.rand import random_kernel, random_object
-from oracles import all_multi_kernels, ase_by_joint, deterministic_kernels, joint_columns
+from oracles import all_multi_kernels, ase_by_joint, deterministic_kernels, intro_functions, intro_state, joint_columns
 
 F = Fraction
 

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finmarkov import Kind, kernel_equal
+from finmarkov import FinObject, Kernel, Kind, kernel_equal, validate
+from finmarkov import cli
 from finmarkov.cli import ParseError, parse_kernel, run
+from finmarkov.kernel import Violation
 from finmarkov.golden import (
     balanced_idempotent,
     multi_chain3_idempotent,
@@ -20,7 +22,7 @@ from finmarkov.golden import (
     strong_idempotent,
 )
 from finmarkov.rand import random_kernel, random_object
-from oracles import emit_kernel
+from oracles import emit_kernel, intro_functions, intro_state
 
 F = Fraction
 
@@ -187,8 +189,6 @@ def test_cli_split_non_idempotent_exits_1(tmp_path, capsys):
 
 
 def test_cli_support_and_split_support(tmp_path, capsys):
-    from finmarkov.golden import intro_state
-
     path = _write(tmp_path, "p.json", intro_state())
     assert run(["support", path]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -227,8 +227,6 @@ def test_cli_abscont_negative_gives_witness(tmp_path, capsys):
 
 
 def test_cli_ase(tmp_path, capsys):
-    from finmarkov.golden import intro_functions, intro_state
-
     p = intro_state()
     f, g = intro_functions()
     pp = _write(tmp_path, "p.json", p)
@@ -371,6 +369,81 @@ def test_cli_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(doc.encode("utf-8")), encoding="utf-8"))
     assert run(["classify", "-"]) == 0
     capsys.readouterr()
+
+
+def test_cli_reads_crlf_and_cr_documents_as_lf_documents(tmp_path, capsys):
+    text = emit_kernel(balanced_idempotent(), pretty=True)
+    outputs = []
+    for name, eol in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.replace("\n", eol).encode("utf-8"))
+        assert cli._read_kernel(str(path)) == balanced_idempotent()
+        assert run(["split", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+# a document of one line per key, missing the comma at the end of line 4
+MALFORMED_LINES = ['{', '"kind": "stoch",', '"dom": ["a"],', '"cod": ["x"]', '"matrix": [[1]]', '}']
+
+
+def test_cli_reports_the_line_of_a_malformed_cr_document_as_text_mode_reads_it(tmp_path, capsys):
+    path = tmp_path / "cr.json"
+    path.write_bytes("\r".join(MALFORMED_LINES).encode("utf-8"))
+    with open(path, encoding="utf-8") as fh, pytest.raises(ParseError) as text_mode:
+        parse_kernel(fh.read())
+    assert run(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == str(text_mode.value)
+    assert str(text_mode.value).startswith("invalid JSON at line 5:")
+
+
+def test_cli_stdin_reads_line_ends_as_given(capsys, monkeypatch):
+    import io
+
+    data = "\r".join(MALFORMED_LINES).encode("utf-8")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert run(["validate", "-"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith("invalid JSON at line 1:")
+
+
+def test_cli_reports_a_bad_byte_past_8_kb_where_text_mode_does(tmp_path, capsys):
+    path = tmp_path / "late.json"
+    path.write_bytes(b'{"kind": "stoch",' + b" " * 10_000 + b'"dom": ["\xff"], "cod": ["x"], "matrix": [[1]]}')
+    with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError) as text_mode:
+        fh.read()
+    assert run(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == f"cannot read {path}: {text_mode.value}"
+    assert "position 10026" in str(text_mode.value)
+
+
+def test_cli_verify_paper_prints_the_same_from_another_working_directory(tmp_path, capsys):
+    import os
+    import subprocess
+
+    import finmarkov
+
+    assert run(["verify-paper"]) == 0
+    here = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(finmarkov.__file__))))
+    done = subprocess.run([sys.executable, "-m", "finmarkov.cli", "verify-paper"], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, here.encode("utf-8"), b"")
+
+
+def test_cli_column_sum_too_long_to_print_is_named_by_its_size(tmp_path, capsys):
+    # each denominator has 4,300 digits, within the cap; their product, the
+    # denominator of the column's sum, has 8,599
+    big = 10**4299
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"kind": "stoch", "dom": ["u"], "cod": ["x", "y"],
+                                "matrix": [[f"1/{big}"], [f"1/{big + 1}"]]}), encoding="utf-8")
+    message = "column 0 sums to a fraction of 14282 bits over 28562 bits"
+    assert run(["validate", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"valid": False, "error": f"validation failed: {message}"}
+    assert run(["classify", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": f"validation failed: {message}"}
+    k = Kernel(Kind.STOCH, FinObject(("u",)), FinObject(("x", "y")), [[F(1, big)], [F(1, big + 1)]])
+    assert validate(k) == Violation(0, message)
 
 
 def test_cli_help_and_unknown_command(capsys):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finmarkov import (
@@ -35,7 +35,7 @@ from finmarkov import (
     tensor_object,
 )
 import finmarkov.cli as cli
-from finmarkov.cli import ParseError, kernel_to_doc, parse_kernel
+from finmarkov.cli import ParseError, kernel_from_doc, kernel_to_doc, parse_kernel
 from finmarkov.golden import (
     balanced_idempotent,
     multi_chain3_idempotent,
@@ -59,6 +59,7 @@ from oracles import (
     columns_by_exact_column,
     emit_kernel,
     emit_kernel_by_fractions,
+    kernel_from_doc_then_validate,
     parse_kernel_by_fractions,
 )
 
@@ -921,3 +922,70 @@ def test_each_distinct_entry_string_of_a_document_is_parsed_once(monkeypatch):
     parsed.clear()
     assert parse_kernel(text) == k  # nothing is remembered across documents
     assert sorted(parsed) == sorted(set(strings))
+
+
+# defects injected into a document: at most one entry or shape error, at
+# most one break of the column law, and zero entries spelled "-0" or "0/7".
+# "law break first" breaks column 0 and also puts a bad entry in the last
+# cell; for Multi it empties image 0 and puts an unknown label in the last.
+ENTRY_DEFECTS = ("bad string", "float", "short row")
+LAW_DEFECTS = ("negative entry", "law break first", "empty codomain")
+
+
+@st.composite
+def _ingest_document(draw):
+    """A decoded document of any kind, valid but for the drawn defects."""
+    kind = draw(st.sampled_from(list(Kind)))
+    entry_defect, law_defect = (draw(st.none() | st.sampled_from(d)) for d in (ENTRY_DEFECTS, LAW_DEFECTS))
+    dom = _obj("a", draw(st.integers(1, 4)))
+    cod = _obj("x", 0 if law_defect == "empty codomain" else draw(st.integers(1, 4)))
+    rows = random_kernel(random.Random(draw(st.integers(0, 2**32))), kind, dom, cod).matrix if cod.size else []
+    doc = {"kind": kind.value, "dom": list(dom.labels), "cod": list(cod.labels)}
+    if kind is Kind.MULTI:
+        images = [[cod.labels[i] for i in range(cod.size) if rows[i][j]] for j in range(dom.size)]
+        if entry_defect in ("bad string", "float"):
+            images[-1].append("nope" if entry_defect == "bad string" else 1.5)
+        if law_defect == "law break first":
+            images[-1].append("nope")
+        if law_defect in ("negative entry", "law break first"):  # Multi breaks its law by an empty image
+            images[0] = []
+        if entry_defect == "short row":
+            images.pop()
+        doc["images"] = images
+        return doc
+    matrix = [[_spelled(v, draw(st.sampled_from(STYLES[:3]))) for v in row] for row in rows]
+    if draw(st.booleans()):
+        matrix = [[draw(st.sampled_from(("-0", "0/7"))) if v == 0 else v for v in row] for row in matrix]
+    if cod.size:
+        cell = lambda: (draw(st.integers(0, cod.size - 1)), draw(st.integers(0, dom.size - 1)))
+        if law_defect == "negative entry":  # row 0 gives up 1, which row 1 takes where there is one
+            j = cell()[1]
+            matrix[0][j] = str(F(matrix[0][j]) - 1)
+            if cod.size > 1:
+                matrix[1][j] = str(F(matrix[1][j]) + 1)
+        if law_defect == "law break first":
+            matrix[0][0], matrix[-1][-1] = "7/5", "abc"
+        if entry_defect in ("bad string", "float"):
+            i, j = cell()
+            matrix[i][j] = "1/0" if entry_defect == "bad string" else 0.5
+        if entry_defect == "short row":
+            matrix[cell()[0]].pop()
+    doc["matrix"] = matrix
+    return doc
+
+
+def _ingested(read, doc):
+    try:
+        k = read(doc)
+    except Exception as exc:  # the error's type and message are the outcome
+        return "error", type(exc), str(exc)
+    return "ok", k, k.columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ingest_document())
+@example({"kind": "stoch", "dom": ["a"], "cod": ["x", "y"], "matrix": [["-1/2"], ["3/2"]]})
+def test_one_walk_ingest_matches_parse_then_validate(doc):
+    want = _ingested(kernel_from_doc_then_validate, doc)
+    assert _ingested(kernel_from_doc, doc) == want
+    assert _ingested(lambda d: parse_kernel(json.dumps(d)), doc) == want

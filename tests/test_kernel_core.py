@@ -40,7 +40,7 @@ from finmarkov import (
     validate,
 )
 from finmarkov import cli
-from finmarkov.kernel import UNIT, inclusion_kernel
+from finmarkov.kernel import UNIT, Violation, inclusion_kernel
 from finmarkov.idempotents import two_step
 from finmarkov.rand import random_full_support_column, random_kernel, random_object
 from oracles import all_multi_kernels, deterministic_by_comonoid, deterministic_kernels, entry
@@ -131,6 +131,17 @@ def test_kernel_equal_distinguishes_golden_examples():
     assert not kernel_equal(static_idempotent(), strong_idempotent())
 
 
+def test_validate_names_a_value_longer_than_the_digit_cap_by_its_size():
+    # both denominators have 14,285 bits, and only the first has at most 4,300 digits
+    x2 = fin_object(("x", "y"))
+    for den, text, negative_text in ((10**4300 - 1, f"1/{10**4300 - 1}", f"-1/{10**4300 - 1}"),
+                                     (10**4300 + 1, "a fraction of 1 bits over 14285 bits",
+                                      "a negative fraction of 1 bits over 14285 bits")):
+        assert validate(Kernel(Kind.SIGNED, UNIT, x2, [[F(1, den)], [0]])) == Violation(0, f"column 0 sums to {text}")
+        negative = Kernel(Kind.STOCH, UNIT, x2, [[F(-1, den)], [1 + F(1, den)]])
+        assert validate(negative) == Violation(0, f"column 0 has negative entry {negative_text}")
+
+
 def test_empty_objects():
     empty = fin_object(())
     out_of_empty = make_kernel(Kind.STOCH, empty, X2, [[], []])
@@ -174,18 +185,24 @@ def _document(kind, dom, cod, rows):
 
 
 @pytest.mark.parametrize("kind,dom,cod,rows", CONSTRUCTION_CASES)
-def test_kernel_has_its_stored_columns_from_construction(kind, dom, cod, rows, monkeypatch):
+def test_kernel_has_its_stored_columns_from_construction(kind, dom, cod, rows):
     k = Kernel(kind, dom, cod, rows)
     # read through the slot itself, so no lazy hook can fill it in
     columns = Kernel.columns.__get__(k)
-    # the parser's stored columns, also for documents that break the column law
-    monkeypatch.setattr(cli, "validate", lambda k: None)
-    parsed = cli.parse_kernel(_document(kind, dom, cod, rows))
-    assert columns == Kernel.columns.__get__(parsed)
-    assert k == parsed and hash(k) == hash(parsed)
-    for built in (k, parsed):
+    for slot in Kernel.__slots__:
+        getattr(Kernel, slot).__get__(k)
+    # the parser stores the same columns, or refuses the document as validate refuses the kernel
+    bad = validate(k)
+    if bad is None:
+        parsed = cli.parse_kernel(_document(kind, dom, cod, rows))
+        assert columns == Kernel.columns.__get__(parsed)
+        assert k == parsed and hash(k) == hash(parsed)
         for slot in Kernel.__slots__:
-            getattr(Kernel, slot).__get__(built)
+            getattr(Kernel, slot).__get__(parsed)
+    else:
+        with pytest.raises(cli.ParseError) as exc:
+            cli.parse_kernel(_document(kind, dom, cod, rows))
+        assert str(exc.value) == "validation failed: " + bad.message
     # the given rows stay the dense view, entry types and all
     assert k.matrix == tuple(map(tuple, rows))
     assert [type(v) for row in k.matrix for v in row] == [type(v) for row in rows for v in row]

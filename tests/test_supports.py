@@ -47,14 +47,14 @@ from finmarkov import (
     tensor,
     tensor_object,
 )
-from finmarkov.golden import intro_functions, intro_state, static_idempotent
+from finmarkov.golden import static_idempotent
 from finmarkov.kernel import UNIT, support_indices
 from finmarkov.rand import (
     random_kernel,
     random_kernel_supported_on,
     random_object,
 )
-from oracles import deterministic_kernels, entry
+from oracles import deterministic_kernels, entry, intro_functions, intro_state
 
 F = Fraction
 
