@@ -76,18 +76,18 @@ class EnvelopeMorphism:
     kernel: Kernel
 
 
-def env_cell(x: FinObject, e: Kernel, flavor: Flavor) -> EnvelopeCell:
+def env_cell(x: FinObject, e: Kernel, flavor: Flavor | str) -> EnvelopeCell:
     """Validated cell: e must satisfy its kind's column law and be
     idempotent, and balanced for Blackwell.  Decided once by `_settled`; a
     cell it rejects is checked again, in order, for the first error."""
-    if not _settled(cell := EnvelopeCell(x, e, flavor)):
+    if not _settled(cell := EnvelopeCell(x, e, Flavor(flavor))):
         if e.dom != x or e.cod != x:
             raise NotEndo("cell endomorphism must live on the cell's object")
         bad = validate(e)
         if bad is not None:
             raise ValidationError(f"cell endomorphism: {bad.message}")
         raise NotIdempotent("cell endomorphism must be idempotent")
-    if flavor is Flavor.BLACKWELL and not classify(e).balanced:
+    if cell.flavor is Flavor.BLACKWELL and not classify(e).balanced:
         raise NotBalanced("Blackwell cells require a balanced idempotent")
     return cell
 

@@ -1,17 +1,22 @@
-"""The worked example kernels used by the golden verification suite.
+"""The worked example kernels and the golden verification suite.
 
 These are small matrices with known classification and splitting data:
 a strong-but-not-static idempotent, a static-but-not-strong one, a
 balanced one that is neither, two non-balanced multivalued idempotents,
 a non-balanced signed idempotent, and the domination pair whose
 pre-composition with a point collapses one support but not the other.
+`FIXTURES` names the checked-in document of each, and `CHECKS` is the
+suite `finmarkov verify-paper` runs on those documents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
-from .kernel import Kernel, Kind, fin_object, make_kernel, multi_kernel
+from .asrel import abs_cont
+from .idempotents import NoSplitUpTo, blackwell_split, classify, search_split, verify_split
+from .kernel import Kernel, Kind, compose, delta_kernel, fin_object, kernel_equal, make_kernel, multi_kernel
 
 F = Fraction
 
@@ -131,3 +136,55 @@ def domination_pair() -> tuple[Kernel, Kernel]:
     p = make_kernel(Kind.STOCH, x, x, [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
     return q, p
 
+
+# each fixture document under fixtures/, by file name without ".json", and the built-in it holds
+FIXTURES = MappingProxyType({
+    "e_strong": strong_idempotent,
+    "e_static": static_idempotent,
+    "e_balanced4": balanced_idempotent,
+    "e_multi_upset": multi_upset_idempotent,
+    "e_multi_chain3": multi_chain3_idempotent,
+    "e_signed3": signed_idempotent,
+    "remark_q": lambda: domination_pair()[0],
+    "remark_p": lambda: domination_pair()[1],
+})
+
+
+def _flags(e: Kernel, *flags: bool) -> bool:
+    """Whether e is idempotent with these deterministic, static, strong and balanced flags."""
+    r = classify(e)
+    return (r.idempotent, r.deterministic, r.static, r.strong, r.balanced) == (True, *flags)
+
+
+def _splits(e: Kernel, classes: list, transient: list, iota: Kernel, pi: Kernel) -> bool:
+    """Whether e's class splitting is a splitting, is (iota, pi) and has these classes."""
+    sd = blackwell_split(e)
+    return (verify_split(e, sd.inclusion, sd.projection)[1]
+            and kernel_equal(sd.inclusion, iota) and kernel_equal(sd.projection, pi)
+            and set(map(frozenset, sd.classes)) == set(map(frozenset, classes))
+            and set(sd.transient) == set(transient))
+
+
+def _not_balanced(e: Kernel) -> bool:
+    r = classify(e)
+    return r.idempotent and not r.balanced
+
+
+# (name, check) in report order; a check reads the loaded fixtures by name
+CHECKS = (
+    ("fixtures match built-ins", lambda fx: all(fx[name] == built() for name, built in FIXTURES.items())),
+    ("strong example flags", lambda fx: _flags(fx["e_strong"], False, False, True, True)),
+    ("static example flags", lambda fx: _flags(fx["e_static"], False, True, False, True)),
+    ("balanced example flags", lambda fx: _flags(fx["e_balanced4"], False, False, False, True)),
+    ("strong example splitting", lambda fx: _splits(fx["e_strong"], [("0", "1")], [], *strong_split())),
+    ("static example splitting", lambda fx: _splits(fx["e_static"], [("1",), ("2",)], ["3"], *static_split())),
+    ("balanced example splitting",
+     lambda fx: _splits(fx["e_balanced4"], [("1", "2"), ("3",)], ["4"], *balanced_split())),
+    ("multi upset not balanced", lambda fx: _not_balanced(fx["e_multi_upset"])),
+    ("3-chain pattern not balanced", lambda fx: _not_balanced(fx["e_multi_chain3"])),
+    ("signed example not balanced", lambda fx: _not_balanced(fx["e_signed3"])),
+    ("multi upset does not split", lambda fx: isinstance(search_split(fx["e_multi_upset"], 2), NoSplitUpTo)),
+    ("domination holds", lambda fx: abs_cont(fx["remark_q"], fx["remark_p"])),
+    ("domination breaks after the point", lambda fx: not abs_cont(
+        *(compose(k, delta_kernel(k.dom, "0", k.kind)) for k in (fx["remark_q"], fx["remark_p"])))),
+)

@@ -9,12 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .kernel import FinObject, Kernel, Kind, fin_object, function_kernel
-
-
-def random_object(rng: random.Random, max_size: int, prefix: str = "x", min_size: int = 1) -> FinObject:
-    n = min_size + rng.randrange(max_size - min_size + 1)
-    return fin_object(f"{prefix}{i}" for i in range(n))
+from .kernel import FinObject, Kernel, Kind, function_kernel
 
 
 def random_stoch_column(rng: random.Random, n: int) -> list[Fraction]:

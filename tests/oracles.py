@@ -45,8 +45,8 @@ against scans that test every row.  Conditional uniqueness, which the
 library reads off the blocks of the joint's stored columns, is checked
 against the literal reconstruction through tensors followed by the
 almost-sure comparison, and the tensor-grid split, which parses the
-first row and column, against parsing every label.  The enumerations and comparisons
-only the tests use live here too, and so do the introduction's example kernels.
+first row and column, against parsing every label.  The enumerations, comparisons and
+random objects only the tests use live here too, and so do the introduction's example kernels.
 """
 
 import itertools
@@ -140,6 +140,11 @@ def intro_functions() -> tuple[Kernel, Kernel]:
 # ---------------------------------------------------------------------------
 # enumerations and comparisons
 # ---------------------------------------------------------------------------
+
+
+def random_object(rng: random.Random, max_size: int, prefix: str = "x", min_size: int = 1) -> FinObject:
+    n = min_size + rng.randrange(max_size - min_size + 1)
+    return fin_object(f"{prefix}{i}" for i in range(n))
 
 
 def deterministic_kernels(dom: FinObject, cod: FinObject, kind: Kind = Kind.STOCH) -> list:

@@ -82,13 +82,8 @@ from finmarkov.golden import (
     strong_split,
 )
 from finmarkov.kernel import Kernel, support_indices
-from finmarkov.rand import (
-    random_deterministic_kernel,
-    random_kernel,
-    random_kernel_supported_on,
-    random_object,
-)
-from oracles import all_multi_kernels, conditional_rebuilds, deterministic_kernels, emit_kernel
+from finmarkov.rand import random_deterministic_kernel, random_kernel, random_kernel_supported_on
+from oracles import all_multi_kernels, conditional_rebuilds, deterministic_kernels, emit_kernel, random_object
 
 F = Fraction
 

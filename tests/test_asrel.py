@@ -31,8 +31,16 @@ from finmarkov import (
 )
 from finmarkov.golden import domination_pair
 from finmarkov.kernel import UNIT, associator
-from finmarkov.rand import random_kernel, random_object
-from oracles import all_multi_kernels, ase_by_joint, deterministic_kernels, intro_functions, intro_state, joint_columns
+from finmarkov.rand import random_kernel
+from oracles import (
+    all_multi_kernels,
+    ase_by_joint,
+    deterministic_kernels,
+    intro_functions,
+    intro_state,
+    joint_columns,
+    random_object,
+)
 
 F = Fraction
 

@@ -1,6 +1,7 @@
 """Kernel document serialization and the command-line driver."""
 
 import json
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmarkov import FinObject, Kernel, Kind, kernel_equal, validate
-from finmarkov import cli
+from finmarkov import cli, golden
 from finmarkov.cli import ParseError, parse_kernel, run
+from finmarkov.idempotents import NotIdempotent
 from finmarkov.kernel import Violation
 from finmarkov.golden import (
     balanced_idempotent,
@@ -21,8 +23,8 @@ from finmarkov.golden import (
     static_idempotent,
     strong_idempotent,
 )
-from finmarkov.rand import random_kernel, random_object
-from oracles import emit_kernel, intro_functions, intro_state
+from finmarkov.rand import random_kernel
+from oracles import emit_kernel, intro_functions, intro_state, random_object
 
 F = Fraction
 
@@ -314,17 +316,58 @@ def test_cli_kind_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+VERIFY_PAPER_CHECKS = (
+    "fixtures match built-ins",
+    "strong example flags",
+    "static example flags",
+    "balanced example flags",
+    "strong example splitting",
+    "static example splitting",
+    "balanced example splitting",
+    "multi upset not balanced",
+    "3-chain pattern not balanced",
+    "signed example not balanced",
+    "multi upset does not split",
+    "domination holds",
+    "domination breaks after the point",
+)
+
+
+def _pretty_lines(verdicts: dict) -> str:
+    width = max(map(len, VERIFY_PAPER_CHECKS))
+    lines = [f"{verdicts.get(name, 'PASS')}  {name:<{width}}" for name in VERIFY_PAPER_CHECKS]
+    return "\n".join(lines + [f"{'FAIL' if verdicts else 'PASS'}  overall", ""])
+
+
 def test_cli_verify_paper(capsys):
     assert run(["verify-paper"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["all_pass"] is True
-    assert len(out["checks"]) >= 12
+    assert out == {"checks": [{"name": name, "pass": True} for name in VERIFY_PAPER_CHECKS], "all_pass": True}
 
 
 def test_cli_verify_paper_pretty(capsys):
     assert run(["--format", "pretty", "verify-paper"]) == 0
-    text = capsys.readouterr().out
-    assert "PASS" in text and "overall" in text
+    assert capsys.readouterr().out == _pretty_lines({})
+
+
+def test_cli_verify_paper_fails_a_row_whose_callee_is_wrong_or_raises(monkeypatch, capsys):
+    def not_idempotent(e):
+        raise NotIdempotent("kernel is not idempotent")
+
+    monkeypatch.setattr(golden, "abs_cont", lambda q, p: False)
+    monkeypatch.setattr(golden, "blackwell_split", not_idempotent)
+    failed = {"strong example splitting", "static example splitting", "balanced example splitting", "domination holds"}
+    assert run(["verify-paper"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"checks": [{"name": name, "pass": name not in failed} for name in VERIFY_PAPER_CHECKS],
+                   "all_pass": False}
+    assert run(["--format", "pretty", "verify-paper"]) == 1
+    assert capsys.readouterr().out == _pretty_lines(dict.fromkeys(failed, "FAIL"))
+
+
+def test_fixture_documents_are_exactly_the_golden_fixtures():
+    fixtures = pathlib.Path(golden.__file__).with_name("fixtures")
+    assert sorted(path.stem for path in fixtures.glob("*.json")) == sorted(golden.FIXTURES)
 
 
 def test_cli_reports_deterministic(tmp_path, capsys):

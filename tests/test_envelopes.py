@@ -52,8 +52,8 @@ from finmarkov.golden import (
     strong_idempotent,
 )
 from finmarkov.kernel import swap_kernel
-from finmarkov.rand import random_kernel, random_object
-from oracles import all_multi_kernels, env_split_idempotent_by_homs, env_tensor_by_tensors
+from finmarkov.rand import random_kernel
+from oracles import all_multi_kernels, env_split_idempotent_by_homs, env_tensor_by_tensors, random_object
 
 F = Fraction
 
@@ -84,6 +84,13 @@ def test_multi_upset_karoubi_only():
     assert env_cell(e.dom, e, Flavor.KAROUBI) is not None
     with pytest.raises(NotBalanced):
         env_cell(e.dom, e, Flavor.BLACKWELL)
+
+
+def test_blackwell_flavor_given_by_its_value_requires_balance():
+    e = signed_idempotent()
+    with pytest.raises(NotBalanced):
+        env_cell(e.dom, e, "blackwell")
+    assert env_cell(e.dom, e, "karoubi").flavor is Flavor.KAROUBI
 
 
 def test_non_idempotent_rejected():

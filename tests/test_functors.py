@@ -36,13 +36,8 @@ from finmarkov import (
 )
 from finmarkov.golden import balanced_idempotent, static_idempotent
 from finmarkov.kernel import UNIT, _kernel, support_indices
-from finmarkov.rand import (
-    random_deterministic_kernel,
-    random_kernel,
-    random_kernel_supported_on,
-    random_object,
-)
-from oracles import conditional_rebuilds, entry, param_equal
+from finmarkov.rand import random_deterministic_kernel, random_kernel, random_kernel_supported_on
+from oracles import conditional_rebuilds, entry, param_equal, random_object
 
 F = Fraction
 

@@ -61,8 +61,8 @@ from finmarkov.golden import (
 from finmarkov import idempotents
 from finmarkov.idempotents import IdempotentReport, StructureViolation
 from finmarkov.kernel import UNIT, support_indices
-from finmarkov.rand import random_kernel, random_kernel_supported_on, random_object
-from oracles import all_multi_kernels, class_decomposition, classify_by_columns, classify_by_scan
+from finmarkov.rand import random_kernel, random_kernel_supported_on
+from oracles import all_multi_kernels, class_decomposition, classify_by_columns, classify_by_scan, random_object
 
 F = Fraction
 

@@ -47,13 +47,7 @@ from finmarkov.golden import (
 )
 from finmarkov.idempotents import CauchySchwarzInstance, IdempotentReport, StructureViolation
 from finmarkov.kernel import UNIT
-from finmarkov.rand import (
-    random_deterministic_kernel,
-    random_kernel,
-    random_object,
-    random_signed_column,
-    random_stoch_column,
-)
+from finmarkov.rand import random_deterministic_kernel, random_kernel, random_signed_column, random_stoch_column
 from oracles import (
     all_multi_kernels,
     columns_by_exact_column,
@@ -61,6 +55,7 @@ from oracles import (
     emit_kernel_by_fractions,
     kernel_from_doc_then_validate,
     parse_kernel_by_fractions,
+    random_object,
 )
 
 F = Fraction

@@ -42,8 +42,8 @@ from finmarkov import (
 from finmarkov import cli
 from finmarkov.kernel import UNIT, Violation, inclusion_kernel
 from finmarkov.idempotents import two_step
-from finmarkov.rand import random_full_support_column, random_kernel, random_object
-from oracles import all_multi_kernels, deterministic_by_comonoid, deterministic_kernels, entry
+from finmarkov.rand import random_full_support_column, random_kernel
+from oracles import all_multi_kernels, deterministic_by_comonoid, deterministic_kernels, entry, random_object
 
 F = Fraction
 X3 = fin_object(("a", "b", "c"))

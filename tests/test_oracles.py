@@ -77,13 +77,7 @@ from finmarkov.golden import (
 )
 from finmarkov.idempotents import StructureViolation, _deterministic_as
 from finmarkov.kernel import _kernel, split_tensor_labels, support_indices
-from finmarkov.rand import (
-    random_column,
-    random_deterministic_kernel,
-    random_kernel,
-    random_kernel_supported_on,
-    random_object,
-)
+from finmarkov.rand import random_column, random_deterministic_kernel, random_kernel, random_kernel_supported_on
 from oracles import (
     all_multi_kernels,
     ase_by_joint,
@@ -116,6 +110,7 @@ from oracles import (
     settled_by_composing,
     split_by_every_label,
     witness_separates,
+    random_object,
 )
 
 SEEDS = st.integers(0, 2**32)

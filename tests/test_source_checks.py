@@ -115,7 +115,7 @@ COLUMN_ONLY = {
     "_sum_difference", "_support_failure", "_balance_failure",
     "cauchy_schwarz", "blackwell_split", "_class_split", "kernel_from_doc", "kernel_to_doc",
     "support", "factor_through_support", "equalizer_factor", "point_lift",
-    "precise_supports_equiv", "canonical_rep", "env_check_markov_laws", "_golden_checks",
+    "precise_supports_equiv", "canonical_rep", "env_check_markov_laws", "_cmd_verify_paper",
     "balanced_cross_check", "verify_split", "_deterministic_as",
 }
 

@@ -49,12 +49,8 @@ from finmarkov import (
 )
 from finmarkov.golden import static_idempotent
 from finmarkov.kernel import UNIT, support_indices
-from finmarkov.rand import (
-    random_kernel,
-    random_kernel_supported_on,
-    random_object,
-)
-from oracles import deterministic_kernels, entry, intro_functions, intro_state
+from finmarkov.rand import random_kernel, random_kernel_supported_on
+from oracles import deterministic_kernels, entry, intro_functions, intro_state, random_object
 
 F = Fraction
 
