@@ -186,6 +186,8 @@ def perturb_off_support(f: Kernel, p: Kernel, seed: int) -> Kernel:
 
 @dataclass(frozen=True)
 class CausalityInstance:
+    """Whether one instance of an implication meets its antecedent and its consequent."""
+
     antecedent: bool
     consequent: bool
 

@@ -339,15 +339,7 @@ def _cmd_envelope_check(args) -> tuple[int, dict]:
     except (NotIdempotent, NotBalanced) as exc:
         return 1, {"accepted": False, "error": str(exc)}
     report = env_check_markov_laws(cell)
-    payload = {
-        "accepted": True,
-        "counit_left": report.counit_left,
-        "counit_right": report.counit_right,
-        "coassociative": report.coassociative,
-        "cocommutative": report.cocommutative,
-        "discard_natural": report.discard_natural,
-    }
-    return (0 if report.all_pass else 1), payload
+    return (0 if report.all_pass else 1), {"accepted": True, **vars(report)}
 
 
 def _cmd_cauchy_schwarz(args) -> tuple[int, dict]:
@@ -355,12 +347,7 @@ def _cmd_cauchy_schwarz(args) -> tuple[int, dict]:
     g = _read_kernel(args.second)
     h = _read_kernel(args.third)
     inst = cauchy_schwarz(f, g, h)
-    payload = {
-        "antecedent": inst.antecedent,
-        "consequent": inst.consequent,
-        "implication_ok": inst.implication_ok,
-    }
-    return (0 if inst.implication_ok else 1), payload
+    return (0 if inst.implication_ok else 1), {**vars(inst), "implication_ok": inst.implication_ok}
 
 
 # ---------------------------------------------------------------------------

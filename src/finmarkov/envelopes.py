@@ -107,8 +107,11 @@ def env_hom(src: EnvelopeCell, dst: EnvelopeCell, f: Kernel) -> EnvelopeMorphism
 @lru_cache(maxsize=4096)
 def _settled(cell: EnvelopeCell) -> bool:
     """Whether the cell's endo lives on its object, satisfies its kind's
-    column law and is idempotent.  `validate` runs first: `classify`
-    raises off the column law.  Memoized, so each cell is decided once."""
+    column law and is idempotent.  `validate` runs first: off the column
+    law `classify` decides nothing, as it calls the Stoch kernel
+    [[2, 2], [-1, -1]] idempotent and balanced and raises
+    StructureViolation on [[1, 0], [0, 0]].  Memoized, so each cell is
+    decided once."""
     e = cell.endo
     return e.dom == cell.object == e.cod and validate(e) is None and classify(e).idempotent
 
@@ -188,13 +191,7 @@ class MarkovLawReport:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.counit_left
-            and self.counit_right
-            and self.coassociative
-            and self.cocommutative
-            and self.discard_natural
-        )
+        return all(vars(self).values())
 
 
 def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:

@@ -152,8 +152,7 @@ FIXTURES = MappingProxyType({
 
 def _flags(e: Kernel, *flags: bool) -> bool:
     """Whether e is idempotent with these deterministic, static, strong and balanced flags."""
-    r = classify(e)
-    return (r.idempotent, r.deterministic, r.static, r.strong, r.balanced) == (True, *flags)
+    return tuple(classify(e).flags().values()) == (True, *flags)
 
 
 def _splits(e: Kernel, classes: list, transient: list, iota: Kernel, pi: Kernel) -> bool:

@@ -41,7 +41,7 @@ from operator import or_
 from types import MappingProxyType
 from typing import Mapping
 
-from .asrel import UnsupportedKind, ase_kernels
+from .asrel import CausalityInstance, UnsupportedKind, ase_kernels
 from .kernel import (
     UNIT,
     FinMarkovError,
@@ -49,6 +49,7 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
+    ValidationError,
     _bits,
     _is_point_column,
     _kernel,
@@ -61,6 +62,7 @@ from .kernel import (
     pair,
     support_indices,
     swap_kernel,
+    validate,
 )
 from .rand import random_full_support_column, random_stoch_column
 
@@ -108,13 +110,7 @@ class IdempotentReport:
     witnesses: Mapping[str, tuple]
 
     def flags(self) -> dict:
-        return {
-            "idempotent": self.idempotent,
-            "deterministic": self.deterministic,
-            "static": self.static,
-            "strong": self.strong,
-            "balanced": self.balanced,
-        }
+        return {name: flag for name, flag in vars(self).items() if name != "witnesses"}
 
 
 def classify(e: Kernel) -> IdempotentReport:
@@ -292,12 +288,7 @@ class BalancedCrossCheck:
     self_adjoint_on_columns: bool
 
     def all(self) -> tuple[bool, bool, bool, bool]:
-        return (
-            self.defining,
-            self.detailed_balance,
-            self.strong_almost_surely,
-            self.self_adjoint_on_columns,
-        )
+        return tuple(vars(self).values())
 
 
 def balanced_cross_check(e: Kernel) -> BalancedCrossCheck:
@@ -392,10 +383,13 @@ def blackwell_split(e: Kernel) -> SplitData:
     recurrent states are those some column reaches, and the class of a
     recurrent state is the support of its column.  Each class is included
     via that common column, and each state projects to a class with the
-    mass e assigns to that class.
+    mass e assigns to that class.  A kernel off the column law raises
+    ValidationError, since `classify` may call such a kernel idempotent.
     """
     if e.kind is not Kind.STOCH:
         raise UnsupportedKind("the class decomposition applies to stochastic kernels")
+    if (bad := validate(e)) is not None:
+        raise ValidationError(bad.message)
     if not classify(e).idempotent:
         raise NotIdempotent("splitting applies to idempotents")
     return _class_split(e)
@@ -472,14 +466,8 @@ def verify_split(e: Kernel, iota: Kernel, pi: Kernel) -> tuple[IdempotentReport,
     return report, checks
 
 
-@dataclass(frozen=True)
-class CauchySchwarzInstance:
-    antecedent: bool
-    consequent: bool
-
-    @property
-    def implication_ok(self) -> bool:
-        return (not self.antecedent) or self.consequent
+class CauchySchwarzInstance(CausalityInstance):
+    """The antecedent and consequent of one Cauchy-Schwarz instance."""
 
 
 def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:

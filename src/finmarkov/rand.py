@@ -40,13 +40,9 @@ def random_multi_column(rng: random.Random, n: int) -> list[bool]:
 
 
 def random_kernel(rng: random.Random, kind: Kind, dom: FinObject, cod: FinObject) -> Kernel:
-    if cod.size == 0:
-        if dom.size != 0:
-            raise ValueError("no valid kernel into an empty object from a nonempty one")
-        return Kernel(kind, dom, cod, ())
-    cols = [random_column(rng, kind, cod.size) for _ in range(dom.size)]
-    rows = tuple(tuple(cols[j][i] for j in range(dom.size)) for i in range(cod.size))
-    return Kernel(kind, dom, cod, rows)
+    if cod.size == 0 and dom.size != 0:
+        raise ValueError("no valid kernel into an empty object from a nonempty one")
+    return random_kernel_supported_on(rng, kind, dom, cod, list(range(cod.size)))
 
 
 def random_deterministic_kernel(rng: random.Random, kind: Kind, dom: FinObject, cod: FinObject) -> Kernel:

@@ -150,14 +150,13 @@ def split_support(p: Kernel) -> SupportData:
     """Support with a projection: support elements map to themselves and
     every unreachable element maps to the first support element."""
     _require_supportable(p)
-    base = support(p)
-    idx = [p.cod.index(lbl) for lbl in base.supp_object.labels]
+    idx = support_indices(p)
     if not idx:
         raise EmptySupport("cannot project onto an empty support")
+    inc = inclusion_kernel(p.cod, idx, p.kind)
     pos = {x: s for s, x in enumerate(idx)}
-    targets = [pos.get(x, 0) for x in range(p.cod.size)]
-    proj = function_kernel(p.cod, base.supp_object, targets, p.kind)
-    return SupportData(p, base.supp_object, base.inclusion, base.factorization, proj)
+    proj = function_kernel(p.cod, inc.dom, [pos.get(x, 0) for x in range(p.cod.size)], p.kind)
+    return SupportData(p, inc.dom, inc, _restrict_rows(p, inc.dom, idx), proj)
 
 
 def support_functor_map(p: Kernel, q: Kernel, f: Kernel, g: Kernel) -> Kernel:

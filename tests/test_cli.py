@@ -282,6 +282,43 @@ def test_cli_cauchy_schwarz(tmp_path, capsys):
     capsys.readouterr()
 
 
+# (argv with fixture names, exit code, stdout in --format json); --format pretty
+# prints the same payload with indent=2, so the key order is pinned in both
+PINNED_OUTPUT = (
+    (["classify", "e_balanced4"], 0,
+     '{"idempotent": true, "deterministic": false, "static": false, "strong": false, "balanced": true, '
+     '"witnesses": {"static": ["1", "1", "1"], "strong": ["4", "1", "1"], "deterministic": ["1"]}}'),
+    (["envelope-check", "e_balanced4", "--flavor", "karoubi"], 0,
+     '{"accepted": true, "counit_left": true, "counit_right": true, "coassociative": true, '
+     '"cocommutative": true, "discard_natural": true}'),
+    (["envelope-check", "e_balanced4"], 0,
+     '{"accepted": true, "counit_left": true, "counit_right": true, "coassociative": true, '
+     '"cocommutative": true, "discard_natural": true}'),
+    (["cauchy-schwarz", "e_balanced4", "e_balanced4", "e_balanced4"], 0,
+     '{"antecedent": true, "consequent": true, "implication_ok": true}'),
+    (["classify", "e_signed3"], 0,
+     '{"idempotent": true, "deterministic": false, "static": false, "strong": false, "balanced": false, '
+     '"witnesses": {"strong": ["a", "a", "b"], "balanced": ["a", "a", "b"], "static": ["a", "b", "a"], '
+     '"deterministic": ["a"]}}'),
+    (["envelope-check", "e_signed3", "--flavor", "karoubi"], 0,
+     '{"accepted": true, "counit_left": true, "counit_right": true, "coassociative": true, '
+     '"cocommutative": true, "discard_natural": true}'),
+    (["envelope-check", "e_signed3"], 1, '{"accepted": false, "error": "Blackwell cells require a balanced idempotent"}'),
+    (["cauchy-schwarz", "e_signed3", "e_signed3", "e_signed3"], 1,
+     '{"antecedent": true, "consequent": false, "implication_ok": false}'),
+)
+
+
+@pytest.mark.parametrize("argv, code, line", PINNED_OUTPUT, ids=[" ".join(argv) for argv, _, _ in PINNED_OUTPUT])
+def test_cli_report_payloads_are_byte_exact(argv, code, line, capsys):
+    fixtures = pathlib.Path(golden.__file__).with_name("fixtures")
+    argv = [str(fixtures / f"{a}.json") if a in golden.FIXTURES else a for a in argv]
+    assert run(["--format", "json", *argv]) == code
+    assert capsys.readouterr().out == line + "\n"
+    assert run(["--format", "pretty", *argv]) == code
+    assert capsys.readouterr().out == json.dumps(json.loads(line), indent=2) + "\n"
+
+
 def test_cli_validate(tmp_path, capsys):
     good = _write(tmp_path, "good.json", signed_idempotent())
     assert run(["validate", good]) == 0

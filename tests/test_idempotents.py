@@ -16,6 +16,7 @@ from finmarkov import (
     Kind,
     ShapeMismatch,
     NoSplitUpTo,
+    ValidationError,
     NotASplitting,
     NotEndo,
     NotIdempotent,
@@ -347,6 +348,15 @@ def test_blackwell_split_rejects_non_idempotent():
     rot = make_kernel(Kind.STOCH, x, x, [[0, 1], [1, 0]])
     with pytest.raises(NotIdempotent):
         blackwell_split(rot)
+
+
+def test_blackwell_split_rejects_stoch_kernels_off_the_column_law():
+    # classify calls the first idempotent and balanced, so only the column
+    # law keeps it from a splitting whose inclusion has entries 2 and -1
+    x = fin_object(("a", "b"))
+    for rows, message in (([[2, 2], [-1, -1]], "negative entry -1"), ([[2, -1], [2, -1]], "sums to 4")):
+        with pytest.raises(ValidationError, match=message):
+            blackwell_split(Kernel(Kind.STOCH, x, x, rows))
 
 
 def test_blackwell_split_recovers_generated_classes():
