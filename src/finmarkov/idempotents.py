@@ -10,17 +10,16 @@ final) against three reference shapes:
     strong    L(y,z|x) = e(y|x)·e(z|x)
     balanced  L(y,z|x) = Σ_w e(y|w)·e(z|w)·e(w|x)
 
-`classify` decides each on the stored columns, in integers and bitmasks.
-A stochastic kernel passing the class test of `classify` splits through
-its classes: it is balanced, static iff every class is a singleton and
-strong iff every column meets one class.  Elsewhere static and strong
-share the factor e(y|x), so both are support tests: static holds iff
-every reached y has the point column δ_y, strong iff e(y) = e(x) for every
-y in the support of e(x).  A multivalued idempotent is balanced iff every
-element y of every image is a block element: y ∈ e(y) and e(z) = e(y) for
-z ∈ e(y).  Other idempotents sum Σ_w over the stored cells.  A witness is
-the first failing (input, final, intermediate) label triple in that scan
-order.
+`classify` decides each on the stored columns.  A stochastic kernel
+passing the class test of `classify` splits through its classes: it is
+balanced, static iff every class is a singleton and strong iff every
+column meets one class.  Every other idempotent is decided by the
+definitions, input by input: at each x the joint column and the three
+reference columns are built from the stored columns, as bitmasks over
+Multi and as integer sums over one denominator otherwise, and a flag
+fails at the lowest (final, intermediate) pair where they differ.  A
+witness is the first failing (input, final, intermediate) label triple in
+that scan order.
 
 Both splittings come from one construction on the stored columns.  The
 recurrent elements are those some column reaches, and the class of a
@@ -138,8 +137,8 @@ def classify(e: Kernel) -> IdempotentReport:
 def _classify_cached(e: Kernel) -> IdempotentReport:
     if e.kind is Kind.STOCH and (failures := _class_failures(e.columns)) is not None:
         return _report(e, failures)
-    kind, labels, cols = e.kind, e.dom.labels, e.columns
-    multi = kind is Kind.MULTI
+    labels, cols = e.dom.labels, e.columns
+    multi = e.kind is Kind.MULTI
     n = len(cols)
     # e = A/d over one denominator, a column of A a dict of its nonzero
     # rows; over Multi d = 1 and A = e, each column the mask of its image
@@ -156,17 +155,38 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
                 False, False, False, False, False, MappingProxyType({"idempotent": (labels[x], labels[y])})
             )
 
-    masks = cols if multi else [sum(1 << y for y in col) for col in A]
-    same: dict = {}  # each stored column → the inputs whose column it is
-    for x, col in enumerate(cols):
-        same[col] = same.get(col, 0) | 1 << x
-    point = [1 << y if multi else {y: d} for y in range(n)]  # the point column at y
-    unfixed = sum(1 << y for y in range(n) if A[y] != point[y])
-    return _report(e, (
-        ("static", _support_failure(kind, A, [m & unfixed for m in masks], lambda x, y: point[y])),
-        ("strong", _support_failure(kind, A, [m & ~same[c] for m, c in zip(masks, cols)], lambda x, y: A[x])),
-        ("balanced", _balance_failure(kind, cols, A, d, same)),
-    ))
+    # at each input x, the two-step joint column against the static, strong
+    # and balanced reference columns, a pair (final z, intermediate y) at
+    # z·n + y: over Multi as masks, spread(m) putting z at z·n, else as
+    # integer sums at scale d² (d³ for balance)
+    failures = [None, None, None]  # each flag's first failing index triple
+    spread = [sum([1 << z * n for z in _bits(m)]) for m in cols] if multi else ()
+    for x, col in enumerate(A):
+        if multi:
+            joint = static = balanced = 0
+            for y in _bits(col):
+                joint |= spread[y] << y
+                static |= 1 << y * (n + 1)
+                balanced |= spread[y] * cols[y]
+            for i, ref in enumerate((static, spread[x] * col, balanced)):
+                if failures[i] is None and joint != ref:
+                    failures[i] = (x, *divmod(next(_bits(joint ^ ref)), n))
+        else:
+            joint = {z * n + y: a * b for y, a in col.items() for z, b in A[y].items()}
+            ats = (
+                None if failures[0] else _sum_difference([(y * (n + 1), d * a) for y, a in col.items()], joint),
+                None if failures[1] else _sum_difference([(z * n + y, a * b) for y, a in col.items()
+                                                          for z, b in col.items()], joint),
+                None if failures[2] else _sum_difference([(z * n + y, c * a * b) for w, c in col.items()
+                                                          for y, a in A[w].items() for z, b in A[w].items()],
+                                                         {k: d * v for k, v in joint.items()}),
+            )
+            for i, at in enumerate(ats):
+                if failures[i] is None and at is not None:
+                    failures[i] = (x, *divmod(at, n))
+        if None not in failures:
+            break
+    return _report(e, tuple(zip(("static", "strong", "balanced"), failures)))
 
 
 def _report(e: Kernel, failures: tuple) -> IdempotentReport:
@@ -235,46 +255,7 @@ def _sum_difference(terms: list, want: dict):
     acc = {k: v for k, v in acc.items() if v}
     if acc == want:
         return None
-    return min(k for k in acc.keys() | want.keys() if acc.get(k, 0) != want.get(k, 0))
-
-
-def _support_failure(kind: Kind, A: list, off: list, want):
-    """The first (input, final, intermediate) index triple failing a support
-    test, or None.  The first input x with a nonzero mask ``off[x]`` of
-    intermediates y fails, at the lowest final z where A(z|y) differs from
-    want(x, y)[z], with the first y that differs there."""
-    x = next((x for x, m in enumerate(off) if m), None)
-    if x is None:
-        return None
-    wants = [(y, A[y], want(x, y)) for y in _bits(off[x])]
-    if kind is Kind.MULTI:  # the lowest set bit of a column difference, then the first y
-        return x, *min((next(_bits(a ^ b)), y) for y, a, b in wants)
-    return next((x, z, y) for z in range(len(A)) for y, a, b in wants if a.get(z, 0) != b.get(z, 0))
-
-
-def _balance_failure(kind: Kind, cols: tuple, A: list, d: int, same: dict):
-    """The first (input, final, intermediate) index triple at which the
-    idempotent e = A/d has e(y|x)·e(z|y) ≠ Σ_w e(y|w)·e(z|w)·e(w|x), or
-    None; both sides are compared at scale d³, a pair (z, y) as z·n + y."""
-    n = len(cols)
-    if kind is Kind.MULTI:
-        # only the first input whose image holds a non-block element can fail; lhs
-        # ORs spread(e(y)) << y, rhs e(w)·spread(e(w)), spread(m) putting z at z·n
-        loose = sum(1 << y for y, m in enumerate(cols) if not m >> y & 1 or m & ~same[m])
-        x = next((x for x, m in enumerate(cols) if m & loose), None)
-        lhs = rhs = 0
-        for y in _bits(0 if x is None else cols[x]):
-            spread = sum(1 << z * n for z in _bits(cols[y]))
-            lhs, rhs = lhs | spread << y, rhs | spread * cols[y]
-        return (x, *divmod(next(_bits(lhs ^ rhs)), n)) if lhs != rhs else None
-    for x in range(n):
-        lhs = {z * n + y: d * a * b for y, a in A[x].items() for z, b in A[y].items()}
-        rhs = [(z * n + y, c * a * b) for w, c in A[x].items()
-               for y, a in A[w].items() for z, b in A[w].items()]
-        at = _sum_difference(rhs, lhs)
-        if at is not None:
-            return (x, *divmod(at, n))
-    return None
+    return min(acc.items() ^ want.items())[0]
 
 
 @dataclass(frozen=True)
@@ -583,25 +564,12 @@ def random_class_idempotent(rng: random.Random, x: FinObject) -> ClassStructure:
     transient.sort()
 
     middle = fin_object(f"t{t}" for t in range(k))
-    iota_cols = []
-    for comp in members:
-        dist = random_full_support_column(rng, len(comp))
-        col = [Fraction(0)] * n
-        for pos, i in enumerate(comp):
-            col[i] = dist[pos]
-        iota_cols.append(col)
-    iota = Kernel(Kind.STOCH, middle, x, tuple(tuple(c[i] for c in iota_cols) for i in range(n)))
-
+    weights = [dict(zip(comp, random_full_support_column(rng, len(comp)))) for comp in members]  # by row
+    iota = Kernel(Kind.STOCH, middle, x, tuple(tuple(w.get(i, Fraction(0)) for w in weights) for i in range(n)))
     class_of = {i: t for t, comp in enumerate(members) for i in comp}
-    pi_cols = []
-    for i in range(n):
-        if i in class_of:
-            col = [Fraction(0)] * k
-            col[class_of[i]] = Fraction(1)
-        else:
-            col = random_stoch_column(rng, k)
-        pi_cols.append(col)
-    pi = Kernel(Kind.STOCH, x, middle, tuple(tuple(c[t] for c in pi_cols) for t in range(k)))
+    mixes = {i: random_stoch_column(rng, k) for i in range(n) if i not in class_of}  # each transient's classes
+    pi = Kernel(Kind.STOCH, x, middle, tuple(
+        tuple(mixes[i][t] if i in mixes else Fraction(int(class_of[i] == t)) for i in range(n)) for t in range(k)))
 
     return ClassStructure(
         tuple(tuple(x.labels[i] for i in comp) for comp in members),

@@ -62,12 +62,5 @@ def random_kernel_supported_on(
     rng: random.Random, kind: Kind, dom: FinObject, cod: FinObject, allowed_rows: list[int]
 ) -> Kernel:
     """Random kernel whose columns only hit the given codomain rows."""
-    cols = []
-    for _ in range(dom.size):
-        inner = random_column(rng, kind, len(allowed_rows))
-        col = [kind.zero] * cod.size
-        for pos, i in enumerate(allowed_rows):
-            col[i] = inner[pos]
-        cols.append(col)
-    rows = tuple(tuple(cols[j][i] for j in range(dom.size)) for i in range(cod.size))
-    return Kernel(kind, dom, cod, rows)
+    cols = [dict(zip(allowed_rows, random_column(rng, kind, len(allowed_rows)))) for _ in range(dom.size)]
+    return Kernel(kind, dom, cod, tuple(tuple(col.get(i, kind.zero) for col in cols) for i in range(cod.size)))

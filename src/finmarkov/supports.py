@@ -142,7 +142,8 @@ def factor_through_support(f: Kernel, sd: SupportData) -> Kernel:
     witness = refute_abs_cont(sd.base, f)
     if witness is not None:
         raise NotAbsolutelyContinuous(witness.element)
-    idx = [sd.base.cod.index(lbl) for lbl in sd.supp_object.labels]
+    # support element s sits at the one row of the inclusion's point column s
+    idx = [col.bit_length() - 1 if sd.inclusion.kind is Kind.MULTI else col[1][0][0] for col in sd.inclusion.columns]
     return _restrict_rows(f, sd.supp_object, idx)
 
 

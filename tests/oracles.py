@@ -100,7 +100,7 @@ from finmarkov.envelopes import (
     env_hom,
 )
 from finmarkov.functors import comparison_base
-from finmarkov.idempotents import StructureViolation, _balance_failure, _sum_difference, _support_failure
+from finmarkov.idempotents import StructureViolation, _sum_difference
 from finmarkov.kernel import (
     _bits,
     _is_point_column,
@@ -618,6 +618,45 @@ def classify_by_scan(e: Kernel) -> IdempotentReport:
     return IdempotentReport(
         True, deterministic, static, strong, balanced, MappingProxyType(witnesses)
     )
+
+
+def _support_failure(kind: Kind, A: list, off: list, want):
+    """The first (input, final, intermediate) index triple failing a support
+    test, or None.  The first input x with a nonzero mask ``off[x]`` of
+    intermediates y fails, at the lowest final z where A(z|y) differs from
+    want(x, y)[z], with the first y that differs there."""
+    x = next((x for x, m in enumerate(off) if m), None)
+    if x is None:
+        return None
+    wants = [(y, A[y], want(x, y)) for y in _bits(off[x])]
+    if kind is Kind.MULTI:  # the lowest set bit of a column difference, then the first y
+        return x, *min((next(_bits(a ^ b)), y) for y, a, b in wants)
+    return next((x, z, y) for z in range(len(A)) for y, a, b in wants if a.get(z, 0) != b.get(z, 0))
+
+
+def _balance_failure(kind: Kind, cols: tuple, A: list, d: int, same: dict):
+    """The first (input, final, intermediate) index triple at which the
+    idempotent e = A/d has e(y|x)·e(z|y) ≠ Σ_w e(y|w)·e(z|w)·e(w|x), or
+    None; both sides are compared at scale d³, a pair (z, y) as z·n + y."""
+    n = len(cols)
+    if kind is Kind.MULTI:
+        # only the first input whose image holds a non-block element can fail; lhs
+        # ORs spread(e(y)) << y, rhs e(w)·spread(e(w)), spread(m) putting z at z·n
+        loose = sum(1 << y for y, m in enumerate(cols) if not m >> y & 1 or m & ~same[m])
+        x = next((x for x, m in enumerate(cols) if m & loose), None)
+        lhs = rhs = 0
+        for y in _bits(0 if x is None else cols[x]):
+            spread = sum(1 << z * n for z in _bits(cols[y]))
+            lhs, rhs = lhs | spread << y, rhs | spread * cols[y]
+        return (x, *divmod(next(_bits(lhs ^ rhs)), n)) if lhs != rhs else None
+    for x in range(n):
+        lhs = {z * n + y: d * a * b for y, a in A[x].items() for z, b in A[y].items()}
+        rhs = [(z * n + y, c * a * b) for w, c in A[x].items()
+               for y, a in A[w].items() for z, b in A[w].items()]
+        at = _sum_difference(rhs, lhs)
+        if at is not None:
+            return (x, *divmod(at, n))
+    return None
 
 
 def classify_by_columns(e: Kernel) -> IdempotentReport:

@@ -112,7 +112,7 @@ def test_library_memos_are_clearable():
 COLUMN_ONLY = {
     "_ratio_column", "compose", "tensor", "pair", "_column_products", "function_kernel", "kernel_equal",
     "_classify_cached", "_report", "_classes", "_class_failures",
-    "_sum_difference", "_support_failure", "_balance_failure",
+    "_sum_difference",
     "cauchy_schwarz", "blackwell_split", "_class_split", "kernel_from_doc", "kernel_to_doc",
     "support", "factor_through_support", "equalizer_factor", "point_lift",
     "precise_supports_equiv", "canonical_rep", "env_check_markov_laws", "_cmd_verify_paper",

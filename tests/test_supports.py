@@ -17,6 +17,7 @@ from finmarkov import (
     NotMember,
     ShapeMismatch,
     SuppCompCell,
+    SupportData,
     UnsupportedKind,
     ValidationError,
     acsim,
@@ -27,6 +28,7 @@ from finmarkov import (
     equalizer_factor,
     factor_through_support,
     fin_object,
+    function_kernel,
     identity,
     is_deterministic,
     kernel_equal,
@@ -96,6 +98,24 @@ def test_factor_through_support_of_dominated_kernel():
     fh = factor_through_support(f, sd)
     assert fh.cod.labels == ("a", "b")
     assert kernel_equal(compose(sd.inclusion, fh), f)
+
+
+def test_factor_through_support_reads_a_support_listed_out_of_codomain_order():
+    # the support object lists c before a, so its rows are not the codomain's order
+    x, u, supp = fin_object(("a", "b", "c")), fin_object(("u", "v")), fin_object(("c", "a"))
+    cases = [
+        (make_kernel(Kind.STOCH, UNIT, x, [[F(1, 3)], [0], [F(2, 3)]]),
+         make_kernel(Kind.STOCH, UNIT, supp, [[F(2, 3)], [F(1, 3)]]),
+         make_kernel(Kind.STOCH, u, x, [[1, F(1, 4)], [0, 0], [0, F(3, 4)]]),
+         ((0, F(3, 4)), (1, F(1, 4)))),
+        (multi_kernel(UNIT, x, [["a", "c"]]), multi_kernel(UNIT, supp, [["c", "a"]]),
+         multi_kernel(u, x, [["a"], ["a", "c"]]), ((False, True), (True, True))),
+    ]
+    for base, factorization, f, rows in cases:
+        sd = SupportData(base, supp, function_kernel(supp, x, [2, 0], base.kind), factorization)
+        fh = factor_through_support(f, sd)
+        assert fh.cod == supp and fh.matrix == rows
+        assert kernel_equal(compose(sd.inclusion, fh), f)
 
 
 def test_factor_through_support_refuses_off_support_mass():
