@@ -462,15 +462,25 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
     constant (hg)(·|b):
         g(x|b)·h(y|x) = g(x|b)·(hg)(y|b).
 
-    Both sides are decided on the stored columns: integer numerators over
-    shared denominators, or bitmasks of pairs over Multi.
+    Over Stoch with f and g within the column law the antecedent is the
+    consequent.  Let column b of g hold numerators g_x ≥ 0 over G_b = Σ_x g_x
+    and let h's columns be h_x.  At scale G_b² the one-sample minus
+    two-sample term at b is P_b·P_bᵀ − G_b·T_b (P_b = Σ_x g_x·h_x,
+    T_b = Σ_x g_x·h_x·h_xᵀ) = −½ Σ_{x,x'} g_x·g_x'·(h_x − h_x')(h_x − h_x')ᵀ ≼ 0.
+    With f's weights ≥ 0 the weighted sum is zero only when h is constant,
+    so equal to (hg)(b), on each g(·|b) that f reaches: only h's columns
+    are compared.  Otherwise both sides are decided on the stored columns:
+    integer numerators over shared denominators, or bitmasks over Multi.
     """
     if f.kind is not g.kind or g.kind is not h.kind:
         raise ShapeMismatch("all three kernels must have the same kind")
     if f.cod != g.dom or g.cod != h.dom:
         raise ShapeMismatch("kernels must form a chain A→B→X→Y")
-    ny = h.cod.size
     gcols, hcols = g.columns, h.columns
+    if f.kind is Kind.STOCH and validate(f) is None and validate(g) is None:
+        same = all(len({hcols[x] for x, _ in gcols[b][1]}) == 1 for b in support_indices(f))
+        return CauchySchwarzInstance(same, same)
+    ny = h.cod.size
     hgcols = compose(h, g).columns
     # a pair (y₁, y₂) is the index y₁·ny + y₂
     if f.kind is Kind.MULTI:
@@ -482,10 +492,8 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
             reduce(or_, [ones[b] for b in _bits(fm)], 0) == reduce(or_, [twos[x] for x in _bits(gfm)], 0)
             for fm, gfm in zip(f.columns, compose(g, f).columns))
     else:
-        # h = A/H over one denominator; for column b of g over G_b, at scale
-        # H²·G_b² the one-sample minus two-sample term is P_b(y₁)·P_b(y₂) −
-        # G_b·T_b(y₁,y₂), with P_b = Σ_x A·g and T_b = Σ_x A·A·g; each term
-        # is lifted to G = lcm G_b so that f's numerators weigh them directly
+        # the docstring's terms P_b·P_bᵀ − G_b·T_b with h = A/H over one
+        # denominator, each lifted to G = lcm G_b so f's numerators weigh it
         H = math.lcm(*[den for den, _ in hcols])
         hnums = [[(y, num * (H // den)) for y, num in cells] for den, cells in hcols]
         G = math.lcm(*[den for den, _ in gcols])

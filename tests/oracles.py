@@ -41,7 +41,10 @@ the column builder over every entry that it replaced.  The multivalued
 readings the library takes off the set bits of its column masks
 (supports, domination and its witness, restricted rows, the
 Cauchy-Schwarz instance, document images and the dense view) are checked
-against scans that test every row.  Conditional uniqueness, which the
+against scans that test every row.  The Cauchy-Schwarz instance, which
+the library decides over Stoch within the column law from the consequent
+alone, is checked against the quadratic sums it decided by before, on
+every kind.  Conditional uniqueness, which the
 library reads off the blocks of the joint's stored columns, is checked
 against the literal reconstruction through tensors followed by the
 almost-sure comparison, and the tensor-grid split, which parses the
@@ -100,7 +103,7 @@ from finmarkov.envelopes import (
     env_hom,
 )
 from finmarkov.functors import comparison_base
-from finmarkov.idempotents import StructureViolation, _sum_difference
+from finmarkov.idempotents import CauchySchwarzInstance, StructureViolation, _sum_difference
 from finmarkov.kernel import (
     _bits,
     _is_point_column,
@@ -1083,3 +1086,65 @@ def cauchy_schwarz_multi_by_scan(f: Kernel, g: Kernel, h: Kernel) -> tuple:
     )
     consequent = all(H[x] == HG[b] for b in {b for bs in F for b in bs} for x in G[b])
     return antecedent, consequent
+
+
+def cauchy_schwarz_by_sums(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
+    """Both sides of the Cauchy-Schwarz instance along f: A→B, g: B→X,
+    h: X→Y, decided on the stored columns for every kind: the antecedent
+    by the quadratic sums P_b·P_bᵀ − G_b·T_b per column b of g weighed by
+    f (pair bitmasks over Multi), the consequent against h∘g composed."""
+    if f.kind is not g.kind or g.kind is not h.kind:
+        raise ShapeMismatch("all three kernels must have the same kind")
+    if f.cod != g.dom or g.cod != h.dom:
+        raise ShapeMismatch("kernels must form a chain A→B→X→Y")
+    ny = h.cod.size
+    gcols, hcols = g.columns, h.columns
+    hgcols = compose(h, g).columns
+    # a pair (y₁, y₂) is the index y₁·ny + y₂
+    if f.kind is Kind.MULTI:
+        # the pairs one sample reaches from b are (hg)(b)², those two samples
+        # reach from a are the union of h(x)² over x in (g∘f)(a)
+        xs = [list(_bits(mask)) for mask in gcols]
+        ones, twos = ([sum(m << y * ny for y in _bits(m)) for m in ms] for ms in (hgcols, hcols))  # squares
+        antecedent = all(
+            reduce(or_, [ones[b] for b in _bits(fm)], 0) == reduce(or_, [twos[x] for x in _bits(gfm)], 0)
+            for fm, gfm in zip(f.columns, compose(g, f).columns))
+    else:
+        # h = A/H over one denominator; for column b of g over G_b, at scale
+        # H²·G_b² the one-sample minus two-sample term is P_b(y₁)·P_b(y₂) −
+        # G_b·T_b(y₁,y₂), with P_b = Σ_x A·g and T_b = Σ_x A·A·g; each term
+        # is lifted to G = lcm G_b so that f's numerators weigh them directly
+        H = math.lcm(*[den for den, _ in hcols])
+        hnums = [[(y, num * (H // den)) for y, num in cells] for den, cells in hcols]
+        G = math.lcm(*[den for den, _ in gcols])
+        xs = [[x for x, _ in cells] for _, cells in gcols]
+        diffs = []
+        for gden, gcells in gcols:
+            p: dict = {}
+            diff: dict = {}
+            for x, c in gcells:
+                cells = hnums[x]
+                for y1, a1 in cells:
+                    p[y1] = p.get(y1, 0) + a1 * c
+                    for y2, a2 in cells:
+                        k = y1 * ny + y2
+                        diff[k] = diff.get(k, 0) - gden * a1 * a2 * c
+            for y1, p1 in p.items():
+                for y2, p2 in p.items():
+                    k = y1 * ny + y2
+                    diff[k] = diff.get(k, 0) + p1 * p2
+            lift = (G // gden) ** 2
+            diffs.append([(k, v * lift) for k, v in diff.items() if v])
+        antecedent = True
+        for _, fcells in f.columns:
+            acc: dict = {}
+            for b, w in fcells:
+                for k, v in diffs[b]:
+                    acc[k] = acc.get(k, 0) + w * v
+            if any(acc.values()):
+                antecedent = False
+                break
+
+    # g(x|b) ≠ 0 forces h(·|x) = (hg)(·|b); stored columns are canonical
+    consequent = all(hcols[x] == hgcols[b] for b in support_indices(f) for x in xs[b])
+    return CauchySchwarzInstance(antecedent, consequent)

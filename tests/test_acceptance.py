@@ -83,7 +83,14 @@ from finmarkov.golden import (
 )
 from finmarkov.kernel import Kernel, support_indices
 from finmarkov.rand import random_deterministic_kernel, random_kernel, random_kernel_supported_on
-from oracles import all_multi_kernels, conditional_rebuilds, deterministic_kernels, emit_kernel, random_object
+from oracles import (
+    all_multi_kernels,
+    cauchy_schwarz_by_sums,
+    conditional_rebuilds,
+    deterministic_kernels,
+    emit_kernel,
+    random_object,
+)
 
 F = Fraction
 
@@ -156,7 +163,9 @@ def test_criterion_03_cauchy_schwarz():
         f = random_kernel(rng, Kind.STOCH, a, b)
         g = random_kernel(rng, Kind.STOCH, b, x)
         h = random_kernel(rng, Kind.STOCH, x, y)
-        ok &= cauchy_schwarz(f, g, h).implication_ok
+        inst = cauchy_schwarz(f, g, h)
+        ok &= inst.implication_ok
+        ok &= inst == cauchy_schwarz_by_sums(f, g, h)
 
     e = multi_upset_idempotent()
     ok &= not cauchy_schwarz(e, e, e).implication_ok

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finmarkov import FinObject, Kernel, Kind, kernel_equal, validate
+from finmarkov import UNIT, FinObject, Kernel, Kind, kernel_equal, validate
 from finmarkov import cli, golden
 from finmarkov.cli import ParseError, parse_kernel, run
 from finmarkov.idempotents import NotIdempotent
@@ -280,6 +280,18 @@ def test_cli_cauchy_schwarz(tmp_path, capsys):
     spath = _write(tmp_path, "s.json", strong_idempotent())
     assert run(["cauchy-schwarz", spath, spath, spath]) == 0
     capsys.readouterr()
+    # the state form of a Stoch triple whose h is not constant on g: both sides fail
+    x = FinObject(("0", "1"))
+    paths = [
+        _write(tmp_path, name, Kernel(Kind.STOCH, dom, cod, rows))
+        for name, dom, cod, rows in (
+            ("f.json", UNIT, UNIT, [[1]]),
+            ("g.json", UNIT, x, [[Fraction(1, 2)], [Fraction(1, 2)]]),
+            ("h.json", x, x, [[1, 0], [0, 1]]),
+        )
+    ]
+    assert run(["cauchy-schwarz", *paths]) == 0
+    assert capsys.readouterr().out == '{"antecedent": false, "consequent": false, "implication_ok": true}\n'
 
 
 # (argv with fixture names, exit code, stdout in --format json); --format pretty

@@ -60,10 +60,17 @@ from finmarkov.golden import (
     strong_split,
 )
 from finmarkov import idempotents
-from finmarkov.idempotents import IdempotentReport, StructureViolation
+from finmarkov.idempotents import CauchySchwarzInstance, IdempotentReport, StructureViolation
 from finmarkov.kernel import UNIT, support_indices
 from finmarkov.rand import random_kernel, random_kernel_supported_on
-from oracles import all_multi_kernels, class_decomposition, classify_by_columns, classify_by_scan, random_object
+from oracles import (
+    all_multi_kernels,
+    cauchy_schwarz_by_sums,
+    class_decomposition,
+    classify_by_columns,
+    classify_by_scan,
+    random_object,
+)
 
 F = Fraction
 
@@ -664,6 +671,19 @@ def test_cs_multi_counterexample():
     assert inst.antecedent and not inst.consequent and not inst.implication_ok
 
 
+def test_cs_off_law_stoch_counterexamples():
+    # the decision from the consequent needs f and g within the column law:
+    # off it, both triples hold the antecedent and fail the consequent
+    a, b, x, y = (fin_object(labels) for labels in (("a",), ("b0", "b1"), ("x0", "x1"), ("y0", "y1")))
+    g = Kernel(Kind.STOCH, fin_object(("b0",)), x, [[-1], [1]])
+    h = Kernel(Kind.STOCH, x, y, [[0, 0], [1, 1]])
+    assert cauchy_schwarz(Kernel(Kind.STOCH, a, g.dom, [[1]]), g, h) == CauchySchwarzInstance(True, False)
+    f = Kernel(Kind.STOCH, a, b, [[1], [-1]])
+    g = Kernel(Kind.STOCH, b, x, [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
+    h = Kernel(Kind.STOCH, x, y, [[F(1, 2), 1], [F(1, 2), 0]])
+    assert cauchy_schwarz(f, g, h) == CauchySchwarzInstance(True, False)
+
+
 def test_cs_random_stochastic_triples_never_fail():
     rng = random.Random(31)
     for _ in range(300):
@@ -671,7 +691,9 @@ def test_cs_random_stochastic_triples_never_fail():
         f = random_kernel(rng, Kind.STOCH, a, b)
         g = random_kernel(rng, Kind.STOCH, b, x)
         h = random_kernel(rng, Kind.STOCH, x, y)
-        assert cauchy_schwarz(f, g, h).implication_ok
+        inst = cauchy_schwarz(f, g, h)
+        assert inst.implication_ok
+        assert inst == cauchy_schwarz_by_sums(f, g, h)
 
 
 def test_cs_state_form():

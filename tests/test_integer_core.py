@@ -50,6 +50,7 @@ from finmarkov.kernel import UNIT
 from finmarkov.rand import random_deterministic_kernel, random_kernel, random_signed_column, random_stoch_column
 from oracles import (
     all_multi_kernels,
+    cauchy_schwarz_by_sums,
     columns_by_exact_column,
     emit_kernel,
     emit_kernel_by_fractions,
@@ -481,7 +482,7 @@ def test_classify_no_longer_composes_e_with_itself(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-CS_SHAPES = ("random", "deterministic g", "deterministic h", "idempotent", "cancelling")
+CS_SHAPES = ("random", "deterministic g", "deterministic h", "idempotent", "cancelling", "off-law")
 
 
 @functools.lru_cache(maxsize=None)
@@ -530,10 +531,30 @@ def _cancelling_weights(rng, g, h, na):
     return [[col[b] for col in cols] for b in range(len(d))]
 
 
+def _off_law_kernel(rng, kind, dom, cod):
+    """A kernel built with `Kernel(...)` from raw entries, off the column
+    law as a rule: columns that do not sum to one, with negative entries
+    or without, or empty images over Multi."""
+    if kind is Kind.MULTI:
+        return Kernel(kind, dom, cod, [[rng.random() < 0.4 for _ in range(dom.size)] for _ in range(cod.size)])
+    low = rng.choice((0, -3))
+    return Kernel(
+        kind, dom, cod,
+        [[F(rng.randrange(low, 4), rng.choice(DENOMINATORS)) for _ in range(dom.size)] for _ in range(cod.size)],
+    )
+
+
 def _cs_triple(rng, kind, shape):
     """f: A → B, g: B → X, h: X → Y of the given shape; the antecedent
     always holds for a deterministic g and often for idempotent triples
-    and cancelling signed weights."""
+    and cancelling signed weights.  The off-law shape draws f, g or both
+    off the column law, or h alone, so that over Stoch both the sums and
+    the decision from the consequent see kernels off the law."""
+    if shape == "off-law":
+        a, b, x, y = (random_object(rng, 3, c) for c in "abxy")
+        off = rng.choice(("f", "g", "fg", "h"))
+        draw = lambda name, dom, cod: (_off_law_kernel if name in off else random_kernel)(rng, kind, dom, cod)  # noqa: E731
+        return draw("f", a, b), draw("g", b, x), draw("h", x, y)
     if shape == "idempotent":
         e = _rng_idempotent(rng, kind, random_object(rng, 3 if kind is Kind.MULTI else 5, "s"))
         return e, e, e
@@ -555,7 +576,23 @@ def _cs_triple(rng, kind, shape):
 @given(st.sampled_from(list(Kind)), st.sampled_from(CS_SHAPES), st.integers(0, 2**32))
 def test_cauchy_schwarz_matches_double_sum(kind, shape, seed):
     f, g, h = _cs_triple(random.Random(seed), kind, shape)
-    assert cauchy_schwarz(f, g, h) == _reference_cauchy_schwarz(f, g, h)
+    got = cauchy_schwarz(f, g, h)
+    assert got == _reference_cauchy_schwarz(f, g, h)
+    assert got == cauchy_schwarz_by_sums(f, g, h)
+
+
+def test_cauchy_schwarz_within_the_law_composes_nothing(monkeypatch):
+    import finmarkov.idempotents as idem
+
+    rng = random.Random(5)
+    shapes = ("random", "deterministic g", "deterministic h", "idempotent")
+    triples = [_cs_triple(rng, Kind.STOCH, shape) for shape in shapes for _ in range(10)]
+    calls = []
+    monkeypatch.setattr(idem, "compose", lambda g, f: calls.append((g, f)) or compose(g, f))
+    got = [cauchy_schwarz(f, g, h) for f, g, h in triples]
+    assert calls == []
+    assert got == [cauchy_schwarz_by_sums(f, g, h) for f, g, h in triples]
+    assert {inst.consequent for inst in got} == {True, False}
 
 
 def test_cauchy_schwarz_draws_reach_both_outcomes():
@@ -563,7 +600,7 @@ def test_cauchy_schwarz_draws_reach_both_outcomes():
     for kind, shape, seed in itertools.product(Kind, CS_SHAPES, range(12)):
         f, g, h = _cs_triple(random.Random(seed), kind, shape)
         got = cauchy_schwarz(f, g, h)
-        assert got == _reference_cauchy_schwarz(f, g, h)
+        assert got == _reference_cauchy_schwarz(f, g, h) == cauchy_schwarz_by_sums(f, g, h)
         seen |= {(kind, "antecedent", got.antecedent), (kind, "consequent", got.consequent)}
         if shape == "cancelling" and kind is Kind.SIGNED:
             seen.add(("cancelling", got.antecedent, got.consequent))
@@ -575,7 +612,7 @@ def test_cauchy_schwarz_draws_reach_both_outcomes():
 def test_cauchy_schwarz_matches_double_sum_on_idempotents():
     for e in (strong_idempotent(), static_idempotent(), balanced_idempotent(), signed_idempotent(),
               multi_upset_idempotent(), multi_chain3_idempotent()):
-        assert cauchy_schwarz(e, e, e) == _reference_cauchy_schwarz(e, e, e)
+        assert cauchy_schwarz(e, e, e) == _reference_cauchy_schwarz(e, e, e) == cauchy_schwarz_by_sums(e, e, e)
 
 
 # ---------------------------------------------------------------------------
