@@ -11,15 +11,15 @@ non-balanced signed idempotents can break it.
 `env_check_markov_laws` decides every comonoid law exactly on stored
 columns.  Cocommutativity holds by construction: cpy = ⟨e,e⟩∘e mixes
 the symmetric columns e(y)⊗e(y), so it builds no swap.  Discard
-naturality quantifies over all cell endomorphisms, yet needs no sample
-of them: a constant map breaks it whenever anything does.
+naturality holds by the column law: discard∘e = discard for every cell
+endomorphism e within it, and the laws refuse any other.
 
 One predicate decides every shortcut: a cell is settled when its endo
-lives on its object, satisfies its kind's column law and is idempotent,
-as the cached `classify` reports.  Then e∘e = e: the cell absorbs its
-identity and its copy, two such identities absorb their tensor, and
-nothing is composed.  Every other cell takes the literal composites,
-which decide and raise.
+lives on its object and is idempotent, as the cached `classify` reports;
+`classify` raises ValidationError on an endo off its kind's column law.
+Then e∘e = e: the cell absorbs its identity and its copy, two such
+identities absorb their tensor, and nothing is composed.  Every other
+cell takes the literal composites, which decide and raise.
 """
 
 from __future__ import annotations
@@ -34,16 +34,12 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
-    ValidationError,
     compose,
     discard_kernel,
     identity,
-    is_deterministic,
     kernel_equal,
     pair,
-    support_mask,
     tensor,
-    validate,
 )
 from .idempotents import NotEndo, NotIdempotent, classify
 from .supports import CellMismatch
@@ -78,14 +74,12 @@ class EnvelopeMorphism:
 
 def env_cell(x: FinObject, e: Kernel, flavor: Flavor | str) -> EnvelopeCell:
     """Validated cell: e must satisfy its kind's column law and be
-    idempotent, and balanced for Blackwell.  Decided once by `_settled`; a
-    cell it rejects is checked again, in order, for the first error."""
+    idempotent, and balanced for Blackwell.  Decided once by `_settled`,
+    which raises ValidationError off the law; a cell it rejects is checked
+    again for the first error."""
     if not _settled(cell := EnvelopeCell(x, e, Flavor(flavor))):
         if e.dom != x or e.cod != x:
             raise NotEndo("cell endomorphism must live on the cell's object")
-        bad = validate(e)
-        if bad is not None:
-            raise ValidationError(f"cell endomorphism: {bad.message}")
         raise NotIdempotent("cell endomorphism must be idempotent")
     if cell.flavor is Flavor.BLACKWELL and not classify(e).balanced:
         raise NotBalanced("Blackwell cells require a balanced idempotent")
@@ -106,14 +100,11 @@ def env_hom(src: EnvelopeCell, dst: EnvelopeCell, f: Kernel) -> EnvelopeMorphism
 
 @lru_cache(maxsize=4096)
 def _settled(cell: EnvelopeCell) -> bool:
-    """Whether the cell's endo lives on its object, satisfies its kind's
-    column law and is idempotent.  `validate` runs first: off the column
-    law `classify` decides nothing, as it calls the Stoch kernel
-    [[2, 2], [-1, -1]] idempotent and balanced and raises
-    StructureViolation on [[1, 0], [0, 0]].  Memoized, so each cell is
-    decided once."""
+    """Whether the cell's endo lives on its object and is idempotent.  Any
+    endo is classified, so one off the column law raises ValidationError
+    before it reaches a composite.  Memoized, so each cell is decided once."""
     e = cell.endo
-    return e.dom == cell.object == e.cod and validate(e) is None and classify(e).idempotent
+    return e.dom == e.cod and classify(e).idempotent and e.dom == cell.object
 
 
 def _require_absorbed(m: EnvelopeMorphism) -> EnvelopeMorphism:
@@ -211,29 +202,19 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     copy, holds in every kind: each column of copy is Σ_y e(y|x)·e(y)⊗e(y),
     a sum of symmetric columns.
 
-    Discard naturality, disc∘(e∘r∘e) = disc for every valid r where
-    disc = discard∘e, is decided, not sampled.  With t = disc∘e, a kernel
-    into the unit, the left side at x is Σ_z (t∘r)(z)·e(z|x).  If every
-    column of t is one, t∘r = discard for every valid r and the law
-    holds; if disc carries no mass, both sides are zero.  Otherwise some
-    t(c) ≠ 1 and some disc(x) ≠ 0, and the constant map to c gives
-    t(c)·disc(x) ≠ disc(x): a failure a random sample of r can miss.
-    Only an idempotent that breaks the column law can fail this law.
+    Discard naturality holds too: the endo is within the column law, as
+    `_settled` classified it, so disc = discard∘e = discard.
     """
     e = cell.endo
     if _settled(cell) and (e.kind is Kind.MULTI or classify(e).balanced):
         return MarkovLawReport(True, True, True, True, True)
     cpy = _cell_copy(cell)
-    disc = compose(discard_kernel(e.dom, e.kind), e)
-    ee, de = compose(e, e), compose(disc, e)
+    ee, de = compose(e, e), discard_kernel(e.dom, e.kind)  # de = discard∘e∘e = discard within the law
 
     counit_left = compose(pair(de, ee), e).columns == e.columns
     counit_right = compose(pair(ee, de), e).columns == e.columns
     coassociative = compose(pair(cpy, ee), e).columns == compose(pair(ee, cpy), e).columns
-
-    # a kernel into the unit is deterministic exactly when every column is one
-    discard_natural = is_deterministic(de) or not support_mask(disc)
-    return MarkovLawReport(counit_left, counit_right, coassociative, True, discard_natural)
+    return MarkovLawReport(counit_left, counit_right, coassociative, True, True)
 
 
 def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bool:

@@ -115,6 +115,12 @@ class IdempotentReport:
 def classify(e: Kernel) -> IdempotentReport:
     """Classify an endomorphism; non-idempotents get all flags False.
 
+    The taxonomy is about kernels within their kind's column law, so an
+    endomorphism off it (built with ``Kernel(...)``) raises ValidationError
+    with `validate`'s message.  Every caller that classifies first
+    (`blackwell_split`, `search_split`, `verify_split`,
+    `balanced_cross_check` and the envelope cells) inherits this check.
+
     The class test: a Stoch kernel within the column law is e = ι∘π with
     π∘ι = id when each reached y lies in the support S_y of its column, the
     columns are equal on each S_y, and every other column covers each class
@@ -135,6 +141,8 @@ def classify(e: Kernel) -> IdempotentReport:
 
 @lru_cache(maxsize=4096)
 def _classify_cached(e: Kernel) -> IdempotentReport:
+    if (bad := validate(e)) is not None:
+        raise ValidationError(bad.message)
     if e.kind is Kind.STOCH and (failures := _class_failures(e.columns)) is not None:
         return _report(e, failures)
     labels, cols = e.dom.labels, e.columns
@@ -226,8 +234,6 @@ def _classes(kind: Kind, cols: tuple) -> tuple:
 
 def _class_failures(cols: tuple):
     """What `_report` takes for Stoch columns passing the class test of `classify`, else None."""
-    if any(sum(nums := [num for _, num in cells]) != den or min(nums) <= 0 for den, cells in cols):
-        return None
     try:
         supports, reached, members = _classes(Kind.STOCH, cols)
     except StructureViolation:
@@ -365,12 +371,10 @@ def blackwell_split(e: Kernel) -> SplitData:
     recurrent state is the support of its column.  Each class is included
     via that common column, and each state projects to a class with the
     mass e assigns to that class.  A kernel off the column law raises
-    ValidationError, since `classify` may call such a kernel idempotent.
+    ValidationError from `classify`.
     """
     if e.kind is not Kind.STOCH:
         raise UnsupportedKind("the class decomposition applies to stochastic kernels")
-    if (bad := validate(e)) is not None:
-        raise ValidationError(bad.message)
     if not classify(e).idempotent:
         raise NotIdempotent("splitting applies to idempotents")
     return _class_split(e)
@@ -412,23 +416,26 @@ def search_split(e: Kernel, max_middle: int) -> SplitData | NoSplitUpTo:
 def _deterministic_as(p: Kernel, f: Kernel) -> bool:
     """Whether f is deterministic p-almost surely, copy∘f = ⟨f,f⟩ p-a.s.
     At an x that p reaches, f(x)⊗f(x) = Σ_t f(t|x)·δ_(t,t) puts every
-    weight in {0, 1} with at most one 1: f's column is a point mass or
-    all zero, ``(1, ())`` over Stoch and Signed and ``0`` over Multi."""
-    zero = 0 if f.kind is Kind.MULTI else (1, ())
+    weight in {0, 1} with at most one 1; within the column law no column
+    is all zero, so f's column is a point mass."""
     cols = f.columns
-    return all(cols[x] == zero or _is_point_column(f.kind, cols[x]) for x in support_indices(p))
+    return all(_is_point_column(f.kind, cols[x]) for x in support_indices(p))
 
 
 def verify_split(e: Kernel, iota: Kernel, pi: Kernel) -> tuple[IdempotentReport, bool]:
     """Check a claimed splitting and the taxonomy it induces.
 
-    Raises NotASplitting naming the first violated equation; returns the
+    Raises ValidationError when ι or π is off its kind's column law, and
+    NotASplitting naming the first violated equation; returns the
     classification of e together with the verdict of the induced checks
     (inclusion deterministic ⟺ static, projection deterministic ⟺
     strong, projection deterministic almost surely w.r.t. the inclusion).
     The last is read off the projection's columns where the inclusion
-    reaches, each a point mass or all zero.
+    reaches, each a point mass.
     """
+    for k in (iota, pi):
+        if (bad := validate(k)) is not None:
+            raise ValidationError(bad.message)
     if pi.dom != e.dom or iota.cod != e.cod or pi.cod != iota.dom:
         raise ShapeMismatch("splitting pair does not compose with the idempotent")
     if not kernel_equal(compose(pi, iota), identity(iota.dom, e.kind)):

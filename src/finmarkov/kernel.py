@@ -24,7 +24,9 @@ rows feeds `_ratio_column` one ``as_integer_ratio`` per nonzero entry when
 it is built.  The CLI's document parser takes one walk over a document: it
 parses each distinct entry string once, builds each column over the lcm of
 its denominators, and decides the column law (sign and sum, or a nonempty
-image) as it goes, so it never calls `validate`.
+image) as it goes, so it never calls `validate`.  ``Kernel(...)`` checks
+no law; `make_kernel` does, and `classify` refuses an endomorphism off it
+with ValidationError, for every operation that classifies first.
 
 Every deterministic kernel (identity, copy, discard, swap, point masses,
 the associator and unitors, subset inclusions) is built by

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import finmarkov.envelopes as envelopes
+import finmarkov.idempotents as idempotents
 from finmarkov import (
     UNIT,
     CellMismatch,
@@ -53,7 +54,14 @@ from finmarkov.golden import (
 )
 from finmarkov.kernel import swap_kernel
 from finmarkov.rand import random_kernel
-from oracles import all_multi_kernels, env_split_idempotent_by_homs, env_tensor_by_tensors, random_object
+from oracles import (
+    all_multi_kernels,
+    constant_map_witness,
+    env_check_markov_laws_by_tensors,
+    env_split_idempotent_by_homs,
+    env_tensor_by_tensors,
+    random_object,
+)
 
 F = Fraction
 
@@ -230,17 +238,20 @@ def test_copy_formula_coassociative_for_every_small_multi_idempotent():
 
 
 def test_discard_naturality_fails_on_an_empty_image():
-    # 0 ↦ ∅, 1 ↦ {1} is idempotent but breaks the multivalued column law
-    # (classify refuses it, so the cell is built directly).  With r the
-    # constant map to 0, discard∘e∘r∘e is the empty relation, while
-    # discard∘e reaches the unit from 1.
+    # 0 ↦ ∅, 1 ↦ {1} is idempotent but breaks the multivalued column law, so
+    # the laws refuse a cell built on it directly.  With r the constant map
+    # to 0, discard∘e∘r∘e is the empty relation, while discard∘e reaches the
+    # unit from 1: the one law a lawful idempotent cannot break.
     x = fin_object(("0", "1"))
     e = Kernel(Kind.MULTI, x, x, [[False, False], [False, True]])
     assert kernel_equal(compose(e, e), e)
-    report = env_check_markov_laws(EnvelopeCell(x, e, Flavor.KAROUBI))
+    cell = EnvelopeCell(x, e, Flavor.KAROUBI)
+    with pytest.raises(ValidationError, match=f"^{validate(e).message}$"):
+        env_check_markov_laws(cell)
+    report = env_check_markov_laws_by_tensors(cell)
     assert report.counit_left and report.counit_right
     assert report.coassociative and report.cocommutative
-    assert not report.discard_natural
+    assert not report.discard_natural and constant_map_witness(cell) == "0"
 
 
 def test_env_discard_is_the_discard_after_the_idempotent_in_every_kind():
@@ -309,9 +320,10 @@ def test_copy_checks_build_no_tensor_and_env_tensor_checks_the_whole_tensor(monk
 
 
 def test_markov_laws_compose_nothing_with_a_swap(monkeypatch):
-    # cocommutativity holds by construction, so no swap∘copy is built, also
-    # on the cells that take the composites: one off the column law in each
-    # of Stoch and Multi, and the settled, non-balanced signed counterexample
+    # cocommutativity holds by construction, so no swap∘copy is built on the
+    # settled, non-balanced signed counterexample, which takes the
+    # composites; the idempotents off the column law in Stoch and Multi are
+    # refused before anything is composed
     left = []
     monkeypatch.setattr(envelopes, "compose", lambda g, f: left.append(g) or compose(g, f))
     x = fin_object(str(i) for i in range(6))
@@ -321,8 +333,14 @@ def test_markov_laws_compose_nothing_with_a_swap(monkeypatch):
     for e in (scaled, signed_coassoc_counterexample(), empty):
         assert compose(e, e) == e
         left.clear()
-        assert env_check_markov_laws(EnvelopeCell(e.dom, e, Flavor.KAROUBI)).cocommutative
-        assert left and swap_kernel(e.dom, e.dom, e.kind) not in left
+        cell = EnvelopeCell(e.dom, e, Flavor.KAROUBI)
+        if (bad := validate(e)) is not None:
+            with pytest.raises(ValidationError, match=f"^{bad.message}$"):
+                env_check_markov_laws(cell)
+            assert left == []
+        else:
+            assert env_check_markov_laws(cell).cocommutative
+            assert left and swap_kernel(e.dom, e.dom, e.kind) not in left
     assert validate(scaled) is not None and validate(empty) is not None
 
 
@@ -345,10 +363,12 @@ def test_settled_cells_compose_nothing(monkeypatch):
 def test_each_cell_is_validated_once(monkeypatch):
     # one pass of the envelope-laws queries on a cell asks `_settled` from
     # `env_cell`, the laws, the tensor of identities, the splitting and
-    # `env_ase`; the cell's endo is validated once, when `env_cell` settles it
+    # `env_ase`; the cell's endo is validated once, by the cached `classify`
+    # when `env_cell` settles it
     envelopes._settled.cache_clear()
+    idempotents._classify_cached.cache_clear()
     validated = []
-    monkeypatch.setattr(envelopes, "validate", lambda k: validated.append(k) or validate(k))
+    monkeypatch.setattr(idempotents, "validate", lambda k: validated.append(k) or validate(k))
     x = fin_object(str(i) for i in range(6))
     e = random_class_idempotent(random.Random(6), x).idempotent
     cell = env_cell(x, e, Flavor.BLACKWELL)
@@ -359,12 +379,15 @@ def test_each_cell_is_validated_once(monkeypatch):
         env_split_idempotent(cell)
         assert env_ase(ident, ident, ident)
     assert validated == [e]
-    # a cell off the column law is decided once too, and is not settled
+    # a cell off the column law raises at each ask, since a raised error is
+    # not cached, and is validated at each
     y = fin_object(("0", "1"))
     doubled = EnvelopeCell(y, Kernel(Kind.STOCH, y, y, [[2, 0], [0, 1]]), Flavor.KAROUBI)
     validated.clear()
-    assert [envelopes._settled(doubled) for _ in range(3)] == [False] * 3
-    assert len(validated) == 1
+    for _ in range(3):
+        with pytest.raises(ValidationError, match=f"^{validate(doubled.endo).message}$"):
+            envelopes._settled(doubled)
+    assert validated == [doubled.endo] * 3
 
 
 def test_env_ase_builds_no_copy_and_env_tensor_of_identities_one_tensor(monkeypatch):

@@ -11,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmarkov import (
+    EnvelopeCell,
+    EnvelopeMorphism,
     FinMarkovError,
+    Flavor,
     Kernel,
     Kind,
     ShapeMismatch,
+    UnsupportedKind,
     NoSplitUpTo,
     ValidationError,
     NotASplitting,
@@ -27,8 +31,13 @@ from finmarkov import (
     cauchy_schwarz,
     classify,
     compose,
+    blackwell_copy,
     copy_kernel,
     delta_kernel,
+    env_ase,
+    env_cell,
+    env_check_markov_laws,
+    env_split_idempotent,
     fin_object,
     identity,
     io_relation,
@@ -157,6 +166,52 @@ def test_classify_chain3():
     assert r.idempotent and not r.balanced
 
 
+def _blackwell_cell(e):
+    return EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
+
+
+# each operation that classifies its endomorphism, called on a kernel or a cell built from it
+CLASSIFYING_CALLS = {
+    "classify": classify,
+    "blackwell_split": blackwell_split,
+    "search_split": lambda e: search_split(e, 2),
+    "balanced_cross_check": balanced_cross_check,
+    "env_cell": lambda e: env_cell(e.dom, e, Flavor.BLACKWELL),
+    "env_check_markov_laws": lambda e: env_check_markov_laws(_blackwell_cell(e)),
+    "blackwell_copy": lambda e: blackwell_copy(_blackwell_cell(e)),
+    "env_ase": lambda e: env_ase(*[EnvelopeMorphism(_blackwell_cell(e), _blackwell_cell(e), e)] * 3),
+    "env_split_idempotent": lambda e: env_split_idempotent(_blackwell_cell(e)),
+}
+
+
+def test_every_classifying_operation_refuses_an_endomorphism_off_the_column_law():
+    # classify calls the first idempotent, strong and balanced if it reads
+    # it; blackwell_split checks the kind first, so it refuses the multi and
+    # signed kernels as unsupported
+    x = fin_object(("a", "b"))
+    off_law = [
+        Kernel(Kind.STOCH, x, x, [[2, 2], [-1, -1]]),
+        Kernel(Kind.STOCH, x, x, [[1, 0], [0, 0]]),
+        Kernel(Kind.MULTI, x, x, [[False, False], [False, False]]),
+        Kernel(Kind.SIGNED, x, x, [[-1, 0], [0, -1]]),
+    ]
+    got = {}
+    for e in off_law:
+        for name, call in CLASSIFYING_CALLS.items():
+            try:
+                call(e)
+            except FinMarkovError as exc:
+                got[name, e] = type(exc), str(exc)
+    want = {
+        (name, e): (UnsupportedKind, "the class decomposition applies to stochastic kernels")
+        if name == "blackwell_split" and e.kind is not Kind.STOCH else (ValidationError, validate(e).message)
+        for e in off_law for name in CLASSIFYING_CALLS
+    }
+    assert got == want
+    assert [validate(e).message for e in off_law] == [
+        "column 0 has negative entry -1", "column 1 sums to 0", "column 0 has empty image", "column 0 sums to -1"]
+
+
 # ---------------------------------------------------------------------------
 # the class test against the column scan and the dense scan
 # ---------------------------------------------------------------------------
@@ -172,12 +227,17 @@ def _verdict(fn, e):
 
 
 def _same_verdicts(e):
-    """classify agrees with both scans; a stochastic idempotent within the
-    column law also splits as Tarjan's closed classes say."""
+    """Within the column law classify agrees with both scans, and a
+    stochastic idempotent splits as Tarjan's closed classes say; off the
+    law classify raises ValidationError with `validate`'s message.  The
+    idempotent flag within the law, None off it."""
     got = _verdict(classify, e)
+    if (bad := validate(e)) is not None:
+        assert got == ("ValidationError", bad.message)
+        return None
     assert got == _verdict(classify_by_columns, e) == _verdict(classify_by_scan, e), e.columns
-    idempotent = isinstance(got[0], dict) and got[0]["idempotent"]
-    if idempotent and validate(e) is None:
+    idempotent = got[0]["idempotent"]
+    if idempotent:
         assert blackwell_split(e) == class_decomposition(e)
     return idempotent
 
@@ -188,16 +248,17 @@ ENTRIES = (0, F(1, 3), F(1, 2), F(2, 3), 1)
 def test_class_test_matches_the_scans_on_every_small_stochastic_endomorphism():
     # every matrix over ENTRIES with n ≤ 2, in the column law or off it, and
     # every one with n = 3 whose columns sum to one
-    idempotent = 0
+    verdicts = []
     for n in range(3):
         x = fin_object(f"s{i}" for i in range(n))
         for cells in itertools.product(ENTRIES, repeat=n * n):
-            idempotent += _same_verdicts(Kernel(Kind.STOCH, x, x, [cells[i * n:(i + 1) * n] for i in range(n)]))
+            verdicts.append(_same_verdicts(Kernel(Kind.STOCH, x, x, [cells[i * n:(i + 1) * n] for i in range(n)])))
     x = fin_object(("s0", "s1", "s2"))
     columns = [c for c in itertools.product(ENTRIES, repeat=3) if sum(c) == 1]
     for cols in itertools.product(columns, repeat=3):
-        idempotent += _same_verdicts(Kernel(Kind.STOCH, x, x, list(zip(*cols))))
-    assert (len(columns), idempotent) == (13, 62)
+        verdicts.append(_same_verdicts(Kernel(Kind.STOCH, x, x, list(zip(*cols)))))
+    # lawful idempotents; off the law, 4 of the 5 matrices with n = 1 and 600 of the 625 with n = 2
+    assert (len(columns), verdicts.count(True), verdicts.count(None)) == (13, 46, 604)
 
 
 @st.composite
@@ -583,6 +644,22 @@ def test_verify_split_rejects_each_shape_mismatch():
     ):
         with pytest.raises(ShapeMismatch):
             verify_split(e, bad_iota, bad_pi)
+
+
+def test_verify_split_refuses_a_rescaled_pair_off_the_column_law():
+    # ι·diag(2, 1) and diag(1/2, 1)·π pass both splitting equations, but ι
+    # sends C_1 to twice a point mass: off the law, so ValidationError, not
+    # the defect error StructureViolation that its determinism once raised
+    e = static_idempotent()
+    iota, pi = static_split()
+    scale = Kernel(Kind.STOCH, iota.dom, iota.dom, [[2, 0], [0, 1]])
+    unscale = Kernel(Kind.STOCH, iota.dom, iota.dom, [[F(1, 2), 0], [0, 1]])
+    big, small = compose(iota, scale), compose(unscale, pi)
+    assert compose(small, big) == identity(iota.dom) and compose(big, small) == e
+    with pytest.raises(ValidationError, match="^column 0 sums to 2$"):
+        verify_split(e, big, small)
+    with pytest.raises(ValidationError, match="^column 0 sums to 1/2$"):
+        verify_split(e, iota, small)
 
 
 def test_verify_split_on_generated():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from finmarkov import (
     Kernel,
     Kind,
+    ValidationError,
     associator,
     blackwell_split,
     cauchy_schwarz,
@@ -33,6 +34,7 @@ from finmarkov import (
     swap_kernel,
     tensor,
     tensor_object,
+    validate,
 )
 import finmarkov.cli as cli
 from finmarkov.cli import ParseError, kernel_from_doc, kernel_to_doc, parse_kernel
@@ -315,13 +317,17 @@ def _same_composite(g, f):
 def _outcome(fn, e):
     try:
         r = fn(e)
-    except StructureViolation as exc:
-        return ("raises", str(exc))
+    except (StructureViolation, ValidationError) as exc:
+        return (type(exc).__name__, str(exc))
     return (r.flags(), r.idempotent, list(r.witnesses.items()))
 
 
 def _same_report(e):
-    assert _outcome(classify, e) == _outcome(_reference_classify, e)
+    """classify agrees with the reference within the column law and raises
+    ValidationError with `validate`'s message off it."""
+    bad = validate(e)
+    want = _outcome(_reference_classify, e) if bad is None else ("ValidationError", bad.message)
+    assert _outcome(classify, e) == want
 
 
 def _all_multi_idempotents(n):

@@ -539,3 +539,53 @@ def __getattr__(name):
 
 def test_attribute_hook_check_flags_each_form():
     assert _attribute_hooks(ast.parse(ATTRIBUTE_HOOKS)) == ["Kernel:3", "Other:7", "Inner:10"]
+
+
+# where the column law may be checked: `classify`'s cache miss for every
+# endomorphism it classifies, and the two functions that read kernels it
+# does not classify
+LAW_CHECKS = {"envelopes.py": set(), "idempotents.py": {"_classify_cached", "verify_split", "cauchy_schwarz"}}
+
+
+def _validate_calls(tree, allowed):
+    """Lines where a unit other than those ``allowed`` calls ``validate``."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, unit in _units(tree)
+        if name not in allowed
+        for node in ast.walk(unit)
+        if isinstance(node, ast.Call) and _called_name(node) == "validate"
+    ]
+
+
+def test_classify_decides_the_column_law_for_the_taxonomy_and_the_envelopes():
+    found = []
+    for filename, allowed in LAW_CHECKS.items():
+        path = SOURCE / filename
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{filename} {where}" for where in _validate_calls(tree, allowed)]
+    assert found == []
+
+
+VALIDATE_CALLS = """
+def _classify_cached(e):
+    return validate(e)
+
+def blackwell_split(e):
+    if (bad := validate(e)) is not None:
+        raise ValidationError(bad.message)
+
+def _settled(cell):
+    return kernel.validate(cell.endo) is None and classify(cell.endo).idempotent
+
+class Cell:
+    def check(self):
+        return validate(self.endo)
+
+BAD = validate(IDENTITY)
+"""
+
+
+def test_validate_call_check_flags_each_form():
+    found = _validate_calls(ast.parse(VALIDATE_CALLS), {"_classify_cached"})
+    assert found == ["blackwell_split:6", "_settled:10", "Cell.check:14", "line 16:16"]
