@@ -166,8 +166,9 @@ def _cell_copy(cell: EnvelopeCell) -> Kernel:
 
 
 def env_discard(cell: EnvelopeCell) -> EnvelopeMorphism:
+    """discard∘e, which is the discard on a settled cell; `_settled` refuses an endo off the law."""
     e = cell.endo
-    k = compose(discard_kernel(e.dom, e.kind), e)
+    k = discard_kernel(e.dom, e.kind) if _settled(cell) else compose(discard_kernel(e.dom, e.kind), e)
     dst = EnvelopeCell(k.cod, identity(k.cod, e.kind), cell.flavor)
     return EnvelopeMorphism(cell, dst, k)
 

@@ -10,10 +10,10 @@ final) against three reference shapes:
     strong    L(y,z|x) = e(y|x)·e(z|x)
     balanced  L(y,z|x) = Σ_w e(y|w)·e(z|w)·e(w|x)
 
-`classify` decides each on the stored columns.  A stochastic kernel
-passing the class test of `classify` splits through its classes: it is
-balanced, static iff every class is a singleton and strong iff every
-column meets one class.  Every other idempotent is decided by the
+`classify` decides each on the stored columns.  A stochastic or
+multivalued kernel passing the class test of `classify` splits through its
+classes: it is balanced, static iff every class is a singleton and strong
+iff every column meets one class.  Every other idempotent is decided by the
 definitions, input by input: at each x the joint column and the three
 reference columns are built from the stored columns, as bitmasks over
 Multi and as integer sums over one denominator otherwise, and a flag
@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .asrel import CausalityInstance, UnsupportedKind, ase_kernels
 from .kernel import (
@@ -121,30 +121,34 @@ def classify(e: Kernel) -> IdempotentReport:
     (`blackwell_split`, `search_split`, `verify_split`,
     `balanced_cross_check` and the envelope cells) inherits this check.
 
-    The class test: a Stoch kernel within the column law is e = ι∘π with
-    π∘ι = id when each reached y lies in the support S_y of its column, the
-    columns are equal on each S_y, and every other column covers each class
-    it meets, proportional there to the class's column.  Then static first
+    The class test: a Stoch or Multi kernel within the column law is
+    e = ι∘π with π∘ι = id when each reached y lies in the support S_y of its
+    column, the columns are equal on each S_y, and every other column covers
+    each class it meets: proportional there to the class's column over
+    Stoch, the OR of the columns it reaches over Multi.  Then static first
     fails at the first input reaching a class of two or more, at the lowest
-    first member of those classes as final and intermediate (δ_y and e(y)
-    differ just on y's class), and strong at the first input x meeting two
-    classes, at its lowest support element z both times (e(x) has less mass
-    at z than e(z), and each column e(x) reaches is zero below z).
+    first member t of those classes as final, and strong at the first input
+    x meeting two classes, at its lowest support element z as final.  Over
+    Stoch the intermediate is t (δ_t and e(t) differ just on t's class) and
+    z (e(x) has less mass at z than e(z), and each column e(x) reaches is
+    zero below z).  Over Multi, where those cells agree, it is the next
+    member of t's class and the lowest element of e(x) outside z's class.
 
     Results are memoized (kernels are immutable); the witness mapping is
     read-only.
     """
     if e.dom != e.cod:
         raise NotEndo("classification applies to endomorphisms")
-    return _classify_cached(e)
+    return _classify_cached(e)[0]
 
 
 @lru_cache(maxsize=4096)
-def _classify_cached(e: Kernel) -> IdempotentReport:
+def _classify_cached(e: Kernel) -> tuple:
+    """e's report and, if e passes the class test, its class record (reached mask, members), else None."""
     if (bad := validate(e)) is not None:
         raise ValidationError(bad.message)
-    if e.kind is Kind.STOCH and (failures := _class_failures(e.columns)) is not None:
-        return _report(e, failures)
+    if e.kind is not Kind.SIGNED and (passed := _class_failures(e.kind, e.columns)) is not None:
+        return _report(e, *passed[:2]), passed[2]
     labels, cols = e.dom.labels, e.columns
     multi = e.kind is Kind.MULTI
     n = len(cols)
@@ -161,7 +165,7 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
         if y is not None:
             return IdempotentReport(
                 False, False, False, False, False, MappingProxyType({"idempotent": (labels[x], labels[y])})
-            )
+            ), None
 
     # at each input x, the two-step joint column against the static, strong
     # and balanced reference columns, a pair (final z, intermediate y) at
@@ -194,19 +198,19 @@ def _classify_cached(e: Kernel) -> IdempotentReport:
                     failures[i] = (x, *divmod(at, n))
         if None not in failures:
             break
-    return _report(e, tuple(zip(("static", "strong", "balanced"), failures)))
+    return _report(e, tuple(zip(("static", "strong", "balanced"), failures))), None
 
 
-def _report(e: Kernel, failures: tuple) -> IdempotentReport:
-    """The report of the idempotent e from each flag's first failing index triple."""
-    labels, cols = e.dom.labels, e.columns
-    static, strong, balanced = (at is None for _, at in failures)
+def _report(e: Kernel, failures: tuple, supports: Sequence[int] = ()) -> IdempotentReport:
+    """The idempotent e's report from each flag's first failing index triple and any support masks."""
+    labels = e.dom.labels
+    static, strong, balanced = [at is None for _, at in failures]
     # witnesses in the order the scan meets them, the flags in this order at one cell
-    found = sorted((at, rank, name) for rank, (name, at) in enumerate(failures) if at is not None)
-    witnesses = {name: tuple(labels[i] for i in at) for at, _, name in found}
-    deterministic = is_deterministic(e)
-    if not deterministic:
-        j = next(j for j, col in enumerate(cols) if not _is_point_column(e.kind, col))
+    found = sorted([(at, rank, name) for rank, (name, at) in enumerate(failures) if at is not None])
+    witnesses = {name: (labels[x], labels[z], labels[y]) for (x, z, y), _, name in found}
+    j = next((j for j, m in enumerate(supports) if m & (m - 1)), None) if supports else next(
+        (j for j, col in enumerate(e.columns) if not _is_point_column(e.kind, col)), None)
+    if not (deterministic := j is None):
         witnesses["deterministic"] = (labels[j],)
     if (static or strong) and not balanced:
         raise StructureViolation("a static or strong idempotent must be balanced")
@@ -219,27 +223,39 @@ def _classes(kind: Kind, cols: tuple) -> tuple:
     """Each column's support mask, the reached mask and the members of each
     class, the support of a reached y's column, by first member.  Raises
     StructureViolation unless y lies in it and the columns there are equal."""
-    supports = cols if kind is Kind.MULTI else [sum([1 << y for y, _ in cells]) for _, cells in cols]
+    supports = cols if kind is Kind.MULTI else []
+    for _, cells in () if kind is Kind.MULTI else cols:  # a comprehension per column costs more than its cells
+        m = 0
+        for y, _ in cells:
+            m |= 1 << y
+        supports.append(m)
     reached = reduce(or_, supports, 0)
     if reached & ~sum([1 << y for y, m in enumerate(supports) if m >> y & 1]):
         raise StructureViolation("a reached element lies outside its class")
-    # a class is the support at its lowest member; with the columns equal on
-    # each, classes are disjoint, and then their masks sum to the reached
-    members = [list(_bits(m)) for y, m in enumerate(supports) if reached >> y & 1 and m & -m == 1 << y]
-    if any(cols[y] != cols[comp[0]] for comp in members for y in comp[1:]) or sum(
-            [supports[comp[0]] for comp in members]) != reached:
-        raise StructureViolation("columns differ within a recurrent class")
-    return supports, reached, members
+    # a class is the support of the lowest reached element left, disjoint from those before
+    members, rest = [], reached
+    while rest:
+        comp = tuple(_bits(m := supports[(rest & -rest).bit_length() - 1]))
+        if m & ~rest or any(cols[y] != cols[comp[0]] for y in comp[1:]):
+            raise StructureViolation("columns differ within a recurrent class")
+        members.append(comp)
+        rest ^= m
+    return supports, reached, tuple(members)
 
 
-def _class_failures(cols: tuple):
-    """What `_report` takes for Stoch columns passing the class test of `classify`, else None."""
+def _class_failures(kind: Kind, cols: tuple):
+    """Each flag's first failing index triple, the support masks and the class
+    record of Stoch or Multi columns passing the class test of `classify`."""
     try:
-        supports, reached, members = _classes(Kind.STOCH, cols)
+        supports, reached, members = _classes(kind, cols)
     except StructureViolation:
         return None
+    multi = kind is Kind.MULTI
+    unreached = (1 << len(cols)) - 1 & ~reached  # a reached column is its class's
+    if multi and any(reduce(or_, [cols[y] for y in _bits(cols[x])]) != cols[x] for x in _bits(unreached)):
+        return None  # e(x) is the OR of the columns it reaches
     first = {y: comp[0] for comp in members for y in comp}  # y's class, by its first member
-    for x in _bits((1 << len(cols)) - 1 & ~reached):  # a reached column is its class's
+    for x in () if multi else _bits(unreached):
         parts: dict = {}  # the cells of e(x) on each class t it meets
         for y, b in cols[x][1]:
             parts.setdefault(first[y], []).append((y, b))
@@ -247,9 +263,14 @@ def _class_failures(cols: tuple):
         if any(_reduced(sum([b for _, b in cells]), cells) != cols[t] for t, cells in parts.items()):
             return None
     big = sum([supports[comp[0]] for comp in members if len(comp) > 1])  # the classes of two or more
-    static = next(((x, t, t) for x, m in enumerate(supports) for t in _bits(m & big)), None)
-    strong = next(((x, z, z) for x, m in enumerate(supports) for z in _bits(m) if m != supports[z]), None)
-    return ("static", static), ("strong", strong), ("balanced", None)
+    static = strong = None  # t first of its class, u the next; z = min e(x), y lowest outside z's class
+    for x, m in enumerate(supports):
+        if static is None and m & big:
+            u = supports[t := (m & big & -(m & big)).bit_length() - 1] ^ 1 << t
+            static = (x, t, (u & -u).bit_length() - 1 if multi else t)
+        if strong is None and (y := m & ~supports[z := (m & -m).bit_length() - 1]):
+            strong = (x, z, (y & -y).bit_length() - 1 if multi else z)
+    return (("static", static), ("strong", strong), ("balanced", None)), supports, (reached, members)
 
 
 def _sum_difference(terms: list, want: dict):
@@ -336,18 +357,18 @@ class SplitData:
 
 
 def _class_split(e: Kernel) -> SplitData:
-    """Split an idempotent through the classes `_classes` reads off the
-    stored columns.  ι(t) is e's column at the first member of class t and
-    π(t|x) is the mass e(x) puts on class t: the summed numerators over
-    Stoch, whether the class meets e(x) over Multi.  Middle elements are
-    C_<first member> over Stoch and t0, t1, … over Multi.
-    """
-    multi, cols, labels = e.kind is Kind.MULTI, e.columns, e.dom.labels
-    supports, reached, members = _classes(e.kind, cols)
-    middle = fin_object(f"t{t}" if multi else "C_" + labels[comp[0]] for t, comp in enumerate(members))
-    iota = _kernel(e.kind, middle, e.cod, tuple(cols[comp[0]] for comp in members))
-    if multi:
-        pi_cols = tuple(sum(1 << t for t, comp in enumerate(members) if supports[comp[0]] & col) for col in cols)
+    """Split an idempotent through the classes `classify` kept in its class
+    record.  ι(t) is e's column at the first member of class t and π(t|x)
+    is the mass e(x) puts on class t: the summed numerators over Stoch,
+    whether the class meets e(x) over Multi.  Middle elements are
+    C_<first member> over Stoch and t0, t1, … over Multi."""
+    if (record := _classify_cached(e)[1]) is None:
+        raise StructureViolation("an idempotent to split has no class record")
+    (reached, members), multi, cols, labels = record, e.kind is Kind.MULTI, e.columns, e.dom.labels
+    middle = fin_object([f"t{t}" if multi else "C_" + labels[comp[0]] for t, comp in enumerate(members)])
+    iota = _kernel(e.kind, middle, e.cod, tuple([cols[comp[0]] for comp in members]))
+    if multi:  # e(x), a union of classes, meets class t at its first member
+        pi_cols = [sum([1 << t for t, comp in enumerate(members) if col >> comp[0] & 1]) for col in cols]
     else:
         class_of = {y: t for t, comp in enumerate(members) for y in comp}
         pi_cols = []
@@ -357,22 +378,17 @@ def _class_split(e: Kernel) -> SplitData:
                 mass[class_of[y]] += num
             pi_cols.append(_reduced(den, [(t, m) for t, m in enumerate(mass) if m]))
     pi = _kernel(e.kind, e.dom, middle, tuple(pi_cols))
-    classes = tuple(tuple(labels[y] for y in comp) for comp in members)
-    transient = tuple(labels[y] for y in _bits((1 << len(labels)) - 1 & ~reached))
+    classes = tuple([tuple([labels[y] for y in comp]) for comp in members])
+    transient = tuple([labels[y] for y in _bits((1 << len(labels)) - 1 & ~reached)])
     return SplitData(middle, pi, iota, classes, transient)
 
 
 def blackwell_split(e: Kernel) -> SplitData:
-    """Split a stochastic idempotent through its recurrent classes.
-
-    e = eⁿ puts no mass on transient states, and each closed class carries
-    a stationary column of e with full support on the class.  So the
-    recurrent states are those some column reaches, and the class of a
-    recurrent state is the support of its column.  Each class is included
-    via that common column, and each state projects to a class with the
-    mass e assigns to that class.  A kernel off the column law raises
-    ValidationError from `classify`.
-    """
+    """Split a stochastic idempotent through its recurrent classes, the
+    supports of its reached columns (module docstring): each class is
+    included via its common column, and each state projects to a class with
+    the mass e assigns to it.  A kernel off the column law raises
+    ValidationError from `classify`."""
     if e.kind is not Kind.STOCH:
         raise UnsupportedKind("the class decomposition applies to stochastic kernels")
     if not classify(e).idempotent:
@@ -392,14 +408,12 @@ def search_split(e: Kernel, max_middle: int) -> SplitData | NoSplitUpTo:
     """Split a multivalued idempotent through its blocks, or report that no
     splitting has a middle object of size at most ``max_middle``.
 
-    Call y a block element when y ∈ e(y) and e(z) = e(y) for every
-    z ∈ e(y).  Every element of every image is one exactly when e is
-    balanced; then every image is a union of blocks, the distinct blocks
-    e(y) (ordered by smallest member) form the middle object t0…,
-    ι(t) = block t and π(x) = {t : block t meets e(x)}.  Otherwise e has
-    no splitting at all, since split idempotents are balanced.
-    Splittings are unique up to isomorphism, so the block count is the
-    only possible middle size.
+    Only balanced idempotents split, and a balanced one passes the class
+    test of `classify`: its blocks are the supports of its reached columns,
+    and every image is a union of blocks.  The blocks by smallest member
+    form the middle object t0…, ι(t) = block t and π(x) = {t : block t
+    meets e(x)}.  Splittings are unique up to isomorphism, so the block
+    count is the only possible middle size.
     """
     report = classify(e)
     if not report.idempotent:

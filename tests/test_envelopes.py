@@ -254,8 +254,9 @@ def test_discard_naturality_fails_on_an_empty_image():
     assert not report.discard_natural and constant_map_witness(cell) == "0"
 
 
-def test_env_discard_is_the_discard_after_the_idempotent_in_every_kind():
-    # within the column law discard∘e is the discard itself
+def test_env_discard_is_the_discard_after_the_idempotent_in_every_kind(monkeypatch):
+    # within the column law discard∘e is the discard itself, so a settled
+    # cell composes nothing
     x = fin_object(str(i) for i in range(5))
     cells = [
         _blackwell(random_class_idempotent(random.Random(3), x).idempotent),
@@ -263,25 +264,32 @@ def test_env_discard_is_the_discard_after_the_idempotent_in_every_kind():
         env_cell(multi_upset_idempotent().dom, multi_upset_idempotent(), Flavor.KAROUBI),
     ]
     assert [c.endo.kind for c in cells] == [Kind.STOCH, Kind.SIGNED, Kind.MULTI]
+    calls = []
+    monkeypatch.setattr(envelopes, "compose", lambda *args: calls.append(args) or compose(*args))
     for cell in cells:
         kind = cell.endo.kind
         m = env_discard(cell)
+        assert calls == []
         assert m.src is cell
         assert m.kernel == compose(discard_kernel(cell.object, kind), cell.endo)
         assert m.kernel == discard_kernel(cell.object, kind)
         assert m.dst == EnvelopeCell(UNIT, identity(UNIT, kind), cell.flavor)
         assert env_hom(cell, m.dst, m.kernel) == m
+        calls.clear()
 
 
 def test_env_discard_off_the_column_law_is_not_the_discard():
-    # 0 ↦ ∅, 1 ↦ {1}: discard∘e misses 0, and both idempotents still absorb it
+    # 0 ↦ ∅, 1 ↦ {1}: discard∘e misses 0, and both idempotents still absorb
+    # it; env_discard refuses the cell as classify does
     x = fin_object(("0", "1"))
     e = Kernel(Kind.MULTI, x, x, [[False, False], [False, True]])
     cell = EnvelopeCell(x, e, Flavor.KAROUBI)
-    m = env_discard(cell)
-    assert m.kernel == compose(discard_kernel(x, Kind.MULTI), e) != discard_kernel(x, Kind.MULTI)
-    assert m.dst == EnvelopeCell(UNIT, identity(UNIT, Kind.MULTI), Flavor.KAROUBI)
-    assert env_hom(cell, m.dst, m.kernel) == m
+    with pytest.raises(ValidationError, match=f"^{validate(e).message}$"):
+        env_discard(cell)
+    k = compose(discard_kernel(x, Kind.MULTI), e)
+    assert k != discard_kernel(x, Kind.MULTI)
+    dst = EnvelopeCell(UNIT, identity(UNIT, Kind.MULTI), Flavor.KAROUBI)
+    assert env_hom(cell, dst, k).kernel == k
 
 
 def test_copy_requires_blackwell_flavor():

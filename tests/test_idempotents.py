@@ -37,6 +37,7 @@ from finmarkov import (
     env_ase,
     env_cell,
     env_check_markov_laws,
+    env_discard,
     env_split_idempotent,
     fin_object,
     identity,
@@ -181,6 +182,7 @@ CLASSIFYING_CALLS = {
     "blackwell_copy": lambda e: blackwell_copy(_blackwell_cell(e)),
     "env_ase": lambda e: env_ase(*[EnvelopeMorphism(_blackwell_cell(e), _blackwell_cell(e), e)] * 3),
     "env_split_idempotent": lambda e: env_split_idempotent(_blackwell_cell(e)),
+    "env_discard": lambda e: env_discard(_blackwell_cell(e)),
 }
 
 
@@ -584,29 +586,62 @@ def test_block_split_empty_object():
 def _splits_reaching_the_construction(monkeypatch):
     """Both splittings, with classify reporting every kernel as a
     balanced idempotent so that non-idempotents reach the class
-    construction's own checks."""
+    construction."""
     report = IdempotentReport(True, False, False, False, True, MappingProxyType({}))
     monkeypatch.setattr(idempotents, "classify", lambda e: report)
     return ((Kind.STOCH, blackwell_split), (Kind.MULTI, lambda e: search_split(e, 2)))
 
 
-def test_class_split_rejects_a_reached_element_outside_its_class(monkeypatch):
+def test_classes_rejects_a_reached_element_outside_its_class():
     # the swap reaches both elements, but no column reaches its own element
     x = fin_object(("a", "b"))
-    for kind, split in _splits_reaching_the_construction(monkeypatch):
+    for kind in (Kind.STOCH, Kind.MULTI):
         swap = make_kernel(kind, x, x, [[kind.zero, kind.one], [kind.one, kind.zero]])
         with pytest.raises(StructureViolation, match="outside its class"):
-            split(swap)
+            idempotents._classes(kind, swap.columns)
 
 
-def test_class_split_rejects_columns_that_differ_within_a_class(monkeypatch):
+def test_classes_rejects_columns_that_differ_within_a_class():
     # a ↦ {a, b} and b ↦ {b}: the class {a, b} holds two different columns
     x = fin_object(("a", "b"))
     half = {Kind.STOCH: Fraction(1, 2), Kind.MULTI: True}
-    for kind, split in _splits_reaching_the_construction(monkeypatch):
+    for kind in (Kind.STOCH, Kind.MULTI):
         e = make_kernel(kind, x, x, [[half[kind], kind.zero], [half[kind], kind.one]])
         with pytest.raises(StructureViolation, match="differ within"):
-            split(e)
+            idempotents._classes(kind, e.columns)
+
+
+def test_class_split_refuses_a_kernel_without_a_class_record(monkeypatch):
+    # the swap fails the class test, so classify keeps no record for it
+    x = fin_object(("a", "b"))
+    for kind, split in _splits_reaching_the_construction(monkeypatch):
+        swap = make_kernel(kind, x, x, [[kind.zero, kind.one], [kind.one, kind.zero]])
+        with pytest.raises(StructureViolation, match="no class record"):
+            split(swap)
+
+
+def test_each_split_reads_the_classes_once_per_kernel(monkeypatch):
+    # classify reads the classes in its class test and keeps them; the
+    # split reads the kept record, and a second split reads nothing
+    calls = []
+    classes = idempotents._classes
+    monkeypatch.setattr(idempotents, "_classes", lambda kind, cols: calls.append(cols) or classes(kind, cols))
+    rng = random.Random(28)
+    stoch = [static_idempotent(), strong_idempotent(), balanced_idempotent()]
+    stoch += [random_class_idempotent(rng, random_object(rng, 8, "s")).idempotent for _ in range(10)]
+    x = fin_object(str(i) for i in range(3))
+    multi = [e for e in all_multi_kernels(x, x) if compose(e, e) == e and classify_by_scan(e).balanced]
+    for split, kernels in ((blackwell_split, stoch), (lambda e: search_split(e, 3), multi)):
+        kernels = list(dict.fromkeys(kernels))
+        idempotents._classify_cached.cache_clear()
+        try:
+            calls.clear()
+            for e in kernels:
+                split(e)
+                split(e)
+            assert calls == [e.columns for e in kernels]
+        finally:
+            idempotents._classify_cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------

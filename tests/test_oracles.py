@@ -86,6 +86,7 @@ from oracles import (
     all_multi_kernels,
     ase_by_joint,
     class_decomposition,
+    classify_by_columns,
     classify_by_scan,
     comonoid_laws_by_structure,
     conditional_rebuilds,
@@ -940,6 +941,39 @@ def test_classify_matches_the_scan_on_every_small_multi_endomorphism_with_empty_
     # 1192 idempotents on n = 1 to 4 and the one on n = 0; raised: the
     # (2ⁿ)ⁿ − (2ⁿ − 1)ⁿ relations with an empty image, 1 + 7 + 169 + 14911
     assert (idempotents, raised) == (1193, 15088)
+
+
+def test_multi_class_test_matches_both_oracles_on_small_endomorphisms_and_idempotents(monkeypatch):
+    # every lawful endomorphism with n ≤ 3 and every idempotent with n ≤ 4,
+    # the latter found without finmarkov: e(x) is the OR of the columns it
+    # reaches; the class path is taken on exactly the balanced idempotents
+    import finmarkov.idempotents as idem
+
+    passed = []
+    class_failures = idem._class_failures
+    monkeypatch.setattr(idem, "_class_failures",
+                        lambda kind, cols: (r := class_failures(kind, cols)) and (passed.append(cols) or r))
+    idem._classify_cached.cache_clear()
+    balanced, idempotents = [], 0
+    try:
+        for n in range(1, 5):
+            x = fin_object(str(i) for i in range(n))
+            for cols in itertools.product(range(1, 2**n), repeat=n):
+                idempotent = all(sum(1 << y for y in range(n) if any(col >> w & 1 and cols[w] >> y & 1
+                                                                      for w in range(n))) == col for col in cols)
+                if n == 4 and not idempotent:
+                    continue
+                e = _kernel(Kind.MULTI, x, x, cols)
+                got = _report(classify, e)
+                assert got == _report(classify_by_scan, e) == _report(classify_by_columns, e)
+                assert got[0]["idempotent"] == idempotent
+                idempotents += idempotent
+                if got[0]["balanced"]:
+                    balanced.append(cols)
+    finally:
+        idem._classify_cached.cache_clear()
+    assert idempotents == 1192
+    assert passed == balanced and len(balanced) == 172
 
 
 def test_classify_takes_the_stochastic_balance_shortcut_only_within_the_column_law():

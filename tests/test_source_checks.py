@@ -547,14 +547,14 @@ def test_attribute_hook_check_flags_each_form():
 LAW_CHECKS = {"envelopes.py": set(), "idempotents.py": {"_classify_cached", "verify_split", "cauchy_schwarz"}}
 
 
-def _validate_calls(tree, allowed):
-    """Lines where a unit other than those ``allowed`` calls ``validate``."""
+def _validate_calls(tree, allowed, callee="validate"):
+    """Lines where a unit other than those ``allowed`` calls ``callee``."""
     return [
         f"{name}:{node.lineno}"
         for name, unit in _units(tree)
         if name not in allowed
         for node in ast.walk(unit)
-        if isinstance(node, ast.Call) and _called_name(node) == "validate"
+        if isinstance(node, ast.Call) and _called_name(node) == callee
     ]
 
 
@@ -584,6 +584,16 @@ class Cell:
 
 BAD = validate(IDENTITY)
 """
+
+
+def test_only_the_class_test_reads_the_classes():
+    # `classify` keeps the classes its class test read, and `_class_split`
+    # reads that record rather than the columns again
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name} {where.split(':')[0]}" for where in _validate_calls(tree, set(), "_classes")]
+    assert found == ["idempotents.py _class_failures"]
 
 
 def test_validate_call_check_flags_each_form():
