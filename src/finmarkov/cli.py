@@ -110,6 +110,10 @@ def parse_kernel(text: str) -> Kernel:
     return kernel_from_doc(doc)
 
 
+#: Each kind by its document name, one lookup cheaper than ``Kind(name)``.
+_KINDS = MappingProxyType({kind.value: kind for kind in Kind})
+
+
 def kernel_from_doc(doc: Any) -> Kernel:
     """The kernel of a decoded document, from one walk over its entries.
     Shape and entry errors raise where met, in row-major order; after the
@@ -119,10 +123,9 @@ def kernel_from_doc(doc: Any) -> Kernel:
     for field in ("kind", "dom", "cod"):
         if field not in doc:
             raise ParseError(f"missing field {field!r}")
-    try:
-        kind = Kind(doc["kind"])
-    except ValueError:
-        raise ParseError(f"unknown kind {doc['kind']!r}") from None
+    kind = _KINDS.get(doc["kind"]) if type(doc["kind"]) is str else None
+    if kind is None:
+        raise ParseError(f"unknown kind {doc['kind']!r}")
     for field in ("dom", "cod"):
         labels = doc[field]
         if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):

@@ -347,6 +347,9 @@ class SplitData:
     transient: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        # one set over every label; only an overlap runs the loop that names it
+        if len(set().union(self.transient, *self.classes)) == len(self.transient) + sum(map(len, self.classes)):
+            return
         seen: set = set()
         for cls in self.classes:
             if seen & set(cls):

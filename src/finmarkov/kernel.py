@@ -31,6 +31,16 @@ with ValidationError, for every operation that classifies first.
 Every deterministic kernel (identity, copy, discard, swap, point masses,
 the associator and unitors, subset inclusions) is built by
 :func:`function_kernel` from one codomain index per domain element.
+
+Tensor labels: `tensor_object` keeps its factors, and `split_tensor_labels`
+returns them without parsing.  The element (a,b) of X⊗Y is written "(A,B)",
+A being a itself when a is well-formed: no backslash, and either none of
+, ( ) or "(a',b')" with a' and b' well-formed.  Any other label gets a
+backslash before each of its \\ , ( ).  An escaped label holds a backslash
+and a well-formed one none, so the writing is injective; a label without
+those four characters, a pair such as "(p,q)" and their nested tensors
+are written unescaped, e.g. "(x,(p,q))".  Objects from documents are split
+by parsing, honouring the escapes.
 """
 
 from __future__ import annotations
@@ -38,10 +48,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import attrgetter, or_
 from typing import Iterable, Optional, Sequence, Union
 
 ZERO = Fraction(0)
@@ -102,30 +113,58 @@ class Kind(enum.Enum):
         return member
 
 
-@dataclass(frozen=True)
 class FinObject:
     """An ordered finite set of distinct string labels.
 
     The listed order is the tie-breaking order used everywhere (first
-    support element, witness scans, minimal class members).
+    support element, witness scans, minimal class members).  A tensor
+    object keeps its ``factors`` (x, y) and writes its labels on first
+    read; any other has ``factors`` None.  ``labels``, ``size`` and
+    ``factors`` are read-only.  Equal objects have equal labels and hash by
+    them; pickling and copying go through the labels.
     """
 
-    labels: tuple[str, ...]
+    __slots__ = ("_labels", "_size", "_index", "_factors", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError(f"duplicate labels in object: {self.labels}")
+    # C-level getters: ``size`` is read on every hot path
+    size = property(attrgetter("_size"))
+    factors = property(attrgetter("_factors"))
+
+    def __init__(self, labels: Iterable[str]) -> None:
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"duplicate labels in object: {labels}")
+        self._labels, self._size, self._index, self._factors, self._hash = labels, len(labels), None, None, None
 
     @property
-    def size(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            self._labels = _tensor_labels(self._factors[0].labels, self._factors[1].labels)
+        return self._labels
 
     def index(self, label: str) -> int:
+        index = self._index
+        if index is None:
+            index = self._index = {lbl: i for i, lbl in enumerate(self.labels)}
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return index[label]
+        except (KeyError, TypeError):
             raise UnknownLabel(f"label {label!r} not in object {self.labels}") from None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FinObject:
+            return NotImplemented
+        if self._factors is not None and other._factors is not None and self._size:
+            return self._factors == other._factors  # a nonempty tensor's factors and labels determine each other
+        return self is other or self._size == other._size and self.labels == other.labels
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.labels)
+        return self._hash
+
+    def __reduce__(self):
+        return FinObject, (self.labels,)
 
     def __repr__(self) -> str:
         return f"FinObject({list(self.labels)!r})"
@@ -139,37 +178,76 @@ def fin_object(labels: Iterable[str]) -> FinObject:
     return FinObject(tuple(labels))
 
 
+_SPECIAL = re.compile(r"[\\,()]")
+_STRUCTURE = re.compile(r"\\.|[(),]", re.DOTALL)
+_UNESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _scan(label: str) -> tuple[int, bool]:
+    """One pass over ``label``: the offset of its first comma at depth one,
+    escapes skipped (-1 if none), and whether it is well-formed: no
+    backslash, and each "(" opens at the start or after "(" or ",", takes
+    one comma and closes before "," ")" or the end."""
+    top, well, commas = -1, "\\" not in label, []  # commas: per open "(", whether its comma came
+    for m in _STRUCTURE.finditer(label):
+        tok, at = m[0], m.start()
+        if tok == "(":
+            well = well and label[at - 1 : at] in ("", "(", ",")
+            commas.append(False)
+        elif tok == "," and commas:
+            if top < 0 and len(commas) == 1:
+                top = at
+            well = well and not commas[-1]
+            commas[-1] = True
+        elif tok == ")" and commas:
+            closed = commas.pop()
+            well = well and closed and label[at + 1 : at + 2] in ("", ",", ")")
+        else:  # an escape, or a "," or ")" outside every pair
+            well = False
+    return top, well and not commas
+
+
+def _tensor_labels(left: Sequence[str], right: Sequence[str]) -> tuple[str, ...]:
+    """The labels of the tensor of objects labelled ``left`` and ``right``,
+    x-major, each factor label well-formed or escaped (module docstring)."""
+    left, right = ([lbl if _scan(lbl)[1] else _SPECIAL.sub(r"\\\g<0>", lbl) for lbl in side] for side in (left, right))
+    return tuple([f"({a},{b})" for a in left for b in right])
+
+
+def _unpair(label: str) -> tuple[str, str]:
+    """The two factor labels of a tensor label, split at its first comma
+    outside parentheses and escapes, each side unescaped."""
+    if not (label.startswith("(") and label.endswith(")")):
+        raise BadSplit(f"label {label!r} is not a tensor pair")
+    top = _scan(label)[0]
+    if top < 0:
+        raise BadSplit(f"label {label!r} has no top-level comma")
+    return _UNESCAPE.sub(r"\1", label[1:top]), _UNESCAPE.sub(r"\1", label[top + 1 : -1])
+
+
 def tensor_object(x: FinObject, y: FinObject) -> FinObject:
-    """Product object with elements "(x,y)" in x-major order."""
-    return FinObject(tuple(f"({a},{b})" for a in x.labels for b in y.labels))
+    """Product object with elements "(x,y)" in x-major order, carrying its
+    factors; its labels are written when first read."""
+    t = object.__new__(FinObject)
+    t._labels, t._size, t._index, t._factors, t._hash = None, x._size * y._size, None, (x, y), None
+    return t
 
 
 def split_tensor_labels(obj: FinObject, left_size: int) -> tuple[FinObject, FinObject]:
-    """Recover the two factors of a tensor-built object.
-
-    Requires every label to have the form "(a,b)" consistently with an
-    x-major ``left_size`` by ``obj.size // left_size`` grid.  Parses the
-    first row and column only: "(a,b)" splits after ``a`` iff "(a,b0)" does.
-    """
-    n = obj.size
+    """The two factors of a tensor object: those it carries when the left
+    one has ``left_size`` elements, else those its labels name as an x-major
+    grid, parsed from the first row and column and checked by writing the
+    grid's labels again."""
+    n, factors = obj._size, obj._factors
+    if factors is not None and n and factors[0]._size == left_size:
+        return factors
     if left_size <= 0 or n == 0 or n % left_size != 0:
         raise BadSplit(f"object of size {n} does not factor with left size {left_size}")
     right_size = n // left_size
-
-    def unpair(label: str) -> tuple[str, str]:
-        if not (label.startswith("(") and label.endswith(")")):
-            raise BadSplit(f"label {label!r} is not a tensor pair")
-        depth = 0
-        for k, ch in enumerate(label[1:-1], 1):
-            depth += (ch == "(") - (ch == ")")
-            if ch == "," and depth == 0:
-                return label[1:k], label[k + 1 : -1]
-        raise BadSplit(f"label {label!r} has no top-level comma")
-
     labels = obj.labels
-    left = tuple(unpair(labels[i * right_size])[0] for i in range(left_size))
-    right = tuple(unpair(labels[j])[1] for j in range(right_size))
-    if labels != tuple(f"({a},{b})" for a in left for b in right):
+    left = tuple([_unpair(labels[i * right_size])[0] for i in range(left_size)])
+    right = tuple([_unpair(labels[j])[1] for j in range(right_size)])
+    if labels != _tensor_labels(left, right):
         raise BadSplit(f"labels of {labels} are not a consistent tensor grid")
     return FinObject(left), FinObject(right)
 

@@ -824,22 +824,61 @@ def projection_is_section(p: Kernel, sd) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def well_formed_by_grammar(label: str) -> bool:
+    """Whether a label is written unchanged inside a tensor label: it holds
+    no backslash and is an atom, holding none of , ( ), or "(a,b)" with a
+    and b well-formed, tried at every comma."""
+    if "\\" in label:
+        return False
+    if not any(ch in ",()" for ch in label):
+        return True
+    if not (label.startswith("(") and label.endswith(")")):
+        return False
+    body = label[1:-1]
+    return any(ch == "," and well_formed_by_grammar(body[:k]) and well_formed_by_grammar(body[k + 1 :])
+               for k, ch in enumerate(body))
+
+
+def write_by_grammar(label: str) -> str:
+    """A factor label inside a tensor label: unchanged when well-formed,
+    else with a backslash before each of its \\ , ( )."""
+    if well_formed_by_grammar(label):
+        return label
+    return "".join("\\" + ch if ch in "\\,()" else ch for ch in label)
+
+
+def tensor_label_by_grammar(a: str, b: str) -> str:
+    return "(" + write_by_grammar(a) + "," + write_by_grammar(b) + ")"
+
+
 def split_by_every_label(obj: FinObject, left_size: int) -> tuple:
     """The two factors of a tensor-built object, parsing every label at
-    its first top-level comma and comparing each pair with the grid."""
+    its first comma outside parentheses and escapes, unescaping each side,
+    and comparing each label with the one written from its pair."""
     n = obj.size
     if left_size <= 0 or n == 0 or n % left_size != 0:
         raise BadSplit(f"object of size {n} does not factor with left size {left_size}")
     right_size = n // left_size
 
+    def unescape(side: str) -> str:
+        out, chars = [], iter(side)
+        for ch in chars:
+            out.append(next(chars, ch) if ch == "\\" else ch)
+        return "".join(out)
+
     def unpair(label: str) -> tuple:
         if not (label.startswith("(") and label.endswith(")")):
             raise BadSplit(f"label {label!r} is not a tensor pair")
-        body, depth = label[1:-1], 0
+        body, depth, escaped = label[1:-1], 0, False
         for k, ch in enumerate(body):
-            depth += (ch == "(") - (ch == ")")
-            if ch == "," and depth == 0:
-                return body[:k], body[k + 1 :]
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == "," and depth == 0:
+                return unescape(body[:k]), unescape(body[k + 1 :])
+            else:
+                depth += (ch == "(") - (ch == ")")
         raise BadSplit(f"label {label!r} has no top-level comma")
 
     pairs = [unpair(lbl) for lbl in obj.labels]
@@ -847,10 +886,9 @@ def split_by_every_label(obj: FinObject, left_size: int) -> tuple:
     right = tuple(pairs[j][1] for j in range(right_size))
     for i in range(left_size):
         for j in range(right_size):
-            if pairs[i * right_size + j] != (left[i], right[j]):
+            if obj.labels[i * right_size + j] != tensor_label_by_grammar(left[i], right[j]):
                 raise BadSplit(f"labels of {obj.labels} are not a consistent tensor grid")
     return FinObject(left), FinObject(right)
-
 
 
 def exact_column(ratios) -> tuple:

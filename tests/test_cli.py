@@ -1,16 +1,19 @@
 """Kernel document serialization and the command-line driver."""
 
+import contextlib
+import io
 import json
 import pathlib
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finmarkov import UNIT, FinObject, Kernel, Kind, kernel_equal, validate
+from finmarkov import UNIT, FinObject, Kernel, Kind, fin_object, kernel_equal, tensor_object, validate
 from finmarkov import cli, golden
 from finmarkov.cli import ParseError, parse_kernel, run
 from finmarkov.idempotents import NotIdempotent
@@ -655,3 +658,70 @@ def test_table_reader_agrees_with_argparse(argv):
     read = cli._plain_args(argv)
     if read is not None:
         assert vars(read) == vars(cli._parser().parse_args(argv))
+
+
+# labels with commas, parentheses, backslashes, "•", the empty string,
+# non-ASCII and pairs; entries in range, out of range and malformed
+ADVERSARIAL = st.text(alphabet=",()\\•éa", max_size=3) | st.sampled_from(["(p,q)", "((p,q),r)", "(p", "\\", "ü"])
+ENTRIES = st.sampled_from([0, 1, 2, "1/2", "-1/2", "3/2", "0", "x", None, 0.5])
+LABEL_LISTS = st.lists(ADVERSARIAL, max_size=3, unique=True)
+
+
+@st.composite
+def adversarial_documents(draw):
+    """Three kernel documents of one kind on one frame, most of them
+    well-formed: endomorphisms, joints on a tensor codomain the library
+    wrote, or any codomain; and the codomain's left factor size, or 1."""
+    kind = draw(st.sampled_from(("stoch", "stoch", "stoch", "signed", "multi", "multi", "nonsense")))
+    dom, left = draw(LABEL_LISTS), 1
+    shape = draw(st.sampled_from(("endo", "endo", "tensor", "any")))
+    if shape == "endo":
+        cod = dom
+    elif shape == "tensor":
+        factors = [fin_object(draw(LABEL_LISTS.filter(bool))) for _ in range(2)]
+        cod, left = list(tensor_object(*factors).labels), factors[0].size
+    else:
+        cod = draw(LABEL_LISTS)
+    if dom and draw(st.integers(0, 9)) == 0:
+        dom = dom + dom[:1]
+    docs = []
+    for _ in range(3):
+        doc = {"kind": kind, "dom": dom, "cod": cod}
+        if kind == "multi":
+            doc["images"] = [draw(st.lists(st.sampled_from(cod), min_size=1, max_size=2)) if cod else [] for _ in dom]
+            docs.append(doc)
+            continue
+        matrix = [[0] * len(dom) for _ in cod]
+        for j in range(len(dom) if cod else 0):
+            style = draw(st.sampled_from(("point", "point", "halves", "any")))
+            if style == "any":
+                for row in matrix:
+                    row[j] = draw(ENTRIES)
+                continue
+            rows = draw(st.lists(st.integers(0, len(cod) - 1), min_size=1, max_size=1 if style == "point" else 2))
+            for i in rows:
+                matrix[i][j] = 1 if len(set(rows)) == 1 else "1/2"
+        doc["matrix"] = matrix
+        docs.append(doc)
+    return docs, left
+
+
+@settings(max_examples=120, deadline=None)
+@given(adversarial_documents(), st.data())
+def test_every_command_on_adversarial_documents_exits_0_1_or_2(docs_and_left, data):
+    docs, left = docs_and_left
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(str(pathlib.Path(tmp) / f"k{i}.json"))
+            pathlib.Path(paths[-1]).write_text(json.dumps(doc), encoding="utf-8")
+        for command, (_, _, positionals, options) in cli._COMMANDS.items():
+            if command == "verify-paper":
+                continue
+            argv = ["--format", data.draw(st.sampled_from(("json", "pretty"))),
+                    "--max-size", str(data.draw(st.integers(0, 3))), command, *paths[:len(positionals)]]
+            for flag, _, convert, *_ in options:
+                choices = convert if isinstance(convert, tuple) else [str(left)] * 3 + ["-1", "0", "2", "3"]
+                argv += [flag, data.draw(st.sampled_from(choices))]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert run(argv) in (0, 1, 2), argv

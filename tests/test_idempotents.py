@@ -412,6 +412,17 @@ def test_blackwell_split_middle_labels():
     assert sd.middle.labels == ("C_1", "C_3")
 
 
+def test_split_data_refuses_overlapping_classes_and_recurrent_transients():
+    sd = blackwell_split(balanced_idempotent())
+    parts = (sd.middle, sd.projection, sd.inclusion)
+    with pytest.raises(StructureViolation, match="^recurrent classes must be disjoint$"):
+        idempotents.SplitData(*parts, (("1", "2"), ("2", "3")), ())
+    with pytest.raises(StructureViolation, match="^transient states cannot be recurrent$"):
+        idempotents.SplitData(*parts, (("1",), ("3",)), ("2", "3"))
+    # a label repeated within one class or among the transients is not an overlap
+    assert idempotents.SplitData(*parts, (("1", "1"), ("3",)), ("2", "2")).classes == (("1", "1"), ("3",))
+
+
 def test_blackwell_split_rejects_non_idempotent():
     x = fin_object(("a", "b"))
     rot = make_kernel(Kind.STOCH, x, x, [[0, 1], [1, 0]])

@@ -114,6 +114,7 @@ from oracles import (
     recomposes,
     settled_by_composing,
     split_by_every_label,
+    tensor_label_by_grammar,
     witness_separates,
     random_object,
 )
@@ -222,18 +223,20 @@ def test_pair_refuses_mixed_kinds_and_domains():
         pair(random_kernel(rng, Kind.STOCH, a, x), random_kernel(rng, Kind.STOCH, b, x))
 
 
-# labels with commas, parentheses, the unit's "•", non-ASCII and the empty string
-LABELS = st.text(alphabet="(),•éa", max_size=4)
+# labels with commas, parentheses, backslashes, the unit's "•", non-ASCII and the empty string
+LABELS = st.text(alphabet="(),\\•éa", max_size=4)
 
 
 @st.composite
 def _label_grids(draw):
-    """Labels of a tensor grid, some of them replaced, or any labels."""
+    """Labels of a tensor grid, written with or without escapes, some of
+    them replaced, or any labels."""
     if draw(st.booleans()):
         return draw(st.lists(LABELS, max_size=8, unique=True))
     left = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
     right = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
-    labels = [f"({a},{b})" for a in left for b in right]
+    write = (lambda a, b: f"({a},{b})") if draw(st.booleans()) else tensor_label_by_grammar
+    labels = [write(a, b) for a in left for b in right]
     for pos, label in draw(st.lists(st.tuples(st.integers(0, 15), LABELS), max_size=2)):
         labels[pos % len(labels)] = label
     return labels
@@ -885,16 +888,18 @@ def test_env_tensor_of_unabsorbed_factors_with_an_absorbed_tensor():
     assert env_tensor_by_tensors(f, f).kernel == identity(tensor_object(x, x), Kind.SIGNED)
 
 
-def test_env_tensor_on_factors_that_only_their_tensor_labels_fit():
-    # ("a") ⊗ ("b,c") and ("a,b") ⊗ ("c") are both the object ("(a,b,c)"),
-    # so the literal composites fit while the factors do not
+def test_env_tensor_refuses_factors_that_differ_only_by_a_comma_split():
+    # ("a") ⊗ ("b,c") and ("a,b") ⊗ ("c") are the distinct objects
+    # ("(a,b\\,c)") and ("(a\\,b,c)"), so a kernel on the first does not
+    # compose with the cells of the second, literally or in the oracle
     a, bc, ab, c, y = (fin_object((label,)) for label in ("a", "b,c", "a,b", "c", "y"))
+    assert tensor_object(a, bc) != tensor_object(ab, c)
+    assert tensor_object(a, bc).labels == ("(a,b\\,c)",) and tensor_object(ab, c).labels == ("(a\\,b,c)",)
     ab_cell, c_cell, y_cell = (EnvelopeCell(o, identity(o), Flavor.KAROUBI) for o in (ab, c, y))
     f = EnvelopeMorphism(ab_cell, y_cell, function_kernel(a, y, [0], Kind.STOCH))
     g = EnvelopeMorphism(c_cell, y_cell, function_kernel(bc, y, [0], Kind.STOCH))
-    m = env_tensor(f, g)
-    assert m == env_tensor_by_tensors(f, g)
-    assert m.src.object == tensor_object(a, bc)
+    assert _outcome(env_tensor, f, g)[0] is DomainMismatch
+    assert _outcome(env_tensor_by_tensors, f, g)[0] is DomainMismatch
 
 
 # ---------------------------------------------------------------------------

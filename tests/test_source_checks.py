@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import finmarkov
@@ -599,3 +600,71 @@ def test_only_the_class_test_reads_the_classes():
 def test_validate_call_check_flags_each_form():
     found = _validate_calls(ast.parse(VALIDATE_CALLS), {"_classify_cached"})
     assert found == ["blackwell_split:6", "_settled:10", "Cell.check:14", "line 16:16"]
+
+
+# the one unit that writes tensor labels, in the one slotted object class
+LABEL_WRITER = "_tensor_labels"
+PAIR_TEMPLATE = re.compile(r"\(\{\}\s*,\s*\{\}\)")
+
+
+def _pair_label_writers(tree):
+    """Units that build an f-string holding "({…},{…})", named with its line."""
+    found = []
+    for name, unit in _units(tree):
+        for node in ast.walk(unit):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+                if PAIR_TEMPLATE.search(text):
+                    found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def _unslotted(tree, names):
+    """Classes named in ``names`` whose body assigns no ``__slots__``, with their line."""
+    return [
+        f"{cls.name}:{cls.lineno}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in names and not any(
+            isinstance(item, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in item.targets)
+            for item in cls.body
+        )
+    ]
+
+
+def test_only_the_label_writer_formats_tensor_labels():
+    # one writer keeps the encoding injective and the split its inverse;
+    # FinObject stays slotted, so a tensor object carries only its factors
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name} {where.split(':')[0]}" for where in _pair_label_writers(tree)]
+        found += [f"{path.name} {where} unslotted" for where in _unslotted(tree, {"FinObject"})]
+    assert found == [f"kernel.py {LABEL_WRITER}"]
+
+
+PAIR_LABELS = """
+def _tensor_labels(left, right):
+    return tuple(f"({a},{b})" for a in left for b in right)
+
+def split(labels, a, b):
+    return labels == (f"({a}, {b})",)
+
+class Obj:
+    __slots__ = ("labels",)
+
+    def label(self, a, b):
+        return [f"<{f'({a!r},{b:>3})'}>"]
+
+class FinObject:
+    def __init__(self, labels):
+        self.labels = labels
+
+PAIR = f"({1},{2})"
+FINE = f"({1} vs {2})", f"({1},{2},{3})", "(%s,%s)" % (1, 2)
+"""
+
+
+def test_label_writer_check_flags_each_form():
+    tree = ast.parse(PAIR_LABELS)
+    assert _pair_label_writers(tree) == ["_tensor_labels:3", "split:6", "Obj.label:12", "line 18:18"]
+    assert _unslotted(tree, {"FinObject", "Obj"}) == ["FinObject:14"]

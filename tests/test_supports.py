@@ -19,7 +19,6 @@ from finmarkov import (
     SuppCompCell,
     SupportData,
     UnsupportedKind,
-    ValidationError,
     acsim,
     ase_kernels,
     compose,
@@ -543,12 +542,11 @@ def test_scomp_abs_cont_disjoint_pushforwards():
     assert not scomp_abs_cont(ma, mb) and not scomp_abs_cont(mb, ma)
 
 
-def test_scomp_cell_takes_an_anchor_whose_square_object_has_clashing_labels():
-    # ("a", "a,a") and ("a,a", "a") both print as "(a,a,a)", so X⊗X cannot be
-    # built; Stoch and Multi anchors are atomic without building it
+def test_scomp_cell_takes_an_anchor_on_labels_with_commas():
+    # ("a", "a,a") and ("a,a", "a") are distinct elements of X⊗X, written
+    # "(a,a\\,a)" and "(a\\,a,a)"; Stoch and Multi anchors are atomic
     x = fin_object(["a", "a,a"])
-    with pytest.raises(ValidationError, match="duplicate labels"):
-        tensor_object(x, x)
+    assert tensor_object(x, x).labels == ("(a,a)", "(a,a\\,a)", "(a\\,a,a)", "(a\\,a,a\\,a)")
     for p in (make_kernel(Kind.STOCH, UNIT, x, [[F(1, 2)], [F(1, 2)]]), multi_kernel(UNIT, x, [["a", "a,a"]])):
         cell = SuppCompCell(x, p)
         assert cell.anchor is p
