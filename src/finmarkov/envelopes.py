@@ -10,15 +10,17 @@ non-balanced signed idempotents can break it.
 
 `env_check_markov_laws` decides every comonoid law exactly on stored
 columns.  Cocommutativity holds by construction: cpy = ⟨e,e⟩∘e mixes
-the symmetric columns e(y)⊗e(y), so it builds no swap.  Discard
+the symmetric columns e(y)⊗e(y), so it builds no swap, and one side of
+coassociativity is the other with its factors reversed.  Discard
 naturality holds by the column law: discard∘e = discard for every cell
 endomorphism e within it, and the laws refuse any other.
 
 One predicate decides every shortcut: a cell is settled when its endo
 lives on its object and is idempotent, as the cached `classify` reports;
-`classify` raises ValidationError on an endo off its kind's column law.
-Then e∘e = e: the cell absorbs its identity and its copy, two such
-identities absorb their tensor, and nothing is composed.  Every other
+`classify` raises ValidationError on an endo off its kind's column law,
+so every operation that asks it refuses such a cell.  Then e∘e = e: the
+cell absorbs its identity and its copy, two such identities absorb their
+tensor, both counit laws hold, and nothing is composed.  Every other
 cell takes the literal composites, which decide and raise.
 """
 
@@ -34,6 +36,7 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
+    _bits,
     compose,
     discard_kernel,
     identity,
@@ -95,6 +98,7 @@ def env_hom(src: EnvelopeCell, dst: EnvelopeCell, f: Kernel) -> EnvelopeMorphism
     """Check the two absorption equations f∘e_src = f = e_dst∘f."""
     if f.dom != src.object or f.cod != dst.object:
         raise ShapeMismatch("kernel does not connect the given cells")
+    _settled(src), _settled(dst)  # refuse a cell off the column law
     return _require_absorbed(EnvelopeMorphism(src, dst, f))
 
 
@@ -120,25 +124,32 @@ def _require_absorbed(m: EnvelopeMorphism) -> EnvelopeMorphism:
 def env_compose(g: EnvelopeMorphism, f: EnvelopeMorphism) -> EnvelopeMorphism:
     if f.dst != g.src:
         raise CellMismatch("inner cells differ")
+    _settled(f.src), _settled(f.dst), _settled(g.dst)  # refuse a cell off the column law
     return _require_absorbed(EnvelopeMorphism(f.src, g.dst, compose(g.kernel, f.kernel)))
 
 
 def cell_tensor(a: EnvelopeCell, b: EnvelopeCell) -> EnvelopeCell:
-    """Tensor cell (X⊗Y, e_X⊗e_Y).  The cells are trusted as `env_cell`
-    built them: the tensor of two idempotents is idempotent, and of two
-    balanced ones balanced, in every kind, so nothing is rechecked."""
+    """Tensor cell (X⊗Y, e_X⊗e_Y).  `_settled` refuses a cell off the column
+    law, and nothing more is checked: the tensor of two idempotents is
+    idempotent, and of two balanced ones balanced, in every kind."""
+    return _cell_tensor(a, b)[0]
+
+
+def _cell_tensor(a: EnvelopeCell, b: EnvelopeCell) -> tuple[EnvelopeCell, bool]:
+    """The tensor cell, and whether both cells are settled."""
     if a.flavor is not b.flavor:
         raise CellMismatch("cells of different flavors")
+    settled = _settled(a) & _settled(b)
     ten = tensor(a.endo, b.endo)
-    return EnvelopeCell(ten.dom, ten, a.flavor)
+    return EnvelopeCell(ten.dom, ten, a.flavor), settled
 
 
 def env_tensor(f: EnvelopeMorphism, g: EnvelopeMorphism) -> EnvelopeMorphism:
     """f⊗g, with both absorption equations checked on the whole tensor.
     Of the identities of two settled cells, the tensor is the tensor
     cell's identity, absorbed since e∘e = e, and nothing is composed."""
-    src = cell_tensor(f.src, g.src)
-    if f == env_identity(f.src) and g == env_identity(g.src) and _settled(f.src) and _settled(g.src):
+    src, settled = _cell_tensor(f.src, g.src)
+    if settled and f == env_identity(f.src) and g == env_identity(g.src):
         return EnvelopeMorphism(src, src, src.endo)
     return _require_absorbed(EnvelopeMorphism(src, cell_tensor(f.dst, g.dst), tensor(f.kernel, g.kernel)))
 
@@ -190,32 +201,41 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     """Decide the comonoid laws of the cell's copy/discard pair exactly.
 
     A settled cell composes nothing for the laws it settles: with e∘e = e
-    and disc = discard, both counit laws and discard naturality hold, and
+    and disc = discard, both counit laws hold, as (disc⊗e)∘cpy =
+    ⟨disc, e∘e⟩∘e ≅ e∘e = e, and so does discard naturality;
     coassociativity holds when e is balanced, or multivalued (both sides
     send x to the union of e(u)³ over the u ∈ e(x) with u ∈ e(u)).
 
-    Every other cell, a non-balanced signed one among them, takes the
-    composites.  The unitors and the associator are the identity on
-    indices, so the counit laws compare the columns of (disc⊗e)∘copy and
-    (e⊗disc)∘copy with e's, and coassociativity compares the two
-    composites' columns.  With copy = ⟨e,e⟩∘e, each composite (a⊗b)∘copy
-    is built as the pairing ⟨a∘e, b∘e⟩∘e.  Cocommutativity, swap∘copy =
-    copy, holds in every kind: each column of copy is Σ_y e(y|x)·e(y)⊗e(y),
-    a sum of symmetric columns.
+    Every other cell builds the copy and the composites, a settled one only
+    ⟨cpy, e⟩∘e.  The unitors and the associator are the identity on
+    indices, so the counit laws compare the columns of ⟨disc, e∘e⟩∘e and
+    ⟨e∘e, disc⟩∘e, the pairings (a⊗b)∘cpy = ⟨a∘e, b∘e⟩∘e, with e's.  Each
+    column cpy(y) = Σ_u e(u|y)·e(u)⊗e(u) is symmetric, so swap∘cpy = cpy
+    and, with ee = e∘e, ⟨ee, cpy⟩∘e at (a,b,c), Σ_y e(y|x)·ee(a|y)·cpy(y)[c,b],
+    is ⟨cpy, ee⟩∘e at (c,b,a), for any endo in every kind: coassociativity
+    holds exactly when each column of ⟨cpy, ee⟩∘e is fixed by (a,b,c) ↦ (c,b,a).
 
     Discard naturality holds too: the endo is within the column law, as
     `_settled` classified it, so disc = discard∘e = discard.
     """
     e = cell.endo
-    if _settled(cell) and (e.kind is Kind.MULTI or classify(e).balanced):
+    settled = _settled(cell)
+    if settled and (e.kind is Kind.MULTI or classify(e).balanced):
         return MarkovLawReport(True, True, True, True, True)
     cpy = _cell_copy(cell)
-    ee, de = compose(e, e), discard_kernel(e.dom, e.kind)  # de = discard∘e∘e = discard within the law
+    ee, counits = e, (True, True)
+    if not settled:
+        ee, de = compose(e, e), discard_kernel(e.dom, e.kind)  # de = discard∘e∘e = discard within the law
+        counits = compose(pair(de, ee), e).columns == e.columns, compose(pair(ee, de), e).columns == e.columns
+    return MarkovLawReport(*counits, _reversal_fixed(compose(pair(cpy, ee), e), e.cod.size), True, True)
 
-    counit_left = compose(pair(de, ee), e).columns == e.columns
-    counit_right = compose(pair(ee, de), e).columns == e.columns
-    coassociative = compose(pair(cpy, ee), e).columns == compose(pair(ee, cpy), e).columns
-    return MarkovLawReport(counit_left, counit_right, coassociative, True, True)
+
+def _reversal_fixed(k: Kernel, n: int) -> bool:
+    """Whether each stored column of k: X → (X⊗X)⊗X, n = |X|, is fixed by (a,b,c) ↦ (c,b,a)."""
+    rev = [i % n * n * n + i // n % n * n + i // (n * n) for i in range(n**3)]
+    if k.kind is Kind.MULTI:
+        return all(col == sum(1 << rev[i] for i in _bits(col)) for col in k.columns)
+    return all(dict(cells) == {rev[i]: v for i, v in cells} for _, cells in k.columns)
 
 
 def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bool:

@@ -26,6 +26,9 @@ two-step joint, against the dense n³ formula.  The
 envelope comonoid laws and `env_ase`, which the library builds as
 pairings, are checked against their tensor-then-copy composites, and
 cocommutativity, which holds by construction, against the literal swap.
+The laws, which the library reads on a settled cell from the copy and one
+coassociativity side tested for reversal, are also checked against the
+six pairing composites they were built from before.
 Determinism almost surely, which the library reads off the columns the
 reference reaches, is checked against the comonoid equation compared as
 joints, and the seeded off-support perturbation, built on stored
@@ -65,6 +68,7 @@ from types import MappingProxyType
 from finmarkov import (
     UNIT,
     BadSplit,
+    CellMismatch,
     FinMarkovError,
     FinObject,
     Kernel,
@@ -98,8 +102,8 @@ from finmarkov.envelopes import (
     Flavor,
     MarkovLawReport,
     NotBalanced,
+    _cell_copy,
     _require_absorbed,
-    cell_tensor,
     env_hom,
 )
 from finmarkov.functors import comparison_base
@@ -390,11 +394,20 @@ def formal_split_recomposes(cell, proj, incl) -> bool:
     )
 
 
+def tensor_cell(a, b):
+    """The tensor cell (X⊗Y, e_X⊗e_Y), built without asking whether either
+    cell is settled, so a cell off the column law is not refused."""
+    if a.flavor is not b.flavor:
+        raise CellMismatch("cells of different flavors")
+    ten = tensor(a.endo, b.endo)
+    return EnvelopeCell(ten.dom, ten, a.flavor)
+
+
 def env_tensor_by_tensors(f, g):
     """f⊗g with both absorption equations checked on the whole composites
     (f⊗g)∘(e₁⊗e₂) and (e₁'⊗e₂')∘(f⊗g)."""
-    src = cell_tensor(f.src, g.src)
-    dst = cell_tensor(f.dst, g.dst)
+    src = tensor_cell(f.src, g.src)
+    dst = tensor_cell(f.dst, g.dst)
     out = EnvelopeMorphism(src, dst, tensor(f.kernel, g.kernel))
     _require_absorbed(out)
     return out
@@ -459,6 +472,21 @@ def env_check_markov_laws_by_tensors(cell) -> MarkovLawReport:
     cocommutative = kernel_equal(compose(swap_kernel(e.dom, e.dom, kind), cpy), cpy)
     discard_natural = is_deterministic(compose(disc, e)) or not support_indices(disc)
     return MarkovLawReport(counit_left, counit_right, coassociative, cocommutative, discard_natural)
+
+
+def env_check_markov_laws_by_pairings(cell) -> MarkovLawReport:
+    """The comonoid laws from six composites on every cell: the copy
+    cpy = ⟨e,e⟩∘e, e∘e, the counit pairings ⟨disc, e∘e⟩∘e and ⟨e∘e, disc⟩∘e,
+    and both coassociativity sides ⟨cpy, e∘e⟩∘e and ⟨e∘e, cpy⟩∘e.  The copy
+    asks `_settled`, which refuses an endo off the column law, and within
+    it cocommutativity and discard naturality hold."""
+    e = cell.endo
+    cpy = _cell_copy(cell)
+    ee, de = compose(e, e), discard_kernel(e.dom, e.kind)
+    counit_left = compose(pair(de, ee), e).columns == e.columns
+    counit_right = compose(pair(ee, de), e).columns == e.columns
+    coassociative = compose(pair(cpy, ee), e).columns == compose(pair(ee, cpy), e).columns
+    return MarkovLawReport(counit_left, counit_right, coassociative, True, True)
 
 
 def env_ase_by_tensors(p, f, g) -> bool:

@@ -1,10 +1,13 @@
 """Karoubi/Blackwell envelope cells, morphisms, copy formula, law
 checking, and almost-sure equality transfer."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finmarkov.envelopes as envelopes
 import finmarkov.idempotents as idempotents
@@ -12,6 +15,7 @@ from finmarkov import (
     UNIT,
     CellMismatch,
     EnvelopeCell,
+    EnvelopeMorphism,
     Flavor,
     Kernel,
     Kind,
@@ -34,6 +38,7 @@ from finmarkov import (
     env_split_idempotent,
     env_tensor,
     fin_object,
+    function_kernel,
     identity,
     kernel_equal,
     make_kernel,
@@ -280,16 +285,21 @@ def test_env_discard_is_the_discard_after_the_idempotent_in_every_kind(monkeypat
 
 def test_env_discard_off_the_column_law_is_not_the_discard():
     # 0 ↦ ∅, 1 ↦ {1}: discard∘e misses 0, and both idempotents still absorb
-    # it; env_discard refuses the cell as classify does
+    # it; env_discard refuses the cell as classify does, and so do env_hom,
+    # env_compose and cell_tensor, which ask `_settled` of their cells
     x = fin_object(("0", "1"))
     e = Kernel(Kind.MULTI, x, x, [[False, False], [False, True]])
     cell = EnvelopeCell(x, e, Flavor.KAROUBI)
-    with pytest.raises(ValidationError, match=f"^{validate(e).message}$"):
+    law = f"^{validate(e).message}$"
+    with pytest.raises(ValidationError, match=law):
         env_discard(cell)
     k = compose(discard_kernel(x, Kind.MULTI), e)
     assert k != discard_kernel(x, Kind.MULTI)
     dst = EnvelopeCell(UNIT, identity(UNIT, Kind.MULTI), Flavor.KAROUBI)
-    assert env_hom(cell, dst, k).kernel == k
+    m = EnvelopeMorphism(cell, cell, e)
+    for op, args in ((env_hom, (cell, dst, k)), (env_compose, (m, m)), (cell_tensor, (cell, cell))):
+        with pytest.raises(ValidationError, match=law):
+            op(*args)
 
 
 def test_copy_requires_blackwell_flavor():
@@ -325,6 +335,62 @@ def test_copy_checks_build_no_tensor_and_env_tensor_checks_the_whole_tensor(monk
     m = env_tensor(env_identity(cell), incl)
     assert domains == [m.src.object.size] * 2
     assert m == env_tensor_by_tensors(env_identity(cell), incl)
+
+
+def test_unbalanced_settled_laws_build_the_copy_and_one_composite(monkeypatch):
+    # on a settled cell e∘e = e gives both counit laws, and the two
+    # coassociativity sides are each other's reversal, so the laws build
+    # the copy and ⟨cpy, e⟩∘e; a cell that is not settled still builds its
+    # counit composites
+    composed, paired, discards = [], [], []
+    monkeypatch.setattr(envelopes, "compose", lambda g, f: composed.append((g, f)) or compose(g, f))
+    monkeypatch.setattr(envelopes, "pair", lambda f, g: paired.append((f, g)) or pair(f, g))
+    monkeypatch.setattr(envelopes, "discard_kernel", lambda *a: discards.append(a) or discard_kernel(*a))
+    e = signed_coassoc_counterexample()
+    cell = env_cell(e.dom, e, Flavor.KAROUBI)
+    assert env_check_markov_laws(cell) == envelopes.MarkovLawReport(True, True, False, True, True)
+    cpy = compose(pair(e, e), e)
+    assert paired == [(e, e), (cpy, e)]
+    assert len(composed) == 2 and discards == []
+    composed.clear(), paired.clear()
+    e = signed_idempotent()
+    cell = EnvelopeCell(fin_object(("u", "v", "w")), e, Flavor.KAROUBI)
+    assert not envelopes._settled(cell)
+    report = env_check_markov_laws(cell)
+    # the copy, its two absorption checks, e∘e, both counit composites and ⟨cpy, e∘e⟩∘e
+    assert len(composed) == 7 and len(paired) == 4
+    de, ee = discard_kernel(e.dom, e.kind), compose(e, e)
+    assert discards == [(e.dom, e.kind)]
+    assert (de, ee) in paired and (ee, de) in paired
+    assert report == env_check_markov_laws_by_tensors(cell)
+
+
+def _endo(rng, kind, n, variant):
+    """An endomorphism on n elements: 0, a valid kernel; 1, a class
+    idempotent; 2, a kernel built with ``Kernel(rows)`` off the column law."""
+    x = fin_object(str(i) for i in range(n))
+    if variant == 0:
+        return random_kernel(rng, kind, x, x)
+    if variant == 1:
+        e = random_class_idempotent(rng, x).idempotent
+        return Kernel(kind, x, x, [[bool(v) for v in row] for row in e.matrix] if kind is Kind.MULTI else e.matrix)
+    if kind is Kind.MULTI:
+        return Kernel(kind, x, x, [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)])
+    low = 0 if kind is Kind.STOCH else -3
+    return Kernel(kind, x, x, [[F(rng.randrange(low, 4), rng.randrange(1, 4)) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(Kind)), st.integers(1, 4), st.integers(0, 2**32), st.integers(0, 2))
+def test_coassociativity_sides_are_each_others_reversal(kind, n, seed, variant):
+    # each column of cpy = ⟨e,e⟩∘e is symmetric, so ⟨ee, cpy⟩∘e at (a,b,c) is
+    # ⟨cpy, ee⟩∘e at (c,b,a), for any endo, idempotent or not
+    e = _endo(random.Random(seed), kind, n, variant)
+    ee, cpy = compose(e, e), compose(pair(e, e), e)
+    lhs, rhs = compose(pair(cpy, ee), e), compose(pair(ee, cpy), e)
+    rev = [c * n * n + b * n + a for a, b, c in itertools.product(range(n), repeat=3)]
+    assert compose(function_kernel(lhs.cod, rhs.cod, rev, kind), lhs).columns == rhs.columns
+    assert envelopes._reversal_fixed(lhs, n) == (lhs.columns == rhs.columns)
 
 
 def test_markov_laws_compose_nothing_with_a_swap(monkeypatch):

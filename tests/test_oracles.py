@@ -3,6 +3,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from finmarkov import (
     NoSplitUpTo,
     NotAConditional,
     NotBalanced,
+    NotHom,
     ParamMorphism,
     ShapeMismatch,
     SuppCompCell,
@@ -48,6 +50,7 @@ from finmarkov import (
     function_kernel,
     identity,
     io_relation,
+    make_kernel,
     pair,
     param_compose,
     param_lift,
@@ -98,6 +101,7 @@ from oracles import (
     blackwell_copy_by_tensor,
     env_ase_by_copy_formula,
     env_ase_by_tensors,
+    env_check_markov_laws_by_pairings,
     env_check_markov_laws_by_tensors,
     env_split_idempotent_by_homs,
     env_tensor_by_tensors,
@@ -114,6 +118,7 @@ from oracles import (
     recomposes,
     settled_by_composing,
     split_by_every_label,
+    tensor_cell,
     tensor_label_by_grammar,
     witness_separates,
     random_object,
@@ -758,17 +763,26 @@ def _absorption_morphism(rng, kind, src, dst):
     return EnvelopeMorphism(src, dst, raw)
 
 
+def _tensor_cell_law_error(a, b):
+    """What `cell_tensor` raises off the column law: it asks `_settled` of
+    both cells once their flavors agree."""
+    return None if a.flavor is not b.flavor else _law_error(a) or _law_error(b)
+
+
 def _env_tensor_law_error(f, g):
-    """What `env_tensor` raises off the column law: it classifies only the
-    source cells of two cell identities whose tensor cell exists, the
-    second one once the first is settled."""
+    """What `env_tensor` raises off the column law: it builds the tensor
+    cell of the sources and then, unless f and g are the identities of two
+    settled cells, the tensor cell of the targets."""
+    if law := _tensor_cell_law_error(f.src, g.src):
+        return law
     try:
-        cell_tensor(f.src, g.src)
+        tensor_cell(f.src, g.src)
     except FinMarkovError:
         return None
-    if f != EnvelopeMorphism(f.src, f.src, f.src.endo) or g != EnvelopeMorphism(g.src, g.src, g.src.endo):
+    identities = f == EnvelopeMorphism(f.src, f.src, f.src.endo) and g == EnvelopeMorphism(g.src, g.src, g.src.endo)
+    if identities and settled_by_composing(f.src) and settled_by_composing(g.src):
         return None
-    return _law_error(f.src) or (_law_error(g.src) if settled_by_composing(f.src) else None)
+    return _tensor_cell_law_error(f.dst, g.dst)
 
 
 def _absorption_cells(rng, kind, flavor, k):
@@ -874,6 +888,79 @@ def test_discard_naturality_holds_on_every_cell_the_laws_decide(kind, flavor, se
     if isinstance(report, MarkovLawReport):
         assert report.discard_natural
         assert constant_map_witness(cell) is None
+
+
+GOLDEN_IDEMPOTENTS = {
+    Kind.STOCH: (strong_idempotent, static_idempotent, balanced_idempotent),
+    Kind.SIGNED: (signed_idempotent, signed_coassoc_counterexample),
+    Kind.MULTI: (multi_upset_idempotent, multi_chain3_idempotent),
+}
+
+
+def _conjugate(rng, e):
+    """P∘e∘P⁻¹ for a random permutation P, and over Signed with P∘T for a
+    shear T that adds t·(u_a − u_b) to column c.  T keeps every column sum,
+    so T, T⁻¹ and the conjugate lie within the signed column law, where a
+    permutation with a sign −1 in it would break the column sums."""
+    x, n = e.dom, e.dom.size
+    order = rng.sample(range(n), n)
+    p = function_kernel(x, x, order, e.kind)
+    p_inv = function_kernel(x, x, [order.index(i) for i in range(n)], e.kind)
+    if e.kind is Kind.SIGNED and n > 1:
+        a, b = rng.sample(range(n), 2)
+        c, t = rng.randrange(n), rng.choice((Fraction(-2), Fraction(-1, 2), Fraction(1, 2), Fraction(3)))
+        u = [int(i == a) - int(i == b) for i in range(n)]
+        shear = [[Fraction(int(i == j)) + t * u[i] * (j == c) for j in range(n)] for i in range(n)]
+        inverse = [[Fraction(int(i == j)) - t * u[i] * (j == c) / (1 + t * u[c]) for j in range(n)] for i in range(n)]
+        shear, inverse = (make_kernel(Kind.SIGNED, x, x, m) for m in (shear, inverse))
+        assert compose(shear, inverse) == identity(x, Kind.SIGNED)
+        p, p_inv = compose(p, shear), compose(inverse, p_inv)
+    return compose(p, compose(e, p_inv))
+
+
+def _law_cell(rng, kind, flavor, variant):
+    """A cell on at most four elements.  Settled, from `env_cell` and then
+    given the flavor, which the laws do not read (a Blackwell cell refuses a
+    non-balanced e): 0, a class idempotent; 1, a golden idempotent, the
+    signed counterexample among them; 2, a class idempotent conjugated by
+    `_conjugate`.  Not settled: 3, a class idempotent on another object than
+    the cell's; 4, a valid kernel, idempotent or not."""
+    x = random_object(rng, 4, "s")
+    if variant == 4:
+        return EnvelopeCell(x, random_kernel(rng, kind, x, x), flavor)
+    e = rng.choice(GOLDEN_IDEMPOTENTS[kind])() if variant == 1 else _idempotent(rng, kind, x)
+    if variant == 2:
+        e = _conjugate(rng, e)
+    if variant == 3:
+        return EnvelopeCell(random_object(rng, 4, "t"), e, flavor)
+    return replace(env_cell(e.dom, e, Flavor.KAROUBI), flavor=flavor)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ALL_KINDS, st.sampled_from(list(Flavor)), SEEDS, st.integers(0, 4))
+def test_markov_laws_agree_with_the_tensor_and_pairing_composites(kind, flavor, seed, variant):
+    # a settled cell reads the counit laws off e∘e = e and coassociativity
+    # off one side and its reversal; every cell gets the report, or the
+    # error, of the literal composites
+    cell = _law_cell(random.Random(seed), kind, flavor, variant)
+    report = _outcome(env_check_markov_laws, cell)
+    assert report == _outcome(env_check_markov_laws_by_tensors, cell)
+    assert report == _outcome(env_check_markov_laws_by_pairings, cell)
+
+
+def test_markov_law_cells_reach_every_path():
+    # the settled cells take the shortcut or the reversal, and the
+    # reversal decides both ways; the other cells are refused or decided
+    seen = set()
+    for kind, variant, seed in itertools.product(Kind, range(5), range(12)):
+        cell = _law_cell(random.Random(seed), kind, Flavor.KAROUBI, variant)
+        report = _outcome(env_check_markov_laws, cell)
+        settled = _settled(cell)
+        balanced = settled and (kind is Kind.MULTI or classify(cell.endo).balanced)
+        seen.add((settled, balanced, report.coassociative if isinstance(report, MarkovLawReport) else report[0]))
+    assert seen >= {
+        (True, True, True), (True, False, True), (True, False, False), (False, False, True), (False, False, NotHom),
+    }
 
 
 def test_env_tensor_of_unabsorbed_factors_with_an_absorbed_tensor():
