@@ -12,16 +12,15 @@ non-balanced signed idempotents can break it.
 columns.  Cocommutativity holds by construction: cpy = ⟨e,e⟩∘e mixes
 the symmetric columns e(y)⊗e(y), so it builds no swap, and one side of
 coassociativity is the other with its factors reversed.  Discard
-naturality holds by the column law: discard∘e = discard for every cell
-endomorphism e within it, and the laws refuse any other.
+naturality holds by the column law, which construction decides for every
+kernel: discard∘e = discard for every cell endomorphism e.
 
 One predicate decides every shortcut: a cell is settled when its endo
-lives on its object and is idempotent, as the cached `classify` reports;
-`classify` raises ValidationError on an endo off its kind's column law,
-so every operation that asks it refuses such a cell.  Then e∘e = e: the
-cell absorbs its identity and its copy, two such identities absorb their
-tensor, both counit laws hold, and nothing is composed.  Every other
-cell takes the literal composites, which decide and raise.
+lives on its object and is idempotent, as the cached `classify` reports.
+Then e∘e = e: the cell absorbs its identity and its copy, two such
+identities absorb their tensor, both counit laws hold, and nothing is
+composed.  Every other cell takes the literal composites, which decide
+and raise.
 """
 
 from __future__ import annotations
@@ -76,9 +75,8 @@ class EnvelopeMorphism:
 
 
 def env_cell(x: FinObject, e: Kernel, flavor: Flavor | str) -> EnvelopeCell:
-    """Validated cell: e must satisfy its kind's column law and be
-    idempotent, and balanced for Blackwell.  Decided once by `_settled`,
-    which raises ValidationError off the law; a cell it rejects is checked
+    """Validated cell: e must be an idempotent on x, and balanced for
+    Blackwell.  Decided once by `_settled`; a cell it rejects is checked
     again for the first error."""
     if not _settled(cell := EnvelopeCell(x, e, Flavor(flavor))):
         if e.dom != x or e.cod != x:
@@ -98,15 +96,13 @@ def env_hom(src: EnvelopeCell, dst: EnvelopeCell, f: Kernel) -> EnvelopeMorphism
     """Check the two absorption equations f∘e_src = f = e_dst∘f."""
     if f.dom != src.object or f.cod != dst.object:
         raise ShapeMismatch("kernel does not connect the given cells")
-    _settled(src), _settled(dst)  # refuse a cell off the column law
     return _require_absorbed(EnvelopeMorphism(src, dst, f))
 
 
 @lru_cache(maxsize=4096)
 def _settled(cell: EnvelopeCell) -> bool:
-    """Whether the cell's endo lives on its object and is idempotent.  Any
-    endo is classified, so one off the column law raises ValidationError
-    before it reaches a composite.  Memoized, so each cell is decided once."""
+    """Whether the cell's endo lives on its object and is idempotent.
+    Memoized, so each cell is decided once."""
     e = cell.endo
     return e.dom == e.cod and classify(e).idempotent and e.dom == cell.object
 
@@ -124,32 +120,25 @@ def _require_absorbed(m: EnvelopeMorphism) -> EnvelopeMorphism:
 def env_compose(g: EnvelopeMorphism, f: EnvelopeMorphism) -> EnvelopeMorphism:
     if f.dst != g.src:
         raise CellMismatch("inner cells differ")
-    _settled(f.src), _settled(f.dst), _settled(g.dst)  # refuse a cell off the column law
     return _require_absorbed(EnvelopeMorphism(f.src, g.dst, compose(g.kernel, f.kernel)))
 
 
 def cell_tensor(a: EnvelopeCell, b: EnvelopeCell) -> EnvelopeCell:
-    """Tensor cell (X⊗Y, e_X⊗e_Y).  `_settled` refuses a cell off the column
-    law, and nothing more is checked: the tensor of two idempotents is
-    idempotent, and of two balanced ones balanced, in every kind."""
-    return _cell_tensor(a, b)[0]
-
-
-def _cell_tensor(a: EnvelopeCell, b: EnvelopeCell) -> tuple[EnvelopeCell, bool]:
-    """The tensor cell, and whether both cells are settled."""
+    """Tensor cell (X⊗Y, e_X⊗e_Y).  Only the flavors are checked: the
+    tensor of two idempotents is idempotent, and of two balanced ones
+    balanced, in every kind."""
     if a.flavor is not b.flavor:
         raise CellMismatch("cells of different flavors")
-    settled = _settled(a) & _settled(b)
     ten = tensor(a.endo, b.endo)
-    return EnvelopeCell(ten.dom, ten, a.flavor), settled
+    return EnvelopeCell(ten.dom, ten, a.flavor)
 
 
 def env_tensor(f: EnvelopeMorphism, g: EnvelopeMorphism) -> EnvelopeMorphism:
     """f⊗g, with both absorption equations checked on the whole tensor.
     Of the identities of two settled cells, the tensor is the tensor
     cell's identity, absorbed since e∘e = e, and nothing is composed."""
-    src, settled = _cell_tensor(f.src, g.src)
-    if settled and f == env_identity(f.src) and g == env_identity(g.src):
+    src = cell_tensor(f.src, g.src)
+    if f == env_identity(f.src) and g == env_identity(g.src) and _settled(f.src) and _settled(g.src):
         return EnvelopeMorphism(src, src, src.endo)
     return _require_absorbed(EnvelopeMorphism(src, cell_tensor(f.dst, g.dst), tensor(f.kernel, g.kernel)))
 
@@ -177,9 +166,9 @@ def _cell_copy(cell: EnvelopeCell) -> Kernel:
 
 
 def env_discard(cell: EnvelopeCell) -> EnvelopeMorphism:
-    """discard∘e, which is the discard on a settled cell; `_settled` refuses an endo off the law."""
+    """discard∘e, which is the discard: e is within the column law."""
     e = cell.endo
-    k = discard_kernel(e.dom, e.kind) if _settled(cell) else compose(discard_kernel(e.dom, e.kind), e)
+    k = discard_kernel(e.dom, e.kind)
     dst = EnvelopeCell(k.cod, identity(k.cod, e.kind), cell.flavor)
     return EnvelopeMorphism(cell, dst, k)
 
@@ -215,8 +204,8 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     is ⟨cpy, ee⟩∘e at (c,b,a), for any endo in every kind: coassociativity
     holds exactly when each column of ⟨cpy, ee⟩∘e is fixed by (a,b,c) ↦ (c,b,a).
 
-    Discard naturality holds too: the endo is within the column law, as
-    `_settled` classified it, so disc = discard∘e = discard.
+    Discard naturality holds too: the endo is within the column law, so
+    disc = discard∘e = discard.
     """
     e = cell.endo
     settled = _settled(cell)

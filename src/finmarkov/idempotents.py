@@ -48,7 +48,6 @@ from .kernel import (
     Kernel,
     Kind,
     ShapeMismatch,
-    ValidationError,
     _bits,
     _is_point_column,
     _kernel,
@@ -61,7 +60,6 @@ from .kernel import (
     pair,
     support_indices,
     swap_kernel,
-    validate,
 )
 from .rand import random_full_support_column, random_stoch_column
 
@@ -115,17 +113,11 @@ class IdempotentReport:
 def classify(e: Kernel) -> IdempotentReport:
     """Classify an endomorphism; non-idempotents get all flags False.
 
-    The taxonomy is about kernels within their kind's column law, so an
-    endomorphism off it (built with ``Kernel(...)``) raises ValidationError
-    with `validate`'s message.  Every caller that classifies first
-    (`blackwell_split`, `search_split`, `verify_split`,
-    `balanced_cross_check` and the envelope cells) inherits this check.
-
-    The class test: a Stoch or Multi kernel within the column law is
-    e = ι∘π with π∘ι = id when each reached y lies in the support S_y of its
-    column, the columns are equal on each S_y, and every other column covers
-    each class it meets: proportional there to the class's column over
-    Stoch, the OR of the columns it reaches over Multi.  Then static first
+    The class test: a Stoch or Multi kernel is e = ι∘π with π∘ι = id when
+    each reached y lies in the support S_y of its column, the columns are
+    equal on each S_y, and every other column covers each class it meets:
+    proportional there to the class's column over Stoch, the OR of the
+    columns it reaches over Multi.  Then static first
     fails at the first input reaching a class of two or more, at the lowest
     first member t of those classes as final, and strong at the first input
     x meeting two classes, at its lowest support element z as final.  Over
@@ -145,8 +137,6 @@ def classify(e: Kernel) -> IdempotentReport:
 @lru_cache(maxsize=4096)
 def _classify_cached(e: Kernel) -> tuple:
     """e's report and, if e passes the class test, its class record (reached mask, members), else None."""
-    if (bad := validate(e)) is not None:
-        raise ValidationError(bad.message)
     if e.kind is not Kind.SIGNED and (passed := _class_failures(e.kind, e.columns)) is not None:
         return _report(e, *passed[:2]), passed[2]
     labels, cols = e.dom.labels, e.columns
@@ -390,8 +380,7 @@ def blackwell_split(e: Kernel) -> SplitData:
     """Split a stochastic idempotent through its recurrent classes, the
     supports of its reached columns (module docstring): each class is
     included via its common column, and each state projects to a class with
-    the mass e assigns to it.  A kernel off the column law raises
-    ValidationError from `classify`."""
+    the mass e assigns to it."""
     if e.kind is not Kind.STOCH:
         raise UnsupportedKind("the class decomposition applies to stochastic kernels")
     if not classify(e).idempotent:
@@ -442,17 +431,13 @@ def _deterministic_as(p: Kernel, f: Kernel) -> bool:
 def verify_split(e: Kernel, iota: Kernel, pi: Kernel) -> tuple[IdempotentReport, bool]:
     """Check a claimed splitting and the taxonomy it induces.
 
-    Raises ValidationError when ι or π is off its kind's column law, and
-    NotASplitting naming the first violated equation; returns the
+    Raises NotASplitting naming the first violated equation; returns the
     classification of e together with the verdict of the induced checks
     (inclusion deterministic ⟺ static, projection deterministic ⟺
     strong, projection deterministic almost surely w.r.t. the inclusion).
     The last is read off the projection's columns where the inclusion
     reaches, each a point mass.
     """
-    for k in (iota, pi):
-        if (bad := validate(k)) is not None:
-            raise ValidationError(bad.message)
     if pi.dom != e.dom or iota.cod != e.cod or pi.cod != iota.dom:
         raise ShapeMismatch("splitting pair does not compose with the idempotent")
     if not kernel_equal(compose(pi, iota), identity(iota.dom, e.kind)):
@@ -486,22 +471,23 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
     constant (hg)(·|b):
         g(x|b)·h(y|x) = g(x|b)·(hg)(y|b).
 
-    Over Stoch with f and g within the column law the antecedent is the
-    consequent.  Let column b of g hold numerators g_x ≥ 0 over G_b = Σ_x g_x
-    and let h's columns be h_x.  At scale G_b² the one-sample minus
-    two-sample term at b is P_b·P_bᵀ − G_b·T_b (P_b = Σ_x g_x·h_x,
-    T_b = Σ_x g_x·h_x·h_xᵀ) = −½ Σ_{x,x'} g_x·g_x'·(h_x − h_x')(h_x − h_x')ᵀ ≼ 0.
+    Over Stoch the antecedent is the consequent.  Let column b of g hold
+    numerators g_x ≥ 0 over G_b = Σ_x g_x and let h's columns be h_x.  At
+    scale G_b² the one-sample minus two-sample term at b is
+    P_b·P_bᵀ − G_b·T_b (P_b = Σ_x g_x·h_x, T_b = Σ_x g_x·h_x·h_xᵀ)
+    = −½ Σ_{x,x'} g_x·g_x'·(h_x − h_x')(h_x − h_x')ᵀ ≼ 0.
     With f's weights ≥ 0 the weighted sum is zero only when h is constant,
     so equal to (hg)(b), on each g(·|b) that f reaches: only h's columns
-    are compared.  Otherwise both sides are decided on the stored columns:
-    integer numerators over shared denominators, or bitmasks over Multi.
+    are compared.  Over Signed and Multi both sides are decided on the
+    stored columns: integer numerators over shared denominators, or
+    bitmasks over Multi.
     """
     if f.kind is not g.kind or g.kind is not h.kind:
         raise ShapeMismatch("all three kernels must have the same kind")
     if f.cod != g.dom or g.cod != h.dom:
         raise ShapeMismatch("kernels must form a chain A→B→X→Y")
     gcols, hcols = g.columns, h.columns
-    if f.kind is Kind.STOCH and validate(f) is None and validate(g) is None:
+    if f.kind is Kind.STOCH:
         same = all(len({hcols[x] for x, _ in gcols[b][1]}) == 1 for b in support_indices(f))
         return CauchySchwarzInstance(same, same)
     ny = h.cod.size

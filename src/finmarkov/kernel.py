@@ -24,9 +24,12 @@ rows feeds `_ratio_column` one ``as_integer_ratio`` per nonzero entry when
 it is built.  The CLI's document parser takes one walk over a document: it
 parses each distinct entry string once, builds each column over the lcm of
 its denominators, and decides the column law (sign and sum, or a nonempty
-image) as it goes, so it never calls `validate`.  ``Kernel(...)`` checks
-no law; `make_kernel` does, and `classify` refuses an endomorphism off it
-with ValidationError, for every operation that classifies first.
+image) as it goes, so it never calls `validate`.
+
+Construction decides the column law: ``Kernel(...)`` refuses a column off
+its kind's law with ValidationError, and every library operation maps
+kernels within the law to kernels within it, so no operation checks the
+law again.
 
 Every deterministic kernel (identity, copy, discard, swap, point masses,
 the associator and unitors, subset inclusions) is built by
@@ -282,9 +285,10 @@ def _reduced(den: int, cells: list) -> tuple:
 class Kernel:
     """A morphism: matrix over one of the three scalar structures.
 
-    ``Kernel(kind, dom, cod, rows)`` takes dense rows and checks shapes and
-    entry types only (Multi entries are bools or the ints 0 and 1);
-    :func:`validate` and :func:`make_kernel` enforce the column law.
+    ``Kernel(kind, dom, cod, rows)`` takes dense rows and checks, in this
+    order, shapes, entry types (Multi entries are bools or the ints 0 and
+    1) and the column law, raising ValidationError with the first column
+    that breaks it.
     Immutable; equal iff kind, objects and ``columns`` agree.
     The rows become ``columns`` when the kernel is built and stay its
     ``matrix`` view.  Parsed documents and computed kernels hold columns
@@ -314,6 +318,9 @@ class Kernel:
         else:
             columns = tuple(_ratio_column([(i, v.as_integer_ratio()) for i, v in enumerate(col) if v])
                             for col in dense)
+        for j, col in enumerate(columns):
+            if (message := _law_break(kind, j, col)) is not None:
+                raise ValidationError(message)
         _SET_KIND(self, kind)
         _SET_DOM(self, dom)
         _SET_COD(self, cod)
@@ -369,7 +376,8 @@ _SET_KIND, _SET_DOM, _SET_COD, _SET_COLUMNS, _SET_HASH, _SET_MATRIX = (
 
 
 def _kernel(kind: Kind, dom: FinObject, cod: FinObject, columns: tuple) -> Kernel:
-    """Kernel from stored columns, trusted to be canonical and of the right shape."""
+    """Kernel from stored columns, trusted to be canonical, of the right
+    shape and within the column law."""
     k = object.__new__(Kernel)
     _SET_KIND(k, kind)
     _SET_DOM(k, dom)
@@ -417,6 +425,9 @@ def validate(k: Kernel) -> Optional[Violation]:
     Stoch: entries nonnegative, every column sums to 1.
     Signed: every column sums to 1.
     Multi: every column has at least one true entry.
+
+    ``Kernel(...)`` refuses any column this reports, so every kernel built
+    by it or by a library operation on such kernels is valid.
     """
     for j, col in enumerate(k.columns):
         message = _law_break(k.kind, j, col)
@@ -426,12 +437,8 @@ def validate(k: Kernel) -> Optional[Violation]:
 
 
 def make_kernel(kind: Kind, dom: FinObject, cod: FinObject, rows: Sequence[Sequence]) -> Kernel:
-    """Build a kernel from dense rows and enforce the column law."""
-    k = Kernel(kind, dom, cod, rows)
-    bad = validate(k)
-    if bad is not None:
-        raise ValidationError(bad.message)
-    return k
+    """Build a kernel from dense rows; ``Kernel`` enforces the column law."""
+    return Kernel(kind, dom, cod, rows)
 
 
 def multi_kernel(dom: FinObject, cod: FinObject, images: Sequence[Iterable[str]]) -> Kernel:
@@ -439,7 +446,7 @@ def multi_kernel(dom: FinObject, cod: FinObject, images: Sequence[Iterable[str]]
     if len(images) != dom.size:
         raise ShapeMismatch(f"{len(images)} images for domain of size {dom.size}")
     idx = [{cod.index(lbl) for lbl in img} for img in images]
-    return make_kernel(Kind.MULTI, dom, cod, [[i in image for image in idx] for i in range(cod.size)])
+    return Kernel(Kind.MULTI, dom, cod, [[i in image for image in idx] for i in range(cod.size)])
 
 
 def function_kernel(dom: FinObject, cod: FinObject, targets: Sequence[int], kind: Kind) -> Kernel:

@@ -281,8 +281,6 @@ class SuppCompMorphism:
 def canonical_rep(f: Kernel, reachable: set[int]) -> Kernel:
     """Replace columns at unreachable inputs with the point mass on the
     first codomain element."""
-    if not f.cod.size:  # there is no point mass, and every column is empty
-        return f
     point = 1 if f.kind is Kind.MULTI else (1, ((0, 1),))
     cols = tuple(col if j in reachable else point for j, col in enumerate(f.columns))
     return _kernel(f.kind, f.dom, f.cod, cols)

@@ -34,7 +34,7 @@ reference reaches, is checked against the comonoid equation compared as
 joints, and the seeded off-support perturbation, built on stored
 columns, against the same draws on dense columns.
 The envelope shortcuts, which the library takes on a settled cell (its
-endo an idempotent within the column law, as `classify` reports), are
+endo an idempotent, as `classify` reports), are
 checked against the whole composites, and the settled-cell test against
 e∘e composed.  The lift of a kernel to a parametric kernel, built with a
 projection, is checked against the unitor after discarding the parameter.
@@ -45,14 +45,15 @@ readings the library takes off the set bits of its column masks
 (supports, domination and its witness, restricted rows, the
 Cauchy-Schwarz instance, document images and the dense view) are checked
 against scans that test every row.  The Cauchy-Schwarz instance, which
-the library decides over Stoch within the column law from the consequent
-alone, is checked against the quadratic sums it decided by before, on
-every kind.  Conditional uniqueness, which the
+the library decides over Stoch from the consequent alone, is checked
+against the quadratic sums it decided by before, on every kind.
+Conditional uniqueness, which the
 library reads off the blocks of the joint's stored columns, is checked
 against the literal reconstruction through tensors followed by the
 almost-sure comparison, and the tensor-grid split, which parses the
 first row and column, against parsing every label.  The enumerations, comparisons and
-random objects only the tests use live here too, and so do the introduction's example kernels.
+random objects only the tests use live here too, and so do the introduction's example kernels
+and `raw_kernel`, which builds kernels off the column law that ``Kernel(...)`` refuses.
 """
 
 import itertools
@@ -78,6 +79,7 @@ from finmarkov import (
     NotAConditional,
     ParamMorphism,
     SplitData,
+    ValidationError,
     ase_kernels,
     compose,
     copy_kernel,
@@ -166,6 +168,33 @@ def all_multi_kernels(dom: FinObject, cod: FinObject) -> list:
     """Every Multi kernel dom → cod, enumerated by column bitmasks."""
     masks = range(1, 2**cod.size)
     return [_kernel(Kind.MULTI, dom, cod, cols) for cols in itertools.product(masks, repeat=dom.size)]
+
+
+def raw_kernel(kind: Kind, dom: FinObject, cod: FinObject, rows) -> Kernel:
+    """A kernel from dense rows of the given shape with no column-law check,
+    which ``Kernel(...)`` makes: stored columns by `columns_by_exact_column`,
+    or over Multi the masks of the true entries.  The tests feed such
+    kernels, and kernels into an empty object, to operations and references
+    that work on any stored columns."""
+    rows = [list(row) for row in rows]
+    if kind is Kind.MULTI:
+        dense = zip(*rows) if rows else [()] * dom.size
+        return _kernel(kind, dom, cod, tuple(sum(1 << i for i, v in enumerate(col) if v) for col in dense))
+    return _kernel(kind, dom, cod, columns_by_exact_column([[Fraction(v) for v in row] for row in rows], dom.size))
+
+
+def kernel_refusal(kind: Kind, dom: FinObject, cod: FinObject, rows):
+    """The violation `validate` reports on `raw_kernel`'s kernel of the rows,
+    after checking that ``Kernel(...)`` refuses them with ValidationError
+    and that violation's message."""
+    bad = validate(raw_kernel(kind, dom, cod, rows))
+    try:
+        Kernel(kind, dom, cod, rows)
+    except ValidationError as exc:
+        if bad is None or str(exc) != bad.message:
+            raise AssertionError(f"Kernel(...) refused the rows with {str(exc)!r}; validate found {bad}") from None
+        return bad
+    raise AssertionError(f"Kernel(...) accepted the rows; validate found {bad}")
 
 
 def entry(k: Kernel, out_label: str, in_label: str):
@@ -395,8 +424,7 @@ def formal_split_recomposes(cell, proj, incl) -> bool:
 
 
 def tensor_cell(a, b):
-    """The tensor cell (X⊗Y, e_X⊗e_Y), built without asking whether either
-    cell is settled, so a cell off the column law is not refused."""
+    """The tensor cell (X⊗Y, e_X⊗e_Y), from its definition."""
     if a.flavor is not b.flavor:
         raise CellMismatch("cells of different flavors")
     ten = tensor(a.endo, b.endo)
@@ -477,9 +505,9 @@ def env_check_markov_laws_by_tensors(cell) -> MarkovLawReport:
 def env_check_markov_laws_by_pairings(cell) -> MarkovLawReport:
     """The comonoid laws from six composites on every cell: the copy
     cpy = ⟨e,e⟩∘e, e∘e, the counit pairings ⟨disc, e∘e⟩∘e and ⟨e∘e, disc⟩∘e,
-    and both coassociativity sides ⟨cpy, e∘e⟩∘e and ⟨e∘e, cpy⟩∘e.  The copy
-    asks `_settled`, which refuses an endo off the column law, and within
-    it cocommutativity and discard naturality hold."""
+    and both coassociativity sides ⟨cpy, e∘e⟩∘e and ⟨e∘e, cpy⟩∘e.  Within
+    the column law, which every cell's endo keeps, cocommutativity and
+    discard naturality hold."""
     e = cell.endo
     cpy = _cell_copy(cell)
     ee, de = compose(e, e), discard_kernel(e.dom, e.kind)
@@ -1017,11 +1045,10 @@ def parse_kernel_by_fractions(text: str) -> Kernel:
             if not isinstance(row, list) or len(row) != dom.size:
                 raise ParseError(f"matrix row {i} must have {dom.size} entries")
             rows.append([_fraction_entry(v, f"matrix[{i}][{j}]") for j, v in enumerate(row)])
-    k = Kernel(kind, dom, cod, rows)
-    bad = validate(k)
-    if bad is not None:
-        raise ParseError(f"validation failed: {bad.message}")
-    return k
+    try:
+        return Kernel(kind, dom, cod, rows)
+    except ValidationError as exc:  # the column law; the entries are already checked
+        raise ParseError(f"validation failed: {exc}") from None
 
 
 def kernel_from_doc_then_validate(doc) -> Kernel:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finmarkov import UNIT, FinObject, Kernel, Kind, fin_object, kernel_equal, tensor_object, validate
+from finmarkov import UNIT, FinObject, Kernel, Kind, fin_object, kernel_equal, tensor_object
 from finmarkov import cli, golden
 from finmarkov.cli import ParseError, parse_kernel, run
 from finmarkov.idempotents import NotIdempotent
@@ -27,7 +27,7 @@ from finmarkov.golden import (
     strong_idempotent,
 )
 from finmarkov.rand import random_kernel
-from oracles import emit_kernel, intro_functions, intro_state, random_object
+from oracles import emit_kernel, intro_functions, intro_state, kernel_refusal, random_object
 
 F = Fraction
 
@@ -537,8 +537,8 @@ def test_cli_column_sum_too_long_to_print_is_named_by_its_size(tmp_path, capsys)
     assert json.loads(capsys.readouterr().out) == {"valid": False, "error": f"validation failed: {message}"}
     assert run(["classify", str(path)]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": f"validation failed: {message}"}
-    k = Kernel(Kind.STOCH, FinObject(("u",)), FinObject(("x", "y")), [[F(1, big)], [F(1, big + 1)]])
-    assert validate(k) == Violation(0, message)
+    assert kernel_refusal(Kind.STOCH, FinObject(("u",)), FinObject(("x", "y")),
+                          [[F(1, big)], [F(1, big + 1)]]) == Violation(0, message)
 
 
 def test_cli_help_and_unknown_command(capsys):

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import finmarkov.envelopes as envelopes
 import finmarkov.idempotents as idempotents
+import finmarkov.kernel as kernel_module
 from finmarkov import (
     UNIT,
     CellMismatch,
     EnvelopeCell,
-    EnvelopeMorphism,
     Flavor,
     Kernel,
     Kind,
@@ -42,6 +42,7 @@ from finmarkov import (
     identity,
     kernel_equal,
     make_kernel,
+    multi_kernel,
     pair,
     random_class_idempotent,
     tensor,
@@ -57,7 +58,7 @@ from finmarkov.golden import (
     static_split,
     strong_idempotent,
 )
-from finmarkov.kernel import swap_kernel
+from finmarkov.kernel import _law_break, swap_kernel
 from finmarkov.rand import random_kernel
 from oracles import (
     all_multi_kernels,
@@ -65,7 +66,9 @@ from oracles import (
     env_check_markov_laws_by_tensors,
     env_split_idempotent_by_homs,
     env_tensor_by_tensors,
+    kernel_refusal,
     random_object,
+    raw_kernel,
 )
 
 F = Fraction
@@ -115,12 +118,21 @@ def test_non_idempotent_rejected():
 
 def test_cell_endomorphism_off_the_column_law_rejected_both_flavors():
     # 0 ↦ ∅, 1 ↦ {1} is idempotent as a relation but has an empty image;
-    # the column law is checked before classify sees the kernel
+    # Kernel(...) refuses it, so no cell of either flavor holds it
     x = fin_object(("0", "1"))
-    e = Kernel(Kind.MULTI, x, x, [[False, False], [False, True]])
-    for flavor in Flavor:
-        with pytest.raises(ValidationError, match="column 0 has empty image"):
-            env_cell(x, e, flavor)
+    bad = kernel_refusal(Kind.MULTI, x, x, [[False, False], [False, True]])
+    assert bad.message == "column 0 has empty image"
+
+
+def test_the_empty_image_relation_is_refused_by_every_constructor():
+    # 0 ↦ ∅, 1 ↦ {1}: env_ase asks nothing of its outer cells, so no public
+    # constructor may build this relation
+    x = fin_object(("0", "1"))
+    for build, args in ((Kernel, (Kind.MULTI, x, x, [[False, False], [False, True]])),
+                        (make_kernel, (Kind.MULTI, x, x, [[0, 0], [0, 1]])),
+                        (multi_kernel, (x, x, [[], ["1"]]))):
+        with pytest.raises(ValidationError, match="^column 0 has empty image$"):
+            build(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +197,18 @@ def test_env_tensor_of_blackwell_cells_is_blackwell():
     assert kernel_equal(m.kernel, tensor(a.endo, b.endo))
 
 
+def test_nested_tensor_cells_write_no_labels():
+    # cell_tensor reads no label and hashes no cell, so the tensor of a
+    # tensor cell with another cell leaves the inner tensor objects unwritten
+    x = fin_object(("a", "b"))
+    c = env_cell(x, identity(x), Flavor.KAROUBI)
+    inner = cell_tensor(c, c)
+    outer = cell_tensor(inner, c)
+    assert outer.endo == tensor(inner.endo, c.endo)
+    assert inner.object._labels is None and inner.endo.cod._labels is None
+    assert outer.object._labels is None and outer.endo.cod._labels is None
+
+
 # ---------------------------------------------------------------------------
 # copy morphism and the Markov laws
 # ---------------------------------------------------------------------------
@@ -244,15 +268,15 @@ def test_copy_formula_coassociative_for_every_small_multi_idempotent():
 
 def test_discard_naturality_fails_on_an_empty_image():
     # 0 ↦ ∅, 1 ↦ {1} is idempotent but breaks the multivalued column law, so
-    # the laws refuse a cell built on it directly.  With r the constant map
-    # to 0, discard∘e∘r∘e is the empty relation, while discard∘e reaches the
-    # unit from 1: the one law a lawful idempotent cannot break.
+    # Kernel(...) refuses it.  With r the constant map to 0, discard∘e∘r∘e is
+    # the empty relation, while discard∘e reaches the unit from 1: the one
+    # law a lawful idempotent cannot break.
     x = fin_object(("0", "1"))
-    e = Kernel(Kind.MULTI, x, x, [[False, False], [False, True]])
+    rows = [[False, False], [False, True]]
+    e = raw_kernel(Kind.MULTI, x, x, rows)
     assert kernel_equal(compose(e, e), e)
     cell = EnvelopeCell(x, e, Flavor.KAROUBI)
-    with pytest.raises(ValidationError, match=f"^{validate(e).message}$"):
-        env_check_markov_laws(cell)
+    assert kernel_refusal(Kind.MULTI, x, x, rows) == validate(e)
     report = env_check_markov_laws_by_tensors(cell)
     assert report.counit_left and report.counit_right
     assert report.coassociative and report.cocommutative
@@ -260,15 +284,18 @@ def test_discard_naturality_fails_on_an_empty_image():
 
 
 def test_env_discard_is_the_discard_after_the_idempotent_in_every_kind(monkeypatch):
-    # within the column law discard∘e is the discard itself, so a settled
-    # cell composes nothing
+    # within the column law discard∘e is the discard itself, so no cell
+    # composes anything, settled or not: the endos of the last three are not
+    # idempotent
     x = fin_object(str(i) for i in range(5))
+    rng = random.Random(3)
     cells = [
-        _blackwell(random_class_idempotent(random.Random(3), x).idempotent),
+        _blackwell(random_class_idempotent(rng, x).idempotent),
         env_cell(signed_idempotent().dom, signed_idempotent(), Flavor.KAROUBI),
         env_cell(multi_upset_idempotent().dom, multi_upset_idempotent(), Flavor.KAROUBI),
-    ]
-    assert [c.endo.kind for c in cells] == [Kind.STOCH, Kind.SIGNED, Kind.MULTI]
+    ] + [EnvelopeCell(x, random_kernel(rng, kind, x, x), Flavor.KAROUBI) for kind in Kind]
+    assert [c.endo.kind for c in cells] == [Kind.STOCH, Kind.SIGNED, Kind.MULTI] * 2
+    assert [envelopes._settled(c) for c in cells] == [True] * 3 + [False] * 3
     calls = []
     monkeypatch.setattr(envelopes, "compose", lambda *args: calls.append(args) or compose(*args))
     for cell in cells:
@@ -285,21 +312,15 @@ def test_env_discard_is_the_discard_after_the_idempotent_in_every_kind(monkeypat
 
 def test_env_discard_off_the_column_law_is_not_the_discard():
     # 0 ↦ ∅, 1 ↦ {1}: discard∘e misses 0, and both idempotents still absorb
-    # it; env_discard refuses the cell as classify does, and so do env_hom,
-    # env_compose and cell_tensor, which ask `_settled` of their cells
+    # it; Kernel(...) refuses e, so no cell of env_discard, env_hom,
+    # env_compose or cell_tensor holds it
     x = fin_object(("0", "1"))
-    e = Kernel(Kind.MULTI, x, x, [[False, False], [False, True]])
-    cell = EnvelopeCell(x, e, Flavor.KAROUBI)
-    law = f"^{validate(e).message}$"
-    with pytest.raises(ValidationError, match=law):
-        env_discard(cell)
+    rows = [[False, False], [False, True]]
+    e = raw_kernel(Kind.MULTI, x, x, rows)
     k = compose(discard_kernel(x, Kind.MULTI), e)
     assert k != discard_kernel(x, Kind.MULTI)
-    dst = EnvelopeCell(UNIT, identity(UNIT, Kind.MULTI), Flavor.KAROUBI)
-    m = EnvelopeMorphism(cell, cell, e)
-    for op, args in ((env_hom, (cell, dst, k)), (env_compose, (m, m)), (cell_tensor, (cell, cell))):
-        with pytest.raises(ValidationError, match=law):
-            op(*args)
+    assert kernel_equal(compose(k, e), k)
+    assert kernel_refusal(Kind.MULTI, x, x, rows) == validate(e)
 
 
 def test_copy_requires_blackwell_flavor():
@@ -367,7 +388,7 @@ def test_unbalanced_settled_laws_build_the_copy_and_one_composite(monkeypatch):
 
 def _endo(rng, kind, n, variant):
     """An endomorphism on n elements: 0, a valid kernel; 1, a class
-    idempotent; 2, a kernel built with ``Kernel(rows)`` off the column law."""
+    idempotent; 2, a `raw_kernel` off the column law."""
     x = fin_object(str(i) for i in range(n))
     if variant == 0:
         return random_kernel(rng, kind, x, x)
@@ -375,9 +396,9 @@ def _endo(rng, kind, n, variant):
         e = random_class_idempotent(rng, x).idempotent
         return Kernel(kind, x, x, [[bool(v) for v in row] for row in e.matrix] if kind is Kind.MULTI else e.matrix)
     if kind is Kind.MULTI:
-        return Kernel(kind, x, x, [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)])
+        return raw_kernel(kind, x, x, [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)])
     low = 0 if kind is Kind.STOCH else -3
-    return Kernel(kind, x, x, [[F(rng.randrange(low, 4), rng.randrange(1, 4)) for _ in range(n)] for _ in range(n)])
+    return raw_kernel(kind, x, x, [[F(rng.randrange(low, 4), rng.randrange(1, 4)) for _ in range(n)] for _ in range(n)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,22 +417,20 @@ def test_coassociativity_sides_are_each_others_reversal(kind, n, seed, variant):
 def test_markov_laws_compose_nothing_with_a_swap(monkeypatch):
     # cocommutativity holds by construction, so no swap∘copy is built on the
     # settled, non-balanced signed counterexample, which takes the
-    # composites; the idempotents off the column law in Stoch and Multi are
-    # refused before anything is composed
+    # composites; Kernel(...) refuses the idempotents off the column law in
+    # Stoch and Multi, so no cell holds them
     left = []
     monkeypatch.setattr(envelopes, "compose", lambda g, f: left.append(g) or compose(g, f))
     x = fin_object(str(i) for i in range(6))
     m = random_class_idempotent(random.Random(6), x).idempotent.matrix
-    scaled = Kernel(Kind.STOCH, x, x, [[m[i][j] * (i + 1) / (j + 1) for j in range(6)] for i in range(6)])
-    empty = Kernel(Kind.MULTI, x, x, [[i == j > 0 for j in range(6)] for i in range(6)])
+    scaled = raw_kernel(Kind.STOCH, x, x, [[m[i][j] * (i + 1) / (j + 1) for j in range(6)] for i in range(6)])
+    empty = raw_kernel(Kind.MULTI, x, x, [[i == j > 0 for j in range(6)] for i in range(6)])
     for e in (scaled, signed_coassoc_counterexample(), empty):
         assert compose(e, e) == e
         left.clear()
         cell = EnvelopeCell(e.dom, e, Flavor.KAROUBI)
         if (bad := validate(e)) is not None:
-            with pytest.raises(ValidationError, match=f"^{bad.message}$"):
-                env_check_markov_laws(cell)
-            assert left == []
+            assert kernel_refusal(e.kind, e.dom, e.cod, e.matrix) == bad
         else:
             assert env_check_markov_laws(cell).cocommutative
             assert left and swap_kernel(e.dom, e.dom, e.kind) not in left
@@ -437,14 +456,15 @@ def test_settled_cells_compose_nothing(monkeypatch):
 def test_each_cell_is_validated_once(monkeypatch):
     # one pass of the envelope-laws queries on a cell asks `_settled` from
     # `env_cell`, the laws, the tensor of identities, the splitting and
-    # `env_ase`; the cell's endo is validated once, by the cached `classify`
-    # when `env_cell` settles it
+    # `env_ase`; the cell's endo was validated when it was built, no
+    # envelope operation checks the column law again, and the cell is
+    # settled and its endo classified once
     envelopes._settled.cache_clear()
     idempotents._classify_cached.cache_clear()
-    validated = []
-    monkeypatch.setattr(idempotents, "validate", lambda k: validated.append(k) or validate(k))
     x = fin_object(str(i) for i in range(6))
     e = random_class_idempotent(random.Random(6), x).idempotent
+    law_checks = []
+    monkeypatch.setattr(kernel_module, "_law_break", lambda *args: law_checks.append(args) or _law_break(*args))
     cell = env_cell(x, e, Flavor.BLACKWELL)
     ident = env_identity(cell)
     for _ in range(2):
@@ -452,16 +472,11 @@ def test_each_cell_is_validated_once(monkeypatch):
         env_tensor(ident, ident)
         env_split_idempotent(cell)
         assert env_ase(ident, ident, ident)
-    assert validated == [e]
-    # a cell off the column law raises at each ask, since a raised error is
-    # not cached, and is validated at each
+    assert law_checks == []
+    assert envelopes._settled.cache_info().misses == idempotents._classify_cached.cache_info().misses == 1
+    # Kernel(...) refuses a doubled identity, so no cell holds it
     y = fin_object(("0", "1"))
-    doubled = EnvelopeCell(y, Kernel(Kind.STOCH, y, y, [[2, 0], [0, 1]]), Flavor.KAROUBI)
-    validated.clear()
-    for _ in range(3):
-        with pytest.raises(ValidationError, match=f"^{validate(doubled.endo).message}$"):
-            envelopes._settled(doubled)
-    assert validated == [doubled.endo] * 3
+    assert kernel_refusal(Kind.STOCH, y, y, [[2, 0], [0, 1]]).message == "column 0 sums to 2"
 
 
 def test_env_ase_builds_no_copy_and_env_tensor_of_identities_one_tensor(monkeypatch):

@@ -11,10 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finmarkov import (
-    EnvelopeCell,
-    EnvelopeMorphism,
     FinMarkovError,
-    Flavor,
     Kernel,
     Kind,
     ShapeMismatch,
@@ -31,14 +28,8 @@ from finmarkov import (
     cauchy_schwarz,
     classify,
     compose,
-    blackwell_copy,
     copy_kernel,
     delta_kernel,
-    env_ase,
-    env_cell,
-    env_check_markov_laws,
-    env_discard,
-    env_split_idempotent,
     fin_object,
     identity,
     io_relation,
@@ -79,7 +70,9 @@ from oracles import (
     class_decomposition,
     classify_by_columns,
     classify_by_scan,
+    kernel_refusal,
     random_object,
+    raw_kernel,
 )
 
 F = Fraction
@@ -167,50 +160,18 @@ def test_classify_chain3():
     assert r.idempotent and not r.balanced
 
 
-def _blackwell_cell(e):
-    return EnvelopeCell(e.dom, e, Flavor.BLACKWELL)
-
-
-# each operation that classifies its endomorphism, called on a kernel or a cell built from it
-CLASSIFYING_CALLS = {
-    "classify": classify,
-    "blackwell_split": blackwell_split,
-    "search_split": lambda e: search_split(e, 2),
-    "balanced_cross_check": balanced_cross_check,
-    "env_cell": lambda e: env_cell(e.dom, e, Flavor.BLACKWELL),
-    "env_check_markov_laws": lambda e: env_check_markov_laws(_blackwell_cell(e)),
-    "blackwell_copy": lambda e: blackwell_copy(_blackwell_cell(e)),
-    "env_ase": lambda e: env_ase(*[EnvelopeMorphism(_blackwell_cell(e), _blackwell_cell(e), e)] * 3),
-    "env_split_idempotent": lambda e: env_split_idempotent(_blackwell_cell(e)),
-    "env_discard": lambda e: env_discard(_blackwell_cell(e)),
-}
-
-
 def test_every_classifying_operation_refuses_an_endomorphism_off_the_column_law():
-    # classify calls the first idempotent, strong and balanced if it reads
-    # it; blackwell_split checks the kind first, so it refuses the multi and
-    # signed kernels as unsupported
+    # no such endomorphism reaches classify, the splits, the cross-check or
+    # an envelope cell: Kernel(...) refuses each with ValidationError and
+    # the message `validate` gives
     x = fin_object(("a", "b"))
     off_law = [
-        Kernel(Kind.STOCH, x, x, [[2, 2], [-1, -1]]),
-        Kernel(Kind.STOCH, x, x, [[1, 0], [0, 0]]),
-        Kernel(Kind.MULTI, x, x, [[False, False], [False, False]]),
-        Kernel(Kind.SIGNED, x, x, [[-1, 0], [0, -1]]),
+        (Kind.STOCH, [[2, 2], [-1, -1]]),
+        (Kind.STOCH, [[1, 0], [0, 0]]),
+        (Kind.MULTI, [[False, False], [False, False]]),
+        (Kind.SIGNED, [[-1, 0], [0, -1]]),
     ]
-    got = {}
-    for e in off_law:
-        for name, call in CLASSIFYING_CALLS.items():
-            try:
-                call(e)
-            except FinMarkovError as exc:
-                got[name, e] = type(exc), str(exc)
-    want = {
-        (name, e): (UnsupportedKind, "the class decomposition applies to stochastic kernels")
-        if name == "blackwell_split" and e.kind is not Kind.STOCH else (ValidationError, validate(e).message)
-        for e in off_law for name in CLASSIFYING_CALLS
-    }
-    assert got == want
-    assert [validate(e).message for e in off_law] == [
+    assert [kernel_refusal(kind, x, x, rows).message for kind, rows in off_law] == [
         "column 0 has negative entry -1", "column 1 sums to 0", "column 0 has empty image", "column 0 sums to -1"]
 
 
@@ -231,12 +192,12 @@ def _verdict(fn, e):
 def _same_verdicts(e):
     """Within the column law classify agrees with both scans, and a
     stochastic idempotent splits as Tarjan's closed classes say; off the
-    law classify raises ValidationError with `validate`'s message.  The
+    law ``Kernel(...)`` refuses e's rows with `validate`'s message.  The
     idempotent flag within the law, None off it."""
-    got = _verdict(classify, e)
-    if (bad := validate(e)) is not None:
-        assert got == ("ValidationError", bad.message)
+    if validate(e) is not None:
+        kernel_refusal(e.kind, e.dom, e.cod, e.matrix)
         return None
+    got = _verdict(classify, e)
     assert got == _verdict(classify_by_columns, e) == _verdict(classify_by_scan, e), e.columns
     idempotent = got[0]["idempotent"]
     if idempotent:
@@ -254,7 +215,7 @@ def test_class_test_matches_the_scans_on_every_small_stochastic_endomorphism():
     for n in range(3):
         x = fin_object(f"s{i}" for i in range(n))
         for cells in itertools.product(ENTRIES, repeat=n * n):
-            verdicts.append(_same_verdicts(Kernel(Kind.STOCH, x, x, [cells[i * n:(i + 1) * n] for i in range(n)])))
+            verdicts.append(_same_verdicts(raw_kernel(Kind.STOCH, x, x, [cells[i * n:(i + 1) * n] for i in range(n)])))
     x = fin_object(("s0", "s1", "s2"))
     columns = [c for c in itertools.product(ENTRIES, repeat=3) if sum(c) == 1]
     for cols in itertools.product(columns, repeat=3):
@@ -295,7 +256,7 @@ def class_idempotents_and_neighbours(draw):
             column[y] = w
     for row, v in zip(rows, column):
         row[j] = v
-    return Kernel(Kind.STOCH, x, x, rows)
+    return raw_kernel(Kind.STOCH, x, x, rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -694,18 +655,16 @@ def test_verify_split_rejects_each_shape_mismatch():
 
 def test_verify_split_refuses_a_rescaled_pair_off_the_column_law():
     # ι·diag(2, 1) and diag(1/2, 1)·π pass both splitting equations, but ι
-    # sends C_1 to twice a point mass: off the law, so ValidationError, not
-    # the defect error StructureViolation that its determinism once raised
+    # sends C_1 to twice a point mass: off the law, so Kernel(...) refuses
+    # the pair with ValidationError and no such pair reaches verify_split
     e = static_idempotent()
     iota, pi = static_split()
-    scale = Kernel(Kind.STOCH, iota.dom, iota.dom, [[2, 0], [0, 1]])
-    unscale = Kernel(Kind.STOCH, iota.dom, iota.dom, [[F(1, 2), 0], [0, 1]])
+    scale = raw_kernel(Kind.STOCH, iota.dom, iota.dom, [[2, 0], [0, 1]])
+    unscale = raw_kernel(Kind.STOCH, iota.dom, iota.dom, [[F(1, 2), 0], [0, 1]])
     big, small = compose(iota, scale), compose(unscale, pi)
     assert compose(small, big) == identity(iota.dom) and compose(big, small) == e
-    with pytest.raises(ValidationError, match="^column 0 sums to 2$"):
-        verify_split(e, big, small)
-    with pytest.raises(ValidationError, match="^column 0 sums to 1/2$"):
-        verify_split(e, iota, small)
+    assert kernel_refusal(Kind.STOCH, big.dom, big.cod, big.matrix).message == "column 0 sums to 2"
+    assert kernel_refusal(Kind.STOCH, small.dom, small.cod, small.matrix).message == "column 0 sums to 1/2"
 
 
 def test_verify_split_on_generated():
@@ -796,15 +755,18 @@ def test_cs_multi_counterexample():
 
 def test_cs_off_law_stoch_counterexamples():
     # the decision from the consequent needs f and g within the column law:
-    # off it, both triples hold the antecedent and fail the consequent
+    # off it, both triples hold the antecedent and fail the consequent by
+    # the sums, and Kernel(...) refuses the g of one and the f of the other
     a, b, x, y = (fin_object(labels) for labels in (("a",), ("b0", "b1"), ("x0", "x1"), ("y0", "y1")))
-    g = Kernel(Kind.STOCH, fin_object(("b0",)), x, [[-1], [1]])
+    g = raw_kernel(Kind.STOCH, fin_object(("b0",)), x, [[-1], [1]])
     h = Kernel(Kind.STOCH, x, y, [[0, 0], [1, 1]])
-    assert cauchy_schwarz(Kernel(Kind.STOCH, a, g.dom, [[1]]), g, h) == CauchySchwarzInstance(True, False)
-    f = Kernel(Kind.STOCH, a, b, [[1], [-1]])
+    assert cauchy_schwarz_by_sums(Kernel(Kind.STOCH, a, g.dom, [[1]]), g, h) == CauchySchwarzInstance(True, False)
+    assert kernel_refusal(Kind.STOCH, g.dom, x, [[-1], [1]]).message == "column 0 has negative entry -1"
+    f = raw_kernel(Kind.STOCH, a, b, [[1], [-1]])
     g = Kernel(Kind.STOCH, b, x, [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
     h = Kernel(Kind.STOCH, x, y, [[F(1, 2), 1], [F(1, 2), 0]])
-    assert cauchy_schwarz(f, g, h) == CauchySchwarzInstance(True, False)
+    assert cauchy_schwarz_by_sums(f, g, h) == CauchySchwarzInstance(True, False)
+    assert kernel_refusal(Kind.STOCH, a, b, [[1], [-1]]).message == "column 0 has negative entry -1"
 
 
 def test_cs_random_stochastic_triples_never_fail():

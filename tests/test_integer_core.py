@@ -57,8 +57,10 @@ from oracles import (
     emit_kernel,
     emit_kernel_by_fractions,
     kernel_from_doc_then_validate,
+    kernel_refusal,
     parse_kernel_by_fractions,
     random_object,
+    raw_kernel,
 )
 
 F = Fraction
@@ -91,7 +93,7 @@ def _reference_compose(g, f):
                     gv = gcol[i]
                     if gv:
                         out[i][j] += gv * fv
-    return Kernel(kind, f.dom, g.cod, tuple(tuple(row) for row in out))
+    return raw_kernel(kind, f.dom, g.cod, out)
 
 
 def _dense(k):
@@ -128,7 +130,7 @@ def _reference_tensor(f, g):
                 else:
                     row.extend(fv * gv if gv else zero for gv in grow)
             rows.append(tuple(row))
-    return Kernel(kind, dom, cod, tuple(rows))
+    return raw_kernel(kind, dom, cod, rows)
 
 
 def _reference_function_kernel(dom, cod, targets, kind):
@@ -136,7 +138,7 @@ def _reference_function_kernel(dom, cod, targets, kind):
     rows = [[kind.zero] * dom.size for _ in range(cod.size)]
     for j, i in enumerate(targets):
         rows[i][j] = kind.one
-    return Kernel(kind, dom, cod, rows)
+    return raw_kernel(kind, dom, cod, rows)
 
 
 def _is_point_mass(kind, col):
@@ -298,8 +300,8 @@ def _chain(draw):
     kind = draw(st.sampled_from(list(Kind)))
     p, m, n = (draw(st.integers(0, 5)) for _ in range(3))
     a, y, z = _obj("a", p), _obj("y", m), _obj("z", n)
-    f = Kernel(kind, a, y, draw(_matrix(kind, m, p)))
-    g = Kernel(kind, y, z, draw(_matrix(kind, n, m)))
+    f = raw_kernel(kind, a, y, draw(_matrix(kind, m, p)))
+    g = raw_kernel(kind, y, z, draw(_matrix(kind, n, m)))
     return g, f
 
 
@@ -323,11 +325,21 @@ def _outcome(fn, e):
 
 
 def _same_report(e):
-    """classify agrees with the reference within the column law and raises
-    ValidationError with `validate`'s message off it."""
-    bad = validate(e)
-    want = _outcome(_reference_classify, e) if bad is None else ("ValidationError", bad.message)
-    assert _outcome(classify, e) == want
+    """classify agrees with the reference within the column law; off it,
+    ``Kernel(...)`` refuses e's rows with `validate`'s message."""
+    if validate(e) is None:
+        assert _outcome(classify, e) == _outcome(_reference_classify, e)
+    else:
+        kernel_refusal(e.kind, e.dom, e.cod, e.matrix)
+
+
+def _from_rows(kind, dom, cod, rows):
+    """``Kernel(...)`` of the rows, or where they break the column law, which
+    it then refuses with `validate`'s message, their `raw_kernel`."""
+    if validate(raw := raw_kernel(kind, dom, cod, rows)) is None:
+        return Kernel(kind, dom, cod, rows)
+    kernel_refusal(kind, dom, cod, rows)
+    return raw
 
 
 def _all_multi_idempotents(n):
@@ -349,19 +361,19 @@ def test_compose_matches_reference(chain):
 def test_compose_empty_objects():
     for kind in Kind:
         for p, m, n in itertools.product((0, 2), repeat=3):
-            f = Kernel(kind, _obj("a", p), _obj("y", m), [[kind.one] * p for _ in range(m)])
-            g = Kernel(kind, _obj("y", m), _obj("z", n), [[kind.one] * m for _ in range(n)])
+            f = raw_kernel(kind, _obj("a", p), _obj("y", m), [[kind.one] * p for _ in range(m)])
+            g = raw_kernel(kind, _obj("y", m), _obj("z", n), [[kind.one] * m for _ in range(n)])
             _same_composite(g, f)
 
 
 def test_compose_prime_denominators_and_cancellation():
     y, a = _obj("y", 4), _obj("a", 2)
-    f = Kernel(Kind.SIGNED, a, y, [[F(1, 101), F(-1, 2)], [F(1, 103), F(3, 2)], [F(1, 107), 0], [F(1, 109), 0]])
-    g = Kernel(Kind.SIGNED, y, a, [[F(101, 3), F(-103, 5), F(107, 7), F(-109, 11)], [1, 1, -1, 1]])
+    f = raw_kernel(Kind.SIGNED, a, y, [[F(1, 101), F(-1, 2)], [F(1, 103), F(3, 2)], [F(1, 107), 0], [F(1, 109), 0]])
+    g = raw_kernel(Kind.SIGNED, y, a, [[F(101, 3), F(-103, 5), F(107, 7), F(-109, 11)], [1, 1, -1, 1]])
     _same_composite(g, f)
     # the positive and the negative path cancel to an exact zero
-    h = Kernel(Kind.SIGNED, y, UNIT, [[F(1, 101), F(-1, 101), 0, 0]])
-    k = Kernel(Kind.SIGNED, UNIT, y, [[1], [1], [0], [0]])
+    h = raw_kernel(Kind.SIGNED, y, UNIT, [[F(1, 101), F(-1, 101), 0, 0]])
+    k = raw_kernel(Kind.SIGNED, UNIT, y, [[1], [1], [0], [0]])
     assert compose(h, k).matrix == ((F(0),),)
     _same_composite(h, k)
 
@@ -398,7 +410,7 @@ def _split_idempotent(n, k, a_rows, b_rows, order):
     pi = [[F(int(s == t)) - ab[s][t] for t in inner] + [a_rows[s][r] for r in outer] for s in inner]
     e = [[sum((iota[i][t] * pi[t][j] for t in inner), F(0)) for j in range(n)] for i in range(n)]
     x = _obj("s", n)
-    return Kernel(Kind.SIGNED, x, x, [[e[order[i]][order[j]] for j in range(n)] for i in range(n)])
+    return raw_kernel(Kind.SIGNED, x, x, [[e[order[i]][order[j]] for j in range(n)] for i in range(n)])
 
 
 @st.composite
@@ -416,7 +428,7 @@ def _endomorphism(draw):
     kind = draw(st.sampled_from(list(Kind)))
     n = draw(st.integers(0, 5))
     x = _obj("s", n)
-    return Kernel(kind, x, x, draw(_matrix(kind, n, n)))
+    return raw_kernel(kind, x, x, draw(_matrix(kind, n, n)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -511,7 +523,7 @@ def _rng_idempotent(rng, kind, x):
     order = list(range(n))
     rng.shuffle(order)
     e = _split_idempotent(n, k, a_rows, b_rows, order)
-    return Kernel(Kind.SIGNED, x, x, e.matrix)
+    return raw_kernel(Kind.SIGNED, x, x, e.matrix)
 
 
 def _cancelling_weights(rng, g, h, na):
@@ -538,13 +550,13 @@ def _cancelling_weights(rng, g, h, na):
 
 
 def _off_law_kernel(rng, kind, dom, cod):
-    """A kernel built with `Kernel(...)` from raw entries, off the column
-    law as a rule: columns that do not sum to one, with negative entries
-    or without, or empty images over Multi."""
+    """A `raw_kernel` from random entries, off the column law as a rule:
+    columns that do not sum to one, with negative entries or without, or
+    empty images over Multi."""
     if kind is Kind.MULTI:
-        return Kernel(kind, dom, cod, [[rng.random() < 0.4 for _ in range(dom.size)] for _ in range(cod.size)])
+        return raw_kernel(kind, dom, cod, [[rng.random() < 0.4 for _ in range(dom.size)] for _ in range(cod.size)])
     low = rng.choice((0, -3))
-    return Kernel(
+    return raw_kernel(
         kind, dom, cod,
         [[F(rng.randrange(low, 4), rng.choice(DENOMINATORS)) for _ in range(dom.size)] for _ in range(cod.size)],
     )
@@ -554,8 +566,7 @@ def _cs_triple(rng, kind, shape):
     """f: A → B, g: B → X, h: X → Y of the given shape; the antecedent
     always holds for a deterministic g and often for idempotent triples
     and cancelling signed weights.  The off-law shape draws f, g or both
-    off the column law, or h alone, so that over Stoch both the sums and
-    the decision from the consequent see kernels off the law."""
+    off the column law, or h alone."""
     if shape == "off-law":
         a, b, x, y = (random_object(rng, 3, c) for c in "abxy")
         off = rng.choice(("f", "g", "fg", "h"))
@@ -581,10 +592,22 @@ def _cs_triple(rng, kind, shape):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(list(Kind)), st.sampled_from(CS_SHAPES), st.integers(0, 2**32))
 def test_cauchy_schwarz_matches_double_sum(kind, shape, seed):
-    f, g, h = _cs_triple(random.Random(seed), kind, shape)
-    got = cauchy_schwarz(f, g, h)
-    assert got == _reference_cauchy_schwarz(f, g, h)
-    assert got == cauchy_schwarz_by_sums(f, g, h)
+    _same_instance(*_cs_triple(random.Random(seed), kind, shape))
+
+
+def _same_instance(f, g, h):
+    """The instance, which cauchy_schwarz, the double sums and the sum
+    oracle agree on.  A Stoch f or g off the column law, outside the
+    checker's domain, is refused by ``Kernel(...)`` with `validate`'s
+    message, and the two oracles still agree on it."""
+    want = _reference_cauchy_schwarz(f, g, h)
+    assert want == cauchy_schwarz_by_sums(f, g, h)
+    if f.kind is Kind.STOCH and (off := [k for k in (f, g) if validate(k) is not None]):
+        for k in off:
+            kernel_refusal(k.kind, k.dom, k.cod, k.matrix)
+        return want
+    assert cauchy_schwarz(f, g, h) == want
+    return want
 
 
 def test_cauchy_schwarz_within_the_law_composes_nothing(monkeypatch):
@@ -604,9 +627,7 @@ def test_cauchy_schwarz_within_the_law_composes_nothing(monkeypatch):
 def test_cauchy_schwarz_draws_reach_both_outcomes():
     seen = set()
     for kind, shape, seed in itertools.product(Kind, CS_SHAPES, range(12)):
-        f, g, h = _cs_triple(random.Random(seed), kind, shape)
-        got = cauchy_schwarz(f, g, h)
-        assert got == _reference_cauchy_schwarz(f, g, h) == cauchy_schwarz_by_sums(f, g, h)
+        got = _same_instance(*_cs_triple(random.Random(seed), kind, shape))
         seen |= {(kind, "antecedent", got.antecedent), (kind, "consequent", got.consequent)}
         if shape == "cancelling" and kind is Kind.SIGNED:
             seen.add(("cancelling", got.antecedent, got.consequent))
@@ -628,7 +649,8 @@ def test_cauchy_schwarz_matches_double_sum_on_idempotents():
 
 def _raw_entry(kind):
     """Entries as a caller writes them: ints beside Fractions, signed values
-    that cancel, columns that need not sum to one; bools or 0/1 for Multi."""
+    that cancel, columns that need not sum to one; bools or 0/1 for Multi.
+    Rows off the column law become a `raw_kernel`."""
     if kind is Kind.MULTI:
         return st.sampled_from([True, False, 1, 0])
     values = [0, 1, 2, F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 101)]
@@ -641,18 +663,19 @@ def _raw_entry(kind):
 def _raw_kernel(draw, kind, dom, cod):
     rows = draw(st.lists(st.lists(_raw_entry(kind), min_size=dom.size, max_size=dom.size),
                          min_size=cod.size, max_size=cod.size))
-    return Kernel(kind, dom, cod, rows)
+    return _from_rows(kind, dom, cod, rows)
 
 
 def _same_dense(got, want):
     """got has want's dense matrix and entry types, equals it, and survives a
-    round trip through the dense constructor with the same hash."""
+    round trip through the dense constructor with the same hash (through
+    `raw_kernel` off the column law, which the constructor refuses)."""
     scalar = _scalar_type(got.kind)
     assert got.matrix == want.matrix
     assert all(type(v) is scalar for row in got.matrix for v in row)
     assert all(type(v) is scalar for row in want.matrix for v in row)
     assert got == want and hash(got) == hash(want)
-    rebuilt = Kernel(got.kind, got.dom, got.cod, got.matrix)
+    rebuilt = _from_rows(got.kind, got.dom, got.cod, got.matrix)
     assert rebuilt == got and hash(rebuilt) == hash(got)
 
 
@@ -681,14 +704,14 @@ def test_results_match_the_dense_oracles(operands):
     det = function_kernel(f.dom, f.cod, targets, kind)
     _same_dense(det, _reference_function_kernel(f.dom, f.cod, targets, kind))
     _same_dense(compose(g, det), _reference_compose(g, det))
-    # a kernel built from rows keeps them as its view
-    assert Kernel(kind, f.dom, f.cod, f.matrix) == f
+    # a kernel built from its dense view is itself
+    assert _from_rows(kind, f.dom, f.cod, f.matrix) == f
 
 
 def test_signed_columns_that_cancel_are_stored_empty():
     y = _obj("y", 2)
-    h = Kernel(Kind.SIGNED, y, _obj("z", 2), [[F(1, 2), F(-1, 2)], [1, -1]])
-    k = Kernel(Kind.SIGNED, UNIT, y, [[1], [1]])
+    h = raw_kernel(Kind.SIGNED, y, _obj("z", 2), [[F(1, 2), F(-1, 2)], [1, -1]])
+    k = raw_kernel(Kind.SIGNED, UNIT, y, [[1], [1]])
     out = compose(h, k)
     assert out.columns == ((1, ()),)
     _same_dense(out, _reference_compose(h, k))
@@ -709,7 +732,7 @@ def _exact_rows(draw):
     """(kind, width, rows): Stoch or Signed rows up to 5 × 5, drawn column
     by column so that a column holds one or several denominators; int and
     `Fraction` entries side by side, negative numerators and all-zero
-    columns.  The constructor does not check the column law."""
+    columns, most of them off the column law."""
     kind = draw(st.sampled_from([Kind.STOCH, Kind.SIGNED]))
     height, width = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     cols = []
@@ -725,7 +748,7 @@ def _exact_rows(draw):
 @given(_exact_rows())
 def test_dense_rows_store_what_the_full_column_builder_stores(drawn):
     kind, width, rows = drawn
-    k = Kernel(kind, _obj("a", width), _obj("x", len(rows)), rows)
+    k = _from_rows(kind, _obj("a", width), _obj("x", len(rows)), rows)
     assert k.columns == columns_by_exact_column(rows, width)
 
 
@@ -738,9 +761,9 @@ def test_dense_rows_store_each_column_shape():
     want = ((1, ()), (4, ((0, 1), (1, 2), (2, 1))), (3, ((0, 1), (1, -2), (2, 4))), (1, ()),
             (7, ((0, -14), (1, 5), (2, 21))))
     for kind in (Kind.STOCH, Kind.SIGNED):
-        assert Kernel(kind, _obj("a", 5), _obj("x", 3), rows).columns == want == columns_by_exact_column(rows, 5)
+        assert _from_rows(kind, _obj("a", 5), _obj("x", 3), rows).columns == want == columns_by_exact_column(rows, 5)
         assert Kernel(kind, _obj("a", 0), _obj("x", 3), [[], [], []]).columns == ()
-        assert Kernel(kind, _obj("a", 2), _obj("x", 0), []).columns == ((1, ()), (1, ()))
+        assert _from_rows(kind, _obj("a", 2), _obj("x", 0), []).columns == ((1, ()), (1, ()))
 
 
 def test_kernels_are_immutable():

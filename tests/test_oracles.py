@@ -118,10 +118,11 @@ from oracles import (
     recomposes,
     settled_by_composing,
     split_by_every_label,
-    tensor_cell,
     tensor_label_by_grammar,
     witness_separates,
+    kernel_refusal,
     random_object,
+    raw_kernel,
 )
 
 SEEDS = st.integers(0, 2**32)
@@ -173,16 +174,16 @@ def _object(rng, prefix):
 
 
 def _any_kernel(rng, kind, dom, cod):
-    """A valid random kernel when one exists, otherwise or at random one
-    built with ``Kernel(rows)`` off the column law: exact entries need not
-    sum to one, so a column's numerators may share a factor with its
-    denominator, and a multivalued image may be empty."""
+    """A valid random kernel when one exists, otherwise or at random a
+    `raw_kernel` off the column law: exact entries need not sum to one, so
+    a column's numerators may share a factor with its denominator, and a
+    multivalued image may be empty."""
     if cod.size and rng.random() < 0.5:
         return random_kernel(rng, kind, dom, cod)
     if kind is Kind.MULTI:
-        return Kernel(kind, dom, cod, [[rng.random() < 0.5 for _ in dom.labels] for _ in cod.labels])
+        return raw_kernel(kind, dom, cod, [[rng.random() < 0.5 for _ in dom.labels] for _ in cod.labels])
     low = 0 if kind is Kind.STOCH else -4
-    return Kernel(kind, dom, cod, [
+    return raw_kernel(kind, dom, cod, [
         [Fraction(rng.randrange(low, 5), rng.randrange(1, 7)) for _ in dom.labels] for _ in cod.labels
     ])
 
@@ -209,10 +210,11 @@ def test_pair_is_tensor_then_copy(kind, seed):
 
 def test_pair_reduces_a_product_column():
     # 2/3·(1/2) over the denominator 6 has content 2: the product column
-    # is stored over 3, as in tensor followed by copy
+    # is stored over 3, as in tensor followed by copy.  Within the column
+    # law every column has content 1, so only a `raw_kernel` reduces here
     one = fin_object(("u",))
     for kind in (Kind.STOCH, Kind.SIGNED):
-        f = Kernel(kind, one, fin_object(("a", "b")), [[Fraction(2, 3)], [Fraction(2, 3)]])
+        f = raw_kernel(kind, one, fin_object(("a", "b")), [[Fraction(2, 3)], [Fraction(2, 3)]])
         g = Kernel(kind, one, fin_object(("c", "d")), [[Fraction(1, 2)], [Fraction(1, 2)]])
         paired = pair(f, g)
         assert paired.columns == ((3, ((0, 1), (1, 1), (2, 1), (3, 1))),)
@@ -428,7 +430,7 @@ def _candidate(rng, variant, joint, true, dom, cod):
     if where:
         j = rng.choice(where)
         cols[j] = _altered(cols[j], kind)
-    return Kernel(kind, dom, cod, [[col[i] for col in cols] for i in range(cod.size)])
+    return raw_kernel(kind, dom, cod, [[col[i] for col in cols] for i in range(cod.size)])
 
 
 CANDIDATES = st.sampled_from(["true", "on", "off", "random", "kind"])
@@ -562,12 +564,12 @@ def test_formal_splitting_recomposes(kind, flavor, seed, balanced):
 
 def _multi_idempotents_with_empty_images(max_n):
     """Every idempotent relation on n ≤ max_n elements with an empty image,
-    as ``Kernel(rows)``: none satisfies the multivalued column law."""
+    as a `raw_kernel`: none satisfies the multivalued column law."""
     out = []
     for n in range(1, max_n + 1):
         x = fin_object(str(i) for i in range(n))
         for cols in itertools.product(range(2**n), repeat=n):
-            e = Kernel(Kind.MULTI, x, x, [[bool(c >> i & 1) for c in cols] for i in range(n)])
+            e = raw_kernel(Kind.MULTI, x, x, [[bool(c >> i & 1) for c in cols] for i in range(n)])
             if 0 in cols and compose(e, e) == e:
                 out.append(e)
     return out
@@ -577,7 +579,7 @@ MULTI_OFF_LAW = _multi_idempotents_with_empty_images(3)
 
 
 def _off_law_idempotent(rng, kind, variant):
-    """An idempotent built with ``Kernel(rows)`` that may break its kind's
+    """An idempotent built with `raw_kernel` that may break its kind's
     column law.  Multi: a relation with an empty image, variant 0 the empty
     relation.  Stoch and Signed: a valid idempotent e, for variant 0
     conjugated by a diagonal scaling s (e(y|x)·s_y/s_x, idempotent with new
@@ -587,7 +589,7 @@ def _off_law_idempotent(rng, kind, variant):
     if kind is Kind.MULTI:
         e = rng.choice(MULTI_OFF_LAW)
         if variant == 0:
-            return Kernel(kind, e.dom, e.cod, [[False] * e.dom.size] * e.cod.size)
+            return raw_kernel(kind, e.dom, e.cod, [[False] * e.dom.size] * e.cod.size)
         return e
     x = random_object(rng, 4, "s")
     e = _idempotent(rng, Kind.SIGNED if variant == 3 else kind, x, rng.random() < 0.5)
@@ -599,7 +601,7 @@ def _off_law_idempotent(rng, kind, variant):
         if kind is Kind.SIGNED:
             s = [v * rng.choice((1, -1)) for v in s]
         m = [[m[i][j] * s[i] / s[j] for j in range(n)] for i in range(n)]
-    return Kernel(kind, e.dom, e.cod, m)
+    return raw_kernel(kind, e.dom, e.cod, m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -624,33 +626,35 @@ def _outcome(fn, *args):
 
 
 def _law_error(cell):
-    """What an operation that classifies the cell's endo raises when the
-    endo is an endomorphism off its kind's column law, else None."""
+    """What ``Kernel(...)`` raises on the cell's endo when the endo is an
+    endomorphism off its kind's column law, else None.  Such an endo is a
+    `raw_kernel`: no operation meets it on kernels built from rows."""
     e = cell.endo
-    bad = validate(e) if e.dom == e.cod else None
-    return None if bad is None else (ValidationError, bad.message)
+    if e.dom != e.cod or validate(e) is None:
+        return None
+    return ValidationError, kernel_refusal(e.kind, e.dom, e.cod, e.matrix).message
 
 
 def _classifies(fn, oracle, cell, *args):
-    """Assert that fn's outcome is the oracle's, except that past the shape
-    and flavor checks fn classifies the cell's endo, which raises off the
-    column law."""
+    """Assert that fn's outcome is the oracle's, except past the shape and
+    flavor checks on a cell whose endo ``Kernel(...)`` refuses, where fn,
+    which classifies that endo, is not called."""
     want = _outcome(oracle, *args)
-    if (law := _law_error(cell)) and not (isinstance(want, tuple) and want[0] in (ShapeMismatch, NotBalanced)):
-        want = law
+    if _law_error(cell) and not (isinstance(want, tuple) and want[0] in (ShapeMismatch, NotBalanced)):
+        return
     assert _outcome(fn, *args) == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(ALL_KINDS, SEEDS, st.integers(0, 3))
 def test_comonoid_laws_off_the_column_law(kind, seed, variant):
-    # EnvelopeCell directly: env_cell refuses these kernels, and so do the
-    # laws; the oracles still agree with each other on them
+    # Kernel(...) refuses these endos, so no cell holds them; built as a
+    # `raw_kernel`, the oracles still agree with each other on them
     e = _off_law_idempotent(random.Random(seed), kind, variant)
     assume(validate(e) is not None)
     assert compose(e, e) == e
     cell = EnvelopeCell(e.dom, e, Flavor.KAROUBI)
-    assert _outcome(env_check_markov_laws, cell) == _law_error(cell)
+    assert _law_error(cell) == (ValidationError, validate(e).message)
     report = env_check_markov_laws_by_tensors(cell)
     assert (report.counit_left, report.counit_right, report.coassociative) == comonoid_laws_by_structure(cell)
     witness = constant_map_witness(cell)
@@ -662,14 +666,14 @@ def test_comonoid_laws_off_the_column_law(kind, seed, variant):
 
 
 def test_discard_naturality_off_the_column_law_reaches_both_verdicts():
-    # only off the law can discard naturality fail, and there the laws refuse the cell
+    # only off the law can discard naturality fail, and there Kernel(...) refuses the endo
     for kind in Kind:
         verdicts = set()
         for seed in range(40):
             e = _off_law_idempotent(random.Random(seed), kind, seed % 4)
             if validate(e) is not None:
                 cell = EnvelopeCell(e.dom, e, Flavor.KAROUBI)
-                assert _outcome(env_check_markov_laws, cell) == _law_error(cell)
+                assert _law_error(cell) == (ValidationError, validate(e).message)
                 verdicts.add(constant_map_witness(cell) is None)
         assert verdicts == {True, False}, kind
 
@@ -763,28 +767,6 @@ def _absorption_morphism(rng, kind, src, dst):
     return EnvelopeMorphism(src, dst, raw)
 
 
-def _tensor_cell_law_error(a, b):
-    """What `cell_tensor` raises off the column law: it asks `_settled` of
-    both cells once their flavors agree."""
-    return None if a.flavor is not b.flavor else _law_error(a) or _law_error(b)
-
-
-def _env_tensor_law_error(f, g):
-    """What `env_tensor` raises off the column law: it builds the tensor
-    cell of the sources and then, unless f and g are the identities of two
-    settled cells, the tensor cell of the targets."""
-    if law := _tensor_cell_law_error(f.src, g.src):
-        return law
-    try:
-        tensor_cell(f.src, g.src)
-    except FinMarkovError:
-        return None
-    identities = f == EnvelopeMorphism(f.src, f.src, f.src.endo) and g == EnvelopeMorphism(g.src, g.src, g.src.endo)
-    if identities and settled_by_composing(f.src) and settled_by_composing(g.src):
-        return None
-    return _tensor_cell_law_error(f.dst, g.dst)
-
-
 def _absorption_cells(rng, kind, flavor, k):
     """k cells, mostly valid, now and then of the other flavor."""
     cells = []
@@ -802,7 +784,9 @@ def test_env_tensor_absorbs_like_the_whole_composites(kind, flavor, seed):
     s1, d1, s2, d2 = _absorption_cells(rng, kind, flavor, 4)
     f = _absorption_morphism(rng, kind, s1, d1)
     g = _absorption_morphism(rng, kind, s2, d2)
-    assert _outcome(env_tensor, f, g) == (_env_tensor_law_error(f, g) or _outcome(env_tensor_by_tensors, f, g))
+    # Kernel(...) refuses an endo off the column law, so no cell of env_tensor holds one
+    if not any([_law_error(cell) for cell in (f.src, f.dst, g.src, g.dst)]):
+        assert _outcome(env_tensor, f, g) == _outcome(env_tensor_by_tensors, f, g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -824,20 +808,20 @@ def test_copy_laws_ase_and_split_absorb_like_the_whole_composites(kind, flavor, 
 
 def _small_endomorphisms():
     """Every relation on n ≤ 3 elements and every signed matrix on n ≤ 2
-    with entries in {−1, 0, 1, 2}, as ``Kernel(rows)``."""
+    with entries in {−1, 0, 1, 2}, as a `raw_kernel`."""
     for n in range(1, 4):
         x = fin_object(str(i) for i in range(n))
         for cols in itertools.product(range(2**n), repeat=n):
-            yield Kernel(Kind.MULTI, x, x, [[bool(c >> i & 1) for c in cols] for i in range(n)])
+            yield raw_kernel(Kind.MULTI, x, x, [[bool(c >> i & 1) for c in cols] for i in range(n)])
     for n in range(1, 3):
         x = fin_object(str(i) for i in range(n))
         for entries in itertools.product((-1, 0, 1, 2), repeat=n * n):
-            yield Kernel(Kind.SIGNED, x, x, [entries[i * n:(i + 1) * n] for i in range(n)])
+            yield raw_kernel(Kind.SIGNED, x, x, [entries[i * n:(i + 1) * n] for i in range(n)])
 
 
 def test_copy_laws_and_split_absorb_like_the_whole_composites_on_small_endomorphisms():
-    # off the column law each operation raises ValidationError; within it
-    # they include each way to fail: the swap on two elements absorbs e⊗e
+    # off the column law Kernel(...) raises ValidationError; within it the
+    # operations include each way to fail: the swap on two elements absorbs e⊗e
     # but not e, the relation 0 ↦ {0}, 1 ↦ {0}, 2 ↦ {1,2} e but not e⊗e,
     # and the signed [[−1, 0], [2, 1]] e⊗e but not e
     failures = set()
@@ -846,7 +830,7 @@ def test_copy_laws_and_split_absorb_like_the_whole_composites_on_small_endomorph
         _classifies(blackwell_copy, blackwell_copy_by_tensor, cell, cell)
         _classifies(env_check_markov_laws, env_check_markov_laws_by_tensors, cell, cell)
         _classifies(env_split_idempotent, env_split_idempotent_by_homs, cell, cell)
-        copy = _outcome(blackwell_copy, cell)
+        copy = _law_error(cell) or _outcome(blackwell_copy, cell)
         if isinstance(copy, tuple):
             failures.add((e.kind, copy[0].__name__, copy[1].split()[0]))
     assert failures == {
@@ -860,7 +844,7 @@ def test_settled_cell_is_an_idempotent_within_the_column_law_on_small_endomorphi
     for e in _small_endomorphisms():
         for x in (e.dom, other):
             cell = EnvelopeCell(x, e, Flavor.KAROUBI)
-            assert _outcome(_settled, cell) == (_law_error(cell) or settled_by_composing(cell))
+            assert _law_error(cell) or _outcome(_settled, cell) == settled_by_composing(cell)
 
 
 def _any_cell(rng, kind, flavor, variant):
@@ -875,15 +859,18 @@ def _any_cell(rng, kind, flavor, variant):
 @given(ALL_KINDS, st.sampled_from(list(Flavor)), SEEDS, st.integers(0, 10))
 def test_settled_cell_is_an_idempotent_within_the_column_law(kind, flavor, seed, variant):
     cell = _any_cell(random.Random(seed), kind, flavor, variant)
-    assert _outcome(_settled, cell) == (_law_error(cell) or settled_by_composing(cell))
+    assert _law_error(cell) or _outcome(_settled, cell) == settled_by_composing(cell)
 
 
 @settings(max_examples=300, deadline=None)
 @given(ALL_KINDS, st.sampled_from(list(Flavor)), SEEDS, st.integers(0, 10))
 def test_discard_naturality_holds_on_every_cell_the_laws_decide(kind, flavor, seed, variant):
     # a cell the laws decide has an endo within the column law, so
-    # discard∘e = discard and no constant map breaks the law
+    # discard∘e = discard and no constant map breaks the law; Kernel(...)
+    # refuses any other endo, so no cell holds it
     cell = _any_cell(random.Random(seed), kind, flavor, variant)
+    if _law_error(cell):
+        return
     report = _outcome(env_check_markov_laws, cell)
     if isinstance(report, MarkovLawReport):
         assert report.discard_natural
@@ -966,12 +953,12 @@ def test_markov_law_cells_reach_every_path():
 def test_env_tensor_of_unabsorbed_factors_with_an_absorbed_tensor():
     # on −id neither factor absorbs its cell's endomorphism, (−id)∘(−id) =
     # id, but (−id)⊗(−id) = id does, so the literal check passes; −id is off
-    # the signed column law, so the tensor of its cell identities is refused
+    # the signed column law, so Kernel(...) refuses it and no cell holds it
     x = fin_object(("a", "b"))
-    neg = Kernel(Kind.SIGNED, x, x, [[-1, 0], [0, -1]])
+    neg = raw_kernel(Kind.SIGNED, x, x, [[-1, 0], [0, -1]])
     f = EnvelopeMorphism(*[EnvelopeCell(x, neg, Flavor.KAROUBI)] * 2, neg)
     assert compose(neg, neg) != neg
-    assert _outcome(env_tensor, f, f) == (ValidationError, validate(neg).message)
+    assert _law_error(f.src) == (ValidationError, validate(neg).message)
     assert env_tensor_by_tensors(f, f).kernel == identity(tensor_object(x, x), Kind.SIGNED)
 
 
@@ -1004,11 +991,12 @@ def _report(fn, e):
 
 
 def _lawful_report(e):
-    """classify's report, asserted to be the scan's within the column law
-    and ValidationError with `validate`'s message off it."""
+    """classify's report, asserted to be the scan's, within the column law;
+    off it, the error type and message with which ``Kernel(...)`` refuses e."""
+    if validate(e) is not None:
+        return "ValidationError", kernel_refusal(e.kind, e.dom, e.cod, e.matrix).message
     got = _report(classify, e)
-    bad = validate(e)
-    assert got == (_report(classify_by_scan, e) if bad is None else ("ValidationError", bad.message))
+    assert got == _report(classify_by_scan, e)
     return got
 
 
@@ -1069,16 +1057,16 @@ def test_multi_class_test_matches_both_oracles_on_small_endomorphisms_and_idempo
 
 
 def test_classify_takes_the_stochastic_balance_shortcut_only_within_the_column_law():
-    # off the law classify refuses a kernel before any shortcut: by the
-    # scan, columns (0, 0) and (1, 1) are idempotent and not balanced, and
-    # the zero kernel breaks an invariant of the taxonomy
+    # off the law Kernel(...) refuses a kernel, so none reaches a shortcut:
+    # by the scan, columns (0, 0) and (1, 1) are idempotent and not
+    # balanced, and the zero kernel breaks an invariant of the taxonomy
     x = fin_object(("0", "1"))
-    e = Kernel(Kind.STOCH, x, x, [[0, 1], [0, 1]])
+    e = raw_kernel(Kind.STOCH, x, x, [[0, 1], [0, 1]])
     report = classify_by_scan(e)
     assert report.idempotent and not report.balanced
-    assert _report(classify, e) == ("ValidationError", "column 0 sums to 0") == _lawful_report(e)
-    zero = Kernel(Kind.STOCH, x, x, [[0, 0], [0, 0]])
-    assert _report(classify, zero) == ("ValidationError", "column 0 sums to 0") == _lawful_report(zero)
+    assert _lawful_report(e) == ("ValidationError", "column 0 sums to 0")
+    zero = raw_kernel(Kind.STOCH, x, x, [[0, 0], [0, 0]])
+    assert _lawful_report(zero) == ("ValidationError", "column 0 sums to 0")
     with pytest.raises(StructureViolation, match="a static and strong idempotent must be deterministic"):
         classify_by_scan(zero)
 
@@ -1102,8 +1090,7 @@ def test_classify_inserts_witnesses_in_scan_order():
 def test_classify_builds_no_fraction():
     import finmarkov.idempotents as idem
 
-    kernels = [balanced_idempotent(), signed_idempotent(), multi_upset_idempotent(),
-               Kernel(Kind.STOCH, fin_object(("0", "1")), fin_object(("0", "1")), [[0, 1], [0, 1]])]
+    kernels = [balanced_idempotent(), signed_idempotent(), multi_upset_idempotent()]
     raw = Fraction.__dict__["__new__"]
     made = []
 
@@ -1114,23 +1101,23 @@ def test_classify_builds_no_fraction():
     idem._classify_cached.cache_clear()
     Fraction.__new__ = staticmethod(counting)
     try:
-        reports = [classify(e) for e in kernels[:3]]
+        reports = [classify(e) for e in kernels]
     finally:
         Fraction.__new__ = raw
     assert made == []
     assert [r.balanced for r in reports] == [True, False, False]
-    # off the law the error's message prints a column sum as a Fraction
-    with pytest.raises(ValidationError, match="^column 0 sums to 0$"):
-        classify(kernels[3])
+    # off the law Kernel(...)'s message prints a column sum as a Fraction
+    x = fin_object(("0", "1"))
+    assert kernel_refusal(Kind.STOCH, x, x, [[0, 1], [0, 1]]).message == "column 0 sums to 0"
 
 
 def _detailed_balance(e):
     """Detailed balance by `balanced_cross_check`, asserted equal to the
     dense formula's on an idempotent within the column law, or None: off
-    the law, where the cross-check raises ValidationError with `validate`'s
-    message, and on a non-idempotent."""
-    if (bad := validate(e)) is not None:
-        assert _outcome(balanced_cross_check, e) == (ValidationError, bad.message)
+    the law, where ``Kernel(...)`` refuses e with `validate`'s message, and
+    on a non-idempotent."""
+    if validate(e) is not None:
+        kernel_refusal(e.kind, e.dom, e.cod, e.matrix)
         return None
     if not classify(e).idempotent:
         return None
@@ -1176,7 +1163,7 @@ def _column_mix(rng, kind, dom, cod):
         elif shape == 3:
             col[r] = rng.choice((2, -1))
         cols.append(col)
-    return Kernel(kind, dom, cod, [[col[i] for col in cols] for i in range(n)])
+    return raw_kernel(kind, dom, cod, [[col[i] for col in cols] for i in range(n)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -1189,14 +1176,15 @@ def test_determinism_almost_surely_matches_the_comonoid_equation(kind, seed):
     bad = validate(p) or validate(f)
     if bad is None:
         assert _deterministic_as(p, f) == deterministic_as_by_equation(p, f)
-    else:  # verify_split checks ι and π against the law before it reads them
-        assert _outcome(verify_split, identity(x, kind), p, f) == (ValidationError, bad.message)
+    else:  # Kernel(...) refuses ι or π off the law, so verify_split never reads them
+        off = p if validate(p) is not None else f
+        assert kernel_refusal(kind, off.dom, off.cod, off.matrix) == bad
 
 
 def test_determinism_almost_surely_on_zero_and_signed_columns():
     # a zero column, which the comonoid equation accepts, breaks the column
-    # law, so verify_split refuses it before reading the projection; junk is
-    # within the law over Signed and Multi
+    # law, so Kernel(...) refuses it and verify_split never reads it; junk
+    # is within the law over Signed and Multi
     x, t = fin_object(("a", "b", "c")), fin_object(("s", "t"))
     for kind in Kind:
         one, zero = kind.one, kind.zero
@@ -1210,12 +1198,12 @@ def test_determinism_almost_surely_on_zero_and_signed_columns():
             ([(zero, one), junk, (one, zero)], False),
         ]
         for cols, want in cases:
-            pi = Kernel(kind, x, t, list(zip(*cols)))
+            pi = raw_kernel(kind, x, t, list(zip(*cols)))
             assert deterministic_as_by_equation(p, pi) is want
             if (bad := validate(pi)) is None:
                 assert _deterministic_as(p, pi) is want
             else:
-                assert _outcome(verify_split, identity(x, kind), p, pi) == (ValidationError, bad.message)
+                assert kernel_refusal(kind, x, t, list(zip(*cols))) == bad
     # a signed projection of a signed splitting: π∘ι = id, ι reaching a, b, c
     iota = Kernel(Kind.SIGNED, t, x, [[2, 0], [-1, 0], [0, 1]])
     pi = Kernel(Kind.SIGNED, x, t, [[1, 1, 0], [0, 0, 1]])

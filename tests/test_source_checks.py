@@ -542,10 +542,8 @@ def test_attribute_hook_check_flags_each_form():
     assert _attribute_hooks(ast.parse(ATTRIBUTE_HOOKS)) == ["Kernel:3", "Other:7", "Inner:10"]
 
 
-# where the column law may be checked: `classify`'s cache miss for every
-# endomorphism it classifies, and the two functions that read kernels it
-# does not classify
-LAW_CHECKS = {"envelopes.py": set(), "idempotents.py": {"_classify_cached", "verify_split", "cauchy_schwarz"}}
+# construction decides the column law, so no unit of these modules checks it again
+LAW_CHECKS = {"envelopes.py": set(), "idempotents.py": set()}
 
 
 def _validate_calls(tree, allowed, callee="validate"):
@@ -559,7 +557,7 @@ def _validate_calls(tree, allowed, callee="validate"):
     ]
 
 
-def test_classify_decides_the_column_law_for_the_taxonomy_and_the_envelopes():
+def test_construction_decides_the_column_law_for_the_taxonomy_and_the_envelopes():
     found = []
     for filename, allowed in LAW_CHECKS.items():
         path = SOURCE / filename
@@ -600,6 +598,40 @@ def test_only_the_class_test_reads_the_classes():
 def test_validate_call_check_flags_each_form():
     found = _validate_calls(ast.parse(VALIDATE_CALLS), {"_classify_cached"})
     assert found == ["blackwell_split:6", "_settled:10", "Cell.check:14", "line 16:16"]
+
+
+def _bare_calls(tree, callee):
+    """Lines of expression statements that call ``callee`` and drop what it
+    returns: a call alone, or one item of a tuple of calls."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr)
+        and any(_called_name(value) == callee and isinstance(value, ast.Call)
+                for value in (node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]))
+    ]
+
+
+def test_envelopes_ask_whether_a_cell_is_settled_only_for_the_answer():
+    # `_settled` raises nothing on a kernel Kernel(...) accepts, so a call
+    # that drops its answer only costs a classification
+    path = SOURCE / "envelopes.py"
+    assert _bare_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "_settled") == []
+
+
+BARE_CALLS = """
+def env_hom(src, dst, f):
+    _settled(src), _settled(dst)
+    _settled(src)
+    settled = _settled(src)
+    if _settled(dst):
+        envelopes._settled(dst)
+    return _settled(src) and f
+"""
+
+
+def test_bare_call_check_flags_each_form():
+    assert _bare_calls(ast.parse(BARE_CALLS), "_settled") == [3, 4, 7]
 
 
 # the one unit that writes tensor labels, in the one slotted object class

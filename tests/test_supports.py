@@ -462,6 +462,25 @@ def test_scomp_identity_is_canonical():
     assert entry(ident.rep, "a", "a") == 1 and entry(ident.rep, "b", "b") == 1
 
 
+def test_canonical_rep_matches_its_dense_definition_on_every_kind_and_empty_objects():
+    # each unreached column becomes the point mass on the first codomain
+    # element; a lawful kernel into an empty object has an empty domain, so
+    # it has no column to replace
+    from finmarkov.supports import canonical_rep
+
+    rng = random.Random(43)
+    empty = fin_object(())
+    for kind in Kind:
+        for dom, cod in ((empty, empty), (empty, random_object(rng, 3, "x")),
+                         (random_object(rng, 3, "a"), random_object(rng, 3, "x"))):
+            f = random_kernel(rng, kind, dom, cod)
+            for mask in range(2**dom.size):
+                reached = {j for j in range(dom.size) if mask >> j & 1}
+                rows = [[f.matrix[i][j] if j in reached else (kind.one if i == 0 else kind.zero)
+                         for j in range(dom.size)] for i in range(cod.size)]
+                assert canonical_rep(f, reached) == make_kernel(kind, dom, cod, rows)
+
+
 def test_scomp_membership_enforced():
     p = intro_state()
     src = SuppCompCell(p.cod, p)
