@@ -47,12 +47,12 @@ def io_relation(p: Kernel) -> Kernel:
     outputs; objects are carried over unchanged.
 
     In this model the deterministic states of an object are exactly its
-    elements, so the relation is read off column by column.  Every column
-    of a stochastic kernel has positive mass, so every image is nonempty.
+    elements, so the relation is read off column by column: within the law
+    every stored numerator is positive and every image nonempty.
     """
     if p.kind is not Kind.STOCH:
         raise UnsupportedKind("the input-output relation is taken of stochastic kernels")
-    masks = tuple(sum(1 << i for i, num in cells if num > 0) for _, cells in p.columns)
+    masks = tuple([sum([1 << i for i, _ in cells]) for _, cells in p.columns])
     return _kernel(Kind.MULTI, p.dom, p.cod, masks)
 
 

@@ -13,13 +13,14 @@ final) against three reference shapes:
 `classify` decides each on the stored columns.  A stochastic or
 multivalued kernel passing the class test of `classify` splits through its
 classes: it is balanced, static iff every class is a singleton and strong
-iff every column meets one class.  Every other idempotent is decided by the
-definitions, input by input: at each x the joint column and the three
-reference columns are built from the stored columns, as bitmasks over
-Multi and as integer sums over one denominator otherwise, and a flag
-fails at the lowest (final, intermediate) pair where they differ.  A
-witness is the first failing (input, final, intermediate) label triple in
-that scan order.
+iff every column meets one class.  Any other kernel checks e∘e = e column
+by column, an exact column over its own lcd as in `compose`; an idempotent
+is then decided by the definitions, input by input: at each x the joint
+column and the three reference columns are built from the stored columns,
+as bitmasks over Multi and as integer sums over one common denominator
+otherwise, and a flag fails at the lowest (final, intermediate) pair where
+they differ.  A witness is the first failing (input, final, intermediate)
+label triple in that scan order.
 
 Both splittings come from one construction on the stored columns.  The
 recurrent elements are those some column reaches, and the class of a
@@ -49,6 +50,7 @@ from .kernel import (
     Kind,
     ShapeMismatch,
     _bits,
+    _column_composite,
     _is_point_column,
     _kernel,
     _reduced,
@@ -142,21 +144,23 @@ def _classify_cached(e: Kernel) -> tuple:
     labels, cols = e.dom.labels, e.columns
     multi = e.kind is Kind.MULTI
     n = len(cols)
-    # e = A/d over one denominator, a column of A a dict of its nonzero
-    # rows; over Multi d = 1 and A = e, each column the mask of its image
-    d = 1 if multi else math.lcm(*[den for den, _ in cols])
-    A = cols if multi else [{y: num * (d // den) for y, num in cells} for den, cells in cols]
-    for x, col in enumerate(A):
+    for x, col in enumerate(cols):
         if multi:  # (e∘e)(x) is the OR of the columns e(x) reaches
             y = next(_bits(reduce(or_, [cols[w] for w in _bits(col)], 0) ^ col), None)
-        else:
-            y = _sum_difference([(y, a * b) for w, a in col.items() for y, b in A[w].items()],
-                                {y: d * a for y, a in col.items()})
+        elif (ee := _column_composite(cols, col)) == col:  # each column over its own lcd
+            continue
+        else:  # the lowest row where the canonical columns differ, by cross-multiplication
+            a, b = dict(col[1]), dict(ee[1])
+            y = min([y for y in a.keys() | b.keys() if a.get(y, 0) * ee[0] != b.get(y, 0) * col[0]])
         if y is not None:
             return IdempotentReport(
                 False, False, False, False, False, MappingProxyType({"idempotent": (labels[x], labels[y])})
             ), None
 
+    # e = A/d over one denominator, a column of A a dict of its nonzero
+    # rows; over Multi d = 1 and A = e, each column the mask of its image
+    d = 1 if multi else math.lcm(*[den for den, _ in cols])
+    A = cols if multi else [{y: num * (d // den) for y, num in cells} for den, cells in cols]
     # at each input x, the two-step joint column against the static, strong
     # and balanced reference columns, a pair (final z, intermediate y) at
     # z·n + y: over Multi as masks, spread(m) putting z at z·n, else as
@@ -351,29 +355,32 @@ class SplitData:
 
 def _class_split(e: Kernel) -> SplitData:
     """Split an idempotent through the classes `classify` kept in its class
-    record.  ι(t) is e's column at the first member of class t and π(t|x)
-    is the mass e(x) puts on class t: the summed numerators over Stoch,
-    whether the class meets e(x) over Multi.  Middle elements are
-    C_<first member> over Stoch and t0, t1, … over Multi."""
+    record.  ι(t) is e's column at the first member of class t.  A
+    recurrent x projects to the point mass on its class, and π(t|x) at a
+    transient x is the mass e(x) puts on class t: the summed numerators
+    over Stoch, whether the class meets e(x) over Multi.  Middle elements
+    are C_<first member> over Stoch and t0, t1, … over Multi."""
     if (record := _classify_cached(e)[1]) is None:
         raise StructureViolation("an idempotent to split has no class record")
     (reached, members), multi, cols, labels = record, e.kind is Kind.MULTI, e.columns, e.dom.labels
     middle = fin_object([f"t{t}" if multi else "C_" + labels[comp[0]] for t, comp in enumerate(members)])
     iota = _kernel(e.kind, middle, e.cod, tuple([cols[comp[0]] for comp in members]))
-    if multi:  # e(x), a union of classes, meets class t at its first member
-        pi_cols = [sum([1 << t for t, comp in enumerate(members) if col >> comp[0] & 1]) for col in cols]
-    else:
-        class_of = {y: t for t, comp in enumerate(members) for y in comp}
-        pi_cols = []
-        for den, cells in cols:
+    pi_cols, class_of, rest = [None] * len(cols), {}, list(_bits((1 << len(cols)) - 1 & ~reached))
+    for t, comp in enumerate(members):
+        point = 1 << t if multi else (1, ((t, 1),))
+        for y in comp:
+            pi_cols[y], class_of[y] = point, t
+    for x in rest:
+        if multi:  # e(x), a union of classes, meets class t at its first member
+            pi_cols[x] = sum([1 << t for t, comp in enumerate(members) if cols[x] >> comp[0] & 1])
+        else:
             mass = [0] * len(members)
-            for y, num in cells:
+            for y, num in cols[x][1]:
                 mass[class_of[y]] += num
-            pi_cols.append(_reduced(den, [(t, m) for t, m in enumerate(mass) if m]))
+            pi_cols[x] = _reduced(cols[x][0], [(t, m) for t, m in enumerate(mass) if m])
     pi = _kernel(e.kind, e.dom, middle, tuple(pi_cols))
     classes = tuple([tuple([labels[y] for y in comp]) for comp in members])
-    transient = tuple([labels[y] for y in _bits((1 << len(labels)) - 1 & ~reached)])
-    return SplitData(middle, pi, iota, classes, transient)
+    return SplitData(middle, pi, iota, classes, tuple([labels[y] for y in rest]))
 
 
 def blackwell_split(e: Kernel) -> SplitData:

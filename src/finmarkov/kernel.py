@@ -468,13 +468,28 @@ def _require_same_kind(f: Kernel, g: Kernel) -> None:
         raise KindMismatch(f"{f.kind.value} vs {g.kind.value}")
 
 
+def _column_composite(gcols: Sequence, col: tuple) -> tuple:
+    """The stored column Σ_y col(y)·g(y) for g's stored columns ``gcols``:
+    numerators summed over the lcm of the denominators of the g columns that
+    the exact column ``col`` reaches; a point mass reuses g's column as stored."""
+    fden, fcells = col
+    if len(fcells) == 1 and fcells[0][1] == fden:
+        return gcols[fcells[0][0]]
+    lcd = math.lcm(*[gcols[y][0] for y, _ in fcells])
+    acc: dict = {}
+    for y, a in fcells:
+        gden, gcells = gcols[y]
+        scale = a * (lcd // gden)
+        for i, b in gcells:
+            acc[i] = acc.get(i, 0) + scale * b
+    return _reduced(fden * lcd, [(i, acc[i]) for i in sorted(acc) if acc[i]])
+
+
 def compose(g: Kernel, f: Kernel) -> Kernel:
     """Sequential composite g∘f, with (g∘f)(z|a) = Σ_y g(z|y)·f(y|a).
 
     Over Multi the sum is boolean OR of ANDs (relational composition), an
-    OR of g's column bitmasks.  Exact columns sum integer numerators over
-    the lcm of the denominators of the g columns they reach; a point mass
-    in f reuses g's column as stored.
+    OR of g's column bitmasks; an exact column is `_column_composite`'s.
     """
     _require_same_kind(f, g)
     if f.cod != g.dom:
@@ -482,8 +497,8 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
             f"cannot compose: middle objects differ ({f.cod.labels} vs {g.dom.labels})"
         )
     gcols = g.columns
-    out = []
     if f.kind is Kind.MULTI:
+        out = []
         for mask in f.columns:
             acc = 0
             while mask:
@@ -492,19 +507,7 @@ def compose(g: Kernel, f: Kernel) -> Kernel:
                 mask ^= low
             out.append(acc)
         return _kernel(f.kind, f.dom, g.cod, tuple(out))
-    for fden, fcells in f.columns:
-        if len(fcells) == 1 and fcells[0][1] == fden:
-            out.append(gcols[fcells[0][0]])  # a point mass picks one column of g
-            continue
-        lcd = math.lcm(*[gcols[y][0] for y, _ in fcells])
-        acc: dict = {}
-        for y, a in fcells:
-            gden, gcells = gcols[y]
-            scale = a * (lcd // gden)
-            for i, b in gcells:
-                acc[i] = acc.get(i, 0) + scale * b
-        out.append(_reduced(fden * lcd, [(i, acc[i]) for i in sorted(acc) if acc[i]]))
-    return _kernel(f.kind, f.dom, g.cod, tuple(out))
+    return _kernel(f.kind, f.dom, g.cod, tuple([_column_composite(gcols, col) for col in f.columns]))
 
 
 def _column_products(f: Kernel, g: Kernel, walk) -> tuple:

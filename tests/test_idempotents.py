@@ -265,6 +265,66 @@ def test_class_test_matches_the_scans_on_class_idempotents_and_their_neighbours(
     _same_verdicts(e)
 
 
+def _late_neighbour(rng, kind, n):
+    """An idempotent on n elements with one column x ≥ 1 changed at a deep
+    row r ≥ n/2, within the column law.  Over Stoch a class idempotent with
+    half of a stored cell moved between r and another row; over Signed a
+    shear conjugate T∘e∘T⁻¹ of one (T adds t·(δ_a − δ_b) to column c,
+    keeping column sums) with s moved from a row to r; over Multi the
+    support relation of one, whose images are unions of its blocks, with r
+    put in or taken out."""
+    x = fin_object(f"s{i}" for i in range(n))
+    e = random_class_idempotent(rng, x).idempotent
+    rows = [list(row) for row in e.matrix]
+    if kind is Kind.SIGNED:
+        a, b = rng.sample(range(n), 2)
+        c, t = rng.randrange(n), rng.choice((F(-2), F(-1, 2), F(1, 2), F(3)))
+        u = [int(i == a) - int(i == b) for i in range(n)]
+        shear = [[F(int(i == j)) + t * u[i] * (j == c) for j in range(n)] for i in range(n)]
+        inverse = [[F(int(i == j)) - t * u[i] * (j == c) / (1 + t * u[c]) for j in range(n)] for i in range(n)]
+        shear, inverse, e = (Kernel(Kind.SIGNED, x, x, m) for m in (shear, inverse, rows))
+        rows = [list(row) for row in compose(shear, compose(e, inverse)).matrix]
+    elif kind is Kind.MULTI:
+        rows = [[bool(v) for v in row] for row in rows]
+    j, r = rng.randrange(1, n), rng.randrange(n // 2, n)
+    column = [row[j] for row in rows]
+    if kind is Kind.MULTI:
+        column[r] = not column[r] or sum(column) == 1
+    else:
+        y = rng.choice([y for y in range(n) if y != r and (column[y] or column[r] or kind is Kind.SIGNED)])
+        s = rng.choice((F(-1, 2), F(1, 3), F(2))) if kind is Kind.SIGNED else (column[y] or -column[r]) / 2
+        column[y], column[r] = column[y] - s, column[r] + s
+    for row, v in zip(rows, column):
+        row[j] = v
+    return Kernel(kind, x, x, rows)
+
+
+def test_classify_finds_late_witnesses_as_both_scans_do():
+    # e∘e is checked column by column over each column's own lcd; a change at
+    # a column x ≥ 1 and a deep row must still give the scans' first witness
+    rng = random.Random(32)
+    late = dict.fromkeys(Kind, 0)  # non-idempotents witnessed at x ≥ 1 and a row ≥ n/2
+    for kind in Kind:
+        for _ in range(40):
+            e = _late_neighbour(rng, kind, rng.randrange(2, 13))
+            got = _verdict(classify, e)
+            assert got == _verdict(classify_by_columns, e) == _verdict(classify_by_scan, e), e.columns
+            if not got[0]["idempotent"]:
+                x, y = (int(label[1:]) for label in got[1][0][1])
+                late[kind] += x >= 1 and y >= e.dom.size // 2
+    assert all(late.values()), late
+    # signed: (e∘e)(s6) = 2·e(s6) − e(s9) cancels at its own row s6, where e(s6) is 2
+    x = fin_object(f"s{i}" for i in range(12))
+    rows = [[F(int(i == j)) for j in range(12)] for i in range(12)]
+    rows[6][6], rows[9][6] = F(2), F(-1)  # e(s6) = 2·δ6 − δ9
+    rows[9][9], rows[6][9], rows[11][9] = F(0), F(4), F(-3)  # e(s9) = 4·δ6 − 3·δ11, a fixed column
+    e = Kernel(Kind.SIGNED, x, x, rows)
+    assert compose(e, e).matrix[6][6] == 0
+    got = _verdict(classify, e)
+    assert got == _verdict(classify_by_columns, e) == _verdict(classify_by_scan, e)
+    assert got[1] == [("idempotent", ("s6", "s6"))]
+
+
 def test_classify_reads_a_stochastic_idempotent_within_the_law_without_the_scans(monkeypatch):
     calls = []
     scan = idempotents._sum_difference

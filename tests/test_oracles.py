@@ -84,7 +84,14 @@ from finmarkov.golden import (
 )
 from finmarkov.idempotents import StructureViolation, _deterministic_as
 from finmarkov.kernel import _kernel, split_tensor_labels, support_indices
-from finmarkov.rand import random_column, random_deterministic_kernel, random_kernel, random_kernel_supported_on
+from finmarkov.rand import (
+    random_column,
+    random_deterministic_kernel,
+    random_full_support_column,
+    random_kernel,
+    random_kernel_supported_on,
+    random_stoch_column,
+)
 from oracles import (
     all_multi_kernels,
     ase_by_joint,
@@ -1223,6 +1230,22 @@ def test_blackwell_split_is_a_splitting(seed):
     assert verify_split(e, sd.inclusion, sd.projection)[1]
 
 
+def _transient_heavy_idempotent(rng, n):
+    """ι∘π on n elements with two recurrent classes of one to three members
+    at random places; every other element is transient, a random mixture of
+    the two classes."""
+    x = fin_object(f"s{i}" for i in range(n))
+    recurrent = rng.sample(range(n), 2 + rng.randrange(5))
+    cut = 1 + rng.randrange(len(recurrent) - 1)
+    members = sorted([sorted(recurrent[:cut]), sorted(recurrent[cut:])])
+    weights = [dict(zip(comp, random_full_support_column(rng, len(comp)))) for comp in members]
+    iota = Kernel(Kind.STOCH, fin_object(("t0", "t1")), x, [[w.get(i, 0) for w in weights] for i in range(n)])
+    mixes = [random_stoch_column(rng, 2) if i not in recurrent else None for i in range(n)]
+    pi = Kernel(Kind.STOCH, x, iota.dom, [
+        [mixes[i][t] if mixes[i] else int(i in members[t]) for i in range(n)] for t in range(2)])
+    return compose(iota, pi)
+
+
 @settings(max_examples=150, deadline=None)
 @given(SEEDS)
 def test_blackwell_split_matches_the_tarjan_decomposition(seed):
@@ -1230,6 +1253,10 @@ def test_blackwell_split_matches_the_tarjan_decomposition(seed):
     # ι and π, all compared by SplitData equality
     rng = random.Random(seed)
     e = random_class_idempotent(rng, random_object(rng, 16, "s")).idempotent
+    assert blackwell_split(e) == class_decomposition(e)
+    # transient-heavy: π sums class masses over the transient columns only,
+    # and a recurrent x projects to the point mass on its class
+    e = _transient_heavy_idempotent(rng, rng.choice((24, 32)))
     assert blackwell_split(e) == class_decomposition(e)
 
 

@@ -113,7 +113,7 @@ def test_library_memos_are_clearable():
 COLUMN_ONLY = {
     "_ratio_column", "compose", "tensor", "pair", "_column_products", "function_kernel", "kernel_equal",
     "_classify_cached", "_report", "_classes", "_class_failures",
-    "_sum_difference",
+    "_sum_difference", "_column_composite",
     "cauchy_schwarz", "blackwell_split", "_class_split", "kernel_from_doc", "kernel_to_doc",
     "support", "factor_through_support", "equalizer_factor", "point_lift",
     "precise_supports_equiv", "canonical_rep", "env_check_markov_laws", "_cmd_verify_paper",
@@ -632,6 +632,76 @@ def env_hom(src, dst, f):
 
 def test_bare_call_check_flags_each_form():
     assert _bare_calls(ast.parse(BARE_CALLS), "_settled") == [3, 4, 7]
+
+
+# the one unit that sums an exact column over its own lcd, and the units that call it
+COLUMN_COMPOSITE = "_column_composite"
+COMPOSITE_CALLERS = {"kernel.py": "compose", "idempotents.py": "_classify_cached"}
+
+
+def _column_sum_copies(tree, names):
+    """For each function in ``names``: a line if it does not call
+    `COLUMN_COMPOSITE`, and the lines where it calls ``lcm`` within a loop,
+    in the body of a ``for`` or ``while`` or in a comprehension's element or
+    filter, as an inlined copy of the helper takes one lcd per column."""
+    found = []
+    for func in ast.walk(tree):
+        if not (isinstance(func, ast.FunctionDef) and func.name in names):
+            continue
+        if not _calls_within(func, COLUMN_COMPOSITE, {}):
+            found.append(f"{func.name}:{func.lineno} does not call {COLUMN_COMPOSITE}")
+        looped = []
+        for node in ast.walk(func):
+            if isinstance(node, (ast.For, ast.While)):
+                looped += node.body + node.orelse
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                looped += [getattr(node, part) for part in ("elt", "key", "value") if hasattr(node, part)]
+                looped += [cond for loop in node.generators for cond in loop.ifs]
+        lines = {sub.lineno for part in looped for sub in ast.walk(part)
+                 if isinstance(sub, ast.Call) and _called_name(sub) == "lcm"}
+        found += [f"{func.name}:{line} takes an lcd in a loop" for line in sorted(lines)]
+    return found
+
+
+def test_compose_and_classify_share_one_exact_column_sum():
+    # e∘e in classify is compose's column sum, each column over its own lcd;
+    # the common denominator, outside any loop, serves only the flag scan
+    found = []
+    for filename, name in COMPOSITE_CALLERS.items():
+        path = SOURCE / filename
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{filename} {where}" for where in _column_sum_copies(tree, {name})]
+    assert found == []
+
+
+COLUMN_SUM_COPIES = """
+def compose(g, f):
+    out = []
+    for fden, fcells in f.columns:
+        lcd = math.lcm(*[g.columns[y][0] for y, _ in fcells])
+        out.append((fden * lcd, fcells))
+    return out
+
+def _classify_cached(e):
+    d = math.lcm(*[den for den, _ in e.columns])
+    sums = [lcm(*[cols[y][0] for y, _ in col[1]]) for col in e.columns]
+    return [_column_composite(e.columns, col) for col in e.columns], d, sums
+
+def scan(e):
+    while e:
+        e = {x: lcm(x, 2) for x in e if lcm(x, 3) > 1}
+    return [_column_composite(e, c) for c in e], lcm(*e)
+"""
+
+
+def test_column_sum_copy_check_flags_each_form():
+    found = _column_sum_copies(ast.parse(COLUMN_SUM_COPIES), {"compose", "_classify_cached", "scan"})
+    assert found == [
+        "compose:2 does not call _column_composite",
+        "compose:5 takes an lcd in a loop",
+        "_classify_cached:11 takes an lcd in a loop",
+        "scan:16 takes an lcd in a loop",
+    ]
 
 
 # the one unit that writes tensor labels, in the one slotted object class
