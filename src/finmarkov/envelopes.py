@@ -8,26 +8,26 @@ not necessary: on multivalued (boolean) cells the copy formula is
 coassociative whether or not the idempotent is balanced, and only
 non-balanced signed idempotents can break it.
 
+Construction decides both laws, as ``Kernel(...)`` decides the column
+law: ``EnvelopeCell(...)`` refuses an endo that is not an idempotent on
+its object, as the cached `classify` reports, and
+``EnvelopeMorphism(...)`` a kernel its endpoint idempotents do not
+absorb.  So every cell has e∘e = e and every morphism f∘e = f = e'∘f,
+and the cells and morphisms derived from them keep both laws: no
+operation checks them again.
+
 `env_check_markov_laws` decides every comonoid law exactly on stored
 columns.  Cocommutativity holds by construction: cpy = ⟨e,e⟩∘e mixes
 the symmetric columns e(y)⊗e(y), so it builds no swap, and one side of
 coassociativity is the other with its factors reversed.  Discard
-naturality holds by the column law, which construction decides for every
-kernel: discard∘e = discard for every cell endomorphism e.
-
-One predicate decides every shortcut: a cell is settled when its endo
-lives on its object and is idempotent, as the cached `classify` reports.
-Then e∘e = e: the cell absorbs its identity and its copy, two such
-identities absorb their tensor, both counit laws hold, and nothing is
-composed.  Every other cell takes the literal composites, which decide
-and raise.
+naturality holds by the column law: discard∘e = discard for every cell
+endomorphism e.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .kernel import (
     FinMarkovError,
@@ -62,26 +62,54 @@ class Flavor(enum.Enum):
 
 @dataclass(frozen=True)
 class EnvelopeCell:
+    """(X, e) with e an idempotent on X: construction raises NotEndo or
+    NotIdempotent otherwise.  Balance is `env_cell`'s to check."""
+
     object: FinObject
     endo: Kernel
     flavor: Flavor
 
+    def __post_init__(self) -> None:
+        e = self.endo
+        if e.dom != self.object or e.cod != self.object:
+            raise NotEndo("cell endomorphism must live on the cell's object")
+        if not classify(e).idempotent:
+            raise NotIdempotent("cell endomorphism must be idempotent")
+
 
 @dataclass(frozen=True)
 class EnvelopeMorphism:
+    """A kernel f: X → Y with f∘e_src = f = e_dst∘f: construction raises
+    ShapeMismatch or NotHom otherwise."""
+
     src: EnvelopeCell
     dst: EnvelopeCell
     kernel: Kernel
 
+    def __post_init__(self) -> None:
+        f = self.kernel
+        if f.dom != self.src.object or f.cod != self.dst.object:
+            raise ShapeMismatch("kernel does not connect the given cells")
+        if not kernel_equal(compose(f, self.src.endo), f):
+            raise NotHom("source idempotent is not absorbed (f∘e_src ≠ f)")
+        if not kernel_equal(compose(self.dst.endo, f), f):
+            raise NotHom("target idempotent is not absorbed (e_dst∘f ≠ f)")
+
+
+def _lawful(cls, *values):
+    """A cell or morphism of the given fields, trusted to keep its laws:
+    the constructor without its checks, for what is derived from lawful
+    cells and morphisms."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
 
 def env_cell(x: FinObject, e: Kernel, flavor: Flavor | str) -> EnvelopeCell:
-    """Validated cell: e must be an idempotent on x, and balanced for
-    Blackwell.  Decided once by `_settled`; a cell it rejects is checked
-    again for the first error."""
-    if not _settled(cell := EnvelopeCell(x, e, Flavor(flavor))):
-        if e.dom != x or e.cod != x:
-            raise NotEndo("cell endomorphism must live on the cell's object")
-        raise NotIdempotent("cell endomorphism must be idempotent")
+    """Validated cell: e must be an idempotent on x, which construction
+    decides, and balanced for Blackwell."""
+    cell = EnvelopeCell(x, e, Flavor(flavor))
     if cell.flavor is Flavor.BLACKWELL and not classify(e).balanced:
         raise NotBalanced("Blackwell cells require a balanced idempotent")
     return cell
@@ -89,38 +117,17 @@ def env_cell(x: FinObject, e: Kernel, flavor: Flavor | str) -> EnvelopeCell:
 
 def env_identity(cell: EnvelopeCell) -> EnvelopeMorphism:
     """The identity of a cell is its designated idempotent."""
-    return EnvelopeMorphism(cell, cell, cell.endo)
+    return _lawful(EnvelopeMorphism, cell, cell, cell.endo)
 
 
-def env_hom(src: EnvelopeCell, dst: EnvelopeCell, f: Kernel) -> EnvelopeMorphism:
-    """Check the two absorption equations f∘e_src = f = e_dst∘f."""
-    if f.dom != src.object or f.cod != dst.object:
-        raise ShapeMismatch("kernel does not connect the given cells")
-    return _require_absorbed(EnvelopeMorphism(src, dst, f))
-
-
-@lru_cache(maxsize=4096)
-def _settled(cell: EnvelopeCell) -> bool:
-    """Whether the cell's endo lives on its object and is idempotent.
-    Memoized, so each cell is decided once."""
-    e = cell.endo
-    return e.dom == e.cod and classify(e).idempotent and e.dom == cell.object
-
-
-def _require_absorbed(m: EnvelopeMorphism) -> EnvelopeMorphism:
-    """Return m, raising NotHom unless both endpoint idempotents absorb
-    the kernel."""
-    if not kernel_equal(compose(m.kernel, m.src.endo), m.kernel):
-        raise NotHom("source idempotent is not absorbed (f∘e_src ≠ f)")
-    if not kernel_equal(compose(m.dst.endo, m.kernel), m.kernel):
-        raise NotHom("target idempotent is not absorbed (e_dst∘f ≠ f)")
-    return m
+#: The morphism f: src → dst, checked by construction.
+env_hom = EnvelopeMorphism
 
 
 def env_compose(g: EnvelopeMorphism, f: EnvelopeMorphism) -> EnvelopeMorphism:
     if f.dst != g.src:
         raise CellMismatch("inner cells differ")
-    return _require_absorbed(EnvelopeMorphism(f.src, g.dst, compose(g.kernel, f.kernel)))
+    return _lawful(EnvelopeMorphism, f.src, g.dst, compose(g.kernel, f.kernel))
 
 
 def cell_tensor(a: EnvelopeCell, b: EnvelopeCell) -> EnvelopeCell:
@@ -130,17 +137,16 @@ def cell_tensor(a: EnvelopeCell, b: EnvelopeCell) -> EnvelopeCell:
     if a.flavor is not b.flavor:
         raise CellMismatch("cells of different flavors")
     ten = tensor(a.endo, b.endo)
-    return EnvelopeCell(ten.dom, ten, a.flavor)
+    return _lawful(EnvelopeCell, ten.dom, ten, a.flavor)
 
 
 def env_tensor(f: EnvelopeMorphism, g: EnvelopeMorphism) -> EnvelopeMorphism:
-    """f⊗g, with both absorption equations checked on the whole tensor.
-    Of the identities of two settled cells, the tensor is the tensor
-    cell's identity, absorbed since e∘e = e, and nothing is composed."""
+    """f⊗g.  Of two cell identities, the tensor cell's identity, which
+    builds one tensor rather than three."""
     src = cell_tensor(f.src, g.src)
-    if f == env_identity(f.src) and g == env_identity(g.src) and _settled(f.src) and _settled(g.src):
-        return EnvelopeMorphism(src, src, src.endo)
-    return _require_absorbed(EnvelopeMorphism(src, cell_tensor(f.dst, g.dst), tensor(f.kernel, g.kernel)))
+    if f == env_identity(f.src) and g == env_identity(g.src):
+        return _lawful(EnvelopeMorphism, src, src, src.endo)
+    return _lawful(EnvelopeMorphism, src, cell_tensor(f.dst, g.dst), tensor(f.kernel, g.kernel))
 
 
 def blackwell_copy(cell: EnvelopeCell) -> EnvelopeMorphism:
@@ -148,29 +154,19 @@ def blackwell_copy(cell: EnvelopeCell) -> EnvelopeMorphism:
     its tensor square."""
     if cell.flavor is not Flavor.BLACKWELL:
         raise NotBalanced("the copy formula is defined on Blackwell cells")
-    return _copy_morphism(cell, _cell_copy(cell))
+    return _lawful(EnvelopeMorphism, cell, cell_tensor(cell, cell), _cell_copy(cell.endo))
 
 
-def _copy_morphism(cell: EnvelopeCell, cpy: Kernel) -> EnvelopeMorphism:
-    return EnvelopeMorphism(cell, EnvelopeCell(cpy.cod, tensor(cell.endo, cell.endo), cell.flavor), cpy)
-
-
-def _cell_copy(cell: EnvelopeCell) -> Kernel:
-    """The copy formula cpy = ⟨e,e⟩∘e, raising NotHom unless the cell
-    absorbs cpy; a settled cell absorbs it on both sides, as e∘e = e."""
-    e = cell.endo
-    cpy = compose(pair(e, e), e)
-    if not _settled(cell):
-        _require_absorbed(_copy_morphism(cell, cpy))
-    return cpy
+def _cell_copy(e: Kernel) -> Kernel:
+    """The copy formula cpy = ⟨e,e⟩∘e, which e and e⊗e absorb as e∘e = e."""
+    return compose(pair(e, e), e)
 
 
 def env_discard(cell: EnvelopeCell) -> EnvelopeMorphism:
     """discard∘e, which is the discard: e is within the column law."""
     e = cell.endo
     k = discard_kernel(e.dom, e.kind)
-    dst = EnvelopeCell(k.cod, identity(k.cod, e.kind), cell.flavor)
-    return EnvelopeMorphism(cell, dst, k)
+    return _lawful(EnvelopeMorphism, cell, _lawful(EnvelopeCell, k.cod, identity(k.cod, e.kind), cell.flavor), k)
 
 
 @dataclass(frozen=True)
@@ -189,34 +185,24 @@ class MarkovLawReport:
 def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     """Decide the comonoid laws of the cell's copy/discard pair exactly.
 
-    A settled cell composes nothing for the laws it settles: with e∘e = e
-    and disc = discard, both counit laws hold, as (disc⊗e)∘cpy =
-    ⟨disc, e∘e⟩∘e ≅ e∘e = e, and so does discard naturality;
-    coassociativity holds when e is balanced, or multivalued (both sides
-    send x to the union of e(u)³ over the u ∈ e(x) with u ∈ e(u)).
+    With e∘e = e and disc = discard, both counit laws hold, as
+    (disc⊗e)∘cpy = ⟨disc, e∘e⟩∘e ≅ e∘e = e, and so does discard
+    naturality, as the endo is within the column law; coassociativity
+    holds when e is balanced, or multivalued (both sides send x to the
+    union of e(u)³ over the u ∈ e(x) with u ∈ e(u)).
 
-    Every other cell builds the copy and the composites, a settled one only
-    ⟨cpy, e⟩∘e.  The unitors and the associator are the identity on
-    indices, so the counit laws compare the columns of ⟨disc, e∘e⟩∘e and
-    ⟨e∘e, disc⟩∘e, the pairings (a⊗b)∘cpy = ⟨a∘e, b∘e⟩∘e, with e's.  Each
-    column cpy(y) = Σ_u e(u|y)·e(u)⊗e(u) is symmetric, so swap∘cpy = cpy
-    and, with ee = e∘e, ⟨ee, cpy⟩∘e at (a,b,c), Σ_y e(y|x)·ee(a|y)·cpy(y)[c,b],
-    is ⟨cpy, ee⟩∘e at (c,b,a), for any endo in every kind: coassociativity
-    holds exactly when each column of ⟨cpy, ee⟩∘e is fixed by (a,b,c) ↦ (c,b,a).
-
-    Discard naturality holds too: the endo is within the column law, so
-    disc = discard∘e = discard.
+    Otherwise the laws build the copy and ⟨cpy, e⟩∘e.  The associator is
+    the identity on indices, so coassociativity compares the columns of
+    the pairings (cpy⊗e)∘cpy = ⟨cpy, e⟩∘e and (e⊗cpy)∘cpy = ⟨e, cpy⟩∘e.
+    Each column cpy(y) = Σ_u e(u|y)·e(u)⊗e(u) is symmetric, so ⟨e, cpy⟩∘e
+    at (a,b,c), Σ_y e(y|x)·e(a|y)·cpy(y)[c,b], is ⟨cpy, e⟩∘e at (c,b,a):
+    coassociativity holds exactly when each column of ⟨cpy, e⟩∘e is fixed
+    by (a,b,c) ↦ (c,b,a).
     """
     e = cell.endo
-    settled = _settled(cell)
-    if settled and (e.kind is Kind.MULTI or classify(e).balanced):
+    if e.kind is Kind.MULTI or classify(e).balanced:
         return MarkovLawReport(True, True, True, True, True)
-    cpy = _cell_copy(cell)
-    ee, counits = e, (True, True)
-    if not settled:
-        ee, de = compose(e, e), discard_kernel(e.dom, e.kind)  # de = discard∘e∘e = discard within the law
-        counits = compose(pair(de, ee), e).columns == e.columns, compose(pair(ee, de), e).columns == e.columns
-    return MarkovLawReport(*counits, _reversal_fixed(compose(pair(cpy, ee), e), e.cod.size), True, True)
+    return MarkovLawReport(True, True, _reversal_fixed(compose(pair(_cell_copy(e), e), e), e.cod.size), True, True)
 
 
 def _reversal_fixed(k: Kernel, n: int) -> bool:
@@ -233,19 +219,13 @@ def env_ase(p: EnvelopeMorphism, f: EnvelopeMorphism, g: EnvelopeMorphism) -> bo
     of the underlying kernels.
 
     With copy = ⟨e,e⟩∘e, the joint (e⊗f)∘copy∘p is the pairing
-    ⟨e∘e, f∘e⟩∘e∘p."""
+    ⟨e∘e, f∘e⟩∘e∘p, which is ⟨e, f⟩∘p, as e∘e = e, f∘e = f and e∘p = p."""
     if f.src != p.dst or g.src != p.dst or f.dst != g.dst:
         raise ShapeMismatch("morphisms do not form an almost-sure comparison")
     if p.dst.flavor is not Flavor.BLACKWELL:
         raise NotBalanced("almost-sure comparison needs a Blackwell middle cell")
-    e = ee = p.dst.endo
-    if not _settled(p.dst):  # a settled cell absorbs its copy, which is then not built
-        _cell_copy(p.dst)  # raises NotHom unless the middle cell absorbs its copy
-        ee = compose(e, e)
-    ep = compose(e, p.kernel)
-    joint_f = compose(pair(ee, compose(f.kernel, e)), ep)
-    joint_g = compose(pair(ee, compose(g.kernel, e)), ep)
-    return kernel_equal(joint_f, joint_g)
+    e = p.dst.endo
+    return kernel_equal(compose(pair(e, f.kernel), p.kernel), compose(pair(e, g.kernel), p.kernel))
 
 
 def env_split_idempotent(cell: EnvelopeCell) -> tuple[EnvelopeMorphism, EnvelopeMorphism]:
@@ -253,10 +233,8 @@ def env_split_idempotent(cell: EnvelopeCell) -> tuple[EnvelopeMorphism, Envelope
 
     Viewing e as a morphism both (X,id) → (X,e) and (X,e) → (X,id), the
     two composites are the cell identity of (X,e) and the original
-    idempotent on (X,id).  On a settled cell e∘e = e absorbs both.
+    idempotent on (X,id); e∘e = e absorbs both.
     """
     e = cell.endo
-    plain = EnvelopeCell(cell.object, identity(e.dom, e.kind), cell.flavor)
-    if _settled(cell):
-        return EnvelopeMorphism(plain, cell, e), EnvelopeMorphism(cell, plain, e)
-    return env_hom(plain, cell, e), env_hom(cell, plain, e)  # raises the error
+    plain = _lawful(EnvelopeCell, cell.object, identity(e.dom, e.kind), cell.flavor)
+    return _lawful(EnvelopeMorphism, plain, cell, e), _lawful(EnvelopeMorphism, cell, plain, e)

@@ -516,24 +516,18 @@ def _column_products(f: Kernel, g: Kernel, walk) -> tuple:
     for `pair`.  Rows are x-major over ``f.cod`` ⊗ ``g.cod``.
 
     An exact product multiplies numerators over the product of the two
-    column denominators, reduced by the product of the columns' contents.
+    column denominators.  Within the column law a column's numerators sum
+    to its denominator, so their gcd is 1, and so is the gcd of the
+    products: the product column is reduced.
     """
     m = g.cod.size
     if f.kind is Kind.MULTI:
         fshifts = [[y * m for y in _bits(fmask)] for fmask in f.columns]
         # the shifted copies of g's mask occupy disjoint bits, so + is OR
         return tuple(sum(gmask << s for s in shifts) for shifts, gmask in walk(fshifts, g.columns))
-    # gcd(*[]) is 0, so an empty product reduces to (1, ())
-    fcols = [(fden, [(y * m, a) for y, a in fcells], math.gcd(*[a for _, a in fcells]))
-             for fden, fcells in f.columns]
-    gcols = [(gden, gcells, math.gcd(*[b for _, b in gcells])) for gden, gcells in g.columns]
-    out = []
-    for (fden, shifted, fc), (gden, gcells, gc) in walk(fcols, gcols):
-        den = fden * gden
-        cells = [(s + z, a * b) for s, a in shifted for z, b in gcells]
-        c = math.gcd(den, fc * gc)
-        out.append((den, tuple(cells)) if c == 1 else (den // c, tuple((i, v // c) for i, v in cells)))
-    return tuple(out)
+    fcols = [(fden, [(y * m, a) for y, a in fcells]) for fden, fcells in f.columns]
+    return tuple((fden * gden, tuple([(s + z, a * b) for s, a in shifted for z, b in gcells]))
+                 for (fden, shifted), (gden, gcells) in walk(fcols, g.columns))
 
 
 def tensor(f: Kernel, g: Kernel) -> Kernel:

@@ -21,7 +21,6 @@ from .kernel import (
     ShapeMismatch,
     _bits,
     _kernel,
-    _reduced,
     compose,
     function_kernel,
     identity,
@@ -111,14 +110,14 @@ def _require_supportable(p: Kernel) -> None:
 def _restrict_rows(k: Kernel, sub: FinObject, idx: Sequence[int]) -> Kernel:
     """k with its codomain cut down to ``sub``, whose element s is row
     ``idx[s]`` of k, on the stored columns.  Callers drop only zero rows,
-    so no column loses mass."""
+    so no column loses mass, and each stays reduced."""
     if k.kind is Kind.MULTI:
         place = {i: 1 << s for s, i in enumerate(idx)}
         return _kernel(k.kind, k.dom, sub, tuple(sum(place.get(i, 0) for i in _bits(m)) for m in k.columns))
     cols = []
     for den, cells in k.columns:
         num = dict(cells)
-        cols.append(_reduced(den, [(s, num[i]) for s, i in enumerate(idx) if i in num]))
+        cols.append((den, tuple([(s, num[i]) for s, i in enumerate(idx) if i in num])))
     return _kernel(k.kind, k.dom, sub, tuple(cols))
 
 

@@ -26,18 +26,19 @@ two-step joint, against the dense n³ formula.  The
 envelope comonoid laws and `env_ase`, which the library builds as
 pairings, are checked against their tensor-then-copy composites, and
 cocommutativity, which holds by construction, against the literal swap.
-The laws, which the library reads on a settled cell from the copy and one
+The laws, which the library reads from the copy and one
 coassociativity side tested for reversal, are also checked against the
 six pairing composites they were built from before.
 Determinism almost surely, which the library reads off the columns the
 reference reaches, is checked against the comonoid equation compared as
 joints, and the seeded off-support perturbation, built on stored
 columns, against the same draws on dense columns.
-The envelope shortcuts, which the library takes on a settled cell (its
-endo an idempotent, as `classify` reports), are
-checked against the whole composites, and the settled-cell test against
-e∘e composed.  The lift of a kernel to a parametric kernel, built with a
-projection, is checked against the unitor after discarding the parameter.
+The envelope cells and morphisms, which the library derives from
+lawful ones without checking the envelope laws again, are checked
+against the whole absorption composites, and the cell constructor,
+which asks `classify`, against e∘e composed.  The lift of a kernel to a
+parametric kernel, built with a projection, is checked against the
+unitor after discarding the parameter.
 The stored columns that dense rows and parsed documents become, which
 the library builds from each column's nonzero cells, are checked against
 the column builder over every entry that it replaced.  The multivalued
@@ -104,9 +105,8 @@ from finmarkov.envelopes import (
     Flavor,
     MarkovLawReport,
     NotBalanced,
-    _cell_copy,
-    _require_absorbed,
-    env_hom,
+    NotHom,
+    _lawful,
 )
 from finmarkov.functors import comparison_base
 from finmarkov.idempotents import CauchySchwarzInstance, StructureViolation, _sum_difference
@@ -423,29 +423,49 @@ def formal_split_recomposes(cell, proj, incl) -> bool:
     )
 
 
+def raw_cell(x: FinObject, e: Kernel, flavor) -> EnvelopeCell:
+    """The cell (x, e) with no check, which ``EnvelopeCell(...)`` makes.
+    The tests hold endos off the column law, which ``Kernel(...)`` refuses,
+    in such cells, and the references below build their cells this way."""
+    return _lawful(EnvelopeCell, x, e, flavor)
+
+
+def raw_morphism(src: EnvelopeCell, dst: EnvelopeCell, k: Kernel) -> EnvelopeMorphism:
+    """The morphism src → dst of k with no check, which
+    ``EnvelopeMorphism(...)`` makes."""
+    return _lawful(EnvelopeMorphism, src, dst, k)
+
+
+def settled_by_composing(x: FinObject, e: Kernel) -> bool:
+    """Whether e lives on x, satisfies its kind's column law and equals
+    e∘e, composed."""
+    return e.dom == x == e.cod and validate(e) is None and compose(e, e) == e
+
+
+def hom_by_composing(src: EnvelopeCell, dst: EnvelopeCell, k: Kernel) -> EnvelopeMorphism:
+    """The morphism src → dst of k, raising as ``EnvelopeMorphism(...)``
+    does, with both absorption equations composed whole."""
+    if k.dom != src.object or k.cod != dst.object:
+        raise ShapeMismatch("kernel does not connect the given cells")
+    if compose(k, src.endo) != k:
+        raise NotHom("source idempotent is not absorbed (f∘e_src ≠ f)")
+    if compose(dst.endo, k) != k:
+        raise NotHom("target idempotent is not absorbed (e_dst∘f ≠ f)")
+    return raw_morphism(src, dst, k)
+
+
 def tensor_cell(a, b):
     """The tensor cell (X⊗Y, e_X⊗e_Y), from its definition."""
     if a.flavor is not b.flavor:
         raise CellMismatch("cells of different flavors")
     ten = tensor(a.endo, b.endo)
-    return EnvelopeCell(ten.dom, ten, a.flavor)
+    return raw_cell(ten.dom, ten, a.flavor)
 
 
 def env_tensor_by_tensors(f, g):
     """f⊗g with both absorption equations checked on the whole composites
     (f⊗g)∘(e₁⊗e₂) and (e₁'⊗e₂')∘(f⊗g)."""
-    src = tensor_cell(f.src, g.src)
-    dst = tensor_cell(f.dst, g.dst)
-    out = EnvelopeMorphism(src, dst, tensor(f.kernel, g.kernel))
-    _require_absorbed(out)
-    return out
-
-
-def settled_by_composing(cell) -> bool:
-    """Whether the cell's endo lives on its object, satisfies its kind's
-    column law and equals e∘e, composed."""
-    e = cell.endo
-    return e.dom == cell.object == e.cod and validate(e) is None and compose(e, e) == e
+    return hom_by_composing(tensor_cell(f.src, g.src), tensor_cell(f.dst, g.dst), tensor(f.kernel, g.kernel))
 
 
 def copy_formula_by_tensor(cell):
@@ -453,10 +473,7 @@ def copy_formula_by_tensor(cell):
     absorption equations checked on the composites with e and e⊗e."""
     e = cell.endo
     k = compose(pair(e, e), e)
-    dst = EnvelopeCell(k.cod, tensor(e, e), cell.flavor)
-    out = EnvelopeMorphism(cell, dst, k)
-    _require_absorbed(out)
-    return out
+    return hom_by_composing(cell, raw_cell(k.cod, tensor(e, e), cell.flavor), k)
 
 
 def blackwell_copy_by_tensor(cell):
@@ -468,8 +485,8 @@ def blackwell_copy_by_tensor(cell):
 def env_split_idempotent_by_homs(cell) -> tuple:
     """e as the checked morphisms (X,id) → (X,e) and (X,e) → (X,id)."""
     e = cell.endo
-    plain = EnvelopeCell(cell.object, identity(e.dom, e.kind), cell.flavor)
-    return env_hom(plain, cell, e), env_hom(cell, plain, e)
+    plain = raw_cell(cell.object, identity(e.dom, e.kind), cell.flavor)
+    return hom_by_composing(plain, cell, e), hom_by_composing(cell, plain, e)
 
 
 def comonoid_laws_by_structure(cell) -> tuple:
@@ -509,7 +526,7 @@ def env_check_markov_laws_by_pairings(cell) -> MarkovLawReport:
     the column law, which every cell's endo keeps, cocommutativity and
     discard naturality hold."""
     e = cell.endo
-    cpy = _cell_copy(cell)
+    cpy = compose(pair(e, e), e)
     ee, de = compose(e, e), discard_kernel(e.dom, e.kind)
     counit_left = compose(pair(de, ee), e).columns == e.columns
     counit_right = compose(pair(ee, de), e).columns == e.columns

@@ -16,10 +16,12 @@ from finmarkov import (
     UNIT,
     CellMismatch,
     EnvelopeCell,
+    EnvelopeMorphism,
     Flavor,
     Kernel,
     Kind,
     NotBalanced,
+    NotEndo,
     NotHom,
     NotIdempotent,
     ValidationError,
@@ -68,6 +70,7 @@ from oracles import (
     env_tensor_by_tensors,
     kernel_refusal,
     random_object,
+    raw_cell,
     raw_kernel,
 )
 
@@ -157,6 +160,24 @@ def test_splitting_inclusion_is_morphism_from_plain_cell():
     assert kernel_equal(m.kernel, iota)
 
 
+def test_construction_refuses_a_swap_cell_and_an_unabsorbed_morphism():
+    # the swap is an endo but not idempotent, so no cell holds it and no
+    # identity of such a cell exists; a kernel that an endpoint idempotent
+    # does not absorb is no morphism, so env_ase never compares one
+    x = fin_object(("a", "b"))
+    swap = function_kernel(x, x, [1, 0], Kind.STOCH)
+    for flavor in Flavor:
+        with pytest.raises(NotIdempotent, match="^cell endomorphism must be idempotent$"):
+            EnvelopeCell(x, swap, flavor)
+    e = static_idempotent()
+    cell, plain = _blackwell(e), _blackwell(identity(e.dom))
+    with pytest.raises(NotHom, match="^source idempotent is not absorbed"):
+        EnvelopeMorphism(cell, plain, identity(e.dom))
+    with pytest.raises(NotHom, match="^target idempotent is not absorbed"):
+        EnvelopeMorphism(plain, cell, identity(e.dom))
+    assert EnvelopeMorphism(cell, plain, e) == env_hom(cell, plain, e)
+
+
 def test_identity_between_different_cells_checked_not_assumed():
     e = balanced_idempotent()
     x = e.dom
@@ -207,6 +228,20 @@ def test_nested_tensor_cells_write_no_labels():
     assert outer.endo == tensor(inner.endo, c.endo)
     assert inner.object._labels is None and inner.endo.cod._labels is None
     assert outer.object._labels is None and outer.endo.cod._labels is None
+
+
+def test_tensor_cell_identities_and_splittings_write_no_labels():
+    # no envelope operation hashes a cell it derives, so the tensor of a
+    # tensor cell's identity with another identity and the tensor cell's
+    # formal splitting leave the tensor object's labels unwritten
+    x, y = fin_object(("a", "b")), fin_object(("c",))
+    a, b = (env_cell(o, identity(o), Flavor.KAROUBI) for o in (x, y))
+    ab = cell_tensor(a, b)
+    m = env_tensor(env_identity(ab), env_identity(a))
+    proj, incl = env_split_idempotent(ab)
+    assert m.src.endo == tensor(ab.endo, a.endo) and proj.dst is incl.src is ab
+    assert ab.object._labels is None and ab.endo.cod._labels is None
+    assert m.src.object._labels is None
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +310,7 @@ def test_discard_naturality_fails_on_an_empty_image():
     rows = [[False, False], [False, True]]
     e = raw_kernel(Kind.MULTI, x, x, rows)
     assert kernel_equal(compose(e, e), e)
-    cell = EnvelopeCell(x, e, Flavor.KAROUBI)
+    cell = raw_cell(x, e, Flavor.KAROUBI)
     assert kernel_refusal(Kind.MULTI, x, x, rows) == validate(e)
     report = env_check_markov_laws_by_tensors(cell)
     assert report.counit_left and report.counit_right
@@ -285,17 +320,18 @@ def test_discard_naturality_fails_on_an_empty_image():
 
 def test_env_discard_is_the_discard_after_the_idempotent_in_every_kind(monkeypatch):
     # within the column law discard∘e is the discard itself, so no cell
-    # composes anything, settled or not: the endos of the last three are not
-    # idempotent
+    # composes anything; an endo that is not idempotent makes no cell
     x = fin_object(str(i) for i in range(5))
     rng = random.Random(3)
     cells = [
         _blackwell(random_class_idempotent(rng, x).idempotent),
         env_cell(signed_idempotent().dom, signed_idempotent(), Flavor.KAROUBI),
         env_cell(multi_upset_idempotent().dom, multi_upset_idempotent(), Flavor.KAROUBI),
-    ] + [EnvelopeCell(x, random_kernel(rng, kind, x, x), Flavor.KAROUBI) for kind in Kind]
-    assert [c.endo.kind for c in cells] == [Kind.STOCH, Kind.SIGNED, Kind.MULTI] * 2
-    assert [envelopes._settled(c) for c in cells] == [True] * 3 + [False] * 3
+    ]
+    assert [c.endo.kind for c in cells] == [Kind.STOCH, Kind.SIGNED, Kind.MULTI]
+    for kind in Kind:
+        with pytest.raises(NotIdempotent, match="^cell endomorphism must be idempotent$"):
+            EnvelopeCell(x, random_kernel(rng, kind, x, x), Flavor.KAROUBI)
     calls = []
     monkeypatch.setattr(envelopes, "compose", lambda *args: calls.append(args) or compose(*args))
     for cell in cells:
@@ -339,10 +375,10 @@ def test_random_blackwell_cells_pass_laws():
         assert report.all_pass
 
 
-def test_copy_checks_build_no_tensor_and_env_tensor_checks_the_whole_tensor(monkeypatch):
-    # the signed counterexample is settled but not balanced, so its laws
-    # take the composites, which pair; a morphism that is not an identity
-    # is checked once per absorption equation, on the whole tensor
+def test_copy_checks_build_no_tensor_and_env_tensor_composes_nothing(monkeypatch):
+    # the signed counterexample is not balanced, so its laws take the
+    # composites, which pair; the tensor of two morphisms is absorbed as
+    # they are, (f⊗g)∘(e⊗e') = (f∘e)⊗(g∘e'), so env_tensor composes nothing
     built, domains = [], []
     monkeypatch.setattr(envelopes, "tensor", lambda f, g: built.append((f, g)) or tensor(f, g))
     monkeypatch.setattr(envelopes, "compose", lambda g, f: domains.append(f.dom.size) or compose(g, f))
@@ -354,15 +390,15 @@ def test_copy_checks_build_no_tensor_and_env_tensor_checks_the_whole_tensor(monk
     incl, _ = env_split_idempotent(cell)
     domains.clear()
     m = env_tensor(env_identity(cell), incl)
-    assert domains == [m.src.object.size] * 2
+    assert domains == []
     assert m == env_tensor_by_tensors(env_identity(cell), incl)
 
 
 def test_unbalanced_settled_laws_build_the_copy_and_one_composite(monkeypatch):
-    # on a settled cell e∘e = e gives both counit laws, and the two
+    # on every cell e∘e = e gives both counit laws, and the two
     # coassociativity sides are each other's reversal, so the laws build
-    # the copy and ⟨cpy, e⟩∘e; a cell that is not settled still builds its
-    # counit composites
+    # the copy and ⟨cpy, e⟩∘e; an idempotent on another object makes no
+    # cell, and its refusal composes nothing
     composed, paired, discards = [], [], []
     monkeypatch.setattr(envelopes, "compose", lambda g, f: composed.append((g, f)) or compose(g, f))
     monkeypatch.setattr(envelopes, "pair", lambda f, g: paired.append((f, g)) or pair(f, g))
@@ -375,15 +411,9 @@ def test_unbalanced_settled_laws_build_the_copy_and_one_composite(monkeypatch):
     assert len(composed) == 2 and discards == []
     composed.clear(), paired.clear()
     e = signed_idempotent()
-    cell = EnvelopeCell(fin_object(("u", "v", "w")), e, Flavor.KAROUBI)
-    assert not envelopes._settled(cell)
-    report = env_check_markov_laws(cell)
-    # the copy, its two absorption checks, e∘e, both counit composites and ⟨cpy, e∘e⟩∘e
-    assert len(composed) == 7 and len(paired) == 4
-    de, ee = discard_kernel(e.dom, e.kind), compose(e, e)
-    assert discards == [(e.dom, e.kind)]
-    assert (de, ee) in paired and (ee, de) in paired
-    assert report == env_check_markov_laws_by_tensors(cell)
+    with pytest.raises(NotEndo, match="^cell endomorphism must live on the cell's object$"):
+        EnvelopeCell(fin_object(("u", "v", "w")), e, Flavor.KAROUBI)
+    assert composed == paired == discards == []
 
 
 def _endo(rng, kind, n, variant):
@@ -428,11 +458,10 @@ def test_markov_laws_compose_nothing_with_a_swap(monkeypatch):
     for e in (scaled, signed_coassoc_counterexample(), empty):
         assert compose(e, e) == e
         left.clear()
-        cell = EnvelopeCell(e.dom, e, Flavor.KAROUBI)
         if (bad := validate(e)) is not None:
             assert kernel_refusal(e.kind, e.dom, e.cod, e.matrix) == bad
         else:
-            assert env_check_markov_laws(cell).cocommutative
+            assert env_check_markov_laws(EnvelopeCell(e.dom, e, Flavor.KAROUBI)).cocommutative
             assert left and swap_kernel(e.dom, e.dom, e.kind) not in left
     assert validate(scaled) is not None and validate(empty) is not None
 
@@ -454,12 +483,10 @@ def test_settled_cells_compose_nothing(monkeypatch):
 
 
 def test_each_cell_is_validated_once(monkeypatch):
-    # one pass of the envelope-laws queries on a cell asks `_settled` from
-    # `env_cell`, the laws, the tensor of identities, the splitting and
-    # `env_ase`; the cell's endo was validated when it was built, no
-    # envelope operation checks the column law again, and the cell is
-    # settled and its endo classified once
-    envelopes._settled.cache_clear()
+    # one pass of the envelope-laws queries on a cell classifies its endo
+    # when the cell is built, for balance and for the laws; the endo was
+    # validated when it was built, no envelope operation checks the column
+    # law again, and the endo is classified once
     idempotents._classify_cached.cache_clear()
     x = fin_object(str(i) for i in range(6))
     e = random_class_idempotent(random.Random(6), x).idempotent
@@ -473,7 +500,7 @@ def test_each_cell_is_validated_once(monkeypatch):
         env_split_idempotent(cell)
         assert env_ase(ident, ident, ident)
     assert law_checks == []
-    assert envelopes._settled.cache_info().misses == idempotents._classify_cached.cache_info().misses == 1
+    assert idempotents._classify_cached.cache_info().misses == 1
     # Kernel(...) refuses a doubled identity, so no cell holds it
     y = fin_object(("0", "1"))
     assert kernel_refusal(Kind.STOCH, y, y, [[2, 0], [0, 1]]).message == "column 0 sums to 2"

@@ -309,12 +309,17 @@ def pairs(cell):
     e = cell.endo
     cpy, ee = _cell_copy(cell)
     return compose(pair(ee, e), e), tensor(e, e)
+
+def coassociativity(cell):
+    e = cell.endo
+    return compose(tensor(_cell_copy(e), e), _cell_copy(e)), compose(pair(_cell_copy(e), e), e)
 """
 
 
 def test_tensor_then_copy_check_flags_the_unpacked_cell_copy():
+    # `_cell_copy` unpacked from a cell, or called on the endo itself
     found = _tensor_then_copy(ast.parse(CELL_COPY))
-    assert found == ["laws:5"]
+    assert found == ["laws:5", "coassociativity:14"]
 
 
 def _is_self_composite(node, bound, seen=()):
@@ -329,16 +334,16 @@ def _is_self_composite(node, bound, seen=()):
     return False
 
 
-# the one function that may decide e∘e = e
-SETTLED = "_settled"
+# the one unit that decides e∘e = e, by asking `classify`
+CELL_CONSTRUCTOR = "EnvelopeCell.__post_init__"
 
 
 def _self_composites_compared(tree):
-    """Lines where a function other than `SETTLED` compares a composite
-    ``compose(x, x)`` with ``==`` or ``!=``, directly or through a local name."""
+    """Lines where a function compares a composite ``compose(x, x)`` with
+    ``==`` or ``!=``, directly or through a local name."""
     found = []
     for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == SETTLED:
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         bound = {}
         for node in ast.walk(func):
@@ -364,16 +369,19 @@ def _self_composites_compared(tree):
 
 
 def test_envelopes_decide_e_e_only_in_the_settled_cell_test():
-    # a cell's e∘e = e is `classify`'s cached verdict; each shortcut asks `_settled`
+    # a cell's e∘e = e is `classify`'s cached verdict, which the cell
+    # constructor asks; no unit composes e∘e to compare it
     path = SOURCE / "envelopes.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _self_composites_compared(tree) == []
-    assert SETTLED in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    constructor = dict(_units(tree))[CELL_CONSTRUCTOR]
+    assert any(isinstance(node, ast.Call) and _called_name(node) == "classify" for node in ast.walk(constructor))
 
 
 SELF_COMPOSITES = """
-def _settled(cell):
-    return compose(cell.endo, cell.endo) == cell.endo
+class Cell:
+    def __post_init__(self):
+        return compose(self.endo, self.endo) == self.endo
 
 def direct(e):
     return compose(e, e) == e, e != compose(e, e)
@@ -395,7 +403,7 @@ def others(e, f):
 
 def test_self_composite_check_flags_each_form():
     found = _self_composites_compared(ast.parse(SELF_COMPOSITES))
-    assert found == ["direct:6", "direct:6", "through_names:11", "unpacked:15"]
+    assert found == ["direct:7", "direct:7", "through_names:12", "unpacked:16", "__post_init__:4"]
 
 
 def _tests_bit(node, name):
@@ -574,7 +582,7 @@ def blackwell_split(e):
     if (bad := validate(e)) is not None:
         raise ValidationError(bad.message)
 
-def _settled(cell):
+def _cell_law(cell):
     return kernel.validate(cell.endo) is None and classify(cell.endo).idempotent
 
 class Cell:
@@ -597,41 +605,25 @@ def test_only_the_class_test_reads_the_classes():
 
 def test_validate_call_check_flags_each_form():
     found = _validate_calls(ast.parse(VALIDATE_CALLS), {"_classify_cached"})
-    assert found == ["blackwell_split:6", "_settled:10", "Cell.check:14", "line 16:16"]
+    assert found == ["blackwell_split:6", "_cell_law:10", "Cell.check:14", "line 16:16"]
 
 
-def _bare_calls(tree, callee):
-    """Lines of expression statements that call ``callee`` and drop what it
-    returns: a call alone, or one item of a tuple of calls."""
-    return [
+def _memos(tree):
+    """Lines that name a cache decorator, in order."""
+    return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Expr)
-        and any(_called_name(value) == callee and isinstance(value, ast.Call)
-                for value in (node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]))
-    ]
+        if isinstance(node, (ast.Name, ast.Attribute)) and _called_name(node) in CACHE_DECORATORS
+    )
 
 
-def test_envelopes_ask_whether_a_cell_is_settled_only_for_the_answer():
-    # `_settled` raises nothing on a kernel Kernel(...) accepts, so a call
-    # that drops its answer only costs a classification
+def test_envelopes_define_no_memo():
+    # construction decides each cell and morphism once, so no envelope
+    # operation remembers a verdict; `classify` keeps its own memo
     path = SOURCE / "envelopes.py"
-    assert _bare_calls(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "_settled") == []
-
-
-BARE_CALLS = """
-def env_hom(src, dst, f):
-    _settled(src), _settled(dst)
-    _settled(src)
-    settled = _settled(src)
-    if _settled(dst):
-        envelopes._settled(dst)
-    return _settled(src) and f
-"""
-
-
-def test_bare_call_check_flags_each_form():
-    assert _bare_calls(ast.parse(BARE_CALLS), "_settled") == [3, 4, 7]
+    assert _memos(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))) == []
+    memos = "@lru_cache(maxsize=64)\ndef f(x):\n    return x\n\n\n@functools.cache\ndef g(x):\n    return x\n"
+    assert _memos(ast.parse(memos)) == [1, 6]
 
 
 # the one unit that sums an exact column over its own lcd, and the units that call it
