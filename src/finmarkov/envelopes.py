@@ -62,14 +62,16 @@ class Flavor(enum.Enum):
 
 @dataclass(frozen=True)
 class EnvelopeCell:
-    """(X, e) with e an idempotent on X: construction raises NotEndo or
-    NotIdempotent otherwise.  Balance is `env_cell`'s to check."""
+    """(X, e) with e an idempotent on X and a `Flavor`, given or by its
+    value: construction raises ValueError, NotEndo or NotIdempotent
+    otherwise.  Balance is `env_cell`'s to check."""
 
     object: FinObject
     endo: Kernel
     flavor: Flavor
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "flavor", Flavor(self.flavor))
         e = self.endo
         if e.dom != self.object or e.cod != self.object:
             raise NotEndo("cell endomorphism must live on the cell's object")
@@ -109,7 +111,7 @@ def _lawful(cls, *values):
 def env_cell(x: FinObject, e: Kernel, flavor: Flavor | str) -> EnvelopeCell:
     """Validated cell: e must be an idempotent on x, which construction
     decides, and balanced for Blackwell."""
-    cell = EnvelopeCell(x, e, Flavor(flavor))
+    cell = EnvelopeCell(x, e, flavor)
     if cell.flavor is Flavor.BLACKWELL and not classify(e).balanced:
         raise NotBalanced("Blackwell cells require a balanced idempotent")
     return cell

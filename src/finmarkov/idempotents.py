@@ -485,9 +485,9 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
     = −½ Σ_{x,x'} g_x·g_x'·(h_x − h_x')(h_x − h_x')ᵀ ≼ 0.
     With f's weights ≥ 0 the weighted sum is zero only when h is constant,
     so equal to (hg)(b), on each g(·|b) that f reaches: only h's columns
-    are compared.  Over Signed and Multi both sides are decided on the
-    stored columns: integer numerators over shared denominators, or
-    bitmasks over Multi.
+    are compared.  Over Signed and Multi the antecedent compares the two
+    pairings composed, ⟨hg, hg⟩∘f = ⟨h, h⟩∘(g∘f), and the consequent reads
+    h∘g: its column b must be h's column x for every x in g(·|b).
     """
     if f.kind is not g.kind or g.kind is not h.kind:
         raise ShapeMismatch("all three kernels must have the same kind")
@@ -497,53 +497,14 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
     if f.kind is Kind.STOCH:
         same = all(len({hcols[x] for x, _ in gcols[b][1]}) == 1 for b in support_indices(f))
         return CauchySchwarzInstance(same, same)
-    ny = h.cod.size
-    hgcols = compose(h, g).columns
-    # a pair (y₁, y₂) is the index y₁·ny + y₂
-    if f.kind is Kind.MULTI:
-        # the pairs one sample reaches from b are (hg)(b)², those two samples
-        # reach from a are the union of h(x)² over x in (g∘f)(a)
-        xs = [list(_bits(mask)) for mask in gcols]
-        ones, twos = ([sum(m << y * ny for y in _bits(m)) for m in ms] for ms in (hgcols, hcols))  # squares
-        antecedent = all(
-            reduce(or_, [ones[b] for b in _bits(fm)], 0) == reduce(or_, [twos[x] for x in _bits(gfm)], 0)
-            for fm, gfm in zip(f.columns, compose(g, f).columns))
-    else:
-        # the docstring's terms P_b·P_bᵀ − G_b·T_b with h = A/H over one
-        # denominator, each lifted to G = lcm G_b so f's numerators weigh it
-        H = math.lcm(*[den for den, _ in hcols])
-        hnums = [[(y, num * (H // den)) for y, num in cells] for den, cells in hcols]
-        G = math.lcm(*[den for den, _ in gcols])
-        xs = [[x for x, _ in cells] for _, cells in gcols]
-        diffs = []
-        for gden, gcells in gcols:
-            p: dict = {}
-            diff: dict = {}
-            for x, c in gcells:
-                cells = hnums[x]
-                for y1, a1 in cells:
-                    p[y1] = p.get(y1, 0) + a1 * c
-                    for y2, a2 in cells:
-                        k = y1 * ny + y2
-                        diff[k] = diff.get(k, 0) - gden * a1 * a2 * c
-            for y1, p1 in p.items():
-                for y2, p2 in p.items():
-                    k = y1 * ny + y2
-                    diff[k] = diff.get(k, 0) + p1 * p2
-            lift = (G // gden) ** 2
-            diffs.append([(k, v * lift) for k, v in diff.items() if v])
-        antecedent = True
-        for _, fcells in f.columns:
-            acc: dict = {}
-            for b, w in fcells:
-                for k, v in diffs[b]:
-                    acc[k] = acc.get(k, 0) + w * v
-            if any(acc.values()):
-                antecedent = False
-                break
-
+    hg = compose(h, g)
+    hgcols = hg.columns
+    xs = [list(_bits(m)) for m in gcols] if f.kind is Kind.MULTI else [[x for x, _ in cells] for _, cells in gcols]
     # g(x|b) ≠ 0 forces h(·|x) = (hg)(·|b); stored columns are canonical
     consequent = all(hcols[x] == hgcols[b] for b in support_indices(f) for x in xs[b])
+    # compose reduces each column it sums and returns a point mass's column
+    # as stored, and a reduced column times itself is reduced: == is exact
+    antecedent = compose(pair(hg, hg), f) == compose(pair(h, h), compose(g, f))
     return CauchySchwarzInstance(antecedent, consequent)
 
 

@@ -112,6 +112,19 @@ def test_blackwell_flavor_given_by_its_value_requires_balance():
     assert env_cell(e.dom, e, "karoubi").flavor is Flavor.KAROUBI
 
 
+def test_cell_constructor_converts_its_flavor():
+    # the constructor reads a flavor by its value as env_cell does, so a
+    # cell built either way is the same cell and Blackwell operations take it
+    x = fin_object(("a", "b"))
+    cell = EnvelopeCell(x, identity(x), "blackwell")
+    assert cell.flavor is Flavor.BLACKWELL
+    assert cell == env_cell(x, identity(x), Flavor.BLACKWELL)
+    assert blackwell_copy(cell).dst == cell_tensor(cell, env_cell(x, identity(x), "blackwell"))
+    for make in (EnvelopeCell, env_cell):
+        with pytest.raises(ValueError):
+            make(x, identity(x), 42)
+
+
 def test_non_idempotent_rejected():
     x = fin_object(("a", "b"))
     rot = make_kernel(Kind.STOCH, x, x, [[0, 1], [1, 0]])

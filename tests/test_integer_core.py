@@ -636,6 +636,26 @@ def test_cauchy_schwarz_draws_reach_both_outcomes():
     assert ("cancelling", True, False) in seen
 
 
+def _small_signed_kernels(dom, cod):
+    """Every Signed kernel dom → cod with entries in {−1, 0, 1, 2}."""
+    cols = [c for c in itertools.product((-1, 0, 1, 2), repeat=cod.size) if sum(c) == 1]
+    return [Kernel(Kind.SIGNED, dom, cod, list(zip(*cs))) for cs in itertools.product(cols, repeat=dom.size)]
+
+
+def test_signed_cauchy_schwarz_matches_the_sums_on_every_small_triple():
+    # every lawful triple through objects of one or two elements
+    seen = set()
+    for a, b, x, y in itertools.product(*[[_obj(p, n) for n in (1, 2)] for p in "abxy"]):
+        for f, g, h in itertools.product(*map(_small_signed_kernels, (a, b, x), (b, x, y))):
+            got = cauchy_schwarz(f, g, h)
+            assert got == cauchy_schwarz_by_sums(f, g, h), (f.columns, g.columns, h.columns)
+            seen.add((got.antecedent, got.consequent))
+    # weights in {−1, 0, 1, 2} cancel no two nonzero terms here: over a
+    # two-element X each term is −2·(h₀ − h₁)² or 0, so the antecedent
+    # fails wherever the consequent does; the drawn cancelling shape has both
+    assert seen == {(True, True), (False, False)}
+
+
 def test_cauchy_schwarz_matches_double_sum_on_idempotents():
     for e in (strong_idempotent(), static_idempotent(), balanced_idempotent(), signed_idempotent(),
               multi_upset_idempotent(), multi_chain3_idempotent()):
