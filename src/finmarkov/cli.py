@@ -52,9 +52,10 @@ from .kernel import (
     FinObject,
     Kernel,
     Kind,
+    ValidationError,
     _bits,
     _kernel,
-    _law_break,
+    _stored_columns,
 )
 from .supports import EmptySupport, SupportData, split_support, support
 
@@ -98,9 +99,9 @@ def _parse_entry(value: Any) -> tuple[int, int]:
 
 
 def parse_kernel(text: str) -> Kernel:
-    """Parse a kernel document in one walk that builds its stored columns and
-    decides the column law together.  Entries are reduced, so equal documents
-    give equal kernels; the dense ``matrix`` view is built only if read."""
+    """Parse a kernel document in one walk over its entries, for the one column
+    builder.  Entries are reduced, so equal documents give equal kernels; the
+    dense ``matrix`` view is built only if read."""
     try:
         doc = json.loads(text, parse_int=_parse_int if _LONG_RUN.search(text) else None)
     except json.JSONDecodeError as exc:
@@ -154,14 +155,13 @@ def kernel_from_doc(doc: Any) -> Kernel:
                     raise ParseError(f"images[{j}]: unknown codomain label {lbl!r}")
                 mask |= b
             columns.append(mask)
-        broken = columns.index(0) if 0 in columns else None
     else:
         matrix = doc.get("matrix")
         if matrix is None:
             raise ParseError("stoch/signed kernels carry 'matrix'")
         if not isinstance(matrix, list) or len(matrix) != cod.size:
             raise ParseError(f"'matrix' must have {cod.size} rows")
-        cells: list[list] = [[] for _ in range(dom.size)]  # nonzero (row, (num, den)) per column
+        columns: list[list] = [[] for _ in range(dom.size)]  # nonzero (row, (num, den)) per column
         parsed: dict[str, tuple[int, int]] = {}  # each distinct string is parsed once
         for i, row in enumerate(matrix):
             if not isinstance(row, list) or len(row) != dom.size:
@@ -169,7 +169,7 @@ def kernel_from_doc(doc: Any) -> Kernel:
             for j, v in enumerate(row):
                 if type(v) is int:  # a JSON integer is already reduced
                     if v:
-                        cells[j].append((i, (v, 1)))
+                        columns[j].append((i, (v, 1)))
                     continue
                 r = parsed.get(v) if type(v) is str else None
                 if r is None:
@@ -178,27 +178,11 @@ def kernel_from_doc(doc: Any) -> Kernel:
                     except ParseError as exc:
                         raise ParseError(f"matrix[{i}][{j}]: {exc}") from None
                 if r[0]:
-                    cells[j].append((i, r))
-        # over the lcm of its denominators a column is canonical (see _ratio_column)
-        columns, broken, stoch = [], None, kind is Kind.STOCH
-        for j, col in enumerate(cells):
-            den = 1
-            for _, (_, d) in col:
-                if den % d:
-                    den = math.lcm(den, d)
-            total, negative, column = 0, False, []
-            for i, (n, d) in col:
-                if d != den:
-                    n *= den // d
-                negative = negative or n < 0
-                total += n
-                column.append((i, n))
-            columns.append((den, tuple(column)))
-            if broken is None and (total != den or negative and stoch):
-                broken = j
-    if broken is not None:
-        raise ParseError(f"validation failed: {_law_break(kind, broken, columns[broken])}")
-    return _kernel(kind, dom, cod, tuple(columns))
+                    columns[j].append((i, r))
+    try:
+        return _kernel(kind, dom, cod, _stored_columns(kind, columns))
+    except ValidationError as exc:  # the column law, decided after every entry parsed
+        raise ParseError(f"validation failed: {exc}") from None
 
 
 def kernel_to_doc(k: Kernel) -> dict:

@@ -37,9 +37,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import or_
+from operator import itemgetter, or_
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .asrel import CausalityInstance, UnsupportedKind, ase_kernels
 from .kernel import (
@@ -140,8 +140,8 @@ def classify(e: Kernel) -> IdempotentReport:
 def _classify_cached(e: Kernel) -> tuple:
     """e's report and, if e passes the class test, its class record (reached mask, members), else None."""
     if e.kind is not Kind.SIGNED and (passed := _class_failures(e.kind, e.columns)) is not None:
-        return _report(e, *passed[:2]), passed[2]
-    labels, cols = e.dom.labels, e.columns
+        return _report(e, passed[0]), passed[1]
+    cols = e.columns
     multi = e.kind is Kind.MULTI
     n = len(cols)
     for x, col in enumerate(cols):
@@ -154,7 +154,7 @@ def _classify_cached(e: Kernel) -> tuple:
             y = min([y for y in a.keys() | b.keys() if a.get(y, 0) * ee[0] != b.get(y, 0) * col[0]])
         if y is not None:
             return IdempotentReport(
-                False, False, False, False, False, MappingProxyType({"idempotent": (labels[x], labels[y])})
+                False, False, False, False, False, MappingProxyType({"idempotent": itemgetter(x, y)(e.dom.labels)})
             ), None
 
     # e = A/d over one denominator, a column of A a dict of its nonzero
@@ -195,17 +195,15 @@ def _classify_cached(e: Kernel) -> tuple:
     return _report(e, tuple(zip(("static", "strong", "balanced"), failures))), None
 
 
-def _report(e: Kernel, failures: tuple, supports: Sequence[int] = ()) -> IdempotentReport:
-    """The idempotent e's report from each flag's first failing index triple and any support masks."""
-    labels = e.dom.labels
+def _report(e: Kernel, failures: tuple) -> IdempotentReport:
+    """The idempotent e's report from each flag's first failing index triple, reading labels only for witnesses."""
     static, strong, balanced = [at is None for _, at in failures]
     # witnesses in the order the scan meets them, the flags in this order at one cell
     found = sorted([(at, rank, name) for rank, (name, at) in enumerate(failures) if at is not None])
-    witnesses = {name: (labels[x], labels[z], labels[y]) for (x, z, y), _, name in found}
-    j = next((j for j, m in enumerate(supports) if m & (m - 1)), None) if supports else next(
-        (j for j, col in enumerate(e.columns) if not _is_point_column(e.kind, col)), None)
+    witnesses = {name: itemgetter(*at)(e.dom.labels) for at, _, name in found}
+    j = next((j for j, col in enumerate(e.columns) if not _is_point_column(e.kind, col)), None)
     if not (deterministic := j is None):
-        witnesses["deterministic"] = (labels[j],)
+        witnesses["deterministic"] = (e.dom.labels[j],)
     if (static or strong) and not balanced:
         raise StructureViolation("a static or strong idempotent must be balanced")
     if static and strong and not deterministic:
@@ -238,8 +236,8 @@ def _classes(kind: Kind, cols: tuple) -> tuple:
 
 
 def _class_failures(kind: Kind, cols: tuple):
-    """Each flag's first failing index triple, the support masks and the class
-    record of Stoch or Multi columns passing the class test of `classify`."""
+    """Each flag's first failing index triple and the class record of Stoch
+    or Multi columns passing the class test of `classify`."""
     try:
         supports, reached, members = _classes(kind, cols)
     except StructureViolation:
@@ -264,7 +262,7 @@ def _class_failures(kind: Kind, cols: tuple):
             static = (x, t, (u & -u).bit_length() - 1 if multi else t)
         if strong is None and (y := m & ~supports[z := (m & -m).bit_length() - 1]):
             strong = (x, z, (y & -y).bit_length() - 1 if multi else z)
-    return (("static", static), ("strong", strong), ("balanced", None)), supports, (reached, members)
+    return (("static", static), ("strong", strong), ("balanced", None)), (reached, members)
 
 
 def _sum_difference(terms: list, want: dict):
@@ -485,9 +483,11 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
     = −½ Σ_{x,x'} g_x·g_x'·(h_x − h_x')(h_x − h_x')ᵀ ≼ 0.
     With f's weights ≥ 0 the weighted sum is zero only when h is constant,
     so equal to (hg)(b), on each g(·|b) that f reaches: only h's columns
-    are compared.  Over Signed and Multi the antecedent compares the two
-    pairings composed, ⟨hg, hg⟩∘f = ⟨h, h⟩∘(g∘f), and the consequent reads
-    h∘g: its column b must be h's column x for every x in g(·|b).
+    are compared.  Over Signed and Multi the consequent reads h∘g: its
+    column b must be h's column x for every x in g(·|b).  It implies the
+    antecedent, both sides at b being s·(hg)(b)⊗(hg)(b) with s the sum of
+    g(·|b), as (hg)(b) = s·(hg)(b); only where it fails are the two
+    pairings composed, ⟨hg, hg⟩∘f = ⟨h, h⟩∘(g∘f).
     """
     if f.kind is not g.kind or g.kind is not h.kind:
         raise ShapeMismatch("all three kernels must have the same kind")
@@ -504,7 +504,7 @@ def cauchy_schwarz(f: Kernel, g: Kernel, h: Kernel) -> CauchySchwarzInstance:
     consequent = all(hcols[x] == hgcols[b] for b in support_indices(f) for x in xs[b])
     # compose reduces each column it sums and returns a point mass's column
     # as stored, and a reduced column times itself is reduced: == is exact
-    antecedent = compose(pair(hg, hg), f) == compose(pair(h, h), compose(g, f))
+    antecedent = consequent or compose(pair(hg, hg), f) == compose(pair(h, h), compose(g, f))
     return CauchySchwarzInstance(antecedent, consequent)
 
 

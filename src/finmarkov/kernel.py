@@ -19,17 +19,13 @@ domain), as `fractions.Fraction` or `bool`.  It is the rows given to the
 constructor, or is built from the columns on first access and cached.
 It is for callers only: no library function reads it.
 
-Ingestion: exact columns come in two ways.  A kernel built from dense
-rows feeds `_ratio_column` one ``as_integer_ratio`` per nonzero entry when
-it is built.  The CLI's document parser takes one walk over a document: it
-parses each distinct entry string once, builds each column over the lcm of
-its denominators, and decides the column law (sign and sum, or a nonempty
-image) as it goes, so it never calls `validate`.
-
-Construction decides the column law: ``Kernel(...)`` refuses a column off
-its kind's law with ValidationError, and every library operation maps
-kernels within the law to kernels within it, so no operation checks the
-law again.
+Ingestion decides the column law: a kernel built from dense rows
+(``Kernel(...)``), a document or images gets its stored columns and its
+law verdict from `_stored_columns`.  It scales each exact column to the
+lcm of its denominators, taking the sum and the sign in the same walk,
+and once all are built refuses the first column off the law with
+ValidationError.  Every library operation maps kernels within the law to
+kernels within it, so no operation checks the law again.
 
 Every deterministic kernel (identity, copy, discard, swap, point masses,
 the associator and unitors, subset inclusions) is built by
@@ -124,10 +120,10 @@ class FinObject:
     object keeps its ``factors`` (x, y) and writes its labels on first
     read; any other has ``factors`` None.  ``labels``, ``size`` and
     ``factors`` are read-only.  Equal objects have equal labels and hash by
-    them; pickling and copying go through the labels.
+    their size; pickling and copying go through the labels.
     """
 
-    __slots__ = ("_labels", "_size", "_index", "_factors", "_hash")
+    __slots__ = ("_labels", "_size", "_index", "_factors")
 
     # C-level getters: ``size`` is read on every hot path
     size = property(attrgetter("_size"))
@@ -137,7 +133,7 @@ class FinObject:
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate labels in object: {labels}")
-        self._labels, self._size, self._index, self._factors, self._hash = labels, len(labels), None, None, None
+        self._labels, self._size, self._index, self._factors = labels, len(labels), None, None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -162,9 +158,7 @@ class FinObject:
         return self is other or self._size == other._size and self.labels == other.labels
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.labels)
-        return self._hash
+        return self._size
 
     def __reduce__(self):
         return FinObject, (self.labels,)
@@ -232,7 +226,7 @@ def tensor_object(x: FinObject, y: FinObject) -> FinObject:
     """Product object with elements "(x,y)" in x-major order, carrying its
     factors; its labels are written when first read."""
     t = object.__new__(FinObject)
-    t._labels, t._size, t._index, t._factors, t._hash = None, x._size * y._size, None, (x, y), None
+    t._labels, t._size, t._index, t._factors = None, x._size * y._size, None, (x, y)
     return t
 
 
@@ -259,16 +253,35 @@ def split_tensor_labels(obj: FinObject, left_size: int) -> tuple[FinObject, FinO
 _EMPTY = (1, ())
 
 
-def _ratio_column(cells: list) -> tuple:
-    """Canonical stored column of nonzero ``(row, (num, den))`` cells,
-    ascending in row, each a reduced fraction with ``den > 0``.
-
-    Every numerator is scaled to the lcm of the denominators, which is 1
-    when there are no cells.  Each prime of the lcm leaves some numerator
-    undivided, so the column is reduced.
-    """
-    den = math.lcm(*{d for _, (_, d) in cells})
-    return den, tuple([(i, num * (den // d)) for i, (num, d) in cells])
+def _stored_columns(kind: Kind, raw: Iterable) -> tuple:
+    """The stored columns of ``raw``: a bitmask per Multi column, or per exact
+    column its nonzero ``(row, (num, den))`` cells, ascending in row, each
+    reduced with ``den > 0``, scaled to the lcm of the denominators, which
+    leaves the column reduced.  Once all are built, raises ValidationError
+    at the first column off the kind's law."""
+    if kind is Kind.MULTI:
+        columns = tuple(raw)
+        broken = columns.index(0) if 0 in columns else None
+    else:
+        columns, broken, stoch = [], None, kind is Kind.STOCH
+        for j, cells in enumerate(raw):
+            den = 1
+            for _, (_, d) in cells:
+                if den % d:
+                    den = math.lcm(den, d)
+            total, negative, column = 0, False, []
+            for i, (n, d) in cells:
+                if d != den:
+                    n *= den // d
+                negative = negative or n < 0
+                total += n
+                column.append((i, n))
+            columns.append((den, tuple(column)))
+            if broken is None and (total != den or negative and stoch):
+                broken = j
+    if broken is not None:
+        raise ValidationError(_law_break(kind, broken, columns[broken]))
+    return tuple(columns)
 
 
 def _reduced(den: int, cells: list) -> tuple:
@@ -291,8 +304,8 @@ class Kernel:
     that breaks it.
     Immutable; equal iff kind, objects and ``columns`` agree.
     The rows become ``columns`` when the kernel is built and stay its
-    ``matrix`` view.  Parsed documents and computed kernels hold columns
-    alone and build the view when read.
+    ``matrix`` view.  Kernels from documents, images or operations hold
+    columns alone and build the view when read.
     """
 
     __slots__ = ("kind", "dom", "cod", "columns", "_hash", "_matrix")
@@ -314,13 +327,10 @@ class Kernel:
         dense = zip(*rows) if rows else [()] * dom.size
         if multi:
             bits = [1 << i for i in range(cod.size)]
-            columns = tuple(sum(itertools.compress(bits, col)) for col in dense)
+            raw = [sum(itertools.compress(bits, col)) for col in dense]
         else:
-            columns = tuple(_ratio_column([(i, v.as_integer_ratio()) for i, v in enumerate(col) if v])
-                            for col in dense)
-        for j, col in enumerate(columns):
-            if (message := _law_break(kind, j, col)) is not None:
-                raise ValidationError(message)
+            raw = [[(i, v.as_integer_ratio()) for i, v in enumerate(col) if v] for col in dense]
+        columns = _stored_columns(kind, raw)
         _SET_KIND(self, kind)
         _SET_DOM(self, dom)
         _SET_COD(self, cod)
@@ -445,8 +455,8 @@ def multi_kernel(dom: FinObject, cod: FinObject, images: Sequence[Iterable[str]]
     """Multi kernel from per-input images given as label collections."""
     if len(images) != dom.size:
         raise ShapeMismatch(f"{len(images)} images for domain of size {dom.size}")
-    idx = [{cod.index(lbl) for lbl in img} for img in images]
-    return Kernel(Kind.MULTI, dom, cod, [[i in image for image in idx] for i in range(cod.size)])
+    masks = [reduce(or_, [1 << cod.index(lbl) for lbl in img], 0) for img in images]
+    return _kernel(Kind.MULTI, dom, cod, _stored_columns(Kind.MULTI, masks))
 
 
 def function_kernel(dom: FinObject, cod: FinObject, targets: Sequence[int], kind: Kind) -> Kernel:

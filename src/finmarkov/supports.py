@@ -192,10 +192,11 @@ def equalizer_factor(p: Kernel, f: Kernel, g: Kernel) -> tuple[FinObject, Kernel
 
 
 def _positive_at(kind: Kind, col, i: int) -> bool:
-    """Whether a stored column puts positive weight on row i."""
+    """Whether a stored column puts positive weight on row i, which within
+    the law is whether it stores row i (Signed kernels have no supports)."""
     if kind is Kind.MULTI:
         return bool(col >> i & 1)
-    return any(r == i and num > 0 for r, num in col[1])
+    return any(r == i for r, _ in col[1])
 
 
 def point_lift(p: Kernel, x: str) -> str:

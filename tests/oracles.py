@@ -114,7 +114,6 @@ from finmarkov.kernel import (
     _bits,
     _is_point_column,
     _kernel,
-    _ratio_column,
     _reduced,
     associator,
     left_unitor,
@@ -1068,10 +1067,18 @@ def parse_kernel_by_fractions(text: str) -> Kernel:
         raise ParseError(f"validation failed: {exc}") from None
 
 
+def _ratio_column(cells: list) -> tuple:
+    """Canonical stored column of nonzero ``(row, (num, den))`` cells,
+    ascending in row, each a reduced fraction with ``den > 0``: every
+    numerator scaled to the lcm of the denominators, taken at once."""
+    den = math.lcm(*{d for _, (_, d) in cells})
+    return den, tuple([(i, num * (den // d)) for i, (num, d) in cells])
+
+
 def kernel_from_doc_then_validate(doc) -> Kernel:
     """The stored-column reader that one-walk ingest replaced: each distinct
     entry string parsed once, each column built by `_ratio_column`, and then
-    `validate` on the whole kernel."""
+    `validate` on the whole kernel; independent of the library's builder."""
     kind, dom, cod = _doc_header(doc)
     if kind is Kind.MULTI:
         images = doc.get("images")

@@ -34,6 +34,7 @@ from finmarkov import (
     io_relation,
     left_unitor,
     marginalize,
+    multi_kernel,
     pair,
     perturb_off_support,
     random_class_idempotent,
@@ -58,13 +59,14 @@ MODULES = (kernel, asrel, cli, functors, idempotents, supports)
 # why each function that calls ``_kernel`` keeps the law on lawful inputs
 SITE_REASONS = {
     ("kernel.py", "function_kernel"): "each column is a point mass: one entry, equal to one",
+    ("kernel.py", "multi_kernel"): "`_stored_columns` refuses an empty image before it is built",
     ("kernel.py", "compose"): "Σ_z Σ_y g(z|y)·f(y|a) = Σ_y f(y|a) = 1, nonnegative over Stoch; "
                               "over Multi the OR of the nonempty columns a nonempty f(a) reaches",
     ("kernel.py", "tensor"): "a product column sums to the product of the two sums, 1, and is nonempty over Multi",
     ("kernel.py", "pair"): "the product column f(a)⊗g(a), as in tensor",
     ("asrel.py", "perturb_off_support"): "f's columns, or columns of a lawful random state, its rotation "
                                          "by a permutation, or a point mass",
-    ("cli.py", "kernel_from_doc"): "the one walk decides the law and raises ParseError before building",
+    ("cli.py", "kernel_from_doc"): "`_stored_columns` decides the law, and ParseError is raised before building",
     ("functors.py", "io_relation"): "a Stoch column sums to one, so it has a positive entry",
     ("functors.py", "conditional"): "a block of positive mass m over m sums to one; a block of mass zero, "
                                     "all zero over Stoch, becomes a point mass",
@@ -78,9 +80,10 @@ SITE_REASONS = {
 }
 
 # the kinds of the kernels a function builds, where not all three: Signed
-# kernels have no supports and no class splitting, and only Stoch ones have
-# an input-output relation and a conditional
+# kernels have no supports and no class splitting, only Stoch ones have an
+# input-output relation and a conditional, and images give Multi kernels
 KINDS_BUILT = {
+    "multi_kernel": {Kind.MULTI},
     "io_relation": {Kind.MULTI},
     "conditional": {Kind.STOCH},
     "_restrict_rows": {Kind.STOCH, Kind.MULTI},
@@ -122,6 +125,7 @@ def _exercise(rng: random.Random) -> None:
         p = random_kernel_supported_on(rng, kind, UNIT, x, [0])
         perturb_off_support(random_kernel(rng, kind, x, random_object(rng, 3, "z", min_size=2)), p, rng.randrange(99))
         cli.parse_kernel(json.dumps(cli.kernel_to_doc(f)))
+        multi_kernel(a, x, [[lbl for lbl in x.labels if rng.random() < 0.5] or [x.labels[0]] for _ in a.labels])
         e = random_class_idempotent(rng, x).idempotent
         if kind is Kind.SIGNED:
             e = Kernel(kind, x, x, e.matrix)

@@ -60,7 +60,7 @@ from finmarkov.golden import (
     static_split,
     strong_idempotent,
 )
-from finmarkov.kernel import _law_break, swap_kernel
+from finmarkov.kernel import _law_break, _stored_columns, swap_kernel
 from finmarkov.rand import random_kernel
 from oracles import (
     all_multi_kernels,
@@ -505,6 +505,8 @@ def test_each_cell_is_validated_once(monkeypatch):
     e = random_class_idempotent(random.Random(6), x).idempotent
     law_checks = []
     monkeypatch.setattr(kernel_module, "_law_break", lambda *args: law_checks.append(args) or _law_break(*args))
+    monkeypatch.setattr(kernel_module, "_stored_columns",
+                        lambda *args: law_checks.append(args) or _stored_columns(*args))
     cell = env_cell(x, e, Flavor.BLACKWELL)
     ident = env_identity(cell)
     for _ in range(2):

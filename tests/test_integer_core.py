@@ -29,6 +29,7 @@ from finmarkov import (
     identity,
     is_deterministic,
     left_unitor,
+    pair,
     random_class_idempotent,
     right_unitor,
     swap_kernel,
@@ -622,6 +623,25 @@ def test_cauchy_schwarz_within_the_law_composes_nothing(monkeypatch):
     assert calls == []
     assert got == [cauchy_schwarz_by_sums(f, g, h) for f, g, h in triples]
     assert {inst.consequent for inst in got} == {True, False}
+
+
+def test_cauchy_schwarz_pairs_nothing_where_the_consequent_holds(monkeypatch):
+    # the consequent implies the antecedent on any stored columns, so a
+    # Signed or Multi triple that meets it, off-law ones included, builds no
+    # pairing, and the instance is still the sums'
+    import finmarkov.idempotents as idem
+
+    rng = random.Random(9)
+    draws = [_cs_triple(rng, kind, shape) for kind in (Kind.SIGNED, Kind.MULTI) for shape in CS_SHAPES
+             for _ in range(15)]
+    triples = [t for t in draws if cauchy_schwarz_by_sums(*t).consequent]
+    calls = []
+    monkeypatch.setattr(idem, "pair", lambda f, g: calls.append((f, g)) or pair(f, g))
+    got = [cauchy_schwarz(f, g, h) for f, g, h in triples]
+    assert calls == []
+    assert got == [cauchy_schwarz_by_sums(f, g, h) for f, g, h in triples]
+    assert {f.kind for f, _, _ in triples} == {Kind.SIGNED, Kind.MULTI}
+    assert any(validate(k) is not None for t in triples for k in t)
 
 
 def test_cauchy_schwarz_draws_reach_both_outcomes():

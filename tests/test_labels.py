@@ -19,13 +19,16 @@ from finmarkov import (
     Kind,
     UnknownLabel,
     ValidationError,
+    classify,
     compose,
     fin_object,
     function_kernel,
     identity,
     marginalize,
+    tensor,
     tensor_object,
 )
+from finmarkov import idempotents
 from finmarkov.cli import kernel_to_doc, parse_kernel
 from finmarkov.kernel import _kernel, split_tensor_labels
 from finmarkov.rand import random_kernel
@@ -148,6 +151,20 @@ def test_equality_by_factors_and_by_labels():
     empty = fin_object([])
     assert tensor_object(x, empty) == tensor_object(y, empty) == empty
     assert hash(tensor_object(x, empty)) == hash(empty)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_classifying_a_tensor_endo_writes_no_labels(kind):
+    # an object hashes by its size and classify reads labels only to write
+    # a witness, so the deterministic tensor of two identities, which has
+    # none, leaves the labels of its domain and codomain unwritten
+    idempotents._classify_cached.cache_clear()
+    x = fin_object(["a", "b", "c"])
+    e = tensor(identity(x, kind), identity(x, kind))
+    report = classify(e)
+    assert report.deterministic and report.static and report.strong and not report.witnesses
+    assert e.dom._labels is None and e.cod._labels is None
+    assert hash(e.dom) == hash(FinObject(e.dom.labels))
 
 
 def test_duplicate_labels_are_refused():

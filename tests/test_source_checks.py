@@ -111,7 +111,7 @@ def test_library_memos_are_clearable():
 # these build kernels from stored integer columns; building one from dense
 # rows here would bring the dense cost back
 COLUMN_ONLY = {
-    "_ratio_column", "compose", "tensor", "pair", "_column_products", "function_kernel", "kernel_equal",
+    "_stored_columns", "compose", "tensor", "pair", "_column_products", "function_kernel", "kernel_equal",
     "_classify_cached", "_report", "_classes", "_class_failures",
     "_sum_difference", "_column_composite",
     "cauchy_schwarz", "blackwell_split", "_class_split", "kernel_from_doc", "kernel_to_doc",
@@ -693,6 +693,63 @@ def test_column_sum_copy_check_flags_each_form():
         "compose:5 takes an lcd in a loop",
         "_classify_cached:11 takes an lcd in a loop",
         "scan:16 takes an lcd in a loop",
+    ]
+
+
+# the one builder of stored columns and their law verdict, the units that
+# take a kernel in through it, and what only the builder does on the way in:
+# take a column's lcd and state the law
+COLUMN_BUILDER = "_stored_columns"
+BUILDER_CALLERS = {"kernel.py": {"Kernel.__init__", "multi_kernel"}, "cli.py": {"kernel_from_doc"}}
+BUILDER_ONLY = ("lcm", "_law_break")
+
+
+def _builder_bypasses(tree, callers, forbidden=()):
+    """Each unit of ``callers`` that is missing or does not call
+    `COLUMN_BUILDER`, and each call anywhere of a name in ``forbidden``."""
+    units = dict(_units(tree))
+    found = [f"{name} does not call {COLUMN_BUILDER}" for name in sorted(callers)
+             if name not in units or not _calls_within(units[name], COLUMN_BUILDER, {})]
+    found += [f"{node.lineno} calls {_called_name(node)}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and _called_name(node) in forbidden]
+    return found
+
+
+def test_every_way_in_builds_its_columns_with_the_one_builder():
+    # dense rows, documents and images get their stored columns and their
+    # law verdict from one function, so the law is decided in one place
+    found = []
+    for filename, callers in BUILDER_CALLERS.items():
+        path = SOURCE / filename
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        forbidden = BUILDER_ONLY if filename == "cli.py" else ()
+        found += [f"{filename} {where}" for where in _builder_bypasses(tree, callers, forbidden)]
+    assert found == []
+
+
+BUILDER_BYPASSES = """
+class Kernel:
+    def __init__(self, kind, raw):
+        self.columns = [_ratio_column(col) for col in raw]
+
+def multi_kernel(dom, cod, images):
+    return _kernel(Kind.MULTI, dom, cod, _stored_columns(Kind.MULTI, images))
+
+def kernel_from_doc(doc):
+    den = math.lcm(*doc)
+    if (message := _law_break(kind, 0, den)) is not None:
+        raise ParseError(message)
+"""
+
+
+def test_builder_bypass_check_flags_each_form():
+    callers = {"Kernel.__init__", "multi_kernel", "kernel_from_doc", "parse_kernel"}
+    assert _builder_bypasses(ast.parse(BUILDER_BYPASSES), callers, BUILDER_ONLY) == [
+        "Kernel.__init__ does not call _stored_columns",
+        "kernel_from_doc does not call _stored_columns",
+        "parse_kernel does not call _stored_columns",
+        "10 calls lcm",
+        "11 calls _law_break",
     ]
 
 
