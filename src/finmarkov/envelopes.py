@@ -36,6 +36,7 @@ from .kernel import (
     Kind,
     ShapeMismatch,
     _bits,
+    _lawful,
     compose,
     discard_kernel,
     identity,
@@ -96,16 +97,6 @@ class EnvelopeMorphism:
             raise NotHom("source idempotent is not absorbed (f∘e_src ≠ f)")
         if not kernel_equal(compose(self.dst.endo, f), f):
             raise NotHom("target idempotent is not absorbed (e_dst∘f ≠ f)")
-
-
-def _lawful(cls, *values):
-    """A cell or morphism of the given fields, trusted to keep its laws:
-    the constructor without its checks, for what is derived from lawful
-    cells and morphisms."""
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def env_cell(x: FinObject, e: Kernel, flavor: Flavor | str) -> EnvelopeCell:
@@ -190,8 +181,9 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     With e∘e = e and disc = discard, both counit laws hold, as
     (disc⊗e)∘cpy = ⟨disc, e∘e⟩∘e ≅ e∘e = e, and so does discard
     naturality, as the endo is within the column law; coassociativity
-    holds when e is balanced, or multivalued (both sides send x to the
-    union of e(u)³ over the u ∈ e(x) with u ∈ e(u)).
+    holds when e is balanced, as every stochastic idempotent is (it passes
+    the class test), or multivalued (both sides send x to the union of e(u)³
+    over the u ∈ e(x) with u ∈ e(u)), so only a Signed e is classified.
 
     Otherwise the laws build the copy and ⟨cpy, e⟩∘e.  The associator is
     the identity on indices, so coassociativity compares the columns of
@@ -202,7 +194,7 @@ def env_check_markov_laws(cell: EnvelopeCell) -> MarkovLawReport:
     by (a,b,c) ↦ (c,b,a).
     """
     e = cell.endo
-    if e.kind is Kind.MULTI or classify(e).balanced:
+    if e.kind is not Kind.SIGNED or classify(e).balanced:
         return MarkovLawReport(True, True, True, True, True)
     return MarkovLawReport(True, True, _reversal_fixed(compose(pair(_cell_copy(e), e), e), e.cod.size), True, True)
 

@@ -18,6 +18,7 @@ from .kernel import (
     Kind,
     ShapeMismatch,
     _kernel,
+    _lawful,
     _reduced,
     _require_same_kind,
     compose,
@@ -102,7 +103,7 @@ def param_lift(f: Kernel, w: FinObject) -> ParamMorphism:
     π_A: W⊗A → A the projection."""
     wa = tensor_object(w, f.dom)
     to_a = function_kernel(wa, f.dom, [j % f.dom.size for j in range(wa.size)], f.kind)
-    return ParamMorphism(w, f.dom, f.cod, compose(f, to_a))
+    return _lawful(ParamMorphism, w, f.dom, f.cod, compose(f, to_a))
 
 
 def param_identity(w: FinObject, a: FinObject, kind: Kind = Kind.STOCH) -> ParamMorphism:
@@ -126,7 +127,7 @@ def param_compose(g: ParamMorphism, f: ParamMorphism) -> ParamMorphism:
         raise ShapeMismatch("middle objects differ")
     w, wa = f.w, f.inner.dom
     to_w = function_kernel(wa, w, [j // f.a.size for j in range(wa.size)], f.inner.kind)
-    return ParamMorphism(w, f.a, g.x, compose(g.inner, pair(to_w, f.inner)))
+    return _lawful(ParamMorphism, w, f.a, g.x, compose(g.inner, pair(to_w, f.inner)))
 
 
 def param_tensor(f: ParamMorphism, g: ParamMorphism) -> ParamMorphism:
@@ -142,7 +143,7 @@ def param_tensor(f: ParamMorphism, g: ParamMorphism) -> ParamMorphism:
     to_a = function_kernel(src, f.inner.dom, [j // nb for j in range(src.size)], kind)
     to_b = function_kernel(src, g.inner.dom, [j // nab * nb + j % nb for j in range(src.size)], kind)
     inner = pair(compose(f.inner, to_a), compose(g.inner, to_b))
-    return ParamMorphism(f.w, ab, tensor_object(f.x, g.x), inner)
+    return _lawful(ParamMorphism, f.w, ab, tensor_object(f.x, g.x), inner)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .kernel import (
     _column_composite,
     _is_point_column,
     _kernel,
+    _lawful,
     _reduced,
     compose,
     fin_object,
@@ -339,9 +340,6 @@ class SplitData:
     transient: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        # one set over every label; only an overlap runs the loop that names it
-        if len(set().union(self.transient, *self.classes)) == len(self.transient) + sum(map(len, self.classes)):
-            return
         seen: set = set()
         for cls in self.classes:
             if seen & set(cls):
@@ -378,7 +376,7 @@ def _class_split(e: Kernel) -> SplitData:
             pi_cols[x] = _reduced(cols[x][0], [(t, m) for t, m in enumerate(mass) if m])
     pi = _kernel(e.kind, e.dom, middle, tuple(pi_cols))
     classes = tuple([tuple([labels[y] for y in comp]) for comp in members])
-    return SplitData(middle, pi, iota, classes, tuple([labels[y] for y in rest]))
+    return _lawful(SplitData, middle, pi, iota, classes, tuple([labels[y] for y in rest]))
 
 
 def blackwell_split(e: Kernel) -> SplitData:

@@ -398,6 +398,15 @@ def _kernel(kind: Kind, dom: FinObject, cod: FinObject, columns: tuple) -> Kerne
     return k
 
 
+def _lawful(cls, *values):
+    """The checked record ``cls`` of every field's value, in order, without
+    its checks: for what the library derives from lawful values."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Violation:
     """First structural defect found by :func:`validate`."""

@@ -5,6 +5,11 @@ The support of a kernel is the subset of codomain elements it can reach,
 packaged with its deterministic inclusion and the factorization of the
 kernel through it.  A split support additionally carries a projection
 that retracts the inclusion.
+
+Construction decides each record's law, as ``Kernel(...)`` decides the
+column law: ``SupportData(...)``, ``SuppCompCell(...)`` and
+``SuppCompMorphism(...)`` (which `scomp_hom` is) refuse values off it.
+What is derived from lawful values keeps the law and is built by `_lawful`.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .kernel import (
     ShapeMismatch,
     _bits,
     _kernel,
+    _lawful,
     compose,
     function_kernel,
     identity,
@@ -81,7 +87,11 @@ class CellMismatch(FinMarkovError):
 @dataclass(frozen=True)
 class SupportData:
     """Support of ``base``: subset object, inclusion, factorization, and
-    (for split supports) a projection retracting the inclusion."""
+    (for split supports) a projection retracting the inclusion.
+    Construction raises UnsupportedKind on a Signed base, and
+    FactorizationFailed unless the inclusion is a deterministic injection
+    from ``supp_object``, through which the factorization, reaching every
+    element, gives the base, and the projection, if any, retracts it."""
 
     base: Kernel
     supp_object: FinObject
@@ -90,12 +100,17 @@ class SupportData:
     projection: Optional[Kernel] = None
 
     def __post_init__(self) -> None:
+        _require_supportable(self.base)
+        if self.inclusion.dom != self.supp_object:
+            raise FactorizationFailed("support object must be the inclusion's domain")
         if not kernel_equal(compose(self.inclusion, self.factorization), self.base):
             raise FactorizationFailed("inclusion∘factorization must equal the base kernel")
         if not is_deterministic(self.inclusion):
             raise FactorizationFailed("support inclusion must be deterministic")
         if len(set(self.inclusion.columns)) != self.supp_object.size:
             raise FactorizationFailed("support inclusion must be injective on columns")
+        if len(support_indices(self.factorization)) != self.supp_object.size:
+            raise FactorizationFailed("factorization must reach every support element")
         if self.projection is not None:
             retract = compose(self.projection, self.inclusion)
             if not kernel_equal(retract, identity(self.supp_object, self.base.kind)):
@@ -127,7 +142,7 @@ def support(p: Kernel) -> SupportData:
     _require_supportable(p)
     idx = support_indices(p)
     inc = inclusion_kernel(p.cod, idx, p.kind)
-    return SupportData(p, inc.dom, inc, _restrict_rows(p, inc.dom, idx))
+    return _lawful(SupportData, p, inc.dom, inc, _restrict_rows(p, inc.dom, idx), None)
 
 
 def factor_through_support(f: Kernel, sd: SupportData) -> Kernel:
@@ -149,14 +164,12 @@ def factor_through_support(f: Kernel, sd: SupportData) -> Kernel:
 def split_support(p: Kernel) -> SupportData:
     """Support with a projection: support elements map to themselves and
     every unreachable element maps to the first support element."""
-    _require_supportable(p)
-    idx = support_indices(p)
-    if not idx:
+    sd = support(p)
+    if not sd.supp_object.size:
         raise EmptySupport("cannot project onto an empty support")
-    inc = inclusion_kernel(p.cod, idx, p.kind)
-    pos = {x: s for s, x in enumerate(idx)}
-    proj = function_kernel(p.cod, inc.dom, [pos.get(x, 0) for x in range(p.cod.size)], p.kind)
-    return SupportData(p, inc.dom, inc, _restrict_rows(p, inc.dom, idx), proj)
+    pos = {x: s for s, x in enumerate(support_indices(p))}
+    proj = function_kernel(p.cod, sd.supp_object, [pos.get(x, 0) for x in range(p.cod.size)], p.kind)
+    return _lawful(SupportData, p, sd.supp_object, sd.inclusion, sd.factorization, proj)
 
 
 def support_functor_map(p: Kernel, q: Kernel, f: Kernel, g: Kernel) -> Kernel:
@@ -266,16 +279,28 @@ class SuppCompCell:
 
 @dataclass(frozen=True)
 class SuppCompMorphism:
-    """Morphism class of the completion in canonical form.
-
-    The representative's columns at elements unreachable by the source
-    anchor are the point mass on the first codomain element, which makes
-    class equality decidable by kernel equality.
-    """
+    """The class of f as a completion morphism src → dst: construction
+    raises ShapeMismatch, or NotMember unless the target anchor dominates
+    the source anchor's pushforward along f, and stores f's `canonical_rep`,
+    the point mass on the first codomain element at each input the source
+    anchor misses, so class equality is kernel equality."""
 
     src: SuppCompCell
     dst: SuppCompCell
     rep: Kernel
+
+    def __post_init__(self) -> None:
+        f = self.rep
+        if f.dom != self.src.object or f.cod != self.dst.object:
+            raise ShapeMismatch("kernel does not connect the given cells")
+        witness = refute_abs_cont(self.dst.anchor, compose(f, self.src.anchor))
+        if witness is not None:
+            raise NotMember(witness.element)
+        object.__setattr__(self, "rep", canonical_rep(f, set(support_indices(self.src.anchor))))
+
+
+#: The class of f as a completion morphism src → dst, checked by construction.
+scomp_hom = SuppCompMorphism
 
 
 def canonical_rep(f: Kernel, reachable: set[int]) -> Kernel:
@@ -286,29 +311,21 @@ def canonical_rep(f: Kernel, reachable: set[int]) -> Kernel:
     return _kernel(f.kind, f.dom, f.cod, cols)
 
 
-def scomp_hom(src: SuppCompCell, dst: SuppCompCell, f: Kernel) -> SuppCompMorphism:
-    """Class of f as a completion morphism src → dst.
-
-    Membership requires the pushforward of the source anchor along f to
-    be dominated by the target anchor.
-    """
-    if f.dom != src.object or f.cod != dst.object:
-        raise ShapeMismatch("kernel does not connect the given cells")
-    push = compose(f, src.anchor)
-    witness = refute_abs_cont(dst.anchor, push)
-    if witness is not None:
-        raise NotMember(witness.element)
-    return SuppCompMorphism(src, dst, canonical_rep(f, set(support_indices(src.anchor))))
+def _member(src: SuppCompCell, dst: SuppCompCell, f: Kernel) -> SuppCompMorphism:
+    """The class of a kernel f known to be a member, as ``SuppCompMorphism(...)`` stores it."""
+    return _lawful(SuppCompMorphism, src, dst, canonical_rep(f, set(support_indices(src.anchor))))
 
 
 def scomp_identity(cell: SuppCompCell) -> SuppCompMorphism:
-    return scomp_hom(cell, cell, identity(cell.object, cell.anchor.kind))
+    return _member(cell, cell, identity(cell.object, cell.anchor.kind))
 
 
 def scomp_compose(g: SuppCompMorphism, f: SuppCompMorphism) -> SuppCompMorphism:
+    """g∘f, a member: over the positive kinds domination is inclusion of
+    supports, which composing with g preserves."""
     if f.dst != g.src:
         raise CellMismatch("inner cells differ")
-    return scomp_hom(f.src, g.dst, compose(g.rep, f.rep))
+    return _member(f.src, g.dst, compose(g.rep, f.rep))
 
 
 def scomp_abs_cont(f: SuppCompMorphism, g: SuppCompMorphism) -> bool:
@@ -323,9 +340,9 @@ def scomp_support(f: SuppCompMorphism) -> tuple[SuppCompCell, SuppCompMorphism]:
     """Support of a completion morphism: the cell anchored by the
     pushforward, with the identity class as inclusion."""
     push = compose(f.rep, f.src.anchor)
-    cell = SuppCompCell(f.dst.object, push)
-    return cell, scomp_hom(cell, f.dst, identity(f.dst.object, push.kind))
+    cell = _lawful(SuppCompCell, f.dst.object, push)
+    return cell, _member(cell, f.dst, identity(f.dst.object, push.kind))
 
 
 def scomp_tensor_cell(a: SuppCompCell, b: SuppCompCell) -> SuppCompCell:
-    return SuppCompCell(tensor_object(a.object, b.object), tensor(a.anchor, b.anchor))
+    return _lawful(SuppCompCell, tensor_object(a.object, b.object), tensor(a.anchor, b.anchor))

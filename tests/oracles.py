@@ -106,7 +106,6 @@ from finmarkov.envelopes import (
     MarkovLawReport,
     NotBalanced,
     NotHom,
-    _lawful,
 )
 from finmarkov.functors import comparison_base
 from finmarkov.idempotents import CauchySchwarzInstance, StructureViolation, _sum_difference
@@ -114,6 +113,7 @@ from finmarkov.kernel import (
     _bits,
     _is_point_column,
     _kernel,
+    _lawful,
     _reduced,
     associator,
     left_unitor,

@@ -18,6 +18,7 @@ from finmarkov import (
     copy_kernel,
     delta_kernel,
     fin_object,
+    function_kernel,
     identity,
     is_atomic,
     kernel_equal,
@@ -29,6 +30,7 @@ from finmarkov import (
     tensor,
     tensor_object,
 )
+from finmarkov import asrel
 from finmarkov.golden import domination_pair
 from finmarkov.kernel import UNIT, associator
 from finmarkov.rand import random_kernel
@@ -344,6 +346,15 @@ def test_everything_atomic():
             assert is_atomic(random_kernel(rng, kind, a, x))
 
 
+def test_is_atomic_returns_its_domination_verdict(monkeypatch):
+    # the answer is always True, but is_atomic evaluates abs_cont(p⊗p, copy∘p)
+    # and returns what it says
+    p = intro_state()
+    assert is_atomic(p)
+    monkeypatch.setattr(asrel, "abs_cont", lambda q, r: False)
+    assert not is_atomic(p)
+
+
 def test_atomicity_containment_by_inspection():
     p = make_kernel(Kind.STOCH, UNIT, fin_object(("a", "b")), [[F(1, 2)], [F(1, 2)]])
     joint = compose(copy_kernel(p.cod), p)
@@ -393,6 +404,16 @@ def test_causality_trivial_when_equal():
     h = random_kernel(rng, Kind.STOCH, y, z)
     inst = check_causality_instance(f, g, h, h)
     assert inst.antecedent and inst.consequent and inst.implication_ok
+
+
+def test_causality_instance_with_a_false_consequent():
+    # along f = δ_x0 and g = id_X, h1 = id_X and h2, the constant map to x1,
+    # differ at x0: neither the antecedent nor the consequent holds
+    x = fin_object(("x0", "x1"))
+    for kind in (Kind.STOCH, Kind.MULTI):
+        f, ident = delta_kernel(x, "x0", kind), identity(x, kind)
+        inst = check_causality_instance(f, ident, ident, function_kernel(x, x, [1, 1], kind))
+        assert (inst.antecedent, inst.consequent) == (False, False)
 
 
 def test_causality_random_search_finds_no_counterexample():

@@ -1,14 +1,17 @@
-"""Every kernel the library builds keeps the column law of its kind.
+"""Every kernel and record the library builds keeps the law of its kind.
 
 ``Kernel(...)`` refuses a column off the law, so no operation checks the
 law again.  The library's other kernels come from the private ``_kernel``,
 which trusts its stored columns.  `SITE_REASONS` says, for each function
 that calls it, why the columns it passes are within the law when its
 inputs are; the test runs every call site on seeded lawful inputs of each
-kind it takes and checks each kernel built there with `validate`.
+kind it takes and checks each kernel built there with `validate`.  In the
+same way the records the library derives come from the trusted
+``_lawful``, and each equals its rebuild by its checked constructor.
 """
 
 import ast
+import dataclasses
 import json
 import random
 import sys
@@ -19,7 +22,11 @@ from finmarkov import (
     UNIT,
     Kernel,
     Kind,
+    ParamMorphism,
+    SplitData,
     SuppCompCell,
+    SuppCompMorphism,
+    SupportData,
     associator,
     balanced_cross_check,
     blackwell_split,
@@ -36,16 +43,24 @@ from finmarkov import (
     marginalize,
     multi_kernel,
     pair,
+    param_compose,
+    param_lift,
+    param_tensor,
     perturb_off_support,
     random_class_idempotent,
     right_unitor,
     right_unitor_inv,
+    scomp_compose,
     scomp_hom,
+    scomp_identity,
+    scomp_support,
+    scomp_tensor_cell,
     search_split,
     split_support,
     support,
     swap_kernel,
     tensor,
+    tensor_object,
     validate,
 )
 from finmarkov import asrel, cli, functors, idempotents, kernel, supports
@@ -173,3 +188,45 @@ def test_every_private_construction_keeps_the_column_law(monkeypatch):
         assert all(validate(k) is None for k in kernels), (site, sites[site])
         kinds.setdefault(sites[site], set()).update(k.kind for k in kernels)
     assert kinds == {name: KINDS_BUILT.get(name, set(Kind)) for _, name in SITE_REASONS}
+
+
+# the records whose constructors check their laws
+CHECKED = (SupportData, SplitData, SuppCompCell, SuppCompMorphism, ParamMorphism)
+
+
+def _rebuilt(record):
+    """``record`` built again by its checked constructor from its fields,
+    the checked records among them rebuilt first."""
+    fields = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    return type(record)(*[_rebuilt(v) if isinstance(v, CHECKED) else v for v in fields])
+
+
+def _derived_records(rng: random.Random, kind: Kind, n: int) -> list:
+    """The supports, splittings, completion cells and morphisms and
+    parametric morphisms the library derives from seeded lawful inputs of
+    ``kind`` on objects of at most ``n`` elements."""
+    a, b, c, w = (random_object(rng, n, prefix) for prefix in "abcw")
+    f, g = random_kernel(rng, kind, a, b), random_kernel(rng, kind, b, c)
+    ca = SuppCompCell(a, random_kernel(rng, kind, UNIT, a))
+    cb = SuppCompCell(b, compose(f, ca.anchor))
+    m_f, m_g = scomp_hom(ca, cb, f), scomp_hom(cb, SuppCompCell(c, compose(g, cb.anchor)), g)
+    e = random_class_idempotent(rng, a).idempotent
+    split = blackwell_split(e) if kind is Kind.STOCH else search_split(io_relation(e), a.size)
+    lifted, other = param_lift(f, w), param_lift(random_kernel(rng, kind, c, a), w)
+    inner = random_kernel(rng, kind, tensor_object(w, b), c)
+    through = param_compose(ParamMorphism(w, b, c, inner), lifted)
+    return [support(f), split_support(f), scomp_identity(ca), scomp_compose(m_g, m_f), *scomp_support(m_f),
+            scomp_tensor_cell(ca, cb), split, lifted, through, param_tensor(lifted, other)]
+
+
+def test_every_derived_record_equals_its_checked_rebuild():
+    # each record the library builds with `_lawful` keeps the law its
+    # constructor decides: no rebuild raises, and each gives the record back
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        for kind in (Kind.STOCH, Kind.MULTI):
+            for record in _derived_records(rng, kind, 1 + seed % 6):
+                seen.add(type(record))
+                assert _rebuilt(record) == record, (seed, kind, type(record).__name__)
+    assert seen == set(CHECKED)

@@ -42,6 +42,7 @@ from finmarkov import (
     fin_object,
     function_kernel,
     identity,
+    io_relation,
     kernel_equal,
     make_kernel,
     multi_kernel,
@@ -386,6 +387,25 @@ def test_random_blackwell_cells_pass_laws():
         e = random_class_idempotent(rng, x).idempotent
         report = env_check_markov_laws(_blackwell(e))
         assert report.all_pass
+
+
+def test_markov_laws_classify_only_signed_cells(monkeypatch):
+    # every stochastic idempotent passes the class test, so is balanced, and
+    # a multivalued copy is coassociative: Stoch and Multi cells pass every
+    # law without being classified
+    rng = random.Random(17)
+    stoch = [random_class_idempotent(rng, random_object(rng, 6, "s")).idempotent for _ in range(10)]
+    endos = stoch + [io_relation(e) for e in stoch] + [multi_upset_idempotent(), multi_chain3_idempotent()]
+    cells = [EnvelopeCell(e.dom, e, flavor) for e in endos for flavor in Flavor]
+    signed = EnvelopeCell(signed_idempotent().dom, signed_idempotent(), Flavor.KAROUBI)
+
+    def refused(e):
+        raise AssertionError("classified a cell")
+
+    monkeypatch.setattr(envelopes, "classify", refused)
+    assert all(env_check_markov_laws(cell).all_pass for cell in cells)
+    with pytest.raises(AssertionError, match="classified a cell"):
+        env_check_markov_laws(signed)
 
 
 def test_copy_checks_build_no_tensor_and_env_tensor_composes_nothing(monkeypatch):

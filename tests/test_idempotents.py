@@ -357,6 +357,14 @@ def test_cross_check_multi_and_signed_all_false():
         assert cc.all() == (False, False, False, False)
 
 
+def test_cross_check_reads_strong_almost_surely_off_ase(monkeypatch):
+    # reading (iii) is the verdict of ase_kernels(e, two-step joint, ⟨e, e⟩),
+    # and only that reading
+    monkeypatch.setattr(idempotents, "ase_kernels", lambda p, f, g: False)
+    for e in (strong_idempotent(), static_idempotent(), balanced_idempotent()):
+        assert balanced_cross_check(e).all() == (True, True, False, True)
+
+
 def test_cross_check_requires_idempotent():
     x = fin_object(("a", "b"))
     rot = make_kernel(Kind.STOCH, x, x, [[0, 1], [1, 0]])

@@ -819,3 +819,83 @@ def test_label_writer_check_flags_each_form():
     tree = ast.parse(PAIR_LABELS)
     assert _pair_label_writers(tree) == ["_tensor_labels:3", "split:6", "Obj.label:12", "line 18:18"]
     assert _unslotted(tree, {"FinObject", "Obj"}) == ["FinObject:14"]
+
+
+# the records whose constructors decide their laws, and the sites that build
+# one from outside input through its constructor; the library builds every
+# record it derives from lawful values with the trusted `_lawful`
+CHECKED_RECORDS = {"SupportData", "SplitData", "SuppCompCell", "SuppCompMorphism", "ParamMorphism",
+                   "EnvelopeCell", "EnvelopeMorphism"}
+OUTSIDE_INPUT = {"env_cell": {"EnvelopeCell"}}
+
+
+def _record_aliases(trees):
+    """Each checked record by its name, and each module-level name bound to one, as ``env_hom`` is."""
+    aliases = {name: name for name in CHECKED_RECORDS}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and node.value.id in CHECKED_RECORDS:
+                aliases.update((t.id, node.value.id) for t in node.targets if isinstance(t, ast.Name))
+    return aliases
+
+
+def _record_constructions(tree, aliases, allowed=OUTSIDE_INPUT):
+    """Each call of a checked record's constructor, by its name or an alias,
+    in a unit that is not one of its ``allowed`` sites."""
+    return [
+        f"{name}:{node.lineno} builds {aliases[_called_name(node)]}"
+        for name, unit in _units(tree)
+        for node in ast.walk(unit)
+        if isinstance(node, ast.Call) and _called_name(node) in aliases
+        and aliases[_called_name(node)] not in allowed.get(name, ())
+    ]
+
+
+def test_derived_records_are_built_trusted():
+    # each checked record's constructor decides its law; the library builds
+    # one through it only from outside input, and every record it derives
+    # from lawful values with `_lawful`, so no law is checked twice
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SOURCE.glob("*.py"))}
+    aliases = _record_aliases(trees.values())
+    assert aliases == {**{name: name for name in CHECKED_RECORDS},
+                       "env_hom": "EnvelopeMorphism", "scomp_hom": "SuppCompMorphism"}
+    found = [f"{filename} {where}" for filename, tree in trees.items()
+             for where in _record_constructions(tree, aliases)]
+    assert found == []
+
+
+RECORD_CONSTRUCTIONS = """
+scomp_hom = SuppCompMorphism
+
+def support(p):
+    return SupportData(p, inc.dom, inc, fact, None)
+
+def scomp_compose(g, f):
+    return scomp_hom(f.src, g.dst, compose(g.rep, f.rep))
+
+def split(e):
+    return idempotents.SplitData(*parts), _lawful(SplitData, *parts)
+
+def env_cell(x, e, flavor):
+    cell = EnvelopeCell(x, e, flavor)
+    return cell, EnvelopeMorphism(cell, cell, e)
+
+class Completion:
+    def tensor(self, other):
+        return SuppCompCell(self.object, tensor(self.anchor, other.anchor))
+
+UNIT_LIFT = ParamMorphism(UNIT, UNIT, UNIT, IDENTITY)
+"""
+
+
+def test_record_construction_check_flags_each_form():
+    tree = ast.parse(RECORD_CONSTRUCTIONS)
+    assert _record_constructions(tree, _record_aliases([tree])) == [
+        "support:5 builds SupportData",
+        "scomp_compose:8 builds SuppCompMorphism",
+        "split:11 builds SplitData",
+        "env_cell:15 builds EnvelopeMorphism",
+        "Completion.tensor:19 builds SuppCompCell",
+        "line 21:21 builds ParamMorphism",
+    ]

@@ -8,6 +8,7 @@ import pytest
 
 from finmarkov import (
     EmptySupport,
+    FactorizationFailed,
     Kind,
     NotAbsolutelyContinuous,
     NotAse,
@@ -17,6 +18,7 @@ from finmarkov import (
     NotMember,
     ShapeMismatch,
     SuppCompCell,
+    SuppCompMorphism,
     SupportData,
     UnsupportedKind,
     acsim,
@@ -48,8 +50,10 @@ from finmarkov import (
     tensor,
     tensor_object,
 )
-from finmarkov.golden import static_idempotent
+from finmarkov import supports
+from finmarkov.golden import signed_idempotent, static_idempotent
 from finmarkov.kernel import UNIT, support_indices
+from finmarkov.supports import PreciseSupportCheck
 from finmarkov.rand import random_kernel, random_kernel_supported_on
 from oracles import deterministic_kernels, entry, intro_functions, intro_state, random_object
 
@@ -427,6 +431,24 @@ def test_precise_supports_refuse_signed_kernels():
         precise_supports_equiv(p, f, "a", "u")
 
 
+def test_precise_supports_read_the_joint_column(monkeypatch):
+    # joint_dominates is read off the joint column that precise_supports_equiv
+    # composes: a joint column without (a,a) makes it False, while the
+    # pointwise reading, of p's and f's own columns, stays True
+    x = fin_object(("a", "b", "c"))
+    real = supports.compose
+
+    def joint_at_c_c(g, f):
+        joint = real(g, f)
+        return function_kernel(joint.dom, joint.cod, [joint.cod.size - 1], joint.kind)
+
+    for p in (intro_state(), multi_kernel(UNIT, x, [["a", "b"]])):
+        assert precise_supports_equiv(p, identity(x, p.kind), "a", "a") == PreciseSupportCheck(True, True)
+        with monkeypatch.context() as m:
+            m.setattr(supports, "compose", joint_at_c_c)
+            assert precise_supports_equiv(p, identity(x, p.kind), "a", "a") == PreciseSupportCheck(False, True)
+
+
 def test_precise_supports_agree_randomized():
     rng = random.Random(43)
     for kind in (Kind.STOCH, Kind.MULTI):
@@ -713,3 +735,73 @@ def test_support_unsupported_for_signed():
 
     with pytest.raises(UnsupportedKind):
         support(signed_idempotent())
+
+
+# ---------------------------------------------------------------------------
+# construction decides the laws of supports and completion morphisms
+# ---------------------------------------------------------------------------
+
+
+def test_support_data_refuses_all_of_the_object_as_the_support_of_a_point_mass():
+    # id_X∘δ_a = δ_a, but δ_a reaches only a, so X is not its support
+    x = fin_object(("a", "b"))
+    for kind in (Kind.STOCH, Kind.MULTI):
+        point = delta_kernel(x, "a", kind)
+        with pytest.raises(FactorizationFailed, match="factorization must reach every support element"):
+            SupportData(point, x, identity(x, kind), point)
+
+
+def test_support_data_refuses_a_support_object_that_is_not_the_inclusion_domain():
+    sd = support(intro_state())
+    with pytest.raises(FactorizationFailed, match="support object must be the inclusion's domain"):
+        SupportData(sd.base, fin_object(("u", "v")), sd.inclusion, sd.factorization)
+
+
+def test_support_data_refuses_a_signed_base():
+    e = signed_idempotent()
+    with pytest.raises(UnsupportedKind):
+        SupportData(e, e.cod, identity(e.cod, Kind.SIGNED), e)
+
+
+def test_supp_comp_morphism_decides_membership_and_stores_the_canonical_class():
+    x = fin_object(("a", "b"))
+    cell = SuppCompCell(x, delta_kernel(x, "a"))
+    swap = function_kernel(x, x, [1, 0], Kind.STOCH)
+    with pytest.raises(NotMember, match="pushforward puts mass at 'b' outside the target anchor"):
+        SuppCompMorphism(cell, cell, swap)
+    with pytest.raises(ShapeMismatch, match="kernel does not connect the given cells"):
+        SuppCompMorphism(cell, cell, identity(fin_object(("a",))))
+    assert SuppCompMorphism(cell, cell, identity(x)) == scomp_identity(cell)
+    assert scomp_hom is SuppCompMorphism
+
+
+def test_derived_supports_and_composites_run_no_check(monkeypatch):
+    # support and split_support compose nothing, and scomp_compose only
+    # composes the two representatives: membership is closed under composition
+    rng = random.Random(61)
+    calls = {"compose": 0, "refute_abs_cont": 0}
+
+    def counted(name):
+        real = getattr(supports, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for kind in (Kind.STOCH, Kind.MULTI):
+        a, b, c = (random_object(rng, 4, prefix) for prefix in "abc")
+        f, g = random_kernel(rng, kind, a, b), random_kernel(rng, kind, b, c)
+        ca = SuppCompCell(a, random_kernel(rng, kind, UNIT, a))
+        cb = SuppCompCell(b, compose(f, ca.anchor))
+        m_f, m_g = scomp_hom(ca, cb, f), scomp_hom(cb, SuppCompCell(c, compose(g, cb.anchor)), g)
+        with monkeypatch.context() as m:
+            for name in calls:
+                m.setattr(supports, name, counted(name))
+            support(f)
+            split_support(f)
+            assert calls == {"compose": 0, "refute_abs_cont": 0}
+            composite = scomp_compose(m_g, m_f)
+            assert calls == {"compose": 1, "refute_abs_cont": 0}
+        calls.update(compose=0)
+        assert composite == scomp_hom(ca, m_g.dst, compose(g, f))
